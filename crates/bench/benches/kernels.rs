@@ -5,15 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mathx::{clamp_unit, norm_cdf, norm_cdf_diff, norm_quantile};
-use mvn_core::{mvn_prob_dense, mvn_prob_dense_fused, MvnConfig, MvnEngine, QmcScratch, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, QmcScratch};
 use std::hint::black_box;
-use task_runtime::WorkerPool;
-use tile_la::dag::effective_workers;
+use task_runtime::{effective_workers, WorkerPool};
 use tile_la::kernels::{gemm_nn, gemm_nt, jacobi_svd, potrf_in_place};
-use tile_la::{
-    potrf_tiled, potrf_tiled_dag, potrf_tiled_forkjoin, potrf_tiled_stream, DenseMatrix,
-    SymTileMatrix,
-};
+use tile_la::{potrf_tiled, DenseMatrix, SymTileMatrix};
 use tlr::{compress_dense, potrf_tlr, CompressionTol, TlrMatrix};
 
 fn kernel_matrix(n: usize, offset: usize) -> DenseMatrix {
@@ -260,37 +256,36 @@ fn bench_factorizations(c: &mut Criterion) {
     let f = |i: usize, j: usize| {
         (-((i as f64 - j as f64).abs()) / 200.0).exp() + if i == j { 1e-4 } else { 0.0 }
     };
+    let pool = WorkerPool::new(effective_workers(0));
     group.bench_function("dense_tiled_cholesky_768", |bench| {
         bench.iter(|| {
             let mut a = SymTileMatrix::from_fn(n, nb, f);
-            potrf_tiled(&mut a, 1).unwrap();
+            potrf_tiled(&mut a, &pool).unwrap();
             black_box(a)
         });
     });
     group.bench_function("tlr_cholesky_768_tol1e-3", |bench| {
         bench.iter(|| {
             let mut a = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-3), nb / 2, f);
-            potrf_tlr(&mut a, 1).unwrap();
+            potrf_tlr(&mut a, &pool).unwrap();
             black_box(a)
         });
     });
     group.finish();
 }
 
-/// Fork-join vs DAG vs streaming scheduling of the same numerical work — the
-/// bench backing the task-runtime refactor. Four timing points:
+/// Staged vs fused vs streamed submission of the same numerical work on one
+/// engine session. Three timing points:
 ///
-/// * `forkjoin_potrf_pmvn` — per-panel fork-join factorization, then the
-///   fork-join panel sweep (the seed's scheduling),
-/// * `dag_potrf_pmvn` — DAG-scheduled factorization, then the DAG-scheduled
-///   sweep (still two phases, barrier between them),
+/// * `dag_potrf_pmvn` — factorization, then the panel sweep (two task sets,
+///   barrier between them),
 /// * `fused_potrf_pmvn` — one materialized task graph for factor + sweep,
 ///   early row-block sweeping overlapping the trailing factorization,
 /// * `stream_potrf_pmvn` — the same fused task set submitted through the
 ///   lookahead-limited streaming window (peak task storage `O(lookahead)`
 ///   instead of the whole graph; execution overlaps submission).
 ///
-/// All four produce bitwise-identical probabilities; only wall time and peak
+/// All three produce bitwise-identical probabilities; only wall time and peak
 /// task storage differ. The peak in-flight task count of the streaming
 /// session (vs. the materialized task total) is emitted as two extra
 /// JSON-lines points so it lands in the `BENCH_kernels.json` artifact next
@@ -307,48 +302,36 @@ fn bench_scheduling(c: &mut Criterion) {
     };
     let a = vec![-0.3; n];
     let b = vec![f64::INFINITY; n];
-    let fj_cfg = MvnConfig {
+    let cfg = MvnConfig {
         sample_size: 2000,
         seed: 20240518,
-        scheduler: Scheduler::ForkJoin,
         ..Default::default()
     };
-    let dag_cfg = MvnConfig {
-        scheduler: Scheduler::Dag { workers: 0 },
-        ..fj_cfg
-    };
+    let engine = MvnEngine::with_config(cfg).unwrap();
+    let stream_engine = MvnEngine::builder()
+        .config(cfg)
+        .streaming(0)
+        .build()
+        .unwrap();
 
-    group.bench_function("forkjoin_potrf_pmvn", |bench| {
-        bench.iter(|| {
-            let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-            potrf_tiled_forkjoin(&mut sigma, 1).unwrap();
-            black_box(mvn_prob_dense(&sigma, &a, &b, &fj_cfg))
-        });
-    });
     group.bench_function("dag_potrf_pmvn", |bench| {
         bench.iter(|| {
-            let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-            potrf_tiled_dag(&mut sigma, 0).unwrap();
-            black_box(mvn_prob_dense(&sigma, &a, &b, &dag_cfg))
+            let factor = engine
+                .factor_dense(SymTileMatrix::from_fn(n, nb, f))
+                .unwrap();
+            black_box(engine.solve(&factor, &a, &b))
         });
     });
     group.bench_function("fused_potrf_pmvn", |bench| {
         bench.iter(|| {
             let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-            black_box(mvn_prob_dense_fused(&mut sigma, &a, &b, &dag_cfg).unwrap())
+            black_box(engine.factor_prob_dense(&mut sigma, &a, &b).unwrap())
         });
     });
-    let stream_cfg = MvnConfig {
-        scheduler: Scheduler::Streaming {
-            workers: 0,
-            lookahead: 0,
-        },
-        ..fj_cfg
-    };
     group.bench_function("stream_potrf_pmvn", |bench| {
         bench.iter(|| {
             let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-            black_box(mvn_prob_dense_fused(&mut sigma, &a, &b, &stream_cfg).unwrap())
+            black_box(stream_engine.factor_prob_dense(&mut sigma, &a, &b).unwrap())
         });
     });
     // Peak-task accounting of the streaming window vs. the materialized
@@ -357,37 +340,37 @@ fn bench_scheduling(c: &mut Criterion) {
     // duration). One streamed factorization of the bench matrix suffices —
     // the counters are deterministic.
     {
-        let pool = WorkerPool::new(effective_workers(0));
+        let pool = WorkerPool::with_lookahead(effective_workers(0), Some(0));
         let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-        let stats = potrf_tiled_stream(&mut sigma, &pool, 0).unwrap();
+        potrf_tiled(&mut sigma, &pool).unwrap();
+        let stats = pool.stats();
         println!(
             "{{\"benchmark\":\"scheduling/stream_peak_in_flight_tasks\",\"mean_ns\":{},\"samples\":1}}",
-            stats.peak_in_flight
+            stats.stream_peak_tasks
         );
         println!(
             "{{\"benchmark\":\"scheduling/materialized_task_total\",\"mean_ns\":{},\"samples\":1}}",
-            stats.tasks
+            stats.tasks_run
         );
     }
 
-    // The session-API ablation: 64 small solves against one factor, either
-    // constructing a fresh engine (pool spawn + teardown) per solve — the
-    // cost profile of the old free functions — or reusing one engine whose
-    // workers stay parked between solves. Probabilities are bitwise
-    // identical; only the scheduling overhead differs.
+    // The session shape real traffic has: 64 small solves against one factor
+    // on one engine whose workers stay parked between solves.
     let small_n = 64;
     let small_cfg = MvnConfig {
         sample_size: 256,
         panel_width: 64,
         seed: 20240518,
-        scheduler: Scheduler::Dag { workers: 2 },
         ..Default::default()
     };
     let small_f = |i: usize, j: usize| {
         (-((i as f64 - j as f64).abs()) / 20.0).exp() + if i == j { 1e-4 } else { 0.0 }
     };
-    let mut small_factor = SymTileMatrix::from_fn(small_n, 16, small_f);
-    potrf_tiled(&mut small_factor, 1).unwrap();
+    let small_engine = MvnEngine::builder().workers(2).config(small_cfg);
+    let small_engine = small_engine.build().unwrap();
+    let small_factor = small_engine
+        .factor_dense(SymTileMatrix::from_fn(small_n, 16, small_f))
+        .unwrap();
     let solves = 64usize;
     let limits: Vec<(Vec<f64>, Vec<f64>)> = (0..solves)
         .map(|k| {
@@ -397,22 +380,11 @@ fn bench_scheduling(c: &mut Criterion) {
             )
         })
         .collect();
-    group.bench_function("engine_reuse_fresh_engine_per_solve", |bench| {
-        bench.iter(|| {
-            let mut acc = 0.0;
-            for (a, b) in &limits {
-                let engine = MvnEngine::with_config(small_cfg).unwrap();
-                acc += engine.solve_factored(&small_factor, a, b).prob;
-            }
-            black_box(acc)
-        });
-    });
     group.bench_function("engine_reuse_shared_engine", |bench| {
-        let engine = MvnEngine::with_config(small_cfg).unwrap();
         bench.iter(|| {
             let mut acc = 0.0;
             for (a, b) in &limits {
-                acc += engine.solve_factored(&small_factor, a, b).prob;
+                acc += small_engine.solve(&small_factor, a, b).prob;
             }
             black_box(acc)
         });
@@ -450,7 +422,6 @@ fn bench_vecchia(_c: &mut Criterion) {
     let cfg = MvnConfig {
         sample_size: 1000,
         seed: 20240518,
-        scheduler: Scheduler::Dag { workers: 0 },
         ..Default::default()
     };
     let engine = MvnEngine::with_config(cfg).unwrap();
@@ -558,12 +529,12 @@ fn bench_obs_overhead(_c: &mut Criterion) {
     let cfg = MvnConfig {
         sample_size: 1000,
         seed: 20240518,
-        scheduler: Scheduler::Dag { workers: 0 },
         ..Default::default()
     };
+    let engine = MvnEngine::with_config(cfg).unwrap();
     let run = || {
         let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-        black_box(mvn_prob_dense_fused(&mut sigma, &a, &b, &cfg).unwrap())
+        black_box(engine.factor_prob_dense(&mut sigma, &a, &b).unwrap())
     };
 
     // Warm up once per arm so neither pays first-touch costs.

@@ -8,7 +8,7 @@
 //! memory).
 
 use mvn_bench::{exceedance_limits, full_scale_requested, mvn_config, timed, SyntheticProblem};
-use mvn_core::{mvn_prob_dense, mvn_prob_tlr};
+use mvn_core::MvnEngine;
 
 fn main() {
     let full = full_scale_requested();
@@ -30,6 +30,9 @@ fn main() {
         "n", "QMC N", "method", "chol (s)", "integr (s)", "total (s)", "prob", "speedup"
     );
 
+    // One session for the whole report: every factorization and integration
+    // below runs on this engine's pool.
+    let engine = MvnEngine::builder().build().expect("default engine");
     for &side in &sides {
         let problem = SyntheticProblem::new(side, range, "medium");
         let n = problem.n();
@@ -37,13 +40,14 @@ fn main() {
 
         // Factorizations are reused across QMC sizes (as in the paper, the
         // Cholesky is performed once per covariance matrix).
-        let (dense_factor, t_chol_dense) = problem.dense_factor(nb);
-        let (tlr_factor, t_chol_tlr) = problem.tlr_factor(nb, tlr_tol, nb / 2);
+        let (dense_factor, t_chol_dense) = problem.dense_factor(&engine, nb);
+        let (tlr_factor, t_chol_tlr) = problem.tlr_factor(&engine, nb, tlr_tol, nb / 2);
 
         for &nqmc in &qmc_sizes {
             let cfg = mvn_config(nqmc);
-            let (rd, t_int_dense) = timed(|| mvn_prob_dense(&dense_factor, &a, &b, &cfg));
-            let (rt, t_int_tlr) = timed(|| mvn_prob_tlr(&tlr_factor, &a, &b, &cfg));
+            let (rd, t_int_dense) =
+                timed(|| engine.solve_factored_with(&dense_factor, &a, &b, &cfg));
+            let (rt, t_int_tlr) = timed(|| engine.solve_factored_with(&tlr_factor, &a, &b, &cfg));
             let total_dense = t_chol_dense + t_int_dense;
             let total_tlr = t_chol_tlr + t_int_tlr;
             let speedup = total_dense / total_tlr.max(1e-12);

@@ -8,16 +8,14 @@
 //!   fingerprints exercised, cache hit rate > 0 — exiting non-zero on any
 //!   violation.
 //! * `--soak` (CI, short via `--secs 2`): the sustained-load acceptance run
-//!   for cross-fingerprint batching. Two identical phases — the cross-spec
-//!   batcher and the legacy flush-on-foreign batcher
-//!   (`cross_spec_batching: false`) — each warming *and pinning* both
-//!   fingerprints over the wire, driving strictly interleaved two-spec
+//!   for cross-fingerprint batching. Two phases — two dense fingerprints,
+//!   then a dense and a Vecchia fingerprint — each warming *and pinning*
+//!   both fingerprints over the wire, driving strictly interleaved two-spec
 //!   traffic through pipelined clients, probing deadline shedding with a
 //!   zero-deadline request, then scraping the full wire `stats` snapshot.
 //!   Hard floors: cache hit rate ≥ 0.9, p99 ≤ `--p99-ms` (default 5000),
-//!   `mixed_batches > 0` (cross) / `== 0` (legacy), accounting balance, and
-//!   cross-phase mean batch size ≥ legacy. Emits `service_soak_*` points
-//!   for both phases.
+//!   `mixed_batches > 0` and accounting balance. Emits `service_soak_*`
+//!   points for both phases.
 //! * default: a longer run on the same workload shape (tune with `--secs`,
 //!   `--clients`, `--shards`, `--grid`, `--samples`).
 //!
@@ -86,7 +84,6 @@ struct SoakReport {
 /// for `secs`, probe deadline shedding, then scrape and sanity-check the
 /// wire stats snapshot.
 fn soak_phase(
-    cross: bool,
     suffix: &str,
     specs: &[CovSpec],
     n: usize,
@@ -104,7 +101,6 @@ fn soak_phase(
                 ..Default::default()
             },
             batch_delay: Duration::from_millis(2),
-            cross_spec_batching: cross,
             ..Default::default()
         })
         .expect("service must start"),
@@ -239,17 +235,10 @@ fn soak_phase(
          >= 0.9 (got {:.3})",
         report.hit_rate
     );
-    if cross {
-        assert!(
-            report.mixed_batches > 0,
-            "soak/{suffix}: interleaved resident traffic must form mixed batches: {stats_resp}"
-        );
-    } else {
-        assert_eq!(
-            report.mixed_batches, 0,
-            "soak/{suffix}: the flush-on-foreign batcher must never mix: {stats_resp}"
-        );
-    }
+    assert!(
+        report.mixed_batches > 0,
+        "soak/{suffix}: interleaved resident traffic must form mixed batches: {stats_resp}"
+    );
 
     eprintln!(
         "soak/{suffix}: completed={} rps={:.1} p50={}us p99={}us mean_batch={:.2} \
@@ -285,10 +274,10 @@ fn soak_phase(
     report
 }
 
-/// The `--soak` acceptance run: the cross-spec phase, the legacy A/B phase,
-/// the cross-vs-legacy comparison the issue's acceptance demands, then a
-/// mixed dense + Vecchia phase proving the third factor backend batches,
-/// caches and sheds through the same shard dispatcher.
+/// The `--soak` acceptance run: two dense fingerprints through the
+/// cross-spec batcher, then a mixed dense + Vecchia phase proving the third
+/// factor backend batches, caches and sheds through the same shard
+/// dispatcher.
 fn run_soak(secs: usize, clients: usize, grid: usize, samples: usize, p99_ms: usize) {
     let locations = regular_grid(grid, grid);
     let tile = (grid * grid).div_ceil(3).max(4);
@@ -306,34 +295,16 @@ fn run_soak(secs: usize, clients: usize, grid: usize, samples: usize, p99_ms: us
     let n = locations.len();
     eprintln!("mvn-serve --soak: clients={clients} n={n} samples={samples} {secs}s/phase");
 
-    let cross = soak_phase(true, "cross", &specs, n, secs, clients, samples);
-    let legacy = soak_phase(false, "legacy", &specs, n, secs, clients, samples);
-
+    let cross = soak_phase("cross", &specs, n, secs, clients, samples);
     let ceiling_ns = p99_ms as u64 * 1_000_000;
     assert!(
         cross.p99_ns <= ceiling_ns,
         "soak: cross-phase p99 {}ms exceeds the --p99-ms ceiling {p99_ms}ms",
         cross.p99_ns / 1_000_000
     );
-    assert!(
-        cross.mean_batch >= legacy.mean_batch,
-        "soak: cross-spec batching must coalesce at least as much as the legacy \
-         batcher (mean batch {:.2} vs {:.2})",
-        cross.mean_batch,
-        legacy.mean_batch
-    );
-    assert!(
-        cross.rps >= legacy.rps * 0.5 || cross.mean_batch > legacy.mean_batch,
-        "soak: cross-spec batching must not regress throughput without batching \
-         better ({:.1} vs {:.1} rps, mean batch {:.2} vs {:.2})",
-        cross.rps,
-        legacy.rps,
-        cross.mean_batch,
-        legacy.mean_batch
-    );
     eprintln!(
-        "soak OK: mean_batch cross {:.2} vs legacy {:.2}, rps {:.1} vs {:.1}",
-        cross.mean_batch, legacy.mean_batch, cross.rps, legacy.rps
+        "soak OK: mean_batch {:.2} rps {:.1} mixed_batches {}",
+        cross.mean_batch, cross.rps, cross.mixed_batches
     );
 
     // Vecchia phase: one dense and one Vecchia fingerprint over the same
@@ -354,7 +325,7 @@ fn run_soak(secs: usize, clients: usize, grid: usize, samples: usize, p99_ms: us
             (n / 3).clamp(4, 30),
         ),
     ];
-    let vecchia = soak_phase(true, "vecchia", &vecchia_specs, n, secs, clients, samples);
+    let vecchia = soak_phase("vecchia", &vecchia_specs, n, secs, clients, samples);
     assert!(
         vecchia.p99_ns <= ceiling_ns,
         "soak: vecchia-phase p99 {}ms exceeds the --p99-ms ceiling {p99_ms}ms",

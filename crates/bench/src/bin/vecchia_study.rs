@@ -25,7 +25,7 @@ use geostat::{
     conditioning_sets, coordinate_order, maximin_order, regular_grid, CovarianceKernel, Location,
 };
 use mvn_bench::{full_scale_requested, CORRELATION_SETTINGS};
-use mvn_core::{MvnConfig, MvnEngine, Scheduler, VecchiaPlan};
+use mvn_core::{MvnConfig, MvnEngine, VecchiaPlan};
 use std::time::Instant;
 use tile_la::SymTileMatrix;
 
@@ -50,7 +50,6 @@ fn main() {
     let cfg = MvnConfig {
         sample_size: samples,
         seed: 20240518,
-        scheduler: Scheduler::Dag { workers: 0 },
         ..Default::default()
     };
     let engine = MvnEngine::with_config(cfg).unwrap();

@@ -4,10 +4,9 @@
 //! `DESIGN.md` maps them to the paper.
 
 use geostat::{regular_grid, CovarianceKernel, Location};
-use mvn_core::MvnConfig;
+use mvn_core::{Factor, MvnConfig, MvnEngine};
 use std::time::Instant;
-use tile_la::{potrf_tiled, SymTileMatrix};
-use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
+use tlr::CompressionTol;
 
 /// The paper's three synthetic correlation settings (exponential kernel ranges
 /// 0.033 / 0.1 / 0.234 on the unit square).
@@ -41,28 +40,30 @@ impl SyntheticProblem {
         self.locations.len()
     }
 
-    /// Assemble and factor the covariance in dense tiled form; returns the
-    /// factor and the factorization time in seconds.
-    pub fn dense_factor(&self, nb: usize) -> (SymTileMatrix, f64) {
-        let mut sigma = self.kernel.tiled_covariance(&self.locations, nb, 1e-9);
-        let t = Instant::now();
-        potrf_tiled(&mut sigma, 1).expect("covariance must be SPD");
-        (sigma, t.elapsed().as_secs_f64())
+    /// Assemble the covariance in dense tiled form and factor it on the
+    /// engine; returns the factor and the factorization time in seconds.
+    pub fn dense_factor(&self, engine: &MvnEngine, nb: usize) -> (Factor, f64) {
+        let sigma = self.kernel.tiled_covariance(&self.locations, nb, 1e-9);
+        timed(|| engine.factor_dense(sigma).expect("covariance must be SPD"))
     }
 
-    /// Assemble and factor the covariance in TLR form; returns the factor and
-    /// the factorization time in seconds.
-    pub fn tlr_factor(&self, nb: usize, tol: f64, max_rank: usize) -> (TlrMatrix, f64) {
-        let mut sigma = self.kernel.tlr_covariance(
+    /// Assemble the covariance in TLR form and factor it on the engine;
+    /// returns the factor and the factorization time in seconds.
+    pub fn tlr_factor(
+        &self,
+        engine: &MvnEngine,
+        nb: usize,
+        tol: f64,
+        max_rank: usize,
+    ) -> (Factor, f64) {
+        let sigma = self.kernel.tlr_covariance(
             &self.locations,
             nb,
             1e-9,
             CompressionTol::Absolute(tol),
             max_rank,
         );
-        let t = Instant::now();
-        potrf_tlr(&mut sigma, 1).expect("covariance must be SPD");
-        (sigma, t.elapsed().as_secs_f64())
+        timed(|| engine.factor_tlr(sigma).expect("covariance must be SPD"))
     }
 }
 
@@ -104,11 +105,12 @@ mod tests {
     fn synthetic_problem_builders_work() {
         let p = SyntheticProblem::new(8, 0.1, "medium");
         assert_eq!(p.n(), 64);
-        let (dense, t_dense) = p.dense_factor(16);
-        assert_eq!(dense.n(), 64);
+        let engine = MvnEngine::with_config(mvn_config(100)).unwrap();
+        let (dense, t_dense) = p.dense_factor(&engine, 16);
+        assert_eq!(dense.dim(), 64);
         assert!(t_dense >= 0.0);
-        let (tlr, _) = p.tlr_factor(16, 1e-6, 16);
-        assert_eq!(tlr.n(), 64);
+        let (tlr, _) = p.tlr_factor(&engine, 16, 1e-6, 16);
+        assert_eq!(tlr.dim(), 64);
         let (a, b) = exceedance_limits(64);
         assert_eq!(a.len(), 64);
         assert!(b.iter().all(|&x| x == f64::INFINITY));

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use geostat::{conditioning_sets, maximin_order, regular_grid, CovarianceKernel};
-use mvn_core::{MvnConfig, MvnEngine, MvnResult, Scheduler, VecchiaPlan};
+use mvn_core::{MvnConfig, MvnEngine, MvnResult, VecchiaPlan};
 use mvn_service::{
     render_metrics_request, render_solve_request, CovSpec, Json, MvnServer, MvnService,
     ServiceClient, ServiceConfig,
@@ -41,13 +41,17 @@ fn limits() -> (Vec<f64>, Vec<f64>) {
     (vec![-2.5; N], vec![f64::INFINITY; N])
 }
 
-fn cfg(workers: usize) -> MvnConfig {
+fn cfg() -> MvnConfig {
     MvnConfig {
         sample_size: 256,
         seed: 20240518,
-        scheduler: Scheduler::Dag { workers },
         ..Default::default()
     }
+}
+
+fn engine(workers: usize) -> MvnEngine {
+    let builder = MvnEngine::builder().workers(workers).config(cfg());
+    builder.build().unwrap()
 }
 
 fn assert_bitwise(tag: &str, got: MvnResult, want: MvnResult) {
@@ -77,7 +81,7 @@ fn engine_solves_are_bitwise_identical_with_tracing_on() {
     let (a, b) = limits();
 
     for workers in [1usize, 2, 4] {
-        let engine = MvnEngine::with_config(cfg(workers)).unwrap();
+        let engine = engine(workers);
 
         let dense = engine
             .factor_dense(SymTileMatrix::from_fn(N, NB, cov))
@@ -182,7 +186,7 @@ fn served_solves_are_bitwise_identical_with_tracing_on() {
 fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
     let _guard = TRACE_LOCK.lock().unwrap();
     let (a, b) = limits();
-    let engine = MvnEngine::with_config(cfg(2)).unwrap();
+    let engine = engine(2);
 
     // With the recorder off, nothing may be recorded at all.
     let _ = obs::take_events();

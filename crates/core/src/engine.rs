@@ -1,12 +1,11 @@
 //! `MvnEngine` — a persistent solver session for MVN probabilities.
 //!
-//! The free functions ([`mvn_prob_dense`](crate::mvn_prob_dense),
-//! [`mvn_prob_tlr`](crate::mvn_prob_tlr), the fused variants) spin up and
-//! tear down a worker pool inside every call — exactly the overhead that
-//! dominates hot loops which factor and solve hundreds of small problems per
-//! optimization (the MLE objective, the CRD bisection). The paper's StarPU
-//! runtime instead keeps one worker pool alive for the whole
-//! confidence-region detection run; `MvnEngine` is that session object:
+//! Spinning a worker pool up and down inside every call is exactly the
+//! overhead that dominates hot loops which factor and solve hundreds of small
+//! problems per optimization (the MLE objective, the CRD bisection). The
+//! paper's StarPU runtime instead keeps one worker pool alive for the whole
+//! confidence-region detection run; `MvnEngine` is that session object, and
+//! the only solver front door:
 //!
 //! * it owns a persistent [`WorkerPool`] (threads parked on a condvar between
 //!   graph submissions),
@@ -17,11 +16,14 @@
 //! * [`MvnEngine::solve`] estimates one probability against a factor, and
 //!   [`MvnEngine::solve_batch`] submits *all* problems of a batch into one
 //!   task graph, so independent small solves share the pool instead of
-//!   serializing per-call setup.
+//!   serializing per-call setup,
+//! * [`MvnEngine::factor_prob_dense`]/[`MvnEngine::factor_prob_tlr`] run the
+//!   fused factor + sweep [`pipeline`](crate::pipeline).
 //!
-//! Every probability produced by the engine is bitwise identical to the
-//! corresponding free-function result for the same [`MvnConfig`], for any
-//! worker count (enforced by the tests below).
+//! Every probability produced by the engine is a pure function of the factor,
+//! the limits and the [`MvnConfig`]: bitwise identical for any worker count
+//! and for materialized or [streaming](MvnEngineBuilder::streaming)
+//! submission (enforced by the tests below and `tests/golden_bitwise.rs`).
 //!
 //! ```
 //! use mvn_core::{MvnEngine, Problem};
@@ -39,16 +41,15 @@
 //! assert_eq!(r.prob.to_bits(), batch[0].prob.to_bits());
 //! ```
 
-use crate::pipeline::{run_dense_fused_with, run_tlr_fused_with, FusedExec};
+use crate::pipeline::{run_dense_fused, run_tlr_fused};
 use crate::pmvn::{combine_panel_results, sweep_panel};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
-use crate::{MvnConfig, MvnResult, Scheduler};
+use crate::{MvnConfig, MvnResult};
 use qmc::{make_point_set, PointSet, SampleKind};
 use std::sync::Arc;
-use task_runtime::{PoolStats, WorkerPool};
-use tile_la::dag::effective_workers;
-use tile_la::{potrf_tiled_pool, CholeskyError, SymTileMatrix};
-use tlr::{potrf_tlr_pool, TlrCholeskyError, TlrMatrix};
+use task_runtime::{effective_workers, PoolStats, WorkerPool};
+use tile_la::{potrf_tiled, CholeskyError, SymTileMatrix};
+use tlr::{potrf_tlr, TlrCholeskyError, TlrMatrix};
 
 /// Sanity cap on the number of worker threads an engine may be built with.
 ///
@@ -168,9 +169,8 @@ impl std::error::Error for ProblemError {}
 
 /// Validate a pair of integration-limit slices: equal lengths, no NaN, and
 /// `a[i] <= b[i]` everywhere (`±inf` and `a[i] == b[i]` are fine). This is
-/// the single boundary check shared by [`Problem::validate`], the engine
-/// solve paths and the free probability functions, so bad input is rejected
-/// before it reaches `qmc_kernel`.
+/// the single boundary check shared by [`Problem::validate`] and the engine
+/// solve paths, so bad input is rejected before it reaches `qmc_kernel`.
 pub fn validate_limits(a: &[f64], b: &[f64]) -> Result<(), ProblemError> {
     if a.len() != b.len() {
         return Err(ProblemError::LengthMismatch {
@@ -244,9 +244,8 @@ impl Problem {
 /// SOV recursion for one sample panel.
 ///
 /// This is the seam every solve path dispatches through
-/// ([`MvnEngine::solve`], `solve_batch`, `solve_batch_mixed`,
-/// [`mvn_prob_factored`](crate::mvn_prob_factored), the CRD drivers in
-/// `excursion`): a new backend implements these five methods and every layer
+/// ([`MvnEngine::solve`], `solve_batch`, `solve_batch_mixed`, the CRD drivers
+/// in `excursion`): a new backend implements these five methods and every layer
 /// above — batching, streaming, serving, caching — works unchanged. *Tiled*
 /// backends (dense, TLR) get their [`FactorBackend::sweep_panel`] for free
 /// from the tile-level [`CholeskyFactor`](crate::CholeskyFactor) contract
@@ -256,7 +255,7 @@ impl Problem {
 ///
 /// Every implementation must be a pure function of the factor bits and the
 /// panel index: the engine relies on that for bitwise-identical results
-/// across worker counts, schedulers and batch compositions.
+/// across worker counts, submission modes and batch compositions.
 pub trait FactorBackend: Sync {
     /// Matrix dimension `n`.
     fn dim(&self) -> usize;
@@ -420,39 +419,35 @@ impl FactorBackend for Factor {
     }
 }
 
-/// Builder for [`MvnEngine`] (obtained via [`MvnEngine::builder`]).
+/// Builder for [`MvnEngine`] (obtained via [`MvnEngine::builder`]). The
+/// sampling description ([`MvnConfig`]) and the two execution settings
+/// (`workers`, `streaming`) are independent: setting one never resets another,
+/// in any order.
 #[derive(Debug, Clone)]
 pub struct MvnEngineBuilder {
     cfg: MvnConfig,
+    workers: usize,
+    lookahead: Option<usize>,
 }
 
 impl MvnEngineBuilder {
     /// Worker threads for the engine's pool (`0` — the default — means one
     /// worker per available core; see [`effective_workers`]). Explicit values
     /// above [`MAX_ENGINE_WORKERS`] are rejected by [`build`](Self::build).
-    /// Preserves a previously requested [`streaming`](Self::streaming) mode.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.scheduler = match self.cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => Scheduler::Streaming { workers, lookahead },
-            _ => Scheduler::Dag { workers },
-        };
+        self.workers = workers;
         self
     }
 
-    /// Switch the engine to **streaming, lookahead-limited submission**
-    /// ([`Scheduler::Streaming`]): solve and fused-pipeline task sets are
-    /// handed to the pool as they are submitted through a window of at most
-    /// `lookahead` in-flight tasks (`0` = the default window of `4 ×
-    /// workers`), instead of being materialized whole. Results stay bitwise
-    /// identical to the materialized scheduler; peak task storage drops from
-    /// `O(total tasks)` to `O(lookahead)`. Preserves a previously requested
-    /// worker count.
+    /// Build the engine's pool with **streaming, lookahead-limited
+    /// submission** ([`WorkerPool::with_lookahead`]): factorization, solve
+    /// and fused-pipeline task sets are handed to the pool as they are
+    /// submitted through a window of at most `lookahead` in-flight tasks
+    /// (`0` = the default window of `4 × workers`), instead of being
+    /// materialized whole. Results stay bitwise identical; peak task storage
+    /// drops from `O(total tasks)` to `O(lookahead)`.
     pub fn streaming(mut self, lookahead: usize) -> Self {
-        let workers = match self.cfg.scheduler {
-            Scheduler::Dag { workers } | Scheduler::Streaming { workers, .. } => workers,
-            Scheduler::ForkJoin => 0,
-        };
-        self.cfg.scheduler = Scheduler::Streaming { workers, lookahead };
+        self.lookahead = Some(lookahead);
         self
     }
 
@@ -480,9 +475,8 @@ impl MvnEngineBuilder {
         self
     }
 
-    /// Replace the whole configuration (the worker count is then taken from
-    /// `cfg.scheduler`, with [`Scheduler::ForkJoin`] treated as
-    /// `Dag { workers: 0 }`).
+    /// Replace the whole sampling configuration (worker count and streaming
+    /// window are untouched).
     pub fn config(mut self, cfg: MvnConfig) -> Self {
         self.cfg = cfg;
         self
@@ -497,21 +491,15 @@ impl MvnEngineBuilder {
         if self.cfg.panel_width == 0 {
             return Err(EngineError::InvalidConfig("panel_width must be positive"));
         }
-        let requested = match self.cfg.scheduler {
-            Scheduler::Dag { workers } | Scheduler::Streaming { workers, .. } => workers,
-            // The engine is inherently DAG-scheduled; the fork-join setting
-            // maps to "available parallelism" exactly as in MvnPlanner.
-            Scheduler::ForkJoin => 0,
-        };
-        if requested > MAX_ENGINE_WORKERS {
+        if self.workers > MAX_ENGINE_WORKERS {
             return Err(EngineError::TooManyWorkers {
-                requested,
+                requested: self.workers,
                 max: MAX_ENGINE_WORKERS,
             });
         }
         Ok(MvnEngine {
             cfg: self.cfg,
-            pool: WorkerPool::new(effective_workers(requested)),
+            pool: WorkerPool::with_lookahead(effective_workers(self.workers), self.lookahead),
         })
     }
 }
@@ -566,11 +554,13 @@ impl MvnEngine {
     pub fn builder() -> MvnEngineBuilder {
         MvnEngineBuilder {
             cfg: MvnConfig::default(),
+            workers: 0,
+            lookahead: None,
         }
     }
 
-    /// An engine for an existing configuration (worker count from
-    /// `cfg.scheduler`); shorthand for `builder().config(cfg).build()`.
+    /// An engine for an existing sampling configuration on one worker per
+    /// core; shorthand for `builder().config(cfg).build()`.
     pub fn with_config(cfg: MvnConfig) -> Result<Self, EngineError> {
         Self::builder().config(cfg).build()
     }
@@ -597,35 +587,19 @@ impl MvnEngine {
         self.pool.stats()
     }
 
-    /// Factor a dense tiled covariance on the engine's pool, returning a
-    /// reusable [`Factor`] (bitwise identical to [`tile_la::potrf_tiled`]).
-    /// A [streaming](MvnEngineBuilder::streaming) engine submits the
-    /// factorization through its lookahead window
-    /// ([`tile_la::potrf_tiled_stream`]) instead of materializing the graph;
-    /// the factor is bitwise identical either way.
+    /// Factor a dense tiled covariance on the engine's pool
+    /// ([`tile_la::potrf_tiled`]), returning a reusable [`Factor`].
     pub fn factor_dense(&self, mut sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
         let _span = obs::span_with("engine_factor_dense", &[("n", sigma.n() as u64)]);
-        match self.cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => {
-                tile_la::potrf_tiled_stream(&mut sigma, &self.pool, lookahead)?;
-            }
-            _ => potrf_tiled_pool(&mut sigma, &self.pool)?,
-        }
+        potrf_tiled(&mut sigma, &self.pool)?;
         Ok(Factor::Dense(sigma))
     }
 
-    /// Factor a TLR covariance on the engine's pool, returning a reusable
-    /// [`Factor`] (bitwise identical to [`tlr::potrf_tlr`]); a
-    /// [streaming](MvnEngineBuilder::streaming) engine uses
-    /// [`tlr::potrf_tlr_stream`].
+    /// Factor a TLR covariance on the engine's pool ([`tlr::potrf_tlr`]),
+    /// returning a reusable [`Factor`].
     pub fn factor_tlr(&self, mut sigma: TlrMatrix) -> Result<Factor, TlrCholeskyError> {
         let _span = obs::span_with("engine_factor_tlr", &[("n", sigma.n() as u64)]);
-        match self.cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => {
-                tlr::potrf_tlr_stream(&mut sigma, &self.pool, lookahead)?;
-            }
-            _ => potrf_tlr_pool(&mut sigma, &self.pool)?,
-        }
+        potrf_tlr(&mut sigma, &self.pool)?;
         Ok(Factor::Tlr(sigma))
     }
 
@@ -645,8 +619,7 @@ impl MvnEngine {
     }
 
     /// Estimate `Φₙ(a, b; 0, Σ)` against a factor with the engine's
-    /// configuration. Bitwise identical to
-    /// [`mvn_prob_factored`](crate::mvn_prob_factored) with the same config.
+    /// configuration.
     pub fn solve(&self, factor: &Factor, a: &[f64], b: &[f64]) -> MvnResult {
         self.solve_factored(factor, a, b)
     }
@@ -658,11 +631,7 @@ impl MvnEngine {
     }
 
     /// [`solve_factored`](Self::solve_factored) with an explicit
-    /// per-call sampling configuration. The engine's pool decides the
-    /// worker count (the count inside `cfg.scheduler` is ignored), but the
-    /// scheduler's *mode* applies: [`Scheduler::Streaming`] streams the
-    /// panel tasks through its lookahead window instead of materializing
-    /// them, with bitwise-identical results.
+    /// per-call sampling configuration.
     pub fn solve_factored_with<F: FactorBackend>(
         &self,
         l: &F,
@@ -711,17 +680,13 @@ impl MvnEngine {
     /// individual [`solve`](Self::solve): panels draw from a point set that
     /// is a pure function of `(sample kind, dimension, seed)`, so problems of
     /// equal dimension share one point set and problems of distinct
-    /// dimensions get exactly the set a solo solve would build. On a
-    /// [streaming](MvnEngineBuilder::streaming) engine the mixed panel tasks
-    /// go through the sink's lookahead window ([`task_runtime::TaskSink`])
-    /// rather than one materialized graph, again bitwise identically.
+    /// dimensions get exactly the set a solo solve would build.
     pub fn solve_batch_mixed(&self, batch: &[(Arc<Factor>, Problem)]) -> Vec<MvnResult> {
         self.solve_batch_mixed_with(batch, &self.cfg)
     }
 
     /// [`solve_batch_mixed`](Self::solve_batch_mixed) with an explicit
-    /// per-call sampling configuration (scheduler *mode* applies; the pool
-    /// decides the worker count).
+    /// per-call sampling configuration.
     pub fn solve_batch_mixed_with(
         &self,
         batch: &[(Arc<Factor>, Problem)],
@@ -735,16 +700,17 @@ impl MvnEngine {
     }
 
     /// Factor `sigma` in place *and* estimate `Φₙ(a, b; 0, Σ)` in one fused
-    /// task graph on the engine's pool (the session form of
-    /// [`mvn_prob_dense_fused`](crate::mvn_prob_dense_fused); bitwise
-    /// identical to it and to the staged factor-then-solve flow).
+    /// task set on the engine's pool, so early panel sweeping overlaps the
+    /// trailing factorization (see [`crate::pipeline`]). On success `sigma`
+    /// holds the Cholesky factor; estimate and factor are bitwise identical
+    /// to the staged factor-then-solve flow.
     pub fn factor_prob_dense(
         &self,
         sigma: &mut SymTileMatrix,
         a: &[f64],
         b: &[f64],
     ) -> Result<MvnResult, CholeskyError> {
-        run_dense_fused_with(sigma, a, b, &self.cfg, self.fused_exec())
+        run_dense_fused(sigma, a, b, &self.cfg, &self.pool)
     }
 
     /// TLR variant of [`factor_prob_dense`](Self::factor_prob_dense).
@@ -754,29 +720,15 @@ impl MvnEngine {
         a: &[f64],
         b: &[f64],
     ) -> Result<MvnResult, TlrCholeskyError> {
-        run_tlr_fused_with(sigma, a, b, &self.cfg, self.fused_exec())
-    }
-
-    /// The fused-pipeline execution strategy selected by the engine's
-    /// scheduler: the session pool, with streaming submission when the engine
-    /// was built with [`MvnEngineBuilder::streaming`].
-    fn fused_exec(&self) -> FusedExec<'_> {
-        match self.cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => FusedExec::Stream {
-                pool: &self.pool,
-                lookahead,
-            },
-            _ => FusedExec::Pool(&self.pool),
-        }
+        run_tlr_fused(sigma, a, b, &self.cfg, &self.pool)
     }
 
     /// Shared body of the solve entry points: one `panel_sweep` task per
-    /// (item, panel) pair, all in one graph on the engine's pool — items may
-    /// reference distinct factors (the mixed-batch path) or all share one
+    /// (item, panel) pair, all in one task set on the engine's pool — items
+    /// may reference distinct factors (the mixed-batch path) or all share one
     /// (the classic batch). Panels are computed by the item's own
-    /// [`FactorBackend::sweep_panel`] (the same per-panel recursion the free
-    /// functions run) against the item's factor and point set, so every
-    /// per-item aggregate is bitwise identical to the free-function result.
+    /// [`FactorBackend::sweep_panel`] against the item's factor and point
+    /// set, so every per-item aggregate is bitwise identical to a solo solve.
     fn run_sweeps<F: FactorBackend>(
         &self,
         items: &[(&F, &[f64], &[f64])],
@@ -833,12 +785,7 @@ impl MvnEngine {
         }
 
         // One independent write-task per (item, panel) pair, flattened so
-        // every pair becomes one slot of a pool-level map. With a streaming
-        // configuration the pairs go through the lookahead window instead of
-        // one materialized graph — at most `lookahead` sweep closures exist
-        // at any instant, and early panels run while later ones are still
-        // being submitted; the per-pair results (and hence every aggregate)
-        // are bitwise identical either way.
+        // every pair becomes one slot of a pool-level map.
         let jobs: Vec<(usize, usize)> = (0..items.len())
             .flat_map(|q| (0..n_panels).map(move |p| (q, p)))
             .collect();
@@ -847,15 +794,7 @@ impl MvnEngine {
             let (l, a, b) = items[q];
             l.sweep_panel(a, b, point_sets[point_idx[q]].as_ref(), cfg, p)
         };
-        let flat = match cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => {
-                let window = task_runtime::effective_lookahead(lookahead, self.pool.workers());
-                self.pool
-                    .stream_map("panel_sweep", &jobs, cost, sweep, window)
-                    .0
-            }
-            _ => self.pool.run_map("panel_sweep", &jobs, cost, sweep),
-        };
+        let flat = self.pool.run_map("panel_sweep", &jobs, cost, sweep);
         flat.chunks(n_panels).map(combine_panel_results).collect()
     }
 }
@@ -863,7 +802,6 @@ impl MvnEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmvn::{mvn_prob_dense, mvn_prob_tlr};
     use tlr::CompressionTol;
 
     fn exp_cov(range: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
@@ -873,13 +811,22 @@ mod tests {
         }
     }
 
-    fn test_cfg(workers: usize) -> MvnConfig {
+    fn test_cfg() -> MvnConfig {
         MvnConfig {
             sample_size: 3000,
             seed: 9,
-            scheduler: Scheduler::Dag { workers },
             ..Default::default()
         }
+    }
+
+    fn test_engine(workers: usize) -> MvnEngine {
+        let builder = MvnEngine::builder().workers(workers).config(test_cfg());
+        builder.build().unwrap()
+    }
+
+    fn streaming_engine(workers: usize, lookahead: usize) -> MvnEngine {
+        let builder = MvnEngine::builder().workers(workers).streaming(lookahead);
+        builder.config(test_cfg()).build().unwrap()
     }
 
     #[test]
@@ -907,66 +854,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_solve_is_bitwise_identical_to_free_functions() {
-        // The tentpole acceptance criterion, dense and TLR, across pools of
-        // 1, 2 and 4 workers sharing one engine each.
-        let n = 60;
-        let f = exp_cov(0.5);
-        let mut sigma = SymTileMatrix::from_fn(n, 16, f);
-        tile_la::potrf_tiled(&mut sigma, 1).unwrap();
-        let mut tlr = TlrMatrix::from_fn(n, 16, CompressionTol::Absolute(1e-8), usize::MAX, f);
-        tlr::potrf_tlr(&mut tlr, 1).unwrap();
-        let a = vec![-0.4; n];
-        let b = vec![0.9; n];
-
-        let free_dense = mvn_prob_dense(&sigma, &a, &b, &test_cfg(1));
-        let free_tlr = mvn_prob_tlr(&tlr, &a, &b, &test_cfg(1));
-
-        for workers in [1usize, 2, 4] {
-            let engine = MvnEngine::builder()
-                .config(test_cfg(workers))
-                .build()
-                .unwrap();
-            let factor = engine
-                .factor_dense(SymTileMatrix::from_fn(n, 16, f))
-                .unwrap();
-            let got = engine.solve(&factor, &a, &b);
-            assert!(
-                got.prob.to_bits() == free_dense.prob.to_bits(),
-                "dense workers={workers}: {} vs {}",
-                got.prob,
-                free_dense.prob
-            );
-            assert!(got.std_error.to_bits() == free_dense.std_error.to_bits());
-
-            let tlr_factor = engine
-                .factor_tlr(TlrMatrix::from_fn(
-                    n,
-                    16,
-                    CompressionTol::Absolute(1e-8),
-                    usize::MAX,
-                    f,
-                ))
-                .unwrap();
-            let got_tlr = engine.solve(&tlr_factor, &a, &b);
-            assert!(
-                got_tlr.prob.to_bits() == free_tlr.prob.to_bits(),
-                "tlr workers={workers}: {} vs {}",
-                got_tlr.prob,
-                free_tlr.prob
-            );
-        }
-    }
-
-    #[test]
     fn solve_batch_matches_individual_solves_bitwise() {
         let n = 45;
         let f = exp_cov(0.3);
         for workers in [1usize, 2, 4] {
-            let engine = MvnEngine::builder()
-                .config(test_cfg(workers))
-                .build()
-                .unwrap();
+            let engine = test_engine(workers);
             let factor = engine
                 .factor_dense(SymTileMatrix::from_fn(n, 12, f))
                 .unwrap();
@@ -996,12 +888,9 @@ mod tests {
         // Tentpole: one task graph spanning heterogeneous factors — distinct
         // covariances, *dimensions* and storage kinds (dense + TLR) — must
         // reproduce the individual per-factor solves bit for bit, for every
-        // worker count and for the streaming scheduler.
+        // worker count and for streaming submission.
         for workers in [1usize, 2, 4] {
-            let engine = MvnEngine::builder()
-                .config(test_cfg(workers))
-                .build()
-                .unwrap();
+            let engine = test_engine(workers);
             let f0 = Arc::new(
                 engine
                     .factor_dense(SymTileMatrix::from_fn(45, 12, exp_cov(0.3)))
@@ -1048,14 +937,10 @@ mod tests {
                 );
                 assert!(r.std_error.to_bits() == single.std_error.to_bits());
             }
-            // The streaming scheduler submits the same mixed pairs through
+            // A streaming engine submits the same mixed pairs through
             // its lookahead window, again bitwise identically.
             for lookahead in [1usize, 3, 0] {
-                let stream_engine = MvnEngine::builder()
-                    .config(test_cfg(workers))
-                    .streaming(lookahead)
-                    .build()
-                    .unwrap();
+                let stream_engine = streaming_engine(workers, lookahead);
                 let got_s = stream_engine.solve_batch_mixed(&batch);
                 for (k, (g, w)) in got_s.iter().zip(&got).enumerate() {
                     assert!(
@@ -1075,7 +960,7 @@ mod tests {
         // The degenerate mixed batch (every item referencing the same factor)
         // must be indistinguishable from the classic single-factor batch.
         let n = 45;
-        let engine = MvnEngine::with_config(test_cfg(2)).unwrap();
+        let engine = test_engine(2);
         let factor = Arc::new(
             engine
                 .factor_dense(SymTileMatrix::from_fn(n, 12, exp_cov(0.3)))
@@ -1115,20 +1000,13 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 2, 4] {
-            let dag_engine = MvnEngine::builder()
-                .config(test_cfg(workers))
-                .build()
-                .unwrap();
+            let dag_engine = test_engine(workers);
             let factor = dag_engine
                 .factor_dense(SymTileMatrix::from_fn(n, 12, f))
                 .unwrap();
             let want = dag_engine.solve_batch(&factor, &problems);
             for lookahead in [1usize, 3, 0] {
-                let stream_engine = MvnEngine::builder()
-                    .config(test_cfg(workers))
-                    .streaming(lookahead)
-                    .build()
-                    .unwrap();
+                let stream_engine = streaming_engine(workers, lookahead);
                 // Factor through the streaming path too: the whole streamed
                 // session (factor + batched solves) must reproduce the
                 // materialized engine bit for bit.
@@ -1165,15 +1043,11 @@ mod tests {
         let a = vec![-0.3; n];
         let b = vec![1.1; n];
         let mut sigma_ref = SymTileMatrix::from_fn(n, 12, f);
-        let engine_ref = MvnEngine::with_config(test_cfg(2)).unwrap();
+        let engine_ref = test_engine(2);
         let want = engine_ref
             .factor_prob_dense(&mut sigma_ref, &a, &b)
             .unwrap();
-        let stream_engine = MvnEngine::builder()
-            .config(test_cfg(2))
-            .streaming(4)
-            .build()
-            .unwrap();
+        let stream_engine = streaming_engine(2, 4);
         let mut sigma = SymTileMatrix::from_fn(n, 12, f);
         let got = stream_engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
         assert!(got.prob.to_bits() == want.prob.to_bits());
@@ -1188,55 +1062,47 @@ mod tests {
     }
 
     #[test]
-    fn builder_streaming_and_workers_compose_in_any_order() {
-        let e1 = MvnEngine::builder()
-            .workers(2)
-            .streaming(8)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            e1.config().scheduler,
-            Scheduler::Streaming {
-                workers: 2,
-                lookahead: 8
-            }
-        ));
-        let e2 = MvnEngine::builder()
-            .streaming(8)
-            .workers(2)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            e2.config().scheduler,
-            Scheduler::Streaming {
-                workers: 2,
-                lookahead: 8
-            }
-        ));
-        assert_eq!(e2.workers(), 2);
+    fn builder_settings_compose_in_any_order() {
+        // Regression: `.config(cfg)` used to overwrite an earlier
+        // `.workers(n)` / `.streaming(w)` (both lived inside the config).
+        let c = test_cfg();
+        let before = MvnEngine::builder().workers(2).config(c).build().unwrap();
+        let after = MvnEngine::builder().config(c).workers(2).build().unwrap();
+        assert_eq!(before.workers(), 2);
+        assert_eq!(after.workers(), 2);
+        assert_eq!(before.config().sample_size, 3000);
+        assert_eq!(before.pool().lookahead(), None);
+        for e in [
+            MvnEngine::builder().workers(2).streaming(8).config(c),
+            MvnEngine::builder().config(c).streaming(8).workers(2),
+            MvnEngine::builder().streaming(8).workers(2).config(c),
+        ] {
+            let e = e.build().unwrap();
+            assert_eq!((e.workers(), e.pool().lookahead()), (2, Some(8)));
+        }
+        let default_window = MvnEngine::builder().workers(3).streaming(0).build();
+        assert_eq!(default_window.unwrap().pool().lookahead(), Some(12));
     }
 
     #[test]
-    fn fused_engine_pipeline_matches_free_fused_bitwise() {
+    fn fused_engine_pipeline_matches_the_staged_engine_flow_bitwise() {
         let n = 48;
         let f = exp_cov(0.6);
         let a = vec![-0.3; n];
         let b = vec![1.1; n];
-        let cfg = test_cfg(2);
-        let mut sigma_free = SymTileMatrix::from_fn(n, 12, f);
-        let free = crate::mvn_prob_dense_fused(&mut sigma_free, &a, &b, &cfg).unwrap();
-        let engine = MvnEngine::with_config(cfg).unwrap();
-        let mut sigma_engine = SymTileMatrix::from_fn(n, 12, f);
-        let got = engine.factor_prob_dense(&mut sigma_engine, &a, &b).unwrap();
-        assert!(got.prob.to_bits() == free.prob.to_bits());
+        let engine = test_engine(2);
+        let staged_factor = engine
+            .factor_dense(SymTileMatrix::from_fn(n, 12, f))
+            .unwrap();
+        let staged = engine.solve(&staged_factor, &a, &b);
+        let mut sigma = SymTileMatrix::from_fn(n, 12, f);
+        let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
+        assert!(fused.prob.to_bits() == staged.prob.to_bits());
         // The factor left behind matches too.
-        let lf = sigma_engine.to_dense_lower();
-        let ls = sigma_free.to_dense_lower();
-        for i in 0..n {
-            for j in 0..n {
-                assert!(lf.get(i, j).to_bits() == ls.get(i, j).to_bits());
-            }
-        }
+        let Factor::Dense(staged_l) = &staged_factor else {
+            unreachable!()
+        };
+        assert_eq!(sigma.to_dense_lower(), staged_l.to_dense_lower());
     }
 
     #[test]
@@ -1395,10 +1261,7 @@ mod tests {
         let n = 40;
         let f = exp_cov(0.4);
         for workers in [1usize, 2, 4] {
-            let engine = MvnEngine::builder()
-                .config(test_cfg(workers))
-                .build()
-                .unwrap();
+            let engine = test_engine(workers);
             let factor = engine
                 .factor_dense(SymTileMatrix::from_fn(n, 10, f))
                 .unwrap();

@@ -10,26 +10,23 @@
 //!
 //! in three flavours:
 //!
+//! * [`MvnEngine`] ([`engine`] module) — the solver front door: the paper's
+//!   tiled, task-parallel PMVN algorithm (Algorithms 2 and 3, [`pmvn`]),
+//!   running the QMC chains in independent column panels and propagating the
+//!   SOV recursion row-block by row-block with `GEMM`s against the (dense,
+//!   TLR or Vecchia) factor. The engine owns a persistent worker pool,
+//!   returns reusable [`Factor`] handles, batches independent solves into one
+//!   task set and runs the fused factor+sweep [`pipeline`],
 //! * [`genz::mvn_prob_genz`] — the sequential Genz (1992) quasi-Monte-Carlo
 //!   algorithm operating on a dense Cholesky factor (the reference
 //!   implementation the parallel versions are validated against),
 //! * [`mc::mvn_prob_mc`] — the naive Monte-Carlo baseline (sample `x = L·z`,
 //!   count how often it falls inside the box), used for validation exactly as
-//!   in the paper's accuracy figures,
-//! * [`pmvn::mvn_prob_dense`] / [`pmvn::mvn_prob_tlr`] — the paper's tiled,
-//!   task-parallel PMVN algorithm (Algorithms 2 and 3), running the QMC chains
-//!   in independent column panels and propagating the SOV recursion row-block
-//!   by row-block with `GEMM`s against the (dense or TLR) Cholesky factor.
+//!   in the paper's accuracy figures.
 //!
-//! The [`MvnConfig`]/[`MvnResult`] types are shared by all entry points, and
+//! The [`MvnConfig`]/[`MvnResult`] types are shared by all three, and
 //! [`sov`] contains the scalar recursion used by both the sequential and the
 //! tiled paths.
-//!
-//! For sessions that solve *many* problems — the MLE objective, the CRD
-//! bisection, batch serving — use [`MvnEngine`] ([`engine`] module): it owns
-//! a persistent worker pool, returns reusable [`Factor`] handles and batches
-//! independent solves into one task graph. The free functions above remain
-//! as thin wrappers that build a throwaway engine per call.
 
 pub mod engine;
 pub mod genz;
@@ -45,10 +42,8 @@ pub use engine::{
 };
 pub use genz::mvn_prob_genz;
 pub use mc::mvn_prob_mc;
-pub use pipeline::{mvn_prob_dense_fused, mvn_prob_tlr_fused, MvnPlanner};
 pub use pmvn::{
-    combine_panel_results, mvn_prob_dense, mvn_prob_factored, mvn_prob_tlr, qmc_kernel,
-    qmc_kernel_scratch, sweep_panel, CholeskyFactor, QmcScratch,
+    combine_panel_results, qmc_kernel, qmc_kernel_scratch, sweep_panel, CholeskyFactor, QmcScratch,
 };
 pub use sov::{sov_sample_probability, truncate_limits, vecchia_sample_probability};
 pub use vecchia::{
@@ -99,46 +94,10 @@ impl FactorKind {
     }
 }
 
-/// How the PMVN panel sweep (and, in the fused pipeline, the factorization it
-/// is interleaved with) is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// The historical scheduling: one rayon fork-join over the sample panels.
-    /// Kept as the baseline for benchmarks and cross-checks.
-    ForkJoin,
-    /// Submit the panels as tasks to the `task-runtime` DAG executor.
-    /// Results are bitwise identical to [`Scheduler::ForkJoin`] for every
-    /// worker count.
-    Dag {
-        /// Worker threads for the executor, resolved by
-        /// [`tile_la::dag::effective_workers`] (the single place defining
-        /// the meaning of `0`).
-        workers: usize,
-    },
-    /// Streaming, lookahead-limited submission: tasks are handed to the
-    /// worker pool the moment they are submitted and the submitting thread
-    /// blocks once `lookahead` tasks are in flight, so peak task
-    /// storage is `O(lookahead)` instead of `O(total tasks)` — the mode for
-    /// paper-scale graphs whose materialized form would not fit in memory.
-    /// Results are bitwise identical to the materialized schedulers for
-    /// every worker count and window size.
-    Streaming {
-        /// Worker threads, resolved by [`tile_la::dag::effective_workers`].
-        workers: usize,
-        /// Maximum number of in-flight tasks; `0` requests the default
-        /// window of `4 × workers` (see
-        /// [`task_runtime::effective_lookahead`]).
-        lookahead: usize,
-    },
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::Dag { workers: 0 }
-    }
-}
-
-/// Configuration shared by all MVN probability estimators.
+/// The sampling description shared by all MVN probability estimators. How
+/// the work is executed (worker count, streaming window) is not part of it:
+/// that lives on [`MvnEngineBuilder`] and the estimate is bitwise independent
+/// of it.
 #[derive(Debug, Clone, Copy)]
 pub struct MvnConfig {
     /// Number of (quasi-)Monte-Carlo samples `N` (the paper uses 100 / 1,000 /
@@ -151,9 +110,6 @@ pub struct MvnConfig {
     pub sample_kind: SampleKind,
     /// Random seed (controls the QMC shift / MC stream).
     pub seed: u64,
-    /// How the panel sweep is scheduled. The estimate is bitwise independent
-    /// of this choice (and of the worker count); it only affects wall time.
-    pub scheduler: Scheduler,
 }
 
 impl Default for MvnConfig {
@@ -163,7 +119,6 @@ impl Default for MvnConfig {
             panel_width: 64,
             sample_kind: SampleKind::RichtmyerLattice,
             seed: 42,
-            scheduler: Scheduler::default(),
         }
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::{MvnConfig, MvnResult};
 use qmc::Xoshiro256pp;
-use rayon::prelude::*;
 use tile_la::{multiply_lower_panel, DenseMatrix, SymTileMatrix};
 
 /// Plain Monte-Carlo estimate of `Φₙ(a, b; 0, Σ)` from the tiled Cholesky
@@ -27,28 +26,26 @@ pub fn mvn_prob_mc(l: &SymTileMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> 
     let block = cfg.panel_width.max(1);
     let n_blocks = cfg.sample_size.div_ceil(block);
 
-    let hits_per_block: Vec<(usize, usize)> = (0..n_blocks)
-        .into_par_iter()
-        .map(|bi| {
-            let start = bi * block;
-            let end = ((bi + 1) * block).min(cfg.sample_size);
-            let cols = end - start;
-            let mut rng = Xoshiro256pp::seed_from(cfg.seed).stream(bi);
-            let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
-            let x = multiply_lower_panel(l, &z);
-            let mut hits = 0usize;
-            for c in 0..cols {
-                let inside = (0..n).all(|i| {
-                    let v = x.get(i, c);
-                    v > a[i] && v <= b[i]
-                });
-                if inside {
-                    hits += 1;
-                }
+    let blocks: Vec<usize> = (0..n_blocks).collect();
+    let hits_per_block = task_runtime::run_map_once("mc_block", &blocks, |_, &bi| {
+        let start = bi * block;
+        let end = ((bi + 1) * block).min(cfg.sample_size);
+        let cols = end - start;
+        let mut rng = Xoshiro256pp::seed_from(cfg.seed).stream(bi);
+        let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
+        let x = multiply_lower_panel(l, &z);
+        let mut hits = 0usize;
+        for c in 0..cols {
+            let inside = (0..n).all(|i| {
+                let v = x.get(i, c);
+                v > a[i] && v <= b[i]
+            });
+            if inside {
+                hits += 1;
             }
-            (hits, cols)
-        })
-        .collect();
+        }
+        (hits, cols)
+    });
 
     // Batch the block results into ~10 batches for the standard error.
     let n_batches = 10.min(n_blocks);
@@ -80,7 +77,7 @@ mod tests {
         nb: usize,
     ) -> SymTileMatrix {
         let mut s = SymTileMatrix::from_fn(n, nb, sigma_fn);
-        potrf_tiled(&mut s, 1).unwrap();
+        potrf_tiled(&mut s, &task_runtime::WorkerPool::new(1)).unwrap();
         s
     }
 

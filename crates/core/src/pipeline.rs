@@ -2,8 +2,8 @@
 //! tasks in *one* dependency-inferred task graph (the paper's core systems
 //! contribution).
 //!
-//! The staged flow (`potrf_tiled` then `mvn_prob_dense`) puts a global
-//! barrier between the factorization and the sweep. Here the sweep task of
+//! The staged flow (`factor_dense` then `solve`) puts a global barrier
+//! between the factorization and the sweep. Here the sweep task of
 //! panel `p` at row block `r` declares read dependencies on exactly the
 //! factor tiles it consumes — the diagonal tile `(r, r)` and the column tiles
 //! `(j, r)`, `j > r` — so it becomes ready the moment the `TRSM`s of factor
@@ -19,15 +19,12 @@
 //! count.
 
 use crate::pmvn::{combine_panel_results, PanelState};
-use crate::{MvnConfig, MvnResult, Scheduler};
+use crate::{MvnConfig, MvnResult};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{
-    effective_lookahead, run_taskgraph, AccessMode, DataHandle, HandleRegistry, TaskGraph,
-    TaskSink, TaskSpec, TileStore, WorkerPool,
+    AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileStore, WorkerPool,
 };
-use tile_la::dag::{
-    attach_tiles, detach_tiles, effective_workers, submit_factor_tasks, FactorStatus,
-};
+use tile_la::dag::{attach_tiles, detach_tiles, submit_factor_tasks, FactorStatus};
 use tile_la::kernels::gemm_nt;
 use tile_la::{CholeskyError, DenseMatrix, SymTileMatrix, TileLayout};
 use tlr::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks, TlrHandles};
@@ -161,9 +158,8 @@ impl StoredFactor<'_> {
     }
 }
 
-/// Submit the PMVN panel-sweep tasks into any [`TaskSink`] (a materialized
-/// graph or a lookahead-limited stream), with read dependencies on the factor
-/// tiles each step consumes.
+/// Submit the PMVN panel-sweep tasks into a [`TaskSink`], with read
+/// dependencies on the factor tiles each step consumes.
 #[allow(clippy::too_many_arguments)]
 fn submit_sweep_tasks<'a, S: TaskSink<'a> + ?Sized>(
     graph: &mut S,
@@ -214,141 +210,15 @@ fn submit_sweep_tasks<'a, S: TaskSink<'a> + ?Sized>(
     }
 }
 
-/// Plans and runs the fused factor + sweep task graph.
-///
-/// This is the `Pipeline` layer of the DAG refactor: given a covariance in
-/// tiled (dense or TLR) form, it factors it *and* runs the PMVN sweep as one
-/// task graph, so early panel sweeping overlaps the trailing factorization.
-/// On success the input matrix holds the Cholesky factor (exactly as
-/// `potrf_tiled`/`potrf_tlr` would leave it) and the returned estimate is
-/// bitwise identical to the staged factor-then-sweep result.
-#[derive(Debug, Clone, Copy)]
-pub struct MvnPlanner {
-    /// The MVN estimator configuration. `scheduler` selects the worker count
-    /// and the submission mode: [`Scheduler::Streaming`] streams the fused
-    /// task set through a bounded lookahead window instead of materializing
-    /// it, and [`Scheduler::ForkJoin`] is treated as `Dag { workers: 0 }`,
-    /// since the fused pipeline is inherently DAG-scheduled.
-    pub cfg: MvnConfig,
-}
-
-impl MvnPlanner {
-    /// A planner with the given configuration.
-    pub fn new(cfg: MvnConfig) -> Self {
-        Self { cfg }
-    }
-
-    fn workers(&self) -> usize {
-        match self.cfg.scheduler {
-            Scheduler::Dag { workers } | Scheduler::Streaming { workers, .. } => {
-                effective_workers(workers)
-            }
-            Scheduler::ForkJoin => effective_workers(0),
-        }
-    }
-
-    /// The execution strategy selected by the planner's scheduler. Streaming
-    /// needs a pool to stream to; the caller provides the slot so the
-    /// throwaway pool outlives the returned strategy.
-    fn exec<'p>(&self, pool_slot: &'p mut Option<WorkerPool>) -> FusedExec<'p> {
-        match self.cfg.scheduler {
-            Scheduler::Streaming { lookahead, .. } => FusedExec::Stream {
-                pool: pool_slot.insert(WorkerPool::new(self.workers())),
-                lookahead,
-            },
-            _ => FusedExec::OneShot {
-                workers: self.workers(),
-            },
-        }
-    }
-
-    /// Factor `sigma` in place and estimate `Φₙ(a, b; 0, Σ)` in one fused
-    /// task graph (dense tiles).
-    pub fn run_dense(
-        &self,
-        sigma: &mut SymTileMatrix,
-        a: &[f64],
-        b: &[f64],
-    ) -> Result<MvnResult, CholeskyError> {
-        let mut pool = None;
-        run_dense_fused_with(sigma, a, b, &self.cfg, self.exec(&mut pool))
-    }
-
-    /// Factor `sigma` in place and estimate `Φₙ(a, b; 0, Σ)` in one fused
-    /// task graph (TLR tiles).
-    pub fn run_tlr(
-        &self,
-        sigma: &mut TlrMatrix,
-        a: &[f64],
-        b: &[f64],
-    ) -> Result<MvnResult, TlrCholeskyError> {
-        let mut pool = None;
-        run_tlr_fused_with(sigma, a, b, &self.cfg, self.exec(&mut pool))
-    }
-}
-
-/// How the fused factor + sweep task set executes: materialized into one
-/// [`TaskGraph`] and run on a throwaway or session pool, or **streamed**
-/// through a bounded lookahead window (`0` = default window, see
-/// [`effective_lookahead`]) so peak task storage is `O(lookahead)` and
-/// execution overlaps submission. All three produce bitwise-identical
-/// estimates and factors.
-pub(crate) enum FusedExec<'p> {
-    /// Materialize the graph, run it via [`run_taskgraph`].
-    OneShot { workers: usize },
-    /// Materialize the graph, run it on a caller-owned pool.
-    Pool(&'p WorkerPool),
-    /// Stream submission through a lookahead window on a caller-owned pool.
-    Stream {
-        pool: &'p WorkerPool,
-        lookahead: usize,
-    },
-}
-
-/// Identity funnel pinning a submission closure to *one* sink lifetime.
-/// Without it, annotating the closure parameter as `&mut dyn TaskSink<'_>`
-/// makes the closure higher-ranked over the sink's task lifetime, and the
-/// borrows of the local tile stores can no longer satisfy it.
-fn sink_closure<'a, F: FnOnce(&mut dyn TaskSink<'a>)>(f: F) -> F {
-    f
-}
-
-impl FusedExec<'_> {
-    /// Drive one submission routine through the strategy: materialize a
-    /// [`TaskGraph`] and run it, or stream the submissions through the
-    /// lookahead window. Taking the routine once (as a `dyn`-sink closure)
-    /// is what guarantees the streamed and materialized task sequences are
-    /// the same sequence.
-    fn execute<'a>(self, submit_all: impl FnOnce(&mut dyn TaskSink<'a>)) {
-        match self {
-            FusedExec::OneShot { workers } => {
-                let mut graph = TaskGraph::new();
-                submit_all(&mut graph);
-                run_taskgraph(&mut graph, workers);
-            }
-            FusedExec::Pool(pool) => {
-                let mut graph = TaskGraph::new();
-                submit_all(&mut graph);
-                pool.run(&mut graph);
-            }
-            FusedExec::Stream { pool, lookahead } => {
-                pool.stream(effective_lookahead(lookahead, pool.workers()), |s| {
-                    submit_all(s)
-                });
-            }
-        }
-    }
-}
-
-/// Build and execute the fused dense factor + sweep task set with the given
-/// execution strategy. Shared body of [`MvnPlanner::run_dense`] and
-/// `MvnEngine::factor_prob_dense`.
-pub(crate) fn run_dense_fused_with(
+/// Factor `sigma` in place *and* run the PMVN sweep as one task set on `pool`
+/// (the body of `MvnEngine::factor_prob_dense`). On success `sigma` holds the
+/// Cholesky factor exactly as `potrf_tiled` would leave it.
+pub(crate) fn run_dense_fused(
     sigma: &mut SymTileMatrix,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
-    exec: FusedExec<'_>,
+    pool: &WorkerPool,
 ) -> Result<MvnResult, CholeskyError> {
     let n = sigma.n();
     // Same boundary validation as the staged paths: malformed limits get the
@@ -385,26 +255,20 @@ pub(crate) fn run_dense_fused_with(
         store: &store,
         handles: &handles,
     };
-    {
-        // One submission routine for every execution strategy (through the
-        // dyn sink), so the streamed and materialized task sequences cannot
-        // diverge.
-        let submit_all = sink_closure(|sink| {
-            submit_factor_tasks(sink, &store, &handles, layout, &status);
-            submit_sweep_tasks(
-                sink,
-                &factor,
-                &panel_store,
-                &panel_handles,
-                &status,
-                a,
-                b,
-                points.as_ref(),
-                cfg,
-            );
-        });
-        exec.execute(submit_all);
-    }
+    pool.execute(|sink| {
+        submit_factor_tasks(sink, &store, &handles, layout, &status);
+        submit_sweep_tasks(
+            sink,
+            &factor,
+            &panel_store,
+            &panel_handles,
+            &status,
+            a,
+            b,
+            points.as_ref(),
+            cfg,
+        );
+    });
     attach_tiles(sigma, &handles, &mut store);
     if let Some(p) = status.pivot() {
         return Err(CholeskyError::NotPositiveDefinite(p));
@@ -416,14 +280,14 @@ pub(crate) fn run_dense_fused_with(
     Ok(combine_panel_results(&panel_results))
 }
 
-/// TLR variant of [`run_dense_fused_with`]. Shared body of
-/// [`MvnPlanner::run_tlr`] and `MvnEngine::factor_prob_tlr`.
-pub(crate) fn run_tlr_fused_with(
+/// TLR variant of [`run_dense_fused`] (the body of
+/// `MvnEngine::factor_prob_tlr`).
+pub(crate) fn run_tlr_fused(
     sigma: &mut TlrMatrix,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
-    exec: FusedExec<'_>,
+    pool: &WorkerPool,
 ) -> Result<MvnResult, TlrCholeskyError> {
     let n = sigma.n();
     // Same boundary validation as the staged paths: malformed limits get the
@@ -463,33 +327,29 @@ pub(crate) fn run_tlr_fused_with(
         off_store: &off_store,
         handles: &handles,
     };
-    {
-        // Same single-submission-routine shape as the dense body above.
-        let submit_all = sink_closure(|sink| {
-            submit_tlr_factor_tasks(
-                sink,
-                &diag_store,
-                &off_store,
-                &handles,
-                layout,
-                tol,
-                max_rank,
-                &status,
-            );
-            submit_sweep_tasks(
-                sink,
-                &factor,
-                &panel_store,
-                &panel_handles,
-                &status,
-                a,
-                b,
-                points.as_ref(),
-                cfg,
-            );
-        });
-        exec.execute(submit_all);
-    }
+    pool.execute(|sink| {
+        submit_tlr_factor_tasks(
+            sink,
+            &diag_store,
+            &off_store,
+            &handles,
+            layout,
+            tol,
+            max_rank,
+            &status,
+        );
+        submit_sweep_tasks(
+            sink,
+            &factor,
+            &panel_store,
+            &panel_handles,
+            &status,
+            a,
+            b,
+            points.as_ref(),
+            cfg,
+        );
+    });
     attach_tlr_tiles(sigma, &handles, &mut diag_store, &mut off_store);
     if let Some(pivot) = status.pivot() {
         return Err(TlrCholeskyError::NotPositiveDefinite { pivot });
@@ -501,33 +361,10 @@ pub(crate) fn run_tlr_fused_with(
     Ok(combine_panel_results(&panel_results))
 }
 
-/// Fused factor + PMVN estimate from a dense tiled covariance: one task
-/// graph, factor and estimate in a single pass. On success `sigma` holds the
-/// Cholesky factor.
-pub fn mvn_prob_dense_fused(
-    sigma: &mut SymTileMatrix,
-    a: &[f64],
-    b: &[f64],
-    cfg: &MvnConfig,
-) -> Result<MvnResult, CholeskyError> {
-    MvnPlanner::new(*cfg).run_dense(sigma, a, b)
-}
-
-/// Fused factor + PMVN estimate from a TLR covariance. On success `sigma`
-/// holds the TLR Cholesky factor.
-pub fn mvn_prob_tlr_fused(
-    sigma: &mut TlrMatrix,
-    a: &[f64],
-    b: &[f64],
-    cfg: &MvnConfig,
-) -> Result<MvnResult, TlrCholeskyError> {
-    MvnPlanner::new(*cfg).run_tlr(sigma, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmvn::{mvn_prob_dense, mvn_prob_tlr};
+    use crate::pmvn::sweep_sequential;
     use tlr::CompressionTol;
 
     fn exp_cov(range: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
@@ -538,208 +375,46 @@ mod tests {
     }
 
     #[test]
-    fn fused_dense_matches_staged_bitwise_across_worker_counts() {
-        let n = 60;
-        let f = exp_cov(0.5);
-        let a = vec![-0.4; n];
-        let b = vec![0.9; n];
-        let base_cfg = MvnConfig {
-            sample_size: 2000,
-            seed: 17,
-            ..Default::default()
-        };
-
-        // Staged reference: factor, then sweep.
-        let mut l = SymTileMatrix::from_fn(n, 16, f);
-        tile_la::potrf_tiled(&mut l, 1).unwrap();
-        let staged = mvn_prob_dense(&l, &a, &b, &base_cfg);
-
-        for workers in [1usize, 2, 8] {
-            let cfg = MvnConfig {
-                scheduler: Scheduler::Dag { workers },
-                ..base_cfg
-            };
-            let mut sigma = SymTileMatrix::from_fn(n, 16, f);
-            let fused = mvn_prob_dense_fused(&mut sigma, &a, &b, &cfg).unwrap();
-            assert!(
-                fused.prob.to_bits() == staged.prob.to_bits(),
-                "workers={workers}: fused {} vs staged {}",
-                fused.prob,
-                staged.prob
-            );
-            // And the matrix now holds the same factor, bitwise.
-            let lf = sigma.to_dense_lower();
-            let ls = l.to_dense_lower();
-            for i in 0..n {
-                for j in 0..n {
-                    assert!(lf.get(i, j).to_bits() == ls.get(i, j).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_tlr_matches_staged_bitwise() {
+    fn fused_tlr_matches_staged_bitwise_for_every_pool() {
         let n = 100;
         let f = exp_cov(0.8);
         let a = vec![-0.2; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
-            sample_size: 3000,
-            seed: 5,
-            ..Default::default()
-        };
-
-        let mut l = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-8), usize::MAX, f);
-        let mut sigma = l.clone();
-        tlr::potrf_tlr(&mut l, 1).unwrap();
-        let staged = mvn_prob_tlr(&l, &a, &b, &cfg);
-        let fused = mvn_prob_tlr_fused(&mut sigma, &a, &b, &cfg).unwrap();
-        assert!(
-            fused.prob.to_bits() == staged.prob.to_bits(),
-            "fused {} vs staged {}",
-            fused.prob,
-            staged.prob
-        );
-    }
-
-    #[test]
-    fn fused_streaming_matches_materialized_bitwise_across_workers_and_windows() {
-        // The tentpole acceptance criterion for the fused pipeline: streaming
-        // submission (factor + sweep through a bounded window) must leave the
-        // same probability and the same factor, to the bit, as the
-        // materialized scheduler, for every worker count and window size.
-        let n = 60;
-        let f = exp_cov(0.5);
-        let a = vec![-0.4; n];
-        let b = vec![0.9; n];
-        let base_cfg = MvnConfig {
-            sample_size: 2000,
-            seed: 17,
-            ..Default::default()
-        };
-        let mut sigma_ref = SymTileMatrix::from_fn(n, 16, f);
-        let reference = mvn_prob_dense_fused(
-            &mut sigma_ref,
-            &a,
-            &b,
-            &MvnConfig {
-                scheduler: Scheduler::Dag { workers: 2 },
-                ..base_cfg
-            },
-        )
-        .unwrap();
-        let ref_factor = sigma_ref.to_dense_lower();
-
-        for workers in [1usize, 2, 4] {
-            for lookahead in [1usize, 4, 0] {
-                let cfg = MvnConfig {
-                    scheduler: Scheduler::Streaming { workers, lookahead },
-                    ..base_cfg
-                };
-                let mut sigma = SymTileMatrix::from_fn(n, 16, f);
-                let got = mvn_prob_dense_fused(&mut sigma, &a, &b, &cfg).unwrap();
-                assert!(
-                    got.prob.to_bits() == reference.prob.to_bits(),
-                    "workers={workers} lookahead={lookahead}: {} vs {}",
-                    got.prob,
-                    reference.prob
-                );
-                assert!(got.std_error.to_bits() == reference.std_error.to_bits());
-                let lf = sigma.to_dense_lower();
-                for i in 0..n {
-                    for j in 0..n {
-                        assert!(
-                            lf.get(i, j).to_bits() == ref_factor.get(i, j).to_bits(),
-                            "workers={workers} lookahead={lookahead}: ({i},{j})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_tlr_streaming_matches_materialized_bitwise() {
-        let n = 100;
-        let f = exp_cov(0.8);
-        let a = vec![-0.2; n];
-        let b = vec![f64::INFINITY; n];
-        let base_cfg = MvnConfig {
             sample_size: 1500,
             seed: 5,
             ..Default::default()
         };
         let make = || TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-8), usize::MAX, f);
-        let mut sigma_ref = make();
-        let reference = mvn_prob_tlr_fused(
-            &mut sigma_ref,
-            &a,
-            &b,
-            &MvnConfig {
-                scheduler: Scheduler::Dag { workers: 2 },
-                ..base_cfg
-            },
-        )
-        .unwrap();
+        let mut l = make();
+        tlr::potrf_tlr(&mut l, &WorkerPool::new(1)).unwrap();
+        let want = sweep_sequential(&l, &a, &b, &cfg);
         for workers in [1usize, 2, 4] {
-            for lookahead in [1usize, 6] {
-                let cfg = MvnConfig {
-                    scheduler: Scheduler::Streaming { workers, lookahead },
-                    ..base_cfg
-                };
+            for lookahead in [None, Some(1), Some(6)] {
+                let pool = WorkerPool::with_lookahead(workers, lookahead);
                 let mut sigma = make();
-                let got = mvn_prob_tlr_fused(&mut sigma, &a, &b, &cfg).unwrap();
+                let got = run_tlr_fused(&mut sigma, &a, &b, &cfg, &pool).unwrap();
                 assert!(
-                    got.prob.to_bits() == reference.prob.to_bits(),
-                    "workers={workers} lookahead={lookahead}: {} vs {}",
+                    got.prob.to_bits() == want.prob.to_bits(),
+                    "workers={workers} lookahead={lookahead:?}: {} vs {}",
                     got.prob,
-                    reference.prob
+                    want.prob
                 );
             }
         }
     }
 
     #[test]
-    fn fused_streaming_rejects_indefinite_covariance() {
-        let n = 20;
-        let mut sigma = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        sigma.set(13, 13, -1.0);
-        let a = vec![-1.0; n];
-        let b = vec![1.0; n];
-        let cfg = MvnConfig {
-            scheduler: Scheduler::Streaming {
-                workers: 2,
-                lookahead: 4,
-            },
-            ..MvnConfig::with_samples(500)
-        };
-        let err = mvn_prob_dense_fused(&mut sigma, &a, &b, &cfg).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-    }
-
-    #[test]
     fn fused_pipeline_rejects_indefinite_covariance() {
         let n = 20;
-        let mut sigma = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        sigma.set(13, 13, -1.0);
         let a = vec![-1.0; n];
         let b = vec![1.0; n];
-        let err =
-            mvn_prob_dense_fused(&mut sigma, &a, &b, &MvnConfig::with_samples(500)).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-    }
-
-    #[test]
-    fn planner_is_reusable_across_problems() {
-        let planner = MvnPlanner::new(MvnConfig::with_samples(800));
-        for n in [30usize, 45] {
-            let f = exp_cov(0.4);
-            let mut sigma = SymTileMatrix::from_fn(n, 12, f);
-            let a = vec![-0.5; n];
-            let b = vec![1.0; n];
-            let r = planner.run_dense(&mut sigma, &a, &b).unwrap();
-            assert!(r.prob > 0.0 && r.prob < 1.0);
+        for pool in [WorkerPool::new(2), WorkerPool::with_lookahead(2, Some(4))] {
+            let mut sigma = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
+            sigma.set(13, 13, -1.0);
+            let err = run_dense_fused(&mut sigma, &a, &b, &MvnConfig::with_samples(500), &pool)
+                .unwrap_err();
+            assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
         }
     }
 }

@@ -25,11 +25,9 @@
 //! The per-panel probability means are combined into the final estimate and a
 //! batch standard error.
 
-use crate::{MvnConfig, MvnEngine, MvnResult, Scheduler};
+use crate::{MvnConfig, MvnResult};
 use mathx::{clamp_unit, norm_cdf_and_diff_slice, norm_quantile_slice};
-use qmc::{make_point_set, PointSet};
-use rayon::prelude::*;
-use tile_la::dag::effective_workers;
+use qmc::PointSet;
 use tile_la::kernels::gemm_nt;
 use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 use tlr::{lr_gemm_panel_t, TlrMatrix};
@@ -240,8 +238,8 @@ pub fn qmc_kernel_scratch(
 /// Per-panel state of the SOV recursion: the conditional limit blocks, the
 /// sample block, the conditioning values of the current row block and the
 /// running per-chain probabilities. One instance lives per sample panel; the
-/// sweep advances it one row block at a time (shared by the fork-join path,
-/// the DAG path and the fused pipeline in [`crate::pipeline`]).
+/// sweep advances it one row block at a time (shared by the engine's panel
+/// tasks and the fused pipeline in [`crate::pipeline`]).
 ///
 /// All blocks are chain-major (`cols × tile_size(r)`, one chain per row —
 /// see the [module docs](self)). `alive` caches the kernel's live-chain
@@ -363,8 +361,8 @@ impl PanelState {
 }
 
 /// Run the complete sweep of one panel against a finished factor (shared by
-/// the fork-join path here, the engine's batched graph in [`crate::engine`],
-/// and the per-node partial sweeps of the distributed runtime). Panel `p`
+/// the engine's batched panel tasks in [`crate::engine`] and the per-node
+/// partial sweeps of the distributed runtime). Panel `p`
 /// covers chains `p·panel_width ..` of the point set; the result is the
 /// panel's probability mean and live-chain count, and depends only on the
 /// factor bits, the limits, the point set and `p` — not on which process or
@@ -414,116 +412,49 @@ pub fn combine_panel_results(panel_results: &[(f64, usize)]) -> MvnResult {
     MvnResult::from_batches(&batches)
 }
 
-/// Generic PMVN sweep over any [`FactorBackend`](crate::FactorBackend)
-/// storage — tiled (dense/TLR) and sparse (Vecchia) factors alike.
-///
-/// `cfg.scheduler` selects how the independent sample panels execute: as one
-/// rayon fork-join ([`Scheduler::ForkJoin`]), as tasks on the `task-runtime`
-/// DAG executor ([`Scheduler::Dag`], the default), or streamed through a
-/// bounded lookahead window ([`Scheduler::Streaming`] — at most `lookahead`
-/// panel tasks materialized at once). The estimate is bitwise identical
-/// across schedulers, worker counts and window sizes; only the wall time and
-/// peak memory differ. To also overlap the sweep with the factorization
-/// producing `l`, use the fused pipeline in [`crate::pipeline`].
-///
-/// *Prefer [`MvnEngine`] for repeated solves.* On the DAG scheduler this
-/// free function constructs a throwaway engine — pool setup and teardown
-/// inside every call — which is exactly the overhead a session-owned engine
-/// amortizes; the result is bitwise identical either way.
-pub fn mvn_prob_factored<F: crate::FactorBackend>(
-    l: &F,
+/// Test reference: sweep a finished factor panel by panel on the calling
+/// thread — what every pooled execution must reproduce to the bit.
+#[cfg(test)]
+pub(crate) fn sweep_sequential(
+    l: &dyn crate::FactorBackend,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
 ) -> MvnResult {
-    let n = l.dim();
-    // Boundary validation, shared with the engine paths: malformed limits
-    // (length mismatch, NaN, inverted box) are rejected here with the typed
-    // `ProblemError` message instead of panicking deep in `qmc_kernel`.
-    if let Err(e) = crate::engine::validate_limits(a, b) {
-        panic!("invalid MVN problem: {e}");
-    }
-    assert_eq!(
-        a.len(),
-        n,
-        "limit length must match the factor dimension {n}"
-    );
-    assert!(cfg.sample_size > 0, "sample size must be positive");
-    assert!(cfg.panel_width > 0, "panel width must be positive");
-
-    let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
-    // Sweep every panel on the calling context — rayon fork-join or plain
-    // sequential. Shared by the ForkJoin branch and the Dag fast path; the
-    // estimate is bitwise identical either way (fixed kernel order per
-    // panel, deterministic combination).
-    let sweep_local = |parallel: bool| {
-        let points = make_point_set(cfg.sample_kind, n, cfg.seed);
-        let points_ref: &dyn PointSet = points.as_ref();
-        let panel_results: Vec<(f64, usize)> = if parallel {
-            (0..n_panels)
-                .into_par_iter()
-                .map(|p| l.sweep_panel(a, b, points_ref, cfg, p))
-                .collect()
-        } else {
-            (0..n_panels)
-                .map(|p| l.sweep_panel(a, b, points_ref, cfg, p))
-                .collect()
-        };
-        combine_panel_results(&panel_results)
-    };
-
-    match cfg.scheduler {
-        Scheduler::ForkJoin => sweep_local(true),
-        Scheduler::Streaming { workers, .. } | Scheduler::Dag { workers } => {
-            if effective_workers(workers) == 1 || n_panels <= 2 {
-                // The graph would execute inline anyway; sweep the panels
-                // sequentially without spawning a throwaway pool.
-                return sweep_local(false);
-            }
-            // The engine's batched solver with a batch of one, on a pool
-            // whose lifetime is this call. The worker request is clamped to
-            // the engine sanity cap: the estimate is bitwise independent of
-            // the worker count, so an absurd request (which the old
-            // thread-scope path obliged with oversubscription) only loses
-            // threads, never accuracy. Only the long-lived
-            // `MvnEngine::builder()` rejects such requests outright.
-            let engine = MvnEngine::with_config(MvnConfig {
-                scheduler: Scheduler::Dag {
-                    workers: workers.min(crate::MAX_ENGINE_WORKERS),
-                },
-                ..*cfg
-            })
-            .unwrap_or_else(|e| panic!("mvn_prob_factored: {e}"));
-            engine.solve_factored_with(l, a, b, cfg)
-        }
-    }
-}
-
-/// Estimate the MVN probability from a dense tiled Cholesky factor
-/// (the paper's "Dense" method).
-///
-/// *Prefer [`MvnEngine::solve`] for repeated solves* — this wrapper sets up
-/// a throwaway worker pool per call (see [`mvn_prob_factored`]).
-pub fn mvn_prob_dense(l: &SymTileMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
-    mvn_prob_factored(l, a, b, cfg)
-}
-
-/// Estimate the MVN probability from a TLR Cholesky factor
-/// (the paper's "TLR" method).
-///
-/// *Prefer [`MvnEngine::solve`] for repeated solves* — this wrapper sets up
-/// a throwaway worker pool per call (see [`mvn_prob_factored`]).
-pub fn mvn_prob_tlr(l: &TlrMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
-    mvn_prob_factored(l, a, b, cfg)
+    let points = qmc::make_point_set(cfg.sample_kind, l.dim(), cfg.seed);
+    let panels: Vec<(f64, usize)> = (0..cfg.sample_size.div_ceil(cfg.panel_width))
+        .map(|p| l.sweep_panel(a, b, points.as_ref(), cfg, p))
+        .collect();
+    combine_panel_results(&panels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::genz::mvn_prob_genz;
+    use crate::{FactorBackend, MvnEngine};
     use mathx::norm_cdf;
+    use qmc::make_point_set;
+    use task_runtime::WorkerPool;
     use tile_la::potrf_tiled;
     use tlr::{potrf_tlr, CompressionTol};
+
+    /// One solve on a throwaway engine of `workers` workers.
+    fn solve_on<F: FactorBackend>(
+        workers: usize,
+        l: &F,
+        a: &[f64],
+        b: &[f64],
+        cfg: &MvnConfig,
+    ) -> MvnResult {
+        let engine = MvnEngine::builder().workers(workers).config(*cfg).build();
+        engine.unwrap().solve_factored(l, a, b)
+    }
+
+    /// [`solve_on`] one worker per core (the engine default).
+    fn solve<F: FactorBackend>(l: &F, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
+        solve_on(0, l, a, b, cfg)
+    }
 
     fn exp_cov(range: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
         move |i: usize, j: usize| {
@@ -534,7 +465,7 @@ mod tests {
 
     fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> SymTileMatrix {
         let mut s = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut s, 1).unwrap();
+        potrf_tiled(&mut s, &WorkerPool::new(1)).unwrap();
         s
     }
 
@@ -544,7 +475,7 @@ mod tests {
         let l = dense_factor(|i, j| if i == j { 1.0 } else { 0.0 }, n, 5);
         let a = vec![-1.5; n];
         let b = vec![0.5; n];
-        let r = mvn_prob_dense(&l, &a, &b, &MvnConfig::with_samples(2000));
+        let r = solve(&l, &a, &b, &MvnConfig::with_samples(2000));
         let want = (norm_cdf(0.5) - norm_cdf(-1.5)).powi(n as i32);
         assert!((r.prob - want).abs() < 1e-10, "{} vs {want}", r.prob);
     }
@@ -562,7 +493,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let r = mvn_prob_dense(&l, &a, &b, &cfg);
+        let r = solve(&l, &a, &b, &cfg);
         let want = 1.0 / (n as f64 + 1.0);
         assert!((r.prob - want).abs() < 4e-3, "{} vs {want}", r.prob);
     }
@@ -580,7 +511,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let tiled = mvn_prob_dense(&l_tiled, &a, &b, &cfg);
+        let tiled = solve(&l_tiled, &a, &b, &cfg);
         let seq = mvn_prob_genz(&l_dense, &a, &b, &cfg);
         let tol = 4.0 * (tiled.std_error + seq.std_error).max(2e-3);
         assert!(
@@ -606,7 +537,7 @@ mod tests {
                 seed: 21,
                 ..Default::default()
             };
-            probs.push(mvn_prob_dense(&l, &a, &b, &cfg).prob);
+            probs.push(solve(&l, &a, &b, &cfg).prob);
         }
         // Same sample set, same chain values => identical estimates up to
         // floating-point reassociation.
@@ -621,7 +552,7 @@ mod tests {
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
         let mut tlr = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-8), usize::MAX, f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.2; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
@@ -629,8 +560,8 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let rd = mvn_prob_dense(&l_dense, &a, &b, &cfg);
-        let rt = mvn_prob_tlr(&tlr, &a, &b, &cfg);
+        let rd = solve(&l_dense, &a, &b, &cfg);
+        let rt = solve(&tlr, &a, &b, &cfg);
         assert!(
             (rd.prob - rt.prob).abs() < 1e-3,
             "dense {} vs TLR {}",
@@ -647,7 +578,7 @@ mod tests {
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
         let mut tlr = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-3), 20, f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![0.0; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
@@ -655,8 +586,8 @@ mod tests {
             seed: 6,
             ..Default::default()
         };
-        let rd = mvn_prob_dense(&l_dense, &a, &b, &cfg);
-        let rt = mvn_prob_tlr(&tlr, &a, &b, &cfg);
+        let rd = solve(&l_dense, &a, &b, &cfg);
+        let rt = solve(&tlr, &a, &b, &cfg);
         assert!(
             (rd.prob - rt.prob).abs() < 5e-3,
             "dense {} vs TLR {}",
@@ -678,7 +609,7 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let tiled = mvn_prob_dense(&l_tiled, &a, &b, &cfg);
+        let tiled = solve(&l_tiled, &a, &b, &cfg);
         let seq = mvn_prob_genz(&l_dense, &a, &b, &cfg);
         assert!(
             (tiled.prob - seq.prob).abs() < 4.0 * (tiled.std_error + seq.std_error).max(1e-3),
@@ -693,58 +624,54 @@ mod tests {
         let n = 30;
         let l = dense_factor(exp_cov(0.6), n, 8);
         let cfg = MvnConfig::with_samples(4000);
-        let whole = mvn_prob_dense(
+        let whole = solve(
             &l,
             &vec![f64::NEG_INFINITY; n],
             &vec![f64::INFINITY; n],
             &cfg,
         );
         assert!((whole.prob - 1.0).abs() < 1e-12);
-        let r = mvn_prob_dense(&l, &vec![0.0; n], &vec![f64::INFINITY; n], &cfg);
+        let r = solve(&l, &vec![0.0; n], &vec![f64::INFINITY; n], &cfg);
         assert!(r.prob > 0.0 && r.prob < 1.0);
     }
 
     #[test]
-    fn dag_and_forkjoin_schedulers_are_bitwise_identical() {
-        // The acceptance criterion: same seed => same bits, for dense and TLR
-        // factors, independent of the scheduler and the worker count.
+    fn engine_sweep_is_bitwise_a_sequential_loop_over_the_panels() {
+        // The acceptance criterion: same seed => same bits as sweeping the
+        // panels one after another on the calling thread, for dense and TLR
+        // factors, independent of the worker count.
         let n = 45;
         let f = exp_cov(0.3);
         let l = dense_factor(f, n, 15);
         let mut tlr = TlrMatrix::from_fn(n, 15, CompressionTol::Absolute(1e-8), usize::MAX, f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.5; n];
         let b = vec![1.0; n];
-        let fj_cfg = MvnConfig {
+        let cfg = MvnConfig {
             sample_size: 4000,
             seed: 21,
-            scheduler: crate::Scheduler::ForkJoin,
             ..Default::default()
         };
-        let fj_dense = mvn_prob_dense(&l, &a, &b, &fj_cfg);
-        let fj_tlr = mvn_prob_tlr(&tlr, &a, &b, &fj_cfg);
+        let seq_dense = sweep_sequential(&l, &a, &b, &cfg);
+        let seq_tlr = sweep_sequential(&tlr, &a, &b, &cfg);
         for workers in [1usize, 2, 8] {
-            let dag_cfg = MvnConfig {
-                scheduler: crate::Scheduler::Dag { workers },
-                ..fj_cfg
-            };
-            let dag_dense = mvn_prob_dense(&l, &a, &b, &dag_cfg);
-            let dag_tlr = mvn_prob_tlr(&tlr, &a, &b, &dag_cfg);
+            let dense = solve_on(workers, &l, &a, &b, &cfg);
+            let tlr = solve_on(workers, &tlr, &a, &b, &cfg);
             assert!(
-                dag_dense.prob.to_bits() == fj_dense.prob.to_bits(),
+                dense.prob.to_bits() == seq_dense.prob.to_bits(),
                 "dense: workers={workers}: {} vs {}",
-                dag_dense.prob,
-                fj_dense.prob
+                dense.prob,
+                seq_dense.prob
             );
             assert!(
-                dag_dense.std_error.to_bits() == fj_dense.std_error.to_bits(),
+                dense.std_error.to_bits() == seq_dense.std_error.to_bits(),
                 "dense std_error differs at workers={workers}"
             );
             assert!(
-                dag_tlr.prob.to_bits() == fj_tlr.prob.to_bits(),
+                tlr.prob.to_bits() == seq_tlr.prob.to_bits(),
                 "tlr: workers={workers}: {} vs {}",
-                dag_tlr.prob,
-                fj_tlr.prob
+                tlr.prob,
+                seq_tlr.prob
             );
         }
     }
@@ -836,7 +763,6 @@ mod tests {
                 panel_width: 32,
                 sample_kind: kind,
                 seed: 77,
-                ..Default::default()
             };
             let points = make_point_set(kind, n, cfg.seed);
             for p in 0..cfg.sample_size.div_ceil(cfg.panel_width) {
@@ -900,28 +826,13 @@ mod tests {
         let (mean, _) = state.result();
         assert_eq!(mean, 0.0);
 
-        // End-to-end: both schedulers report exactly zero probability (and
-        // agree bitwise, dead panels or not).
-        let fj = mvn_prob_dense(
-            &l,
-            &a,
-            &b,
-            &MvnConfig {
-                scheduler: crate::Scheduler::ForkJoin,
-                ..cfg
-            },
-        );
-        let dag = mvn_prob_dense(
-            &l,
-            &a,
-            &b,
-            &MvnConfig {
-                scheduler: crate::Scheduler::Dag { workers: 2 },
-                sample_size: 4000,
-                ..cfg
-            },
-        );
-        assert_eq!(fj.prob, 0.0);
-        assert_eq!(dag.prob, 0.0);
+        // End-to-end: the engine reports exactly zero probability, inline and
+        // on a real pool, dead panels or not.
+        assert_eq!(solve_on(1, &l, &a, &b, &cfg).prob, 0.0);
+        let more = MvnConfig {
+            sample_size: 4000,
+            ..cfg
+        };
+        assert_eq!(solve_on(2, &l, &a, &b, &more).prob, 0.0);
     }
 }

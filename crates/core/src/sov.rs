@@ -232,7 +232,7 @@ mod tests {
         let n = 8;
         let cov = |i: usize, j: usize| (-((i as f64 - j as f64).abs()) / 3.0).exp();
         let mut sym = tile_la::SymTileMatrix::from_fn(n, 4, cov);
-        tile_la::potrf_tiled(&mut sym, 1).unwrap();
+        tile_la::potrf_tiled(&mut sym, &task_runtime::WorkerPool::new(1)).unwrap();
         let l = sym.to_dense_lower();
         let engine = crate::MvnEngine::builder().workers(1).build().unwrap();
         let f = engine

@@ -22,7 +22,7 @@
 //! batched Φ/Φ⁻¹ slice kernels, dead lanes pinned to `u = ½`, early exit once
 //! every chain in the panel is dead. Coefficients are accumulated in the
 //! plan's fixed neighbor order, so the estimate is bitwise identical for any
-//! worker count, scheduler or batch composition — the same invariant the
+//! worker count, submission mode or batch composition — the same invariant the
 //! dense/TLR sweeps maintain.
 
 use crate::engine::{FactorBackend, ProblemError};
@@ -487,7 +487,7 @@ pub fn full_conditioning_plan(n: usize) -> VecchiaPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MvnEngine, Scheduler};
+    use crate::MvnEngine;
     use tile_la::SymTileMatrix;
 
     fn equicorrelated(rho: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
@@ -500,7 +500,6 @@ mod tests {
             .config(MvnConfig {
                 sample_size: 4000,
                 seed: 7,
-                scheduler: Scheduler::Dag { workers },
                 ..Default::default()
             })
             .build()

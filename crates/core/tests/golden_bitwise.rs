@@ -6,14 +6,14 @@
 //! layer). The refactor's contract is that dense and TLR results stay
 //! **bitwise identical** through any restructuring of the dispatch — so each
 //! scenario pins the exact `f64` bits of `prob` and `std_error` across
-//! worker counts, schedulers, streaming lookaheads and batch compositions.
+//! worker counts, streaming lookaheads and batch compositions.
 //! A golden mismatch means the refactor changed numerics, not just shape.
 //!
 //! To re-capture after an *intentional* numerical change, run
 //! `cargo test -p mvn-core --test golden_bitwise -- --ignored --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
-use mvn_core::{Factor, MvnConfig, MvnEngine, Problem, Scheduler};
+use mvn_core::{Factor, MvnConfig, MvnEngine, Problem};
 use std::sync::Arc;
 use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
@@ -26,21 +26,22 @@ fn exp_cov(range: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
     }
 }
 
-fn cfg(scheduler: Scheduler) -> MvnConfig {
+fn cfg() -> MvnConfig {
     MvnConfig {
         sample_size: 2500,
         seed: 9,
-        scheduler,
         ..Default::default()
     }
 }
 
 fn engine(workers: usize) -> MvnEngine {
-    MvnEngine::builder()
-        .workers(workers)
-        .config(cfg(Scheduler::Dag { workers }))
-        .build()
-        .unwrap()
+    let builder = MvnEngine::builder().config(cfg()).workers(workers);
+    builder.build().unwrap()
+}
+
+fn streaming_engine(workers: usize, lookahead: usize) -> MvnEngine {
+    let builder = MvnEngine::builder().config(cfg()).workers(workers);
+    builder.streaming(lookahead).build().unwrap()
 }
 
 fn dense_factor(e: &MvnEngine, n: usize, nb: usize, range: f64) -> Factor {
@@ -81,17 +82,9 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         push(&format!("tlr_solve_w{workers}"), e.solve(&ft, &a, &b));
     }
 
-    // Streaming scheduler across lookahead windows.
+    // Streaming submission across lookahead windows.
     for lookahead in [1usize, 3, 0] {
-        let e = MvnEngine::builder()
-            .workers(2)
-            .streaming(lookahead)
-            .config(cfg(Scheduler::Streaming {
-                workers: 2,
-                lookahead,
-            }))
-            .build()
-            .unwrap();
+        let e = streaming_engine(2, lookahead);
         let fd = dense_factor(&e, n, 16, 0.5);
         push(&format!("dense_stream_la{lookahead}"), e.solve(&fd, &a, &b));
     }
@@ -150,15 +143,7 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         "tlr_fused_w2",
         e2.factor_prob_tlr(&mut sigma_t, &a, &b).unwrap(),
     );
-    let es = MvnEngine::builder()
-        .workers(2)
-        .streaming(3)
-        .config(cfg(Scheduler::Streaming {
-            workers: 2,
-            lookahead: 3,
-        }))
-        .build()
-        .unwrap();
+    let es = streaming_engine(2, 3);
     let mut sigma_s = SymTileMatrix::from_fn(n, 16, exp_cov(0.5));
     push(
         "dense_fused_stream",

@@ -1,0 +1,74 @@
+//! One pool, same bits: the two factor entry points and the fused pipeline
+//! leave identical bits for every pool shape — 1/2/4 workers × {materialized,
+//! window 1, window 3, default window} — and the fused pipeline agrees with
+//! the staged factor-then-solve flow.
+
+use mvn_core::{Factor, MvnConfig, MvnEngine};
+use task_runtime::WorkerPool;
+use tile_la::{potrf_tiled, SymTileMatrix};
+use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
+
+fn exp_cov(i: usize, j: usize) -> f64 {
+    (-(i as f64 - j as f64).abs() / 20.0).exp()
+}
+
+#[test]
+fn factors_and_fused_pipeline_are_bitwise_identical_on_every_pool() {
+    let n = 60;
+    let (a, b) = (vec![-0.4; n], vec![0.9; n]);
+    let cfg = MvnConfig {
+        sample_size: 2000,
+        seed: 17,
+        ..Default::default()
+    };
+    let dense = || SymTileMatrix::from_fn(n, 16, exp_cov);
+    let tlr = || TlrMatrix::from_fn(n, 16, CompressionTol::Absolute(1e-8), usize::MAX, exp_cov);
+
+    // Reference: everything inline on one worker, factor then solve.
+    let one = WorkerPool::new(1);
+    let staged_factor = Factor::Dense(dense_factor(&one, dense()));
+    let staged_engine = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
+    let staged = staged_engine.solve(&staged_factor, &a, &b);
+    let Factor::Dense(want_dense) = staged_factor else {
+        unreachable!()
+    };
+    let want_dense = want_dense.to_dense_lower();
+    let mut want_tlr = tlr();
+    potrf_tlr(&mut want_tlr, &one).unwrap();
+    let want_tlr = want_tlr.to_dense_lower();
+
+    for workers in [1usize, 2, 4] {
+        for lookahead in [None, Some(1), Some(3), Some(0)] {
+            let case = format!("workers={workers} lookahead={lookahead:?}");
+            let pool = WorkerPool::with_lookahead(workers, lookahead);
+            assert_eq!(
+                dense_factor(&pool, dense()).to_dense_lower(),
+                want_dense,
+                "{case}"
+            );
+            let mut t = tlr();
+            potrf_tlr(&mut t, &pool).unwrap();
+            assert_eq!(t.to_dense_lower(), want_tlr, "{case}");
+
+            let mut builder = MvnEngine::builder().workers(workers).config(cfg);
+            if let Some(w) = lookahead {
+                builder = builder.streaming(w);
+            }
+            let engine = builder.build().unwrap();
+            let mut sigma = dense();
+            let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
+            assert_eq!(fused.prob.to_bits(), staged.prob.to_bits(), "{case}");
+            assert_eq!(
+                fused.std_error.to_bits(),
+                staged.std_error.to_bits(),
+                "{case}"
+            );
+            assert_eq!(sigma.to_dense_lower(), want_dense, "{case}");
+        }
+    }
+}
+
+fn dense_factor(pool: &WorkerPool, mut sigma: SymTileMatrix) -> SymTileMatrix {
+    potrf_tiled(&mut sigma, pool).unwrap();
+    sigma
+}

@@ -6,6 +6,7 @@
 //! keeps all diagonal tiles well scaled. The factor can be held dense or in
 //! TLR-compressed form — exactly the paper's two execution modes.
 
+use task_runtime::{effective_workers, WorkerPool};
 use tile_la::{potrf_tiled, DenseMatrix, SymTileMatrix};
 use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
 
@@ -88,7 +89,8 @@ pub fn correlation_matrix_tlr(
 /// returning the factor together with the per-location standard deviations.
 pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFactor, Vec<f64>) {
     let (mut corr, sd) = correlation_matrix_dense(cov, nb);
-    potrf_tiled(&mut corr, 1).expect("correlation matrix must be positive definite");
+    potrf_tiled(&mut corr, &WorkerPool::new(effective_workers(0)))
+        .expect("correlation matrix must be positive definite");
     (CorrelationFactor::Dense(corr), sd)
 }
 
@@ -101,7 +103,8 @@ pub fn correlation_factor_tlr(
     max_rank: usize,
 ) -> (CorrelationFactor, Vec<f64>) {
     let (mut corr, sd) = correlation_matrix_tlr(cov, nb, tol, max_rank);
-    potrf_tlr(&mut corr, 1).expect("correlation matrix must be positive definite");
+    potrf_tlr(&mut corr, &WorkerPool::new(effective_workers(0)))
+        .expect("correlation matrix must be positive definite");
     (CorrelationFactor::Tlr(corr), sd)
 }
 
@@ -109,7 +112,7 @@ pub fn correlation_factor_tlr(
 mod tests {
     use super::*;
     use geostat::{regular_grid, CovarianceKernel};
-    use mvn_core::{mvn_prob_factored, MvnConfig};
+    use mvn_core::{MvnConfig, MvnEngine};
 
     fn cov_matrix() -> DenseMatrix {
         let locs = regular_grid(8, 8);
@@ -156,9 +159,9 @@ mod tests {
         let n = cov.nrows();
         let a = vec![-0.3; n];
         let b = vec![f64::INFINITY; n];
-        let cfg = MvnConfig::with_samples(4000);
-        let pd = mvn_prob_factored(&fd, &a, &b, &cfg);
-        let pt = mvn_prob_factored(&ft, &a, &b, &cfg);
+        let engine = MvnEngine::with_config(MvnConfig::with_samples(4000)).unwrap();
+        let pd = engine.solve_factored(&fd, &a, &b);
+        let pt = engine.solve_factored(&ft, &a, &b);
         assert!(
             (pd.prob - pt.prob).abs() < 2e-3,
             "{} vs {}",

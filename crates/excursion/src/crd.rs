@@ -95,12 +95,9 @@ pub struct CrdConfig {
     /// Default: 32.
     pub prefix_batch: usize,
     /// Sampling configuration of the underlying MVN probability estimator
-    /// (sample size/kind, panel width, seed). The worker pool comes from the
-    /// [`MvnEngine`] passed to the detection entry points, so the worker
-    /// count in the `scheduler` field here is ignored; its *mode* still
-    /// applies (`Scheduler::Streaming` streams the panel sweeps through a
-    /// bounded lookahead window instead of materializing them, with bitwise
-    /// identical probabilities).
+    /// (sample size/kind, panel width, seed). The worker pool — and whether
+    /// it streams — comes from the [`MvnEngine`] passed to the detection
+    /// entry points.
     pub mvn: MvnConfig,
 }
 

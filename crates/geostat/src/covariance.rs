@@ -277,7 +277,7 @@ mod tests {
             smoothness: 1.5,
         });
         let mut sym = k.tiled_covariance(&locs, 20, 1e-10);
-        assert!(tile_la::potrf_tiled(&mut sym, 1).is_ok());
+        assert!(tile_la::potrf_tiled(&mut sym, &task_runtime::WorkerPool::new(1)).is_ok());
     }
 
     #[test]

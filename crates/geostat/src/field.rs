@@ -8,10 +8,8 @@
 use crate::covariance::CovarianceKernel;
 use crate::geometry::Location;
 use qmc::Xoshiro256pp;
-use task_runtime::WorkerPool;
-use tile_la::{
-    multiply_lower_panel, potrf_tiled, potrf_tiled_pool, CholeskyError, DenseMatrix, SymTileMatrix,
-};
+use task_runtime::{effective_workers, WorkerPool};
+use tile_la::{multiply_lower_panel, potrf_tiled, DenseMatrix};
 
 /// A simulated field: the latent values at every location.
 #[derive(Debug, Clone)]
@@ -33,45 +31,22 @@ pub struct Observations {
     pub noise_sd: f64,
 }
 
-/// Shared body of the field-simulation entry points; `factorize` performs the
-/// tiled Cholesky of the assembled covariance.
-fn simulate_field_with<R>(
-    locs: &[Location],
-    kernel: &CovarianceKernel,
-    mean: f64,
-    seed: u64,
-    factorize: R,
-) -> FieldSample
-where
-    R: FnOnce(&mut SymTileMatrix) -> Result<(), CholeskyError>,
-{
-    let n = locs.len();
-    let nb = default_tile_size(n);
-    let mut sigma = kernel.tiled_covariance(locs, nb, 1e-10 * kernel.sigma2());
-    factorize(&mut sigma).expect("covariance matrix must be positive definite");
-    let mut rng = Xoshiro256pp::seed_from(seed);
-    let z = DenseMatrix::from_fn(n, 1, |_, _| rng.next_normal());
-    let x = multiply_lower_panel(&sigma, &z);
-    FieldSample {
-        values: (0..n).map(|i| mean + x.get(i, 0)).collect(),
-        mean,
-    }
-}
-
 /// Simulate a zero-mean-plus-constant Gaussian random field `x ~ N(mean·1, Σ)`
 /// at the given locations.
 ///
 /// The covariance is assembled in tiled form, factored with the parallel tiled
-/// Cholesky, and the sample is `mean + L·z` with `z` i.i.d. standard normal.
-/// Call sites simulating many replicates should use [`simulate_field_pooled`]
-/// with a session-owned [`WorkerPool`].
+/// Cholesky on a throwaway pool of one worker per core, and the sample is
+/// `mean + L·z` with `z` i.i.d. standard normal. Call sites simulating many
+/// replicates should use [`simulate_field_pooled`] with a session-owned
+/// [`WorkerPool`].
 pub fn simulate_field(
     locs: &[Location],
     kernel: &CovarianceKernel,
     mean: f64,
     seed: u64,
 ) -> FieldSample {
-    simulate_field_with(locs, kernel, mean, seed, |s| potrf_tiled(s, 1))
+    let pool = WorkerPool::new(effective_workers(0));
+    simulate_field_pooled(locs, kernel, mean, seed, &pool)
 }
 
 /// [`simulate_field`] with the tiled Cholesky routed through a caller-owned
@@ -85,7 +60,17 @@ pub fn simulate_field_pooled(
     seed: u64,
     pool: &WorkerPool,
 ) -> FieldSample {
-    simulate_field_with(locs, kernel, mean, seed, |s| potrf_tiled_pool(s, pool))
+    let n = locs.len();
+    let nb = default_tile_size(n);
+    let mut sigma = kernel.tiled_covariance(locs, nb, 1e-10 * kernel.sigma2());
+    potrf_tiled(&mut sigma, pool).expect("covariance matrix must be positive definite");
+    let mut rng = Xoshiro256pp::seed_from(seed);
+    let z = DenseMatrix::from_fn(n, 1, |_, _| rng.next_normal());
+    let x = multiply_lower_panel(&sigma, &z);
+    FieldSample {
+        values: (0..n).map(|i| mean + x.get(i, 0)).collect(),
+        mean,
+    }
 }
 
 /// Observe `n_obs` randomly chosen locations of a simulated field with additive

@@ -5,8 +5,8 @@ use crate::covariance::{CovarianceKernel, MaternParams};
 use crate::field::default_tile_size;
 use crate::geometry::Location;
 use crate::optim::{nelder_mead, NelderMeadOptions};
-use task_runtime::WorkerPool;
-use tile_la::{potrf_tiled_pool, solve_lower_panel, CholeskyError, DenseMatrix, SymTileMatrix};
+use task_runtime::{effective_workers, WorkerPool};
+use tile_la::{potrf_tiled, solve_lower_panel, DenseMatrix, SymTileMatrix};
 
 /// Result of a Matérn maximum-likelihood fit.
 #[derive(Debug, Clone)]
@@ -48,37 +48,18 @@ pub fn gaussian_loglik_factored(factor: &SymTileMatrix, data: &[f64]) -> f64 {
     -0.5 * (quad + log_det + n as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 
-/// Shared body of the log-likelihood entry points: assemble the covariance,
-/// factor it with `factorize`, and evaluate the Gaussian log-density.
-fn gaussian_loglik_with<R>(
-    locs: &[Location],
-    data: &[f64],
-    kernel: &CovarianceKernel,
-    factorize: R,
-) -> f64
-where
-    R: FnOnce(&mut SymTileMatrix) -> Result<(), CholeskyError>,
-{
-    let n = locs.len();
-    assert_eq!(data.len(), n, "data length must match number of locations");
-    let nb = default_tile_size(n);
-    let mut sigma = kernel.tiled_covariance(locs, nb, mle_nugget(kernel));
-    if factorize(&mut sigma).is_err() {
-        return f64::NEG_INFINITY;
-    }
-    gaussian_loglik_factored(&sigma, data)
-}
-
 /// Exact Gaussian log-likelihood of zero-mean data under the given covariance
 /// kernel: `−½ (zᵀΣ⁻¹z + log|Σ| + n·log 2π)`.
 ///
-/// Uses the parallel tiled Cholesky factorization, so it scales to the problem
-/// sizes of the paper's synthetic studies. Call sites evaluating the
-/// likelihood many times (an optimizer objective) should use
-/// [`gaussian_loglik_pooled`] with a session-owned [`WorkerPool`] — e.g. an
-/// `mvn_core::MvnEngine`'s pool — instead of paying per-call scheduling.
+/// Uses the parallel tiled Cholesky factorization (on a throwaway pool of one
+/// worker per core), so it scales to the problem sizes of the paper's
+/// synthetic studies. Call sites evaluating the likelihood many times (an
+/// optimizer objective) should use [`gaussian_loglik_pooled`] with a
+/// session-owned [`WorkerPool`] — e.g. an `mvn_core::MvnEngine`'s pool —
+/// instead of paying per-call pool setup.
 pub fn gaussian_loglik(locs: &[Location], data: &[f64], kernel: &CovarianceKernel) -> f64 {
-    gaussian_loglik_with(locs, data, kernel, |s| tile_la::potrf_tiled(s, 1))
+    let pool = WorkerPool::new(effective_workers(0));
+    gaussian_loglik_pooled(locs, data, kernel, &pool)
 }
 
 /// [`gaussian_loglik`] with the tiled Cholesky routed through a caller-owned
@@ -90,7 +71,14 @@ pub fn gaussian_loglik_pooled(
     kernel: &CovarianceKernel,
     pool: &WorkerPool,
 ) -> f64 {
-    gaussian_loglik_with(locs, data, kernel, |s| potrf_tiled_pool(s, pool))
+    let n = locs.len();
+    assert_eq!(data.len(), n, "data length must match number of locations");
+    let nb = default_tile_size(n);
+    let mut sigma = kernel.tiled_covariance(locs, nb, mle_nugget(kernel));
+    if potrf_tiled(&mut sigma, pool).is_err() {
+        return f64::NEG_INFINITY;
+    }
+    gaussian_loglik_factored(&sigma, data)
 }
 
 /// Fit Matérn parameters by maximum likelihood with Nelder–Mead over

@@ -55,12 +55,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use distsim::ProcessGrid;
-use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig, Scheduler};
+use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{
-    effective_lookahead, AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, WorkerPool,
+    effective_lookahead, effective_workers, AccessMode, DataHandle, HandleRegistry, TaskSink,
+    TaskSpec, WorkerPool,
 };
-use tile_la::dag::{effective_workers, FactorStatus};
+use tile_la::dag::FactorStatus;
 use tile_la::kernels::{
     gemm_nt, potrf_in_place, syrk_lower, trsm_left_lower_notrans, trsm_right_lower_trans,
 };
@@ -577,8 +578,9 @@ fn control_loop(reader: &mut BufReader<TcpStream>, ctx: Arc<WorkerCtx>) {
 fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, WorkerErrorMsg> {
     let p = &ctx.problem;
     let mut links = PeerLinks::new();
-    let pool = WorkerPool::new(effective_workers(p.workers));
-    let window = effective_lookahead(p.lookahead, pool.workers());
+    let workers = effective_workers(p.workers);
+    let window = effective_lookahead(p.lookahead, workers);
+    let pool = WorkerPool::with_lookahead(workers, Some(window));
 
     let factor_span =
         obs::enabled().then(|| obs::span_with("dist_factor", &[("rank", ctx.rank as u64)]));
@@ -590,7 +592,7 @@ fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, Worke
             &[("rank", ctx.rank as u64), ("panels", panels.len() as u64)],
         )
     });
-    let (panel_results, _) = sweep_assigned(ctx, &mut links, panels, Some((&pool, window)))?;
+    let (panel_results, _) = sweep_assigned(ctx, &mut links, panels, Some(&pool))?;
     drop(sweep_span);
 
     // Kernel time (factor tasks + panel sweeps) from the pool's always-on
@@ -724,7 +726,7 @@ fn factor(
 type SweepOutcome = (Vec<(usize, f64, usize)>, u64);
 
 /// Sweep the given panels against the fully assembled factor. With a pool,
-/// panels stream through `stream_map` (the main pipeline); without, they
+/// panels stream through its window (the main pipeline); without, they
 /// run sequentially in panel order (the replay path). Both produce
 /// bit-identical per-panel results — a panel's result depends only on the
 /// panel index and the factor bits.
@@ -736,7 +738,7 @@ fn sweep_assigned(
     ctx: &Arc<WorkerCtx>,
     links: &mut PeerLinks,
     panels: &[usize],
-    pool: Option<(&WorkerPool, usize)>,
+    pool: Option<&WorkerPool>,
 ) -> Result<SweepOutcome, WorkerErrorMsg> {
     if panels.is_empty() {
         return Ok((Vec::new(), 0));
@@ -768,29 +770,18 @@ fn sweep_assigned(
         panel_width: p.panel_width,
         sample_kind: p.sample_kind,
         seed: p.seed,
-        scheduler: Scheduler::Streaming {
-            workers: p.workers,
-            lookahead: p.lookahead,
-        },
     };
     let mut seq_sweep_ns = 0u64;
     let results: Vec<(f64, usize)> = match pool {
-        Some((pool, window)) => {
+        Some(pool) => {
             let cost = |_: usize, _: &usize| (nt * cfg.panel_width) as f64;
-            let (results, _stats) = pool.stream_map(
-                "dist_panel_sweep",
-                panels,
-                cost,
-                |_, &panel| {
-                    let r = sweep_panel(&factor, layout, &p.a, &p.b, points_ref, &cfg, panel);
-                    // Fault hook: a planned mid-sweep kill fires here, after
-                    // this panel completes.
-                    ctx.injector.on_panel_done();
-                    r
-                },
-                window,
-            );
-            results
+            pool.run_map("dist_panel_sweep", panels, cost, |_, &panel| {
+                let r = sweep_panel(&factor, layout, &p.a, &p.b, points_ref, &cfg, panel);
+                // Fault hook: a planned mid-sweep kill fires here, after
+                // this panel completes.
+                ctx.injector.on_panel_done();
+                r
+            })
         }
         None => panels
             .iter()

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use mvn_core::{MvnConfig, MvnEngine, MvnResult, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistError};
 use qmc::SampleKind;
 use tile_la::SymTileMatrix;
@@ -34,7 +34,6 @@ fn cfg() -> MvnConfig {
         panel_width: 32,
         sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
-        scheduler: Scheduler::Dag { workers: 1 },
     }
 }
 

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use mvn_core::{MvnConfig, MvnEngine, MvnResult, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::{solve_dense, DistConfig, DistReport};
 use qmc::SampleKind;
 use tile_la::SymTileMatrix;
@@ -39,7 +39,6 @@ fn cfg() -> MvnConfig {
         panel_width: 32,
         sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
-        scheduler: Scheduler::Dag { workers: 1 },
     }
 }
 

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use mvn_core::{MvnConfig, MvnEngine, MvnResult, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::{FaultAction, FaultPlan};
 use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport, Recovery};
 use qmc::SampleKind;
@@ -41,7 +41,6 @@ fn cfg() -> MvnConfig {
         panel_width: 32,
         sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
-        scheduler: Scheduler::Dag { workers: 1 },
     }
 }
 

@@ -232,7 +232,7 @@ mod tests {
 
     fn factor(n: usize) -> Arc<Factor> {
         let mut m = SymTileMatrix::from_fn(n, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        tile_la::potrf_tiled(&mut m, 1).unwrap();
+        tile_la::potrf_tiled(&mut m, &task_runtime::WorkerPool::new(1)).unwrap();
         Arc::new(Factor::Dense(m))
     }
 

@@ -17,10 +17,10 @@
 //! Bitwise contract: [`gaussian_loglik_cached`] equals
 //! [`geostat::gaussian_loglik`] bit for bit. Both assemble
 //! `kernel.tiled_covariance(locs, default_tile_size(n), mle_nugget(kernel))`
-//! and the engine-pool factorization equals `potrf_tiled(…, 1)` for any
-//! worker count (the engine contract), so whether a factor was freshly
-//! built, cache-resident, or built by a *probability* request first can
-//! never change a likelihood — and therefore [`fit_matern_cached`] walks the
+//! and `potrf_tiled` leaves the same bits on any pool (the engine contract),
+//! so whether a factor was freshly built, cache-resident, or built by a
+//! *probability* request first can never change a likelihood — and
+//! therefore [`fit_matern_cached`] walks the
 //! exact simplex trajectory of `geostat::fit_matern` and fits bitwise
 //! identical parameters. Asserted in `tests/mle_cache.rs`.
 

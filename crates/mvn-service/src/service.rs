@@ -30,14 +30,11 @@
 //! * **Cross-spec micro-batching.** The shard dispatcher pops the oldest
 //!   request and collects co-batchable ones until the batch size cap or the
 //!   flush clock. A request is co-batchable when it shares the primary's
-//!   fingerprint *or* (with [`ServiceConfig::cross_spec_batching`], the
-//!   default) its factor is already cache-resident — resident foreigners cost
-//!   no factorization, so the whole mixed batch is submitted as one
-//!   [`MvnEngine::solve_batch_mixed`] task graph. Only a cache-miss
+//!   fingerprint *or* its factor is already cache-resident — resident
+//!   foreigners cost no factorization, so the whole mixed batch is submitted
+//!   as one [`MvnEngine::solve_batch_mixed`] task graph. Only a cache-miss
 //!   fingerprint (its factorization would stall everyone) or a queued cache
-//!   operation flushes the batch early. With `cross_spec_batching` off the
-//!   batcher reverts to the historical policy: any foreign fingerprint
-//!   flushes.
+//!   operation flushes the batch early.
 //! * **Deadline shedding.** A request may carry a deadline
 //!   ([`MvnService::submit_with_deadline`]). The dispatcher sheds expired
 //!   requests at every queue scan — they answer
@@ -64,9 +61,7 @@
 
 use crate::cache::{CacheStats, FactorCache};
 use crate::spec::{CovSpec, FactorFingerprint};
-use mvn_core::{
-    EngineError, Factor, MvnConfig, MvnEngine, MvnResult, Problem, ProblemError, Scheduler,
-};
+use mvn_core::{EngineError, Factor, MvnConfig, MvnEngine, MvnResult, Problem, ProblemError};
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -88,11 +83,7 @@ pub struct ServiceConfig {
     /// core — with several shards prefer explicit small values).
     pub workers_per_shard: usize,
     /// Sampling configuration of every solve (sample size/kind, panel
-    /// width, seed). The scheduler's worker count is overridden by
-    /// [`workers_per_shard`](Self::workers_per_shard). `Scheduler::Streaming`
-    /// keeps its streaming mode (and lookahead); `Dag` and `ForkJoin` both
-    /// run the shard engines DAG-scheduled — the same mapping
-    /// `MvnEngine::builder` applies, with bitwise-identical results.
+    /// width, seed).
     pub mvn: MvnConfig,
     /// Flush a batch once it holds this many requests.
     pub max_batch: usize,
@@ -105,12 +96,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Byte capacity of each shard's factor cache.
     pub cache_capacity_bytes: usize,
-    /// Coalesce requests *across* fingerprints into one mixed task graph
-    /// when the foreign factor is already cache-resident (see the
-    /// [module docs](self)). `false` restores the historical
-    /// flush-on-foreign-fingerprint batcher — useful as an A/B baseline
-    /// (`mvn_serve --soak` exercises both).
-    pub cross_spec_batching: bool,
 }
 
 impl Default for ServiceConfig {
@@ -123,7 +108,6 @@ impl Default for ServiceConfig {
             batch_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             cache_capacity_bytes: 64 << 20,
-            cross_spec_batching: true,
         }
     }
 }
@@ -485,8 +469,7 @@ pub struct ServiceStats {
     /// of [`completed`](Self::completed)).
     pub deadline_shed: u64,
     /// Batches that mixed more than one fingerprint (the cross-spec
-    /// batcher at work; always `0` with
-    /// [`ServiceConfig::cross_spec_batching`] off).
+    /// batcher at work).
     pub mixed_batches: u64,
     /// Batch-size histogram over power-of-two buckets
     /// `1, 2, 3–4, 5–8, 9–16, 17–32, 33+`.
@@ -588,18 +571,8 @@ impl MvnService {
             // Build (and validate) the engine on the caller's thread so a
             // bad configuration fails construction instead of a dispatcher.
             let engine = MvnEngine::builder()
-                .config(MvnConfig {
-                    scheduler: match cfg.mvn.scheduler {
-                        Scheduler::Streaming { lookahead, .. } => Scheduler::Streaming {
-                            workers: cfg.workers_per_shard,
-                            lookahead,
-                        },
-                        _ => Scheduler::Dag {
-                            workers: cfg.workers_per_shard,
-                        },
-                    },
-                    ..cfg.mvn
-                })
+                .workers(cfg.workers_per_shard)
+                .config(cfg.mvn)
                 .build()?;
             let shard = Arc::new(Shard {
                 queue: Mutex::new(QueueState::new()),
@@ -612,7 +585,6 @@ impl MvnService {
                 shard_idx: shards.len() - 1,
                 max_batch: cfg.max_batch,
                 batch_delay: cfg.batch_delay,
-                cross_spec: cfg.cross_spec_batching,
             };
             let cache_capacity = cfg.cache_capacity_bytes;
             dispatchers.push(
@@ -840,7 +812,6 @@ struct DispatcherCtx {
     shard_idx: usize,
     max_batch: usize,
     batch_delay: Duration,
-    cross_spec: bool,
 }
 
 /// One unit of dispatcher work out of [`collect_work`].
@@ -929,9 +900,8 @@ fn collect_work(
     loop {
         // Partition the queue in one pass: batchable solves into the batch
         // (up to the cap), everything else back in arrival order. A solve is
-        // batchable when it shares the primary fingerprint or — with
-        // cross-spec batching — its factor is already resident, so batching
-        // it costs no factorization stall.
+        // batchable when it shares the primary fingerprint or its factor is
+        // already resident, so batching it costs no factorization stall.
         debug_assert!(scratch.is_empty());
         let mut blocked_waiting = false;
         while let Some(item) = st.items.pop_front() {
@@ -945,8 +915,8 @@ fn collect_work(
                         shed(ctx, &mut st, r, missed);
                         continue;
                     }
-                    let joins = batch.len() < ctx.max_batch
-                        && (r.fp == primary_fp || (ctx.cross_spec && cache.contains(r.fp)));
+                    let joins =
+                        batch.len() < ctx.max_batch && (r.fp == primary_fp || cache.contains(r.fp));
                     if joins {
                         st.queued -= 1;
                         st.in_flight += 1;

@@ -246,8 +246,8 @@ impl CovSpec {
 
     /// Assemble the covariance (or correlation) matrix and factor it on the
     /// engine's pool. The factor is bitwise identical to the library paths
-    /// for the same spec: `potrf` on the engine pool equals `potrf_tiled(…,
-    /// 1)` for any worker count, and the standardized entries come from
+    /// for the same spec: `potrf_tiled` leaves the same bits on any pool,
+    /// and the standardized entries come from
     /// [`excursion::correlation_matrix_dense`]/`_tlr` — the same definition
     /// `correlation_factor_dense`/`_tlr` factor.
     pub fn build_factor(&self, engine: &MvnEngine) -> Result<Factor, String> {
@@ -395,7 +395,7 @@ mod tests {
         let mut want = spec
             .kernel
             .tiled_covariance(&spec.locations, spec.tile_size, spec.nugget);
-        tile_la::potrf_tiled(&mut want, 1).unwrap();
+        tile_la::potrf_tiled(&mut want, &task_runtime::WorkerPool::new(1)).unwrap();
         let Factor::Dense(got) = &f else {
             panic!("expected dense")
         };

@@ -5,7 +5,7 @@
 //! behave exactly as documented.
 
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{MvnConfig, MvnEngine, Problem, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, Problem};
 use mvn_service::{CovSpec, MvnService, ServiceConfig, ServiceError, SpecHandle, Ticket};
 use std::time::{Duration, Instant};
 
@@ -39,10 +39,8 @@ fn problems(n: usize, count: usize, offset: f64) -> Vec<Problem> {
 /// Direct per-problem engine solves — the bitwise reference.
 fn reference(spec: &CovSpec, problems: &[Problem], mvn: &MvnConfig) -> Vec<f64> {
     let engine = MvnEngine::builder()
-        .config(MvnConfig {
-            scheduler: Scheduler::Dag { workers: 2 },
-            ..*mvn
-        })
+        .workers(2)
+        .config(*mvn)
         .build()
         .unwrap();
     let factor = spec.build_factor(&engine).unwrap();
@@ -185,74 +183,6 @@ fn warmed_interleaved_burst_forms_cross_fingerprint_batches() {
         stats.batch_hist[1..].iter().sum::<u64>() > 0,
         "batch-size histogram must show batches > 1: {:?}",
         stats.batch_hist
-    );
-}
-
-#[test]
-fn legacy_mode_never_mixes_and_cross_mode_coalesces_at_least_as_much() {
-    // The A/B experiment of the issue, in-process: the same warmed
-    // interleaved workload through the historical flush-on-foreign batcher
-    // (cross_spec_batching: false) and through the cross-spec batcher. Legacy
-    // must report zero mixed batches; cross-spec must mix, use no more
-    // batches, and reach a mean batch size at least as large — with both
-    // sides bitwise identical to each other.
-    let samples = 250;
-    let specs = [spec(0.1), spec(0.234)];
-    let n = specs[0].n();
-    let ps = problems(n, 5, -0.15);
-
-    let run = |cross: bool| {
-        let service = MvnService::start(ServiceConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            mvn: test_mvn(samples),
-            batch_delay: Duration::from_millis(200),
-            cross_spec_batching: cross,
-            ..Default::default()
-        })
-        .unwrap();
-        let handles: Vec<SpecHandle> = specs.iter().map(|s| SpecHandle::new(s.clone())).collect();
-        for h in &handles {
-            service.warm(h, false).unwrap();
-        }
-        let mut tickets = Vec::new();
-        for p in &ps {
-            for h in &handles {
-                tickets.push(service.submit(h, p.clone()).unwrap());
-            }
-        }
-        let probs: Vec<f64> = tickets
-            .into_iter()
-            .map(|t| t.wait().unwrap().result.prob)
-            .collect();
-        (probs, service.stats())
-    };
-
-    let (legacy_probs, legacy) = run(false);
-    let (cross_probs, cross) = run(true);
-
-    for (i, (c, l)) in cross_probs.iter().zip(&legacy_probs).enumerate() {
-        assert!(
-            c.to_bits() == l.to_bits(),
-            "request {i}: cross {c} vs legacy {l}"
-        );
-    }
-    assert_eq!(
-        legacy.mixed_batches, 0,
-        "the legacy batcher must never mix fingerprints"
-    );
-    assert!(cross.mixed_batches > 0, "the cross-spec batcher must mix");
-    assert!(
-        cross.batches() <= legacy.batches(),
-        "cross-spec batching must not need more batches ({} vs {})",
-        cross.batches(),
-        legacy.batches()
-    );
-    assert!(
-        cross.mean_batch_size() >= legacy.mean_batch_size(),
-        "cross-spec mean batch size {} must be >= legacy {}",
-        cross.mean_batch_size(),
-        legacy.mean_batch_size()
     );
 }
 

@@ -4,7 +4,7 @@
 //! `MvnEngine` solve is the reference everywhere.
 
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{MvnConfig, MvnEngine, Problem, ProblemError, Scheduler};
+use mvn_core::{MvnConfig, MvnEngine, Problem, ProblemError};
 use mvn_service::{
     render_solve_request, render_stats_request, CovSpec, MvnServer, MvnService, ServiceConfig,
     ServiceError, SpecHandle, Ticket,
@@ -51,10 +51,8 @@ fn problems(n: usize, count: usize, offset: f64) -> Vec<Problem> {
 /// Reference solves through a plain engine with the same sampling config.
 fn reference(spec: &CovSpec, problems: &[Problem], mvn: &MvnConfig) -> Vec<f64> {
     let engine = MvnEngine::builder()
-        .config(MvnConfig {
-            scheduler: Scheduler::Dag { workers: 2 },
-            ..*mvn
-        })
+        .workers(2)
+        .config(*mvn)
         .build()
         .unwrap();
     let factor = spec.build_factor(&engine).unwrap();
@@ -514,10 +512,8 @@ fn served_crd_matches_library_crd_bitwise() {
 
     // Library path: correlation factor + engine.
     let engine = MvnEngine::builder()
-        .config(MvnConfig {
-            scheduler: Scheduler::Dag { workers: 2 },
-            ..test_mvn(samples)
-        })
+        .workers(2)
+        .config(test_mvn(samples))
         .build()
         .unwrap();
     let cov = kernel.dense_covariance(&locs, nugget);

@@ -1,14 +1,13 @@
-//! Threaded execution of a [`TaskGraph`]: a shared ready queue, one worker per
-//! thread, dependency counters decremented as tasks finish.
+//! The execution trace types and the inline (single-worker / small-graph)
+//! execution path of [`WorkerPool::run`](crate::WorkerPool::run).
 //!
-//! The executor guarantees *worker-count-deterministic results*: every task
-//! runs exactly once, all inferred dependencies are honoured, and because each
-//! closure performs a fixed computation on the data it declared, the final
-//! contents of every data handle are bitwise identical for any number of
-//! workers. Only the interleaving (and the [`ExecutionTrace`]) varies.
+//! Execution is *worker-count-deterministic*: every task runs exactly once,
+//! all inferred dependencies are honoured, and because each closure performs
+//! a fixed computation on the data it declared, the final contents of every
+//! data handle are bitwise identical for any number of workers. Only the
+//! interleaving (and the [`ExecutionTrace`]) varies.
 
 use crate::graph::TaskGraph;
-use crate::pool::WorkerPool;
 use std::time::Instant;
 
 /// One executed task, for tracing.
@@ -39,8 +38,8 @@ pub struct ExecutionTrace {
 /// valid topological order under the sequential-task-flow contract, so no
 /// queue, no thread spawn. This keeps hot call sites that factor many small
 /// matrices (e.g. the MLE objective) from paying a thread-pool setup per
-/// call; it is the single-worker/small-graph shortcut of both
-/// [`run_taskgraph`] and [`WorkerPool::run`](crate::WorkerPool::run).
+/// call; it is the single-worker/small-graph shortcut of
+/// [`WorkerPool::run`](crate::WorkerPool::run).
 ///
 /// Panic semantics match the threaded path: a panicking task does not stop
 /// the remaining tasks — the graph drains, and the first panic payload is
@@ -80,46 +79,19 @@ pub(crate) fn run_inline(graph: &mut TaskGraph<'_>) -> ExecutionTrace {
     ExecutionTrace { records, makespan }
 }
 
-/// Execute all tasks of the graph on `workers` threads, honouring the inferred
-/// dependencies. Closures submitted as `None` are treated as instantaneous
-/// no-ops (their dependencies still matter).
-///
-/// This is the one-shot entry point of the numerical pipeline: a thin wrapper
-/// that borrows a throwaway [`WorkerPool`] for the duration of the call
-/// (single-worker and trivially small graphs run inline without spawning
-/// anything). Call sites that execute many graphs should hold a
-/// [`WorkerPool`] — or an `mvn_core::MvnEngine` — and reuse it instead of
-/// paying the pool setup per graph. The result of the computation performed
-/// by the closures is deterministic in the worker count (see the module
-/// docs).
-pub fn run_taskgraph<'a>(graph: &mut TaskGraph<'a>, workers: usize) -> ExecutionTrace {
-    let n = graph.len();
-    if n == 0 {
-        return ExecutionTrace::default();
-    }
-    if workers <= 1 || n <= 2 {
-        return run_inline(graph);
-    }
-    WorkerPool::new(workers).run(graph)
-}
-
-/// Historical name of [`run_taskgraph`], kept for the existing call sites.
-pub fn execute_graph<'a>(graph: &mut TaskGraph<'a>, workers: usize) -> ExecutionTrace {
-    run_taskgraph(graph, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::handle::HandleRegistry;
     use crate::task::{AccessMode, TaskSpec};
+    use crate::WorkerPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
     #[test]
     fn empty_graph_executes_trivially() {
         let mut g = TaskGraph::new();
-        let trace = execute_graph(&mut g, 4);
+        let trace = WorkerPool::new(4).run(&mut g);
         assert!(trace.records.is_empty());
         assert_eq!(trace.makespan, 0.0);
     }
@@ -139,7 +111,7 @@ mod tests {
                 })),
             );
         }
-        let trace = execute_graph(&mut g, 8);
+        let trace = WorkerPool::new(8).run(&mut g);
         assert_eq!(counter.load(Ordering::SeqCst), 50);
         assert_eq!(trace.records.len(), 50);
         let mut ids: Vec<usize> = trace.records.iter().map(|r| r.task).collect();
@@ -160,7 +132,7 @@ mod tests {
                 Some(Box::new(move || order.lock().unwrap().push(i))),
             );
         }
-        let trace = execute_graph(&mut g, 6);
+        let trace = WorkerPool::new(6).run(&mut g);
         assert_eq!(order.lock().unwrap().clone(), (0..10).collect::<Vec<_>>());
         // Trace start times along the chain are non-decreasing.
         let mut by_task = trace.records.clone();
@@ -186,7 +158,7 @@ mod tests {
                 })),
             );
         }
-        execute_graph(&mut g, 1);
+        WorkerPool::new(1).run(&mut g);
         assert_eq!(total.load(Ordering::SeqCst), 15);
     }
 
@@ -207,7 +179,7 @@ mod tests {
                 })),
             );
         }
-        run_taskgraph(&mut g, 4);
+        WorkerPool::new(4).run(&mut g);
         assert_eq!(counter.load(Ordering::SeqCst), (0..16).sum());
     }
 
@@ -232,7 +204,7 @@ mod tests {
             );
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_taskgraph(&mut g, 1);
+            WorkerPool::new(1).run(&mut g);
         }));
         assert!(result.is_err(), "the task panic must reach the caller");
         assert_eq!(done.load(Ordering::SeqCst), 11, "the graph must drain");
@@ -260,7 +232,7 @@ mod tests {
             );
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_taskgraph(&mut g, 4);
+            WorkerPool::new(4).run(&mut g);
         }));
         assert!(result.is_err(), "the task panic must reach the caller");
         // Every non-panicking task still ran (the graph drained).
@@ -300,7 +272,7 @@ mod tests {
                 })),
             );
         }
-        run_taskgraph(&mut g, 4);
+        WorkerPool::new(4).run(&mut g);
         assert_eq!(seen_at_write.load(Ordering::SeqCst), 8);
     }
 
@@ -322,7 +294,7 @@ mod tests {
                 })),
             );
         }
-        run_taskgraph(&mut g, 8);
+        WorkerPool::new(8).run(&mut g);
         assert_eq!(*value.lock().unwrap(), 123_456);
     }
 }

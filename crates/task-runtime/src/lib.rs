@@ -9,19 +9,15 @@
 //! Consumers in this workspace:
 //!
 //! * the [`pool`] module provides [`WorkerPool`], a persistent worker pool
-//!   whose threads park on a condvar between graph submissions — the engine
-//!   behind long-lived solver sessions (`mvn_core::MvnEngine`) and every
-//!   one-shot execution,
-//! * the [`executor`] (entry point [`run_taskgraph`]) is the one-shot wrapper:
-//!   it borrows a throwaway pool per call — it runs the DAG-scheduled tiled
-//!   Cholesky in `tile-la`/`tlr` and the fused factor+sweep PMVN pipeline in
-//!   `mvn-core` when no session pool is held,
-//! * the [`stream`] module provides [`StreamSubmitter`]
-//!   ([`WorkerPool::stream`]), the *streaming* submission mode: tasks start
-//!   executing the moment they are submitted and the submitter blocks once
-//!   `lookahead` tasks are in flight, so peak task storage is
-//!   `O(lookahead)` instead of `O(total tasks)` — producers written against
-//!   the [`TaskSink`] trait drive either mode with bitwise-identical results,
+//!   whose threads park on a condvar between submissions — the one executor
+//!   behind long-lived solver sessions (`mvn_core::MvnEngine`), the tiled
+//!   Cholesky in `tile-la`/`tlr` and the fused factor+sweep PMVN pipeline.
+//!   Producers written against the [`TaskSink`] trait hand their submission
+//!   routine to [`WorkerPool::execute`]; whether the tasks are materialized
+//!   into a [`TaskGraph`] first or streamed through a lookahead window
+//!   ([`stream`] module: peak task storage `O(lookahead)` instead of
+//!   `O(total tasks)`) is fixed when the pool is built, with
+//!   bitwise-identical results,
 //! * the [`store`] module provides [`TileStore`], the typed payload storage
 //!   task closures borrow tiles from according to their declared accesses,
 //! * the [`graph`] alone — task names, access lists and abstract costs — is
@@ -36,12 +32,12 @@ pub mod store;
 pub mod stream;
 pub mod task;
 
-pub use executor::{execute_graph, run_taskgraph, ExecutionTrace, TaskRecord};
+pub use executor::{ExecutionTrace, TaskRecord};
 pub use graph::{TaskGraph, TaskSink};
 pub use handle::{DataHandle, HandleRegistry};
-pub use pool::{PoolStats, WorkerPool};
+pub use pool::{effective_lookahead, effective_workers, run_map_once, PoolStats, WorkerPool};
 pub use store::{TileRef, TileRefMut, TileStore};
-pub use stream::{effective_lookahead, StreamStats, StreamSubmitter};
+pub use stream::{StreamStats, StreamSubmitter};
 pub use task::{AccessMode, TaskSpec};
 
 #[cfg(test)]
@@ -69,7 +65,7 @@ mod tests {
                 })),
             );
         }
-        let trace = execute_graph(&mut graph, 4);
+        let trace = WorkerPool::new(4).run(&mut graph);
         assert_eq!(trace.records.len(), 20);
         let final_log = log.lock().unwrap().clone();
         assert_eq!(final_log, (0..20).collect::<Vec<_>>());
@@ -93,7 +89,7 @@ mod tests {
                 })),
             );
         }
-        let trace = execute_graph(&mut graph, 4);
+        let trace = WorkerPool::new(4).run(&mut graph);
         assert_eq!(counter.load(Ordering::SeqCst), 8);
         // With 4 workers and 5 ms tasks, at least two tasks must have executed
         // on different workers.

@@ -3,13 +3,16 @@
 //! graphs (the MLE objective, the CRD bisection, batched MVN solves) do not
 //! pay a thread-spawn per graph.
 //!
-//! [`WorkerPool::run`] executes a [`TaskGraph`] with exactly the same
-//! semantics as [`run_taskgraph`](crate::run_taskgraph): every task runs once,
-//! all inferred dependencies are honoured, task panics propagate to the
-//! caller after the graph has drained, and the numerical result is bitwise
-//! identical for any worker count. `run_taskgraph` itself is a thin wrapper
-//! that builds a throwaway pool; long-lived sessions (`mvn_core::MvnEngine`)
-//! own a pool and reuse it across submissions.
+//! The pool is the one module that knows *how* tasks are submitted: it is
+//! built either materializing ([`WorkerPool::new`]) or with a lookahead
+//! window ([`WorkerPool::with_lookahead`]), and [`WorkerPool::execute`] hands
+//! a producer written against [`TaskSink`] to a [`TaskGraph`] that is then
+//! [`run`](WorkerPool::run), or to a [`stream`](WorkerPool::stream) session,
+//! accordingly. Either way every task runs once, all inferred dependencies
+//! are honoured, task panics propagate to the caller after the drain, and the
+//! numerical result is bitwise identical for any worker count and window.
+//! Long-lived sessions (`mvn_core::MvnEngine`) own a pool and reuse it across
+//! submissions.
 //!
 //! # How non-`'static` closures reach `'static` threads
 //!
@@ -22,7 +25,7 @@
 //! replaced by the duration of one `run` call.
 
 use crate::executor::{run_inline, ExecutionTrace, TaskRecord};
-use crate::graph::{TaskClosure, TaskGraph};
+use crate::graph::{TaskClosure, TaskGraph, TaskSink};
 use crate::stream::{StreamJob, StreamStats, StreamSubmitter};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -249,6 +252,38 @@ struct PoolState {
     shutdown: bool,
 }
 
+/// Resolve a worker-count request into a concrete thread count.
+///
+/// This is the single place defining the meaning of `workers == 0`: zero
+/// requests one worker per core reported by
+/// [`std::thread::available_parallelism`] (one worker when that is unknown).
+/// Any non-zero value is used as-is.
+pub fn effective_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        workers
+    }
+}
+
+/// Resolve a lookahead-window request into a concrete window size.
+///
+/// This is the single place defining the meaning of `lookahead == 0`: zero
+/// requests the default window of `4 × workers` tasks — enough ready work to
+/// keep every worker busy while the submitter refills the window, without
+/// materializing a meaningful fraction of the graph (the same heuristic
+/// StarPU-style runtimes use for their submission windows). Any non-zero
+/// value is used as-is.
+pub fn effective_lookahead(lookahead: usize, workers: usize) -> usize {
+    if lookahead == 0 {
+        4 * workers.max(1)
+    } else {
+        lookahead
+    }
+}
+
 /// A snapshot of pool usage counters (see [`WorkerPool::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
@@ -293,10 +328,13 @@ impl PoolStats {
 /// A pool of one worker spawns no thread at all: every graph runs inline on
 /// the submitting thread (submission order is a valid topological order under
 /// the sequential-task-flow contract), as do trivially small graphs on any
-/// pool — identical to the [`run_taskgraph`](crate::run_taskgraph) shortcut.
+/// pool.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
+    /// How [`execute`](WorkerPool::execute) submits: `None` materializes the
+    /// whole graph, `Some(w)` streams through a window of `w` in-flight tasks.
+    lookahead: Option<usize>,
     /// Serializes `run` calls: the pool executes one job at a time.
     submit_lock: Mutex<()>,
     /// The thread currently inside a [`stream`](WorkerPool::stream)
@@ -318,10 +356,23 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `workers.max(1)` workers. A single-worker pool spawns
-    /// no OS thread (graphs run inline on the submitter).
+    /// Spawn a pool of `workers.max(1)` workers whose
+    /// [`execute`](WorkerPool::execute) materializes each task graph before
+    /// running it. A single-worker pool spawns no OS thread (graphs run
+    /// inline on the submitter).
     pub fn new(workers: usize) -> Self {
+        Self::with_lookahead(workers, None)
+    }
+
+    /// [`new`](WorkerPool::new) with the submission mode chosen: `None`
+    /// materializes, `Some(w)` makes [`execute`](WorkerPool::execute) stream
+    /// through a window of at most `w` in-flight tasks (`Some(0)` = the
+    /// default window, see [`effective_lookahead`]), so peak task storage is
+    /// `O(w)` instead of `O(total tasks)` and execution overlaps submission.
+    /// The data left behind is bitwise identical either way.
+    pub fn with_lookahead(workers: usize, lookahead: Option<usize>) -> Self {
         let workers = workers.max(1);
+        let lookahead = lookahead.map(|w| effective_lookahead(w, workers));
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 epoch: 0,
@@ -343,6 +394,7 @@ impl WorkerPool {
         Self {
             shared,
             threads,
+            lookahead,
             submit_lock: Mutex::new(()),
             stream_submitter: Mutex::new(None),
             graphs_run: AtomicU64::new(0),
@@ -441,6 +493,12 @@ impl WorkerPool {
         self.threads.len().max(1)
     }
 
+    /// The resolved lookahead window [`execute`](WorkerPool::execute) streams
+    /// through, or `None` on a materializing pool.
+    pub fn lookahead(&self) -> Option<usize> {
+        self.lookahead
+    }
+
     /// Usage counters: worker count, graphs executed, tasks executed. The
     /// worker count never changes after construction, which is what the
     /// pool-reuse tests assert against (no thread growth across submissions).
@@ -535,10 +593,11 @@ impl WorkerPool {
     /// [`StreamSubmitter`] and submits tasks in program order; each task is
     /// handed to the workers the moment it is submitted, and the submitting
     /// thread blocks while `lookahead` tasks are in flight — peak
-    /// residency never exceeds the window
-    /// (resolved by [`effective_lookahead`](crate::effective_lookahead) at
-    /// the call sites that expose a `0 = default` knob; here the window is
-    /// used as passed, floored at one).
+    /// residency never exceeds the window (used as passed, floored at one).
+    /// Most producers should go through [`execute`](WorkerPool::execute) and
+    /// let the pool's construction decide the mode; `stream` stays public for
+    /// submitters that do other work between submissions (`mvn-dist` fetches
+    /// remote tiles while submitting).
     ///
     /// Dependency inference, determinism and panic semantics are identical to
     /// [`run`](WorkerPool::run) on a materialized graph of the same
@@ -633,45 +692,39 @@ impl WorkerPool {
             .fetch_max(stats.peak_in_flight, Ordering::Relaxed);
     }
 
-    /// Streaming counterpart of [`run_map`](WorkerPool::run_map): the same
-    /// independent write-task per item, submitted through a `lookahead`
-    /// window instead of one materialized graph — so at most `lookahead` task
-    /// closures exist at any instant while early items are already being
-    /// evaluated. Results are position-stable and bitwise identical to
-    /// `run_map` for any worker count and window. Returns the per-item
-    /// results and the session's [`StreamStats`].
-    pub fn stream_map<T, R, C, F>(
-        &self,
-        name: &str,
-        items: &[T],
-        cost: C,
-        f: F,
-        lookahead: usize,
-    ) -> (Vec<R>, StreamStats)
-    where
-        T: Sync,
-        R: Send + Sync,
-        C: Fn(usize, &T) -> f64,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let (handles, results) = map_slots(name, items.len());
-        let ((), stats) = self.stream(lookahead, |s| {
-            submit_map_tasks(s, name, items, &handles, &results, &cost, &f)
-        });
-        (collect_map_results(&handles, results), stats)
+    /// Run one submission routine on the pool — the single entry point of
+    /// every task producer in the workspace. `f` submits tasks in program
+    /// order into the [`TaskSink`] it is handed; whether that sink is a
+    /// [`TaskGraph`] that is [`run`](WorkerPool::run) once `f` returns or a
+    /// [`stream`](WorkerPool::stream) session executing while `f` submits was
+    /// decided when the pool was built (see
+    /// [`with_lookahead`](WorkerPool::with_lookahead)). Returns `f`'s result
+    /// after every submitted task has completed; closures may borrow anything
+    /// that outlives the call.
+    pub fn execute<'env, R>(&self, f: impl FnOnce(&mut dyn TaskSink<'env>) -> R) -> R {
+        match self.lookahead {
+            None => {
+                let mut graph = TaskGraph::new();
+                let out = f(&mut graph);
+                self.run(&mut graph);
+                out
+            }
+            Some(window) => self.stream(window, |s| f(s)).0,
+        }
     }
 
-    /// Evaluate `f` over `items` as one task graph of independent write-tasks
-    /// (one task per item, each owning its result slot) and collect the
-    /// results in item order.
+    /// Evaluate `f` over `items` as independent write-tasks (one task per
+    /// item, each owning its result slot) through
+    /// [`execute`](WorkerPool::execute) and collect the results in item
+    /// order.
     ///
     /// This is the "embarrassingly parallel map" shape shared by the MVN
-    /// panel sweeps and the Monte-Carlo validation blocks; the helper owns
-    /// the handle-registry/slot-store boilerplate so call sites only supply
-    /// the per-item closure. `cost(i, item)` feeds the abstract cost model of
-    /// the task specs (used for tracing/simulation, not scheduling
-    /// correctness). Results are position-stable: `out[i] == f(i, &items[i])`
-    /// regardless of worker count or interleaving.
+    /// panel sweeps, tile assembly and the Monte-Carlo validation blocks; the
+    /// helper owns the handle-registry/slot-store boilerplate so call sites
+    /// only supply the per-item closure. `cost(i, item)` feeds the abstract
+    /// cost model of the task specs (used for tracing/simulation, not
+    /// scheduling correctness). Results are position-stable: `out[i] ==
+    /// f(i, &items[i])` regardless of worker count, window or interleaving.
     pub fn run_map<T, R, C, F>(&self, name: &str, items: &[T], cost: C, f: F) -> Vec<R>
     where
         T: Sync,
@@ -679,72 +732,49 @@ impl WorkerPool {
         C: Fn(usize, &T) -> f64,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let (handles, results) = map_slots(name, items.len());
+        use crate::task::{AccessMode, TaskSpec};
+        let mut registry = crate::HandleRegistry::new();
+        let mut results = crate::TileStore::new();
+        let handles: Vec<crate::DataHandle> = (0..items.len())
+            .map(|i| {
+                let h = registry.register(format!("{name}{i}"));
+                results.insert(h, None);
+                h
+            })
+            .collect();
         {
-            let mut graph = TaskGraph::new();
-            submit_map_tasks(&mut graph, name, items, &handles, &results, &cost, &f);
-            self.run(&mut graph);
+            let (results, f) = (&results, &f);
+            self.execute(|sink| {
+                for (i, (item, &h)) in items.iter().zip(&handles).enumerate() {
+                    sink.submit_task(
+                        TaskSpec::new(name)
+                            .access(h, AccessMode::Write)
+                            .cost(cost(i, item)),
+                        Some(Box::new(move || {
+                            *results.write(h) = Some(f(i, item));
+                        })),
+                    );
+                }
+            });
         }
-        collect_map_results(&handles, results)
+        handles
+            .iter()
+            .map(|&h| results.take(h).expect("every map task writes its slot"))
+            .collect()
     }
 }
 
-/// One result slot per item for the `*_map` helpers: a freshly registered
-/// handle and an empty `Option<R>` slot each.
-fn map_slots<R>(name: &str, len: usize) -> (Vec<crate::DataHandle>, crate::TileStore<Option<R>>) {
-    let mut registry = crate::HandleRegistry::new();
-    let mut results = crate::TileStore::new();
-    let handles = (0..len)
-        .map(|i| {
-            let h = registry.register(format!("{name}{i}"));
-            results.insert(h, None);
-            h
-        })
-        .collect();
-    (handles, results)
-}
-
-/// The shared submission loop of [`WorkerPool::run_map`] and
-/// [`WorkerPool::stream_map`]: one independent write-task per item, each
-/// owning its result slot — written once against [`TaskSink`] so the two
-/// modes cannot drift apart.
-fn submit_map_tasks<'a, S, T, R, C, F>(
-    sink: &mut S,
-    name: &str,
-    items: &'a [T],
-    handles: &[crate::DataHandle],
-    results: &'a crate::TileStore<Option<R>>,
-    cost: &C,
-    f: &'a F,
-) where
-    S: crate::TaskSink<'a> + ?Sized,
+/// [`WorkerPool::run_map`] on a throwaway pool of one worker per core (at
+/// most one per item): the data-parallel loop of call sites that hold no
+/// session pool — tile assembly in `tile-la`/`tlr`, the Monte-Carlo blocks.
+/// A single item or a single core runs inline without spawning a thread.
+pub fn run_map_once<T, R, F>(name: &str, items: &[T], f: F) -> Vec<R>
+where
     T: Sync,
     R: Send + Sync,
-    C: Fn(usize, &T) -> f64,
     F: Fn(usize, &T) -> R + Sync,
 {
-    use crate::task::{AccessMode, TaskSpec};
-    for (i, (item, &h)) in items.iter().zip(handles).enumerate() {
-        sink.submit_task(
-            TaskSpec::new(name)
-                .access(h, AccessMode::Write)
-                .cost(cost(i, item)),
-            Some(Box::new(move || {
-                *results.write(h) = Some(f(i, item));
-            })),
-        );
-    }
-}
-
-/// Collect the `*_map` results in item order (every task wrote its slot).
-fn collect_map_results<R>(
-    handles: &[crate::DataHandle],
-    mut results: crate::TileStore<Option<R>>,
-) -> Vec<R> {
-    handles
-        .iter()
-        .map(|&h| results.take(h).expect("every map task writes its slot"))
-        .collect()
+    WorkerPool::new(effective_workers(0).min(items.len())).run_map(name, items, |_, _| 1.0, f)
 }
 
 impl Drop for WorkerPool {
@@ -931,6 +961,69 @@ mod tests {
                 assert_eq!(sq, (i * i) as u64);
             }
         }
+    }
+
+    #[test]
+    fn zero_requests_resolve_to_the_documented_defaults() {
+        assert_eq!(effective_lookahead(0, 4), 16);
+        assert_eq!(effective_lookahead(0, 0), 4);
+        assert_eq!(effective_lookahead(7, 4), 7);
+        assert_eq!(effective_lookahead(1, 256), 1);
+        assert_eq!(effective_workers(3), 3);
+        assert!(effective_workers(0) >= 1);
+        assert_eq!(WorkerPool::new(2).lookahead(), None);
+        assert_eq!(WorkerPool::with_lookahead(2, Some(0)).lookahead(), Some(8));
+        assert_eq!(WorkerPool::with_lookahead(2, Some(5)).lookahead(), Some(5));
+    }
+
+    #[test]
+    fn execute_picks_the_submission_mode_from_the_pool() {
+        // The same WAW chain through `execute` on a materializing and on a
+        // streaming pool: same result, and the counters show which path ran.
+        for (lookahead, want_graphs, want_streams) in [(None, 1, 0), (Some(2), 0, 1)] {
+            let pool = WorkerPool::with_lookahead(3, lookahead);
+            let mut reg = HandleRegistry::new();
+            let x = reg.register("x");
+            let value = Mutex::new(0u64);
+            let submitted = pool.execute(|sink| {
+                for k in 1..=6u64 {
+                    let value = &value;
+                    sink.submit_task(
+                        TaskSpec::new("w").access(x, AccessMode::Write),
+                        Some(Box::new(move || {
+                            let mut v = value.lock().unwrap();
+                            *v = *v * 10 + k;
+                        })),
+                    );
+                }
+                6
+            });
+            assert_eq!(submitted, 6);
+            assert_eq!(*value.lock().unwrap(), 123_456);
+            let stats = pool.stats();
+            assert_eq!(
+                (stats.graphs_run, stats.streams_run),
+                (want_graphs, want_streams)
+            );
+            assert_eq!(stats.tasks_run, 6);
+        }
+    }
+
+    #[test]
+    fn run_map_once_is_position_stable_and_safe_inside_another_pools_task() {
+        let items: Vec<u64> = (0..25).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * x).collect();
+        assert_eq!(run_map_once("sq", &items, |_, &x| x * x), want);
+        assert!(run_map_once("sq", &[] as &[u64], |_, &x| x).is_empty());
+        // Nested: a task of another pool builds its own throwaway pool.
+        let outer = WorkerPool::new(2);
+        let nested = outer.run_map(
+            "outer",
+            &[0u8; 4],
+            |_, _| 1.0,
+            |_, _| run_map_once("sq", &items, |_, &x| x * x),
+        );
+        assert!(nested.iter().all(|got| *got == want));
     }
 
     #[test]

@@ -139,10 +139,10 @@ impl<T> DerefMut for TileRefMut<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_taskgraph;
     use crate::handle::HandleRegistry;
     use crate::task::{AccessMode, TaskSpec};
     use crate::TaskGraph;
+    use crate::WorkerPool;
 
     #[test]
     fn insert_read_write_take_roundtrip() {
@@ -229,7 +229,7 @@ mod tests {
                 })),
             );
         }
-        run_taskgraph(&mut graph, 4);
+        WorkerPool::new(4).run(&mut graph);
         drop(graph);
         assert_eq!(store.take(a), 1024.0);
         assert_eq!(store.take(b), 1124.0);

@@ -41,22 +41,6 @@ use std::time::Instant;
 /// merged into the pool's always-on timing map when the session drains.
 pub(crate) type LabelTimes = BTreeMap<String, (u64, u64)>;
 
-/// Resolve a lookahead-window request into a concrete window size.
-///
-/// This is the single place defining the meaning of `lookahead == 0`: zero
-/// requests the default window of `4 × workers` tasks — enough ready work to
-/// keep every worker busy while the submitter refills the window, without
-/// materializing a meaningful fraction of the graph (the same heuristic
-/// StarPU-style runtimes use for their submission windows). Any non-zero
-/// value is used as-is, floored at one.
-pub fn effective_lookahead(lookahead: usize, workers: usize) -> usize {
-    if lookahead == 0 {
-        4 * workers.max(1)
-    } else {
-        lookahead
-    }
-}
-
 /// Usage counters of one drained streaming session (returned by
 /// [`WorkerPool::stream`](crate::WorkerPool::stream)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,14 +402,6 @@ mod tests {
     use std::sync::Mutex as StdMutex;
 
     #[test]
-    fn effective_lookahead_resolves_zero_to_four_per_worker() {
-        assert_eq!(effective_lookahead(0, 4), 16);
-        assert_eq!(effective_lookahead(0, 0), 4);
-        assert_eq!(effective_lookahead(7, 4), 7);
-        assert_eq!(effective_lookahead(1, 256), 1);
-    }
-
-    #[test]
     fn streamed_waw_chain_applies_in_submission_order_for_any_window() {
         // The WAW hazard test of the materialized executor, through a stream:
         // six writers of one handle must serialize in submission order for
@@ -707,21 +683,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_map_matches_run_map_in_item_order() {
+    fn run_map_on_a_streaming_pool_matches_a_materializing_pool() {
         let items: Vec<u64> = (0..40).collect();
+        let square = |i: usize, &x: &u64| (i as u64, x * x);
         for workers in [1usize, 2, 4] {
-            for lookahead in [1usize, 3, 64] {
-                let pool = WorkerPool::new(workers);
-                let want = pool.run_map("square", &items, |_, _| 1.0, |i, &x| (i as u64, x * x));
-                let (got, stats) = pool.stream_map(
-                    "square",
-                    &items,
-                    |_, _| 1.0,
-                    |i, &x| (i as u64, x * x),
-                    lookahead,
-                );
+            let want = WorkerPool::new(workers).run_map("square", &items, |_, _| 1.0, square);
+            for lookahead in [1usize, 3, 64, 0] {
+                let pool = WorkerPool::with_lookahead(workers, Some(lookahead));
+                let got = pool.run_map("square", &items, |_, _| 1.0, square);
                 assert_eq!(got, want, "workers={workers} lookahead={lookahead}");
-                assert!(stats.peak_in_flight <= lookahead.max(1));
+                let stats = pool.stats();
+                assert_eq!((stats.streams_run, stats.graphs_run), (1, 0));
+                assert!(stats.stream_peak_tasks <= pool.lookahead().unwrap());
             }
         }
     }

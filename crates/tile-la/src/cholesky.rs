@@ -4,21 +4,15 @@
 //! place: for every panel `k` it runs `POTRF` on the diagonal tile, `TRSM`s the
 //! tiles below it, and then applies the trailing `SYRK`/`GEMM` updates.
 //!
-//! Two schedulers execute that task structure:
-//!
-//! * [`potrf_tiled`] — the default — submits the tasks to the
-//!   [`task_runtime`] DAG executor via [`crate::dag`], matching the paper's
-//!   StarPU task graph: no barrier between panels, and factor tiles are
-//!   individually consumable by downstream task graphs (the fused PMVN
-//!   pipeline),
-//! * [`potrf_tiled_forkjoin`] — the historical per-panel fork-join loops,
-//!   kept as the scheduling baseline for benchmarks and cross-checks. Both
-//!   produce bitwise-identical factors.
+//! [`potrf_tiled`] submits that task structure ([`crate::dag`]) to a
+//! [`WorkerPool`], matching the paper's StarPU task graph: no barrier between
+//! panels, and factor tiles are individually consumable by downstream tasks
+//! (the fused PMVN pipeline). The tests cross-check it against the unblocked
+//! [`potrf_in_place`](crate::kernels::potrf_in_place) on the dense matrix.
 
-use crate::dense::DenseMatrix;
-use crate::kernels::{gemm_nt, potrf_in_place, syrk_lower, trsm_right_lower_trans};
+use crate::dag::{attach_tiles, detach_tiles, submit_factor_tasks, FactorStatus};
 use crate::sym_tile::SymTileMatrix;
-use rayon::prelude::*;
+use task_runtime::{HandleRegistry, WorkerPool};
 
 /// Failure modes of the tiled Cholesky factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,89 +34,24 @@ impl std::fmt::Display for CholeskyError {
 
 impl std::error::Error for CholeskyError {}
 
-/// In-place parallel tiled Cholesky factorization `Σ = L·Lᵀ`.
+/// In-place parallel tiled Cholesky factorization `Σ = L·Lᵀ` on `pool`.
 ///
-/// On success the lower tiles of `a` hold `L`. This is a thin wrapper over the
-/// DAG-scheduled [`crate::dag::potrf_tiled_dag`]: `min_parallel_tiles` is the
-/// historical fork-join knob and is mapped onto a worker count
-/// (`usize::MAX` — "never parallel" — runs one worker, anything else uses all
-/// cores). The factor is bitwise identical for every worker count.
-pub fn potrf_tiled(a: &mut SymTileMatrix, min_parallel_tiles: usize) -> Result<(), CholeskyError> {
-    let workers = if min_parallel_tiles == usize::MAX {
-        1
-    } else {
-        0
-    };
-    crate::dag::potrf_tiled_dag(a, workers)
-}
-
-/// In-place tiled Cholesky with the historical per-panel fork-join scheduling
-/// (rayon parallel loops with a barrier after each panel). Kept as the
-/// scheduling baseline the DAG path is benchmarked and cross-checked against.
-pub fn potrf_tiled_forkjoin(
-    a: &mut SymTileMatrix,
-    min_parallel_tiles: usize,
-) -> Result<(), CholeskyError> {
-    let nt = a.num_tiles();
+/// On success the lower tiles of `a` hold `L`. The tasks go through
+/// [`WorkerPool::execute`], so the pool decides whether the graph is
+/// materialized or streamed through its lookahead window; the factor is
+/// bitwise identical for every worker count and window. A one-worker pool
+/// (`WorkerPool::new(1)`) spawns no thread and factors inline.
+pub fn potrf_tiled(a: &mut SymTileMatrix, pool: &WorkerPool) -> Result<(), CholeskyError> {
     let layout = a.layout();
-    for k in 0..nt {
-        // POTRF on the diagonal tile.
-        {
-            let dk = a.tile_mut(k, k);
-            potrf_in_place(dk).map_err(|local| {
-                CholeskyError::NotPositiveDefinite(layout.tile_start(k) + local)
-            })?;
-        }
-
-        // Panel: column tiles below the diagonal get multiplied by L_kk^{-T}.
-        if k + 1 < nt {
-            let lkk = a.tile(k, k).clone();
-            let mut panel: Vec<(usize, DenseMatrix)> =
-                ((k + 1)..nt).map(|i| (i, a.take_tile(i, k))).collect();
-            if panel.len() >= min_parallel_tiles {
-                panel
-                    .par_iter_mut()
-                    .for_each(|(_, tile)| trsm_right_lower_trans(&lkk, tile));
-            } else {
-                panel
-                    .iter_mut()
-                    .for_each(|(_, tile)| trsm_right_lower_trans(&lkk, tile));
-            }
-            for (i, tile) in panel {
-                a.put_tile(i, k, tile);
-            }
-
-            // Trailing update: tile (i, j) -= L_ik * L_jk^T for k < j <= i.
-            let mut updates: Vec<(usize, usize, DenseMatrix)> = Vec::new();
-            for i in (k + 1)..nt {
-                for j in (k + 1)..=i {
-                    updates.push((i, j, a.take_tile(i, j)));
-                }
-            }
-            {
-                // Shared read-only borrow of the factored panel column.
-                let a_ref: &SymTileMatrix = a;
-                let work = |(i, j, tile): &mut (usize, usize, DenseMatrix)| {
-                    let lik = a_ref.tile(*i, k);
-                    if i == j {
-                        syrk_lower(-1.0, lik, 1.0, tile);
-                    } else {
-                        let ljk = a_ref.tile(*j, k);
-                        gemm_nt(-1.0, lik, ljk, 1.0, tile);
-                    }
-                };
-                if updates.len() >= min_parallel_tiles {
-                    updates.par_iter_mut().for_each(work);
-                } else {
-                    updates.iter_mut().for_each(work);
-                }
-            }
-            for (i, j, tile) in updates {
-                a.put_tile(i, j, tile);
-            }
-        }
+    let mut registry = HandleRegistry::new();
+    let (handles, mut store) = detach_tiles(a, &mut registry);
+    let status = FactorStatus::new();
+    pool.execute(|sink| submit_factor_tasks(sink, &store, &handles, layout, &status));
+    attach_tiles(a, &handles, &mut store);
+    match status.pivot() {
+        Some(p) => Err(CholeskyError::NotPositiveDefinite(p)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Log-determinant of `Σ` from its Cholesky factor: `2·Σ log L_ii`.
@@ -133,6 +62,8 @@ pub fn log_det_from_factor(l: &SymTileMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseMatrix;
+    use crate::kernels::potrf_in_place;
     use crate::norms::max_abs_diff;
 
     fn spd_kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
@@ -152,7 +83,7 @@ mod tests {
         // Tiled.
         for nb in [5, 8, 16, 45, 64] {
             let mut tiled = SymTileMatrix::from_fn(n, nb, &f);
-            potrf_tiled(&mut tiled, 1).unwrap();
+            potrf_tiled(&mut tiled, &WorkerPool::new(1)).unwrap();
             let l = tiled.to_dense_lower();
             assert!(
                 max_abs_diff(&l, &dense) < 1e-10,
@@ -165,7 +96,7 @@ mod tests {
     fn factor_of_identity_is_identity() {
         let n = 20;
         let mut a = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let l = a.to_dense_lower();
         assert!(max_abs_diff(&l, &DenseMatrix::identity(n)) < 1e-14);
     }
@@ -175,7 +106,7 @@ mod tests {
         let n = 150;
         let f = spd_kernel(15.0);
         let mut a = SymTileMatrix::from_fn(n, 32, &f);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
         let orig = DenseMatrix::from_fn(n, n, &f);
@@ -188,7 +119,7 @@ mod tests {
         let n = 20;
         let mut a = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
         a.set(13, 13, -1.0);
-        let err = potrf_tiled(&mut a, 1).unwrap_err();
+        let err = potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap_err();
         assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
         assert!(err.to_string().contains("positive definite"));
     }
@@ -197,19 +128,71 @@ mod tests {
     fn log_det_matches_sum_of_log_eigen_for_diagonal_matrix() {
         let n = 12;
         let mut a = SymTileMatrix::from_fn(n, 5, |i, j| if i == j { (i + 1) as f64 } else { 0.0 });
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let want: f64 = (1..=n).map(|i| (i as f64).ln()).sum();
         assert!((log_det_from_factor(&a) - want).abs() < 1e-12);
     }
 
     #[test]
-    fn sequential_and_parallel_paths_agree() {
-        let n = 70;
-        let f = spd_kernel(9.0);
-        let mut a1 = SymTileMatrix::from_fn(n, 16, &f);
-        let mut a2 = SymTileMatrix::from_fn(n, 16, &f);
-        potrf_tiled(&mut a1, 1).unwrap();
-        potrf_tiled(&mut a2, usize::MAX).unwrap(); // force sequential
-        assert!(max_abs_diff(&a1.to_dense_lower(), &a2.to_dense_lower()) < 1e-13);
+    fn factor_bits_do_not_depend_on_workers_or_window() {
+        // 1/2/4/8 workers, materialized and streamed through several windows
+        // (incl. the default `0`): identical tiles to the bit, within 1e-10
+        // of the unblocked reference, and a streamed session never holds more
+        // tasks than its window (vs. the 35 a materialized 5-tile graph does).
+        let n = 75;
+        let f = spd_kernel(11.0);
+        let mut dense = DenseMatrix::from_fn(n, n, &f);
+        potrf_in_place(&mut dense).unwrap();
+        let mut reference = SymTileMatrix::from_fn(n, 16, &f);
+        potrf_tiled(&mut reference, &WorkerPool::new(1)).unwrap();
+        let want = reference.to_dense_lower();
+        assert!(max_abs_diff(&want, &dense) < 1e-10);
+        for workers in [1usize, 2, 4, 8] {
+            for lookahead in [None, Some(1), Some(2), Some(3), Some(64), Some(0)] {
+                let pool = WorkerPool::with_lookahead(workers, lookahead);
+                let mut a = SymTileMatrix::from_fn(n, 16, &f);
+                potrf_tiled(&mut a, &pool).unwrap();
+                let got = a.to_dense_lower();
+                for i in 0..n {
+                    for j in 0..n {
+                        assert!(
+                            got.get(i, j).to_bits() == want.get(i, j).to_bits(),
+                            "workers={workers} lookahead={lookahead:?}: ({i},{j}) differs"
+                        );
+                    }
+                }
+                let stats = pool.stats();
+                // 5 tile rows: 5 potrf + 10 trsm + 10 syrk + 10 gemm.
+                assert_eq!(stats.tasks_run, 35);
+                match pool.lookahead() {
+                    Some(window) => assert!(stats.stream_peak_tasks <= window),
+                    None => assert_eq!(stats.streams_run, 0),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pool_factors_many_matrices_and_reports_pivot_failures() {
+        for lookahead in [None, Some(4)] {
+            let pool = WorkerPool::with_lookahead(4, lookahead);
+            for range in [3.0, 8.0, 20.0] {
+                let f = spd_kernel(range);
+                let mut a = SymTileMatrix::from_fn(60, 16, &f);
+                potrf_tiled(&mut a, &pool).unwrap();
+                let l = a.to_dense_lower();
+                let orig = DenseMatrix::from_fn(60, 60, &f);
+                assert!(
+                    max_abs_diff(&l.matmul_nt(&l), &orig) < 1e-10,
+                    "range={range}"
+                );
+            }
+            let mut bad = SymTileMatrix::from_fn(20, 6, |i, j| if i == j { 1.0 } else { 0.0 });
+            bad.set(13, 13, -1.0);
+            let err = potrf_tiled(&mut bad, &pool).unwrap_err();
+            assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
+            let stats = pool.stats();
+            assert_eq!(stats.graphs_run + stats.streams_run, 4);
+        }
     }
 }

@@ -1,30 +1,27 @@
-//! DAG-scheduled tiled Cholesky: the factorization as a sequential-task-flow
-//! graph on the `task-runtime` executor (the paper's StarPU programming
-//! model), replacing the per-panel fork-join loops.
+//! The tiled Cholesky as a sequential-task-flow producer for the
+//! `task-runtime` pool (the paper's StarPU programming model): the building
+//! blocks [`potrf_tiled`](crate::potrf_tiled) and the fused PMVN pipeline in
+//! `mvn-core` compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; `POTRF`/`TRSM`/`SYRK`/
 //! `GEMM` tasks are submitted in program order declaring how they access those
-//! handles, and the runtime infers the dependency DAG. Compared to fork-join
-//! this removes the global barrier after each panel: the `TRSM`s of panel
-//! `k+1` start as soon as *their* inputs are ready, while trailing updates of
-//! panel `k` are still in flight, and — crucially for the fused PMVN pipeline
-//! in `mvn-core` — consumers outside the factorization can declare read
-//! dependencies on individual factor tiles and overlap with it.
+//! handles, and the runtime infers the dependency DAG. There is no global
+//! barrier after a panel: the `TRSM`s of panel `k+1` start as soon as *their*
+//! inputs are ready, while trailing updates of panel `k` are still in flight,
+//! and — crucially for the fused PMVN pipeline in `mvn-core` — consumers
+//! outside the factorization can declare read dependencies on individual
+//! factor tiles and overlap with it.
 //!
 //! Every task applies a fixed kernel to fixed tiles in a fixed submission
 //! order, so the factor is bitwise identical to the sequential factorization
 //! for any worker count.
 
-use crate::cholesky::CholeskyError;
 use crate::dense::DenseMatrix;
 use crate::kernels::{gemm_nt, potrf_in_place, syrk_lower, trsm_right_lower_trans};
 use crate::layout::TileLayout;
 use crate::sym_tile::SymTileMatrix;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use task_runtime::{
-    effective_lookahead, run_taskgraph, AccessMode, DataHandle, ExecutionTrace, HandleRegistry,
-    StreamStats, TaskGraph, TaskSink, TaskSpec, TileStore, WorkerPool,
-};
+use task_runtime::{AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileStore};
 
 /// Shared failure state of a factorization task graph.
 ///
@@ -120,15 +117,15 @@ pub fn attach_tiles(
 }
 
 /// Submit the right-looking tiled Cholesky factorization of the tiles behind
-/// `handles` into any [`TaskSink`] — a materialized [`TaskGraph`] or a
-/// lookahead-limited [`StreamSubmitter`](task_runtime::StreamSubmitter) —
+/// `handles` into any [`TaskSink`] (normally the one
+/// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
 /// declaring per-tile read/write accesses.
 ///
 /// The caller owns the [`TileStore`] holding the tiles and the
-/// [`FactorStatus`]; after executing the graph it must check
+/// [`FactorStatus`]; after executing the tasks it must check
 /// [`FactorStatus::pivot`]. Exposed (rather than folded into
-/// [`potrf_tiled_dag`]) so `mvn-core` can submit PMVN sweep tasks into the
-/// *same* graph with read dependencies on the factor tiles.
+/// [`potrf_tiled`](crate::potrf_tiled)) so `mvn-core` can submit PMVN sweep
+/// tasks into the *same* sink with read dependencies on the factor tiles.
 pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     graph: &mut S,
     store: &'a TileStore<DenseMatrix>,
@@ -220,250 +217,10 @@ pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     }
 }
 
-/// Detach the tiles of `a`, let `exec` factor them (submitting through a
-/// materialized graph or a stream, however it likes), re-attach, and report
-/// the recorded pivot failure if any. Shared body of [`potrf_tiled_dag`],
-/// [`potrf_tiled_pool`] and [`potrf_tiled_stream`].
-fn potrf_tiled_with<E>(a: &mut SymTileMatrix, exec: E) -> Result<(), CholeskyError>
-where
-    E: FnOnce(&TileStore<DenseMatrix>, &[Vec<DataHandle>], TileLayout, &FactorStatus),
-{
-    let layout = a.layout();
-    let mut registry = HandleRegistry::new();
-    let (handles, mut store) = detach_tiles(a, &mut registry);
-    let status = FactorStatus::new();
-    exec(&store, &handles, layout, &status);
-    attach_tiles(a, &handles, &mut store);
-    match status.pivot() {
-        Some(p) => Err(CholeskyError::NotPositiveDefinite(p)),
-        None => Ok(()),
-    }
-}
-
-/// Materialize the factorization graph of the detached tiles and hand it to
-/// `run` (a one-shot [`run_taskgraph`] or a persistent pool).
-fn run_materialized<R>(
-    run: R,
-) -> impl FnOnce(&TileStore<DenseMatrix>, &[Vec<DataHandle>], TileLayout, &FactorStatus)
-where
-    R: for<'g> FnOnce(&mut TaskGraph<'g>) -> ExecutionTrace,
-{
-    move |store, handles, layout, status| {
-        let mut graph = TaskGraph::new();
-        submit_factor_tasks(&mut graph, store, handles, layout, status);
-        run(&mut graph);
-    }
-}
-
-/// In-place tiled Cholesky `Σ = L·Lᵀ`, executed as a dependency-inferred task
-/// graph on `workers` threads (resolved by [`effective_workers`]).
-///
-/// The result is bitwise identical for every worker count. Spins up a
-/// throwaway thread pool per call; call sites factoring many matrices should
-/// hold a [`WorkerPool`] and use [`potrf_tiled_pool`] instead.
-pub fn potrf_tiled_dag(a: &mut SymTileMatrix, workers: usize) -> Result<(), CholeskyError> {
-    potrf_tiled_with(
-        a,
-        run_materialized(|g| run_taskgraph(g, effective_workers(workers))),
-    )
-}
-
-/// In-place tiled Cholesky `Σ = L·Lᵀ` on a caller-owned persistent
-/// [`WorkerPool`] (same task graph — and bitwise-identical factor — as
-/// [`potrf_tiled_dag`], without the per-call pool setup).
-pub fn potrf_tiled_pool(a: &mut SymTileMatrix, pool: &WorkerPool) -> Result<(), CholeskyError> {
-    potrf_tiled_with(a, run_materialized(|g| pool.run(g)))
-}
-
-/// In-place tiled Cholesky `Σ = L·Lᵀ` with **streaming, lookahead-limited
-/// submission**: tasks are handed to the pool as they are submitted and the
-/// submitting thread blocks once `lookahead` tasks are in flight
-/// (`0` = the default window, see [`effective_lookahead`]), so peak task
-/// storage is `O(lookahead)` instead of the `O((n/nb)³)` a materialized graph
-/// holds — and on multicore pools execution overlaps submission.
-///
-/// The factor is bitwise identical to [`potrf_tiled_dag`] /
-/// [`potrf_tiled_pool`] for every worker count and window size. On success
-/// returns the session's [`StreamStats`] (total tasks, peak in-flight count).
-pub fn potrf_tiled_stream(
-    a: &mut SymTileMatrix,
-    pool: &WorkerPool,
-    lookahead: usize,
-) -> Result<StreamStats, CholeskyError> {
-    let mut stats = None;
-    potrf_tiled_with(a, |store, handles, layout, status| {
-        let ((), s) = pool.stream(effective_lookahead(lookahead, pool.workers()), |sink| {
-            submit_factor_tasks(sink, store, handles, layout, status);
-        });
-        stats = Some(s);
-    })?;
-    Ok(stats.expect("the factorization closure always runs"))
-}
-
-/// Resolve a worker-count request into a concrete thread count.
-///
-/// This is the *single* place defining the meaning of `workers == 0`: zero
-/// requests "available parallelism", i.e. one worker per core reported by
-/// [`std::thread::available_parallelism`] (falling back to one worker when
-/// that is unknown). Every worker-count knob in the workspace —
-/// `Scheduler::Dag { workers }`, the factorization entry points here and in
-/// `tlr`, and `MvnEngine::builder().workers(..)` — funnels through this
-/// function; any non-zero value is used as-is.
-pub fn effective_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::potrf_tiled_forkjoin;
-    use crate::norms::max_abs_diff;
-
-    fn spd_kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
-        move |i: usize, j: usize| {
-            let d = (i as f64 - j as f64).abs();
-            (-d / range).exp() + if i == j { 1e-3 } else { 0.0 }
-        }
-    }
-
-    #[test]
-    fn dag_factor_matches_forkjoin_factor() {
-        let n = 60;
-        let f = spd_kernel(8.0);
-        let mut dag = SymTileMatrix::from_fn(n, 16, &f);
-        let mut fj = SymTileMatrix::from_fn(n, 16, &f);
-        potrf_tiled_dag(&mut dag, 4).unwrap();
-        potrf_tiled_forkjoin(&mut fj, 1).unwrap();
-        assert!(max_abs_diff(&dag.to_dense_lower(), &fj.to_dense_lower()) == 0.0);
-    }
-
-    #[test]
-    fn dag_factor_is_bitwise_deterministic_across_worker_counts() {
-        // The satellite requirement: 1, 2 and 8 workers all produce tiles
-        // bitwise identical to the sequential reference.
-        let n = 75;
-        let f = spd_kernel(11.0);
-        let mut reference = SymTileMatrix::from_fn(n, 16, &f);
-        potrf_tiled_forkjoin(&mut reference, usize::MAX).unwrap(); // sequential
-        let ref_dense = reference.to_dense_lower();
-        for workers in [1usize, 2, 8] {
-            let mut a = SymTileMatrix::from_fn(n, 16, &f);
-            potrf_tiled_dag(&mut a, workers).unwrap();
-            let got = a.to_dense_lower();
-            for i in 0..n {
-                for j in 0..n {
-                    assert!(
-                        got.get(i, j).to_bits() == ref_dense.get(i, j).to_bits(),
-                        "workers={workers}: tile entry ({i},{j}) differs bitwise"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pool_factor_matches_one_shot_factor_bitwise() {
-        // One persistent pool factoring several matrices must leave exactly
-        // the same bits as the throwaway-pool entry point.
-        let n = 60;
-        let pool = WorkerPool::new(4);
-        for range in [3.0, 8.0, 20.0] {
-            let f = spd_kernel(range);
-            let mut via_pool = SymTileMatrix::from_fn(n, 16, &f);
-            let mut one_shot = SymTileMatrix::from_fn(n, 16, &f);
-            potrf_tiled_pool(&mut via_pool, &pool).unwrap();
-            potrf_tiled_dag(&mut one_shot, 4).unwrap();
-            assert!(
-                max_abs_diff(&via_pool.to_dense_lower(), &one_shot.to_dense_lower()) == 0.0,
-                "range={range}"
-            );
-        }
-        assert_eq!(pool.stats().graphs_run, 3);
-    }
-
-    #[test]
-    fn stream_factor_matches_materialized_bitwise_and_bounds_the_window() {
-        // The tentpole acceptance criterion for the dense factorization:
-        // streaming submission leaves bitwise-identical tiles for 1/2/4
-        // workers and several lookahead windows, while the peak number of
-        // resident tasks stays within the window (vs. the 20 tasks a
-        // materialized 4-tile graph holds).
-        let n = 75;
-        let f = spd_kernel(11.0);
-        let mut reference = SymTileMatrix::from_fn(n, 16, &f);
-        potrf_tiled_dag(&mut reference, 2).unwrap();
-        let ref_dense = reference.to_dense_lower();
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            for lookahead in [1usize, 2, 3, 8, 64] {
-                let mut a = SymTileMatrix::from_fn(n, 16, &f);
-                let stats = potrf_tiled_stream(&mut a, &pool, lookahead).unwrap();
-                assert!(
-                    stats.peak_in_flight <= lookahead,
-                    "workers={workers} lookahead={lookahead}: peak {}",
-                    stats.peak_in_flight
-                );
-                // 5 tile rows: 5 potrf + 10 trsm + 10 syrk + 10 gemm.
-                assert_eq!(stats.tasks, 35);
-                let got = a.to_dense_lower();
-                for i in 0..n {
-                    for j in 0..n {
-                        assert!(
-                            got.get(i, j).to_bits() == ref_dense.get(i, j).to_bits(),
-                            "workers={workers} lookahead={lookahead}: \
-                             entry ({i},{j}) differs bitwise"
-                        );
-                    }
-                }
-            }
-            assert!(pool.stats().stream_peak_tasks <= 64);
-        }
-    }
-
-    #[test]
-    fn stream_factor_default_window_scales_with_workers() {
-        let pool = WorkerPool::new(2);
-        let n = 60;
-        let mut a = SymTileMatrix::from_fn(n, 16, spd_kernel(8.0));
-        let stats = potrf_tiled_stream(&mut a, &pool, 0).unwrap();
-        assert_eq!(stats.lookahead, 8, "0 resolves to 4 x workers");
-        assert!(stats.peak_in_flight <= 8);
-    }
-
-    #[test]
-    fn stream_factor_reports_pivot_failures() {
-        let pool = WorkerPool::new(2);
-        let n = 20;
-        let mut a = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        a.set(13, 13, -1.0);
-        let err = potrf_tiled_stream(&mut a, &pool, 4).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-    }
-
-    #[test]
-    fn pool_factor_reports_pivot_failures() {
-        let pool = WorkerPool::new(2);
-        let n = 20;
-        let mut a = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        a.set(13, 13, -1.0);
-        let err = potrf_tiled_pool(&mut a, &pool).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-    }
-
-    #[test]
-    fn dag_reports_global_pivot_and_kills_the_chain() {
-        let n = 20;
-        let mut a = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        a.set(13, 13, -1.0);
-        let err = potrf_tiled_dag(&mut a, 4).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-    }
+    use task_runtime::TaskGraph;
 
     #[test]
     fn factor_status_records_first_failure_only() {
@@ -477,8 +234,11 @@ mod tests {
 
     #[test]
     fn task_graph_has_expected_kernel_counts() {
-        let n = 64;
-        let mut a = SymTileMatrix::from_fn(n, 16, spd_kernel(5.0));
+        let spd = |i: usize, j: usize| {
+            let d = (i as f64 - j as f64).abs();
+            (-d / 5.0).exp() + if i == j { 1e-3 } else { 0.0 }
+        };
+        let mut a = SymTileMatrix::from_fn(64, 16, spd);
         let layout = a.layout();
         let mut registry = HandleRegistry::new();
         let (handles, store) = detach_tiles(&mut a, &mut registry);

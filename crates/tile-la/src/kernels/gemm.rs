@@ -23,7 +23,7 @@
 //! blocking therefore changes which elements are computed *together*, never
 //! the order of the sum within an element — results are independent of the
 //! blocking parameters, which is what keeps the PMVN sweep bitwise identical
-//! across panel widths and schedulers (see DESIGN.md, "Kernel layout &
+//! across panel widths and worker counts (see DESIGN.md, "Kernel layout &
 //! vectorization").
 
 use crate::dense::DenseMatrix;

@@ -11,11 +11,11 @@
 //! * [`TileLayout`] — 1-D tiling of a dimension into fixed-size blocks,
 //! * [`SymTileMatrix`] — a symmetric matrix stored as its lower-triangular tiles
 //!   (the layout used for covariance matrices and their Cholesky factors),
-//! * [`cholesky`] — the parallel right-looking tiled Cholesky factorization,
-//! * [`dag`] — the same factorization as a dependency-inferred task graph on
-//!   the `task-runtime` executor (the default scheduler), with the building
-//!   blocks (`detach_tiles`, `submit_factor_tasks`, `FactorStatus`) the fused
-//!   PMVN pipeline composes with,
+//! * [`cholesky`] — the parallel right-looking tiled Cholesky factorization
+//!   ([`potrf_tiled`], on a `task_runtime::WorkerPool`),
+//! * [`dag`] — its task producer and the building blocks (`detach_tiles`,
+//!   `submit_factor_tasks`, `FactorStatus`) the fused PMVN pipeline composes
+//!   with,
 //! * [`solve`] — tiled triangular solves against dense panels,
 //! * [`norms`] — Frobenius / max-abs norms and difference helpers.
 //!
@@ -32,8 +32,8 @@ pub mod norms;
 pub mod solve;
 pub mod sym_tile;
 
-pub use cholesky::{potrf_tiled, potrf_tiled_forkjoin, CholeskyError};
-pub use dag::{potrf_tiled_dag, potrf_tiled_pool, potrf_tiled_stream, FactorStatus};
+pub use cholesky::{potrf_tiled, CholeskyError};
+pub use dag::FactorStatus;
 pub use dense::DenseMatrix;
 pub use layout::TileLayout;
 pub use norms::{frobenius_norm, max_abs_diff};
@@ -56,7 +56,8 @@ mod tests {
             (-d / 10.0).exp() + if i == j { 0.5 } else { 0.0 }
         };
         let mut a = SymTileMatrix::from_fn(n, nb, spd);
-        potrf_tiled(&mut a, 1).expect("factorization should succeed");
+        potrf_tiled(&mut a, &task_runtime::WorkerPool::new(1))
+            .expect("factorization should succeed");
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
         let orig = DenseMatrix::from_fn(n, n, spd);

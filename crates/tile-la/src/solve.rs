@@ -102,6 +102,7 @@ mod tests {
     use super::*;
     use crate::cholesky::potrf_tiled;
     use crate::norms::max_abs_diff;
+    use task_runtime::WorkerPool;
 
     fn spd(n: usize, nb: usize) -> (SymTileMatrix, DenseMatrix) {
         let f = |i: usize, j: usize| {
@@ -126,7 +127,7 @@ mod tests {
     #[test]
     fn forward_solve_matches_direct_reconstruction() {
         let (mut a, _) = spd(33, 8);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let b0 = rand_panel(33, 4, 1);
         let mut x = b0.clone();
         solve_lower_panel(&a, &mut x);
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn backward_solve_matches_direct_reconstruction() {
         let (mut a, _) = spd(26, 7);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let b0 = rand_panel(26, 3, 2);
         let mut x = b0.clone();
         solve_lower_transpose_panel(&a, &mut x);
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn spd_solve_recovers_right_hand_side() {
         let (mut a, dense) = spd(40, 8);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let b0 = rand_panel(40, 2, 3);
         let mut x = b0.clone();
         solve_spd_panel(&a, &mut x);
@@ -161,7 +162,7 @@ mod tests {
     #[test]
     fn multiply_lower_matches_dense_product() {
         let (mut a, _) = spd(29, 9);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let z = rand_panel(29, 5, 4);
         let y = multiply_lower_panel(&a, &z);
         let l = a.to_dense_lower();
@@ -172,7 +173,7 @@ mod tests {
     #[test]
     fn multiply_then_solve_is_identity() {
         let (mut a, _) = spd(24, 5);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let z = rand_panel(24, 3, 5);
         let mut y = multiply_lower_panel(&a, &z);
         solve_lower_panel(&a, &mut y);
@@ -183,7 +184,7 @@ mod tests {
     #[should_panic]
     fn mismatched_panel_rows_panic() {
         let (mut a, _) = spd(16, 4);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let mut b = DenseMatrix::zeros(10, 2);
         solve_lower_panel(&a, &mut b);
     }

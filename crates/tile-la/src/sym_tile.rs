@@ -7,7 +7,6 @@
 
 use crate::dense::DenseMatrix;
 use crate::layout::TileLayout;
-use rayon::prelude::*;
 
 /// A symmetric `n × n` matrix stored as lower-triangular tiles of size `nb`.
 #[derive(Debug, Clone)]
@@ -47,16 +46,13 @@ impl SymTileMatrix {
         let nt = layout.num_tiles();
         let coords: Vec<(usize, usize)> =
             (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
-        let tiles: Vec<DenseMatrix> = coords
-            .par_iter()
-            .map(|&(ti, tj)| {
-                let ri = layout.tile_start(ti);
-                let rj = layout.tile_start(tj);
-                DenseMatrix::from_fn(layout.tile_size(ti), layout.tile_size(tj), |a, b| {
-                    f(ri + a, rj + b)
-                })
+        let tiles = task_runtime::run_map_once("assemble_tile", &coords, |_, &(ti, tj)| {
+            let ri = layout.tile_start(ti);
+            let rj = layout.tile_start(tj);
+            DenseMatrix::from_fn(layout.tile_size(ti), layout.tile_size(tj), |a, b| {
+                f(ri + a, rj + b)
             })
-            .collect();
+        });
         Self { layout, tiles }
     }
 
@@ -165,18 +161,37 @@ impl SymTileMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::norms::max_abs_diff;
 
     fn kernel(i: usize, j: usize) -> f64 {
         (-((i as f64 - j as f64).abs()) / 3.0).exp()
     }
 
     #[test]
-    fn from_fn_matches_dense_construction() {
-        let n = 13;
-        let a = SymTileMatrix::from_fn(n, 4, kernel);
-        let d = DenseMatrix::from_fn(n, n, kernel);
-        assert!(max_abs_diff(&a.to_dense_sym(), &d) < 1e-15);
+    fn from_fn_is_bitwise_a_serial_tile_by_tile_build() {
+        // nt = 1, 2 and 7 (ragged last tile); the last case is also assembled
+        // from inside a task of another pool, which must not deadlock on the
+        // nested throwaway pool.
+        let check = |n: usize, nb: usize| {
+            let a = SymTileMatrix::from_fn(n, nb, kernel);
+            let layout = a.layout();
+            for ti in 0..layout.num_tiles() {
+                for tj in 0..=ti {
+                    let (ri, rj) = (layout.tile_start(ti), layout.tile_start(tj));
+                    let want =
+                        DenseMatrix::from_fn(layout.tile_size(ti), layout.tile_size(tj), |p, q| {
+                            kernel(ri + p, rj + q)
+                        });
+                    assert_eq!(a.tile(ti, tj), &want, "n={n} nb={nb} tile ({ti},{tj})");
+                }
+            }
+            a.num_tiles()
+        };
+        assert_eq!(check(13, 16), 1);
+        assert_eq!(check(13, 7), 2);
+        assert_eq!(check(27, 4), 7);
+        let outer = task_runtime::WorkerPool::new(2);
+        let nested = outer.run_map("outer", &[0u8; 4], |_, _| 1.0, |_, _| check(27, 4));
+        assert_eq!(nested, vec![7; 4]);
     }
 
     #[test]

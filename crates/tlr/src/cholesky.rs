@@ -13,12 +13,10 @@
 //! (cf. the paper's Fig. 5), which is where the 9–20× speedups over the dense
 //! factorization come from.
 
-use crate::arithmetic::{lr_aa_t_update, lr_lr_t_update};
-use crate::lowrank::LowRankBlock;
+use crate::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks};
 use crate::tlr_matrix::TlrMatrix;
-use rayon::prelude::*;
-use tile_la::kernels::{potrf_in_place, trsm_left_lower_notrans};
-use tile_la::DenseMatrix;
+use task_runtime::{HandleRegistry, WorkerPool};
+use tile_la::FactorStatus;
 
 /// Failure modes of the TLR Cholesky factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,110 +43,36 @@ impl std::fmt::Display for TlrCholeskyError {
 
 impl std::error::Error for TlrCholeskyError {}
 
-/// In-place TLR Cholesky factorization.
+/// In-place TLR Cholesky factorization on `pool`.
 ///
 /// On success the diagonal tiles hold the dense `L_kk` factors and the
-/// off-diagonal tiles hold the compressed `L_ik` factors. This is a thin
-/// wrapper over the DAG-scheduled [`crate::dag::potrf_tlr_dag`];
-/// `min_parallel_tiles` is the historical fork-join knob and maps onto a
-/// worker count (`usize::MAX` runs one worker, anything else uses all cores).
-pub fn potrf_tlr(a: &mut TlrMatrix, min_parallel_tiles: usize) -> Result<(), TlrCholeskyError> {
-    let workers = if min_parallel_tiles == usize::MAX {
-        1
-    } else {
-        0
-    };
-    crate::dag::potrf_tlr_dag(a, workers)
-}
-
-/// In-place TLR Cholesky with the historical per-panel fork-join scheduling,
-/// kept as the scheduling baseline for benchmarks and cross-checks.
-pub fn potrf_tlr_forkjoin(
-    a: &mut TlrMatrix,
-    min_parallel_tiles: usize,
-) -> Result<(), TlrCholeskyError> {
-    let nt = a.num_tiles();
+/// off-diagonal tiles hold the compressed `L_ik` factors. The tasks go
+/// through [`WorkerPool::execute`] (materialized or streamed, as the pool was
+/// built); the factor is bitwise identical for every worker count and window.
+pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), TlrCholeskyError> {
     let layout = a.layout();
     let tol = a.tol();
     let max_rank = a.max_rank();
-
-    for k in 0..nt {
-        // Dense POTRF on the diagonal tile.
-        {
-            let dk = a.diag_tile_mut(k);
-            potrf_in_place(dk).map_err(|local| TlrCholeskyError::NotPositiveDefinite {
-                pivot: layout.tile_start(k) + local,
-            })?;
-        }
-
-        if k + 1 == nt {
-            break;
-        }
-
-        // Panel TRSM: off(i,k).v <- L_kk^{-1} * off(i,k).v.
-        let lkk = a.diag_tile(k).clone();
-        let mut panel: Vec<(usize, LowRankBlock)> =
-            ((k + 1)..nt).map(|i| (i, a.take_off(i, k))).collect();
-        let trsm_one = |(_, blk): &mut (usize, LowRankBlock)| {
-            if blk.rank() > 0 {
-                trsm_left_lower_notrans(&lkk, &mut blk.v);
-            }
-        };
-        if panel.len() >= min_parallel_tiles {
-            panel.par_iter_mut().for_each(trsm_one);
-        } else {
-            panel.iter_mut().for_each(trsm_one);
-        }
-        for (i, blk) in panel {
-            a.put_off(i, k, blk);
-        }
-
-        // Trailing update.
-        enum Target {
-            Diag(usize, DenseMatrix),
-            Off(usize, usize, LowRankBlock),
-        }
-        let mut updates: Vec<Target> = Vec::new();
-        for i in (k + 1)..nt {
-            for j in (k + 1)..=i {
-                if i == j {
-                    updates.push(Target::Diag(i, a.take_diag(i)));
-                } else {
-                    updates.push(Target::Off(i, j, a.take_off(i, j)));
-                }
-            }
-        }
-        {
-            let a_ref: &TlrMatrix = a;
-            let work = |t: &mut Target| match t {
-                Target::Diag(j, d) => {
-                    lr_aa_t_update(d, a_ref.off_tile(*j, k));
-                }
-                Target::Off(i, j, c) => {
-                    let updated = lr_lr_t_update(
-                        c,
-                        a_ref.off_tile(*i, k),
-                        a_ref.off_tile(*j, k),
-                        tol,
-                        max_rank,
-                    );
-                    *c = updated;
-                }
-            };
-            if updates.len() >= min_parallel_tiles {
-                updates.par_iter_mut().for_each(work);
-            } else {
-                updates.iter_mut().for_each(work);
-            }
-        }
-        for t in updates {
-            match t {
-                Target::Diag(i, d) => a.put_diag(i, d),
-                Target::Off(i, j, c) => a.put_off(i, j, c),
-            }
-        }
+    let mut registry = HandleRegistry::new();
+    let (handles, mut diag_store, mut off_store) = detach_tlr_tiles(a, &mut registry);
+    let status = FactorStatus::new();
+    pool.execute(|sink| {
+        submit_tlr_factor_tasks(
+            sink,
+            &diag_store,
+            &off_store,
+            &handles,
+            layout,
+            tol,
+            max_rank,
+            &status,
+        )
+    });
+    attach_tlr_tiles(a, &handles, &mut diag_store, &mut off_store);
+    match status.pivot() {
+        Some(pivot) => Err(TlrCholeskyError::NotPositiveDefinite { pivot }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Log-determinant from a TLR Cholesky factor.
@@ -182,10 +106,10 @@ mod tests {
         let nb = 24;
         let f = kernel(0.5);
         let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-10), usize::MAX, &f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
 
         let mut dense = SymTileMatrix::from_fn(n, nb, &f);
-        potrf_tiled(&mut dense, 1).unwrap();
+        potrf_tiled(&mut dense, &WorkerPool::new(1)).unwrap();
 
         assert!(max_abs_diff(&tlr.to_dense_lower(), &dense.to_dense_lower()) < 1e-6);
     }
@@ -199,7 +123,7 @@ mod tests {
         let mut previous_err = f64::INFINITY;
         for tol in [1e-2, 1e-5, 1e-9] {
             let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(tol), usize::MAX, &f);
-            potrf_tlr(&mut tlr, 1).unwrap();
+            potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
             let l = tlr.to_dense_lower();
             let rec = l.matmul_nt(&l);
             let mut diff = rec.clone();
@@ -218,14 +142,43 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let n = 100;
-        let f = kernel(0.6);
-        let mut a1 = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-8), usize::MAX, &f);
-        let mut a2 = a1.clone();
-        potrf_tlr(&mut a1, 1).unwrap();
-        potrf_tlr(&mut a2, usize::MAX).unwrap();
-        assert!(max_abs_diff(&a1.to_dense_lower(), &a2.to_dense_lower()) < 1e-9);
+    fn factor_bits_do_not_depend_on_workers_or_window() {
+        // 1/2/4/8 workers, materialized and streamed (incl. the default
+        // window `0`): identical factors to the bit, and a streamed session
+        // never holds more tasks than its window.
+        let n = 96;
+        let f = kernel(0.5);
+        let base = TlrMatrix::from_fn(n, 24, CompressionTol::Absolute(1e-8), usize::MAX, &f);
+        let mut reference = base.clone();
+        potrf_tlr(&mut reference, &WorkerPool::new(1)).unwrap();
+        let want = reference.to_dense_lower();
+        for workers in [1usize, 2, 4, 8] {
+            for lookahead in [None, Some(1), Some(3), Some(16), Some(0)] {
+                let pool = WorkerPool::with_lookahead(workers, lookahead);
+                let mut a = base.clone();
+                potrf_tlr(&mut a, &pool).unwrap();
+                assert!(
+                    max_abs_diff(&a.to_dense_lower(), &want) == 0.0,
+                    "workers={workers} lookahead={lookahead:?}"
+                );
+                if let Some(window) = pool.lookahead() {
+                    assert!(pool.stats().stream_peak_tasks <= window);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_capped_factor_is_deterministic_across_worker_counts() {
+        let f = kernel(0.7);
+        let base = TlrMatrix::from_fn(80, 20, CompressionTol::Absolute(1e-6), 10, &f);
+        let mut reference = base.clone();
+        potrf_tlr(&mut reference, &WorkerPool::new(1)).unwrap();
+        for workers in [2usize, 8] {
+            let mut a = base.clone();
+            potrf_tlr(&mut a, &WorkerPool::new(workers)).unwrap();
+            assert!(max_abs_diff(&a.to_dense_lower(), &reference.to_dense_lower()) == 0.0);
+        }
     }
 
     #[test]
@@ -233,7 +186,7 @@ mod tests {
         let n = 72;
         let f = kernel(0.5);
         let mut tlr = TlrMatrix::from_fn(n, 18, CompressionTol::Absolute(1e-10), usize::MAX, &f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let b0 = tile_la::DenseMatrix::from_fn(n, 3, |i, j| ((i + j) as f64 * 0.37).sin());
         let mut x = b0.clone();
         tlr.solve_lower_panel(&mut x);
@@ -247,7 +200,7 @@ mod tests {
         let n = 60;
         let f = kernel(0.4);
         let mut tlr = TlrMatrix::from_fn(n, 15, CompressionTol::Absolute(1e-10), usize::MAX, &f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let z = tile_la::DenseMatrix::from_fn(n, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.11).cos());
         let y = tlr.multiply_lower_panel(&z);
         let l = tlr.to_dense_lower();
@@ -260,9 +213,9 @@ mod tests {
         let n = 64;
         let f = kernel(0.7);
         let mut tlr = TlrMatrix::from_fn(n, 16, CompressionTol::Absolute(1e-10), usize::MAX, &f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let mut dense = SymTileMatrix::from_fn(n, 16, &f);
-        potrf_tiled(&mut dense, 1).unwrap();
+        potrf_tiled(&mut dense, &WorkerPool::new(1)).unwrap();
         let want = tile_la::cholesky::log_det_from_factor(&dense);
         assert!((log_det_from_tlr_factor(&tlr) - want).abs() < 1e-6);
     }
@@ -270,12 +223,18 @@ mod tests {
     #[test]
     fn indefinite_matrix_is_rejected() {
         let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
-        let mut tlr = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
-        let err = potrf_tlr(&mut tlr, 1).unwrap_err();
-        assert!(matches!(
-            err,
-            TlrCholeskyError::NotPositiveDefinite { pivot: 0 }
-        ));
-        assert!(err.to_string().contains("not positive definite"));
+        for pool in [
+            WorkerPool::new(1),
+            WorkerPool::new(4),
+            WorkerPool::with_lookahead(2, Some(4)),
+        ] {
+            let mut tlr = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
+            let err = potrf_tlr(&mut tlr, &pool).unwrap_err();
+            assert!(matches!(
+                err,
+                TlrCholeskyError::NotPositiveDefinite { pivot: 0 }
+            ));
+            assert!(err.to_string().contains("not positive definite"));
+        }
     }
 }

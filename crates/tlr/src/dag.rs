@@ -1,24 +1,21 @@
-//! DAG-scheduled TLR Cholesky: the HiCMA-style factorization as a
-//! sequential-task-flow graph on the `task-runtime` executor, mirroring
-//! [`tile_la::dag`] for the compressed format.
+//! The HiCMA-style TLR Cholesky as a sequential-task-flow producer for the
+//! `task-runtime` pool, mirroring [`tile_la::dag`] for the compressed format:
+//! the building blocks [`potrf_tlr`](crate::potrf_tlr) and the fused PMVN
+//! pipeline in `mvn-core` compose.
 //!
 //! Diagonal tiles (dense) and strictly-lower off-diagonal tiles (low-rank)
 //! live in two typed [`TileStore`]s sharing one [`HandleRegistry`], so a
-//! single graph can declare accesses on both. The task structure is identical
-//! to the dense DAG — `POTRF`/`TRSM`/`SYRK`/`GEMM` per panel — with the
+//! single sink can declare accesses on both. The task structure is identical
+//! to the dense one — `POTRF`/`TRSM`/`SYRK`/`GEMM` per panel — with the
 //! compressed kernels, and the factor is bitwise identical for every worker
 //! count.
 
 use crate::arithmetic::{lr_aa_t_update, lr_lr_t_update};
-use crate::cholesky::TlrCholeskyError;
 use crate::compress::CompressionTol;
 use crate::lowrank::LowRankBlock;
 use crate::tlr_matrix::TlrMatrix;
-use task_runtime::{
-    effective_lookahead, run_taskgraph, AccessMode, DataHandle, HandleRegistry, StreamStats,
-    TaskGraph, TaskSink, TaskSpec, TileStore, WorkerPool,
-};
-use tile_la::dag::{effective_workers, FactorStatus};
+use task_runtime::{AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileStore};
+use tile_la::dag::FactorStatus;
 use tile_la::kernels::{potrf_in_place, trsm_left_lower_notrans};
 use tile_la::{DenseMatrix, TileLayout};
 
@@ -98,11 +95,11 @@ pub fn attach_tlr_tiles(
     }
 }
 
-/// Submit the TLR Cholesky factorization into any [`TaskSink`] — a
-/// materialized [`TaskGraph`] or a lookahead-limited
-/// [`StreamSubmitter`](task_runtime::StreamSubmitter) — declaring per-tile
-/// accesses. Exposed so `mvn-core` can submit PMVN sweep tasks into the same
-/// graph (reading factor tiles while the trailing factorization runs).
+/// Submit the TLR Cholesky factorization into any [`TaskSink`] (normally the
+/// one [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
+/// declaring per-tile accesses. Exposed so `mvn-core` can submit PMVN sweep
+/// tasks into the same sink (reading factor tiles while the trailing
+/// factorization runs).
 #[allow(clippy::too_many_arguments)]
 pub fn submit_tlr_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     graph: &mut S,
@@ -196,232 +193,5 @@ pub fn submit_tlr_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
                 }
             }
         }
-    }
-}
-
-/// Detach the tiles of `a`, let `exec` factor them (submitting through a
-/// materialized graph or a stream, however it likes), re-attach, and report
-/// the recorded pivot failure if any. Shared body of [`potrf_tlr_dag`],
-/// [`potrf_tlr_pool`] and [`potrf_tlr_stream`].
-fn potrf_tlr_with<E>(a: &mut TlrMatrix, exec: E) -> Result<(), TlrCholeskyError>
-where
-    E: FnOnce(TlrFactorJob<'_>),
-{
-    let layout = a.layout();
-    let tol = a.tol();
-    let max_rank = a.max_rank();
-    let mut registry = HandleRegistry::new();
-    let (handles, mut diag_store, mut off_store) = detach_tlr_tiles(a, &mut registry);
-    let status = FactorStatus::new();
-    exec(TlrFactorJob {
-        diag_store: &diag_store,
-        off_store: &off_store,
-        handles: &handles,
-        layout,
-        tol,
-        max_rank,
-        status: &status,
-    });
-    attach_tlr_tiles(a, &handles, &mut diag_store, &mut off_store);
-    match status.pivot() {
-        Some(pivot) => Err(TlrCholeskyError::NotPositiveDefinite { pivot }),
-        None => Ok(()),
-    }
-}
-
-/// The detached-tile state [`potrf_tlr_with`] hands its execution closure
-/// (the TLR factorization needs both stores plus the compression
-/// parameters, so the dense crate's four-argument closure shape does not
-/// fit).
-struct TlrFactorJob<'j> {
-    diag_store: &'j TileStore<DenseMatrix>,
-    off_store: &'j TileStore<LowRankBlock>,
-    handles: &'j TlrHandles,
-    layout: TileLayout,
-    tol: CompressionTol,
-    max_rank: usize,
-    status: &'j FactorStatus,
-}
-
-impl TlrFactorJob<'_> {
-    /// Submit this factorization into `sink` (shared by the materialized and
-    /// streaming entry points, so the two task sequences are the same
-    /// sequence).
-    fn submit_into<'a, S: TaskSink<'a> + ?Sized>(&'a self, sink: &mut S) {
-        submit_tlr_factor_tasks(
-            sink,
-            self.diag_store,
-            self.off_store,
-            self.handles,
-            self.layout,
-            self.tol,
-            self.max_rank,
-            self.status,
-        );
-    }
-}
-
-/// In-place TLR Cholesky, executed as a dependency-inferred task graph on
-/// `workers` threads (resolved by [`effective_workers`]). The factor is
-/// bitwise identical for every worker count. Spins up a throwaway thread pool
-/// per call; call sites factoring many matrices should hold a [`WorkerPool`]
-/// and use [`potrf_tlr_pool`] instead.
-pub fn potrf_tlr_dag(a: &mut TlrMatrix, workers: usize) -> Result<(), TlrCholeskyError> {
-    potrf_tlr_with(a, |job| {
-        let mut graph = TaskGraph::new();
-        job.submit_into(&mut graph);
-        run_taskgraph(&mut graph, effective_workers(workers));
-    })
-}
-
-/// In-place TLR Cholesky on a caller-owned persistent [`WorkerPool`] (same
-/// task graph — and bitwise-identical factor — as [`potrf_tlr_dag`], without
-/// the per-call pool setup).
-pub fn potrf_tlr_pool(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), TlrCholeskyError> {
-    potrf_tlr_with(a, |job| {
-        let mut graph = TaskGraph::new();
-        job.submit_into(&mut graph);
-        pool.run(&mut graph);
-    })
-}
-
-/// In-place TLR Cholesky with **streaming, lookahead-limited submission**:
-/// the TLR counterpart of [`tile_la::potrf_tiled_stream`]. Tasks start on
-/// the pool as they are submitted; at most `lookahead` tasks are resident at
-/// once (`0` = the default window, see [`effective_lookahead`]). The factor
-/// is bitwise identical to [`potrf_tlr_dag`] / [`potrf_tlr_pool`] for every
-/// worker count and window size; on success returns the session's
-/// [`StreamStats`].
-///
-/// [`tile_la::potrf_tiled_stream`]: tile_la::dag::potrf_tiled_stream
-pub fn potrf_tlr_stream(
-    a: &mut TlrMatrix,
-    pool: &WorkerPool,
-    lookahead: usize,
-) -> Result<StreamStats, TlrCholeskyError> {
-    let mut stats = None;
-    potrf_tlr_with(a, |job| {
-        let ((), s) = pool.stream(effective_lookahead(lookahead, pool.workers()), |sink| {
-            job.submit_into(sink);
-        });
-        stats = Some(s);
-    })?;
-    Ok(stats.expect("the factorization closure always runs"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cholesky::potrf_tlr_forkjoin;
-    use tile_la::max_abs_diff;
-
-    fn kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
-        move |i: usize, j: usize| {
-            let d = (i as f64 - j as f64).abs() / 60.0;
-            (-d / range).exp() + if i == j { 1e-6 } else { 0.0 }
-        }
-    }
-
-    #[test]
-    fn dag_tlr_factor_matches_forkjoin_bitwise() {
-        let n = 96;
-        let f = kernel(0.5);
-        let mut a = TlrMatrix::from_fn(n, 24, CompressionTol::Absolute(1e-8), usize::MAX, &f);
-        let mut b = a.clone();
-        potrf_tlr_dag(&mut a, 4).unwrap();
-        potrf_tlr_forkjoin(&mut b, usize::MAX).unwrap();
-        let da = a.to_dense_lower();
-        let db = b.to_dense_lower();
-        for i in 0..n {
-            for j in 0..n {
-                assert!(
-                    da.get(i, j).to_bits() == db.get(i, j).to_bits(),
-                    "entry ({i},{j}) differs bitwise"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_tlr_factor_matches_one_shot_bitwise() {
-        let n = 96;
-        let f = kernel(0.5);
-        let pool = WorkerPool::new(4);
-        let base = TlrMatrix::from_fn(n, 24, CompressionTol::Absolute(1e-8), usize::MAX, &f);
-        let mut via_pool = base.clone();
-        let mut one_shot = base.clone();
-        potrf_tlr_pool(&mut via_pool, &pool).unwrap();
-        potrf_tlr_dag(&mut one_shot, 4).unwrap();
-        assert!(max_abs_diff(&via_pool.to_dense_lower(), &one_shot.to_dense_lower()) == 0.0);
-        assert_eq!(pool.stats().graphs_run, 1);
-    }
-
-    #[test]
-    fn dag_tlr_is_deterministic_across_worker_counts() {
-        let n = 80;
-        let f = kernel(0.7);
-        let base = TlrMatrix::from_fn(n, 20, CompressionTol::Absolute(1e-6), 10, &f);
-        let mut reference = base.clone();
-        potrf_tlr_dag(&mut reference, 1).unwrap();
-        let ref_dense = reference.to_dense_lower();
-        for workers in [2usize, 8] {
-            let mut a = base.clone();
-            potrf_tlr_dag(&mut a, workers).unwrap();
-            assert!(
-                max_abs_diff(&a.to_dense_lower(), &ref_dense) == 0.0,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_tlr_factor_matches_materialized_bitwise_and_bounds_the_window() {
-        // Streaming acceptance criterion, TLR side: bitwise-identical factor
-        // for 1/2/4 workers and several windows, peak in-flight bounded.
-        let n = 96;
-        let f = kernel(0.5);
-        let base = TlrMatrix::from_fn(n, 24, CompressionTol::Absolute(1e-8), usize::MAX, &f);
-        let mut reference = base.clone();
-        potrf_tlr_dag(&mut reference, 2).unwrap();
-        let ref_dense = reference.to_dense_lower();
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            for lookahead in [1usize, 3, 16] {
-                let mut a = base.clone();
-                let stats = potrf_tlr_stream(&mut a, &pool, lookahead).unwrap();
-                assert!(
-                    stats.peak_in_flight <= lookahead,
-                    "workers={workers} lookahead={lookahead}: peak {}",
-                    stats.peak_in_flight
-                );
-                assert!(
-                    max_abs_diff(&a.to_dense_lower(), &ref_dense) == 0.0,
-                    "workers={workers} lookahead={lookahead}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stream_tlr_rejects_indefinite_matrix() {
-        let pool = WorkerPool::new(2);
-        let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
-        let mut a = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
-        let err = potrf_tlr_stream(&mut a, &pool, 4).unwrap_err();
-        assert!(matches!(
-            err,
-            TlrCholeskyError::NotPositiveDefinite { pivot: 0 }
-        ));
-    }
-
-    #[test]
-    fn dag_tlr_rejects_indefinite_matrix() {
-        let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
-        let mut a = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
-        let err = potrf_tlr_dag(&mut a, 4).unwrap_err();
-        assert!(matches!(
-            err,
-            TlrCholeskyError::NotPositiveDefinite { pivot: 0 }
-        ));
     }
 }

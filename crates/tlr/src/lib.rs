@@ -29,9 +29,9 @@ pub mod tlr_matrix;
 pub use arithmetic::{
     lr_aa_t_update, lr_add_recompress, lr_gemm_panel, lr_gemm_panel_t, lr_lr_t_update,
 };
-pub use cholesky::{potrf_tlr, potrf_tlr_forkjoin, TlrCholeskyError};
+pub use cholesky::{potrf_tlr, TlrCholeskyError};
 pub use compress::{compress_dense, CompressionTol};
-pub use dag::{potrf_tlr_dag, potrf_tlr_pool, potrf_tlr_stream, TlrHandles};
+pub use dag::TlrHandles;
 pub use lowrank::LowRankBlock;
 pub use rank_stats::RankStats;
 pub use tlr_matrix::TlrMatrix;
@@ -39,6 +39,7 @@ pub use tlr_matrix::TlrMatrix;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use task_runtime::WorkerPool;
     use tile_la::{max_abs_diff, DenseMatrix, SymTileMatrix};
 
     fn exp_kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
@@ -56,11 +57,11 @@ mod tests {
         let tol = CompressionTol::Absolute(1e-9);
 
         let mut tlr = TlrMatrix::from_fn(n, nb, tol, 64, &f);
-        potrf_tlr(&mut tlr, 1).unwrap();
+        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l_tlr = tlr.to_dense_lower();
 
         let mut dense = SymTileMatrix::from_fn(n, nb, &f);
-        tile_la::potrf_tiled(&mut dense, 1).unwrap();
+        tile_la::potrf_tiled(&mut dense, &WorkerPool::new(1)).unwrap();
         let l_dense = dense.to_dense_lower();
 
         assert!(max_abs_diff(&l_tlr, &l_dense) < 1e-5);

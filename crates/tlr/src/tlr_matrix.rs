@@ -3,7 +3,7 @@
 
 use crate::compress::{compress_dense, CompressionTol};
 use crate::lowrank::LowRankBlock;
-use rayon::prelude::*;
+use task_runtime::run_map_once;
 use tile_la::kernels::{gemm_nn, trsm_left_lower_notrans};
 use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 
@@ -41,30 +41,24 @@ impl TlrMatrix {
         let layout = TileLayout::new(n, nb);
         let nt = layout.num_tiles();
 
-        let diag: Vec<DenseMatrix> = (0..nt)
-            .into_par_iter()
-            .map(|t| {
-                let start = layout.tile_start(t);
-                DenseMatrix::from_fn(layout.tile_size(t), layout.tile_size(t), |a, b| {
-                    f(start + a, start + b)
-                })
+        let tiles: Vec<usize> = (0..nt).collect();
+        let diag = run_map_once("assemble_tile", &tiles, |_, &t| {
+            let start = layout.tile_start(t);
+            DenseMatrix::from_fn(layout.tile_size(t), layout.tile_size(t), |a, b| {
+                f(start + a, start + b)
             })
-            .collect();
+        });
 
         let coords: Vec<(usize, usize)> =
             (1..nt).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
-        let off: Vec<LowRankBlock> = coords
-            .par_iter()
-            .map(|&(i, j)| {
-                let ri = layout.tile_start(i);
-                let rj = layout.tile_start(j);
-                let dense =
-                    DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
-                        f(ri + a, rj + b)
-                    });
-                compress_dense(&dense, tol, max_rank)
-            })
-            .collect();
+        let off = run_map_once("assemble_compress_tile", &coords, |_, &(i, j)| {
+            let ri = layout.tile_start(i);
+            let rj = layout.tile_start(j);
+            let dense = DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
+                f(ri + a, rj + b)
+            });
+            compress_dense(&dense, tol, max_rank)
+        });
 
         Self {
             layout,
@@ -308,16 +302,40 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_tiles_are_exact() {
-        let tlr = TlrMatrix::from_fn(60, 20, CompressionTol::Absolute(1e-2), usize::MAX, kernel);
-        for t in 0..tlr.num_tiles() {
-            let d = tlr.diag_tile(t);
-            for a in 0..d.nrows() {
-                for b in 0..d.ncols() {
-                    assert_eq!(d.get(a, b), kernel(20 * t + a, 20 * t + b));
+    fn from_fn_is_bitwise_a_serial_tile_by_tile_build() {
+        // nt = 1, 2 and 7 (ragged last tile): exact diagonal tiles, and
+        // off-diagonal factors equal to compressing each tile serially. The
+        // last case is also assembled from inside a task of another pool,
+        // which must not deadlock on the nested throwaway pool.
+        let tol = CompressionTol::Absolute(1e-2);
+        let check = |n: usize, nb: usize| {
+            let tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, kernel);
+            let layout = tlr.layout();
+            let tile = |i: usize, j: usize| {
+                let (ri, rj) = (layout.tile_start(i), layout.tile_start(j));
+                DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
+                    kernel(ri + a, rj + b)
+                })
+            };
+            for i in 0..tlr.num_tiles() {
+                assert_eq!(tlr.diag_tile(i), &tile(i, i), "n={n} nb={nb} diag {i}");
+                for j in 0..i {
+                    let want = compress_dense(&tile(i, j), tol, usize::MAX);
+                    let got = tlr.off_tile(i, j);
+                    assert!(
+                        got.u == want.u && got.v == want.v,
+                        "n={n} nb={nb} ({i},{j})"
+                    );
                 }
             }
-        }
+            tlr.num_tiles()
+        };
+        assert_eq!(check(20, 32), 1);
+        assert_eq!(check(20, 12), 2);
+        assert_eq!(check(61, 9), 7);
+        let outer = task_runtime::WorkerPool::new(2);
+        let nested = outer.run_map("outer", &[0u8; 3], |_, _| 1.0, |_, _| check(61, 9));
+        assert_eq!(nested, vec![7; 3]);
     }
 
     #[test]

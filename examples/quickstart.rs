@@ -35,8 +35,7 @@ fn main() {
     //    pipeline — Cholesky tasks and PMVN panel tasks execute as one
     //    dependency-inferred task graph, so early panel sweeping overlaps the
     //    trailing factorization. (The staged alternative — `factor_dense`
-    //    followed by `solve` — and the old free functions produce
-    //    bitwise-identical results.)
+    //    followed by `solve` — produces bitwise-identical results.)
     let engine = MvnEngine::builder().config(cfg).build().expect("engine");
     let mut sigma = kernel.tiled_covariance(&locations, 128, 1e-9);
     let dense = engine.factor_prob_dense(&mut sigma, &a, &b).expect("SPD");
@@ -72,9 +71,9 @@ fn main() {
 
     // 5. Naive Monte-Carlo baseline for comparison (impractical in truly high
     //    dimensions, which is the paper's motivation for the SOV algorithm).
-    let mut sigma_mc = kernel.tiled_covariance(&locations, 128, 1e-9);
-    tile_la::potrf_tiled(&mut sigma_mc, 1).expect("SPD");
-    let mc = mvn_prob_mc(&sigma_mc, &a, &b, &MvnConfig::with_samples(200_000));
+    //    It samples x = L·z, so it reuses the dense factor step 3 left in
+    //    `sigma`.
+    let mc = mvn_prob_mc(&sigma, &a, &b, &MvnConfig::with_samples(200_000));
     println!(
         "naive MC   : P = {:.6e}  (std error {:.1e}, {} samples)",
         mc.prob, mc.std_error, mc.samples

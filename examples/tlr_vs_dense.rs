@@ -9,7 +9,7 @@
 
 use distsim::{pmvn_task_graph, simulate, ClusterSpec, FactorKind, ProblemSpec};
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{mvn_prob_dense, mvn_prob_tlr, MvnConfig};
+use mvn_core::{Factor, MvnConfig, MvnEngine};
 use std::time::Instant;
 use tlr::{CompressionTol, RankStats};
 
@@ -22,14 +22,13 @@ fn main() {
     };
     let a = vec![0.0; n];
     let b = vec![f64::INFINITY; n];
-    let cfg = MvnConfig::with_samples(4_000);
+    let engine = MvnEngine::with_config(MvnConfig::with_samples(4_000)).unwrap();
     let nb = 128;
 
     // Dense reference.
     let t = Instant::now();
-    let mut sigma = kernel.tiled_covariance(&locations, nb, 1e-9);
-    tile_la::potrf_tiled(&mut sigma, 1).unwrap();
-    let dense = mvn_prob_dense(&sigma, &a, &b, &cfg);
+    let sigma = kernel.tiled_covariance(&locations, nb, 1e-9);
+    let dense = engine.solve(&engine.factor_dense(sigma).unwrap(), &a, &b);
     let t_dense = t.elapsed().as_secs_f64();
     println!(
         "dense      : P = {:.6e}   total {:.2}s",
@@ -40,12 +39,15 @@ fn main() {
     println!("\n tolerance   probability      |diff vs dense|   time (s)   mean rank");
     for tol in [1e-1, 1e-2, 1e-3, 1e-5] {
         let t = Instant::now();
-        let mut tlr =
+        let sigma =
             kernel.tlr_covariance(&locations, nb, 1e-9, CompressionTol::Absolute(tol), nb / 2);
-        tlr::potrf_tlr(&mut tlr, 1).unwrap();
-        let r = mvn_prob_tlr(&tlr, &a, &b, &cfg);
+        let factor = engine.factor_tlr(sigma).unwrap();
+        let r = engine.solve(&factor, &a, &b);
         let secs = t.elapsed().as_secs_f64();
-        let ranks = RankStats::from_matrix(&tlr);
+        let Factor::Tlr(tlr) = &factor else {
+            unreachable!("factor_tlr returns a TLR factor")
+        };
+        let ranks = RankStats::from_matrix(tlr);
         println!(
             "  {tol:7.0e}   {:.6e}   {:.3e}        {secs:7.2}    {:6.1}",
             r.prob,

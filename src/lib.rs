@@ -6,12 +6,13 @@
 //! * [`mathx`] — special functions (Φ, Φ⁻¹, erfc, ln Γ, K_ν),
 //! * [`qmc`] — quasi-Monte-Carlo point sets and RNG streams,
 //! * [`task_runtime`] — the sequential-task-flow runtime (dependency-inferred
-//!   task graphs, threaded executor, typed tile store),
-//! * [`tile_la`] — tiled dense linear algebra and the DAG-scheduled Cholesky,
-//! * [`tlr`] — tile-low-rank compression and the DAG-scheduled TLR Cholesky,
+//!   task graphs, the one worker pool, typed tile store),
+//! * [`tile_la`] — tiled dense linear algebra and the tiled Cholesky,
+//! * [`tlr`] — tile-low-rank compression and the TLR Cholesky,
 //! * [`geostat`] — covariance models, field simulation, posterior, MLE, wind data,
-//! * [`mvn_core`] — the SOV / PMVN probability algorithms and the fused
-//!   factor+sweep pipeline ([`mvn_core::MvnPlanner`]),
+//! * [`mvn_core`] — the SOV / PMVN probability algorithms behind one solver
+//!   session, [`mvn_core::MvnEngine`] (incl. the fused factor+sweep
+//!   pipeline, [`mvn_core::MvnEngine::factor_prob_dense`]),
 //! * [`excursion`] — confidence-region detection and MC validation,
 //! * [`distsim`] — the distributed-memory performance model,
 //! * [`wire`] — the shared bit-exact JSON/f64 wire layer,

@@ -8,7 +8,7 @@ use excursion::{
 use geostat::{
     posterior_update, regular_grid, simulate_field, simulate_observations, CovarianceKernel,
 };
-use mvn_core::{mvn_prob_dense, mvn_prob_genz, mvn_prob_mc, mvn_prob_tlr, MvnConfig, MvnEngine};
+use mvn_core::{mvn_prob_genz, mvn_prob_mc, Factor, MvnConfig, MvnEngine};
 use tlr::CompressionTol;
 
 fn medium_kernel() -> CovarianceKernel {
@@ -31,20 +31,21 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
         ..Default::default()
     };
 
-    let mut dense = kernel.tiled_covariance(&locations, 36, 1e-9);
-    tile_la::potrf_tiled(&mut dense, 1).unwrap();
-    let p_dense = mvn_prob_dense(&dense, &a, &b, &cfg);
+    let engine = MvnEngine::with_config(cfg).unwrap();
+    let dense = engine
+        .factor_dense(kernel.tiled_covariance(&locations, 36, 1e-9))
+        .unwrap();
+    let p_dense = engine.solve(&dense, &a, &b);
 
-    let l_full = dense.to_dense_lower();
-    let p_genz = mvn_prob_genz(&l_full, &a, &b, &cfg);
+    let Factor::Dense(dense) = &dense else {
+        unreachable!("factor_dense returns a dense factor")
+    };
+    let p_genz = mvn_prob_genz(&dense.to_dense_lower(), &a, &b, &cfg);
 
-    let mut tlr = kernel.tlr_covariance(&locations, 36, 1e-9, CompressionTol::Absolute(1e-6), 18);
-    tlr::potrf_tlr(&mut tlr, 1).unwrap();
-    let p_tlr = mvn_prob_tlr(&tlr, &a, &b, &cfg);
+    let tlr = kernel.tlr_covariance(&locations, 36, 1e-9, CompressionTol::Absolute(1e-6), 18);
+    let p_tlr = engine.solve(&engine.factor_tlr(tlr).unwrap(), &a, &b);
 
-    let mut mc_factor = kernel.tiled_covariance(&locations, 36, 1e-9);
-    tile_la::potrf_tiled(&mut mc_factor, 1).unwrap();
-    let p_mc = mvn_prob_mc(&mc_factor, &a, &b, &MvnConfig::with_samples(400_000));
+    let p_mc = mvn_prob_mc(dense, &a, &b, &MvnConfig::with_samples(400_000));
 
     let tol = 6.0 * (p_dense.std_error + p_genz.std_error + p_mc.std_error).max(3e-3);
     assert!(
@@ -179,7 +180,7 @@ fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
 fn one_engine_session_carries_factorization_solves_and_batches() {
     // The session workflow the MvnEngine API is built for: factor once, then
     // answer many probability queries (singly and batched) on one pool, with
-    // results bitwise identical to the one-shot free functions.
+    // results bitwise identical to an independent single-worker session.
     let locations = regular_grid(10, 10);
     let n = locations.len();
     let kernel = medium_kernel();
@@ -189,21 +190,17 @@ fn one_engine_session_carries_factorization_solves_and_batches() {
         ..Default::default()
     };
 
-    let engine = MvnEngine::builder()
-        .workers(2)
-        .config(MvnConfig {
-            scheduler: mvn_core::Scheduler::Dag { workers: 2 },
-            ..cfg
-        })
-        .build()
-        .unwrap();
+    let engine = MvnEngine::builder().workers(2).config(cfg).build().unwrap();
     let factor = engine
         .factor_dense(kernel.tiled_covariance(&locations, 25, 1e-9))
         .unwrap();
 
-    // Free-function reference (fresh scheduling per call).
-    let mut reference_factor = kernel.tiled_covariance(&locations, 25, 1e-9);
-    tile_la::potrf_tiled(&mut reference_factor, 1).unwrap();
+    // Independent reference session: its own (inline, one-worker) pool and
+    // its own factorization.
+    let reference = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
+    let reference_factor = reference
+        .factor_dense(kernel.tiled_covariance(&locations, 25, 1e-9))
+        .unwrap();
 
     let thresholds = [-0.5, -0.2, 0.0, 0.3];
     let problems: Vec<mvn_core::Problem> = thresholds
@@ -214,9 +211,9 @@ fn one_engine_session_carries_factorization_solves_and_batches() {
     let before = engine.pool_stats();
     for (p, r) in problems.iter().zip(&batch) {
         let single = engine.solve(&factor, &p.a, &p.b);
-        let free = mvn_prob_dense(&reference_factor, &p.a, &p.b, &cfg);
+        let other = reference.solve(&reference_factor, &p.a, &p.b);
         assert!(r.prob.to_bits() == single.prob.to_bits());
-        assert!(r.prob.to_bits() == free.prob.to_bits());
+        assert!(r.prob.to_bits() == other.prob.to_bits());
     }
     // All of the above ran on the session pool, which never grew.
     let after = engine.pool_stats();

@@ -5,8 +5,9 @@
 //! by the workspace's own seeded RNG — same invariants, reproducible cases.
 
 use mathx::{norm_cdf, norm_quantile};
-use mvn_core::{mvn_prob_dense, MvnConfig};
+use mvn_core::{MvnConfig, MvnEngine};
 use qmc::Xoshiro256pp;
+use task_runtime::WorkerPool;
 use tile_la::{max_abs_diff, potrf_tiled, DenseMatrix, SymTileMatrix};
 use tlr::{compress_dense, lr_add_recompress, CompressionTol};
 
@@ -70,7 +71,7 @@ fn tiled_cholesky_reconstructs() {
             (-d / range).exp() + if i == j { 0.05 } else { 0.0 }
         };
         let mut a = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut a, 1).unwrap();
+        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
         let orig = DenseMatrix::from_fn(n, n, f);
@@ -134,22 +135,24 @@ fn mvn_probability_monotone_in_the_box() {
             let d = (i as f64 - j as f64).abs();
             (-d / 5.0).exp() + if i == j { 0.01 } else { 0.0 }
         };
-        let mut l = SymTileMatrix::from_fn(n, 4, f);
-        potrf_tiled(&mut l, 1).unwrap();
-        let cfg = MvnConfig {
+        let engine = MvnEngine::with_config(MvnConfig {
             sample_size: 2000,
             seed: 1,
             ..Default::default()
-        };
+        })
+        .unwrap();
+        let l = engine
+            .factor_dense(SymTileMatrix::from_fn(n, 4, f))
+            .unwrap();
         let b = vec![f64::INFINITY; n];
-        let p_small = mvn_prob_dense(&l, &vec![lower + 0.5; n], &b, &cfg).prob;
-        let p_large = mvn_prob_dense(&l, &vec![lower; n], &b, &cfg).prob;
+        let p_small = engine.solve(&l, &vec![lower + 0.5; n], &b).prob;
+        let p_large = engine.solve(&l, &vec![lower; n], &b).prob;
         assert!((0.0..=1.0).contains(&p_small));
         assert!((0.0..=1.0).contains(&p_large));
         // Enlarging the box (lower limit decreases) cannot decrease the
         // probability.
         assert!(p_large >= p_small - 1e-9, "n={n}, lower={lower}");
-        let whole = mvn_prob_dense(&l, &vec![f64::NEG_INFINITY; n], &b, &cfg).prob;
+        let whole = engine.solve(&l, &vec![f64::NEG_INFINITY; n], &b).prob;
         assert!((whole - 1.0).abs() < 1e-12);
     }
 }
@@ -162,16 +165,18 @@ fn joint_probability_never_exceeds_smallest_marginal() {
         let n = s.usize_in(3, 10);
         let u = s.in_range(-1.0, 1.0);
         let f = |i: usize, j: usize| if i == j { 1.0 } else { 0.4 };
-        let mut l = SymTileMatrix::from_fn(n, 3, f);
-        potrf_tiled(&mut l, 1).unwrap();
-        let cfg = MvnConfig {
+        let engine = MvnEngine::with_config(MvnConfig {
             sample_size: 4000,
             seed: 2,
             ..Default::default()
-        };
+        })
+        .unwrap();
+        let l = engine
+            .factor_dense(SymTileMatrix::from_fn(n, 3, f))
+            .unwrap();
         let a = vec![u; n];
         let b = vec![f64::INFINITY; n];
-        let joint = mvn_prob_dense(&l, &a, &b, &cfg).prob;
+        let joint = engine.solve(&l, &a, &b).prob;
         let marginal = 1.0 - norm_cdf(u);
         assert!(
             joint <= marginal + 0.01,
@@ -195,16 +200,18 @@ fn fused_pipeline_is_bitwise_identical_to_staged_flow() {
         };
         let a = vec![s.in_range(-1.0, 0.0); n];
         let b = vec![s.in_range(0.5, 2.0); n];
-        let cfg = MvnConfig {
+        let engine = MvnEngine::with_config(MvnConfig {
             sample_size: 1000,
             seed: 3,
             ..Default::default()
-        };
-        let mut l = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut l, 1).unwrap();
-        let staged = mvn_prob_dense(&l, &a, &b, &cfg);
+        })
+        .unwrap();
+        let l = engine
+            .factor_dense(SymTileMatrix::from_fn(n, nb, f))
+            .unwrap();
+        let staged = engine.solve(&l, &a, &b);
         let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-        let fused = mvn_core::mvn_prob_dense_fused(&mut sigma, &a, &b, &cfg).unwrap();
+        let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
         assert!(
             staged.prob.to_bits() == fused.prob.to_bits(),
             "n={n}, nb={nb}: staged {} vs fused {}",
