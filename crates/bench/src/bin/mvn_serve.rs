@@ -94,13 +94,11 @@ fn soak_phase(
     let service = Arc::new(
         MvnService::start(ServiceConfig {
             shards: 1,
-            workers_per_shard: 1,
             mvn: mvn_core::MvnConfig {
                 sample_size: samples,
                 seed: 20240518,
                 ..Default::default()
             },
-            batch_delay: Duration::from_millis(2),
             ..Default::default()
         })
         .expect("service must start"),
@@ -400,13 +398,11 @@ fn main() {
     let service = Arc::new(
         MvnService::start(ServiceConfig {
             shards,
-            workers_per_shard: 1,
             mvn: mvn_core::MvnConfig {
                 sample_size: samples,
                 seed: 20240518,
                 ..Default::default()
             },
-            batch_delay: Duration::from_millis(1),
             ..Default::default()
         })
         .expect("service must start"),

@@ -11,8 +11,11 @@
 //! * **Stats consistency under load** — every [`ServiceStats`] snapshot
 //!   taken mid-burst balances per shard and globally (the per-shard
 //!   sampling regression).
+//! * **One pool under every shard** — the trace of a single-fingerprint
+//!   burst shows its `panel_sweep` tasks on more than one worker.
 //!
-//! Tests that toggle the process-wide recorder serialize on [`TRACE_LOCK`].
+//! Tests that toggle the process-wide recorder, or solve anything another
+//! test could record, serialize on [`TRACE_LOCK`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -146,7 +149,6 @@ fn served_prob_bits() -> (u64, u64) {
     let service = Arc::new(
         MvnService::start(ServiceConfig {
             shards: 1,
-            workers_per_shard: 1,
             mvn: mvn_core::MvnConfig {
                 sample_size: 256,
                 seed: 20240518,
@@ -262,12 +264,72 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
 }
 
 #[test]
+fn a_single_fingerprint_burst_sweeps_on_more_than_one_worker() {
+    // All traffic for one fingerprint lands on one shard, but shards own no
+    // threads: the burst's `panel_sweep` tasks must run on both workers of
+    // the shared pool. 24 requests × 16 panels of n = 64 is tens of
+    // milliseconds of work, far longer than a parked worker takes to wake.
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let spec = CovSpec::dense(
+        regular_grid(8, 8),
+        CovarianceKernel::Exponential {
+            sigma2: 1.0,
+            range: 0.2,
+        },
+        1e-8,
+        32,
+    );
+    let n = spec.n();
+    let service = MvnService::start(ServiceConfig {
+        shards: 2,
+        workers: 2,
+        mvn: MvnConfig {
+            sample_size: 1024,
+            ..cfg()
+        },
+        ..Default::default()
+    })
+    .unwrap();
+    let handle = mvn_service::SpecHandle::new(spec);
+    service.warm(&handle, false).unwrap();
+    let _ = obs::take_events();
+    obs::set_enabled(true);
+    let tickets: Vec<_> = (0..24)
+        .map(|k| {
+            let a = vec![-1.0 - 0.02 * k as f64; n];
+            let problem = mvn_core::Problem::new(a, vec![f64::INFINITY; n]);
+            service.submit(&handle, problem).unwrap()
+        })
+        .collect();
+    for t in tickets {
+        assert_eq!(t.wait().unwrap().shard, service.shard_of(&handle));
+    }
+    obs::set_enabled(false);
+    drop(service);
+    let mut workers: Vec<u64> = obs::take_events()
+        .iter()
+        .filter(|e| e.label == "panel_sweep" && matches!(e.kind, obs::EventKind::Begin))
+        .filter_map(|e| e.args().iter().find(|(k, _)| *k == "worker").map(|a| a.1))
+        .collect();
+    assert_eq!(
+        workers.len(),
+        24 * 16,
+        "one sweep task per (request, panel)"
+    );
+    workers.sort_unstable();
+    workers.dedup();
+    assert_eq!(workers, [0, 1], "both pool workers must have swept");
+}
+
+#[test]
 fn wire_metrics_scrape_covers_service_cache_batcher_and_pool() {
+    // Solves while another test records would put foreign `panel_sweep`
+    // spans into that test's trace.
+    let _guard = TRACE_LOCK.lock().unwrap();
     let (spec, n) = service_spec();
     let service = Arc::new(
         MvnService::start(ServiceConfig {
             shards: 1,
-            workers_per_shard: 1,
             mvn: mvn_core::MvnConfig {
                 sample_size: 128,
                 seed: 20240518,
@@ -313,17 +375,16 @@ fn wire_metrics_scrape_covers_service_cache_batcher_and_pool() {
 
 #[test]
 fn stats_snapshots_balance_per_shard_and_globally_under_load() {
+    let _guard = TRACE_LOCK.lock().unwrap();
     let (spec, n) = service_spec();
     let service = Arc::new(
         MvnService::start(ServiceConfig {
             shards: 2,
-            workers_per_shard: 1,
             mvn: mvn_core::MvnConfig {
                 sample_size: 128,
                 seed: 20240518,
                 ..Default::default()
             },
-            batch_delay: Duration::from_millis(1),
             ..Default::default()
         })
         .unwrap(),

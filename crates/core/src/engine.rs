@@ -7,8 +7,9 @@
 //! confidence-region detection run; `MvnEngine` is that session object, and
 //! the only solver front door:
 //!
-//! * it owns a persistent [`WorkerPool`] (threads parked on a condvar between
-//!   graph submissions),
+//! * it holds a persistent [`WorkerPool`] (threads parked on a condvar between
+//!   graph submissions) — its own, or one shared with other engines through
+//!   [`MvnEngineBuilder::pool`],
 //! * [`MvnEngine::factor_dense`]/[`MvnEngine::factor_tlr`] factor a
 //!   covariance on the pool and return a reusable [`Factor`] handle, so one
 //!   factorization is amortized across many probability queries (the
@@ -46,9 +47,9 @@ use crate::pmvn::{combine_panel_results, sweep_panel};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
 use qmc::{make_point_set, PointSet, SampleKind};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use task_runtime::{effective_workers, PoolStats, WorkerPool};
-use tile_la::{potrf_tiled, CholeskyError, SymTileMatrix};
+use tile_la::{potrf_tiled, CholeskyError, DenseMatrix, SymTileMatrix};
 use tlr::{potrf_tlr, TlrCholeskyError, TlrMatrix};
 
 /// Sanity cap on the number of worker threads an engine may be built with.
@@ -422,12 +423,14 @@ impl FactorBackend for Factor {
 /// Builder for [`MvnEngine`] (obtained via [`MvnEngine::builder`]). The
 /// sampling description ([`MvnConfig`]) and the two execution settings
 /// (`workers`, `streaming`) are independent: setting one never resets another,
-/// in any order.
+/// in any order. [`pool`](Self::pool) replaces both execution settings with
+/// an existing pool.
 #[derive(Debug, Clone)]
 pub struct MvnEngineBuilder {
     cfg: MvnConfig,
     workers: usize,
     lookahead: Option<usize>,
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl MvnEngineBuilder {
@@ -448,6 +451,17 @@ impl MvnEngineBuilder {
     /// drops from `O(total tasks)` to `O(lookahead)`.
     pub fn streaming(mut self, lookahead: usize) -> Self {
         self.lookahead = Some(lookahead);
+        self
+    }
+
+    /// Run the engine on an existing pool instead of spawning one: every
+    /// engine built on the same `Arc<WorkerPool>` submits to the same
+    /// threads (this is how `mvn-service` puts one set of workers under all
+    /// of its shards). The pool's own worker count and submission mode apply;
+    /// [`workers`](Self::workers) and [`streaming`](Self::streaming) are
+    /// ignored. Results are bitwise identical to a private pool's.
+    pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
+        self.pool = Some(pool);
         self
     }
 
@@ -482,8 +496,8 @@ impl MvnEngineBuilder {
         self
     }
 
-    /// Validate the configuration, spawn the worker pool and return the
-    /// engine.
+    /// Validate the configuration, spawn the worker pool (unless one was
+    /// handed in) and return the engine.
     pub fn build(self) -> Result<MvnEngine, EngineError> {
         if self.cfg.sample_size == 0 {
             return Err(EngineError::InvalidConfig("sample_size must be positive"));
@@ -497,9 +511,15 @@ impl MvnEngineBuilder {
                 max: MAX_ENGINE_WORKERS,
             });
         }
+        let pool = self.pool.unwrap_or_else(|| {
+            Arc::new(WorkerPool::with_lookahead(
+                effective_workers(self.workers),
+                self.lookahead,
+            ))
+        });
         Ok(MvnEngine {
             cfg: self.cfg,
-            pool: WorkerPool::with_lookahead(effective_workers(self.workers), self.lookahead),
+            pool,
         })
     }
 }
@@ -511,25 +531,29 @@ impl MvnEngineBuilder {
 /// # Pool lifetime and `Drop`
 ///
 /// The pool threads are spawned in [`build`](MvnEngineBuilder::build) and
-/// live until the engine is dropped; between calls they are parked on a
-/// condvar and consume no CPU. Dropping the engine wakes and joins every
-/// worker, so an engine never leaks threads — create engines per session, not
-/// per call (a single-worker engine spawns no threads at all).
+/// live until the last engine holding the pool is dropped; between calls
+/// they are parked on a condvar and consume no CPU. Dropping that last holder
+/// wakes and joins every worker, so an engine never leaks threads — create
+/// engines per session, not per call (a single-worker pool spawns no threads
+/// at all).
 ///
 /// # Thread safety
 ///
 /// `MvnEngine` is `Send + Sync` (asserted at compile time below): multiple OS
-/// threads may share one engine through `&MvnEngine` and call
-/// `solve`/`solve_batch`/`factor_*` concurrently. Concurrent submissions are
-/// serialized on the pool's internal submission lock — one graph executes at
-/// a time — and every solve is a pure function of the factor, the limits and
-/// the configuration, so concurrent callers get results bitwise identical to
-/// sequential calls (regression-tested). The shard dispatcher of
-/// `mvn-service` depends on this to run one engine per shard behind a set of
-/// serving threads.
+/// threads may share one engine through `&MvnEngine`, and several engines may
+/// share one pool ([`MvnEngineBuilder::pool`]), calling
+/// `solve`/`solve_batch`/`factor_*` concurrently. The pool runs one task set
+/// at a time on all of its workers: a submitter that arrives while another
+/// task set is executing blocks on the pool's submission lock until that set
+/// has drained, then gets every worker for its own. Every solve is a pure
+/// function of the factor, the limits and the configuration, so concurrent
+/// callers get results bitwise identical to sequential calls, and a task
+/// panic is re-raised in the submitter whose task set it belongs to, never
+/// in another one (both regression-tested). The shard dispatchers of
+/// `mvn-service` depend on this: each owns an engine, all on one pool.
 pub struct MvnEngine {
     cfg: MvnConfig,
-    pool: WorkerPool,
+    pool: Arc<WorkerPool>,
 }
 
 // The compile-time form of the thread-safety contract above: if a field ever
@@ -556,6 +580,7 @@ impl MvnEngine {
             cfg: MvnConfig::default(),
             workers: 0,
             lookahead: None,
+            pool: None,
         }
     }
 
@@ -734,6 +759,17 @@ impl MvnEngine {
         items: &[(&F, &[f64], &[f64])],
         cfg: &MvnConfig,
     ) -> Vec<MvnResult> {
+        self.run_sweeps_on(items, cfg, |n| make_point_set(cfg.sample_kind, n, cfg.seed))
+    }
+
+    /// [`run_sweeps`](Self::run_sweeps) with the point-set constructor
+    /// (dimension → set) as a parameter, so a test can count the fills.
+    fn run_sweeps_on<F: FactorBackend>(
+        &self,
+        items: &[(&F, &[f64], &[f64])],
+        cfg: &MvnConfig,
+        point_set_of: impl Fn(usize) -> Box<dyn PointSet>,
+    ) -> Vec<MvnResult> {
         assert!(cfg.sample_size > 0, "sample size must be positive");
         assert!(cfg.panel_width > 0, "panel width must be positive");
         for (l, a, b) in items {
@@ -765,37 +801,136 @@ impl MvnEngine {
         // of equal dimension share one set — exactly the set a solo solve of
         // that dimension would build. Building per *distinct* dimension (not
         // per item) keeps the classic single-factor batch at one set.
-        let mut dims: Vec<usize> = Vec::new();
-        let mut point_sets: Vec<Box<dyn PointSet>> = Vec::new();
-        let point_idx: Vec<usize> = items
-            .iter()
-            .map(|(l, _, _)| {
-                let n = l.dim();
-                dims.iter().position(|&d| d == n).unwrap_or_else(|| {
-                    dims.push(n);
-                    point_sets.push(make_point_set(cfg.sample_kind, n, cfg.seed));
-                    dims.len() - 1
+        let mut groups: Vec<SampleGroup> = Vec::new();
+        for (q, (l, _, _)) in items.iter().enumerate() {
+            let n = l.dim();
+            match groups.iter_mut().find(|g| g.points.dim() == n) {
+                Some(g) => g.items.push(q),
+                None => groups.push(SampleGroup {
+                    points: point_set_of(n),
+                    items: vec![q],
+                    panels: Vec::new(),
+                }),
+            }
+        }
+        for g in groups.iter_mut().filter(|g| g.items.len() > 1) {
+            g.panels = (0..n_panels)
+                .map(|_| PanelSlot {
+                    state: Mutex::new((g.items.len(), None)),
                 })
-            })
-            .collect();
+                .collect();
+        }
         if let Some(start) = plan_start {
             // The point-set/plan construction phase, distinct from the sweep
             // tasks that follow it on the timeline.
-            obs::complete_since("engine_plan_build", start, &[("dims", dims.len() as u64)]);
+            obs::complete_since("engine_plan_build", start, &[("dims", groups.len() as u64)]);
         }
 
         // One independent write-task per (item, panel) pair, flattened so
-        // every pair becomes one slot of a pool-level map.
-        let jobs: Vec<(usize, usize)> = (0..items.len())
-            .flat_map(|q| (0..n_panels).map(move |p| (q, p)))
+        // every pair becomes one slot of a pool-level map. Within a group the
+        // order is panel-major: the items sharing a panel's sample block run
+        // back to back, so only the blocks of in-flight panels are resident.
+        let jobs: Vec<(usize, usize, usize)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, group)| {
+                (0..n_panels).flat_map(move |p| group.items.iter().map(move |&q| (g, q, p)))
+            })
             .collect();
-        let cost = |_: usize, &(q, _): &(usize, usize)| items[q].0.panel_cost(cfg.panel_width);
-        let sweep = |_: usize, &(q, p): &(usize, usize)| {
+        let cost =
+            |_: usize, &(_, q, _): &(usize, usize, usize)| items[q].0.panel_cost(cfg.panel_width);
+        let sweep = |_: usize, &(g, q, p): &(usize, usize, usize)| {
             let (l, a, b) = items[q];
-            l.sweep_panel(a, b, point_sets[point_idx[q]].as_ref(), cfg, p)
+            let group = &groups[g];
+            let points = group.points.as_ref();
+            match group.panels.get(p) {
+                None => l.sweep_panel(a, b, points, cfg, p),
+                Some(slot) => l.sweep_panel(a, b, &slot.checkout(points, cfg, p), cfg, p),
+            }
         };
         let flat = self.pool.run_map("panel_sweep", &jobs, cost, sweep);
-        flat.chunks(n_panels).map(combine_panel_results).collect()
+        let mut by_item = vec![(0.0, 0usize); flat.len()];
+        for (&(_, q, p), r) in jobs.iter().zip(flat) {
+            by_item[q * n_panels + p] = r;
+        }
+        by_item
+            .chunks(n_panels)
+            .map(combine_panel_results)
+            .collect()
+    }
+}
+
+/// The items of one `run_sweeps` call that share a dimension, and therefore a
+/// point set.
+struct SampleGroup {
+    points: Box<dyn PointSet>,
+    /// Indices into the call's item list, in item order.
+    items: Vec<usize>,
+    /// One slot per sample panel when the group has several items (their
+    /// sweeps then read one fill of each panel); empty for a lone item, whose
+    /// sweep fills its own blocks straight from `points`.
+    panels: Vec<PanelSlot>,
+}
+
+/// The chain-major sample block of one panel (`cols × n`: column `i` is the
+/// lane of coordinate `i` over the panel's chains), filled by the first item
+/// sweep that asks for it and dropped with the last: the block is a pure
+/// function of (sample kind, dimension, seed, panel), so every same-dimension
+/// item of a batch reads the same one.
+struct PanelSlot {
+    /// Checkouts still to come, and the block once it has been filled.
+    state: Mutex<(usize, Option<Arc<DenseMatrix>>)>,
+}
+
+impl PanelSlot {
+    /// Panel `p`'s block (filling it if this is the first checkout), wrapped
+    /// as the point set an item's sweep of that panel reads it through.
+    fn checkout<'a>(&self, points: &'a dyn PointSet, cfg: &MvnConfig, p: usize) -> FilledPanel<'a> {
+        let first = p * cfg.panel_width;
+        let mut state = self.state.lock().expect("a sample fill panicked");
+        let (left, slot) = &mut *state;
+        *left -= 1;
+        let block = slot.take().unwrap_or_else(|| {
+            let cols = cfg.panel_width.min(cfg.sample_size - first);
+            let mut w = DenseMatrix::zeros(cols, points.dim());
+            points.fill_block(first, cols, 0, points.dim(), w.data_mut());
+            Arc::new(w)
+        });
+        if *left > 0 {
+            *slot = Some(Arc::clone(&block));
+        }
+        FilledPanel {
+            points,
+            first,
+            block,
+        }
+    }
+}
+
+/// A point set that serves one panel's chains from a filled block and
+/// everything else from the set the block was filled from — what a batched
+/// item's [`FactorBackend::sweep_panel`] draws its samples through.
+struct FilledPanel<'a> {
+    points: &'a dyn PointSet,
+    first: usize,
+    block: Arc<DenseMatrix>,
+}
+
+impl PointSet for FilledPanel<'_> {
+    fn dim(&self) -> usize {
+        self.points.dim()
+    }
+
+    fn point(&self, index: usize, out: &mut [f64]) {
+        self.points.point(index, out);
+    }
+
+    fn fill_block(&self, first: usize, count: usize, dim0: usize, ndims: usize, out: &mut [f64]) {
+        if first == self.first && count == self.block.nrows() {
+            out.copy_from_slice(&self.block.data()[dim0 * count..(dim0 + ndims) * count]);
+        } else {
+            self.points.fill_block(first, count, dim0, ndims, out);
+        }
     }
 }
 
@@ -879,6 +1014,71 @@ mod tests {
                     single.prob
                 );
                 assert!(r.std_error.to_bits() == single.std_error.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_fills_each_sample_panel_once_per_dimension() {
+        // B same-dimension items read one fill of every panel (one
+        // whole-width `fill_block` each), where B solo solves fill every
+        // row block of every panel themselves; the bits are the same.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting(Box<dyn PointSet>, Arc<AtomicUsize>);
+        impl PointSet for Counting {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn point(&self, index: usize, out: &mut [f64]) {
+                self.0.point(index, out);
+            }
+            fn fill_block(&self, first: usize, n: usize, d0: usize, nd: usize, out: &mut [f64]) {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.fill_block(first, n, d0, nd, out);
+            }
+        }
+        let (n, nb, small) = (45, 12, 32);
+        let cfg = test_cfg();
+        let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
+        for workers in [1usize, 2] {
+            let engine = test_engine(workers);
+            let big = engine
+                .factor_dense(SymTileMatrix::from_fn(n, nb, exp_cov(0.3)))
+                .unwrap();
+            let other = engine
+                .factor_dense(SymTileMatrix::from_fn(small, 8, exp_cov(0.7)))
+                .unwrap();
+            let limits: Vec<Vec<f64>> = (0..5).map(|k| vec![-0.2 - 0.1 * k as f64; n]).collect();
+            let (hi, lo_small, hi_small) = (
+                vec![f64::INFINITY; n],
+                vec![-0.4; small],
+                vec![f64::INFINITY; small],
+            );
+            // Five items against the 45-dim factor, one against the 32-dim one.
+            let mut items: Vec<(&Factor, &[f64], &[f64])> = limits
+                .iter()
+                .map(|a| (&big, a.as_slice(), hi.as_slice()))
+                .collect();
+            items.insert(2, (&other, &lo_small, &hi_small));
+
+            let fills = Arc::new(AtomicUsize::new(0));
+            let counted = |dim: usize| -> Box<dyn PointSet> {
+                Box::new(Counting(
+                    make_point_set(cfg.sample_kind, dim, cfg.seed),
+                    Arc::clone(&fills),
+                ))
+            };
+            let batch = engine.run_sweeps_on(&items, &cfg, counted);
+            let lone_tiles = small.div_ceil(8);
+            assert_eq!(
+                fills.load(Ordering::Relaxed),
+                n_panels + n_panels * lone_tiles,
+                "workers={workers}: one fill per shared panel, per-block fills for the lone item"
+            );
+            for ((l, a, b), r) in items.iter().zip(&batch) {
+                let solo = engine.solve(l, a, b);
+                assert!(r.prob.to_bits() == solo.prob.to_bits(), "workers={workers}");
+                assert!(r.std_error.to_bits() == solo.std_error.to_bits());
             }
         }
     }

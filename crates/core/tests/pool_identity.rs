@@ -72,3 +72,84 @@ fn dense_factor(pool: &WorkerPool, mut sigma: SymTileMatrix) -> SymTileMatrix {
     potrf_tiled(&mut sigma, pool).unwrap();
     sigma
 }
+
+#[test]
+fn engines_sharing_one_pool_match_private_pools_and_keep_panics_apart() {
+    // Two engines on one `Arc<WorkerPool>`, each hammered from its own thread
+    // (factor + batched solves) while a third submitter keeps panicking
+    // inside its own task sets on the same pool: both engines must return the
+    // bits of a private-pool engine, every panic must surface in the
+    // submitter that owns it, and the pool must stay usable throughout.
+    use mvn_core::Problem;
+    use std::sync::{Arc, Barrier};
+
+    let n = 40;
+    let cfg = MvnConfig {
+        sample_size: 1024,
+        seed: 17,
+        ..Default::default()
+    };
+    let covs: [fn(usize, usize) -> f64; 2] =
+        [exp_cov, |i, j| (-(i as f64 - j as f64).abs() / 7.0).exp()];
+    let problems: Vec<Problem> = (0..6)
+        .map(|k| Problem::new(vec![-0.3 - 0.05 * k as f64; n], vec![f64::INFINITY; n]))
+        .collect();
+
+    for workers in [1usize, 2, 4] {
+        let private = MvnEngine::builder().workers(workers).config(cfg);
+        let private = private.build().unwrap();
+        let want: Vec<Vec<u64>> = covs
+            .iter()
+            .map(|&cov| {
+                let f = private
+                    .factor_dense(SymTileMatrix::from_fn(n, 10, cov))
+                    .unwrap();
+                let solved = private.solve_batch(&f, &problems);
+                solved.iter().map(|r| r.prob.to_bits()).collect()
+            })
+            .collect();
+
+        let pool = Arc::new(WorkerPool::new(workers));
+        let go = Barrier::new(3);
+        std::thread::scope(|scope| {
+            for (&cov, want) in covs.iter().zip(&want) {
+                let engine = MvnEngine::builder().pool(Arc::clone(&pool)).config(cfg);
+                let engine = engine.build().unwrap();
+                assert_eq!(engine.workers(), workers);
+                let (go, problems) = (&go, &problems);
+                scope.spawn(move || {
+                    go.wait();
+                    for round in 0..6 {
+                        let f = engine
+                            .factor_dense(SymTileMatrix::from_fn(n, 10, cov))
+                            .unwrap();
+                        let got = engine.solve_batch(&f, problems);
+                        for (g, w) in got.iter().zip(want) {
+                            assert_eq!(g.prob.to_bits(), *w, "workers={workers} round={round}");
+                        }
+                    }
+                });
+            }
+            let (go, pool) = (&go, &pool);
+            scope.spawn(move || {
+                go.wait();
+                for _ in 0..12 {
+                    let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        pool.run_map(
+                            "boom",
+                            &[0u8; 8],
+                            |_, _| 1.0,
+                            |i, _| assert!(i != 3, "task 3 exploded"),
+                        )
+                    }));
+                    assert!(boom.is_err(), "the panic belongs to this submitter");
+                }
+            });
+        });
+        // Still serving after 12 panicking task sets.
+        assert_eq!(
+            pool.run_map("after", &[1u8, 2, 3], |_, _| 1.0, |_, &x| x * 2),
+            [2, 4, 6]
+        );
+    }
+}

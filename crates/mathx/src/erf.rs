@@ -5,6 +5,8 @@
 //! precision. These are the same approximations used by the reference
 //! implementations behind `pnorm` in R and `scipy.special.erf`.
 
+use std::sync::OnceLock;
+
 /// 1/sqrt(pi)
 const FRAC_1_SQRT_PI: f64 = 0.564_189_583_547_756_286_95;
 /// Threshold separating the small-|x| erf region from the erfc regions.
@@ -65,13 +67,39 @@ const Q: [f64; 5] = [
     2.335_204_976_268_691_85e-3,
 ];
 
-/// exp(-y^2) evaluated with the argument split trick from SPECFUN to reduce
-/// cancellation in the exponent for large y.
+/// Number of distinct `trunc(16·y)` values [`exp_neg_sq`] can see: its callers
+/// only reach it for `0.46875 < y < 26.6`, i.e. `16·y < 425.6`.
+const EXP_NEG_SQ_STEPS: usize = 427;
+
+/// `exp(-(k/16)²)` for every `k` below [`EXP_NEG_SQ_STEPS`], filled on first
+/// use with the same `f64::exp` the direct evaluation would call — so a table
+/// read is bit-identical to computing the factor.
+fn exp_neg_sq_table() -> &'static [f64; EXP_NEG_SQ_STEPS] {
+    static TABLE: OnceLock<[f64; EXP_NEG_SQ_STEPS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|k| {
+            let ysq = k as f64 / 16.0;
+            (-ysq * ysq).exp()
+        })
+    })
+}
+
+/// exp(-y^2) for `y >= 0`, evaluated with the argument split trick from
+/// SPECFUN to reduce cancellation in the exponent for large y. The coarse
+/// factor `exp(-ysq²)` only ever takes the values `exp(-(k/16)²)`, so it is
+/// read from [`exp_neg_sq_table`] — one `exp` call per Φ instead of two;
+/// an argument beyond the table (no caller passes one) evaluates it.
 #[inline]
 fn exp_neg_sq(y: f64) -> f64 {
-    let ysq = (y * 16.0).trunc() / 16.0;
+    debug_assert!(y >= 0.0);
+    let k = (y * 16.0).trunc();
+    let ysq = k / 16.0;
     let del = (y - ysq) * (y + ysq);
-    (-ysq * ysq).exp() * (-del).exp()
+    let coarse = match exp_neg_sq_table().get(k as usize) {
+        Some(&e) => e,
+        None => (-ysq * ysq).exp(),
+    };
+    coarse * (-del).exp()
 }
 
 /// erfc core for y = |x| > 0.46875.
@@ -262,6 +290,24 @@ mod tests {
         let v = erfcx(30.0);
         assert!(v.is_finite() && v > 0.0);
         assert!(relative_error(v, 1.0 / (30.0 * std::f64::consts::PI.sqrt())) < 1e-3);
+    }
+
+    #[test]
+    fn exp_neg_sq_table_lookup_is_bitwise_the_two_exp_evaluation() {
+        // The SPECFUN form the table replaces, across every step the erfc
+        // regions can reach (and the fallback just past the table).
+        let direct = |y: f64| {
+            let ysq = (y * 16.0).trunc() / 16.0;
+            (-ysq * ysq).exp() * (-(y - ysq) * (y + ysq)).exp()
+        };
+        for k in 0..(EXP_NEG_SQ_STEPS + 8) {
+            for frac in [0.0, 0.013, 0.5, 0.999] {
+                let y = (k as f64 + frac) / 16.0;
+                assert_eq!(exp_neg_sq(y).to_bits(), direct(y).to_bits(), "y = {y}");
+            }
+        }
+        // The largest argument `erfc_abs` forwards stays inside the table.
+        assert!((26.6f64 * 16.0).trunc() < EXP_NEG_SQ_STEPS as f64);
     }
 
     #[test]

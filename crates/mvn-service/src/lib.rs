@@ -16,9 +16,10 @@
 //!   problems are coalesced into a single
 //!   [`MvnEngine::solve_batch_mixed`](mvn_core::MvnEngine::solve_batch_mixed)
 //!   task graph *across* fingerprints — a foreign request joins the batch
-//!   whenever its factor is cache-resident, and only a cache miss or the
-//!   flush clock ends batch formation — with the engine's guarantee that a
-//!   batched solve is bitwise identical to a direct `solve`. Requests may
+//!   whenever its factor is cache-resident. The batcher is work-conserving:
+//!   a batch is what is queued when the dispatcher looks (up to a size
+//!   cap), never something it waits for — with the engine's guarantee that
+//!   a batched solve is bitwise identical to a direct `solve`. Requests may
 //!   carry deadlines (expired ones are shed with a typed
 //!   [`ServiceError::DeadlineExceeded`]), and hot factors can be
 //!   [warmed and pinned](MvnService::warm) ahead of a burst.
@@ -26,12 +27,14 @@
 //!   log-likelihood (and `fit_matern`) can run against the same
 //!   [`FactorCache`], so parameter estimation and probability traffic share
 //!   factors instead of re-factorizing per objective evaluation.
-//! * **Shard-per-engine dispatch** ([`service`]): N engines, each owning a
-//!   worker pool; requests are routed by fingerprint so a factor lives on
-//!   one shard and batches never cross pools. Bounded queues reject with a
-//!   typed [`ServiceError::Overloaded`] (admission control), and
-//!   [`ServiceStats`] snapshots queue depth, the batch-size histogram,
-//!   cache hit rate and per-shard pool counters.
+//! * **Sharded dispatch over one worker pool** ([`service`]): N shards, each
+//!   a queue, a dispatcher and a cache; requests are routed by fingerprint
+//!   so a factor lives on one shard. Every shard's engine runs on the
+//!   service's single worker pool, so whichever shard has a batch gets
+//!   every core. Bounded queues reject with a typed
+//!   [`ServiceError::Overloaded`] (admission control), and [`ServiceStats`]
+//!   snapshots queue depth, the batch-size histogram, cache hit rate and
+//!   the pool's counters.
 //! * **TCP front-end** ([`tcp`]): a std-only, line-delimited JSON protocol
 //!   (and the matching [`ServiceClient`]) so the service can sit behind a
 //!   socket; `mvn-bench`'s `mvn_serve` binary pairs it with a closed-loop

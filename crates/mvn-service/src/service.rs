@@ -1,5 +1,6 @@
-//! The in-process serving core: shard-per-engine dispatch with an adaptive
-//! micro-batcher and admission control.
+//! The in-process serving core: sharded queues and factor caches over one
+//! shared worker pool, with a work-conserving micro-batcher and admission
+//! control.
 //!
 //! # Architecture
 //!
@@ -12,36 +13,47 @@
 //!                    │  │ bounded  │     │ bounded  │  ◀ Overloaded when full,
 //!                    │  │ queue    │     │ queue    │    DeadlineExceeded when
 //!                    │  ├──────────┤     ├──────────┤    a deadline lapses
-//!                    │  │ micro-   │     │ micro-   │  ◀ coalesces ACROSS
-//!                    │  │ batcher  │     │ batcher  │    fingerprints
+//!                    │  │ micro-   │     │ micro-   │  ◀ takes what is queued,
+//!                    │  │ batcher  │     │ batcher  │    ACROSS fingerprints
 //!                    │  ├──────────┤     ├──────────┤         │
 //!                    │  │ factor   │     │ factor   │  ◀ LRU, bytes-capped,
 //!                    │  │ cache    │     │ cache    │    warm/pin aware
 //!                    │  ├──────────┤     ├──────────┤         │
-//!                    │  │ MvnEngine│     │ MvnEngine│  ◀ one pool per shard
-//!                    │  └──────────┘     └──────────┘         │
+//!                    │  │ MvnEngine│     │ MvnEngine│  ◀ no threads of their own
+//!                    │  └────┬─────┘     └────┬─────┘         │
+//!                    │  ┌────┴────────────────┴─────┐         │
+//!                    │  │    one shared WorkerPool  │  ◀ every core, whichever
+//!                    │  └───────────────────────────┘    shard has the batch
 //!                    └────────────────────────────────────────┘
 //! ```
 //!
 //! * **Routing.** A request is routed by its spec's [`FactorFingerprint`]
 //!   (`fp % shards`), so every query against one covariance lands on the
-//!   same shard: its factor is built once, lives in exactly one cache, and
-//!   batches never span worker pools.
-//! * **Cross-spec micro-batching.** The shard dispatcher pops the oldest
-//!   request and collects co-batchable ones until the batch size cap or the
-//!   flush clock. A request is co-batchable when it shares the primary's
-//!   fingerprint *or* its factor is already cache-resident — resident
-//!   foreigners cost no factorization, so the whole mixed batch is submitted
-//!   as one [`MvnEngine::solve_batch_mixed`] task graph. Only a cache-miss
-//!   fingerprint (its factorization would stall everyone) or a queued cache
-//!   operation flushes the batch early.
+//!   same shard: its factor is built once and lives in exactly one cache.
+//!   Shards own a queue, a dispatcher thread and a cache — no workers: every
+//!   shard's engine is built on the service's single [`WorkerPool`]
+//!   ([`ServiceConfig::workers`]), so the `panel_sweep` tasks of a hot
+//!   fingerprint's batch spread over every core instead of the one thread
+//!   its shard used to own. The pool runs one batch (or factor build) at a
+//!   time on all workers; a dispatcher whose batch is ready while another
+//!   shard's is executing waits for the pool, then gets all of it.
+//! * **Work-conserving micro-batching.** The shard dispatcher pops the
+//!   oldest request, takes every co-batchable request already queued (up to
+//!   `max_batch`) and serves them at once — it never waits for a batch to
+//!   fill. Batching under load comes from the requests that arrived while
+//!   the previous batch was being solved. A request is co-batchable when it
+//!   shares the primary's fingerprint *or* its factor is already
+//!   cache-resident — resident foreigners cost no factorization, so the
+//!   whole mixed batch is submitted as one
+//!   [`MvnEngine::solve_batch_mixed`] task graph. A cache-miss fingerprint
+//!   (its factorization would stall everyone) or a queued cache operation
+//!   stays queued for the next round.
 //! * **Deadline shedding.** A request may carry a deadline
 //!   ([`MvnService::submit_with_deadline`]). The dispatcher sheds expired
 //!   requests at every queue scan — they answer
-//!   [`ServiceError::DeadlineExceeded`] instead of occupying a batch slot —
-//!   and a forming batch flushes at its earliest member deadline rather than
-//!   waiting out the full batch delay. Once a request makes it into a batch
-//!   it is always served: the deadline bounds *queueing*, not solve time.
+//!   [`ServiceError::DeadlineExceeded`] instead of occupying a batch slot.
+//!   Once a request makes it into a batch it is always served: the deadline
+//!   bounds *queueing*, not solve time.
 //! * **Warming & pinning.** [`MvnService::warm`] builds (and optionally
 //!   pins) a spec's factor ahead of traffic through the same shard queue, so
 //!   it cannot race the dispatcher. Pinned factors are never eviction
@@ -57,16 +69,18 @@
 //! * **Admission control.** Each shard queue is bounded; a full queue
 //!   rejects with the typed [`ServiceError::Overloaded`] instead of growing
 //!   without bound, and malformed limits are rejected at submission with
-//!   [`ServiceError::InvalidProblem`] before they can reach a worker pool.
+//!   [`ServiceError::InvalidProblem`] before they can reach the worker pool.
 
 use crate::cache::{CacheStats, FactorCache};
 use crate::spec::{CovSpec, FactorFingerprint};
-use mvn_core::{EngineError, Factor, MvnConfig, MvnEngine, MvnResult, Problem, ProblemError};
+use mvn_core::{
+    EngineError, Factor, MvnConfig, MvnEngine, MvnResult, Problem, ProblemError, MAX_ENGINE_WORKERS,
+};
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use task_runtime::PoolStats;
+use task_runtime::{effective_workers, PoolStats, WorkerPool};
 
 /// Number of buckets in the batch-size histogram: power-of-two buckets
 /// `1, 2, 3–4, 5–8, 9–16, 17–32, 33+`.
@@ -75,22 +89,19 @@ pub const BATCH_HIST_BUCKETS: usize = 7;
 /// Configuration of an [`MvnService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shards (engine + queue + cache triples). Requests are
+    /// Number of shards (queue + dispatcher + cache triples). Requests are
     /// routed by fingerprint, so distinct covariances spread across shards
     /// while all traffic for one covariance stays on one shard.
     pub shards: usize,
-    /// Worker threads of each shard's engine pool (`0` = one per available
-    /// core — with several shards prefer explicit small values).
-    pub workers_per_shard: usize,
+    /// Worker threads of the one pool every shard's engine runs on (`0` =
+    /// one per available core).
+    pub workers: usize,
     /// Sampling configuration of every solve (sample size/kind, panel
     /// width, seed).
     pub mvn: MvnConfig,
-    /// Flush a batch once it holds this many requests.
+    /// The most requests one batch may hold; a batch otherwise closes as
+    /// soon as the shard queue holds nothing more it can take.
     pub max_batch: usize,
-    /// Flush a non-full batch this long after its first request was
-    /// dequeued. `Duration::ZERO` batches only what is already queued at
-    /// dequeue time.
-    pub batch_delay: Duration,
     /// Bounded per-shard queue: submissions beyond this depth are rejected
     /// with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
@@ -102,10 +113,9 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            workers_per_shard: 1,
+            workers: 0,
             mvn: MvnConfig::default(),
             max_batch: 32,
-            batch_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             cache_capacity_bytes: 64 << 20,
         }
@@ -128,9 +138,9 @@ pub enum ServiceError {
     },
     /// The request's deadline lapsed while it waited in the shard queue, so
     /// the dispatcher shed it instead of solving it (see
-    /// [`MvnService::submit_with_deadline`]). Shedding happens on the
-    /// batcher's clock: the answer may arrive noticeably after the deadline
-    /// itself when the shard is busy solving.
+    /// [`MvnService::submit_with_deadline`]). Shedding happens when the
+    /// dispatcher next scans the queue: the answer may arrive noticeably
+    /// after the deadline itself when the shard is busy solving.
     DeadlineExceeded {
         /// The shard that shed the request.
         shard: usize,
@@ -257,6 +267,18 @@ impl std::fmt::Debug for SpecHandle {
     }
 }
 
+/// A non-blocking look at a ticket's channel: the answer if there is one, the
+/// shutdown error if the service dropped the request, `None` while pending.
+fn answered<T>(
+    polled: Result<Result<T, ServiceError>, mpsc::TryRecvError>,
+) -> Option<Result<T, ServiceError>> {
+    match polled {
+        Ok(response) => Some(response),
+        Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServiceError::ShuttingDown)),
+        Err(mpsc::TryRecvError::Empty) => None,
+    }
+}
+
 /// A pending response: wait on it with [`Ticket::wait`]. Submitting first
 /// and waiting later is what lets concurrent callers coalesce into one
 /// batch.
@@ -277,6 +299,11 @@ impl Ticket {
     /// Block until the service answers.
     pub fn wait(self) -> Response {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+    }
+
+    /// The answer if the service has already given one.
+    pub(crate) fn try_wait(&self) -> Option<Response> {
+        answered(self.rx.try_recv())
     }
 
     /// The shard the request was routed to.
@@ -303,6 +330,11 @@ impl CacheTicket {
     /// Block until the shard dispatcher has applied the operation.
     pub fn wait(self) -> CacheResponse {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+    }
+
+    /// The outcome if the shard dispatcher has already applied the operation.
+    pub(crate) fn try_wait(&self) -> Option<CacheResponse> {
+        answered(self.rx.try_recv())
     }
 
     /// The shard the operation was routed to.
@@ -405,13 +437,9 @@ impl QueueState {
 struct Shard {
     queue: Mutex<QueueState>,
     cv: Condvar,
-    snapshot: Mutex<ShardSnapshot>,
-}
-
-#[derive(Clone, Default)]
-struct ShardSnapshot {
-    cache: CacheStats,
-    pool: Option<PoolStats>,
+    /// The dispatcher's latest [`FactorCache::stats`] (the cache itself is
+    /// dispatcher-local).
+    cache: Mutex<CacheStats>,
 }
 
 /// A point-in-time snapshot of one shard (see [`ServiceStats`]).
@@ -445,8 +473,6 @@ pub struct ShardStats {
     pub batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// The shard's factor-cache counters.
     pub cache: CacheStats,
-    /// The shard engine's pool counters (`None` until the first batch).
-    pub pool: Option<PoolStats>,
 }
 
 /// A point-in-time snapshot of the whole service.
@@ -476,6 +502,9 @@ pub struct ServiceStats {
     pub batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// Per-shard snapshots.
     pub shards: Vec<ShardStats>,
+    /// Counters of the one worker pool under every shard (workers, task sets
+    /// and tasks run, per-label task time).
+    pub pool: PoolStats,
 }
 
 impl ServiceStats {
@@ -553,43 +582,51 @@ fn batch_bucket(size: usize) -> usize {
 ///
 /// Dropping the service stops accepting new requests, drains every queued
 /// request (pending [`Ticket`]s still get answers), and joins the shard
-/// dispatchers and their engine pools.
+/// dispatchers and the worker pool.
 pub struct MvnService {
     cfg: ServiceConfig,
     shards: Vec<Arc<Shard>>,
     dispatchers: Vec<JoinHandle<()>>,
+    pool: Arc<WorkerPool>,
 }
 
 impl MvnService {
-    /// Build the shard engines and start one dispatcher thread per shard.
+    /// Spawn the worker pool, build one engine per shard on it and start one
+    /// dispatcher thread per shard.
     pub fn start(cfg: ServiceConfig) -> Result<Self, EngineError> {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
+        if cfg.workers > MAX_ENGINE_WORKERS {
+            return Err(EngineError::TooManyWorkers {
+                requested: cfg.workers,
+                max: MAX_ENGINE_WORKERS,
+            });
+        }
+        let pool = Arc::new(WorkerPool::new(effective_workers(cfg.workers)));
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut dispatchers = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
+        for shard_idx in 0..cfg.shards {
             // Build (and validate) the engine on the caller's thread so a
             // bad configuration fails construction instead of a dispatcher.
             let engine = MvnEngine::builder()
-                .workers(cfg.workers_per_shard)
+                .pool(Arc::clone(&pool))
                 .config(cfg.mvn)
                 .build()?;
             let shard = Arc::new(Shard {
                 queue: Mutex::new(QueueState::new()),
                 cv: Condvar::new(),
-                snapshot: Mutex::new(ShardSnapshot::default()),
+                cache: Mutex::new(CacheStats::default()),
             });
             shards.push(Arc::clone(&shard));
             let ctx = DispatcherCtx {
                 shard,
-                shard_idx: shards.len() - 1,
+                shard_idx,
                 max_batch: cfg.max_batch,
-                batch_delay: cfg.batch_delay,
             };
             let cache_capacity = cfg.cache_capacity_bytes;
             dispatchers.push(
                 std::thread::Builder::new()
-                    .name(format!("mvn-service-shard-{}", ctx.shard_idx))
+                    .name(format!("mvn-service-shard-{shard_idx}"))
                     .spawn(move || dispatcher_main(ctx, engine, cache_capacity))
                     .expect("failed to spawn shard dispatcher"),
             );
@@ -598,6 +635,7 @@ impl MvnService {
             cfg,
             shards,
             dispatchers,
+            pool,
         })
     }
 
@@ -623,8 +661,7 @@ impl MvnService {
     /// still waiting in the shard queue `deadline` after submission, the
     /// dispatcher sheds it with [`ServiceError::DeadlineExceeded`] instead
     /// of solving it. The deadline bounds time-in-queue only — a request
-    /// that makes it into a batch is always served, and a forming batch
-    /// flushes early at its earliest member deadline (see the
+    /// that makes it into a batch is always served (see the
     /// [module docs](self)).
     pub fn submit_with_deadline(
         &self,
@@ -752,7 +789,7 @@ impl MvnService {
             .enumerate()
             .map(|(i, s)| {
                 let q = s.queue.lock().unwrap();
-                let shard = ShardStats {
+                let mut shard = ShardStats {
                     shard: i,
                     queue_depth: (q.queued + q.in_flight) as usize,
                     submitted: q.submitted,
@@ -764,15 +801,10 @@ impl MvnService {
                     mixed_batches: q.mixed_batches,
                     batch_hist: q.batch_hist,
                     cache: CacheStats::default(),
-                    pool: None,
                 };
                 drop(q);
-                let snap = s.snapshot.lock().unwrap().clone();
-                ShardStats {
-                    cache: snap.cache,
-                    pool: snap.pool,
-                    ..shard
-                }
+                shard.cache = *s.cache.lock().unwrap();
+                shard
             })
             .collect();
         let mut batch_hist = [0u64; BATCH_HIST_BUCKETS];
@@ -789,6 +821,7 @@ impl MvnService {
             mixed_batches: shards.iter().map(|s| s.mixed_batches).sum(),
             batch_hist,
             shards,
+            pool: self.pool.stats(),
         }
     }
 }
@@ -811,7 +844,6 @@ struct DispatcherCtx {
     shard: Arc<Shard>,
     shard_idx: usize,
     max_batch: usize,
-    batch_delay: Duration,
 }
 
 /// One unit of dispatcher work out of [`collect_work`].
@@ -853,18 +885,16 @@ fn shed(ctx: &DispatcherCtx, st: &mut QueueState, r: SolveRequest, missed_by: Du
 
 /// Collect the dispatcher's next unit of work: a queued cache operation
 /// (served immediately, FIFO), or a micro-batch — the oldest live request
-/// plus every co-batchable one, flushing on the size cap, the flush clock,
-/// the earliest member deadline, or a *blocked* queued item (a cache-miss
-/// fingerprint or a cache op; waiting longer would only delay it without
-/// coalescing anything). Expired requests are shed at every scan. Returns
-/// `None` when the queue is empty and the service is shutting down.
+/// plus every co-batchable one already queued, up to the size cap. The batch
+/// closes when the queue has been scanned: a *blocked* item (a cache-miss
+/// fingerprint or a cache op) stays queued for the next round, and requests
+/// that arrive during this batch's solve form the next one. Expired requests
+/// are shed during the scan. Blocks while the queue is empty; returns `None`
+/// once it is empty and the service is shutting down.
 ///
 /// `scratch` is the dispatcher's reusable partition buffer: extraction is a
-/// single O(depth) drain pass per scan (no per-element `VecDeque::remove`
-/// shifting while the submit-side lock is held). A wait can only happen when
-/// the queue has just been fully drained into the batch (anything
-/// non-batchable flushes immediately), so a post-wakeup rescan only ever
-/// sees newly arrived items.
+/// single O(depth) drain pass (no per-element `VecDeque::remove` shifting
+/// while the submit-side lock is held).
 fn collect_work(
     ctx: &DispatcherCtx,
     cache: &FactorCache,
@@ -887,65 +917,37 @@ fn collect_work(
             }
         }
     };
-    // The primary moves from queued to in flight inside the critical section
-    // that popped it, as does every later joiner — a stats scrape taken
-    // while this batch forms (the lock is released during the flush wait)
-    // sees each request in exactly one state.
+    // Every member moves from queued to in flight inside this one critical
+    // section, so a stats scrape sees each request in exactly one state.
     st.queued -= 1;
     st.in_flight += 1;
     let form_start = obs::enabled().then(obs::now_ns);
     let primary_fp = first.fp;
-    let flush_at = Instant::now() + ctx.batch_delay;
     let mut batch = vec![first];
-    loop {
-        // Partition the queue in one pass: batchable solves into the batch
-        // (up to the cap), everything else back in arrival order. A solve is
-        // batchable when it shares the primary fingerprint or its factor is
-        // already resident, so batching it costs no factorization stall.
-        debug_assert!(scratch.is_empty());
-        let mut blocked_waiting = false;
-        while let Some(item) = st.items.pop_front() {
-            match item {
-                WorkItem::Cache(c) => {
-                    blocked_waiting = true;
-                    scratch.push_back(WorkItem::Cache(c));
-                }
-                WorkItem::Solve(r) => {
-                    if let Some(missed) = lapsed(&r) {
-                        shed(ctx, &mut st, r, missed);
-                        continue;
-                    }
-                    let joins =
-                        batch.len() < ctx.max_batch && (r.fp == primary_fp || cache.contains(r.fp));
-                    if joins {
-                        st.queued -= 1;
-                        st.in_flight += 1;
-                        batch.push(r);
-                    } else {
-                        blocked_waiting = true;
-                        scratch.push_back(WorkItem::Solve(r));
-                    }
+    // Partition the queue in one pass: batchable solves into the batch (up
+    // to the cap), everything else back in arrival order. A solve is
+    // batchable when it shares the primary fingerprint or its factor is
+    // already resident, so batching it costs no factorization stall.
+    debug_assert!(scratch.is_empty());
+    while let Some(item) = st.items.pop_front() {
+        match item {
+            WorkItem::Cache(c) => scratch.push_back(WorkItem::Cache(c)),
+            WorkItem::Solve(r) => {
+                if let Some(missed) = lapsed(&r) {
+                    shed(ctx, &mut st, r, missed);
+                } else if batch.len() < ctx.max_batch
+                    && (r.fp == primary_fp || cache.contains(r.fp))
+                {
+                    st.queued -= 1;
+                    st.in_flight += 1;
+                    batch.push(r);
+                } else {
+                    scratch.push_back(WorkItem::Solve(r));
                 }
             }
         }
-        std::mem::swap(&mut st.items, scratch);
-        if batch.len() >= ctx.max_batch || blocked_waiting || st.shutdown {
-            break;
-        }
-        // Deadline-aware flush: wait for more batch-mates only until the
-        // flush clock *or* the earliest member deadline — a member is served
-        // at its deadline, never shed for time spent forming its own batch.
-        let wait_until = batch
-            .iter()
-            .filter_map(|r| r.deadline)
-            .fold(flush_at, Instant::min);
-        let now = Instant::now();
-        if now >= wait_until {
-            break;
-        }
-        let (guard, _timeout) = shard.cv.wait_timeout(st, wait_until - now).unwrap();
-        st = guard;
     }
+    std::mem::swap(&mut st.items, scratch);
     Some(Work::Batch { batch, form_start })
 }
 
@@ -958,14 +960,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic".to_string())
 }
 
-/// Publish the shard's observability snapshot (done *before* responses go
-/// out, so a client that reads `stats()` right after its `wait` returns
-/// always sees its own request accounted for).
-fn publish_snapshot(ctx: &DispatcherCtx, engine: &MvnEngine, cache: &FactorCache) {
-    *ctx.shard.snapshot.lock().unwrap() = ShardSnapshot {
-        cache: cache.stats(),
-        pool: Some(engine.pool_stats()),
-    };
+/// Publish the shard's cache counters (done *before* responses go out, so a
+/// client that reads `stats()` right after its `wait` returns always sees
+/// its own request accounted for).
+fn publish_cache_stats(ctx: &DispatcherCtx, cache: &FactorCache) {
+    *ctx.shard.cache.lock().unwrap() = cache.stats();
 }
 
 /// Serve one queued cache operation.
@@ -1010,7 +1009,7 @@ fn serve_cache_op(
             Ok(r) => r,
             Err(payload) => Err(ServiceError::Internal(panic_message(payload))),
         };
-    publish_snapshot(ctx, engine, cache);
+    publish_cache_stats(ctx, cache);
     let _ = tx.send(outcome);
 }
 
@@ -1163,7 +1162,7 @@ fn serve_batch(
         }
         st.batch_hist[batch_bucket(size)] += 1;
     }
-    publish_snapshot(ctx, engine, cache);
+    publish_cache_stats(ctx, cache);
 
     let _reply_span =
         tracing.then(|| obs::span_with("svc_reply", &[("shard", shard_arg), ("batch", batch_id)]));

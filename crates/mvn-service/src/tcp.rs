@@ -1,7 +1,10 @@
 //! The std-only TCP front-end: line-delimited JSON over plain sockets, in
 //! the workspace's hand-rolled offline style (no serde, no tokio — a
 //! `TcpListener`, one reader/writer thread pair per connection, and the
-//! [`json`](crate::json) module).
+//! [`json`](crate::json) module). Accepted sockets run with `TCP_NODELAY`;
+//! the writer sends every reply that is already available in one flush; a
+//! request line is read with a byte cap ([`MAX_REQUEST_BYTES`]) — a longer
+//! one is skipped and answered with an error line, the connection stays up.
 //!
 //! # Wire protocol
 //!
@@ -77,9 +80,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use wire::frame::FrameError;
 
 /// How often blocked connection reads wake up to check for server shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Byte cap on one request line. A spec with explicit coordinates costs about
+/// 70 bytes per location with its two limits, so this admits problems up to
+/// n ≈ 10⁶ while a peer that never sends a newline cannot grow the reader's
+/// buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 << 20;
 
 /// A running TCP front-end over an [`MvnService`]. Dropping it stops the
 /// accept loop, unblocks every connection, and joins all handler threads
@@ -167,55 +177,149 @@ enum Pending {
     WaitingCache(u64, CacheTicket),
 }
 
+impl Pending {
+    /// The response line, blocking until the service has answered.
+    fn line(self) -> String {
+        match self {
+            Pending::Ready(s) => s,
+            Pending::Waiting(id, ticket) => render_response(id, ticket.wait()),
+            Pending::WaitingCache(id, ticket) => render_cache_response(id, ticket.wait()),
+        }
+    }
+
+    /// The response line if the service has already answered, `self` back
+    /// otherwise.
+    fn try_line(self) -> Result<String, Self> {
+        match self {
+            Pending::Ready(s) => Ok(s),
+            Pending::Waiting(id, ticket) => match ticket.try_wait() {
+                Some(response) => Ok(render_response(id, response)),
+                None => Err(Pending::Waiting(id, ticket)),
+            },
+            Pending::WaitingCache(id, ticket) => match ticket.try_wait() {
+                Some(response) => Ok(render_cache_response(id, response)),
+                None => Err(Pending::WaitingCache(id, ticket)),
+            },
+        }
+    }
+}
+
+/// The connection's writer: responses go out in request order; after each
+/// one, every following response that is already available is written too,
+/// and the socket is flushed once — when the next response would block or
+/// nothing is pending. A batch's replies to one connection thus cost one
+/// send (and one client wake-up), not one per reply.
+fn write_responses(rx: mpsc::Receiver<Pending>, socket: TcpStream) {
+    let mut out = BufWriter::new(socket);
+    let mut next = rx.recv().ok();
+    while let Some(pending) = next.take() {
+        let mut line = pending.line();
+        loop {
+            if writeln!(out, "{line}").is_err() {
+                return; // client went away; remaining tickets drop
+            }
+            match rx.try_recv().map(Pending::try_line) {
+                Ok(Ok(ready)) => line = ready,
+                Ok(Err(waiting)) => {
+                    next = Some(waiting);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        if out.flush().is_err() {
+            return;
+        }
+        if next.is_none() {
+            next = rx.recv().ok();
+        }
+    }
+}
+
+/// What [`RequestLines::next`] found.
+enum LineEvent {
+    /// `buf` holds one complete request line (newline included).
+    Line,
+    /// A line longer than the cap went by; its bytes were discarded.
+    Oversized,
+    /// The peer closed the connection; `buf` holds what arrived of a last,
+    /// unterminated line.
+    Eof,
+}
+
+/// Reads request lines with a byte cap, across read timeouts: partial data
+/// stays in `buf` when a read times out, and the tail of an over-long line is
+/// skipped instead of buffered.
+#[derive(Default)]
+struct RequestLines {
+    buf: Vec<u8>,
+    skipping: bool,
+}
+
+impl RequestLines {
+    /// Read up to the next newline or EOF. An `Err` (a read timeout among
+    /// them) leaves the reader's state intact; call again to continue.
+    fn next<R: BufRead>(&mut self, r: &mut R, max: usize) -> io::Result<LineEvent> {
+        loop {
+            let chunk = r.fill_buf()?;
+            if chunk.is_empty() {
+                return Ok(LineEvent::Eof);
+            }
+            let (take, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(pos) => (pos + 1, true),
+                None => (chunk.len(), false),
+            };
+            if !self.skipping && self.buf.len() + take > max {
+                self.buf = Vec::new();
+                self.skipping = true;
+            }
+            if !self.skipping {
+                self.buf.extend_from_slice(&chunk[..take]);
+            }
+            r.consume(take);
+            if done {
+                return Ok(if std::mem::take(&mut self.skipping) {
+                    LineEvent::Oversized
+                } else {
+                    LineEvent::Line
+                });
+            }
+        }
+    }
+}
+
 fn handle_connection(
     service: Arc<MvnService>,
     stream: TcpStream,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_POLL))?;
     let write_half = stream.try_clone()?;
     let (tx, rx) = mpsc::channel::<Pending>();
     let writer = std::thread::Builder::new()
         .name("mvn-serve-writer".to_string())
-        .spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            for pending in rx {
-                let line = match pending {
-                    Pending::Ready(s) => s,
-                    Pending::Waiting(id, ticket) => render_response(id, ticket.wait()),
-                    Pending::WaitingCache(id, ticket) => render_cache_response(id, ticket.wait()),
-                };
-                if writeln!(out, "{line}").and_then(|_| out.flush()).is_err() {
-                    break; // client went away; remaining tickets drop
-                }
-            }
-        })
+        .spawn(move || write_responses(rx, write_half))
         .expect("failed to spawn connection writer");
 
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
+    let mut lines = RequestLines::default();
     loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => {
-                // EOF. `buf` may still hold a request whose bytes arrived
-                // across an earlier read-timeout boundary without a final
-                // newline — serve it like the in-band unterminated case.
-                if !buf.trim().is_empty() {
-                    let _ = tx.send(handle_line(&service, buf.trim()));
+        let pending = match lines.next(&mut reader, MAX_REQUEST_BYTES) {
+            Ok(LineEvent::Line) => handle_bytes(&service, &lines.buf),
+            Ok(LineEvent::Oversized) => {
+                let cap = FrameError::Oversized {
+                    limit: MAX_REQUEST_BYTES,
+                };
+                Some(Pending::Ready(render_error(0, &cap.to_string())))
+            }
+            Ok(LineEvent::Eof) => {
+                // `buf` may still hold a request that arrived without a
+                // final newline — serve it, then stop.
+                if let Some(last) = handle_bytes(&service, &lines.buf) {
+                    let _ = tx.send(last);
                 }
                 break;
-            }
-            Ok(_) => {
-                if !buf.ends_with('\n') {
-                    // EOF without trailing newline: serve it, then stop.
-                    let _ = tx.send(handle_line(&service, buf.trim()));
-                    break;
-                }
-                let line = buf.trim();
-                if !line.is_empty() && tx.send(handle_line(&service, line)).is_err() {
-                    break;
-                }
-                buf.clear();
             }
             Err(e)
                 if matches!(
@@ -223,18 +327,36 @@ fn handle_connection(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // Partial data (if any) stays in `buf`; just check for
+                // Partial data (if any) stays in `lines`; just check for
                 // shutdown and keep reading.
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        lines.buf.clear();
+        if pending.is_some_and(|p| tx.send(p).is_err()) {
+            break;
         }
     }
     drop(tx);
     let _ = writer.join();
     Ok(())
+}
+
+/// Dispatch the request in `line` (raw bytes off the socket); `None` for a
+/// blank line.
+fn handle_bytes(service: &MvnService, line: &[u8]) -> Option<Pending> {
+    match std::str::from_utf8(line) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(handle_line(service, text.trim())),
+        Err(e) => Some(Pending::Ready(render_error(
+            0,
+            &format!("bad json: invalid UTF-8: {e}"),
+        ))),
+    }
 }
 
 /// Parse and dispatch one request line.
@@ -691,19 +813,10 @@ fn render_metrics(id: u64, service: &MvnService) -> String {
             st.shards.iter().map(|s| s.cache.bytes).sum::<usize>() as f64,
         ),
     ];
-    let (mut workers, mut graphs, mut tasks, mut streams) = (0u64, 0u64, 0u64, 0u64);
-    for sh in &st.shards {
-        if let Some(p) = &sh.pool {
-            workers += p.workers as u64;
-            graphs += p.graphs_run;
-            tasks += p.tasks_run;
-            streams += p.streams_run;
-        }
-    }
-    extra.push(("mvn_pool_workers".into(), workers as f64));
-    extra.push(("mvn_pool_graphs_total".into(), graphs as f64));
-    extra.push(("mvn_pool_tasks_total".into(), tasks as f64));
-    extra.push(("mvn_pool_streams_total".into(), streams as f64));
+    extra.push(("mvn_pool_workers".into(), st.pool.workers as f64));
+    extra.push(("mvn_pool_graphs_total".into(), st.pool.graphs_run as f64));
+    extra.push(("mvn_pool_tasks_total".into(), st.pool.tasks_run as f64));
+    extra.push(("mvn_pool_streams_total".into(), st.pool.streams_run as f64));
     let text = obs::render_prometheus(&extra);
     let mut s = format!("{{\"id\":{id},\"metrics\":");
     write_escaped(&mut s, &text);
@@ -797,6 +910,48 @@ mod tests {
             8,
         );
         assert_eq!(grid_spec.fingerprint(), explicit.fingerprint());
+    }
+
+    #[test]
+    fn request_lines_are_capped_and_survive_timeouts_and_split_reads() {
+        /// Hands out its bytes two at a time and times out before each
+        /// `|` (which it swallows) — a slow peer behind a read timeout.
+        struct Slow<'a>(&'a [u8]);
+        impl io::Read for Slow<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                if self.0.first() == Some(&b'|') {
+                    self.0 = &self.0[1..];
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let stop = self.0.iter().position(|&b| b == b'|');
+                let n = stop.unwrap_or(self.0.len()).min(2).min(out.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let stream = b"short\n|way too |long a line\nok|ay\n\ntail";
+        let mut r = BufReader::with_capacity(4, Slow(stream));
+        let mut lines = RequestLines::default();
+        let mut seen = Vec::new();
+        loop {
+            match lines.next(&mut r, 8) {
+                Ok(LineEvent::Line) => {
+                    seen.push(String::from_utf8(std::mem::take(&mut lines.buf)).unwrap())
+                }
+                Ok(LineEvent::Oversized) => {
+                    assert!(lines.buf.is_empty(), "an over-long line is not kept");
+                    seen.push("<oversized>".into());
+                }
+                Ok(LineEvent::Eof) => break,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        assert_eq!(seen, ["short\n", "<oversized>", "okay\n", "\n"]);
+        assert_eq!(
+            lines.buf, b"tail",
+            "the unterminated tail is left for the caller"
+        );
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! across fingerprints — and the deadline/pinning admission machinery must
 //! behave exactly as documented.
 
-use geostat::{regular_grid, CovarianceKernel};
+use geostat::{regular_grid, CovarianceKernel, MaternParams};
 use mvn_core::{MvnConfig, MvnEngine, Problem};
-use mvn_service::{CovSpec, MvnService, ServiceConfig, ServiceError, SpecHandle, Ticket};
-use std::time::{Duration, Instant};
+use mvn_service::{
+    CacheTicket, CovSpec, MvnService, ServiceConfig, ServiceError, SpecHandle, Ticket,
+};
+use std::time::Duration;
 
 /// Same grid, different correlation ranges: each range is a distinct
 /// fingerprint over the same 25 locations (so every factor has the same
@@ -27,6 +29,25 @@ fn test_mvn(samples: usize) -> MvnConfig {
         seed: 17,
         ..Default::default()
     }
+}
+
+/// Keep `service`'s dispatcher (one shard) busy for tens of milliseconds —
+/// a queued warm-up of a cold n = 400 Matérn factor — so that everything
+/// submitted right after it is queued together by the time the dispatcher
+/// scans again. Batches only form from what is already queued, so this is how
+/// a test gets a burst into one scan.
+fn hold_dispatcher(service: &MvnService) -> CacheTicket {
+    let cold = CovSpec::dense(
+        regular_grid(20, 20),
+        CovarianceKernel::Matern(MaternParams {
+            sigma2: 1.0,
+            range: 0.1,
+            smoothness: 1.0,
+        }),
+        1e-8,
+        100,
+    );
+    service.warm_submit(&SpecHandle::new(cold), false).unwrap()
 }
 
 /// Problems with staggered lower limits (index-dependent, spec-independent).
@@ -76,9 +97,8 @@ fn interleaved_fingerprints_match_direct_engine_bitwise_even_under_eviction() {
         for capacity in [usize::MAX, tiny] {
             let service = MvnService::start(ServiceConfig {
                 shards,
-                workers_per_shard: 1,
+                workers: 2,
                 mvn: test_mvn(samples),
-                batch_delay: Duration::from_millis(2),
                 cache_capacity_bytes: capacity,
                 ..Default::default()
             })
@@ -125,19 +145,18 @@ fn interleaved_fingerprints_match_direct_engine_bitwise_even_under_eviction() {
 #[test]
 fn warmed_interleaved_burst_forms_cross_fingerprint_batches() {
     // Both factors warmed (resident) on one shard, then a strictly
-    // interleaved A/B burst with a generous flush clock: the cross-spec
-    // batcher must coalesce the burst into batches that mix fingerprints —
-    // visible as mixed_batches > 0, per-request batch sizes > 1, and mass in
-    // the >1 histogram buckets — while staying bitwise exact.
+    // interleaved A/B burst queued while the dispatcher is busy: the
+    // cross-spec batcher must take the queued burst as batches that mix
+    // fingerprints — visible as mixed_batches > 0, per-request batch sizes
+    // > 1, and mass in the >1 histogram buckets — while staying bitwise
+    // exact.
     let samples = 300;
     let specs = [spec(0.1), spec(0.234)];
     let n = specs[0].n();
     let mvn = test_mvn(samples);
     let service = MvnService::start(ServiceConfig {
         shards: 1,
-        workers_per_shard: 1,
         mvn: test_mvn(samples),
-        batch_delay: Duration::from_millis(300),
         ..Default::default()
     })
     .unwrap();
@@ -150,12 +169,14 @@ fn warmed_interleaved_burst_forms_cross_fingerprint_batches() {
 
     let ps = problems(n, 5, -0.15);
     let want: Vec<Vec<f64>> = specs.iter().map(|s| reference(s, &ps, &mvn)).collect();
+    let held = hold_dispatcher(&service);
     let mut tickets: Vec<(usize, usize, Ticket)> = Vec::new();
     for (k, p) in ps.iter().enumerate() {
         for (si, h) in handles.iter().enumerate() {
             tickets.push((si, k, service.submit(h, p.clone()).unwrap()));
         }
     }
+    held.wait().unwrap();
     let mut max_batch = 0usize;
     for (si, k, t) in tickets {
         let out = t.wait().unwrap();
@@ -197,9 +218,7 @@ fn expired_deadlines_are_shed_with_typed_errors_and_accounted() {
     let n = s.n();
     let service = MvnService::start(ServiceConfig {
         shards: 1,
-        workers_per_shard: 1,
         mvn: test_mvn(samples),
-        batch_delay: Duration::ZERO,
         ..Default::default()
     })
     .unwrap();
@@ -239,46 +258,6 @@ fn expired_deadlines_are_shed_with_typed_errors_and_accounted() {
 }
 
 #[test]
-fn member_deadline_flushes_a_forming_batch_before_the_batch_delay() {
-    // With a 5-second flush clock, a lone request carrying a 50ms deadline
-    // must still be *served* (the deadline bounds queueing, and a forming
-    // batch flushes at its earliest member deadline) — long before the batch
-    // delay would have fired.
-    let samples = 200;
-    let s = spec(0.12);
-    let n = s.n();
-    let service = MvnService::start(ServiceConfig {
-        shards: 1,
-        workers_per_shard: 1,
-        mvn: test_mvn(samples),
-        batch_delay: Duration::from_secs(5),
-        ..Default::default()
-    })
-    .unwrap();
-    let handle = SpecHandle::new(s);
-    // Warm so the measured wait is batch formation, not factorization.
-    service.warm(&handle, false).unwrap();
-
-    let start = Instant::now();
-    let out = service
-        .submit_with_deadline(
-            &handle,
-            Problem::new(vec![-0.2; n], vec![f64::INFINITY; n]),
-            Some(Duration::from_millis(50)),
-        )
-        .unwrap()
-        .wait()
-        .unwrap();
-    let elapsed = start.elapsed();
-    assert!(out.result.prob > 0.0);
-    assert!(
-        elapsed < Duration::from_secs(3),
-        "a 50ms member deadline must flush a 5s batch window early (took {elapsed:?})"
-    );
-    assert_eq!(service.stats().deadline_shed, 0);
-}
-
-#[test]
 fn pinned_factor_survives_eviction_storms_until_unpinned() {
     // Service-level pinning: pin A through a one-factor cache, then hammer
     // the shard with other fingerprints. A must keep hitting (it is never an
@@ -290,9 +269,7 @@ fn pinned_factor_survives_eviction_storms_until_unpinned() {
     let n = a_spec.n();
     let service = MvnService::start(ServiceConfig {
         shards: 1,
-        workers_per_shard: 1,
         mvn: test_mvn(samples),
-        batch_delay: Duration::ZERO,
         cache_capacity_bytes: one_factor_bytes(&a_spec),
         ..Default::default()
     })

@@ -3,14 +3,13 @@
 //! CRD path — must be *bitwise invisible* in the probabilities. The direct
 //! `MvnEngine` solve is the reference everywhere.
 
-use geostat::{regular_grid, CovarianceKernel};
+use geostat::{regular_grid, CovarianceKernel, MaternParams};
 use mvn_core::{MvnConfig, MvnEngine, Problem, ProblemError};
 use mvn_service::{
     render_solve_request, render_stats_request, CovSpec, MvnServer, MvnService, ServiceConfig,
     ServiceError, SpecHandle, Ticket,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small spec family: same grid, different correlation ranges, so each
 /// range is a distinct fingerprint over the same locations.
@@ -31,12 +30,11 @@ fn test_mvn(samples: usize) -> MvnConfig {
     }
 }
 
-fn service_cfg(shards: usize, batch_delay: Duration, samples: usize) -> ServiceConfig {
+fn service_cfg(shards: usize, workers: usize, samples: usize) -> ServiceConfig {
     ServiceConfig {
         shards,
-        workers_per_shard: 1,
+        workers,
         mvn: test_mvn(samples),
-        batch_delay,
         ..Default::default()
     }
 }
@@ -63,10 +61,10 @@ fn reference(spec: &CovSpec, problems: &[Problem], mvn: &MvnConfig) -> Vec<f64> 
 }
 
 #[test]
-fn concurrent_clients_match_direct_engine_bitwise_across_shards_and_deadlines() {
+fn concurrent_clients_match_direct_engine_bitwise_across_shards_and_pool_sizes() {
     // K client threads × M problems × 2 fingerprints through the service —
-    // for 1, 2 and 4 shards and three batch deadlines (including "never
-    // wait") — must equal the direct per-problem engine solves bit for bit.
+    // for 1, 2 and 4 shards over a shared pool of 1, 2 and 4 workers — must
+    // equal the direct per-problem engine solves bit for bit.
     let samples = 400;
     let specs = [spec(0.1), spec(0.234)];
     let n = specs[0].n();
@@ -88,15 +86,9 @@ fn concurrent_clients_match_direct_engine_bitwise_across_shards_and_deadlines() 
         .collect();
 
     for shards in [1usize, 2, 4] {
-        for delay_ms in [0u64, 1, 5] {
-            let service = Arc::new(
-                MvnService::start(service_cfg(
-                    shards,
-                    Duration::from_millis(delay_ms),
-                    samples,
-                ))
-                .unwrap(),
-            );
+        for workers in [1usize, 2, 4] {
+            let service =
+                Arc::new(MvnService::start(service_cfg(shards, workers, samples)).unwrap());
             let handles: Vec<SpecHandle> =
                 specs.iter().map(|s| SpecHandle::new(s.clone())).collect();
 
@@ -139,7 +131,7 @@ fn concurrent_clients_match_direct_engine_bitwise_across_shards_and_deadlines() 
                         let w = want[s][c * per_client + k];
                         assert!(
                             p.to_bits() == w.to_bits(),
-                            "shards={shards} delay={delay_ms}ms client={c} spec={s} problem={k}: \
+                            "shards={shards} workers={workers} client={c} spec={s} problem={k}: \
                              {p} vs {w}"
                         );
                     }
@@ -188,8 +180,7 @@ fn served_vecchia_specs_match_direct_engine_bitwise_and_hit_the_cache() {
     let want: Vec<Vec<f64>> = specs.iter().map(|s| reference(s, &ps, &mvn)).collect();
 
     for shards in [1usize, 2] {
-        let service =
-            MvnService::start(service_cfg(shards, Duration::from_millis(1), samples)).unwrap();
+        let service = MvnService::start(service_cfg(shards, 2, samples)).unwrap();
         let handles: Vec<SpecHandle> = specs.iter().map(|s| SpecHandle::new(s.clone())).collect();
         // Interleaved pipelined traffic over both fingerprints.
         let tickets: Vec<(usize, usize, Ticket)> = ps
@@ -221,7 +212,7 @@ fn served_vecchia_specs_match_direct_engine_bitwise_and_hit_the_cache() {
 
     // Malformed conditioning sizes are rejected at submission with a typed
     // spec error, before reaching a shard.
-    let service = MvnService::start(service_cfg(1, Duration::ZERO, samples)).unwrap();
+    let service = MvnService::start(service_cfg(1, 1, samples)).unwrap();
     for bad_m in [0usize, n] {
         let bad = CovSpec::vecchia(locs.clone(), kernel, 1e-8, 8, bad_m);
         assert!(matches!(
@@ -236,25 +227,41 @@ fn served_vecchia_specs_match_direct_engine_bitwise_and_hit_the_cache() {
 
 #[test]
 fn micro_batcher_coalesces_pipelined_requests() {
-    // With a generous deadline, a burst of same-fingerprint requests must be
-    // served in batches larger than one (and every result still equals the
-    // reference — covered by the assertion on probs too).
+    // A burst of same-fingerprint requests that is queued while the
+    // dispatcher is busy must be served in batches larger than one (and
+    // every result still equals the reference — covered by the assertion on
+    // probs too).
     let samples = 300;
     let s = spec(0.15);
     let n = s.n();
     let mvn = test_mvn(samples);
-    let service = MvnService::start(service_cfg(1, Duration::from_millis(50), samples)).unwrap();
+    let service = MvnService::start(service_cfg(1, 2, samples)).unwrap();
     let handle = SpecHandle::new(s.clone());
     // Warm the factor so the burst is not serialized behind the build.
     service
         .solve(&handle, &vec![0.0; n], &vec![f64::INFINITY; n])
         .unwrap();
 
+    // Batches form from what is queued when the dispatcher scans, so keep it
+    // busy (a cold n = 400 Matérn warm-up, tens of milliseconds) while the
+    // burst is submitted.
+    let cold = CovSpec::dense(
+        regular_grid(20, 20),
+        CovarianceKernel::Matern(MaternParams {
+            sigma2: 1.0,
+            range: 0.1,
+            smoothness: 1.0,
+        }),
+        1e-8,
+        100,
+    );
+    let held = service.warm_submit(&SpecHandle::new(cold), false).unwrap();
     let ps = problems(n, 12, -0.2);
     let tickets: Vec<Ticket> = ps
         .iter()
         .map(|p| service.submit(&handle, p.clone()).unwrap())
         .collect();
+    held.wait().unwrap();
     let outs: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
     let want = reference(&s, &ps, &mvn);
     let mut max_batch = 0;
@@ -265,7 +272,7 @@ fn micro_batcher_coalesces_pipelined_requests() {
     }
     assert!(
         max_batch >= 2,
-        "a pipelined burst with a 50ms deadline must coalesce (max batch {max_batch})"
+        "a burst queued behind a busy dispatcher must coalesce (max batch {max_batch})"
     );
     let stats = service.stats();
     assert!(
@@ -292,7 +299,6 @@ fn evicted_factor_is_rebuilt_with_identical_probability() {
         shards: 1,
         cache_capacity_bytes: one.stored_elements() * 8,
         mvn: test_mvn(samples),
-        batch_delay: Duration::ZERO,
         ..Default::default()
     };
     let service = MvnService::start(cfg).unwrap();
@@ -338,7 +344,7 @@ fn admission_control_and_validation_reject_with_typed_errors() {
     let handle = SpecHandle::new(s);
 
     // Validation rejects before anything is enqueued.
-    let service = MvnService::start(service_cfg(2, Duration::ZERO, samples)).unwrap();
+    let service = MvnService::start(service_cfg(2, 2, samples)).unwrap();
     let bad_dim = Problem::new(vec![0.0; n + 1], vec![1.0; n + 1]);
     assert!(matches!(
         service.submit(&handle, bad_dim),
@@ -427,8 +433,7 @@ fn tcp_front_end_round_trips_bitwise_and_reports_stats() {
     let specs = [spec(0.1), spec(0.234)];
     let n = specs[0].n();
     let mvn = test_mvn(samples);
-    let service =
-        Arc::new(MvnService::start(service_cfg(2, Duration::from_millis(1), samples)).unwrap());
+    let service = Arc::new(MvnService::start(service_cfg(2, 2, samples)).unwrap());
     let server = MvnServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = mvn_service::ServiceClient::connect(server.addr()).unwrap();
 
@@ -489,6 +494,47 @@ fn tcp_front_end_round_trips_bitwise_and_reports_stats() {
 }
 
 #[test]
+fn an_over_long_request_line_is_answered_with_an_error_and_the_connection_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    let samples = 200;
+    let s = spec(0.12);
+    let n = s.n();
+    let service = Arc::new(MvnService::start(service_cfg(1, 1, samples)).unwrap());
+    let server = MvnServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut socket = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut replies = BufReader::new(socket.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        mvn_service::Json::parse(line.trim()).unwrap()
+    };
+
+    // One byte over the cap, never a newline until the end: the reader must
+    // not buffer it, and must answer it once it has gone by.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..mvn_service::tcp::MAX_REQUEST_BYTES / chunk.len() {
+        socket.write_all(&chunk).unwrap();
+    }
+    socket.write_all(b"x\n").unwrap();
+    let err = reply();
+    let msg = err
+        .get("error")
+        .and_then(mvn_service::Json::as_str)
+        .unwrap();
+    assert!(msg.contains("byte cap"), "{err}");
+
+    // The same connection still serves.
+    let p = Problem::new(vec![-0.2; n], vec![f64::INFINITY; n]);
+    let line = render_solve_request(7, &s, &p.a, &p.b);
+    socket.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let ok = reply();
+    assert_eq!(ok.get("id").and_then(mvn_service::Json::as_usize), Some(7));
+    let want = reference(&s, &[p], &test_mvn(samples))[0];
+    let got = ok.get("prob").and_then(mvn_service::Json::as_f64).unwrap();
+    assert!(got.to_bits() == want.to_bits(), "{ok}");
+}
+
+#[test]
 fn served_crd_matches_library_crd_bitwise() {
     // The satellite integration: excursion's CRD drivers through the service
     // path (ServedSolver) against the plain engine path, same sampling
@@ -526,7 +572,6 @@ fn served_crd_matches_library_crd_bitwise() {
     let service = MvnService::start(ServiceConfig {
         shards: 2,
         mvn: test_mvn(samples),
-        batch_delay: Duration::from_millis(1),
         ..Default::default()
     })
     .unwrap();

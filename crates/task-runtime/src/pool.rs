@@ -11,8 +11,29 @@
 //! accordingly. Either way every task runs once, all inferred dependencies
 //! are honoured, task panics propagate to the caller after the drain, and the
 //! numerical result is bitwise identical for any worker count and window.
-//! Long-lived sessions (`mvn_core::MvnEngine`) own a pool and reuse it across
-//! submissions.
+//! Long-lived sessions (`mvn_core::MvnEngine`) hold a pool and reuse it across
+//! submissions; several sessions may hold the same one (`Arc<WorkerPool>` —
+//! the shards of `mvn-service` do).
+//!
+//! # Concurrent submitters
+//!
+//! The pool executes **one task set at a time, on all of its workers**.
+//! [`run`](WorkerPool::run) and [`stream`](WorkerPool::stream) take the
+//! pool's submission lock for the duration of their task set; a second
+//! thread that submits meanwhile blocks on that lock until the first set has
+//! drained, and is then served by every worker. Submissions are therefore
+//! serialized whole, in lock-acquisition order — there is no interleaving of
+//! two submitters' tasks, no priority and no fairness guarantee beyond the
+//! mutex's. What a waiting submitter loses is the wait; what it gains is the
+//! whole machine for its own set, which is the better trade when task sets
+//! are short and wide (a served batch of panel sweeps) and costs at most one
+//! long set's duration otherwise (a factorization ahead of a batch). Each
+//! set has its own completion and panic accounting: a task panic is re-raised
+//! in the submitter that owns the task, the lock is released first, and
+//! neither the pool nor any other submitter sees it. Sets of at most two
+//! tasks, every set on a one-worker pool, and nested submissions from a
+//! worker or from inside a `stream` closure run inline on the submitting
+//! thread and take no lock.
 //!
 //! # How non-`'static` closures reach `'static` threads
 //!
@@ -322,8 +343,10 @@ impl PoolStats {
 ///
 /// Workers are spawned once in [`WorkerPool::new`] and parked on a condvar
 /// between [`run`](WorkerPool::run) calls; dropping the pool shuts them down
-/// and joins them. `run` takes `&self`, so a pool can be shared; concurrent
-/// submissions are serialized (one graph executes at a time).
+/// and joins them. `run` takes `&self`, so a pool can be shared (typically as
+/// `Arc<WorkerPool>`); a submitter that arrives while another task set is
+/// executing waits for it to drain and then gets every worker (see the
+/// [module docs](self), "Concurrent submitters").
 ///
 /// A pool of one worker spawns no thread at all: every graph runs inline on
 /// the submitting thread (submission order is a valid topological order under
@@ -353,6 +376,15 @@ pub struct WorkerPool {
     /// merged once per graph/stream (not per task), so the always-on cost is
     /// one short lock per submission.
     label_times: Mutex<BTreeMap<String, (u64, u64)>>,
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("workers", &self.workers())
+            .field("lookahead", &self.lookahead)
+            .finish()
+    }
 }
 
 impl WorkerPool {
