@@ -274,22 +274,15 @@ fn bench_factorizations(c: &mut Criterion) {
     group.finish();
 }
 
-/// Staged vs fused vs streamed submission of the same numerical work on one
-/// engine session. Three timing points:
+/// Staged vs fused submission of the same numerical work on one engine
+/// session. Two timing points:
 ///
 /// * `dag_potrf_pmvn` — factorization, then the panel sweep (two task sets,
 ///   barrier between them),
-/// * `fused_potrf_pmvn` — one materialized task graph for factor + sweep,
-///   early row-block sweeping overlapping the trailing factorization,
-/// * `stream_potrf_pmvn` — the same fused task set submitted through the
-///   lookahead-limited streaming window (peak task storage `O(lookahead)`
-///   instead of the whole graph; execution overlaps submission).
+/// * `fused_potrf_pmvn` — one task set for factor + sweep, early row-block
+///   sweeping overlapping the trailing factorization.
 ///
-/// All three produce bitwise-identical probabilities; only wall time and peak
-/// task storage differ. The peak in-flight task count of the streaming
-/// session (vs. the materialized task total) is emitted as two extra
-/// JSON-lines points so it lands in the `BENCH_kernels.json` artifact next
-/// to the makespans.
+/// Both produce bitwise-identical probabilities; only wall time differs.
 fn bench_scheduling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduling");
     group.sample_size(10);
@@ -308,11 +301,6 @@ fn bench_scheduling(c: &mut Criterion) {
         ..Default::default()
     };
     let engine = MvnEngine::with_config(cfg).unwrap();
-    let stream_engine = MvnEngine::builder()
-        .config(cfg)
-        .streaming(0)
-        .build()
-        .unwrap();
 
     group.bench_function("dag_potrf_pmvn", |bench| {
         bench.iter(|| {
@@ -328,31 +316,6 @@ fn bench_scheduling(c: &mut Criterion) {
             black_box(engine.factor_prob_dense(&mut sigma, &a, &b).unwrap())
         });
     });
-    group.bench_function("stream_potrf_pmvn", |bench| {
-        bench.iter(|| {
-            let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-            black_box(stream_engine.factor_prob_dense(&mut sigma, &a, &b).unwrap())
-        });
-    });
-    // Peak-task accounting of the streaming window vs. the materialized
-    // graph, reported in the same JSON-lines shape as the timing points
-    // (the value rides in the `mean_ns` field; it is a task count, not a
-    // duration). One streamed factorization of the bench matrix suffices —
-    // the counters are deterministic.
-    {
-        let pool = WorkerPool::with_lookahead(effective_workers(0), Some(0));
-        let mut sigma = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut sigma, &pool).unwrap();
-        let stats = pool.stats();
-        println!(
-            "{{\"benchmark\":\"scheduling/stream_peak_in_flight_tasks\",\"mean_ns\":{},\"samples\":1}}",
-            stats.stream_peak_tasks
-        );
-        println!(
-            "{{\"benchmark\":\"scheduling/materialized_task_total\",\"mean_ns\":{},\"samples\":1}}",
-            stats.tasks_run
-        );
-    }
 
     // The session shape real traffic has: 64 small solves against one factor
     // on one engine whose workers stay parked between solves.

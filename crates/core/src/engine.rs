@@ -23,8 +23,7 @@
 //!
 //! Every probability produced by the engine is a pure function of the factor,
 //! the limits and the [`MvnConfig`]: bitwise identical for any worker count
-//! and for materialized or [streaming](MvnEngineBuilder::streaming)
-//! submission (enforced by the tests below and `tests/golden_bitwise.rs`).
+//! (enforced by the tests below and `tests/golden_bitwise.rs`).
 //!
 //! ```
 //! use mvn_core::{MvnEngine, Problem};
@@ -421,15 +420,15 @@ impl FactorBackend for Factor {
 }
 
 /// Builder for [`MvnEngine`] (obtained via [`MvnEngine::builder`]). The
-/// sampling description ([`MvnConfig`]) and the two execution settings
-/// (`workers`, `streaming`) are independent: setting one never resets another,
-/// in any order. [`pool`](Self::pool) replaces both execution settings with
-/// an existing pool.
+/// sampling description ([`MvnConfig`]) and the one execution setting
+/// (`workers`) are independent: setting one never resets the other, in any
+/// order. [`pool`](Self::pool) replaces the worker count with an existing
+/// pool. How tasks reach the workers is not a setting: every task set
+/// streams through [`WorkerPool::execute`].
 #[derive(Debug, Clone)]
 pub struct MvnEngineBuilder {
     cfg: MvnConfig,
     workers: usize,
-    lookahead: Option<usize>,
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -442,24 +441,12 @@ impl MvnEngineBuilder {
         self
     }
 
-    /// Build the engine's pool with **streaming, lookahead-limited
-    /// submission** ([`WorkerPool::with_lookahead`]): factorization, solve
-    /// and fused-pipeline task sets are handed to the pool as they are
-    /// submitted through a window of at most `lookahead` in-flight tasks
-    /// (`0` = the default window of `4 × workers`), instead of being
-    /// materialized whole. Results stay bitwise identical; peak task storage
-    /// drops from `O(total tasks)` to `O(lookahead)`.
-    pub fn streaming(mut self, lookahead: usize) -> Self {
-        self.lookahead = Some(lookahead);
-        self
-    }
-
     /// Run the engine on an existing pool instead of spawning one: every
     /// engine built on the same `Arc<WorkerPool>` submits to the same
     /// threads (this is how `mvn-service` puts one set of workers under all
-    /// of its shards). The pool's own worker count and submission mode apply;
-    /// [`workers`](Self::workers) and [`streaming`](Self::streaming) are
-    /// ignored. Results are bitwise identical to a private pool's.
+    /// of its shards). The pool's own worker count applies;
+    /// [`workers`](Self::workers) is ignored. Results are bitwise identical
+    /// to a private pool's.
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -489,8 +476,8 @@ impl MvnEngineBuilder {
         self
     }
 
-    /// Replace the whole sampling configuration (worker count and streaming
-    /// window are untouched).
+    /// Replace the whole sampling configuration (the worker count is
+    /// untouched).
     pub fn config(mut self, cfg: MvnConfig) -> Self {
         self.cfg = cfg;
         self
@@ -511,12 +498,9 @@ impl MvnEngineBuilder {
                 max: MAX_ENGINE_WORKERS,
             });
         }
-        let pool = self.pool.unwrap_or_else(|| {
-            Arc::new(WorkerPool::with_lookahead(
-                effective_workers(self.workers),
-                self.lookahead,
-            ))
-        });
+        let pool = self
+            .pool
+            .unwrap_or_else(|| Arc::new(WorkerPool::new(effective_workers(self.workers))));
         Ok(MvnEngine {
             cfg: self.cfg,
             pool,
@@ -579,7 +563,6 @@ impl MvnEngine {
         MvnEngineBuilder {
             cfg: MvnConfig::default(),
             workers: 0,
-            lookahead: None,
             pool: None,
         }
     }
@@ -607,7 +590,8 @@ impl MvnEngine {
         &self.pool
     }
 
-    /// Pool usage counters (worker count, graphs and tasks executed).
+    /// Pool usage counters (worker count, non-empty task sets and tasks
+    /// executed, per-label timing).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -959,11 +943,6 @@ mod tests {
         builder.build().unwrap()
     }
 
-    fn streaming_engine(workers: usize, lookahead: usize) -> MvnEngine {
-        let builder = MvnEngine::builder().workers(workers).streaming(lookahead);
-        builder.config(test_cfg()).build().unwrap()
-    }
-
     #[test]
     fn builder_rejects_oversubscription_and_bad_configs() {
         let err = MvnEngine::builder()
@@ -1088,7 +1067,7 @@ mod tests {
         // Tentpole: one task graph spanning heterogeneous factors — distinct
         // covariances, *dimensions* and storage kinds (dense + TLR) — must
         // reproduce the individual per-factor solves bit for bit, for every
-        // worker count and for streaming submission.
+        // worker count.
         for workers in [1usize, 2, 4] {
             let engine = test_engine(workers);
             let f0 = Arc::new(
@@ -1137,21 +1116,6 @@ mod tests {
                 );
                 assert!(r.std_error.to_bits() == single.std_error.to_bits());
             }
-            // A streaming engine submits the same mixed pairs through
-            // its lookahead window, again bitwise identically.
-            for lookahead in [1usize, 3, 0] {
-                let stream_engine = streaming_engine(workers, lookahead);
-                let got_s = stream_engine.solve_batch_mixed(&batch);
-                for (k, (g, w)) in got_s.iter().zip(&got).enumerate() {
-                    assert!(
-                        g.prob.to_bits() == w.prob.to_bits(),
-                        "workers={workers} lookahead={lookahead} item={k}: {} vs {}",
-                        g.prob,
-                        w.prob
-                    );
-                    assert!(g.std_error.to_bits() == w.std_error.to_bits());
-                }
-            }
         }
     }
 
@@ -1185,103 +1149,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_engine_matches_materialized_engine_bitwise() {
-        // Engine-level tentpole acceptance: a streaming engine's solve,
-        // solve_batch and fused pipeline are bitwise identical to the
-        // materialized engine for every worker count and several windows,
-        // and the pool stats prove the peak in-flight task count never
-        // exceeded the window.
-        let n = 45;
-        let f = exp_cov(0.3);
-        let problems: Vec<Problem> = (0..6)
-            .map(|k| {
-                let lo = -0.2 - 0.1 * k as f64;
-                Problem::new(vec![lo; n], vec![f64::INFINITY; n])
-            })
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let dag_engine = test_engine(workers);
-            let factor = dag_engine
-                .factor_dense(SymTileMatrix::from_fn(n, 12, f))
-                .unwrap();
-            let want = dag_engine.solve_batch(&factor, &problems);
-            for lookahead in [1usize, 3, 0] {
-                let stream_engine = streaming_engine(workers, lookahead);
-                // Factor through the streaming path too: the whole streamed
-                // session (factor + batched solves) must reproduce the
-                // materialized engine bit for bit.
-                let stream_factor = stream_engine
-                    .factor_dense(SymTileMatrix::from_fn(n, 12, f))
-                    .unwrap();
-                let got = stream_engine.solve_batch(&stream_factor, &problems);
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        g.prob.to_bits() == w.prob.to_bits(),
-                        "workers={workers} lookahead={lookahead}: {} vs {}",
-                        g.prob,
-                        w.prob
-                    );
-                    assert!(g.std_error.to_bits() == w.std_error.to_bits());
-                }
-                let stats = stream_engine.pool_stats();
-                let window = task_runtime::effective_lookahead(lookahead, workers);
-                assert!(stats.streams_run >= 1);
-                assert!(
-                    stats.stream_peak_tasks <= window,
-                    "workers={workers} lookahead={lookahead}: peak {} > window {window}",
-                    stats.stream_peak_tasks
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_engine_fused_pipeline_matches_materialized_bitwise() {
-        let n = 48;
-        let f = exp_cov(0.6);
-        let a = vec![-0.3; n];
-        let b = vec![1.1; n];
-        let mut sigma_ref = SymTileMatrix::from_fn(n, 12, f);
-        let engine_ref = test_engine(2);
-        let want = engine_ref
-            .factor_prob_dense(&mut sigma_ref, &a, &b)
-            .unwrap();
-        let stream_engine = streaming_engine(2, 4);
-        let mut sigma = SymTileMatrix::from_fn(n, 12, f);
-        let got = stream_engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
-        assert!(got.prob.to_bits() == want.prob.to_bits());
-        let lf = sigma.to_dense_lower();
-        let ls = sigma_ref.to_dense_lower();
-        for i in 0..n {
-            for j in 0..n {
-                assert!(lf.get(i, j).to_bits() == ls.get(i, j).to_bits());
-            }
-        }
-        assert!(stream_engine.pool_stats().stream_peak_tasks <= 4);
-    }
-
-    #[test]
     fn builder_settings_compose_in_any_order() {
         // Regression: `.config(cfg)` used to overwrite an earlier
-        // `.workers(n)` / `.streaming(w)` (both lived inside the config).
+        // `.workers(n)` (it lived inside the config).
         let c = test_cfg();
         let before = MvnEngine::builder().workers(2).config(c).build().unwrap();
         let after = MvnEngine::builder().config(c).workers(2).build().unwrap();
         assert_eq!(before.workers(), 2);
         assert_eq!(after.workers(), 2);
         assert_eq!(before.config().sample_size, 3000);
-        assert_eq!(before.pool().lookahead(), None);
-        for e in [
-            MvnEngine::builder().workers(2).streaming(8).config(c),
-            MvnEngine::builder().config(c).streaming(8).workers(2),
-            MvnEngine::builder().streaming(8).workers(2).config(c),
-        ] {
-            let e = e.build().unwrap();
-            assert_eq!((e.workers(), e.pool().lookahead()), (2, Some(8)));
-        }
-        let default_window = MvnEngine::builder().workers(3).streaming(0).build();
-        assert_eq!(default_window.unwrap().pool().lookahead(), Some(12));
+        assert_eq!(after.config().sample_size, 3000);
     }
 
     #[test]
@@ -1337,6 +1214,7 @@ mod tests {
         }
         let after = engine.pool_stats();
         assert_eq!(after.workers, 3, "worker count must never grow");
+        // One non-empty task set per batch.
         assert_eq!(after.graphs_run, baseline.graphs_run + batches);
         // 4 problems × 8 panels per batch.
         assert_eq!(after.tasks_run, baseline.tasks_run + batches * 32);

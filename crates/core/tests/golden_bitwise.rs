@@ -6,7 +6,7 @@
 //! layer). The refactor's contract is that dense and TLR results stay
 //! **bitwise identical** through any restructuring of the dispatch — so each
 //! scenario pins the exact `f64` bits of `prob` and `std_error` across
-//! worker counts, streaming lookaheads and batch compositions.
+//! worker counts and batch compositions.
 //! A golden mismatch means the refactor changed numerics, not just shape.
 //!
 //! To re-capture after an *intentional* numerical change, run
@@ -37,11 +37,6 @@ fn cfg() -> MvnConfig {
 fn engine(workers: usize) -> MvnEngine {
     let builder = MvnEngine::builder().config(cfg()).workers(workers);
     builder.build().unwrap()
-}
-
-fn streaming_engine(workers: usize, lookahead: usize) -> MvnEngine {
-    let builder = MvnEngine::builder().config(cfg()).workers(workers);
-    builder.streaming(lookahead).build().unwrap()
 }
 
 fn dense_factor(e: &MvnEngine, n: usize, nb: usize, range: f64) -> Factor {
@@ -82,13 +77,6 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         push(&format!("tlr_solve_w{workers}"), e.solve(&ft, &a, &b));
     }
 
-    // Streaming submission across lookahead windows.
-    for lookahead in [1usize, 3, 0] {
-        let e = streaming_engine(2, lookahead);
-        let fd = dense_factor(&e, n, 16, 0.5);
-        push(&format!("dense_stream_la{lookahead}"), e.solve(&fd, &a, &b));
-    }
-
     // Batched solves over one factor.
     let e = engine(2);
     let fd = dense_factor(&e, 45, 12, 0.3);
@@ -125,7 +113,7 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         push(&format!("mixed_batch_p{k}"), r);
     }
 
-    // Fused factor+sweep pipeline, dense + TLR, materialized and streaming.
+    // Fused factor+sweep pipeline, dense + TLR.
     let e2 = engine(2);
     let mut sigma = SymTileMatrix::from_fn(n, 16, exp_cov(0.5));
     push(
@@ -143,12 +131,6 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         "tlr_fused_w2",
         e2.factor_prob_tlr(&mut sigma_t, &a, &b).unwrap(),
     );
-    let es = streaming_engine(2, 3);
-    let mut sigma_s = SymTileMatrix::from_fn(n, 16, exp_cov(0.5));
-    push(
-        "dense_fused_stream",
-        es.factor_prob_dense(&mut sigma_s, &a, &b).unwrap(),
-    );
 
     rows
 }
@@ -161,9 +143,6 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("tlr_solve_w2", 0x3f0bdf6c2b0bb838, 0x3eb7210f89fc0ffe),
     ("dense_solve_w4", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
     ("tlr_solve_w4", 0x3f0bdf6c2b0bb838, 0x3eb7210f89fc0ffe),
-    ("dense_stream_la1", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
-    ("dense_stream_la3", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
-    ("dense_stream_la0", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
     ("dense_batch_p0", 0x3efe36d3f9a0b9d1, 0x3ea58c58266cccb0),
     ("dense_batch_p1", 0x3f266ca8f03df3cd, 0x3ed0cbca7f11bcce),
     ("dense_batch_p2", 0x3f4722804c7ebb71, 0x3ef17f300ed57302),
@@ -177,7 +156,6 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("mixed_batch_p5", 0x3f683fecc541307d, 0x3f13c73c24f3452e),
     ("dense_fused_w2", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
     ("tlr_fused_w2", 0x3f0bdf6c2b0bb838, 0x3eb7210f89fc0ffe),
-    ("dense_fused_stream", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
 ];
 
 #[test]
@@ -220,10 +198,6 @@ fn solve_bits_do_not_depend_on_worker_count() {
     assert_eq!(bits("dense_solve_w1"), bits("dense_solve_w4"));
     assert_eq!(bits("tlr_solve_w1"), bits("tlr_solve_w2"));
     assert_eq!(bits("tlr_solve_w1"), bits("tlr_solve_w4"));
-    // Streaming submission must land on the materialized bits too.
-    assert_eq!(bits("dense_solve_w1"), bits("dense_stream_la1"));
-    assert_eq!(bits("dense_solve_w1"), bits("dense_stream_la3"));
-    assert_eq!(bits("dense_solve_w1"), bits("dense_stream_la0"));
 }
 
 /// Capture helper: prints the golden table in Rust-literal form.

@@ -1,7 +1,6 @@
 //! One pool, same bits: the two factor entry points and the fused pipeline
-//! leave identical bits for every pool shape — 1/2/4 workers × {materialized,
-//! window 1, window 3, default window} — and the fused pipeline agrees with
-//! the staged factor-then-solve flow.
+//! leave identical bits on 1, 2 and 4 workers, and the fused pipeline agrees
+//! with the staged factor-then-solve flow.
 
 use mvn_core::{Factor, MvnConfig, MvnEngine};
 use task_runtime::WorkerPool;
@@ -38,33 +37,28 @@ fn factors_and_fused_pipeline_are_bitwise_identical_on_every_pool() {
     let want_tlr = want_tlr.to_dense_lower();
 
     for workers in [1usize, 2, 4] {
-        for lookahead in [None, Some(1), Some(3), Some(0)] {
-            let case = format!("workers={workers} lookahead={lookahead:?}");
-            let pool = WorkerPool::with_lookahead(workers, lookahead);
-            assert_eq!(
-                dense_factor(&pool, dense()).to_dense_lower(),
-                want_dense,
-                "{case}"
-            );
-            let mut t = tlr();
-            potrf_tlr(&mut t, &pool).unwrap();
-            assert_eq!(t.to_dense_lower(), want_tlr, "{case}");
+        let case = format!("workers={workers}");
+        let pool = WorkerPool::new(workers);
+        assert_eq!(
+            dense_factor(&pool, dense()).to_dense_lower(),
+            want_dense,
+            "{case}"
+        );
+        let mut t = tlr();
+        potrf_tlr(&mut t, &pool).unwrap();
+        assert_eq!(t.to_dense_lower(), want_tlr, "{case}");
 
-            let mut builder = MvnEngine::builder().workers(workers).config(cfg);
-            if let Some(w) = lookahead {
-                builder = builder.streaming(w);
-            }
-            let engine = builder.build().unwrap();
-            let mut sigma = dense();
-            let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
-            assert_eq!(fused.prob.to_bits(), staged.prob.to_bits(), "{case}");
-            assert_eq!(
-                fused.std_error.to_bits(),
-                staged.std_error.to_bits(),
-                "{case}"
-            );
-            assert_eq!(sigma.to_dense_lower(), want_dense, "{case}");
-        }
+        let engine = MvnEngine::builder().workers(workers).config(cfg);
+        let engine = engine.build().unwrap();
+        let mut sigma = dense();
+        let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
+        assert_eq!(fused.prob.to_bits(), staged.prob.to_bits(), "{case}");
+        assert_eq!(
+            fused.std_error.to_bits(),
+            staged.std_error.to_bits(),
+            "{case}"
+        );
+        assert_eq!(sigma.to_dense_lower(), want_dense, "{case}");
     }
 }
 

@@ -33,7 +33,7 @@ pub struct ProblemSpec {
 /// needs.
 pub struct DistributedWorkload {
     /// The dependency graph with flop costs (pure structure, no closures).
-    pub graph: TaskGraph<'static>,
+    pub graph: TaskGraph,
     /// Registered data handles (tiles, panel blocks) with byte sizes.
     pub registry: HandleRegistry,
     /// Owner node of each handle, indexed by handle id.
@@ -109,7 +109,6 @@ fn cholesky_with_tiles(
             TaskSpec::new("potrf")
                 .access(tile(k, k), AccessMode::ReadWrite)
                 .cost(potrf_cost),
-            None,
         );
         exec_node.push(cluster.tile_owner(k, k));
 
@@ -125,7 +124,6 @@ fn cholesky_with_tiles(
                     .access(tile(k, k), AccessMode::Read)
                     .access(tile(i, k), AccessMode::ReadWrite)
                     .cost(cost),
-                None,
             );
             exec_node.push(cluster.tile_owner(i, k));
         }
@@ -164,7 +162,7 @@ fn cholesky_with_tiles(
                 if i != j {
                     t = t.access(tile(j, k), AccessMode::Read);
                 }
-                graph.submit(t, None);
+                graph.submit(t);
                 exec_node.push(cluster.tile_owner(i, j));
             }
         }
@@ -215,7 +213,6 @@ fn vecchia_with_blocks(
             TaskSpec::new("cond_solve")
                 .access(row[0], AccessMode::ReadWrite)
                 .cost(cost),
-            None,
         );
         exec_node.push(cluster.tile_owner(i, 0));
     }
@@ -268,7 +265,7 @@ pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distributed
                 if let Some(ph) = prev {
                     t = t.access(ph, AccessMode::Read);
                 }
-                wl.graph.submit(t, None);
+                wl.graph.submit(t);
                 wl.exec_node.push(panel_node);
                 prev = Some(h);
             }
@@ -295,7 +292,6 @@ pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distributed
                     .access(tile_handle(r, r), AccessMode::Read)
                     .access(panel_blocks[r], AccessMode::ReadWrite)
                     .cost(qmc_cost),
-                None,
             );
             wl.exec_node.push(panel_node);
             // Propagation GEMMs to the later row blocks.
@@ -316,7 +312,6 @@ pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distributed
                         .access(panel_blocks[r], AccessMode::Read)
                         .access(panel_blocks[j], AccessMode::ReadWrite)
                         .cost(cost),
-                    None,
                 );
                 wl.exec_node.push(panel_node);
             }

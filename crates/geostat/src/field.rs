@@ -169,6 +169,7 @@ mod tests {
                 assert!(a.to_bits() == b.to_bits());
             }
         }
+        // One non-empty task set per simulation.
         assert_eq!(pool.stats().graphs_run, 3);
     }
 

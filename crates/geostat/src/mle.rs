@@ -302,7 +302,8 @@ mod tests {
         assert_eq!(plain.iterations, pooled.iterations);
         assert!(plain.loglik.to_bits() == pooled.loglik.to_bits());
         assert!(plain.params.range.to_bits() == pooled.params.range.to_bits());
-        // Every objective evaluation factored one covariance on the pool.
+        // Every objective evaluation factored one covariance on the pool: at
+        // least one non-empty task set each.
         let stats = pool.stats();
         assert!(stats.graphs_run as usize >= pooled.iterations);
         assert_eq!(stats.workers, 2);

@@ -94,8 +94,6 @@ pub struct DistConfig {
     pub worker_env: Vec<(String, String)>,
     /// Worker threads per node (`0` = available parallelism).
     pub workers_per_node: usize,
-    /// Streaming lookahead window per node (`0` = default `4 × workers`).
-    pub lookahead: usize,
     /// End-to-end deadline: handshake, factor, sweep, gather — and any
     /// recovery — must all land inside it, otherwise the run is torn down
     /// with [`DistError::Timeout`].
@@ -121,7 +119,7 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// A config with `nodes` workers launched via `worker_command`, one
-    /// compute thread each, default lookahead, recovery enabled
+    /// compute thread each, recovery enabled
     /// ([`Recovery::Respawn`]), and a generous deadline.
     pub fn new(nodes: usize, worker_command: Vec<String>) -> Self {
         Self {
@@ -129,7 +127,6 @@ impl DistConfig {
             worker_command,
             worker_env: Vec::new(),
             workers_per_node: 1,
-            lookahead: 0,
             timeout: Duration::from_secs(120),
             bind_addr: "127.0.0.1".to_string(),
             connect_retries: 5,
@@ -570,7 +567,6 @@ fn run(
         panel_width: cfg.panel_width,
         sample_kind: cfg.sample_kind,
         seed: cfg.seed,
-        lookahead: dist.lookahead,
         workers: dist.workers_per_node,
         deadline_ms: dist.timeout.as_millis() as u64,
     };

@@ -16,12 +16,12 @@
 //!   each (owner → requester) edge at most once — exactly the transfer
 //!   dedup `distsim::sim` models.
 //! * **Execution.** Inside each worker the owned task sequence streams
-//!   through a lookahead-limited [`task_runtime::WorkerPool`] session with
+//!   through one [`task_runtime::WorkerPool::execute`] session with
 //!   hazard-inferred dependencies, so per-tile kernel order — and therefore
 //!   every bit of the factor — matches the single-process DAG.
 //!
-//! The headline property is **bitwise identity**: for any node count,
-//! worker count and lookahead, the distributed probability equals
+//! The headline property is **bitwise identity**: for any node count and
+//! worker count, the distributed probability equals
 //! `MvnEngine::solve` bit for bit, for dense and TLR factors. The argument
 //! (spelled out in DESIGN.md, "Distributed runtime") reduces to two facts:
 //! every remote read is of a *final* tile (potrf/trsm outputs; intermediate

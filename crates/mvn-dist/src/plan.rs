@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn plan_has_the_dag_kernel_counts_and_order() {
         // 4 tile rows: 4 potrf + 6 trsm + 6 syrk + 4 gemm = 20 tasks, the
-        // same counts the materialized single-process graph holds.
+        // same counts the single-process task set submits.
         let layout = TileLayout::new(64, 16);
         let plan = factor_plan(layout);
         assert_eq!(plan.len(), 20);

@@ -83,8 +83,6 @@ pub struct ProblemMsg {
     pub sample_kind: SampleKind,
     /// QMC shift seed.
     pub seed: u64,
-    /// Streaming lookahead window (0 = default).
-    pub lookahead: usize,
     /// Worker threads per node (0 = available parallelism).
     pub workers: usize,
     /// End-to-end deadline budget in milliseconds, measured from setup
@@ -458,7 +456,6 @@ fn problem_to_json(p: &ProblemMsg) -> Json {
             Json::Str(sample_kind_str(p.sample_kind).into()),
         ),
         ("seed", Json::Str(p.seed.to_string())),
-        ("lookahead", num(p.lookahead)),
         ("workers", num(p.workers)),
         ("deadline_ms", num(p.deadline_ms as usize)),
     ]);
@@ -494,7 +491,6 @@ fn problem_from_json(v: &Json) -> Result<ProblemMsg, String> {
         seed: get_str(v, "seed")?
             .parse::<u64>()
             .map_err(|e| format!("invalid seed: {e}"))?,
-        lookahead: get_usize(v, "lookahead")?,
         workers: get_usize(v, "workers")?,
         deadline_ms: get_usize(v, "deadline_ms")? as u64,
     })
@@ -863,7 +859,6 @@ mod tests {
                 panel_width: 64,
                 sample_kind: SampleKind::RichtmyerLattice,
                 seed: u64::MAX - 3, // not representable as f64
-                lookahead: 7,
                 workers: 2,
                 deadline_ms: 120_000,
             },

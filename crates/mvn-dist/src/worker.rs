@@ -1,7 +1,8 @@
 //! The worker process: owns its block-cyclic share of the factor tiles,
-//! executes exactly the owned tasks of the global plan through a local
-//! lookahead-limited streaming session, serves finalized tiles to peers over
-//! TCP, and sweeps its assigned share of the QMC panels.
+//! executes exactly the owned tasks of the global plan through its local
+//! worker pool (one streaming [`WorkerPool::execute`] session), serves
+//! finalized tiles to peers over TCP, and sweeps its assigned share of the
+//! QMC panels.
 //!
 //! ## Why this cannot deadlock
 //!
@@ -58,8 +59,7 @@ use distsim::ProcessGrid;
 use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{
-    effective_lookahead, effective_workers, AccessMode, DataHandle, HandleRegistry, TaskSink,
-    TaskSpec, WorkerPool,
+    effective_workers, AccessMode, DataHandle, HandleRegistry, TaskSpec, WorkerPool,
 };
 use tile_la::dag::FactorStatus;
 use tile_la::kernels::{
@@ -578,13 +578,11 @@ fn control_loop(reader: &mut BufReader<TcpStream>, ctx: Arc<WorkerCtx>) {
 fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, WorkerErrorMsg> {
     let p = &ctx.problem;
     let mut links = PeerLinks::new();
-    let workers = effective_workers(p.workers);
-    let window = effective_lookahead(p.lookahead, workers);
-    let pool = WorkerPool::with_lookahead(workers, Some(window));
+    let pool = WorkerPool::new(effective_workers(p.workers));
 
     let factor_span =
         obs::enabled().then(|| obs::span_with("dist_factor", &[("rank", ctx.rank as u64)]));
-    let executed = factor(ctx, &mut links, &pool, window)?;
+    let executed = factor(ctx, &mut links, &pool)?;
     drop(factor_span);
     let sweep_span = obs::enabled().then(|| {
         obs::span_with(
@@ -624,14 +622,15 @@ fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, Worke
     })
 }
 
-/// Execute the owned slice of the factorization plan through one streaming
-/// session (see the module docs for the prefetch protocol). Returns the
-/// number of owned tasks executed.
+/// Execute the owned slice of the factorization plan through one
+/// [`WorkerPool::execute`] session (see the module docs for the prefetch
+/// protocol): each task runs as soon as it is submitted, so the prefetches
+/// between submissions never wait on tasks the pool is holding back.
+/// Returns the number of owned tasks executed.
 fn factor(
     ctx: &Arc<WorkerCtx>,
     links: &mut PeerLinks,
     pool: &WorkerPool,
-    window: usize,
 ) -> Result<u64, WorkerErrorMsg> {
     let p = &ctx.problem;
     let layout = ctx.layout;
@@ -653,7 +652,7 @@ fn factor(
 
     let store_ref: &DistStore = &ctx.store;
     let status_ref = &status;
-    let (submit_result, _stats) = pool.stream(window, |sink| -> Result<u64, WorkerErrorMsg> {
+    let executed = pool.execute(|sink| -> Result<u64, WorkerErrorMsg> {
         let mut executed = 0u64;
         for step in &plan {
             if status_ref.is_failed() {
@@ -712,8 +711,7 @@ fn factor(
             );
         }
         Ok(executed)
-    });
-    let executed = submit_result?;
+    })?;
     if let Some(pivot) = status.pivot() {
         return Err(WorkerErrorMsg::Factorization { pivot });
     }
@@ -726,7 +724,7 @@ fn factor(
 type SweepOutcome = (Vec<(usize, f64, usize)>, u64);
 
 /// Sweep the given panels against the fully assembled factor. With a pool,
-/// panels stream through its window (the main pipeline); without, they
+/// panels run as one task set on it (the main pipeline); without, they
 /// run sequentially in panel order (the replay path). Both produce
 /// bit-identical per-panel results — a panel's result depends only on the
 /// panel index and the factor bits.
@@ -1014,20 +1012,28 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
                 let Ok(id) = proto::parse_tile_request(&msg) else {
                     return;
                 };
-                let response = loop {
-                    if let Some(tile) = ctx.store.wait_final_timeout(id, LOCAL_WAIT_SLICE) {
-                        break proto::tile_response(&tile);
-                    }
-                    let owner = ctx.grid.owner(id.0, id.1);
-                    let (_, exec, _) = ctx.view.route(owner);
-                    if exec != ctx.rank {
-                        break proto::tile_error(&format!(
-                            "rank {} does not execute tile {id:?} (owner {owner} -> {exec})",
-                            ctx.rank
-                        ));
-                    }
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        return;
+                let nt = ctx.layout.num_tiles();
+                let response = if id.1 > id.0 || id.0 >= nt {
+                    // No such tile: refuse it and keep the connection.
+                    proto::tile_error(&format!(
+                        "tile {id:?} is outside the lower triangle of {nt} x {nt} tiles"
+                    ))
+                } else {
+                    loop {
+                        if let Some(tile) = ctx.store.wait_final_timeout(id, LOCAL_WAIT_SLICE) {
+                            break proto::tile_response(&tile);
+                        }
+                        let owner = ctx.grid.owner(id.0, id.1);
+                        let (_, exec, _) = ctx.view.route(owner);
+                        if exec != ctx.rank {
+                            break proto::tile_error(&format!(
+                                "rank {} does not execute tile {id:?} (owner {owner} -> {exec})",
+                                ctx.rank
+                            ));
+                        }
+                        if ctx.shutdown.load(Ordering::SeqCst) {
+                            return;
+                        }
                     }
                 };
                 if write_msg(&mut writer, &response).is_err() {
@@ -1042,5 +1048,94 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
                 );
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{ProblemMsg, SetupMsg};
+    use qmc::SampleKind;
+
+    #[test]
+    fn tile_server_refuses_ids_outside_the_layout_and_keeps_serving() {
+        // Play coordinator for a one-rank, 2 x 2-tile dense problem, then
+        // ask its tile server for two ids that have no slot and one that
+        // does, all on one connection.
+        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
+        let coord_addr = coord.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || run_worker(&coord_addr));
+        let (conn, _) = coord.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut coord_reader = BufReader::new(conn.try_clone().unwrap());
+        let mut coord_writer = conn;
+        let hello = read_msg(&mut coord_reader).unwrap().unwrap();
+        let tile_server = proto::parse_hello(&hello).unwrap();
+
+        let (n, nb) = (4, 2);
+        let tile = |i: usize, j: usize| {
+            TileValue::Dense(DenseMatrix::from_fn(nb, nb, |r, c| {
+                if i == j && r == c {
+                    1.0
+                } else {
+                    0.0
+                }
+            }))
+        };
+        let setup = SetupMsg {
+            rank: 0,
+            nodes: 1,
+            epoch: 0,
+            peers: vec![tile_server.clone()],
+            executor: vec![0],
+            panels: Vec::new(),
+            problem: ProblemMsg {
+                factor: proto::FactorSpec::Dense,
+                n,
+                nb,
+                a: vec![-1.0; n],
+                b: vec![1.0; n],
+                sample_size: 64,
+                panel_width: 32,
+                sample_kind: SampleKind::RichtmyerLattice,
+                seed: 1,
+                workers: 1,
+                deadline_ms: 60_000,
+            },
+            tiles: vec![
+                ((0, 0), tile(0, 0)),
+                ((1, 0), tile(1, 0)),
+                ((1, 1), tile(1, 1)),
+            ],
+        };
+        write_msg(&mut coord_writer, &proto::setup_to_json(&setup)).unwrap();
+        let done = read_msg(&mut coord_reader).unwrap().unwrap();
+        assert!(matches!(
+            proto::worker_msg_from_json(&done),
+            Ok(WorkerMsg::Done(_))
+        ));
+
+        let peer = TcpStream::connect(&tile_server).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut peer_reader = BufReader::new(peer.try_clone().unwrap());
+        let mut peer_writer = peer;
+        let mut get = |id: TileId| {
+            write_msg(&mut peer_writer, &proto::tile_request(id, 0)).unwrap();
+            let reply = read_msg(&mut peer_reader)
+                .unwrap()
+                .unwrap_or_else(|| panic!("the tile server hung up on {id:?}"));
+            proto::parse_tile_response(&reply)
+        };
+        for bad in [(2, 0), (0, 1)] {
+            let err = get(bad).unwrap_err();
+            assert!(err.contains("outside the lower triangle"), "{bad:?}: {err}");
+        }
+        let good = get((1, 1)).unwrap();
+        assert_eq!(good.as_dense().get(1, 1), 1.0);
+
+        write_msg(&mut coord_writer, &proto::shutdown()).unwrap();
+        worker.join().unwrap().unwrap();
     }
 }

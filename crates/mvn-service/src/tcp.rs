@@ -816,7 +816,6 @@ fn render_metrics(id: u64, service: &MvnService) -> String {
     extra.push(("mvn_pool_workers".into(), st.pool.workers as f64));
     extra.push(("mvn_pool_graphs_total".into(), st.pool.graphs_run as f64));
     extra.push(("mvn_pool_tasks_total".into(), st.pool.tasks_run as f64));
-    extra.push(("mvn_pool_streams_total".into(), st.pool.streams_run as f64));
     let text = obs::render_prometheus(&extra);
     let mut s = format!("{{\"id\":{id},\"metrics\":");
     write_escaped(&mut s, &text);

@@ -5,22 +5,22 @@ use crate::handle::DataHandle;
 use crate::task::TaskSpec;
 use std::collections::HashMap;
 
-/// Work item executed by the threaded executor. The lifetime lets task
-/// closures borrow data owned by the submitting scope (e.g. a
-/// [`TileStore`](crate::TileStore)); the executor runs them on scoped threads,
-/// so no `'static` bound is needed.
+/// Work item executed by the worker pool. The lifetime lets task closures
+/// borrow data owned by the submitting scope (e.g. a
+/// [`TileStore`](crate::TileStore)); [`WorkerPool::execute`] does not return
+/// until every closure has been consumed, so no `'static` bound is needed.
+///
+/// [`WorkerPool::execute`]: crate::WorkerPool::execute
 pub type TaskClosure<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// Anything tasks can be submitted to in program order under the
-/// sequential-task-flow contract: a materialized [`TaskGraph`] (every task
-/// stored, executed later) or a
-/// [`StreamSubmitter`](crate::StreamSubmitter) (tasks handed to the worker
-/// pool immediately, bounded lookahead window).
-///
-/// Task producers — the tiled/TLR Cholesky submission loops, the PMVN sweep —
-/// are written against this trait, so the same submission code drives both
-/// execution modes; the dependency semantics (and the resulting data, bitwise)
-/// are identical.
+/// sequential-task-flow contract. Task producers — the tiled/TLR Cholesky
+/// submission loops, the PMVN sweep, `mvn-dist`'s owned slice of the plan —
+/// are written against this trait and handed to
+/// [`WorkerPool::execute`](crate::WorkerPool::execute), which executes each
+/// task as it is submitted. A [`TaskGraph`] is also a sink: it records the
+/// DAG the same submissions induce (closures are dropped unexecuted), which
+/// is how the kernel-count tests inspect a producer.
 pub trait TaskSink<'a> {
     /// Submit a task with its declared accesses and optional closure;
     /// dependencies on earlier submissions are inferred from the access
@@ -28,18 +28,16 @@ pub trait TaskSink<'a> {
     fn submit_task(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'a>>) -> usize;
 }
 
-impl<'a> TaskSink<'a> for TaskGraph<'a> {
-    fn submit_task(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'a>>) -> usize {
-        self.submit(spec, closure)
+impl<'a> TaskSink<'a> for TaskGraph {
+    fn submit_task(&mut self, spec: TaskSpec, _closure: Option<TaskClosure<'a>>) -> usize {
+        self.submit(spec)
     }
 }
 
 /// The sequential-task-flow hazard state — last writer and readers since the
-/// last write, per handle — shared by the materialized [`TaskGraph`] and the
-/// streaming [`StreamSubmitter`](crate::StreamSubmitter), so the two
-/// submission modes cannot drift apart in their dependency semantics (the
-/// bitwise streaming-vs-materialized identity rests on them inferring the
-/// same edges).
+/// last write, per handle — shared by the [`TaskGraph`] recorder and the
+/// pool's streaming submitter, so the DAG `distsim` simulates is the one the
+/// pool executes.
 #[derive(Debug, Default)]
 pub(crate) struct HazardTracker {
     last_writer: HashMap<DataHandle, usize>,
@@ -76,12 +74,12 @@ impl HazardTracker {
     }
 
     /// Record the accesses of the just-submitted task `id`. `retain_reader`
-    /// filters a handle's reader list before `id` is appended: the
-    /// materialized graph keeps every reader (`|_| true`), while the
-    /// streaming submitter drops already-retired readers here — a
-    /// write-after-read edge to a retired task is trivially satisfied — so
-    /// its per-handle metadata stays bounded by the lookahead window instead
-    /// of growing with the total read count.
+    /// filters a handle's reader list before `id` is appended: the graph
+    /// recorder keeps every reader (`|_| true`), while the streaming
+    /// submitter drops already-retired readers here — a write-after-read
+    /// edge to a retired task is trivially satisfied — so its per-handle
+    /// metadata stays bounded by the in-flight tasks instead of growing with
+    /// the total read count.
     pub(crate) fn record(
         &mut self,
         spec: &TaskSpec,
@@ -101,15 +99,14 @@ impl HazardTracker {
     }
 }
 
-/// A task DAG built by submitting tasks in program order.
-///
-/// The lifetime parameter is the lifetime of the data borrowed by the task
-/// closures; graphs without closures (pure dependency structure, as used by
-/// the `distsim` crate) can use `TaskGraph<'static>`.
-#[derive(Default)]
-pub struct TaskGraph<'a> {
+/// A task DAG recorded by submitting task specs in program order: pure
+/// dependency structure (names, accesses, abstract costs — no closures), as
+/// simulated by the `distsim` crate and inspected by the kernel-count tests.
+/// Execution goes through [`WorkerPool::execute`](crate::WorkerPool::execute)
+/// instead.
+#[derive(Debug, Default)]
+pub struct TaskGraph {
     specs: Vec<TaskSpec>,
-    closures: Vec<Option<TaskClosure<'a>>>,
     /// `deps[i]` = indices of tasks that must complete before task `i`.
     deps: Vec<Vec<usize>>,
     /// `dependents[i]` = tasks waiting on task `i`.
@@ -117,7 +114,7 @@ pub struct TaskGraph<'a> {
     hazards: HazardTracker,
 }
 
-impl<'a> TaskGraph<'a> {
+impl TaskGraph {
     /// An empty graph.
     pub fn new() -> Self {
         Self::default()
@@ -125,13 +122,13 @@ impl<'a> TaskGraph<'a> {
 
     /// Submit a task; its dependencies on previously submitted tasks are
     /// inferred from the declared data accesses. Returns the task index.
-    pub fn submit(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'a>>) -> usize {
+    pub fn submit(&mut self, spec: TaskSpec) -> usize {
         let id = self.specs.len();
         let mut deps = self.hazards.dependencies(&spec);
         deps.retain(|&d| d != id);
 
-        // Update the bookkeeping after computing dependencies; a materialized
-        // graph keeps every reader (all tasks exist until execution).
+        // Update the bookkeeping after computing dependencies; the recorder
+        // keeps every reader (no task ever retires).
         self.hazards.record(&spec, id, |_| true);
 
         for &d in &deps {
@@ -140,7 +137,6 @@ impl<'a> TaskGraph<'a> {
         self.deps.push(deps);
         self.dependents.push(Vec::new());
         self.specs.push(spec);
-        self.closures.push(closure);
         id
     }
 
@@ -167,11 +163,6 @@ impl<'a> TaskGraph<'a> {
     /// Tasks directly depending on task `i`.
     pub fn dependents(&self, i: usize) -> &[usize] {
         &self.dependents[i]
-    }
-
-    /// Take the closure of task `i` (used by the executor).
-    pub(crate) fn take_closure(&mut self, i: usize) -> Option<TaskClosure<'a>> {
-        self.closures[i].take()
     }
 
     /// Total cost of all tasks (the sequential execution time of the DAG under
@@ -224,11 +215,11 @@ mod tests {
         let mut reg = HandleRegistry::new();
         let x = reg.register("x");
         let mut g = TaskGraph::new();
-        let w0 = g.submit(spec("write0", &[(x, AccessMode::Write)], 1.0), None);
-        let r1 = g.submit(spec("read1", &[(x, AccessMode::Read)], 1.0), None);
-        let r2 = g.submit(spec("read2", &[(x, AccessMode::Read)], 1.0), None);
-        let w3 = g.submit(spec("write3", &[(x, AccessMode::Write)], 1.0), None);
-        let r4 = g.submit(spec("read4", &[(x, AccessMode::Read)], 1.0), None);
+        let w0 = g.submit(spec("write0", &[(x, AccessMode::Write)], 1.0));
+        let r1 = g.submit(spec("read1", &[(x, AccessMode::Read)], 1.0));
+        let r2 = g.submit(spec("read2", &[(x, AccessMode::Read)], 1.0));
+        let w3 = g.submit(spec("write3", &[(x, AccessMode::Write)], 1.0));
+        let r4 = g.submit(spec("read4", &[(x, AccessMode::Read)], 1.0));
 
         assert!(g.dependencies(w0).is_empty());
         assert_eq!(g.dependencies(r1), &[w0]);
@@ -244,9 +235,9 @@ mod tests {
         let mut reg = HandleRegistry::new();
         let x = reg.register("x");
         let mut g = TaskGraph::new();
-        g.submit(spec("w", &[(x, AccessMode::Write)], 1.0), None);
-        let r1 = g.submit(spec("r1", &[(x, AccessMode::Read)], 1.0), None);
-        let r2 = g.submit(spec("r2", &[(x, AccessMode::Read)], 1.0), None);
+        g.submit(spec("w", &[(x, AccessMode::Write)], 1.0));
+        let r1 = g.submit(spec("r1", &[(x, AccessMode::Read)], 1.0));
+        let r2 = g.submit(spec("r2", &[(x, AccessMode::Read)], 1.0));
         assert!(!g.dependencies(r2).contains(&r1));
     }
 
@@ -256,8 +247,8 @@ mod tests {
         let a = reg.register("a");
         let b = reg.register("b");
         let mut g = TaskGraph::new();
-        g.submit(spec("ta", &[(a, AccessMode::ReadWrite)], 2.0), None);
-        let tb = g.submit(spec("tb", &[(b, AccessMode::ReadWrite)], 3.0), None);
+        g.submit(spec("ta", &[(a, AccessMode::ReadWrite)], 2.0));
+        let tb = g.submit(spec("tb", &[(b, AccessMode::ReadWrite)], 3.0));
         assert!(g.dependencies(tb).is_empty());
         assert_eq!(g.total_cost(), 5.0);
         // Critical path is the longer of the two independent tasks.
@@ -270,10 +261,7 @@ mod tests {
         let x = reg.register("x");
         let mut g = TaskGraph::new();
         for i in 0..5 {
-            g.submit(
-                spec(&format!("t{i}"), &[(x, AccessMode::ReadWrite)], 2.0),
-                None,
-            );
+            g.submit(spec(&format!("t{i}"), &[(x, AccessMode::ReadWrite)], 2.0));
         }
         assert_eq!(g.critical_path_cost(), 10.0);
         assert_eq!(g.total_cost(), 10.0);
@@ -288,24 +276,18 @@ mod tests {
         let t10 = reg.register("t10");
         let t11 = reg.register("t11");
         let mut g = TaskGraph::new();
-        let potrf0 = g.submit(spec("potrf", &[(t00, AccessMode::ReadWrite)], 1.0), None);
-        let trsm = g.submit(
-            spec(
-                "trsm",
-                &[(t00, AccessMode::Read), (t10, AccessMode::ReadWrite)],
-                2.0,
-            ),
-            None,
-        );
-        let syrk = g.submit(
-            spec(
-                "syrk",
-                &[(t10, AccessMode::Read), (t11, AccessMode::ReadWrite)],
-                2.0,
-            ),
-            None,
-        );
-        let potrf1 = g.submit(spec("potrf", &[(t11, AccessMode::ReadWrite)], 1.0), None);
+        let potrf0 = g.submit(spec("potrf", &[(t00, AccessMode::ReadWrite)], 1.0));
+        let trsm = g.submit(spec(
+            "trsm",
+            &[(t00, AccessMode::Read), (t10, AccessMode::ReadWrite)],
+            2.0,
+        ));
+        let syrk = g.submit(spec(
+            "syrk",
+            &[(t10, AccessMode::Read), (t11, AccessMode::ReadWrite)],
+            2.0,
+        ));
+        let potrf1 = g.submit(spec("potrf", &[(t11, AccessMode::ReadWrite)], 1.0));
         assert_eq!(g.dependencies(trsm), &[potrf0]);
         assert_eq!(g.dependencies(syrk), &[trsm]);
         assert_eq!(g.dependencies(potrf1), &[syrk]);

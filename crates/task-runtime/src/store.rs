@@ -1,4 +1,4 @@
-//! Typed payload storage for task graphs: a slot per [`DataHandle`], so task
+//! Typed payload storage for task sets: a slot per [`DataHandle`], so task
 //! closures can borrow (read) or mutate (write) the tile a handle names while
 //! the executor runs them concurrently.
 //!
@@ -11,7 +11,7 @@
 //! [`HandleRegistry`](crate::HandleRegistry) — slots are keyed by the handle,
 //! not by a private id space — which is what lets the fused Cholesky + PMVN
 //! pipeline keep factor tiles and sample-panel states in separate typed stores
-//! inside a single task graph.
+//! inside a single task set.
 
 use crate::handle::DataHandle;
 use std::collections::HashMap;
@@ -141,7 +141,6 @@ mod tests {
     use super::*;
     use crate::handle::HandleRegistry;
     use crate::task::{AccessMode, TaskSpec};
-    use crate::TaskGraph;
     use crate::WorkerPool;
 
     #[test]
@@ -207,19 +206,17 @@ mod tests {
         store.insert(a, 1.0);
         store.insert(b, 100.0);
 
-        let mut graph = TaskGraph::new();
-        for _ in 0..10 {
-            let store_ref = &store;
-            graph.submit(
-                TaskSpec::new("double_a").access(a, AccessMode::ReadWrite),
-                Some(Box::new(move || {
-                    *store_ref.write(a) *= 2.0;
-                })),
-            );
-        }
-        {
-            let store_ref = &store;
-            graph.submit(
+        let store_ref = &store;
+        WorkerPool::new(4).execute(|sink| {
+            for _ in 0..10 {
+                sink.submit_task(
+                    TaskSpec::new("double_a").access(a, AccessMode::ReadWrite),
+                    Some(Box::new(move || {
+                        *store_ref.write(a) *= 2.0;
+                    })),
+                );
+            }
+            sink.submit_task(
                 TaskSpec::new("a_into_b")
                     .access(a, AccessMode::Read)
                     .access(b, AccessMode::ReadWrite),
@@ -228,9 +225,7 @@ mod tests {
                     *store_ref.write(b) += va;
                 })),
             );
-        }
-        WorkerPool::new(4).run(&mut graph);
-        drop(graph);
+        });
         assert_eq!(store.take(a), 1024.0);
         assert_eq!(store.take(b), 1124.0);
     }

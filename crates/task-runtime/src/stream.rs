@@ -1,32 +1,29 @@
-//! Streaming, lookahead-limited task submission.
+//! The pool's one executor: streaming task submission.
 //!
-//! A materialized [`TaskGraph`](crate::TaskGraph) stores *every* task spec,
-//! closure and dependency list of a graph before the first task runs —
-//! `O((n/nb)³)` of them for a tiled factorization, which is the memory wall
-//! for paper-scale grids. A [`StreamSubmitter`] instead hands each task to
-//! the [`WorkerPool`](crate::WorkerPool) the moment it is submitted and
-//! *retires* its bookkeeping as soon as it completes; the submitting thread
-//! blocks once `lookahead` tasks are in flight (peak residency never exceeds
-//! the window). Peak task storage
-//! is therefore `O(lookahead)` instead of `O(total tasks)`, and on multicore
-//! hosts execution overlaps graph construction.
+//! [`WorkerPool::execute`](crate::WorkerPool::execute) runs its submission
+//! closure against a [`StreamSubmitter`], which hands each task to the pool's
+//! workers the moment it is submitted and *retires* its bookkeeping as soon
+//! as it completes. The submitter never waits on the pool while submitting,
+//! so it may wait on anything else between submissions — including the
+//! output of a task it already submitted, which is what `mvn-dist`'s
+//! submitter does when it prefetches a remote tile another process produces
+//! from tiles this one is still factoring. There is no window: peak task
+//! storage is at most the number of tasks the closure submits, i.e. never
+//! more than a graph materialized before execution would hold.
 //!
-//! **Dependency inference is unchanged.** Submission goes through the same
-//! sequential-task-flow hazard rules as `TaskGraph::submit` (read-after-write,
-//! write-after-write, write-after-read on the declared handles); an edge to an
-//! already-retired task is trivially satisfied, which is exactly the semantics
-//! the materialized executor gives a completed predecessor. Because every
-//! closure still performs a fixed computation on the data it declared, the
-//! contents of every data handle after a drained stream are **bitwise
-//! identical** to executing the same submission sequence through a
-//! materialized graph, for any worker count and any lookahead ≥ 1 (see the
-//! streaming identity tests here and in `tile-la`, `tlr` and `mvn-core`).
+//! **Dependency inference** follows the sequential-task-flow hazard rules
+//! (read-after-write, write-after-write, write-after-read on the declared
+//! handles) through the same code the [`TaskGraph`](crate::TaskGraph)
+//! recorder runs; an edge to an already-retired task is trivially satisfied.
+//! Because every closure performs a fixed computation on the data it
+//! declared, the contents of every data handle after a drained session are
+//! **bitwise identical** for any worker count and any interleaving of
+//! submission and execution (see the identity tests here and in `tile-la`,
+//! `tlr`, `mvn-core` and `mvn-dist`).
 //!
-//! Entry point: [`WorkerPool::stream`](crate::WorkerPool::stream), which is a
-//! scoped API — the submitter only exists inside the closure passed to
-//! `stream`, and `stream` does not return until every submitted task has been
-//! consumed, so task closures may borrow the submitting scope just like
-//! materialized graphs.
+//! The submitter only exists inside the closure passed to `execute`, and
+//! `execute` does not return until every submitted task has been consumed,
+//! so task closures may borrow the submitting scope.
 
 use crate::graph::{HazardTracker, TaskClosure, TaskSink};
 use crate::task::TaskSpec;
@@ -37,87 +34,70 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Per-label `(count, total ns)` accumulated by one streaming session and
-/// merged into the pool's always-on timing map when the session drains.
+/// Per-label `(count, total ns)` accumulated by one session and merged into
+/// the pool's always-on timing map when the session drains.
 pub(crate) type LabelTimes = BTreeMap<String, (u64, u64)>;
 
-/// Usage counters of one drained streaming session (returned by
-/// [`WorkerPool::stream`](crate::WorkerPool::stream)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Total tasks submitted (and executed) through the stream.
-    pub tasks: u64,
-    /// Maximum number of tasks resident at once (submitted but not yet
-    /// retired). Bounded by [`StreamStats::lookahead`] — this is the
-    /// `O(lookahead)` peak-task-storage guarantee the window exists for.
-    pub peak_in_flight: usize,
-    /// The effective lookahead window of the session.
-    pub lookahead: usize,
-}
+/// What a drained session leaves: tasks executed, their per-label timing,
+/// and the first task panic.
+pub(crate) type Drained = (u64, LabelTimes, Option<Box<dyn Any + Send>>);
 
 /// Bookkeeping of one in-flight task: its (lifetime-erased) closure until a
 /// worker takes it, the number of unfinished predecessors, and the successors
 /// to release on completion. Retired (removed from the live map) as soon as
-/// the task completes — this is all the storage a streamed task ever has.
+/// the task completes — this is all the storage a submitted task ever has.
 struct LiveTask {
     closure: Option<TaskClosure<'static>>,
     pending: usize,
     dependents: Vec<usize>,
     /// Task-kind label (moved out of the spec at submission), for the
     /// always-on per-label timing and the per-task trace spans — the spec
-    /// itself is not retained by the stream.
+    /// itself is not retained.
     name: String,
 }
 
 struct StreamState {
-    /// In-flight tasks by id; `live.len()` is the current window occupancy.
+    /// In-flight tasks by id.
     live: HashMap<usize, LiveTask>,
     /// Ids whose predecessors have all completed, awaiting a worker.
     ready: VecDeque<usize>,
     submitted: u64,
-    peak: usize,
     /// Set once the submitting scope has ended; workers exit when the live
     /// map drains afterwards.
     closed: bool,
-    /// First task panic, re-raised by `stream` after the drain.
+    /// First task panic, re-raised by `execute` after the drain.
     panic: Option<Box<dyn Any + Send>>,
     /// Per-label `(count, ns)` of retired tasks; updated under the state
     /// lock already held at completion, so it adds no synchronization.
     by_label: LabelTimes,
 }
 
-/// One published streaming session: shared between the submitting thread and
-/// the pool workers.
+/// One published session: shared between the submitting thread and the pool
+/// workers.
 pub(crate) struct StreamJob {
     state: Mutex<StreamState>,
     /// Wakes workers: a task became ready, or the session closed.
     work_cv: Condvar,
-    /// Wakes the submitter blocked on a full window.
-    space_cv: Condvar,
     /// Wakes the submitter waiting for the final drain.
     done_cv: Condvar,
-    lookahead: usize,
-    /// Pool-wide id of this session, carried by the per-task trace spans.
-    stream_id: u64,
+    /// Pool-wide id of this task set, carried by the per-task trace spans.
+    graph_id: u64,
 }
 
 impl StreamJob {
-    pub(crate) fn new(lookahead: usize, stream_id: u64) -> Self {
+    pub(crate) fn new(graph_id: u64) -> Self {
         Self {
             state: Mutex::new(StreamState {
                 live: HashMap::new(),
                 ready: VecDeque::new(),
                 submitted: 0,
-                peak: 0,
                 closed: false,
                 panic: None,
                 by_label: LabelTimes::new(),
             }),
             work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            lookahead,
-            stream_id,
+            graph_id,
         }
     }
 
@@ -135,14 +115,14 @@ impl StreamJob {
                 let span = obs::enabled().then(|| {
                     obs::span_with(
                         obs::intern(&task.name),
-                        &[("worker", worker_id as u64), ("stream", self.stream_id)],
+                        &[("worker", worker_id as u64), ("graph", self.graph_id)],
                     )
                 });
                 drop(st);
                 let t0 = Instant::now();
                 if let Some(f) = closure {
                     // Contain the panic so the pool thread survives; the
-                    // first payload is re-raised by `stream` after the drain.
+                    // first payload is re-raised by `execute` after the drain.
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                         let mut s = self.state.lock().unwrap();
                         if s.panic.is_none() {
@@ -162,8 +142,8 @@ impl StreamJob {
         }
     }
 
-    /// Retire a finished task: release its dependents, free its window slot,
-    /// and signal the submitter.
+    /// Retire a finished task: release its dependents and, on the last
+    /// retirement of a closed session, signal the drain.
     fn complete(&self, id: usize, st: &mut StreamState, dur_ns: u64) {
         let task = st.live.remove(&id).expect("completed task must be live");
         let e = st.by_label.entry(task.name).or_insert((0, 0));
@@ -180,7 +160,6 @@ impl StreamJob {
                 self.work_cv.notify_one();
             }
         }
-        self.space_cv.notify_one();
         if st.closed && st.live.is_empty() {
             // Wake the remaining parked workers (they observe the drained,
             // closed session and leave) and the submitter in `finish`.
@@ -191,8 +170,8 @@ impl StreamJob {
 }
 
 /// How a [`StreamSubmitter`] executes: inline on the submitting thread (a
-/// single-worker pool, or re-entrant submission from a pool worker), or
-/// published to the pool's worker threads.
+/// single-worker pool, or re-entrant submission from a pool worker or from
+/// inside another `execute` closure), or published to the pool's workers.
 enum StreamTarget<'p> {
     Inline {
         tasks: u64,
@@ -202,66 +181,79 @@ enum StreamTarget<'p> {
     Pool(&'p StreamJob),
 }
 
-/// The submission handle of one streaming session (see the [module
-/// docs](self)); obtained only inside the closure passed to
-/// [`WorkerPool::stream`](crate::WorkerPool::stream).
+/// The submission handle of one session (see the [module docs](self)); the
+/// [`TaskSink`] that [`WorkerPool::execute`](crate::WorkerPool::execute)
+/// hands its closure.
 ///
-/// [`submit`](StreamSubmitter::submit) mirrors `TaskGraph::submit` — same
-/// spec, same optional closure, same inferred dependencies — but blocks once
-/// the lookahead window is full. The `'env` lifetime plays the role of
-/// `std::thread::scope`'s environment lifetime: closures may borrow anything
-/// that outlives the `stream` call, and nothing shorter (in particular, no
-/// locals of the submission closure itself).
-pub struct StreamSubmitter<'p, 'env> {
+/// The `'env` lifetime plays the role of `std::thread::scope`'s environment
+/// lifetime: closures may borrow anything that outlives the `execute` call,
+/// and nothing shorter (in particular, no locals of the submission closure
+/// itself).
+pub(crate) struct StreamSubmitter<'p, 'env> {
     target: StreamTarget<'p>,
-    lookahead: usize,
-    /// The same hazard state (and inference code) the materialized
-    /// [`TaskGraph`](crate::TaskGraph) uses, so the two modes cannot drift
-    /// apart; the streaming side prunes retired readers on every update to
-    /// keep the per-handle metadata bounded by the window.
+    /// The same hazard state (and inference code) the
+    /// [`TaskGraph`](crate::TaskGraph) recorder uses; the submitter prunes
+    /// retired readers on every update to keep the per-handle metadata
+    /// bounded by the in-flight tasks.
     hazards: HazardTracker,
     /// Invariance in `'env` (the `std::thread::scope` trick): the borrows
-    /// captured by submitted closures must outlive the whole `stream` call,
+    /// captured by submitted closures must outlive the whole `execute` call,
     /// never a region the compiler shrinks to fit.
     _env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'p, 'env> StreamSubmitter<'p, 'env> {
-    pub(crate) fn inline(lookahead: usize) -> Self {
-        Self {
-            target: StreamTarget::Inline {
-                tasks: 0,
-                first_panic: None,
-                by_label: LabelTimes::new(),
-            },
-            lookahead,
-            hazards: HazardTracker::default(),
-            _env: PhantomData,
-        }
+    pub(crate) fn inline() -> Self {
+        Self::new(StreamTarget::Inline {
+            tasks: 0,
+            first_panic: None,
+            by_label: LabelTimes::new(),
+        })
     }
 
     pub(crate) fn pooled(job: &'p StreamJob) -> Self {
+        Self::new(StreamTarget::Pool(job))
+    }
+
+    fn new(target: StreamTarget<'p>) -> Self {
         Self {
-            target: StreamTarget::Pool(job),
-            lookahead: job.lookahead,
+            target,
             hazards: HazardTracker::default(),
             _env: PhantomData,
         }
     }
 
-    /// The effective lookahead window of the session.
-    pub fn lookahead(&self) -> usize {
-        self.lookahead
+    /// Close the session and block until every submitted task has retired.
+    /// Returns the task count, the per-label `(count, ns)` timing map
+    /// (merged into the pool's always-on stats), and the first task panic.
+    pub(crate) fn finish(self) -> Drained {
+        match self.target {
+            StreamTarget::Inline {
+                tasks,
+                first_panic,
+                by_label,
+            } => (tasks, by_label, first_panic),
+            StreamTarget::Pool(job) => {
+                let mut st = job.state.lock().unwrap();
+                st.closed = true;
+                job.work_cv.notify_all();
+                while !st.live.is_empty() {
+                    st = job.done_cv.wait(st).unwrap();
+                }
+                (
+                    st.submitted,
+                    std::mem::take(&mut st.by_label),
+                    st.panic.take(),
+                )
+            }
+        }
     }
+}
 
-    /// Submit a task; its dependencies on earlier submissions are inferred
-    /// from the declared data accesses exactly as in `TaskGraph::submit`.
-    /// Returns the task's submission index.
-    ///
-    /// Ready tasks start executing on the pool immediately; if `lookahead`
-    /// tasks are already in flight this call blocks until one of them
-    /// retires.
-    pub fn submit(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'env>>) -> usize {
+impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
+    /// Ready tasks start executing on the pool immediately; the call never
+    /// waits for the pool.
+    fn submit_task(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'env>>) -> usize {
         match &mut self.target {
             StreamTarget::Inline {
                 tasks,
@@ -269,9 +261,9 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
                 by_label,
             } => {
                 // Submission order is a valid topological order under the
-                // sequential-task-flow contract, so the inline stream needs
-                // no hazard tracking: run the task now. Panic semantics match
-                // the executor's inline path (drain, re-raise the first).
+                // sequential-task-flow contract, so the inline session needs
+                // no hazard tracking: run the task now. A panic does not stop
+                // later tasks; the first is re-raised after the drain.
                 let id = *tasks as usize;
                 *tasks += 1;
                 let span = obs::enabled()
@@ -291,16 +283,12 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
             }
             StreamTarget::Pool(job) => {
                 let mut st = job.state.lock().unwrap();
-                while st.live.len() >= job.lookahead {
-                    st = job.space_cv.wait(st).unwrap();
-                }
                 let id = st.submitted as usize;
                 st.submitted += 1;
 
-                // Hazard inference (RAW/WAR/WAW) through the exact code the
-                // materialized `TaskGraph::submit` runs; edges to
-                // already-retired tasks are dropped below (their completion
-                // already happened).
+                // Hazard inference (RAW/WAR/WAW); edges to already-retired
+                // tasks are dropped below (their completion already
+                // happened).
                 let deps = self.hazards.dependencies(&spec);
                 let mut pending = 0usize;
                 for &d in &deps {
@@ -311,7 +299,7 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
                 }
 
                 // SAFETY: lifetime erasure only — the `Send` bound stays in
-                // the trait object. `WorkerPool::stream` drains the session
+                // the trait object. `WorkerPool::execute` drains the session
                 // (every closure consumed: executed and dropped) before it
                 // returns, and the submitter only exists inside that call,
                 // so no closure outlives the `'env` borrows it captured.
@@ -329,7 +317,6 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
                         name: String::new(),
                     },
                 );
-                st.peak = st.peak.max(st.live.len());
                 if pending == 0 {
                     st.ready.push_back(id);
                     job.work_cv.notify_one();
@@ -337,9 +324,10 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
                 // Record the accesses while the live set is at hand: retired
                 // readers are pruned from the per-handle lists (a WAR edge
                 // to a retired task is trivially satisfied), which keeps the
-                // submitter-side hazard metadata O(window) per handle even
-                // when a handle — e.g. a factor tile swept by every panel —
-                // is read by thousands of tasks over the session.
+                // submitter-side hazard metadata bounded by the in-flight
+                // tasks even when a handle — e.g. a factor tile swept by
+                // every panel — is read by thousands of tasks over the
+                // session.
                 self.hazards.record(&spec, id, |d| st.live.contains_key(&d));
                 st.live
                     .get_mut(&id)
@@ -348,47 +336,6 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
                 id
             }
         }
-    }
-
-    /// Close the session and block until every submitted task has retired.
-    /// Returns the session counters, the per-label `(count, ns)` timing map
-    /// (merged into the pool's always-on stats), and the first task panic.
-    pub(crate) fn finish(self) -> (StreamStats, LabelTimes, Option<Box<dyn Any + Send>>) {
-        match self.target {
-            StreamTarget::Inline {
-                tasks,
-                first_panic,
-                by_label,
-            } => (
-                StreamStats {
-                    tasks,
-                    peak_in_flight: usize::from(tasks > 0),
-                    lookahead: self.lookahead,
-                },
-                by_label,
-                first_panic,
-            ),
-            StreamTarget::Pool(job) => {
-                let mut st = job.state.lock().unwrap();
-                st.closed = true;
-                job.work_cv.notify_all();
-                while !st.live.is_empty() {
-                    st = job.done_cv.wait(st).unwrap();
-                }
-                let stats = StreamStats {
-                    tasks: st.submitted,
-                    peak_in_flight: st.peak,
-                    lookahead: job.lookahead,
-                };
-                (stats, std::mem::take(&mut st.by_label), st.panic.take())
-            }
-        }
-    }
-}
-
-impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
-    fn submit_task(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'env>>) -> usize {
-        self.submit(spec, closure)
     }
 }
 
@@ -399,39 +346,37 @@ mod tests {
     use crate::task::AccessMode;
     use crate::WorkerPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::sync::Mutex as StdMutex;
+    use std::time::Duration;
+
+    /// Generous bound on one wait in the tests below: a regression that
+    /// holds submitted tasks back fails here instead of hanging the suite.
+    const WAIT: Duration = Duration::from_secs(20);
 
     #[test]
     fn streamed_waw_chain_applies_in_submission_order_for_any_window() {
-        // The WAW hazard test of the materialized executor, through a stream:
-        // six writers of one handle must serialize in submission order for
-        // every worker count and window size.
+        // Six writers of one handle must serialize in submission order for
+        // every worker count.
         for workers in [1usize, 2, 4] {
-            for lookahead in [1usize, 2, 3, 8] {
-                let pool = WorkerPool::new(workers);
-                let mut reg = HandleRegistry::new();
-                let x = reg.register("x");
-                let value = StdMutex::new(0u64);
-                let ((), stats) = pool.stream(lookahead, |s| {
-                    for k in 1..=6u64 {
-                        let value = &value;
-                        s.submit(
-                            TaskSpec::new(format!("w{k}")).access(x, AccessMode::Write),
-                            Some(Box::new(move || {
-                                let mut v = value.lock().unwrap();
-                                *v = *v * 10 + k;
-                            })),
-                        );
-                    }
-                });
-                assert_eq!(*value.lock().unwrap(), 123_456, "workers={workers}");
-                assert_eq!(stats.tasks, 6);
-                assert!(
-                    stats.peak_in_flight <= lookahead,
-                    "workers={workers} lookahead={lookahead}: peak {}",
-                    stats.peak_in_flight
-                );
-            }
+            let pool = WorkerPool::new(workers);
+            let mut reg = HandleRegistry::new();
+            let x = reg.register("x");
+            let value = StdMutex::new(0u64);
+            pool.execute(|s| {
+                for k in 1..=6u64 {
+                    let value = &value;
+                    s.submit_task(
+                        TaskSpec::new(format!("w{k}")).access(x, AccessMode::Write),
+                        Some(Box::new(move || {
+                            let mut v = value.lock().unwrap();
+                            *v = *v * 10 + k;
+                        })),
+                    );
+                }
+            });
+            assert_eq!(*value.lock().unwrap(), 123_456, "workers={workers}");
+            assert_eq!(pool.stats().tasks_run, 6);
         }
     }
 
@@ -442,24 +387,24 @@ mod tests {
         let x = reg.register("x");
         let reads_done = AtomicUsize::new(0);
         let seen_at_write = AtomicUsize::new(usize::MAX);
-        pool.stream(16, |s| {
-            s.submit(
+        pool.execute(|s| {
+            s.submit_task(
                 TaskSpec::new("init").access(x, AccessMode::Write),
                 Some(Box::new(|| {})),
             );
             for _ in 0..8 {
                 let reads_done = &reads_done;
-                s.submit(
+                s.submit_task(
                     TaskSpec::new("read").access(x, AccessMode::Read),
                     Some(Box::new(move || {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        std::thread::sleep(Duration::from_millis(2));
                         reads_done.fetch_add(1, Ordering::SeqCst);
                     })),
                 );
             }
             let reads_done = &reads_done;
             let seen_at_write = &seen_at_write;
-            s.submit(
+            s.submit_task(
                 TaskSpec::new("write").access(x, AccessMode::Write),
                 Some(Box::new(move || {
                     seen_at_write.store(reads_done.load(Ordering::SeqCst), Ordering::SeqCst);
@@ -470,54 +415,74 @@ mod tests {
     }
 
     #[test]
-    fn window_bounds_peak_in_flight_with_many_independent_tasks() {
-        // 200 independent tasks through a window of 5: a materialized graph
-        // would hold all 200 closures at once; the stream must never hold
-        // more than 5.
-        let pool = WorkerPool::new(4);
-        let mut reg = HandleRegistry::new();
-        let counter = AtomicUsize::new(0);
-        let ((), stats) = pool.stream(5, |s| {
-            for i in 0..200 {
-                let h = reg.register(format!("h{i}"));
-                let counter = &counter;
-                s.submit(
-                    TaskSpec::new("inc").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    })),
-                );
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
-        assert_eq!(stats.tasks, 200);
-        assert!(stats.peak_in_flight <= 5, "peak {}", stats.peak_in_flight);
-        let ps = pool.stats();
-        assert_eq!(ps.streams_run, 1);
-        assert_eq!(ps.tasks_run, 200);
-        assert!(ps.stream_peak_tasks <= 5);
+    fn submitter_can_block_on_the_output_of_a_task_it_already_submitted() {
+        // The property the single executor exists for (the `mvn-dist`
+        // prefetch, within one process): the submitter waits for the result
+        // of each step before submitting the next, which reads it. A
+        // submission path that holds tasks back until the closure returns
+        // times out here instead of completing.
+        for workers in [1usize, 2, 4] {
+            let pool = WorkerPool::new(workers);
+            let mut reg = HandleRegistry::new();
+            let x = reg.register("x");
+            let value = StdMutex::new(1u64);
+            let (tx, rx) = mpsc::channel();
+            let last = pool.execute(|s| {
+                let mut seen = 1u64;
+                for step in 0..5u64 {
+                    let (value, tx) = (&value, tx.clone());
+                    s.submit_task(
+                        TaskSpec::new("step").access(x, AccessMode::ReadWrite),
+                        Some(Box::new(move || {
+                            let mut v = value.lock().unwrap();
+                            *v = *v * 3 + step;
+                            tx.send(*v).unwrap();
+                        })),
+                    );
+                    let got = rx
+                        .recv_timeout(WAIT)
+                        .unwrap_or_else(|_| panic!("workers={workers}: step {step} never ran"));
+                    assert_eq!(got, seen * 3 + step);
+                    seen = got;
+                }
+                seen
+            });
+            assert_eq!(last, *value.lock().unwrap(), "workers={workers}");
+        }
     }
 
     #[test]
     fn dependency_edges_to_retired_tasks_are_satisfied() {
-        // With lookahead 1 every task retires before the next is submitted,
-        // so every RAW edge points at a retired task; the chain must still
-        // execute in order (trivially) and produce the sequential result.
+        // Each round submits three readers of `x`, waits until all three
+        // have run, then submits a writer: the writer's WAR edges point at
+        // readers that have run and (typically) retired, whose entries the
+        // hazard lists prune. Every reader must still see exactly the
+        // writes submitted before it.
         let pool = WorkerPool::new(2);
         let mut reg = HandleRegistry::new();
         let x = reg.register("x");
-        let log = StdMutex::new(Vec::new());
-        let ((), stats) = pool.stream(1, |s| {
-            for step in 0..20 {
-                let log = &log;
-                s.submit(
-                    TaskSpec::new(format!("step{step}")).access(x, AccessMode::ReadWrite),
-                    Some(Box::new(move || log.lock().unwrap().push(step))),
+        let value = StdMutex::new(0u64);
+        let (tx, rx) = mpsc::channel();
+        pool.execute(|s| {
+            for round in 0..5u64 {
+                for _ in 0..3 {
+                    let (value, tx) = (&value, tx.clone());
+                    s.submit_task(
+                        TaskSpec::new("read").access(x, AccessMode::Read),
+                        Some(Box::new(move || tx.send(*value.lock().unwrap()).unwrap())),
+                    );
+                }
+                for _ in 0..3 {
+                    assert_eq!(rx.recv_timeout(WAIT).expect("reader runs"), round);
+                }
+                let value = &value;
+                s.submit_task(
+                    TaskSpec::new("write").access(x, AccessMode::ReadWrite),
+                    Some(Box::new(move || *value.lock().unwrap() += 1)),
                 );
             }
         });
-        assert_eq!(log.lock().unwrap().clone(), (0..20).collect::<Vec<_>>());
-        assert_eq!(stats.peak_in_flight, 1);
+        assert_eq!(*value.lock().unwrap(), 5);
     }
 
     #[test]
@@ -525,64 +490,69 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mut reg = HandleRegistry::new();
         let order = StdMutex::new(Vec::new());
-        let (ret, stats) = pool.stream(8, |s| {
+        let ret = pool.execute(|s| {
             for i in 0..5 {
                 let h = reg.register(format!("h{i}"));
                 let order = &order;
-                s.submit(
+                s.submit_task(
                     TaskSpec::new("t").access(h, AccessMode::Write),
                     Some(Box::new(move || order.lock().unwrap().push(i))),
                 );
+                // Inline: the task ran at its submission point.
+                assert_eq!(order.lock().unwrap().len(), i + 1);
             }
             "done"
         });
         assert_eq!(ret, "done");
         assert_eq!(order.lock().unwrap().clone(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(stats.tasks, 5);
-        assert_eq!(stats.peak_in_flight, 1);
+        assert_eq!(pool.stats().tasks_run, 5);
     }
 
     #[test]
     fn task_panic_drains_the_stream_and_reraises() {
-        let pool = WorkerPool::new(4);
-        let mut reg = HandleRegistry::new();
-        let done = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.stream(4, |s| {
-                for i in 0..12 {
-                    let h = reg.register(format!("h{i}"));
-                    let done = &done;
-                    s.submit(
-                        TaskSpec::new("maybe_panic").access(h, AccessMode::Write),
+        // One worker runs inline, four through the pool: the contract is
+        // the same — every other task still runs, then the panic re-raises.
+        for workers in [1usize, 4] {
+            let pool = WorkerPool::new(workers);
+            let mut reg = HandleRegistry::new();
+            let done = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.execute(|s| {
+                    for i in 0..12 {
+                        let h = reg.register(format!("h{i}"));
+                        let done = &done;
+                        s.submit_task(
+                            TaskSpec::new("maybe_panic").access(h, AccessMode::Write),
+                            Some(Box::new(move || {
+                                if i == 5 {
+                                    panic!("task 5 exploded");
+                                }
+                                done.fetch_add(1, Ordering::SeqCst);
+                            })),
+                        );
+                    }
+                });
+            }));
+            assert!(result.is_err(), "the task panic must reach the caller");
+            assert_eq!(done.load(Ordering::SeqCst), 11, "the stream must drain");
+
+            // The pool (and its workers) must still be usable afterwards.
+            let counter = AtomicUsize::new(0);
+            pool.execute(|s| {
+                for i in 0..16 {
+                    let h = reg.register(format!("g{i}"));
+                    let counter = &counter;
+                    s.submit_task(
+                        TaskSpec::new("inc").access(h, AccessMode::Write),
                         Some(Box::new(move || {
-                            if i == 5 {
-                                panic!("task 5 exploded");
-                            }
-                            done.fetch_add(1, Ordering::SeqCst);
+                            counter.fetch_add(1, Ordering::SeqCst);
                         })),
                     );
                 }
             });
-        }));
-        assert!(result.is_err(), "the task panic must reach the caller");
-        assert_eq!(done.load(Ordering::SeqCst), 11, "the stream must drain");
-
-        // The pool (and its workers) must still be usable afterwards.
-        let counter = AtomicUsize::new(0);
-        let ((), stats) = pool.stream(4, |s| {
-            for i in 0..16 {
-                let h = reg.register(format!("g{i}"));
-                let counter = &counter;
-                s.submit(
-                    TaskSpec::new("inc").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    })),
-                );
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-        assert_eq!(stats.tasks, 16);
+            assert_eq!(counter.load(Ordering::SeqCst), 16);
+            assert_eq!(pool.stats().workers, workers);
+        }
     }
 
     #[test]
@@ -593,11 +563,11 @@ mod tests {
         let mut reg = HandleRegistry::new();
         let done = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.stream(8, |s| {
+            pool.execute(|s| {
                 for i in 0..6 {
                     let h = reg.register(format!("h{i}"));
                     let done = &done;
-                    s.submit(
+                    s.submit_task(
                         TaskSpec::new("inc").access(h, AccessMode::Write),
                         Some(Box::new(move || {
                             done.fetch_add(1, Ordering::SeqCst);
@@ -613,56 +583,54 @@ mod tests {
 
     #[test]
     fn reentrant_stream_from_a_pool_worker_runs_inline() {
-        let pool = std::sync::Arc::new(WorkerPool::new(2));
+        // A task closure submitting to its own pool must neither hang (the
+        // submission lock is held by the outer set) nor fail: the nested
+        // set executes inline on the worker.
+        let pool = WorkerPool::new(2);
         let mut reg = HandleRegistry::new();
-        let nested_done = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut g = crate::TaskGraph::new();
-        for i in 0..4 {
-            let h = reg.register(format!("h{i}"));
-            let pool = std::sync::Arc::clone(&pool);
-            let nested_done = std::sync::Arc::clone(&nested_done);
-            g.submit(
-                TaskSpec::new("outer").access(h, AccessMode::Write),
-                Some(Box::new(move || {
-                    if i == 2 {
-                        let nested = std::sync::Arc::clone(&nested_done);
-                        pool.stream(4, move |s| {
-                            for _ in 0..5 {
-                                let nested = std::sync::Arc::clone(&nested);
-                                s.submit(
-                                    TaskSpec::new("inner"),
-                                    Some(Box::new(move || {
-                                        nested.fetch_add(1, Ordering::SeqCst);
-                                    })),
-                                );
-                            }
-                        });
-                    }
-                })),
-            );
-        }
-        pool.run(&mut g);
+        let nested_done = AtomicUsize::new(0);
+        pool.execute(|s| {
+            for i in 0..4 {
+                let h = reg.register(format!("h{i}"));
+                let (pool, nested_done) = (&pool, &nested_done);
+                s.submit_task(
+                    TaskSpec::new("outer").access(h, AccessMode::Write),
+                    Some(Box::new(move || {
+                        if i == 2 {
+                            pool.execute(|inner| {
+                                for _ in 0..5 {
+                                    inner.submit_task(
+                                        TaskSpec::new("inner"),
+                                        Some(Box::new(move || {
+                                            nested_done.fetch_add(1, Ordering::SeqCst);
+                                        })),
+                                    );
+                                }
+                            });
+                        }
+                    })),
+                );
+            }
+        });
         assert_eq!(nested_done.load(Ordering::SeqCst), 5);
     }
 
     #[test]
     fn nested_pool_entry_from_the_stream_closure_runs_inline_instead_of_deadlocking() {
-        // Regression: the stream submission closure runs while the pool's
-        // submission lock is held, so a nested run/run_map/stream from the
+        // Regression: the submission closure runs while the pool's
+        // submission lock is held, so a nested `execute`/`run_map` from the
         // *submitting* thread used to block forever on the non-reentrant
         // lock. It must execute inline instead, like worker re-entrancy.
         let pool = WorkerPool::new(2);
         let mut reg = HandleRegistry::new();
         let outer_done = AtomicUsize::new(0);
-        let ((), stats) = pool.stream(4, |s| {
-            // Nested materialized map on the same pool.
+        pool.execute(|s| {
             let squares = pool.run_map("sq", &[1u64, 2, 3, 4], |_, _| 1.0, |_, &x| x * x);
             assert_eq!(squares, vec![1, 4, 9, 16]);
-            // Nested stream on the same pool.
-            let (sum, _) = pool.stream(2, |inner| {
+            let sum = pool.execute(|inner| {
                 for i in 0..3 {
                     let h = reg.register(format!("inner{i}"));
-                    inner.submit(TaskSpec::new("noop").access(h, AccessMode::Write), None);
+                    inner.submit_task(TaskSpec::new("noop").access(h, AccessMode::Write), None);
                 }
                 42u32
             });
@@ -670,7 +638,7 @@ mod tests {
             for i in 0..5 {
                 let h = reg.register(format!("outer{i}"));
                 let outer_done = &outer_done;
-                s.submit(
+                s.submit_task(
                     TaskSpec::new("outer").access(h, AccessMode::Write),
                     Some(Box::new(move || {
                         outer_done.fetch_add(1, Ordering::SeqCst);
@@ -679,33 +647,16 @@ mod tests {
             }
         });
         assert_eq!(outer_done.load(Ordering::SeqCst), 5);
-        assert_eq!(stats.tasks, 5);
-    }
-
-    #[test]
-    fn run_map_on_a_streaming_pool_matches_a_materializing_pool() {
-        let items: Vec<u64> = (0..40).collect();
-        let square = |i: usize, &x: &u64| (i as u64, x * x);
-        for workers in [1usize, 2, 4] {
-            let want = WorkerPool::new(workers).run_map("square", &items, |_, _| 1.0, square);
-            for lookahead in [1usize, 3, 64, 0] {
-                let pool = WorkerPool::with_lookahead(workers, Some(lookahead));
-                let got = pool.run_map("square", &items, |_, _| 1.0, square);
-                assert_eq!(got, want, "workers={workers} lookahead={lookahead}");
-                let stats = pool.stats();
-                assert_eq!((stats.streams_run, stats.graphs_run), (1, 0));
-                assert!(stats.stream_peak_tasks <= pool.lookahead().unwrap());
-            }
-        }
+        // Three sets ran: the nested map, the nested execute, the outer one.
+        assert_eq!(pool.stats().graphs_run, 3);
+        assert_eq!(pool.stats().tasks_run, 4 + 3 + 5);
     }
 
     #[test]
     fn empty_stream_is_a_no_op() {
         let pool = WorkerPool::new(2);
-        let (r, stats) = pool.stream(4, |_| 7);
-        assert_eq!(r, 7);
-        assert_eq!(stats.tasks, 0);
-        assert_eq!(stats.peak_in_flight, 0);
-        assert_eq!(pool.stats().streams_run, 0);
+        assert_eq!(pool.execute(|_| 7), 7);
+        assert_eq!(pool.stats().graphs_run, 0);
+        assert_eq!(pool.stats().tasks_run, 0);
     }
 }

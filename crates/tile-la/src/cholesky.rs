@@ -36,11 +36,10 @@ impl std::error::Error for CholeskyError {}
 
 /// In-place parallel tiled Cholesky factorization `Σ = L·Lᵀ` on `pool`.
 ///
-/// On success the lower tiles of `a` hold `L`. The tasks go through
-/// [`WorkerPool::execute`], so the pool decides whether the graph is
-/// materialized or streamed through its lookahead window; the factor is
-/// bitwise identical for every worker count and window. A one-worker pool
-/// (`WorkerPool::new(1)`) spawns no thread and factors inline.
+/// On success the lower tiles of `a` hold `L`. The tasks stream through
+/// [`WorkerPool::execute`]; the factor is bitwise identical for every worker
+/// count. A one-worker pool (`WorkerPool::new(1)`) spawns no thread and
+/// factors inline.
 pub fn potrf_tiled(a: &mut SymTileMatrix, pool: &WorkerPool) -> Result<(), CholeskyError> {
     let layout = a.layout();
     let mut registry = HandleRegistry::new();
@@ -135,10 +134,8 @@ mod tests {
 
     #[test]
     fn factor_bits_do_not_depend_on_workers_or_window() {
-        // 1/2/4/8 workers, materialized and streamed through several windows
-        // (incl. the default `0`): identical tiles to the bit, within 1e-10
-        // of the unblocked reference, and a streamed session never holds more
-        // tasks than its window (vs. the 35 a materialized 5-tile graph does).
+        // 1/2/4/8 workers: identical tiles to the bit, within 1e-10 of the
+        // unblocked reference.
         let n = 75;
         let f = spd_kernel(11.0);
         let mut dense = DenseMatrix::from_fn(n, n, &f);
@@ -148,51 +145,41 @@ mod tests {
         let want = reference.to_dense_lower();
         assert!(max_abs_diff(&want, &dense) < 1e-10);
         for workers in [1usize, 2, 4, 8] {
-            for lookahead in [None, Some(1), Some(2), Some(3), Some(64), Some(0)] {
-                let pool = WorkerPool::with_lookahead(workers, lookahead);
-                let mut a = SymTileMatrix::from_fn(n, 16, &f);
-                potrf_tiled(&mut a, &pool).unwrap();
-                let got = a.to_dense_lower();
-                for i in 0..n {
-                    for j in 0..n {
-                        assert!(
-                            got.get(i, j).to_bits() == want.get(i, j).to_bits(),
-                            "workers={workers} lookahead={lookahead:?}: ({i},{j}) differs"
-                        );
-                    }
-                }
-                let stats = pool.stats();
-                // 5 tile rows: 5 potrf + 10 trsm + 10 syrk + 10 gemm.
-                assert_eq!(stats.tasks_run, 35);
-                match pool.lookahead() {
-                    Some(window) => assert!(stats.stream_peak_tasks <= window),
-                    None => assert_eq!(stats.streams_run, 0),
+            let pool = WorkerPool::new(workers);
+            let mut a = SymTileMatrix::from_fn(n, 16, &f);
+            potrf_tiled(&mut a, &pool).unwrap();
+            let got = a.to_dense_lower();
+            for i in 0..n {
+                for j in 0..n {
+                    assert!(
+                        got.get(i, j).to_bits() == want.get(i, j).to_bits(),
+                        "workers={workers}: ({i},{j}) differs"
+                    );
                 }
             }
+            // 5 tile rows: 5 potrf + 10 trsm + 10 syrk + 10 gemm.
+            assert_eq!(pool.stats().tasks_run, 35);
         }
     }
 
     #[test]
     fn one_pool_factors_many_matrices_and_reports_pivot_failures() {
-        for lookahead in [None, Some(4)] {
-            let pool = WorkerPool::with_lookahead(4, lookahead);
-            for range in [3.0, 8.0, 20.0] {
-                let f = spd_kernel(range);
-                let mut a = SymTileMatrix::from_fn(60, 16, &f);
-                potrf_tiled(&mut a, &pool).unwrap();
-                let l = a.to_dense_lower();
-                let orig = DenseMatrix::from_fn(60, 60, &f);
-                assert!(
-                    max_abs_diff(&l.matmul_nt(&l), &orig) < 1e-10,
-                    "range={range}"
-                );
-            }
-            let mut bad = SymTileMatrix::from_fn(20, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-            bad.set(13, 13, -1.0);
-            let err = potrf_tiled(&mut bad, &pool).unwrap_err();
-            assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
-            let stats = pool.stats();
-            assert_eq!(stats.graphs_run + stats.streams_run, 4);
+        let pool = WorkerPool::new(4);
+        for range in [3.0, 8.0, 20.0] {
+            let f = spd_kernel(range);
+            let mut a = SymTileMatrix::from_fn(60, 16, &f);
+            potrf_tiled(&mut a, &pool).unwrap();
+            let l = a.to_dense_lower();
+            let orig = DenseMatrix::from_fn(60, 60, &f);
+            assert!(
+                max_abs_diff(&l.matmul_nt(&l), &orig) < 1e-10,
+                "range={range}"
+            );
         }
+        let mut bad = SymTileMatrix::from_fn(20, 6, |i, j| if i == j { 1.0 } else { 0.0 });
+        bad.set(13, 13, -1.0);
+        let err = potrf_tiled(&mut bad, &pool).unwrap_err();
+        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
+        assert_eq!(pool.stats().graphs_run, 4);
     }
 }

@@ -46,9 +46,9 @@ impl std::error::Error for TlrCholeskyError {}
 /// In-place TLR Cholesky factorization on `pool`.
 ///
 /// On success the diagonal tiles hold the dense `L_kk` factors and the
-/// off-diagonal tiles hold the compressed `L_ik` factors. The tasks go
-/// through [`WorkerPool::execute`] (materialized or streamed, as the pool was
-/// built); the factor is bitwise identical for every worker count and window.
+/// off-diagonal tiles hold the compressed `L_ik` factors. The tasks stream
+/// through [`WorkerPool::execute`]; the factor is bitwise identical for every
+/// worker count.
 pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), TlrCholeskyError> {
     let layout = a.layout();
     let tol = a.tol();
@@ -143,9 +143,7 @@ mod tests {
 
     #[test]
     fn factor_bits_do_not_depend_on_workers_or_window() {
-        // 1/2/4/8 workers, materialized and streamed (incl. the default
-        // window `0`): identical factors to the bit, and a streamed session
-        // never holds more tasks than its window.
+        // 1/2/4/8 workers: identical factors to the bit.
         let n = 96;
         let f = kernel(0.5);
         let base = TlrMatrix::from_fn(n, 24, CompressionTol::Absolute(1e-8), usize::MAX, &f);
@@ -153,18 +151,12 @@ mod tests {
         potrf_tlr(&mut reference, &WorkerPool::new(1)).unwrap();
         let want = reference.to_dense_lower();
         for workers in [1usize, 2, 4, 8] {
-            for lookahead in [None, Some(1), Some(3), Some(16), Some(0)] {
-                let pool = WorkerPool::with_lookahead(workers, lookahead);
-                let mut a = base.clone();
-                potrf_tlr(&mut a, &pool).unwrap();
-                assert!(
-                    max_abs_diff(&a.to_dense_lower(), &want) == 0.0,
-                    "workers={workers} lookahead={lookahead:?}"
-                );
-                if let Some(window) = pool.lookahead() {
-                    assert!(pool.stats().stream_peak_tasks <= window);
-                }
-            }
+            let mut a = base.clone();
+            potrf_tlr(&mut a, &WorkerPool::new(workers)).unwrap();
+            assert!(
+                max_abs_diff(&a.to_dense_lower(), &want) == 0.0,
+                "workers={workers}"
+            );
         }
     }
 
@@ -223,11 +215,7 @@ mod tests {
     #[test]
     fn indefinite_matrix_is_rejected() {
         let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
-        for pool in [
-            WorkerPool::new(1),
-            WorkerPool::new(4),
-            WorkerPool::with_lookahead(2, Some(4)),
-        ] {
+        for pool in [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)] {
             let mut tlr = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
             let err = potrf_tlr(&mut tlr, &pool).unwrap_err();
             assert!(matches!(
