@@ -167,6 +167,7 @@ fn bench_qmc_kernel(c: &mut Criterion) {
                     &mut y,
                     &mut prob,
                     &mut scratch,
+                    None,
                 );
                 black_box(prob)
             });

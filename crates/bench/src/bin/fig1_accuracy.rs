@@ -61,7 +61,6 @@ fn main() {
             alpha: 0.05,
             levels: 15,
             mvn: mvn_config(qmc_samples),
-            ..Default::default()
         };
         let dense_result = detect_confidence_regions(&engine, &factor_dense, &post.mean, &sd, &cfg);
         let tlr_result = detect_confidence_regions(&engine, &factor_tlr, &post.mean, &sd, &cfg);

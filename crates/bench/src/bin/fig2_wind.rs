@@ -74,7 +74,6 @@ fn main() {
         alpha,
         levels: 15,
         mvn: mvn_config(qmc_samples),
-        ..Default::default()
     };
     let dense = detect_confidence_regions(&engine, &factor_dense, &std_vals, &csd, &cfg);
     let tlr = detect_confidence_regions(&engine, &factor_tlr, &std_vals, &csd, &cfg);

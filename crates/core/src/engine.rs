@@ -2,7 +2,7 @@
 //!
 //! Spinning a worker pool up and down inside every call is exactly the
 //! overhead that dominates hot loops which factor and solve hundreds of small
-//! problems per optimization (the MLE objective, the CRD bisection). The
+//! problems per optimization (the MLE objective). The
 //! paper's StarPU runtime instead keeps one worker pool alive for the whole
 //! confidence-region detection run; `MvnEngine` is that session object, and
 //! the only solver front door:
@@ -17,7 +17,8 @@
 //! * [`MvnEngine::solve`] estimates one probability against a factor, and
 //!   [`MvnEngine::solve_batch`] submits *all* problems of a batch into one
 //!   task graph, so independent small solves share the pool instead of
-//!   serializing per-call setup,
+//!   serializing per-call setup, and [`MvnEngine::solve_prefixes`] returns
+//!   every prefix probability of one box from a single sweep,
 //! * [`MvnEngine::factor_prob_dense`]/[`MvnEngine::factor_prob_tlr`] run the
 //!   fused factor + sweep [`pipeline`](crate::pipeline).
 //!
@@ -42,7 +43,7 @@
 //! ```
 
 use crate::pipeline::{run_dense_fused, run_tlr_fused};
-use crate::pmvn::{combine_panel_results, sweep_panel};
+use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes, CholeskyFactor};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
 use qmc::{make_point_set, PointSet, SampleKind};
@@ -248,7 +249,7 @@ impl Problem {
 /// in `excursion`): a new backend implements these five methods and every layer
 /// above — batching, streaming, serving, caching — works unchanged. *Tiled*
 /// backends (dense, TLR) get their [`FactorBackend::sweep_panel`] for free
-/// from the tile-level [`CholeskyFactor`](crate::CholeskyFactor) contract
+/// from the tile-level [`CholeskyFactor`] contract
 /// (`tiling`/`diag_block`/`apply_offdiag`) via the shared [`sweep_panel`]
 /// free-function driver; non-tiled backends (the sparse conditioning sweep in
 /// [`crate::vecchia`]) implement the panel recursion directly.
@@ -652,6 +653,54 @@ impl MvnEngine {
         results.pop().expect("one problem in, one result out")
     }
 
+    /// Every prefix probability of one box from a single sweep: entry `k` is
+    /// the estimate for the box truncated after row `k` (limits `a[..=k]`,
+    /// `b[..=k]`, unbounded beyond), bitwise the
+    /// [`solve_factored_with`](Self::solve_factored_with) of that truncated
+    /// box against `l` — standard error included.
+    ///
+    /// This is the SOV estimator's sequential-conditioning structure: each
+    /// chain's running product after row `k` *is* its estimate of the
+    /// length-`k + 1` prefix, so the panels report their chain means after
+    /// every row (one `panel_sweep` task per panel, as in a plain solve) and
+    /// each row's panel means combine with [`combine_panel_results`]. The
+    /// profile is pathwise non-increasing in `k` when `b` is unbounded.
+    /// Costs one sweep plus `O(n · panels)` bookkeeping.
+    pub fn solve_prefixes<F: CholeskyFactor>(
+        &self,
+        l: &F,
+        a: &[f64],
+        b: &[f64],
+        cfg: &MvnConfig,
+    ) -> Vec<MvnResult> {
+        let n = l.dim();
+        check_inputs(n, a, b, cfg);
+        let layout = l.tiling();
+        let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
+        let _span = obs::span_with(
+            "engine_prefix_sweep",
+            &[("n", n as u64), ("panels", n_panels as u64)],
+        );
+        let points = make_point_set(cfg.sample_kind, n, cfg.seed);
+        let panels: Vec<usize> = (0..n_panels).collect();
+        let cost = layout.num_tiles() as f64 * cfg.panel_width as f64;
+        let means = self.pool.run_map(
+            "panel_sweep",
+            &panels,
+            |_, _| cost,
+            |_, &p| sweep_panel_prefixes(l, layout, a, b, points.as_ref(), cfg, p),
+        );
+        let mut row = vec![(0.0, 0usize); n_panels];
+        (0..n)
+            .map(|k| {
+                for (slot, (m, c)) in row.iter_mut().zip(&means) {
+                    *slot = (m[k], *c);
+                }
+                combine_panel_results(&row)
+            })
+            .collect()
+    }
+
     /// Estimate a whole batch of probabilities against one factor in a
     /// *single* task graph: the panel-sweep tasks of all problems are
     /// submitted together, so independent small solves share the pool
@@ -754,22 +803,8 @@ impl MvnEngine {
         cfg: &MvnConfig,
         point_set_of: impl Fn(usize) -> Box<dyn PointSet>,
     ) -> Vec<MvnResult> {
-        assert!(cfg.sample_size > 0, "sample size must be positive");
-        assert!(cfg.panel_width > 0, "panel width must be positive");
         for (l, a, b) in items {
-            // The boundary check: malformed limits (length mismatch, NaN,
-            // inverted box) must never reach `qmc_kernel`. Callers that need
-            // a recoverable error (the serving layer) validate with
-            // `Problem::validate` before submitting.
-            if let Err(e) = validate_limits(a, b) {
-                panic!("invalid MVN problem: {e}");
-            }
-            let n = l.dim();
-            assert_eq!(
-                a.len(),
-                n,
-                "limit length must match the factor dimension {n}"
-            );
+            check_inputs(l.dim(), a, b, cfg);
         }
         if items.is_empty() {
             return Vec::new();
@@ -842,6 +877,23 @@ impl MvnEngine {
             .map(combine_panel_results)
             .collect()
     }
+}
+
+/// The boundary check of every solve entry point: malformed limits (length
+/// mismatch, NaN, inverted box) or a degenerate sampling configuration must
+/// never reach `qmc_kernel`. Callers that need a recoverable error (the
+/// serving layer) validate with `Problem::validate` before submitting.
+fn check_inputs(n: usize, a: &[f64], b: &[f64], cfg: &MvnConfig) {
+    assert!(cfg.sample_size > 0, "sample size must be positive");
+    assert!(cfg.panel_width > 0, "panel width must be positive");
+    if let Err(e) = validate_limits(a, b) {
+        panic!("invalid MVN problem: {e}");
+    }
+    assert_eq!(
+        a.len(),
+        n,
+        "limit length must match the factor dimension {n}"
+    );
 }
 
 /// The items of one `run_sweeps` call that share a dimension, and therefore a
@@ -1058,6 +1110,57 @@ mod tests {
                 let solo = engine.solve(l, a, b);
                 assert!(r.prob.to_bits() == solo.prob.to_bits(), "workers={workers}");
                 assert!(r.std_error.to_bits() == solo.std_error.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_profile_is_bitwise_the_truncated_solves() {
+        // Entry k of one profile sweep must equal the standalone solve of
+        // the box cut after row k, for dense and TLR factors, on 1/2/4
+        // workers — including rows after every chain has died (row 30 is a
+        // degenerate coordinate in the second box).
+        let (n, nb) = (45, 12);
+        let f = exp_cov(0.4);
+        let dense = SymTileMatrix::from_fn(n, nb, f);
+        let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, f);
+        let a: Vec<f64> = (0..n).map(|i| -1.0 + 0.02 * i as f64).collect();
+        let mut dead = a.clone();
+        dead[30] = 1.0;
+        let b = vec![f64::INFINITY; n];
+        let mut b_dead = b.clone();
+        b_dead[30] = 1.0;
+        let cfg = test_cfg();
+        for workers in [1usize, 2, 4] {
+            let engine = test_engine(workers);
+            let factors = [
+                engine.factor_dense(dense.clone()).unwrap(),
+                engine.factor_tlr(tlr.clone()).unwrap(),
+            ];
+            for factor in &factors {
+                for (a, b) in [(&a, &b), (&dead, &b_dead)] {
+                    let profile = match factor {
+                        Factor::Dense(l) => engine.solve_prefixes(l, a, b, &cfg),
+                        Factor::Tlr(l) => engine.solve_prefixes(l, a, b, &cfg),
+                        Factor::Vecchia(_) => unreachable!(),
+                    };
+                    assert_eq!(profile.len(), n);
+                    for k in [1, nb, nb + 1, 30, 31, n] {
+                        let mut ak = vec![f64::NEG_INFINITY; n];
+                        let mut bk = vec![f64::INFINITY; n];
+                        ak[..k].copy_from_slice(&a[..k]);
+                        bk[..k].copy_from_slice(&b[..k]);
+                        let solo = engine.solve_factored_with(factor, &ak, &bk, &cfg);
+                        let got = profile[k - 1];
+                        assert!(
+                            got.prob.to_bits() == solo.prob.to_bits()
+                                && got.std_error.to_bits() == solo.std_error.to_bits(),
+                            "workers={workers} {} k={k}: {got:?} vs {solo:?}",
+                            factor.kind().label()
+                        );
+                    }
+                    assert!(profile.windows(2).all(|w| w[1].prob <= w[0].prob));
+                }
             }
         }
     }

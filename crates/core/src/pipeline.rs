@@ -137,6 +137,7 @@ impl StoredFactor<'_> {
                 y_block,
                 prob,
                 scratch,
+                None,
             )
         });
         if *alive == 0 {

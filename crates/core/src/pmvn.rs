@@ -128,11 +128,17 @@ pub fn qmc_kernel(
     prob: &mut [f64],
 ) -> usize {
     let mut scratch = QmcScratch::default();
-    qmc_kernel_scratch(l_rr, w, a, b, y, prob, &mut scratch)
+    qmc_kernel_scratch(l_rr, w, a, b, y, prob, &mut scratch, None)
 }
 
 /// [`qmc_kernel`] with caller-owned scratch buffers (the allocation-free form
 /// the panel sweep uses).
+///
+/// `row_sums`, when given (length `m`), receives after each row `i` the sum
+/// of the running per-chain probabilities, `prob.iter().sum()` — the panel's
+/// estimate of the box truncated after that row, times the chain count. Rows
+/// the kernel skips because every chain is already dead get `0.0`. `None`
+/// does no extra work.
 pub fn qmc_kernel_scratch(
     l_rr: &DenseMatrix,
     w: &DenseMatrix,
@@ -141,6 +147,7 @@ pub fn qmc_kernel_scratch(
     y: &mut DenseMatrix,
     prob: &mut [f64],
     scratch: &mut QmcScratch,
+    mut row_sums: Option<&mut [f64]>,
 ) -> usize {
     let m = l_rr.nrows();
     let cols = prob.len();
@@ -153,6 +160,7 @@ pub fn qmc_kernel_scratch(
     debug_assert_eq!(b.ncols(), m);
     debug_assert_eq!(y.nrows(), cols);
     debug_assert_eq!(y.ncols(), m);
+    debug_assert!(row_sums.as_ref().is_none_or(|s| s.len() == m));
 
     scratch.reserve(m, cols);
     let QmcScratch { lrow, lanes } = scratch;
@@ -175,6 +183,9 @@ pub fn qmc_kernel_scratch(
             }
             for k in i..m {
                 y.col_mut(k).fill(0.0);
+            }
+            if let Some(sums) = row_sums {
+                sums[i..].fill(0.0);
             }
             return 0;
         }
@@ -225,9 +236,15 @@ pub fn qmc_kernel_scratch(
             alive += (p != 0.0) as usize;
         }
         norm_quantile_slice(u, y.col_mut(i));
+        if let Some(sums) = row_sums.as_deref_mut() {
+            sums[i] = prob.iter().sum::<f64>();
+        }
         if alive == 0 {
             for k in (i + 1)..m {
                 y.col_mut(k).fill(0.0);
+            }
+            if let Some(sums) = row_sums {
+                sums[i + 1..].fill(0.0);
             }
             return 0;
         }
@@ -325,8 +342,20 @@ impl PanelState {
     /// skipped entirely: dead chains keep probability zero and conditioning
     /// value zero, so neither the kernel nor the propagation GEMMs could
     /// change the estimate.
-    pub(crate) fn step<F: CholeskyFactor + ?Sized>(&mut self, l: &F, layout: TileLayout, r: usize) {
+    ///
+    /// `row_sums` (one entry per row of block `r`) receives the kernel's
+    /// per-row chain sums (see [`qmc_kernel_scratch`]).
+    pub(crate) fn step<F: CholeskyFactor + ?Sized>(
+        &mut self,
+        l: &F,
+        layout: TileLayout,
+        r: usize,
+        row_sums: Option<&mut [f64]>,
+    ) {
         if self.alive == 0 {
+            if let Some(sums) = row_sums {
+                sums.fill(0.0);
+            }
             return;
         }
         let nt = layout.num_tiles();
@@ -342,6 +371,7 @@ impl PanelState {
             &mut self.y_block,
             &mut self.prob,
             &mut self.scratch,
+            row_sums,
         );
         if self.alive == 0 {
             return;
@@ -382,9 +412,35 @@ pub fn sweep_panel<F: CholeskyFactor + ?Sized>(
         if state.alive == 0 {
             break;
         }
-        state.step(l, layout, r);
+        state.step(l, layout, r, None);
     }
     state.result()
+}
+
+/// [`sweep_panel`] reporting the panel's mean after *every* row: entry `k`
+/// of the returned vector is the panel mean of the box truncated after row
+/// `k` (limits `a[..=k]`, `b[..=k]`, unbounded beyond), bitwise what
+/// [`sweep_panel`] returns for that truncated box — its later rows multiply
+/// every chain by exactly 1. Returns the means and the chain count.
+pub(crate) fn sweep_panel_prefixes<F: CholeskyFactor + ?Sized>(
+    l: &F,
+    layout: TileLayout,
+    a: &[f64],
+    b: &[f64],
+    points: &dyn PointSet,
+    cfg: &MvnConfig,
+    p: usize,
+) -> (Vec<f64>, usize) {
+    let mut state = PanelState::init(layout, a, b, points, cfg, p);
+    let mut means = vec![0.0; layout.n()];
+    for r in 0..layout.num_tiles() {
+        let rows = layout.tile_start(r)..layout.tile_start(r) + layout.tile_size(r);
+        state.step(l, layout, r, Some(&mut means[rows]));
+    }
+    for m in &mut means {
+        *m /= state.cols as f64;
+    }
+    (means, state.cols)
 }
 
 /// Combine per-panel `(mean, count)` contributions into the final estimate
@@ -811,15 +867,15 @@ mod tests {
         let points = make_point_set(cfg.sample_kind, n, cfg.seed);
 
         let mut state = PanelState::init(layout, &a, &b, points.as_ref(), &cfg, 0);
-        state.step(&l, layout, 0);
+        state.step(&l, layout, 0, None);
         assert_eq!(state.alive, state.cols, "block 0 keeps all chains alive");
-        state.step(&l, layout, 1);
+        state.step(&l, layout, 1, None);
         assert_eq!(state.alive, 0, "the empty box kills every chain");
         // The later limit blocks must no longer be touched.
         let a2_before = state.a_blocks[2].clone();
         let a3_before = state.a_blocks[3].clone();
-        state.step(&l, layout, 2);
-        state.step(&l, layout, 3);
+        state.step(&l, layout, 2, None);
+        state.step(&l, layout, 3, None);
         assert_eq!(state.a_blocks[2], a2_before);
         assert_eq!(state.a_blocks[3], a3_before);
         assert!(state.prob.iter().all(|&p| p == 0.0));

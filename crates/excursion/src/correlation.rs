@@ -6,7 +6,10 @@
 //! keeps all diagonal tiles well scaled. The factor can be held dense or in
 //! TLR-compressed form — exactly the paper's two execution modes.
 
+use std::borrow::Cow;
+use std::sync::Mutex;
 use task_runtime::{effective_workers, WorkerPool};
+use tile_la::kernels::gemm_nt;
 use tile_la::{potrf_tiled, DenseMatrix, SymTileMatrix};
 use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
 
@@ -25,7 +28,7 @@ pub use mvn_core::Factor as CorrelationFactor;
 /// variance is exactly zero). The factor builders below give such locations
 /// an independent unit row in the correlation matrix — a placeholder
 /// variable the MVN integrals neutralize with hard `±∞` limits (see
-/// `crd::prefix_problem`), so it never influences the probability. Negative
+/// `crd::standardized_limit`), so it never influences the probability. Negative
 /// diagonals panic.
 pub fn standard_deviations(cov: &DenseMatrix) -> Vec<f64> {
     assert_eq!(cov.nrows(), cov.ncols());
@@ -92,6 +95,98 @@ pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFac
     potrf_tiled(&mut corr, &WorkerPool::new(effective_workers(0)))
         .expect("correlation matrix must be positive definite");
     (CorrelationFactor::Dense(corr), sd)
+}
+
+/// Lower tile `(i, j)` (`j ≤ i`) of a dense or TLR factor as a dense tile:
+/// borrowed, or expanded from the low-rank `U·Vᵀ`.
+fn dense_factor_tile(factor: &CorrelationFactor, i: usize, j: usize) -> Cow<'_, DenseMatrix> {
+    match factor {
+        CorrelationFactor::Dense(l) => Cow::Borrowed(l.tile(i, j)),
+        CorrelationFactor::Tlr(l) if i == j => Cow::Borrowed(l.diag_tile(i)),
+        CorrelationFactor::Tlr(l) => Cow::Owned(l.off_tile(i, j).to_dense()),
+        CorrelationFactor::Vecchia(_) => unreachable!("rejected by permuted_correlation"),
+    }
+}
+
+/// The correlation matrix `R̃ = L·Lᵀ` held by `factor`, symmetrically
+/// permuted so that row and column `k` belong to location `order[k]`
+/// (unfactored, dense tiles of the factor's tile size), assembled on `pool`.
+///
+/// One task per lower tile `(I, J)` of `R̃` in location order computes
+/// `Σ_{K ≤ J} L_{I,K}·L_{J,K}ᵀ` (a tiled SYRK, `n³/3` flops; TLR tiles are
+/// expanded from `U·Vᵀ` as they are read) and scatters it into its permuted
+/// positions, so beyond the result only one tile per worker is ever live.
+/// Every entry is written exactly once by one task, so the result is bitwise
+/// independent of the worker count.
+///
+/// # Panics
+///
+/// On a Vecchia factor, which has no Cholesky rows to permute.
+pub(crate) fn permuted_correlation(
+    pool: &WorkerPool,
+    factor: &CorrelationFactor,
+    order: &[usize],
+) -> SymTileMatrix {
+    let layout = match factor {
+        CorrelationFactor::Dense(l) => l.layout(),
+        CorrelationFactor::Tlr(l) => l.layout(),
+        CorrelationFactor::Vecchia(_) => panic!(
+            "confidence-region detection needs a dense or TLR correlation factor: \
+             a Vecchia factor has no Cholesky rows to permute"
+        ),
+    };
+    let n = layout.n();
+    assert_eq!(order.len(), n, "order must list every location once");
+    let mut rank = vec![usize::MAX; n];
+    for (k, &site) in order.iter().enumerate() {
+        rank[site] = k;
+    }
+    assert!(rank.iter().all(|&k| k < n), "order must be a permutation");
+    let nt = layout.num_tiles();
+    // The result's tiles are allocated by the pool's workers, so the memory
+    // they release after the sweep sits in the workers' allocator arenas,
+    // where the next task sets on the pool reuse it instead of growing the
+    // process.
+    let lower: Vec<(usize, usize)> = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+    let zeros = pool.run_map(
+        "crd_permute_alloc",
+        &lower,
+        |_, _| 1.0,
+        |_, &(i, j)| DenseMatrix::zeros(layout.tile_size(i), layout.tile_size(j)),
+    );
+    let permuted = Mutex::new(SymTileMatrix::from_tiles(n, layout.nb(), zeros));
+    // Longest tasks (most `K` terms) first, so no long task trails the set.
+    let tiles: Vec<(usize, usize)> = (0..nt)
+        .rev()
+        .flat_map(|j| (j..nt).map(move |i| (i, j)))
+        .collect();
+    pool.run_map(
+        "crd_permute_tile",
+        &tiles,
+        |_, &(_, j)| (j + 1) as f64,
+        |_, &(ti, tj)| {
+            let mut acc = DenseMatrix::zeros(layout.tile_size(ti), layout.tile_size(tj));
+            for k in 0..=tj {
+                let (lik, ljk) = (
+                    dense_factor_tile(factor, ti, k),
+                    dense_factor_tile(factor, tj, k),
+                );
+                gemm_nt(1.0, &lik, &ljk, 1.0, &mut acc);
+            }
+            let (r0, c0) = (layout.tile_start(ti), layout.tile_start(tj));
+            let mut out = permuted.lock().expect("a permuted-tile task panicked");
+            for q in 0..acc.ncols() {
+                // The diagonal tile is symmetric: its lower half suffices.
+                let first = if ti == tj { q } else { 0 };
+                for p in first..acc.nrows() {
+                    out.set(rank[r0 + p], rank[c0 + q], acc.get(p, q));
+                }
+            }
+        },
+    );
+    permuted
+        .into_inner()
+        .expect("a permuted-tile task panicked")
 }
 
 /// Build the TLR Cholesky factor of the correlation matrix of `cov` at the

@@ -11,9 +11,9 @@
 //! factor of the correlation matrix. A detection run is a *session* — many
 //! MVN integrals and MC sampling blocks against one factor — so every entry
 //! point takes an [`mvn_core::MvnEngine`] whose persistent worker pool is
-//! shared across the whole run: the confidence-function sweep submits all
-//! prefix integrals as one batched task graph, the bisection reuses the pool
-//! per probe, and [`validate::mc_validate`] runs its sampling blocks on the
+//! shared across the whole run: the correlation is refactored in marginal
+//! order and one SOV sweep yields the joint probability of every prefix of
+//! that order, and [`validate::mc_validate`] runs its sampling blocks on the
 //! same threads. The probabilities are bitwise identical for any worker
 //! count.
 //!
@@ -21,10 +21,11 @@
 //!
 //! * [`marginal`] — per-location marginal exceedance probabilities and the
 //!   descending ordering of Algorithm 1 (lines 3–6),
-//! * [`crd`] — the confidence function sweep and the bisection search for the
-//!   excursion set at a single confidence level (lines 9–15),
+//! * [`crd`] — the one-sweep confidence function and the excursion set at a
+//!   single confidence level (lines 9–15),
 //! * [`correlation`] — helpers to turn a (posterior) covariance into the
-//!   standardized correlation factor consumed by the MVN integrals,
+//!   standardized correlation factor consumed by the MVN integrals, and to
+//!   rebuild it in marginal order,
 //! * [`validate`] — the Monte-Carlo validation estimator `p̂(α)` used in the
 //!   paper's accuracy figures.
 
@@ -37,11 +38,7 @@ pub use correlation::{
     correlation_factor_dense, correlation_factor_tlr, correlation_matrix_dense,
     correlation_matrix_tlr, standard_deviations, CorrelationFactor,
 };
-pub use crd::{
-    detect_confidence_regions, detect_confidence_regions_with, excursion_set, find_excursion_set,
-    find_excursion_set_with, prefix_joint_probability, CrdConfig, CrdResult, EngineSolver,
-    JointSolver,
-};
+pub use crd::{detect_confidence_regions, excursion_set, find_excursion_set, CrdConfig, CrdResult};
 pub use marginal::{descending_order, marginal_exceedance};
 pub use validate::{estimates_agree, mc_validate, McValidation};
 
@@ -71,7 +68,6 @@ mod tests {
             alpha: 0.05,
             levels: 12,
             mvn: MvnConfig::with_samples(2000),
-            ..Default::default()
         };
         let engine = MvnEngine::builder().workers(2).build().unwrap();
         let result = detect_confidence_regions(&engine, &factor, &field.values, &sd, &cfg);

@@ -211,7 +211,7 @@ mod tests {
         // End-to-end: detect a region at 1-alpha = 0.9 and validate it with MC;
         // p_hat should be >= 0.9 (within MC noise) because the detected prefix
         // has joint probability >= 0.9 by construction. One engine carries the
-        // whole session: detection, bisection and MC validation.
+        // whole session: detection and MC validation.
         let locs = regular_grid(10, 10);
         let k = CovarianceKernel::Exponential {
             sigma2: 1.0,
@@ -225,7 +225,6 @@ mod tests {
             alpha: 0.1,
             levels: 10,
             mvn: MvnConfig::with_samples(4000),
-            ..Default::default()
         };
         let engine = test_engine();
         let (region, prob) = find_excursion_set(&engine, &factor, &mean, &sd, &cfg);

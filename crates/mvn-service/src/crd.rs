@@ -1,106 +1,85 @@
-//! Confidence-region detection driven through the service path.
+//! Confidence-region detection on a service's factor.
 //!
-//! `excursion`'s CRD drivers are generic over [`JointSolver`];
-//! [`ServedSolver`] implements that trait by routing every prefix integral
-//! through a running [`MvnService`] —
-//! request queue, micro-batcher, factor cache and all. Because each batch of
-//! prefix problems shares one fingerprint, the micro-batcher coalesces the
-//! confidence sweep into the same `solve_batch` graphs the in-process path
-//! uses, and the factor is built once (then served from cache across *all*
-//! CRD runs against the same field — the cross-request amortization the
-//! library path cannot provide).
+//! A CRD run is one sweep over a factor refactored in marginal order, not a
+//! stream of independent boxes, so the served entry points do not submit
+//! problems: they fetch the spec's factor from its shard
+//! ([`MvnService::factor`] — built once, then served from cache across
+//! *every* CRD run against the same field) and run the library drivers on
+//! it, on an engine over the service's worker pool with the service's
+//! sampling configuration (`ServiceConfig::mvn`; the `CrdConfig`'s own is
+//! not consulted — a server answers with its own configuration).
 //!
-//! The probabilities are bitwise identical to
-//! [`excursion::detect_confidence_regions`] with the same sampling
-//! configuration and the spec's correlation factor (tested in
+//! The results are bitwise identical to
+//! [`excursion::detect_confidence_regions`] with that sampling configuration
+//! and the spec's correlation factor (tested in
 //! `tests/service_equivalence.rs`).
 
-use crate::service::{MvnService, ServiceError, SpecHandle, Ticket};
-use excursion::{CrdConfig, CrdResult, JointSolver};
-use mvn_core::Problem;
-use std::time::Duration;
+use crate::service::{MvnService, ServiceError, SpecHandle};
+use excursion::{CrdConfig, CrdResult};
+use mvn_core::{Factor, FactorKind, MvnEngine, ProblemError};
+use std::sync::Arc;
 
-/// A [`JointSolver`] that solves through a running [`MvnService`].
-///
-/// The spec must be [standardized](crate::CovSpec::standardize) — CRD
-/// integrates under the correlation matrix — and the sampling configuration
-/// is the *service's* (`ServiceConfig::mvn`), not the `CrdConfig`'s: a
-/// server solves every request with its own configuration.
-pub struct ServedSolver<'a> {
-    service: &'a MvnService,
-    handle: SpecHandle,
+/// Everything a served CRD run needs, or the typed reason it cannot run:
+/// the spec must be standardized (CRD integrates under the correlation
+/// matrix) and dense or TLR, and `mean` must have one entry per location.
+fn served_inputs(
+    service: &MvnService,
+    handle: &SpecHandle,
+    mean: &[f64],
+    cfg: &CrdConfig,
+) -> Result<(MvnEngine, Arc<Factor>, Vec<f64>, CrdConfig), ServiceError> {
+    let spec = handle.spec();
+    if !spec.standardize {
+        return Err(ServiceError::InvalidSpec(
+            "CRD integrates under the correlation matrix: use a standardized spec".into(),
+        ));
+    }
+    if matches!(spec.kind, FactorKind::Vecchia { .. }) {
+        return Err(ServiceError::InvalidSpec(
+            "CRD needs a dense or TLR factor".into(),
+        ));
+    }
+    if mean.len() != spec.n() {
+        return Err(ServiceError::InvalidProblem(
+            ProblemError::DimensionMismatch {
+                expected: spec.n(),
+                got: mean.len(),
+            },
+        ));
+    }
+    let factor = service.factor(handle)?;
+    let cfg = CrdConfig {
+        mvn: service.config().mvn,
+        ..cfg.clone()
+    };
+    Ok((service.engine(), factor, spec.standard_deviations(), cfg))
 }
 
-impl<'a> ServedSolver<'a> {
-    /// Wrap a service + registered spec pair.
-    pub fn new(service: &'a MvnService, handle: SpecHandle) -> Self {
-        assert!(
-            handle.spec().standardize,
-            "CRD integrates under the correlation matrix: use a standardized spec"
-        );
-        Self { service, handle }
-    }
-
-    /// The registered spec.
-    pub fn handle(&self) -> &SpecHandle {
-        &self.handle
-    }
-}
-
-impl JointSolver for ServedSolver<'_> {
-    fn dim(&self) -> usize {
-        self.handle.spec().n()
-    }
-
-    fn joint_probabilities(&self, problems: &[Problem]) -> Vec<f64> {
-        // Submit everything first so the micro-batcher can coalesce the
-        // whole chunk into shared task graphs, then wait in order.
-        let tickets: Vec<Ticket> = problems
-            .iter()
-            .map(|p| loop {
-                match self.service.submit(&self.handle, p.clone()) {
-                    Ok(t) => break t,
-                    Err(ServiceError::Overloaded { .. }) => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => panic!("service rejected a CRD prefix integral: {e}"),
-                }
-            })
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| {
-                let out = t.wait().expect("service answered the CRD integral");
-                out.result.prob.clamp(0.0, 1.0)
-            })
-            .collect()
-    }
-}
-
-/// [`excursion::detect_confidence_regions`] through the service: the
-/// marginal ordering and confidence function come from the same generic
-/// driver, with every joint probability served by `service`. `sd` is derived
-/// from the spec ([`crate::CovSpec::standard_deviations`]).
+/// [`excursion::detect_confidence_regions`] on the service's factor of the
+/// spec (see the [module docs](self)). `sd` is derived from the spec
+/// ([`crate::CovSpec::standard_deviations`]).
 pub fn detect_confidence_regions_served(
     service: &MvnService,
     handle: &SpecHandle,
     mean: &[f64],
     cfg: &CrdConfig,
-) -> CrdResult {
-    let solver = ServedSolver::new(service, handle.clone());
-    let sd = handle.spec().standard_deviations();
-    excursion::detect_confidence_regions_with(&solver, mean, &sd, cfg)
+) -> Result<CrdResult, ServiceError> {
+    let (engine, factor, sd, cfg) = served_inputs(service, handle, mean, cfg)?;
+    Ok(excursion::detect_confidence_regions(
+        &engine, &factor, mean, &sd, &cfg,
+    ))
 }
 
-/// [`excursion::find_excursion_set`] through the service (see
-/// [`detect_confidence_regions_served`]).
+/// [`excursion::find_excursion_set`] on the service's factor of the spec
+/// (see [`detect_confidence_regions_served`]).
 pub fn find_excursion_set_served(
     service: &MvnService,
     handle: &SpecHandle,
     mean: &[f64],
     cfg: &CrdConfig,
-) -> (Vec<usize>, f64) {
-    let solver = ServedSolver::new(service, handle.clone());
-    let sd = handle.spec().standard_deviations();
-    excursion::find_excursion_set_with(&solver, mean, &sd, cfg)
+) -> Result<(Vec<usize>, f64), ServiceError> {
+    let (engine, factor, sd, cfg) = served_inputs(service, handle, mean, cfg)?;
+    Ok(excursion::find_excursion_set(
+        &engine, &factor, mean, &sd, &cfg,
+    ))
 }

@@ -40,9 +40,9 @@
 //!   socket; `mvn-bench`'s `mvn_serve` binary pairs it with a closed-loop
 //!   load generator.
 //! * **Served CRD** ([`crd`]): `excursion`'s confidence-region drivers run
-//!   unchanged through the service path via the
-//!   [`JointSolver`](excursion::JointSolver) abstraction, with bitwise
-//!   identical probabilities.
+//!   unchanged on the shard's cached factor
+//!   ([`MvnService::factor`]) and the service's pool, with bitwise identical
+//!   probabilities.
 //!
 //! ```no_run
 //! use mvn_service::{CovSpec, MvnService, ServiceConfig, SpecHandle};
@@ -68,7 +68,7 @@ pub mod spec;
 pub mod tcp;
 
 pub use cache::{CacheStats, FactorCache};
-pub use crd::{detect_confidence_regions_served, find_excursion_set_served, ServedSolver};
+pub use crd::{detect_confidence_regions_served, find_excursion_set_served};
 // The JSON value type and bit-exact f64 encoding moved to the shared `wire`
 // crate (the distributed runtime's tile transport uses the same bits);
 // re-exported here so `mvn_service::json::...` paths keep working.

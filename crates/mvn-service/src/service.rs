@@ -356,20 +356,27 @@ struct SolveRequest {
     tx: mpsc::Sender<Response>,
 }
 
-/// What a queued cache operation should do to its fingerprint.
+/// What a queued cache operation should do to its fingerprint, and where its
+/// answer goes.
 enum CacheOp {
     /// Ensure the factor is resident (building it if needed), optionally
     /// pinning it.
-    Warm { pin: bool },
+    Warm {
+        pin: bool,
+        tx: mpsc::Sender<CacheResponse>,
+    },
     /// Make a pinned factor evictable again.
-    Unpin,
+    Unpin { tx: mpsc::Sender<CacheResponse> },
+    /// Hand out the factor itself, building and caching it on a miss.
+    Factor {
+        tx: mpsc::Sender<Result<Arc<Factor>, ServiceError>>,
+    },
 }
 
 struct CacheRequest {
     spec: Arc<CovSpec>,
     fp: FactorFingerprint,
     op: CacheOp,
-    tx: mpsc::Sender<CacheResponse>,
 }
 
 /// One entry of a shard queue. Cache operations flow through the same queue
@@ -724,7 +731,9 @@ impl MvnService {
     /// with respect to them) but are not counted in the
     /// submitted/completed request totals.
     pub fn warm_submit(&self, handle: &SpecHandle, pin: bool) -> Result<CacheTicket, ServiceError> {
-        self.submit_cache_op(handle, CacheOp::Warm { pin })
+        let (tx, rx) = mpsc::channel();
+        let shard = self.submit_cache_op(handle, CacheOp::Warm { pin, tx })?;
+        Ok(CacheTicket { rx, shard })
     }
 
     /// [`warm_submit`](Self::warm_submit) and block for the outcome.
@@ -735,7 +744,9 @@ impl MvnService {
     /// Queue an unpin for a spec's factor (the non-blocking form of
     /// [`unpin`](Self::unpin)).
     pub fn unpin_submit(&self, handle: &SpecHandle) -> Result<CacheTicket, ServiceError> {
-        self.submit_cache_op(handle, CacheOp::Unpin)
+        let (tx, rx) = mpsc::channel();
+        let shard = self.submit_cache_op(handle, CacheOp::Unpin { tx })?;
+        Ok(CacheTicket { rx, shard })
     }
 
     /// Make a previously pinned factor evictable again (blocking). Unpinning
@@ -745,15 +756,32 @@ impl MvnService {
         self.unpin_submit(handle)?.wait()
     }
 
-    fn submit_cache_op(
-        &self,
-        handle: &SpecHandle,
-        op: CacheOp,
-    ) -> Result<CacheTicket, ServiceError> {
+    /// The spec's factor as its shard holds it (blocking): a counted cache
+    /// hit, or a miss that builds and caches it exactly like a solve would.
+    /// For computations that run on the factor themselves instead of
+    /// submitting boxes — the served CRD sweeps it on the service's pool.
+    /// Rides the shard queue like [`warm`](Self::warm).
+    pub fn factor(&self, handle: &SpecHandle) -> Result<Arc<Factor>, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        self.submit_cache_op(handle, CacheOp::Factor { tx })?;
+        rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+    }
+
+    /// An engine on the service's worker pool with the service's sampling
+    /// configuration: whatever it solves is bitwise what the shards serve.
+    pub(crate) fn engine(&self) -> MvnEngine {
+        MvnEngine::builder()
+            .pool(Arc::clone(&self.pool))
+            .config(self.cfg.mvn)
+            .build()
+            .expect("the configuration was validated when the service started")
+    }
+
+    /// Queue a cache operation on the spec's shard, returning the shard.
+    fn submit_cache_op(&self, handle: &SpecHandle, op: CacheOp) -> Result<usize, ServiceError> {
         handle.spec.validate().map_err(ServiceError::InvalidSpec)?;
         let idx = self.shard_of(handle);
         let shard = &self.shards[idx];
-        let (tx, rx) = mpsc::channel();
         {
             let mut st = shard.queue.lock().unwrap();
             if st.shutdown {
@@ -770,11 +798,10 @@ impl MvnService {
                 spec: Arc::clone(&handle.spec),
                 fp: handle.fp,
                 op,
-                tx,
             }));
             shard.cv.notify_one();
         }
-        Ok(CacheTicket { rx, shard: idx })
+        Ok(idx)
     }
 
     /// A point-in-time snapshot of every counter the service keeps. Each
@@ -967,6 +994,30 @@ fn publish_cache_stats(ctx: &DispatcherCtx, cache: &FactorCache) {
     *ctx.shard.cache.lock().unwrap() = cache.stats();
 }
 
+/// Build a spec's factor and offer it to the cache (which may refuse it: the
+/// oversized bypass). The caller has already found it missing.
+fn build_and_cache(
+    engine: &MvnEngine,
+    cache: &mut FactorCache,
+    fp: FactorFingerprint,
+    spec: &CovSpec,
+) -> Result<Arc<Factor>, ServiceError> {
+    let f = Arc::new(
+        spec.build_factor(engine)
+            .map_err(ServiceError::Factorization)?,
+    );
+    cache.insert(fp, Arc::clone(&f));
+    Ok(f)
+}
+
+/// Run a cache operation behind the dispatcher's panic boundary: a panic
+/// answers the one client as [`ServiceError::Internal`] and the shard keeps
+/// serving.
+fn caught<T>(op: impl FnOnce() -> Result<T, ServiceError>) -> Result<T, ServiceError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op))
+        .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))))
+}
+
 /// Serve one queued cache operation.
 fn serve_cache_op(
     ctx: &DispatcherCtx,
@@ -974,43 +1025,47 @@ fn serve_cache_op(
     cache: &mut FactorCache,
     req: CacheRequest,
 ) {
-    let CacheRequest { spec, fp, op, tx } = req;
-    // Warm probes with `contains` (uncounted) rather than `get`, so warming
-    // does not skew the hit rate the solve traffic earns on its own.
-    let outcome: CacheResponse =
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> CacheResponse {
+    let CacheRequest { spec, fp, op } = req;
+    let status = |cache: &FactorCache, was_resident: bool| CacheOpOutput {
+        shard: ctx.shard_idx,
+        was_resident,
+        resident: cache.contains(fp),
+        pinned: cache.is_pinned(fp),
+    };
+    match op {
+        // Warm probes with `contains` (uncounted) rather than `get`, so
+        // warming does not skew the hit rate the solve traffic earns on its
+        // own.
+        CacheOp::Warm { pin, tx } => {
+            let outcome = caught(|| {
+                let was_resident = cache.contains(fp);
+                if !was_resident {
+                    // `resident` below reports whether the cache took it.
+                    build_and_cache(engine, cache, fp, &spec)?;
+                }
+                if pin {
+                    cache.pin(fp);
+                }
+                Ok(status(cache, was_resident))
+            });
+            publish_cache_stats(ctx, cache);
+            let _ = tx.send(outcome);
+        }
+        CacheOp::Unpin { tx } => {
             let was_resident = cache.contains(fp);
-            match op {
-                CacheOp::Warm { pin } => {
-                    if !was_resident {
-                        let f = Arc::new(
-                            spec.build_factor(engine)
-                                .map_err(ServiceError::Factorization)?,
-                        );
-                        // May refuse (oversized bypass); `resident` below
-                        // reports what actually happened.
-                        cache.insert(fp, f);
-                    }
-                    if pin {
-                        cache.pin(fp);
-                    }
-                }
-                CacheOp::Unpin => {
-                    cache.unpin(fp);
-                }
-            }
-            Ok(CacheOpOutput {
-                shard: ctx.shard_idx,
-                was_resident,
-                resident: cache.contains(fp),
-                pinned: cache.is_pinned(fp),
-            })
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(ServiceError::Internal(panic_message(payload))),
-        };
-    publish_cache_stats(ctx, cache);
-    let _ = tx.send(outcome);
+            cache.unpin(fp);
+            publish_cache_stats(ctx, cache);
+            let _ = tx.send(Ok(status(cache, was_resident)));
+        }
+        CacheOp::Factor { tx } => {
+            let outcome = caught(|| match cache.get(fp) {
+                Some(f) => Ok(f),
+                None => build_and_cache(engine, cache, fp, &spec),
+            });
+            publish_cache_stats(ctx, cache);
+            let _ = tx.send(outcome);
+        }
+    }
 }
 
 /// Serve one micro-batch: resolve each distinct fingerprint's factor (one
@@ -1108,14 +1163,7 @@ fn serve_batch(
                 .zip(looked_up)
                 .map(|((fp, spec), hit)| match hit {
                     Some(f) => Ok((f, true)),
-                    None => match spec.build_factor(engine) {
-                        Ok(f) => {
-                            let f = Arc::new(f);
-                            cache.insert(*fp, Arc::clone(&f));
-                            Ok((f, false))
-                        }
-                        Err(e) => Err(ServiceError::Factorization(e)),
-                    },
+                    None => build_and_cache(engine, cache, *fp, spec).map(|f| (f, false)),
                 })
                 .collect();
             // One mixed task graph over every solvable request, in queue

@@ -536,10 +536,10 @@ fn an_over_long_request_line_is_answered_with_an_error_and_the_connection_stays_
 
 #[test]
 fn served_crd_matches_library_crd_bitwise() {
-    // The satellite integration: excursion's CRD drivers through the service
-    // path (ServedSolver) against the plain engine path, same sampling
-    // config — prefix probabilities, confidence function and the selected
-    // excursion set must all agree exactly.
+    // excursion's CRD drivers on the service's cached factor and pool
+    // against the plain engine path, same sampling config — prefix
+    // probabilities, confidence function and the selected excursion set must
+    // all agree exactly.
     let samples = 400;
     let locs = regular_grid(5, 5);
     let kernel = CovarianceKernel::Exponential {
@@ -553,7 +553,6 @@ fn served_crd_matches_library_crd_bitwise() {
         alpha: 0.1,
         levels: usize::MAX,
         mvn: test_mvn(samples),
-        ..Default::default()
     };
 
     // Library path: correlation factor + engine.
@@ -576,7 +575,8 @@ fn served_crd_matches_library_crd_bitwise() {
     })
     .unwrap();
     let handle = SpecHandle::new(CovSpec::dense(locs.clone(), kernel, nugget, 8).standardized());
-    let served = mvn_service::detect_confidence_regions_served(&service, &handle, &mean, &crd_cfg);
+    let served =
+        mvn_service::detect_confidence_regions_served(&service, &handle, &mean, &crd_cfg).unwrap();
     assert_eq!(served.order, lib.order);
     assert_eq!(served.prefix_probs.len(), lib.prefix_probs.len());
     for (s, l) in served.prefix_probs.iter().zip(&lib.prefix_probs) {
@@ -598,7 +598,7 @@ fn served_crd_matches_library_crd_bitwise() {
     );
 
     let (srv_region, srv_prob) =
-        mvn_service::find_excursion_set_served(&service, &handle, &mean, &crd_cfg);
+        mvn_service::find_excursion_set_served(&service, &handle, &mean, &crd_cfg).unwrap();
     assert_eq!(srv_region, lib_region);
     assert!(srv_prob.to_bits() == lib_prob.to_bits());
 
@@ -606,4 +606,18 @@ fn served_crd_matches_library_crd_bitwise() {
     let stats = service.stats();
     assert_eq!(stats.cache_misses(), 1);
     assert!(stats.cache_hits() > 0);
+
+    // What the library would panic on is a typed error here.
+    let raw = SpecHandle::new(CovSpec::dense(locs.clone(), kernel, nugget, 8));
+    let err = mvn_service::detect_confidence_regions_served(&service, &raw, &mean, &crd_cfg);
+    assert!(matches!(err, Err(ServiceError::InvalidSpec(_))), "{err:?}");
+    let vecchia = SpecHandle::new(CovSpec::vecchia(locs, kernel, nugget, 8, 4).standardized());
+    let err = mvn_service::find_excursion_set_served(&service, &vecchia, &mean, &crd_cfg);
+    assert!(matches!(err, Err(ServiceError::InvalidSpec(_))), "{err:?}");
+    let err =
+        mvn_service::detect_confidence_regions_served(&service, &handle, &mean[1..], &crd_cfg);
+    assert!(
+        matches!(err, Err(ServiceError::InvalidProblem(_))),
+        "{err:?}"
+    );
 }

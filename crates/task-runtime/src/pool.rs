@@ -1,6 +1,6 @@
 //! A persistent worker pool: threads are spawned once and parked on a condvar
 //! between task sets, so hot call sites that execute many small task sets
-//! (the MLE objective, the CRD bisection, batched MVN solves) do not pay a
+//! (the MLE objective, the CRD run's build/factor/sweep, batched MVN solves) do not pay a
 //! thread-spawn per set.
 //!
 //! The pool is the one module that knows *how* tasks are submitted:

@@ -56,6 +56,26 @@ impl SymTileMatrix {
         Self { layout, tiles }
     }
 
+    /// Assemble from lower tiles already built elsewhere, in the order
+    /// [`from_fn`](Self::from_fn) produces them: row-major over the lower
+    /// triangle, `(0,0), (1,0), (1,1), (2,0), …`. Panics on a wrong count or
+    /// shape.
+    pub fn from_tiles(n: usize, nb: usize, tiles: Vec<DenseMatrix>) -> Self {
+        let layout = TileLayout::new(n, nb);
+        let nt = layout.num_tiles();
+        assert_eq!(tiles.len(), nt * (nt + 1) / 2, "from_tiles: tile count");
+        for i in 0..nt {
+            for j in 0..=i {
+                let t = &tiles[Self::tri_index(i, j)];
+                assert!(
+                    t.nrows() == layout.tile_size(i) && t.ncols() == layout.tile_size(j),
+                    "from_tiles: tile ({i},{j}) has the wrong shape"
+                );
+            }
+        }
+        Self { layout, tiles }
+    }
+
     /// Build from a full dense symmetric matrix (used in tests and small
     /// reference computations).
     pub fn from_dense(a: &DenseMatrix, nb: usize) -> Self {

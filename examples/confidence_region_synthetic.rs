@@ -36,8 +36,8 @@ fn main() {
 
     // 3. Detect where the field exceeds u = 0.5 with 95% joint confidence.
     //    One MvnEngine carries the whole session: its worker pool is created
-    //    once and shared by the confidence sweep (batched into a single task
-    //    graph), the bisection probes and the MC validation below.
+    //    once and shared by the marginal-order refactorization, the one sweep
+    //    that yields every prefix probability, and the MC validation below.
     let engine = MvnEngine::builder().build().expect("engine");
     let (factor, sd) = correlation_factor_dense(&post.cov, 96);
     let cfg = CrdConfig {
@@ -45,7 +45,6 @@ fn main() {
         alpha: 0.05,
         levels: 15,
         mvn: MvnConfig::with_samples(4_000),
-        ..Default::default()
     };
     let result = detect_confidence_regions(&engine, &factor, &post.mean, &sd, &cfg);
     let marginal_count = result.marginal.iter().filter(|&&p| p >= 0.95).count();
@@ -56,11 +55,11 @@ fn main() {
         region.len()
     );
 
-    // 4. The same region located directly by bisection (O(log n) MVN calls).
-    let (bisect_region, joint_prob) = find_excursion_set(&engine, &factor, &post.mean, &sd, &cfg);
+    // 4. The same region with the joint probability of its boundary prefix.
+    let (boundary_region, joint_prob) = find_excursion_set(&engine, &factor, &post.mean, &sd, &cfg);
     println!(
-        "bisection search: {} sites with joint exceedance probability {:.4}",
-        bisect_region.len(),
+        "boundary search: {} sites with joint exceedance probability {:.4}",
+        boundary_region.len(),
         joint_prob
     );
 

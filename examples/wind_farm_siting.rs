@@ -58,7 +58,6 @@ fn main() {
         alpha: 0.05,
         levels: 12,
         mvn: MvnConfig::with_samples(3_000),
-        ..Default::default()
     };
 
     let (dense_factor, csd) = correlation_factor_dense(&cov, 88);

@@ -86,7 +86,6 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
         alpha: 0.1,
         levels: 12,
         mvn: MvnConfig::with_samples(3_000),
-        ..Default::default()
     };
     let engine = MvnEngine::builder().workers(2).build().unwrap();
     let result = detect_confidence_regions(&engine, &factor, &post.mean, &sd, &cfg);
@@ -97,31 +96,17 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
         assert!(result.marginal[i] >= 1.0 - cfg.alpha - 0.05);
     }
 
-    // The confidence-function sweep (with interpolation between evaluated
-    // prefix lengths) and the exact bisection search agree up to a handful of
-    // boundary sites.
-    let (bisect_region, joint_prob) = find_excursion_set(&engine, &factor, &post.mean, &sd, &cfg);
-    assert!(joint_prob >= 1.0 - cfg.alpha - 1e-9);
-    assert!(
-        region.len().abs_diff(bisect_region.len()) <= n / 20 + 2,
-        "sweep region {} vs bisection region {}",
-        region.len(),
-        bisect_region.len()
-    );
+    // The boundary search reads the same one-sweep profile: same region, and
+    // its joint probability reaches 1-alpha.
+    let (boundary_region, joint_prob) = find_excursion_set(&engine, &factor, &post.mean, &sd, &cfg);
+    assert!(region.is_empty() || joint_prob >= 1.0 - cfg.alpha);
+    assert_eq!(boundary_region, region);
 
-    // The MC-validated joint exceedance probability of the bisection region is
-    // compatible with 1-alpha (the bisection region is the one whose joint
-    // probability is certified to be >= 1-alpha).
+    // The MC-validated joint exceedance probability of the region is
+    // compatible with 1-alpha (the region is the one whose joint probability
+    // is certified to be >= 1-alpha).
     let v = mc_validate(
-        &engine,
-        &factor,
-        &post.mean,
-        &sd,
-        &bisect_region,
-        0.4,
-        40_000,
-        500,
-        3,
+        &engine, &factor, &post.mean, &sd, &region, 0.4, 40_000, 500, 3,
     );
     assert!(
         v.p_hat >= 1.0 - cfg.alpha - 4.0 * v.std_error - 0.03,
@@ -134,7 +119,6 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
 #[test]
 fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
     let locations = regular_grid(12, 12);
-    let n = locations.len();
     let kernel = CovarianceKernel::Exponential {
         sigma2: 1.0,
         range: 0.234, // strong correlation
@@ -149,7 +133,6 @@ fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
         alpha: 0.05,
         levels: 12,
         mvn: MvnConfig::with_samples(4_000),
-        ..Default::default()
     };
     let engine = MvnEngine::builder().workers(2).build().unwrap();
     let rd = detect_confidence_regions(&engine, &fd, &mean, &sd, &cfg);
@@ -170,10 +153,9 @@ fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
         "regions should agree exactly at this scale"
     );
 
-    // Bisection agrees with the sweep within one site.
+    // The boundary search selects exactly the sweep's region.
     let (region_b, _) = find_excursion_set(&engine, &fd, &mean, &sd, &cfg);
-    let sweep_len = excursion_set(&rd, 0.05).len();
-    assert!(region_b.len().abs_diff(sweep_len) <= (n / 12).max(1));
+    assert_eq!(region_b, excursion_set(&rd, 0.05));
 }
 
 #[test]
