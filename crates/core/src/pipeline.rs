@@ -27,45 +27,35 @@ use task_runtime::{
 use tile_la::dag::{attach_tiles, detach_tiles, submit_factor_tasks, FactorStatus};
 use tile_la::kernels::gemm_nt;
 use tile_la::{CholeskyError, DenseMatrix, SymTileMatrix, TileLayout};
-use tlr::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks, TlrHandles};
+use tlr::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks};
 use tlr::{lr_gemm_panel_t, LowRankBlock, TlrCholeskyError, TlrMatrix};
 
 /// A view of factor tiles living in [`TileStore`]s, so the [`PanelState`]
 /// sweep can run against in-flight tiles. Only used inside sweep-task
 /// closures, whose declared read dependencies guarantee the accessed tiles
-/// are final.
-enum StoredFactor<'s> {
-    Dense {
-        layout: TileLayout,
-        store: &'s TileStore<DenseMatrix>,
-        handles: &'s [Vec<DataHandle>],
-    },
+/// are final. Both backends address tiles through one lower-triangle handle
+/// grid: `handles[i][j]`, `j ≤ i`.
+struct StoredFactor<'s> {
+    layout: TileLayout,
+    handles: &'s [Vec<DataHandle>],
+    stores: Stores<'s>,
+}
+
+/// Where the tiles behind `StoredFactor::handles` live.
+enum Stores<'s> {
+    Dense(&'s TileStore<DenseMatrix>),
     Tlr {
-        layout: TileLayout,
-        diag_store: &'s TileStore<DenseMatrix>,
-        off_store: &'s TileStore<LowRankBlock>,
-        handles: &'s TlrHandles,
+        diag: &'s TileStore<DenseMatrix>,
+        off: &'s TileStore<LowRankBlock>,
     },
 }
 
 impl StoredFactor<'_> {
-    fn tiling(&self) -> TileLayout {
-        match self {
-            StoredFactor::Dense { layout, .. } | StoredFactor::Tlr { layout, .. } => *layout,
-        }
-    }
-
     /// Run `f` against the diagonal tile `(r, r)`, holding its read guard
     /// only for the duration of the call.
     fn with_diag<R>(&self, r: usize, f: impl FnOnce(&DenseMatrix) -> R) -> R {
-        match self {
-            StoredFactor::Dense { store, handles, .. } => f(&store.read(handles[r][r])),
-            StoredFactor::Tlr {
-                diag_store,
-                handles,
-                ..
-            } => f(&diag_store.read(handles.diag[r])),
-        }
+        let (Stores::Dense(store) | Stores::Tlr { diag: store, .. }) = self.stores;
+        f(&store.read(self.handles[r][r]))
     }
 
     /// Propagate `y` through the off-diagonal tile `(j, r)`:
@@ -79,18 +69,17 @@ impl StoredFactor<'_> {
         a_blk: &mut DenseMatrix,
         b_blk: Option<&mut DenseMatrix>,
     ) {
-        match self {
-            StoredFactor::Dense { store, handles, .. } => {
-                let tile = store.read(handles[j][r]);
+        let h = self.handles[j][r];
+        match self.stores {
+            Stores::Dense(store) => {
+                let tile = store.read(h);
                 gemm_nt(-1.0, y, &tile, 1.0, a_blk);
                 if let Some(b_blk) = b_blk {
                     gemm_nt(-1.0, y, &tile, 1.0, b_blk);
                 }
             }
-            StoredFactor::Tlr {
-                off_store, handles, ..
-            } => {
-                let tile = off_store.read(handles.off[j][r]);
+            Stores::Tlr { off, .. } => {
+                let tile = off.read(h);
                 lr_gemm_panel_t(-1.0, &tile, y, 1.0, a_blk);
                 if let Some(b_blk) = b_blk {
                     lr_gemm_panel_t(-1.0, &tile, y, 1.0, b_blk);
@@ -109,7 +98,7 @@ impl StoredFactor<'_> {
         if state.alive == 0 {
             return;
         }
-        let layout = self.tiling();
+        let layout = self.layout;
         let nt = layout.num_tiles();
         let rows = layout.tile_size(r);
         if state.y_block.ncols() != rows {
@@ -149,14 +138,6 @@ impl StoredFactor<'_> {
             self.propagate(j, r, y_block, a_blk, b_blk);
         }
     }
-
-    /// Handle of factor tile `(i, j)` (`j ≤ i`).
-    fn tile_handle(&self, i: usize, j: usize) -> DataHandle {
-        match self {
-            StoredFactor::Dense { handles, .. } => handles[i][j],
-            StoredFactor::Tlr { handles, .. } => handles.tile(i, j),
-        }
-    }
 }
 
 /// Submit the PMVN panel-sweep tasks into a [`TaskSink`], with read
@@ -173,7 +154,7 @@ fn submit_sweep_tasks<'a, S: TaskSink<'a> + ?Sized>(
     points: &'a dyn PointSet,
     cfg: &'a MvnConfig,
 ) {
-    let layout = factor.tiling();
+    let layout = factor.layout;
     let nt = layout.num_tiles();
     for (p, &panel_h) in panel_handles.iter().enumerate() {
         // Panel initialization: limits replication + sample generation. No
@@ -195,7 +176,7 @@ fn submit_sweep_tasks<'a, S: TaskSink<'a> + ?Sized>(
                 .access(panel_h, AccessMode::ReadWrite)
                 .cost(layout.tile_size(r) as f64 * cfg.panel_width as f64);
             for j in r..nt {
-                spec = spec.access(factor.tile_handle(j, r), AccessMode::Read);
+                spec = spec.access(factor.handles[j][r], AccessMode::Read);
             }
             graph.submit_task(
                 spec,
@@ -251,10 +232,10 @@ pub(crate) fn run_dense_fused(
         })
         .collect();
 
-    let factor = StoredFactor::Dense {
+    let factor = StoredFactor {
         layout,
-        store: &store,
         handles: &handles,
+        stores: Stores::Dense(&store),
     };
     pool.execute(|sink| {
         submit_factor_tasks(sink, &store, &handles, layout, &status);
@@ -322,11 +303,13 @@ pub(crate) fn run_tlr_fused(
         })
         .collect();
 
-    let factor = StoredFactor::Tlr {
+    let factor = StoredFactor {
         layout,
-        diag_store: &diag_store,
-        off_store: &off_store,
         handles: &handles,
+        stores: Stores::Tlr {
+            diag: &diag_store,
+            off: &off_store,
+        },
     };
     pool.execute(|sink| {
         submit_tlr_factor_tasks(

@@ -8,6 +8,8 @@
 
 use crate::cluster::ClusterSpec;
 use task_runtime::{AccessMode, DataHandle, HandleRegistry, TaskGraph, TaskSpec};
+use tile_la::dag::{cholesky_plan, Kernel, Step, TileId};
+use tile_la::TileLayout;
 
 // The dense/TLR storage vocabulary is shared with the serving layer; it is
 // defined once in `mvn_core` so the simulator's cost model and the server's
@@ -53,6 +55,42 @@ fn tile_bytes(rows: usize, cols: usize) -> usize {
     rows * cols * 8
 }
 
+/// The tiling of the problem dimension (the last tile may be partial).
+fn layout_of(spec: &ProblemSpec) -> TileLayout {
+    TileLayout::new(spec.n, spec.tile_size)
+}
+
+/// Modelled bytes of factor tile `(i, j)`: dense, or — off the diagonal of
+/// a TLR factor — the two `size × mean_rank` low-rank factors.
+fn factor_tile_bytes(kind: FactorKind, layout: TileLayout, (i, j): TileId) -> usize {
+    let (rows, cols) = (layout.tile_size(i), layout.tile_size(j));
+    match kind {
+        FactorKind::Tlr { mean_rank } if i != j => tile_bytes(rows + cols, mean_rank),
+        FactorKind::Dense | FactorKind::Tlr { .. } => tile_bytes(rows, cols),
+        FactorKind::Vecchia { .. } => unreachable!("vecchia uses its own graph builder"),
+    }
+}
+
+/// Modelled flops of one plan step: the dense count for a dense factor and
+/// for every `potrf`; the compressed kernels at `mean_rank` for TLR.
+fn step_flops(kind: FactorKind, layout: TileLayout, step: &Step) -> f64 {
+    let r = match kind {
+        FactorKind::Dense => return step.flops(layout),
+        FactorKind::Tlr { mean_rank } => mean_rank as f64,
+        FactorKind::Vecchia { .. } => unreachable!("vecchia uses its own graph builder"),
+    };
+    let size = |t: usize| layout.tile_size(t) as f64;
+    let (nbi, nbj, nbk) = (size(step.out.0), size(step.out.1), size(step.panel()));
+    match step.kernel {
+        Kernel::Potrf => step.flops(layout),
+        // Only the panel-side factor of the low-rank tile is solved.
+        Kernel::Trsm => nbk * nbk * r,
+        Kernel::Syrk => 2.0 * nbk * r * r + 2.0 * nbi * nbi * r,
+        // Low-rank product + QR-based recompression.
+        Kernel::Gemm => 15.0 * (nbi + nbj) * r * r,
+    }
+}
+
 /// Generate the tiled Cholesky factorization DAG for the given problem, mapped
 /// onto the cluster with the 2-D block-cyclic distribution.
 pub fn cholesky_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> DistributedWorkload {
@@ -60,7 +98,9 @@ pub fn cholesky_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distrib
 }
 
 /// Internal builder that also returns the per-tile data handles, so the PMVN
-/// sweep can reference the factor tiles it reads.
+/// sweep can reference the factor tiles it reads. The task order, accesses
+/// and labels are those of [`cholesky_plan`] — the steps the executed dense
+/// and TLR factorizations submit — priced by [`step_flops`].
 fn cholesky_with_tiles(
     spec: &ProblemSpec,
     cluster: &ClusterSpec,
@@ -68,104 +108,36 @@ fn cholesky_with_tiles(
     if let FactorKind::Vecchia { m } = spec.kind {
         // The Vecchia "factorization" has no inter-tile dependency structure
         // at all — n independent m×m conditioning solves — so it gets its own
-        // builder instead of the triangular-tile loops below.
+        // builder instead of the tiled plan.
         return vecchia_with_blocks(spec, cluster, m);
     }
-    let nb = spec.tile_size;
-    let nt = spec.n.div_ceil(nb);
-    let nbf = nb as f64;
+    let layout = layout_of(spec);
+    let nt = layout.num_tiles();
+    let low_rank = matches!(spec.kind, FactorKind::Tlr { .. });
 
     let mut registry = HandleRegistry::new();
     let mut owner = Vec::new();
     // Handle per lower tile (i, j), j <= i.
-    let mut tiles: Vec<Vec<DataHandle>> = vec![Vec::new(); nt];
-    for i in 0..nt {
-        for j in 0..=i {
-            let bytes = match spec.kind {
-                FactorKind::Dense => tile_bytes(nb, nb),
-                FactorKind::Tlr { mean_rank } => {
-                    if i == j {
-                        tile_bytes(nb, nb)
-                    } else {
-                        2 * tile_bytes(nb, mean_rank)
-                    }
-                }
-                FactorKind::Vecchia { .. } => unreachable!("vecchia uses its own graph builder"),
-            };
-            let h = registry.register_sized(format!("L[{i},{j}]"), bytes);
-            tiles[i].push(h);
-            owner.push(cluster.tile_owner(i, j));
-        }
-    }
-    let tile = |i: usize, j: usize| tiles[i][j];
+    let tiles: Vec<Vec<DataHandle>> = (0..nt)
+        .map(|i| {
+            (0..=i)
+                .map(|j| {
+                    owner.push(cluster.tile_owner(i, j));
+                    let bytes = factor_tile_bytes(spec.kind, layout, (i, j));
+                    registry.register_sized(format!("L[{i},{j}]"), bytes)
+                })
+                .collect()
+        })
+        .collect();
 
     let mut graph = TaskGraph::new();
     let mut exec_node = Vec::new();
-
-    for k in 0..nt {
-        // POTRF on the diagonal tile (always dense).
-        let potrf_cost = nbf * nbf * nbf / 3.0;
+    for step in cholesky_plan(nt) {
         graph.submit(
-            TaskSpec::new("potrf")
-                .access(tile(k, k), AccessMode::ReadWrite)
-                .cost(potrf_cost),
+            step.spec(&tiles, low_rank)
+                .cost(step_flops(spec.kind, layout, &step)),
         );
-        exec_node.push(cluster.tile_owner(k, k));
-
-        for i in (k + 1)..nt {
-            // TRSM of the panel tile.
-            let cost = match spec.kind {
-                FactorKind::Dense => nbf * nbf * nbf,
-                FactorKind::Tlr { mean_rank } => nbf * nbf * mean_rank as f64,
-                FactorKind::Vecchia { .. } => unreachable!("vecchia uses its own graph builder"),
-            };
-            graph.submit(
-                TaskSpec::new("trsm")
-                    .access(tile(k, k), AccessMode::Read)
-                    .access(tile(i, k), AccessMode::ReadWrite)
-                    .cost(cost),
-            );
-            exec_node.push(cluster.tile_owner(i, k));
-        }
-        for i in (k + 1)..nt {
-            for j in (k + 1)..=i {
-                let (name, cost) = if i == j {
-                    let c = match spec.kind {
-                        FactorKind::Dense => nbf * nbf * nbf,
-                        FactorKind::Tlr { mean_rank } => {
-                            let r = mean_rank as f64;
-                            2.0 * nbf * r * r + 2.0 * nbf * nbf * r
-                        }
-                        FactorKind::Vecchia { .. } => {
-                            unreachable!("vecchia uses its own graph builder")
-                        }
-                    };
-                    ("syrk", c)
-                } else {
-                    let c = match spec.kind {
-                        FactorKind::Dense => 2.0 * nbf * nbf * nbf,
-                        FactorKind::Tlr { mean_rank } => {
-                            // Low-rank product + QR-based recompression.
-                            let r = mean_rank as f64;
-                            30.0 * nbf * r * r
-                        }
-                        FactorKind::Vecchia { .. } => {
-                            unreachable!("vecchia uses its own graph builder")
-                        }
-                    };
-                    ("lr_gemm", c)
-                };
-                let mut t = TaskSpec::new(name)
-                    .access(tile(i, k), AccessMode::Read)
-                    .access(tile(i, j), AccessMode::ReadWrite)
-                    .cost(cost);
-                if i != j {
-                    t = t.access(tile(j, k), AccessMode::Read);
-                }
-                graph.submit(t);
-                exec_node.push(cluster.tile_owner(i, j));
-            }
-        }
+        exec_node.push(cluster.tile_owner(step.out.0, step.out.1));
     }
 
     (
@@ -188,8 +160,8 @@ fn vecchia_with_blocks(
     cluster: &ClusterSpec,
     m: usize,
 ) -> (DistributedWorkload, Vec<Vec<DataHandle>>) {
-    let nb = spec.tile_size;
-    let nt = spec.n.div_ceil(nb);
+    let layout = layout_of(spec);
+    let nt = layout.num_tiles();
     let mf = m as f64;
 
     let mut registry = HandleRegistry::new();
@@ -197,7 +169,8 @@ fn vecchia_with_blocks(
     let mut blocks: Vec<Vec<DataHandle>> = vec![Vec::new(); nt];
     for (i, row) in blocks.iter_mut().enumerate() {
         // Coefficients (f64) + neighbor indices (u32) + conditional sds.
-        let bytes = nb * m * 12 + nb * 8;
+        let rows = layout.tile_size(i);
+        let bytes = rows * m * 12 + rows * 8;
         let h = registry.register_sized(format!("V[{i}]"), bytes);
         row.push(h);
         owner.push(cluster.tile_owner(i, 0));
@@ -206,9 +179,9 @@ fn vecchia_with_blocks(
     let mut graph = TaskGraph::new();
     let mut exec_node = Vec::new();
     for (i, row) in blocks.iter().enumerate() {
-        // nb independent m×m conditioning solves: Cholesky (m³/3) plus two
+        // One m×m conditioning solve per row: Cholesky (m³/3) plus two
         // triangular solves (2m²) each. No cross-block dependencies.
-        let cost = nb as f64 * (mf * mf * mf / 3.0 + 2.0 * mf * mf);
+        let cost = layout.tile_size(i) as f64 * (mf * mf * mf / 3.0 + 2.0 * mf * mf);
         graph.submit(
             TaskSpec::new("cond_solve")
                 .access(row[0], AccessMode::ReadWrite)
@@ -232,14 +205,12 @@ fn vecchia_with_blocks(
 /// the PMVN sweep over all sample panels.
 pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> DistributedWorkload {
     let (mut wl, tiles) = cholesky_with_tiles(spec, cluster);
-    let nb = spec.tile_size;
-    let nt = spec.n.div_ceil(nb);
-    let nbf = nb as f64;
+    let layout = layout_of(spec);
+    let nt = layout.num_tiles();
+    let size = |t: usize| layout.tile_size(t) as f64;
     let w = spec.panel_width;
     let wf = w as f64;
     let n_panels = spec.qmc_samples.div_ceil(w);
-
-    let tile_handle = |i: usize, j: usize| tiles[i][j];
 
     // The QMC special-function cost per element (Phi + Phi^{-1} evaluations).
     const PHI_FLOPS: f64 = 60.0;
@@ -253,13 +224,14 @@ pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distributed
             let panel_node = p % cluster.nodes;
             let mut prev: Option<DataHandle> = None;
             for r in 0..nt {
-                let h = wl
-                    .registry
-                    .register_sized(format!("panel{p}_block{r}"), tile_bytes(nb, w));
+                let h = wl.registry.register_sized(
+                    format!("panel{p}_block{r}"),
+                    tile_bytes(layout.tile_size(r), w),
+                );
                 wl.owner.push(panel_node);
-                let cost = 2.0 * nbf * m as f64 * wf + PHI_FLOPS * nbf * wf;
+                let cost = 2.0 * size(r) * m as f64 * wf + PHI_FLOPS * size(r) * wf;
                 let mut t = TaskSpec::new("vecchia_sweep")
-                    .access(tile_handle(r, 0), AccessMode::Read)
+                    .access(tiles[r][0], AccessMode::Read)
                     .access(h, AccessMode::ReadWrite)
                     .cost(cost);
                 if let Some(ph) = prev {
@@ -278,40 +250,33 @@ pub fn pmvn_task_graph(spec: &ProblemSpec, cluster: &ClusterSpec) -> Distributed
         // One handle per row block of this panel's A/Y data.
         let mut panel_blocks = Vec::with_capacity(nt);
         for r in 0..nt {
-            let h = wl
-                .registry
-                .register_sized(format!("panel{p}_block{r}"), tile_bytes(nb, w));
+            let h = wl.registry.register_sized(
+                format!("panel{p}_block{r}"),
+                tile_bytes(layout.tile_size(r), w),
+            );
             wl.owner.push(panel_node);
             panel_blocks.push(h);
         }
         for r in 0..nt {
             // QMC kernel on row block r of this panel.
-            let qmc_cost = 0.5 * nbf * nbf * wf + PHI_FLOPS * nbf * wf;
+            let qmc_cost = 0.5 * size(r) * size(r) * wf + PHI_FLOPS * size(r) * wf;
             wl.graph.submit(
                 TaskSpec::new("qmc")
-                    .access(tile_handle(r, r), AccessMode::Read)
+                    .access(tiles[r][r], AccessMode::Read)
                     .access(panel_blocks[r], AccessMode::ReadWrite)
                     .cost(qmc_cost),
             );
             wl.exec_node.push(panel_node);
-            // Propagation GEMMs to the later row blocks.
+            // Propagation GEMMs to the later row blocks. The propagation uses
+            // the dense representation of the factor tiles in the paper (A/B
+            // are non-admissible), so it stays dense in the TLR variant too.
             for j in (r + 1)..nt {
-                let cost = match spec.kind {
-                    FactorKind::Dense => 2.0 * nbf * nbf * wf,
-                    // The propagation uses the dense representation of the
-                    // factor tiles in the paper (A/B are non-admissible), so it
-                    // stays dense even in the TLR variant.
-                    FactorKind::Tlr { .. } => 2.0 * nbf * nbf * wf,
-                    FactorKind::Vecchia { .. } => {
-                        unreachable!("vecchia uses its own sweep builder")
-                    }
-                };
                 wl.graph.submit(
                     TaskSpec::new("panel_gemm")
-                        .access(tile_handle(j, r), AccessMode::Read)
+                        .access(tiles[j][r], AccessMode::Read)
                         .access(panel_blocks[r], AccessMode::Read)
                         .access(panel_blocks[j], AccessMode::ReadWrite)
-                        .cost(cost),
+                        .cost(2.0 * size(j) * size(r) * wf),
                 );
                 wl.exec_node.push(panel_node);
             }
@@ -325,9 +290,13 @@ mod tests {
     use super::*;
 
     fn spec(n: usize, kind: FactorKind) -> ProblemSpec {
+        spec_nb(n, 320, kind)
+    }
+
+    fn spec_nb(n: usize, tile_size: usize, kind: FactorKind) -> ProblemSpec {
         ProblemSpec {
             n,
-            tile_size: 320,
+            tile_size,
             qmc_samples: 1000,
             panel_width: 100,
             kind,
@@ -346,7 +315,7 @@ mod tests {
         // syrk: one per diagonal tile per panel; gemm: strictly-lower updates.
         assert_eq!(counts["syrk"], nt * (nt - 1) / 2);
         assert_eq!(
-            counts["lr_gemm"],
+            counts["gemm"],
             (0..nt)
                 .map(|k| {
                     let m = nt - k - 1;
@@ -356,6 +325,74 @@ mod tests {
         );
         assert_eq!(wl.exec_node.len(), wl.graph.len());
         assert!(wl.exec_node.iter().all(|&n| n < 4));
+    }
+
+    #[test]
+    fn a_partial_last_tile_is_priced_at_its_size() {
+        // n = 330 at nb = 320: the second tile row holds 10 indices, and the
+        // model must price it so rather than as a full 320 × 320 tile.
+        let cluster = ClusterSpec::cray_xc40(2);
+        let s = spec(330, FactorKind::Dense);
+        let layout = TileLayout::new(330, 320);
+        let wl = cholesky_task_graph(&s, &cluster);
+        let want: f64 = cholesky_plan(2).map(|t| t.flops(layout)).sum();
+        assert_eq!(wl.graph.total_cost(), want);
+        let bytes = 8 * (320 * 320 + 10 * 320 + 10 * 10);
+        assert_eq!(wl.registry.total_bytes(), bytes);
+    }
+
+    #[test]
+    fn the_model_graph_is_the_executed_graph() {
+        // The simulated factorization and the dense and TLR submitters walk
+        // one plan: task by task, the same labels and the same dependencies.
+        use tile_la::dag::{detach_tiles, submit_factor_tasks, FactorStatus};
+        use tile_la::SymTileMatrix;
+        use tlr::dag::{detach_tlr_tiles, submit_tlr_factor_tasks};
+        use tlr::{CompressionTol, TlrMatrix};
+
+        let cov = |i: usize, j: usize| (-(i as f64 - j as f64).abs() / 4.0).exp();
+        let cluster = ClusterSpec::cray_xc40(3);
+        // nt = 1, 2, 5, 7 at nb = 4; the last layout ends in a 3-wide tile.
+        for n in [4usize, 8, 20, 27] {
+            let nb = 4;
+            let status = FactorStatus::new();
+            let mut registry = HandleRegistry::new();
+            let mut dense = SymTileMatrix::from_fn(n, nb, cov);
+            let (handles, store) = detach_tiles(&mut dense, &mut registry);
+            let mut executed = TaskGraph::new();
+            submit_factor_tasks(&mut executed, &store, &handles, dense.layout(), &status);
+
+            let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), nb, cov);
+            let (handles, diag, off) = detach_tlr_tiles(&mut tlr, &mut registry);
+            let mut executed_tlr = TaskGraph::new();
+            let (tol, layout) = (tlr.tol(), tlr.layout());
+            submit_tlr_factor_tasks(
+                &mut executed_tlr,
+                &diag,
+                &off,
+                &handles,
+                layout,
+                tol,
+                nb,
+                &status,
+            );
+
+            for (kind, executed) in [
+                (FactorKind::Dense, &executed),
+                (FactorKind::Tlr { mean_rank: 2 }, &executed_tlr),
+            ] {
+                let model = cholesky_task_graph(&spec_nb(n, nb, kind), &cluster).graph;
+                assert_eq!(model.len(), executed.len(), "n = {n}, {kind:?}");
+                for i in 0..model.len() {
+                    assert_eq!(model.spec(i).name, executed.spec(i).name, "task {i}");
+                    assert_eq!(
+                        model.dependencies(i),
+                        executed.dependencies(i),
+                        "n = {n}, {kind:?}, task {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //!
 //! * **Ownership.** Every lower tile `(i, j)` of the covariance factor is
 //!   owned by exactly one worker under the same 2-D block-cyclic map the
-//!   simulator uses ([`distsim::ProcessGrid`]); every factorization task is
-//!   executed by the owner of its output tile, and sweep panel `p` runs on
-//!   node `p % nodes` — both identical to the assignment
-//!   `distsim::taskgen` feeds the performance model.
+//!   simulator uses ([`distsim::ProcessGrid`]); every step of the one
+//!   factorization plan ([`tile_la::dag::cholesky_plan`], which the
+//!   single-process submitters and `distsim::taskgen` walk too) is executed
+//!   by the owner of its output tile, and sweep panel `p` runs on node
+//!   `p % nodes` — both identical to the assignment `distsim::taskgen` feeds
+//!   the performance model.
 //! * **Transport.** Remote input tiles are fetched over `std`-only TCP with
 //!   the bit-exact `f64` framing shared with the serving layer
 //!   ([`wire`]), and cached on the requesting side so each tile crosses
@@ -54,5 +56,5 @@ pub mod worker;
 
 pub use coordinator::{solve_dense, solve_tlr, DistConfig, DistError, DistReport, Recovery};
 pub use faults::{FaultAction, FaultPlan};
-pub use plan::{factor_plan, rank_slice, Kernel, TaskStep, TileId};
+pub use plan::{rank_slice, TileId};
 pub use worker::run_worker;

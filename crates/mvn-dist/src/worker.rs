@@ -58,10 +58,8 @@ use std::time::{Duration, Instant};
 use distsim::ProcessGrid;
 use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
-use task_runtime::{
-    effective_workers, AccessMode, DataHandle, HandleRegistry, TaskSpec, WorkerPool,
-};
-use tile_la::dag::FactorStatus;
+use task_runtime::{effective_workers, HandleRegistry, WorkerPool};
+use tile_la::dag::{register_tile_handles, FactorStatus, Kernel, Step};
 use tile_la::kernels::{
     gemm_nt, potrf_in_place, syrk_lower, trsm_left_lower_notrans, trsm_right_lower_trans,
 };
@@ -70,7 +68,7 @@ use tlr::{lr_aa_t_update, lr_gemm_panel_t, lr_lr_t_update};
 use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
-use crate::plan::{factor_plan, Kernel, TileId};
+use crate::plan::{rank_slice, TileId};
 use crate::proto::{self, CtrlMsg, DoneMsg, FactorSpec, ReownMsg, WorkerErrorMsg, WorkerMsg};
 use crate::store::{DistStore, TileValue};
 
@@ -632,39 +630,23 @@ fn factor(
     links: &mut PeerLinks,
     pool: &WorkerPool,
 ) -> Result<u64, WorkerErrorMsg> {
-    let p = &ctx.problem;
     let layout = ctx.layout;
-    let plan = factor_plan(layout);
-    let nt = layout.num_tiles();
-    let mut registry = HandleRegistry::new();
-    let handles: Vec<Vec<DataHandle>> = (0..nt)
-        .map(|i| {
-            (0..=i)
-                .map(|j| registry.register(format!("L[{i},{j}]")))
-                .collect()
-        })
-        .collect();
+    let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
     let status = FactorStatus::new();
-    let (tlr_tol, tlr_max_rank) = match p.factor {
-        FactorSpec::Dense => (None, usize::MAX),
-        FactorSpec::Tlr { tol, max_rank } => (Some(tol), max_rank),
-    };
+    let (tlr_tol, tlr_max_rank) = tlr_params(&ctx.problem.factor);
 
     let store_ref: &DistStore = &ctx.store;
     let status_ref = &status;
     let executed = pool.execute(|sink| -> Result<u64, WorkerErrorMsg> {
         let mut executed = 0u64;
-        for step in &plan {
+        for step in rank_slice(layout.num_tiles(), &ctx.grid, ctx.rank) {
             if status_ref.is_failed() {
                 break; // kill the chain: peers are released by the coordinator
-            }
-            if ctx.grid.owner(step.out.0, step.out.1) != ctx.rank {
-                continue;
             }
             // Prefetch remote inputs on this (submitter) thread, in plan
             // order; the residency check is the per-edge transfer cache, and
             // `ensure_final` re-routes around lost peers.
-            for &rid in &step.reads {
+            for &rid in step.reads() {
                 if ctx.grid.owner(rid.0, rid.1) != ctx.rank {
                     ensure_final(ctx, links, rid)?;
                 }
@@ -674,39 +656,28 @@ fn factor(
             ctx.injector.on_task_submit();
             executed += 1;
 
-            let mut spec = TaskSpec::new(kernel_name(step.kernel, tlr_tol.is_some()))
-                .access(handles[step.out.0][step.out.1], AccessMode::ReadWrite)
-                .cost(step.cost);
-            for &(ri, rj) in &step.reads {
-                spec = spec.access(handles[ri][rj], AccessMode::Read);
-            }
-            let out = step.out;
-            let finalizes = step.finalizes;
-            let reads = step.reads.clone();
-            let kernel = step.kernel;
-            let pivot0 = layout.tile_start(out.0);
             sink.submit_task(
-                spec,
+                step.spec(&handles, tlr_tol.is_some())
+                    .cost(step.flops(layout)),
                 Some(Box::new(move || {
                     if status_ref.is_failed() {
                         return;
                     }
-                    let mut tile = store_ref.take(out);
+                    let mut tile = store_ref.take(step.out);
                     // Unique pre-final by hazard ordering: no peer or local
                     // reader ever holds a non-final tile, so this mutates in
                     // place without copying.
                     let val = Arc::make_mut(&mut tile);
                     run_kernel(
-                        kernel,
+                        step,
                         val,
-                        &reads,
                         store_ref,
                         status_ref,
-                        pivot0,
+                        layout,
                         tlr_tol,
                         tlr_max_rank,
                     );
-                    store_ref.put(out, tile, finalizes);
+                    store_ref.put(step.out, tile, step.finalizes());
                 })),
             );
         }
@@ -830,14 +801,9 @@ fn replay_rank_inner(
     reown: &ReownMsg,
     started: Instant,
 ) -> Result<DoneMsg, WorkerErrorMsg> {
-    let p = &ctx.problem;
     let layout = ctx.layout;
-    let plan = factor_plan(layout);
     let status = FactorStatus::new();
-    let (tlr_tol, tlr_max_rank) = match p.factor {
-        FactorSpec::Dense => (None, usize::MAX),
-        FactorSpec::Tlr { tol, max_rank } => (Some(tol), max_rank),
-    };
+    let (tlr_tol, tlr_max_rank) = tlr_params(&ctx.problem.factor);
     let mut links = PeerLinks::new();
     let mut workspace: HashMap<TileId, TileValue> =
         reown.tiles.iter().map(|(id, t)| (*id, t.clone())).collect();
@@ -852,7 +818,7 @@ fn replay_rank_inner(
         )
     });
 
-    for step in crate::plan::rank_slice(&plan, &ctx.grid, reown.rank) {
+    for step in rank_slice(layout.num_tiles(), &ctx.grid, reown.rank) {
         // First touch of a tile decides once whether to replay it: if a
         // final version is already resident (fetched before the owner
         // died), every one of its tasks is skipped — the bits are the same.
@@ -862,7 +828,7 @@ fn replay_rank_inner(
         if skip.contains(&step.out) {
             continue;
         }
-        for &rid in &step.reads {
+        for &rid in step.reads() {
             ensure_final(ctx, &mut links, rid)?;
         }
         let out = workspace.get_mut(&step.out).ok_or_else(|| {
@@ -871,15 +837,13 @@ fn replay_rank_inner(
                 reown.rank, step.out
             ))
         })?;
-        let pivot0 = layout.tile_start(step.out.0);
         let t0 = obs::now_ns();
         run_kernel(
-            step.kernel,
+            step,
             out,
-            &step.reads,
             &ctx.store,
             &status,
-            pivot0,
+            layout,
             tlr_tol,
             tlr_max_rank,
         );
@@ -888,7 +852,7 @@ fn replay_rank_inner(
         if let Some(pivot) = status.pivot() {
             return Err(WorkerErrorMsg::Factorization { pivot });
         }
-        if step.finalizes {
+        if step.finalizes() {
             let val = workspace.remove(&step.out).unwrap();
             ctx.store.publish_final(step.out, val);
         }
@@ -918,38 +882,35 @@ fn replay_rank_inner(
     })
 }
 
-fn kernel_name(k: Kernel, tlr: bool) -> &'static str {
-    match (k, tlr) {
-        (Kernel::Potrf, _) => "potrf",
-        (Kernel::Trsm, _) => "trsm",
-        (Kernel::Syrk, _) => "syrk",
-        (Kernel::Gemm, false) => "gemm",
-        (Kernel::Gemm, true) => "lr_gemm",
+/// The TLR compression parameters of a factor spec (`None` for dense).
+fn tlr_params(factor: &FactorSpec) -> (Option<tlr::CompressionTol>, usize) {
+    match *factor {
+        FactorSpec::Dense => (None, usize::MAX),
+        FactorSpec::Tlr { tol, max_rank } => (Some(tol), max_rank),
     }
 }
 
-/// Apply one plan kernel to its detached output tile — the same kernel
-/// calls, in the same per-tile order, as the single-process DAGs in
+/// Apply one plan step to its detached output tile — the same kernel calls,
+/// in the same per-tile order, as the single-process submitters in
 /// `tile_la::dag` / `tlr::dag`.
-#[allow(clippy::too_many_arguments)]
 fn run_kernel(
-    kernel: Kernel,
+    step: Step,
     out: &mut TileValue,
-    reads: &[TileId],
     store: &DistStore,
     status: &FactorStatus,
-    pivot0: usize,
+    layout: TileLayout,
     tlr_tol: Option<tlr::CompressionTol>,
     tlr_max_rank: usize,
 ) {
-    match kernel {
+    let reads = step.reads();
+    match step.kernel {
         Kernel::Potrf => {
             let d = match out {
                 TileValue::Dense(d) => d,
                 TileValue::LowRank(_) => unreachable!("diagonal tiles are dense"),
             };
             if let Err(local) = potrf_in_place(d) {
-                status.fail(pivot0 + local);
+                status.fail(layout.tile_start(step.out.0) + local);
             }
         }
         Kernel::Trsm => {
@@ -1009,8 +970,16 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
                 // serving); a wait for the local pipeline to finalize the
                 // tile *is* — the thread is occupied on the peer's behalf.
                 let t0 = obs::now_ns();
-                let Ok(id) = proto::parse_tile_request(&msg) else {
-                    return;
+                let id = match proto::parse_tile_request(&msg) {
+                    Ok(id) => id,
+                    Err(reason) => {
+                        // Not a tile request: refuse it and keep the
+                        // connection, like an id with no slot.
+                        if write_msg(&mut writer, &proto::tile_error(&reason)).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
                 };
                 let nt = ctx.layout.num_tiles();
                 let response = if id.1 > id.0 || id.0 >= nt {
@@ -1060,8 +1029,8 @@ mod tests {
     #[test]
     fn tile_server_refuses_ids_outside_the_layout_and_keeps_serving() {
         // Play coordinator for a one-rank, 2 x 2-tile dense problem, then
-        // ask its tile server for two ids that have no slot and one that
-        // does, all on one connection.
+        // send its tile server a malformed request, two ids that have no
+        // slot and one that does, all on one connection.
         let coord = TcpListener::bind("127.0.0.1:0").unwrap();
         let coord_addr = coord.local_addr().unwrap().to_string();
         let worker = std::thread::spawn(move || run_worker(&coord_addr));
@@ -1121,13 +1090,16 @@ mod tests {
             .unwrap();
         let mut peer_reader = BufReader::new(peer.try_clone().unwrap());
         let mut peer_writer = peer;
-        let mut get = |id: TileId| {
-            write_msg(&mut peer_writer, &proto::tile_request(id, 0)).unwrap();
+        let mut send = |request: Json| {
+            write_msg(&mut peer_writer, &request).unwrap();
             let reply = read_msg(&mut peer_reader)
                 .unwrap()
-                .unwrap_or_else(|| panic!("the tile server hung up on {id:?}"));
+                .unwrap_or_else(|| panic!("the tile server hung up on {request}"));
             proto::parse_tile_response(&reply)
         };
+        let err = send(Json::parse(r#"{"get":"x"}"#).unwrap()).unwrap_err();
+        assert!(err.contains("expected a {\"get\""), "{err}");
+        let mut get = |id: TileId| send(proto::tile_request(id, 0));
         for bad in [(2, 0), (0, 1)] {
             let err = get(bad).unwrap_err();
             assert!(err.contains("outside the lower triangle"), "{bad:?}: {err}");

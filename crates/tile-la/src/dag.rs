@@ -1,16 +1,17 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
-//! `task-runtime` pool (the paper's StarPU programming model): the building
-//! blocks [`potrf_tiled`](crate::potrf_tiled) and the fused PMVN pipeline in
+//! `task-runtime` pool (the paper's StarPU programming model): the one task
+//! order [`cholesky_plan`], and the building blocks
+//! [`potrf_tiled`](crate::potrf_tiled) and the fused PMVN pipeline in
 //! `mvn-core` compose.
 //!
-//! Every lower tile `(i, j)` becomes a [`DataHandle`]; `POTRF`/`TRSM`/`SYRK`/
-//! `GEMM` tasks are submitted in program order declaring how they access those
-//! handles, and the runtime infers the dependency DAG. There is no global
-//! barrier after a panel: the `TRSM`s of panel `k+1` start as soon as *their*
-//! inputs are ready, while trailing updates of panel `k` are still in flight,
-//! and — crucially for the fused PMVN pipeline in `mvn-core` — consumers
-//! outside the factorization can declare read dependencies on individual
-//! factor tiles and overlap with it.
+//! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
+//! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
+//! access those handles, and the runtime infers the dependency DAG. There is
+//! no global barrier after a panel: the `TRSM`s of panel `k+1` start as soon
+//! as *their* inputs are ready, while trailing updates of panel `k` are still
+//! in flight, and — crucially for the fused PMVN pipeline in `mvn-core` —
+//! consumers outside the factorization can declare read dependencies on
+//! individual factor tiles and overlap with it.
 //!
 //! Every task applies a fixed kernel to fixed tiles in a fixed submission
 //! order, so the factor is bitwise identical to the sequential factorization
@@ -116,6 +117,136 @@ pub fn attach_tiles(
     }
 }
 
+/// A lower tile `(i, j)`, `j ≤ i`, of a tiled factor.
+pub type TileId = (usize, usize);
+
+/// The kernel a [`Step`] applies. The names are the dense ones; the TLR
+/// factorization runs the compressed counterpart of each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Cholesky of the diagonal tile of panel `k`.
+    Potrf,
+    /// Triangular solve of tile `(i, k)` against the panel-`k` diagonal.
+    Trsm,
+    /// Symmetric rank-`k` update of a diagonal tile by `(i, k)`.
+    Syrk,
+    /// Trailing update of `(i, j)` by `(i, k)·(j, k)ᵀ`.
+    Gemm,
+}
+
+/// One task of the tiled Cholesky: a kernel applied to a fixed read-write
+/// output tile, reading fixed input tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Which kernel to run.
+    pub kernel: Kernel,
+    /// The read-write output tile.
+    pub out: TileId,
+    /// Read-only inputs; only the first [`Step::reads`]`().len()` are used.
+    reads: [TileId; 2],
+}
+
+impl Step {
+    /// The read-only input tiles, in declaration order.
+    pub fn reads(&self) -> &[TileId] {
+        let n = match self.kernel {
+            Kernel::Potrf => 0,
+            Kernel::Trsm | Kernel::Syrk => 1,
+            Kernel::Gemm => 2,
+        };
+        &self.reads[..n]
+    }
+
+    /// Whether this step produces the output tile's final version: `potrf`
+    /// finalizes a diagonal tile and `trsm` an off-diagonal one; trailing
+    /// `syrk`/`gemm` updates only produce intermediate versions.
+    pub fn finalizes(&self) -> bool {
+        matches!(self.kernel, Kernel::Potrf | Kernel::Trsm)
+    }
+
+    /// The panel `k` this step belongs to.
+    pub fn panel(&self) -> usize {
+        match self.kernel {
+            Kernel::Potrf => self.out.0,
+            Kernel::Trsm => self.out.1,
+            Kernel::Syrk | Kernel::Gemm => self.reads[0].1,
+        }
+    }
+
+    /// Dense flop count of the step under `layout` (the abstract task cost).
+    pub fn flops(&self, layout: TileLayout) -> f64 {
+        let size = |t: usize| layout.tile_size(t) as f64;
+        let (nbi, nbj, nbk) = (size(self.out.0), size(self.out.1), size(self.panel()));
+        match self.kernel {
+            Kernel::Potrf => nbk * nbk * nbk / 3.0,
+            Kernel::Trsm => nbi * nbk * nbk,
+            Kernel::Syrk => nbi * nbi * nbk,
+            Kernel::Gemm => 2.0 * nbi * nbj * nbk,
+        }
+    }
+
+    /// The task label: the kernel's name, with the off-diagonal trailing
+    /// update called `lr_gemm` on a low-rank factor.
+    pub fn label(&self, low_rank: bool) -> &'static str {
+        match self.kernel {
+            Kernel::Potrf => "potrf",
+            Kernel::Trsm => "trsm",
+            Kernel::Syrk => "syrk",
+            Kernel::Gemm if low_rank => "lr_gemm",
+            Kernel::Gemm => "gemm",
+        }
+    }
+
+    /// The handles of the output and of the two read slots in the
+    /// lower-triangle grid `handles[i][j]`; slots past
+    /// [`reads`](Step::reads)`().len()` name some tile of the step and must
+    /// not be accessed.
+    pub fn handles_in(&self, handles: &[Vec<DataHandle>]) -> (DataHandle, [DataHandle; 2]) {
+        let h = |(i, j): TileId| handles[i][j];
+        (h(self.out), self.reads.map(h))
+    }
+
+    /// The task spec of this step over the lower-triangle handle grid
+    /// `handles[i][j]`: the reads, then the read-write output. No cost.
+    pub fn spec(&self, handles: &[Vec<DataHandle>], low_rank: bool) -> TaskSpec {
+        let h = |(i, j): TileId| handles[i][j];
+        self.reads()
+            .iter()
+            .fold(TaskSpec::new(self.label(low_rank)), |spec, &r| {
+                spec.access(h(r), AccessMode::Read)
+            })
+            .access(h(self.out), AccessMode::ReadWrite)
+    }
+}
+
+/// The right-looking tiled Cholesky of an `nt × nt` tile matrix as a
+/// globally ordered step sequence: for every panel `k`, `potrf` on the
+/// diagonal tile, the `trsm` column below it, then the trailing `syrk`/`gemm`
+/// updates row by row.
+///
+/// This is the one place the factorization's task order is written down. The
+/// dense and TLR submitters, the `mvn-dist` worker (owned slice and recovery
+/// replay) and the `distsim` model all walk it, so each tile's writers come
+/// in the same order everywhere — the per-tile kernel order every bitwise
+/// identity argument rests on.
+pub fn cholesky_plan(nt: usize) -> impl Iterator<Item = Step> {
+    let step = |kernel, out, reads| Step { kernel, out, reads };
+    (0..nt).flat_map(move |k| {
+        let potrf = std::iter::once(step(Kernel::Potrf, (k, k), [(k, k); 2]));
+        let trsm = ((k + 1)..nt).map(move |i| step(Kernel::Trsm, (i, k), [(k, k); 2]));
+        let updates = ((k + 1)..nt).flat_map(move |i| {
+            ((k + 1)..=i).map(move |j| {
+                if i == j {
+                    step(Kernel::Syrk, (i, i), [(i, k); 2])
+                } else {
+                    step(Kernel::Gemm, (i, j), [(i, k), (j, k)])
+                }
+            })
+        });
+        potrf.chain(trsm).chain(updates)
+    })
+}
+
 /// Submit the right-looking tiled Cholesky factorization of the tiles behind
 /// `handles` into any [`TaskSink`] (normally the one
 /// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
@@ -133,87 +264,34 @@ pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     layout: TileLayout,
     status: &'a FactorStatus,
 ) {
-    let nt = layout.num_tiles();
-    for k in 0..nt {
-        let nbk = layout.tile_size(k) as f64;
-        let h_kk = handles[k][k];
-        let pivot0 = layout.tile_start(k);
+    for step in cholesky_plan(layout.num_tiles()) {
+        let (out, [r0, r1]) = step.handles_in(handles);
+        let pivot0 = layout.tile_start(step.out.0);
+        let kernel = step.kernel;
         graph.submit_task(
-            TaskSpec::new("potrf")
-                .access(h_kk, AccessMode::ReadWrite)
-                .cost(nbk * nbk * nbk / 3.0),
+            step.spec(handles, false).cost(step.flops(layout)),
             Some(Box::new(move || {
                 if status.is_failed() {
                     return;
                 }
-                let mut d = store.write(h_kk);
-                if let Err(local) = potrf_in_place(&mut d) {
-                    status.fail(pivot0 + local);
+                match kernel {
+                    Kernel::Potrf => {
+                        if let Err(local) = potrf_in_place(&mut store.write(out)) {
+                            status.fail(pivot0 + local);
+                        }
+                    }
+                    Kernel::Trsm => trsm_right_lower_trans(&store.read(r0), &mut store.write(out)),
+                    Kernel::Syrk => syrk_lower(-1.0, &store.read(r0), 1.0, &mut store.write(out)),
+                    Kernel::Gemm => gemm_nt(
+                        -1.0,
+                        &store.read(r0),
+                        &store.read(r1),
+                        1.0,
+                        &mut store.write(out),
+                    ),
                 }
             })),
         );
-
-        for i in (k + 1)..nt {
-            let h_ik = handles[i][k];
-            let nbi = layout.tile_size(i) as f64;
-            graph.submit_task(
-                TaskSpec::new("trsm")
-                    .access(h_kk, AccessMode::Read)
-                    .access(h_ik, AccessMode::ReadWrite)
-                    .cost(nbi * nbk * nbk),
-                Some(Box::new(move || {
-                    if status.is_failed() {
-                        return;
-                    }
-                    let lkk = store.read(h_kk);
-                    let mut t = store.write(h_ik);
-                    trsm_right_lower_trans(&lkk, &mut t);
-                })),
-            );
-        }
-
-        for i in (k + 1)..nt {
-            let h_ik = handles[i][k];
-            let nbi = layout.tile_size(i) as f64;
-            for j in (k + 1)..=i {
-                let h_ij = handles[i][j];
-                let nbj = layout.tile_size(j) as f64;
-                if i == j {
-                    graph.submit_task(
-                        TaskSpec::new("syrk")
-                            .access(h_ik, AccessMode::Read)
-                            .access(h_ij, AccessMode::ReadWrite)
-                            .cost(nbi * nbi * nbk),
-                        Some(Box::new(move || {
-                            if status.is_failed() {
-                                return;
-                            }
-                            let lik = store.read(h_ik);
-                            let mut t = store.write(h_ij);
-                            syrk_lower(-1.0, &lik, 1.0, &mut t);
-                        })),
-                    );
-                } else {
-                    let h_jk = handles[j][k];
-                    graph.submit_task(
-                        TaskSpec::new("gemm")
-                            .access(h_ik, AccessMode::Read)
-                            .access(h_jk, AccessMode::Read)
-                            .access(h_ij, AccessMode::ReadWrite)
-                            .cost(2.0 * nbi * nbj * nbk),
-                        Some(Box::new(move || {
-                            if status.is_failed() {
-                                return;
-                            }
-                            let lik = store.read(h_ik);
-                            let ljk = store.read(h_jk);
-                            let mut t = store.write(h_ij);
-                            gemm_nt(-1.0, &lik, &ljk, 1.0, &mut t);
-                        })),
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -251,5 +329,63 @@ mod tests {
         assert_eq!(counts["trsm"], nt * (nt - 1) / 2);
         assert_eq!(counts["syrk"], nt * (nt - 1) / 2);
         assert_eq!(counts["gemm"], 4); // sum over k of C(nt-k-1, 2)
+    }
+
+    #[test]
+    fn plan_has_the_dag_kernel_counts_and_order() {
+        // 4 tile rows: 4 potrf + 6 trsm + 6 syrk + 4 gemm = 20 steps.
+        let plan: Vec<Step> = cholesky_plan(4).collect();
+        assert_eq!(plan.len(), 20);
+        let count = |k: Kernel| plan.iter().filter(|t| t.kernel == k).count();
+        assert_eq!(count(Kernel::Potrf), 4);
+        assert_eq!(count(Kernel::Trsm), 6);
+        assert_eq!(count(Kernel::Syrk), 6);
+        assert_eq!(count(Kernel::Gemm), 4);
+        assert_eq!(plan[0].kernel, Kernel::Potrf);
+        assert_eq!(plan[0].out, (0, 0));
+        // Panel 0: potrf(0,0), trsm(1..4,0), then the trailing updates.
+        assert_eq!(plan[1].out, (1, 0));
+        assert_eq!(plan[4].kernel, Kernel::Syrk);
+        assert_eq!(plan[4].out, (1, 1));
+        assert_eq!(plan[5].kernel, Kernel::Gemm);
+        assert_eq!(
+            (plan[5].out, plan[5].reads()),
+            ((2, 1), &[(2, 0), (1, 0)][..])
+        );
+    }
+
+    #[test]
+    fn every_tile_is_finalized_exactly_once() {
+        let nt = TileLayout::new(100, 24).num_tiles();
+        let plan: Vec<Step> = cholesky_plan(nt).collect();
+        for i in 0..nt {
+            for j in 0..=i {
+                let n = plan
+                    .iter()
+                    .filter(|t| t.finalizes() && t.out == (i, j))
+                    .count();
+                assert_eq!(n, 1, "tile ({i},{j}) must be finalized exactly once");
+            }
+        }
+    }
+
+    #[test]
+    fn remote_reads_are_always_of_final_tiles() {
+        // The distributed consistency protocol: by the time a step runs,
+        // each of its read tiles has already been finalized by an earlier one.
+        let nt = TileLayout::new(120, 20).num_tiles();
+        let mut finalized = std::collections::HashSet::new();
+        for step in cholesky_plan(nt) {
+            for r in step.reads() {
+                assert!(
+                    finalized.contains(r),
+                    "{:?} reads non-final tile {r:?}",
+                    step.kernel
+                );
+            }
+            if step.finalizes() {
+                finalized.insert(step.out);
+            }
+        }
     }
 }

@@ -13,9 +13,10 @@
 //!   (the layout used for covariance matrices and their Cholesky factors),
 //! * [`cholesky`] — the parallel right-looking tiled Cholesky factorization
 //!   ([`potrf_tiled`], on a `task_runtime::WorkerPool`),
-//! * [`dag`] — its task producer and the building blocks (`detach_tiles`,
-//!   `submit_factor_tasks`, `FactorStatus`) the fused PMVN pipeline composes
-//!   with,
+//! * [`dag`] — its one task order (`cholesky_plan`, shared with the TLR,
+//!   distributed and simulated factorizations), its task producer and the
+//!   building blocks (`detach_tiles`, `submit_factor_tasks`, `FactorStatus`)
+//!   the fused PMVN pipeline composes with,
 //! * [`solve`] — tiled triangular solves against dense panels,
 //! * [`norms`] — Frobenius / max-abs norms and difference helpers.
 //!

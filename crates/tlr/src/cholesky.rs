@@ -8,10 +8,6 @@
 //! * `SYRK`  — diagonal update from a low-rank tile (`lr_aa_t_update`),
 //! * `GEMM`  — low-rank × low-rank update with recompression
 //!   (`lr_lr_t_update`).
-//!
-//! With strongly-correlated covariance kernels the off-diagonal ranks are tiny
-//! (cf. the paper's Fig. 5), which is where the 9–20× speedups over the dense
-//! factorization come from.
 
 use crate::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks};
 use crate::tlr_matrix::TlrMatrix;

@@ -31,7 +31,6 @@ pub use arithmetic::{
 };
 pub use cholesky::{potrf_tlr, TlrCholeskyError};
 pub use compress::{compress_dense, CompressionTol};
-pub use dag::TlrHandles;
 pub use lowrank::LowRankBlock;
 pub use rank_stats::RankStats;
 pub use tlr_matrix::TlrMatrix;
