@@ -21,11 +21,6 @@
 //! * `mvn_dist [--full]`     — the scaling replay (1..=4 nodes; `--full`
 //!   adds 8 and grows the problem).
 //!
-//! Machine-readable output: `{"benchmark":...,"mean_ns":...,"samples":...}`
-//! lines (the repo's BENCH_kernels.json schema); `samples` carries the node
-//! count. The chaos mode adds `dist_chaos_*` points, including the
-//! measured detection-to-recovered wall time.
-//!
 //! Observability flags (combinable with any mode above):
 //! * `--trace <out.json>` — enable workspace tracing, merge the coordinator's
 //!   own timeline (pid 0) with every collected worker lane (one pid per
@@ -36,11 +31,11 @@
 //!
 //! Each solve also prints a `#`-prefixed per-rank phase table (compute vs
 //! tile-fetch-wait vs serve, the Fig. 7 decomposition) next to the distsim
-//! prediction.
+//! prediction, and the chaos mode prints the measured detection-to-recovered
+//! wall time.
 
 use distsim::{pmvn_task_graph, simulate, typical_mean_rank, ClusterSpec, ProblemSpec};
-use mvn_bench::{exceedance_limits, full_scale_requested, mvn_config};
-use mvn_core::{FactorKind, MvnEngine, MvnResult};
+use mvn_core::{FactorKind, MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::FaultPlan;
 use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport, Recovery};
 use std::time::Duration;
@@ -54,6 +49,17 @@ fn cov(n: usize) -> impl Fn(usize, usize) -> f64 + Sync {
     }
 }
 
+/// The sampling settings and exceedance limits (`[0, +∞)` at every site)
+/// every mode solves with.
+fn problem(n: usize, qmc: usize) -> (MvnConfig, Vec<f64>, Vec<f64>) {
+    let cfg = MvnConfig {
+        sample_size: qmc,
+        seed: 20240518,
+        ..Default::default()
+    };
+    (cfg, vec![0.0; n], vec![f64::INFINITY; n])
+}
+
 fn dist_config(nodes: usize) -> DistConfig {
     let exe = std::env::current_exe()
         .expect("bench binary path")
@@ -62,13 +68,6 @@ fn dist_config(nodes: usize) -> DistConfig {
     let mut dc = DistConfig::new(nodes, vec![exe, "worker".to_string()]);
     dc.timeout = Duration::from_secs(600);
     dc
-}
-
-fn emit(name: &str, seconds: f64, nodes: usize) {
-    println!(
-        "{{\"benchmark\":\"{name}\",\"mean_ns\":{:.1},\"samples\":{nodes}}}",
-        seconds * 1e9
-    );
 }
 
 /// Accumulates worker trace lanes across solves so `--trace` can write one
@@ -119,8 +118,7 @@ impl TraceOut {
 }
 
 /// Print the measured per-rank phase decomposition (the Fig. 7 view: where
-/// did each process spend its time) as `#`-prefixed human-readable lines so
-/// the stdout JSON-lines protocol stays machine-parseable.
+/// did each process spend its time) as `#`-prefixed lines.
 fn print_phase_table(tag: &str, report: &DistReport) {
     let s = |ns: u64| ns as f64 / 1e9;
     println!(
@@ -178,8 +176,7 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
         }
         None => default_counts,
     };
-    let cfg = mvn_config(qmc);
-    let (a, b) = exceedance_limits(n);
+    let (cfg, a, b) = problem(n, qmc);
     let tol = CompressionTol::Absolute(1e-8);
 
     let dense = SymTileMatrix::from_fn(n, nb, cov(n));
@@ -225,24 +222,13 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
                 report.comm_bytes as f64 / 1024.0,
                 report.fetches
             );
-            emit(
-                &format!("dist_scaling_{kind_name}_n{nodes}_wall"),
-                wall,
-                nodes,
-            );
-            emit(
-                &format!("dist_scaling_{kind_name}_n{nodes}_predicted"),
-                predicted,
-                nodes,
-            );
         }
     }
 }
 
 fn smoke(trace: &mut TraceOut) {
     let (n, nb, qmc, nodes) = (60, 16, 256, 4);
-    let cfg = mvn_config(qmc);
-    let (a, b) = exceedance_limits(n);
+    let (cfg, a, b) = problem(n, qmc);
     let dense = SymTileMatrix::from_fn(n, nb, cov(n));
     let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, cov(n));
 
@@ -257,7 +243,6 @@ fn smoke(trace: &mut TraceOut) {
     check_bitwise("dense smoke", dr.result, dense_ref);
     trace.collect(&dr);
     print_phase_table("dense smoke", &dr);
-    emit("dist_smoke_dense_wall", dr.wall.as_secs_f64(), nodes);
 
     let tr = solve_tlr(&tlr, &a, &b, &cfg, &dist_config(nodes)).unwrap_or_else(|e| {
         eprintln!("tlr smoke: {e}");
@@ -266,7 +251,6 @@ fn smoke(trace: &mut TraceOut) {
     check_bitwise("tlr smoke", tr.result, tlr_ref);
     trace.collect(&tr);
     print_phase_table("tlr smoke", &tr);
-    emit("dist_smoke_tlr_wall", tr.wall.as_secs_f64(), nodes);
 
     println!(
         "# smoke OK: {nodes} processes, dense p={} tlr p={}, bitwise identical to the engine",
@@ -279,8 +263,7 @@ fn smoke(trace: &mut TraceOut) {
 /// recovered probability to be bitwise identical to the engine's.
 fn chaos(seed: u64, trace: &mut TraceOut) {
     let (n, nb, qmc, nodes) = (60usize, 16usize, 256usize, 4usize);
-    let cfg = mvn_config(qmc);
-    let (a, b) = exceedance_limits(n);
+    let (cfg, a, b) = problem(n, qmc);
     let dense = SymTileMatrix::from_fn(n, nb, cov(n));
     let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, cov(n));
 
@@ -319,16 +302,6 @@ fn chaos(seed: u64, trace: &mut TraceOut) {
             report.replayed_tasks,
             report.reconnects,
             report.recovery_wall.as_secs_f64()
-        );
-        emit(
-            &format!("dist_chaos_{kind}_wall"),
-            report.wall.as_secs_f64(),
-            nodes,
-        );
-        emit(
-            &format!("dist_chaos_{kind}_recovery"),
-            report.recovery_wall.as_secs_f64(),
-            nodes,
         );
     }
     println!("# chaos OK: seed {seed}, recovered results bitwise identical to the engine");
@@ -381,7 +354,8 @@ fn main() {
                     .position(|a| a == "--nodes")
                     .and_then(|i| args.get(i + 1))
                     .and_then(|v| v.parse().ok());
-                scaling(full_scale_requested(), only_nodes, &mut trace);
+                let full = args.iter().any(|a| a == "--full");
+                scaling(full, only_nodes, &mut trace);
             }
 
             if let Some(path) = trace_path {

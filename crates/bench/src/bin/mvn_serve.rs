@@ -1,5 +1,5 @@
 //! `mvn-serve` — the MVN probability server paired with a closed-loop load
-//! generator, reporting throughput/latency/cache JSON points.
+//! generator, reporting throughput, latency and cache hit rate on stderr.
 //!
 //! Three modes:
 //!
@@ -14,23 +14,14 @@
 //!   traffic through pipelined clients, probing deadline shedding with a
 //!   zero-deadline request, then scraping the full wire `stats` snapshot.
 //!   Hard floors: cache hit rate ≥ 0.9, p99 ≤ `--p99-ms` (default 5000),
-//!   `mixed_batches > 0` and accounting balance. Emits `service_soak_*`
-//!   points for both phases.
+//!   `mixed_batches > 0` and accounting balance.
 //! * default: a longer run on the same workload shape (tune with `--secs`,
 //!   `--clients`, `--shards`, `--grid`, `--samples`).
 //!
-//! Every run prints JSON-lines points in the workspace bench shape
-//! (`{"benchmark":…,"mean_ns":…,"samples":…}`) so CI can append them to the
-//! `BENCH_kernels.json` artifact:
-//!
-//! * `service_throughput` — mean wall nanoseconds per completed request
-//!   (closed loop; the companion `service_throughput_rps` point carries the
-//!   requests-per-second value directly),
-//! * `service_p50` / `service_p99` — client-observed latency percentiles,
-//! * `service_cache_hit_rate` — aggregate factor-cache hit rate (in
-//!   `mean_ns` for uniformity; dimensionless).
-//!
-//! The load generator speaks the real TCP wire protocol (`ServiceClient`),
+//! Every run ends with one summary line per phase on stderr (completed
+//! requests, requests/s, client-observed p50/p99, cache hit rate); the
+//! serving benchmark with noise bounds is `mvn_perf`'s `serve_hot` /
+//! `serve_churn`. The load generator speaks the real TCP wire protocol (`ServiceClient`),
 //! so the measured path includes JSON parsing, socket hops, routing,
 //! micro-batching and the factor cache.
 //!
@@ -249,26 +240,6 @@ fn soak_phase(
         report.hit_rate,
         report.mixed_batches,
     );
-    for (name, value, samples) in [
-        (format!("service_soak_rps_{suffix}"), report.rps, completed),
-        (
-            format!("service_soak_p99_{suffix}"),
-            report.p99_ns as f64,
-            completed,
-        ),
-        (
-            format!("service_soak_mean_batch_{suffix}"),
-            report.mean_batch,
-            num("batches") as usize,
-        ),
-        (
-            format!("service_soak_hit_rate_{suffix}"),
-            report.hit_rate,
-            completed,
-        ),
-    ] {
-        println!("{{\"benchmark\":\"{name}\",\"mean_ns\":{value:.2},\"samples\":{samples}}}");
-    }
     report
 }
 
@@ -479,11 +450,6 @@ fn main() {
         }
     };
     let rps = completed as f64 / wall.as_secs_f64();
-    let mean_ns = if completed == 0 {
-        0.0
-    } else {
-        wall.as_nanos() as f64 / completed as f64
-    };
     let hit_rate = stats.cache_hit_rate();
 
     eprintln!(
@@ -493,24 +459,6 @@ fn main() {
         pct(0.50) / 1000,
         pct(0.99) / 1000,
         stats.batch_hist,
-    );
-    println!(
-        "{{\"benchmark\":\"service_throughput\",\"mean_ns\":{mean_ns:.1},\"samples\":{completed}}}"
-    );
-    println!(
-        "{{\"benchmark\":\"service_throughput_rps\",\"mean_ns\":{rps:.2},\"samples\":{completed}}}"
-    );
-    println!(
-        "{{\"benchmark\":\"service_p50\",\"mean_ns\":{},\"samples\":{completed}}}",
-        pct(0.50)
-    );
-    println!(
-        "{{\"benchmark\":\"service_p99\",\"mean_ns\":{},\"samples\":{completed}}}",
-        pct(0.99)
-    );
-    println!(
-        "{{\"benchmark\":\"service_cache_hit_rate\",\"mean_ns\":{hit_rate:.6},\"samples\":{}}}",
-        stats.cache_hits() + stats.cache_misses()
     );
 
     if smoke {

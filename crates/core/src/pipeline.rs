@@ -9,9 +9,9 @@
 //! `(j, r)`, `j > r` — so it becomes ready the moment the `TRSM`s of factor
 //! column `r` finish, while the trailing `SYRK`/`GEMM` updates of later
 //! columns are still in flight. Early row-block sweeping thus overlaps the
-//! trailing factorization, which is where the wall-time win over
-//! factor-then-sweep comes from (cf. the `scheduling` bench in
-//! `mvn-bench/benches/kernels.rs`).
+//! trailing factorization, which is where any wall-time win over
+//! factor-then-sweep comes from; no `mvn_perf` workload times the two
+//! against each other.
 //!
 //! Numerically nothing changes: every task applies the same kernels in the
 //! same submission order as the staged flow, so the estimate (and the factor

@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn engine_sweep_is_bitwise_a_sequential_loop_over_the_panels() {
-        // The acceptance criterion: same seed => same bits as sweeping the
+        // The acceptance condition: same seed => same bits as sweeping the
         // panels one after another on the calling thread, for dense and TLR
         // factors, independent of the worker count.
         let n = 45;

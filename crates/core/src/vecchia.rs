@@ -583,6 +583,38 @@ mod tests {
             pd.prob,
             pv.prob
         );
+
+        // The truncated counterpart on a spatial field: on a 32 × 32
+        // exponential grid, maximin order with m = 30 ≪ n − 1 neighbors stays
+        // within 0.05 of the dense answer.
+        let locs = geostat::regular_grid(32, 32);
+        let n = locs.len();
+        let kernel = geostat::CovarianceKernel::Exponential {
+            sigma2: 1.0,
+            range: 0.3,
+        };
+        let cov = |i: usize, j: usize| {
+            kernel.cov_loc(&locs[i], &locs[j]) + if i == j { 1e-8 } else { 0.0 }
+        };
+        let order = geostat::maximin_order(&locs);
+        let (starts, neighbors) = geostat::conditioning_sets(&locs, &order, 30);
+        let plan = VecchiaPlan::new(order, starts, neighbors).unwrap();
+        let cfg = MvnConfig {
+            sample_size: 1000,
+            seed: 7,
+            ..Default::default()
+        };
+        let (a, b) = (vec![-3.0; n], vec![f64::INFINITY; n]);
+        let dense = e.factor_dense(SymTileMatrix::from_fn(n, 128, cov)).unwrap();
+        let vecchia = e.factor_vecchia(plan, cov).unwrap();
+        let pd = e.solve_factored_with(&dense, &a, &b, &cfg);
+        let pv = e.solve_factored_with(&vecchia, &a, &b, &cfg);
+        assert!(
+            (pd.prob - pv.prob).abs() < 0.05,
+            "grid: dense {} vs vecchia (m = 30) {}",
+            pd.prob,
+            pv.prob
+        );
     }
 
     #[test]

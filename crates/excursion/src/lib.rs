@@ -59,7 +59,8 @@ mod tests {
             sigma2: 1.0,
             range: 0.2,
         };
-        let field = simulate_field(&locs, &kernel, 0.0, 5);
+        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let field = simulate_field(&locs, &kernel, 0.0, 5, engine.pool());
         let cov = kernel.dense_covariance(&locs, 1e-8);
         let (factor, sd) = correlation_factor_dense(&cov, 36);
 
@@ -69,7 +70,6 @@ mod tests {
             levels: 12,
             mvn: MvnConfig::with_samples(2000),
         };
-        let engine = MvnEngine::builder().workers(2).build().unwrap();
         let result = detect_confidence_regions(&engine, &factor, &field.values, &sd, &cfg);
         let region = excursion_set(&result, 0.05);
         let marginal_region: Vec<usize> = result

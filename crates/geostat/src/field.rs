@@ -8,7 +8,7 @@
 use crate::covariance::CovarianceKernel;
 use crate::geometry::Location;
 use qmc::Xoshiro256pp;
-use task_runtime::{effective_workers, WorkerPool};
+use task_runtime::WorkerPool;
 use tile_la::{multiply_lower_panel, potrf_tiled, DenseMatrix};
 
 /// A simulated field: the latent values at every location.
@@ -35,25 +35,11 @@ pub struct Observations {
 /// at the given locations.
 ///
 /// The covariance is assembled in tiled form, factored with the parallel tiled
-/// Cholesky on a throwaway pool of one worker per core, and the sample is
-/// `mean + L·z` with `z` i.i.d. standard normal. Call sites simulating many
-/// replicates should use [`simulate_field_pooled`] with a session-owned
-/// [`WorkerPool`].
+/// Cholesky on the caller's `pool` (e.g. an `mvn_core::MvnEngine`'s), and the
+/// sample is `mean + L·z` with `z` i.i.d. standard normal. The sample is
+/// bitwise the same on every pool: the factor is worker-count-deterministic
+/// and the RNG stream depends only on `seed`.
 pub fn simulate_field(
-    locs: &[Location],
-    kernel: &CovarianceKernel,
-    mean: f64,
-    seed: u64,
-) -> FieldSample {
-    let pool = WorkerPool::new(effective_workers(0));
-    simulate_field_pooled(locs, kernel, mean, seed, &pool)
-}
-
-/// [`simulate_field`] with the tiled Cholesky routed through a caller-owned
-/// persistent [`WorkerPool`]. The sample is bitwise identical to
-/// [`simulate_field`] (the factor is worker-count-deterministic and the RNG
-/// stream depends only on `seed`).
-pub fn simulate_field_pooled(
     locs: &[Location],
     kernel: &CovarianceKernel,
     mean: f64,
@@ -122,6 +108,11 @@ mod tests {
     use super::*;
     use crate::geometry::regular_grid;
 
+    /// A field on a one-worker pool, which runs every task inline.
+    fn simulate(locs: &[Location], mean: f64, seed: u64) -> FieldSample {
+        simulate_field(locs, &test_kernel(), mean, seed, &WorkerPool::new(1))
+    }
+
     fn test_kernel() -> CovarianceKernel {
         CovarianceKernel::Exponential {
             sigma2: 1.0,
@@ -132,7 +123,7 @@ mod tests {
     #[test]
     fn simulated_field_has_plausible_moments() {
         let locs = regular_grid(20, 20);
-        let sample = simulate_field(&locs, &test_kernel(), 0.0, 7);
+        let sample = simulate(&locs, 0.0, 7);
         assert_eq!(sample.values.len(), 400);
         let mean: f64 = sample.values.iter().sum::<f64>() / 400.0;
         let var: f64 = sample
@@ -151,8 +142,8 @@ mod tests {
     #[test]
     fn mean_shift_is_applied() {
         let locs = regular_grid(10, 10);
-        let a = simulate_field(&locs, &test_kernel(), 0.0, 3);
-        let b = simulate_field(&locs, &test_kernel(), 10.0, 3);
+        let a = simulate(&locs, 0.0, 3);
+        let b = simulate(&locs, 10.0, 3);
         for (x, y) in a.values.iter().zip(&b.values) {
             assert!((y - x - 10.0).abs() < 1e-9);
         }
@@ -161,10 +152,11 @@ mod tests {
     #[test]
     fn pooled_simulation_is_bitwise_identical_to_plain() {
         let locs = regular_grid(14, 14);
-        let plain = simulate_field(&locs, &test_kernel(), 0.5, 21);
-        let pool = task_runtime::WorkerPool::new(3);
+        // "Plain" is the one-worker pool: every task inline on the caller.
+        let plain = simulate(&locs, 0.5, 21);
+        let pool = WorkerPool::new(3);
         for _ in 0..3 {
-            let pooled = simulate_field_pooled(&locs, &test_kernel(), 0.5, 21, &pool);
+            let pooled = simulate_field(&locs, &test_kernel(), 0.5, 21, &pool);
             for (a, b) in plain.values.iter().zip(&pooled.values) {
                 assert!(a.to_bits() == b.to_bits());
             }
@@ -176,10 +168,10 @@ mod tests {
     #[test]
     fn same_seed_reproduces_field() {
         let locs = regular_grid(12, 12);
-        let a = simulate_field(&locs, &test_kernel(), 0.0, 99);
-        let b = simulate_field(&locs, &test_kernel(), 0.0, 99);
+        let a = simulate(&locs, 0.0, 99);
+        let b = simulate(&locs, 0.0, 99);
         assert_eq!(a.values, b.values);
-        let c = simulate_field(&locs, &test_kernel(), 0.0, 100);
+        let c = simulate(&locs, 0.0, 100);
         assert_ne!(a.values, c.values);
     }
 
@@ -191,7 +183,7 @@ mod tests {
         let mut far_diff = 0.0;
         let reps = 8;
         for r in 0..reps {
-            let s = simulate_field(&locs, &test_kernel(), 0.0, 1000 + r);
+            let s = simulate(&locs, 0.0, 1000 + r);
             near_diff += (s.values[0] - s.values[1]).powi(2);
             far_diff += (s.values[0] - s.values[624]).powi(2);
         }
@@ -204,7 +196,7 @@ mod tests {
     #[test]
     fn observations_select_distinct_indices_with_noise() {
         let locs = regular_grid(15, 15);
-        let field = simulate_field(&locs, &test_kernel(), 0.0, 5);
+        let field = simulate(&locs, 0.0, 5);
         let obs = simulate_observations(&field, 60, 0.5, 11);
         assert_eq!(obs.indices.len(), 60);
         assert_eq!(obs.values.len(), 60);
@@ -225,7 +217,7 @@ mod tests {
     #[test]
     fn observing_every_site_works() {
         let locs = regular_grid(6, 6);
-        let field = simulate_field(&locs, &test_kernel(), 0.0, 8);
+        let field = simulate(&locs, 0.0, 8);
         let obs = simulate_observations(&field, 36, 0.0, 9);
         assert_eq!(obs.indices, (0..36).collect::<Vec<_>>());
         for (&i, &y) in obs.indices.iter().zip(&obs.values) {
@@ -244,7 +236,7 @@ mod tests {
     #[should_panic]
     fn too_many_observations_panic() {
         let locs = regular_grid(5, 5);
-        let field = simulate_field(&locs, &test_kernel(), 0.0, 2);
+        let field = simulate(&locs, 0.0, 2);
         simulate_observations(&field, 26, 0.1, 3);
     }
 }

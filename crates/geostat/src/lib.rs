@@ -27,12 +27,12 @@ pub mod vecchia;
 pub mod wind;
 
 pub use covariance::{CovarianceKernel, MaternParams};
-pub use field::{simulate_field, simulate_field_pooled, simulate_observations, FieldSample};
+pub use field::{simulate_field, simulate_observations, FieldSample};
 pub use fingerprint::{fingerprint_covariance, fingerprint_kernel, fingerprint_locations, Fnv1a};
 pub use geometry::{jittered_grid, regular_grid, Location};
 pub use mle::{
-    fit_matern, fit_matern_pooled, fit_matern_with_loglik, gaussian_loglik,
-    gaussian_loglik_factored, gaussian_loglik_pooled, mle_nugget, MleResult,
+    fit_matern, fit_matern_with_loglik, gaussian_loglik, gaussian_loglik_factored, mle_nugget,
+    MleResult,
 };
 pub use optim::{nelder_mead, NelderMeadOptions, OptimResult};
 pub use posterior::{posterior_update, Posterior};
@@ -56,8 +56,10 @@ mod tests {
             smoothness: 0.5,
         };
         let kernel = CovarianceKernel::Matern(truth);
-        let sample = simulate_field(&locs, &kernel, 0.0, 2024);
-        let fit = fit_matern(&locs, &sample.values, truth, false).expect("fit should converge");
+        let pool = task_runtime::WorkerPool::new(2);
+        let sample = simulate_field(&locs, &kernel, 0.0, 2024, &pool);
+        let fit =
+            fit_matern(&locs, &sample.values, truth, false, &pool).expect("fit should converge");
         assert!(
             fit.params.sigma2 > 0.2 && fit.params.sigma2 < 5.0,
             "{:?}",
@@ -69,7 +71,7 @@ mod tests {
             fit.params
         );
         // The refit likelihood should not be worse than the truth's likelihood.
-        let truth_ll = gaussian_loglik(&locs, &sample.values, &kernel);
+        let truth_ll = gaussian_loglik(&locs, &sample.values, &kernel, &pool);
         assert!(fit.loglik >= truth_ll - 1e-6);
     }
 }

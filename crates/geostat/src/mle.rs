@@ -5,7 +5,7 @@ use crate::covariance::{CovarianceKernel, MaternParams};
 use crate::field::default_tile_size;
 use crate::geometry::Location;
 use crate::optim::{nelder_mead, NelderMeadOptions};
-use task_runtime::{effective_workers, WorkerPool};
+use task_runtime::WorkerPool;
 use tile_la::{potrf_tiled, solve_lower_panel, DenseMatrix, SymTileMatrix};
 
 /// Result of a Matérn maximum-likelihood fit.
@@ -51,21 +51,11 @@ pub fn gaussian_loglik_factored(factor: &SymTileMatrix, data: &[f64]) -> f64 {
 /// Exact Gaussian log-likelihood of zero-mean data under the given covariance
 /// kernel: `−½ (zᵀΣ⁻¹z + log|Σ| + n·log 2π)`.
 ///
-/// Uses the parallel tiled Cholesky factorization (on a throwaway pool of one
-/// worker per core), so it scales to the problem sizes of the paper's
-/// synthetic studies. Call sites evaluating the likelihood many times (an
-/// optimizer objective) should use [`gaussian_loglik_pooled`] with a
-/// session-owned [`WorkerPool`] — e.g. an `mvn_core::MvnEngine`'s pool —
-/// instead of paying per-call pool setup.
-pub fn gaussian_loglik(locs: &[Location], data: &[f64], kernel: &CovarianceKernel) -> f64 {
-    let pool = WorkerPool::new(effective_workers(0));
-    gaussian_loglik_pooled(locs, data, kernel, &pool)
-}
-
-/// [`gaussian_loglik`] with the tiled Cholesky routed through a caller-owned
-/// persistent [`WorkerPool`]. The value is bitwise identical to
-/// [`gaussian_loglik`] (the factor is worker-count-deterministic).
-pub fn gaussian_loglik_pooled(
+/// Uses the parallel tiled Cholesky factorization on the caller's `pool` (e.g.
+/// an `mvn_core::MvnEngine`'s), so it scales to the problem sizes of the
+/// paper's synthetic studies. The value is bitwise the same on every pool
+/// (the factor is worker-count-deterministic).
+pub fn gaussian_loglik(
     locs: &[Location],
     data: &[f64],
     kernel: &CovarianceKernel,
@@ -88,25 +78,10 @@ pub fn gaussian_loglik_pooled(
 /// `init.smoothness` (the common practice for the exponential-kernel synthetic
 /// data, where ν = ½ is known).
 ///
-/// Every objective evaluation factors an `n × n` covariance; use
-/// [`fit_matern_pooled`] to route those hundreds of factorizations through
-/// one persistent [`WorkerPool`] instead of per-call scheduling. The fitted
-/// parameters are bitwise identical either way.
+/// Every objective evaluation factors an `n × n` covariance on `pool`, so
+/// the hundreds of factorizations of one fit share its workers; the fitted
+/// parameters are bitwise the same on every pool.
 pub fn fit_matern(
-    locs: &[Location],
-    data: &[f64],
-    init: MaternParams,
-    estimate_smoothness: bool,
-) -> Option<MleResult> {
-    fit_matern_with_loglik(locs, data, init, estimate_smoothness, |k| {
-        gaussian_loglik(locs, data, k)
-    })
-}
-
-/// [`fit_matern`] with every objective evaluation's tiled Cholesky routed
-/// through a caller-owned persistent [`WorkerPool`] (e.g. an
-/// `mvn_core::MvnEngine`'s pool).
-pub fn fit_matern_pooled(
     locs: &[Location],
     data: &[f64],
     init: MaternParams,
@@ -114,13 +89,13 @@ pub fn fit_matern_pooled(
     pool: &WorkerPool,
 ) -> Option<MleResult> {
     fit_matern_with_loglik(locs, data, init, estimate_smoothness, |k| {
-        gaussian_loglik_pooled(locs, data, k, pool)
+        gaussian_loglik(locs, data, k, pool)
     })
 }
 
-/// The Nelder–Mead driver of the `fit_matern*` entry points, with the
-/// objective supplied by the caller: `loglik` evaluates the Gaussian
-/// log-likelihood of a candidate kernel. Public so alternative likelihood
+/// The Nelder–Mead driver of [`fit_matern`], with the objective supplied by
+/// the caller: `loglik` evaluates the Gaussian log-likelihood of a candidate
+/// kernel. Public so alternative likelihood
 /// evaluators — in particular the serving layer's factor-cached one — reuse
 /// the exact optimization loop (same simplex trajectory, bounds guard and
 /// convergence thresholds) and therefore fit bitwise-identical parameters
@@ -201,8 +176,14 @@ mod tests {
             range: 0.15,
             smoothness: 0.5,
         };
-        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 31);
-        let ll_truth = gaussian_loglik(&locs, &sample.values, &CovarianceKernel::Matern(truth));
+        let pool = WorkerPool::new(1);
+        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 31, &pool);
+        let ll_truth = gaussian_loglik(
+            &locs,
+            &sample.values,
+            &CovarianceKernel::Matern(truth),
+            &pool,
+        );
         let wrong_range = MaternParams {
             range: 1.5,
             ..truth
@@ -215,11 +196,13 @@ mod tests {
             &locs,
             &sample.values,
             &CovarianceKernel::Matern(wrong_range),
+            &pool,
         );
         let ll_ws = gaussian_loglik(
             &locs,
             &sample.values,
             &CovarianceKernel::Matern(wrong_sigma),
+            &pool,
         );
         assert!(ll_truth > ll_wr, "{ll_truth} vs {ll_wr}");
         assert!(ll_truth > ll_ws, "{ll_truth} vs {ll_ws}");
@@ -238,7 +221,7 @@ mod tests {
             sigma2,
             range: 1e-6,
         };
-        let ll = gaussian_loglik(&locs, &data, &kernel);
+        let ll = gaussian_loglik(&locs, &data, &kernel, &WorkerPool::new(1));
         let quad: f64 = data.iter().map(|v| v * v / sigma2).sum();
         let want =
             -0.5 * (quad + n as f64 * sigma2.ln() + n as f64 * (2.0 * std::f64::consts::PI).ln());
@@ -257,7 +240,7 @@ mod tests {
             range: 0.1,
             smoothness: 0.5,
         });
-        let ll = gaussian_loglik(&locs, &data, &kernel);
+        let ll = gaussian_loglik(&locs, &data, &kernel, &WorkerPool::new(1));
         assert!(ll < -1e6, "expected a huge penalty, got {ll}");
     }
 
@@ -269,12 +252,19 @@ mod tests {
             range: 0.2,
             smoothness: 0.5,
         };
-        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 11);
+        let sample = simulate_field(
+            &locs,
+            &CovarianceKernel::Matern(truth),
+            0.0,
+            11,
+            &WorkerPool::new(1),
+        );
         let kernel = CovarianceKernel::Matern(truth);
-        let plain = gaussian_loglik(&locs, &sample.values, &kernel);
-        for workers in [1usize, 2, 4] {
-            let pool = task_runtime::WorkerPool::new(workers);
-            let pooled = gaussian_loglik_pooled(&locs, &sample.values, &kernel, &pool);
+        // "Plain" is the one-worker pool: every task inline on the caller.
+        let plain = gaussian_loglik(&locs, &sample.values, &kernel, &WorkerPool::new(1));
+        for workers in [2usize, 4] {
+            let pool = WorkerPool::new(workers);
+            let pooled = gaussian_loglik(&locs, &sample.values, &kernel, &pool);
             assert!(
                 pooled.to_bits() == plain.to_bits(),
                 "workers={workers}: {pooled} vs {plain}"
@@ -290,15 +280,22 @@ mod tests {
             range: 0.15,
             smoothness: 0.5,
         };
-        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 42);
+        let sample = simulate_field(
+            &locs,
+            &CovarianceKernel::Matern(truth),
+            0.0,
+            42,
+            &WorkerPool::new(1),
+        );
         let start = MaternParams {
             sigma2: 2.0,
             range: 0.4,
             smoothness: 0.5,
         };
-        let plain = fit_matern(&locs, &sample.values, start, false).unwrap();
-        let pool = task_runtime::WorkerPool::new(2);
-        let pooled = fit_matern_pooled(&locs, &sample.values, start, false, &pool).unwrap();
+        // "Plain" is the one-worker pool: every task inline on the caller.
+        let plain = fit_matern(&locs, &sample.values, start, false, &WorkerPool::new(1)).unwrap();
+        let pool = WorkerPool::new(2);
+        let pooled = fit_matern(&locs, &sample.values, start, false, &pool).unwrap();
         assert_eq!(plain.iterations, pooled.iterations);
         assert!(plain.loglik.to_bits() == pooled.loglik.to_bits());
         assert!(plain.params.range.to_bits() == pooled.params.range.to_bits());
@@ -317,14 +314,20 @@ mod tests {
             range: 0.1,
             smoothness: 0.5,
         };
-        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 77);
+        let pool = WorkerPool::new(1);
+        let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 77, &pool);
         let bad_start = MaternParams {
             sigma2: 4.0,
             range: 0.5,
             smoothness: 0.5,
         };
-        let ll_start = gaussian_loglik(&locs, &sample.values, &CovarianceKernel::Matern(bad_start));
-        let fit = fit_matern(&locs, &sample.values, bad_start, false).unwrap();
+        let ll_start = gaussian_loglik(
+            &locs,
+            &sample.values,
+            &CovarianceKernel::Matern(bad_start),
+            &pool,
+        );
+        let fit = fit_matern(&locs, &sample.values, bad_start, false, &pool).unwrap();
         assert!(fit.loglik > ll_start, "{} vs {}", fit.loglik, ll_start);
         assert!(fit.params.range < 0.5);
     }

@@ -36,7 +36,7 @@ pub struct OptimResult {
     pub fval: f64,
     /// Number of iterations performed.
     pub iterations: usize,
-    /// Whether a convergence criterion (rather than the iteration cap) stopped
+    /// Whether a convergence test (rather than the iteration cap) stopped
     /// the search.
     pub converged: bool,
 }

@@ -20,6 +20,7 @@
 use crate::covariance::{CovarianceKernel, MaternParams};
 use crate::field::simulate_field;
 use crate::geometry::{jittered_grid, Location};
+use task_runtime::{effective_workers, WorkerPool};
 
 /// Bounding box of the study region (lon_min, lon_max, lat_min, lat_max).
 pub const SAUDI_BBOX: (f64, f64, f64, f64) = (34.0, 56.0, 16.0, 33.0);
@@ -90,6 +91,8 @@ pub fn orographic_mean(loc: &Location) -> f64 {
 ///
 /// `fluct_params` controls the Matérn fluctuation field added on top of the
 /// orographic mean (in standardized units, scaled by `fluct_scale_ms` m/s).
+/// The fluctuation field is simulated once per dataset, on a pool of one
+/// worker per core that is joined before this returns.
 pub fn synthetic_wind_dataset(
     side: usize,
     seed: u64,
@@ -113,6 +116,7 @@ pub fn synthetic_wind_dataset(
         &CovarianceKernel::Matern(fluct_params),
         0.0,
         seed ^ 0x5EED_CAFE,
+        &WorkerPool::new(effective_workers(0)),
     );
 
     let speed_ms: Vec<f64> = locations

@@ -119,9 +119,9 @@ mod tests {
             range: 0.2,
             smoothness: 0.5,
         });
-        let sample = simulate_field(&locs, &kernel, 0.0, 5);
-        let want = gaussian_loglik(&locs, &sample.values, &kernel);
         let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let sample = simulate_field(&locs, &kernel, 0.0, 5, engine.pool());
+        let want = gaussian_loglik(&locs, &sample.values, &kernel, engine.pool());
         let mut cache = FactorCache::new(usize::MAX);
         let cold = gaussian_loglik_cached(&mut cache, &engine, &locs, &sample.values, &kernel);
         let warm = gaussian_loglik_cached(&mut cache, &engine, &locs, &sample.values, &kernel);
@@ -153,7 +153,7 @@ mod tests {
         ] {
             let mut cache = FactorCache::new(usize::MAX);
             let ll = gaussian_loglik_cached(&mut cache, &engine, &locs, &data, &kernel);
-            let want = gaussian_loglik(&locs, &data, &kernel);
+            let want = gaussian_loglik(&locs, &data, &kernel, engine.pool());
             assert_eq!(ll.to_bits(), want.to_bits(), "{ll} vs {want}");
         }
     }

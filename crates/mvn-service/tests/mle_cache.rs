@@ -9,6 +9,7 @@ use geostat::CovarianceKernel;
 use geostat::{fit_matern, gaussian_loglik, regular_grid, simulate_field, MaternParams};
 use mvn_core::MvnEngine;
 use mvn_service::{fit_matern_cached, gaussian_loglik_cached, mle_spec, FactorCache};
+use task_runtime::WorkerPool;
 
 fn workload() -> (Vec<geostat::Location>, Vec<f64>, MaternParams) {
     let locs = regular_grid(9, 9);
@@ -17,7 +18,13 @@ fn workload() -> (Vec<geostat::Location>, Vec<f64>, MaternParams) {
         range: 0.15,
         smoothness: 0.5,
     };
-    let sample = simulate_field(&locs, &CovarianceKernel::Matern(truth), 0.0, 42);
+    let sample = simulate_field(
+        &locs,
+        &CovarianceKernel::Matern(truth),
+        0.0,
+        42,
+        &WorkerPool::new(1),
+    );
     (locs, sample.values, truth)
 }
 
@@ -26,7 +33,8 @@ fn cached_fit_is_bitwise_identical_and_a_refit_factors_nothing() {
     let (locs, data, init) = workload();
     let engine = MvnEngine::builder().workers(2).build().unwrap();
 
-    let want = fit_matern(&locs, &data, init, false).expect("reference fit converges");
+    let want =
+        fit_matern(&locs, &data, init, false, engine.pool()).expect("reference fit converges");
 
     let mut cache = FactorCache::new(usize::MAX);
     let fit = fit_matern_cached(&mut cache, &engine, &locs, &data, init, false)
@@ -87,7 +95,7 @@ fn mle_and_probability_traffic_share_cache_entries_by_fingerprint() {
     let ll = gaussian_loglik_cached(&mut cache, &engine, &locs, &data, &kernel);
     assert_eq!(
         ll.to_bits(),
-        gaussian_loglik(&locs, &data, &kernel).to_bits()
+        gaussian_loglik(&locs, &data, &kernel, engine.pool()).to_bits()
     );
     assert_eq!(cache.stats().misses, 1);
 

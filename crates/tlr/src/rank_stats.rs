@@ -154,8 +154,8 @@ mod tests {
         // setting of the paper's Fig. 5 (only smaller).
         let n = side * side;
         // Relative tolerance isolates the within-tile smoothness effect (the
-        // paper's full-scale absolute-tolerance heat map is regenerated by the
-        // fig5_ranks report binary).
+        // absolute-tolerance heat map is printed by the `tlr_vs_dense`
+        // example).
         TlrMatrix::from_fn(
             n,
             nb,

@@ -15,6 +15,12 @@ use geostat::{
 use mvn_core::{MvnConfig, MvnEngine};
 
 fn main() {
+    // One MvnEngine carries the whole session: its worker pool is created
+    // once and shared by the field simulation, the marginal-order
+    // refactorization, the one sweep that yields every prefix probability,
+    // and the MC validation below.
+    let engine = MvnEngine::builder().build().expect("engine");
+
     // 1. Simulate a latent field on a 24x24 grid and observe 20% of the sites
     //    with noise (sd 0.5), as in the paper's synthetic study.
     let locations = regular_grid(24, 24);
@@ -23,7 +29,7 @@ fn main() {
         sigma2: 1.0,
         range: 0.1,
     };
-    let field = simulate_field(&locations, &kernel, 0.0, 42);
+    let field = simulate_field(&locations, &kernel, 0.0, 42, engine.pool());
     let obs = simulate_observations(&field, n / 5, 0.5, 43);
     println!(
         "simulated {n} sites, observed {} of them",
@@ -35,10 +41,6 @@ fn main() {
     let post = posterior_update(&prior_cov, &vec![0.0; n], &obs.indices, &obs.values, 0.5);
 
     // 3. Detect where the field exceeds u = 0.5 with 95% joint confidence.
-    //    One MvnEngine carries the whole session: its worker pool is created
-    //    once and shared by the marginal-order refactorization, the one sweep
-    //    that yields every prefix probability, and the MC validation below.
-    let engine = MvnEngine::builder().build().expect("engine");
     let (factor, sd) = correlation_factor_dense(&post.cov, 96);
     let cfg = CrdConfig {
         threshold: 0.5,

@@ -75,7 +75,8 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
     let locations = regular_grid(14, 14);
     let n = locations.len();
     let kernel = medium_kernel();
-    let field = simulate_field(&locations, &kernel, 0.0, 7);
+    let engine = MvnEngine::builder().workers(2).build().unwrap();
+    let field = simulate_field(&locations, &kernel, 0.0, 7, engine.pool());
     let obs = simulate_observations(&field, n / 4, 0.5, 8);
     let prior = kernel.dense_covariance(&locations, 1e-9);
     let post = posterior_update(&prior, &vec![0.0; n], &obs.indices, &obs.values, 0.5);
@@ -87,7 +88,6 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
         levels: 12,
         mvn: MvnConfig::with_samples(3_000),
     };
-    let engine = MvnEngine::builder().workers(2).build().unwrap();
     let result = detect_confidence_regions(&engine, &factor, &post.mean, &sd, &cfg);
     let region = excursion_set(&result, cfg.alpha);
 

@@ -186,7 +186,7 @@ fn joint_probability_never_exceeds_smallest_marginal() {
 }
 
 /// The fused factor+sweep pipeline agrees bitwise with the staged flow on
-/// randomly sized problems (the acceptance criterion of the DAG refactor).
+/// randomly sized problems (the acceptance condition of the DAG refactor).
 #[test]
 fn fused_pipeline_is_bitwise_identical_to_staged_flow() {
     let mut s = CaseStream::new(8);
