@@ -13,8 +13,8 @@
 //!   sampling regression).
 //! * **One pool under every shard** — the trace of a single-fingerprint
 //!   burst shows its `panel_sweep` tasks on more than one worker.
-//! * **Cheap enough to leave on** — tracing adds under 5 % to a fused
-//!   factor+sweep (ignored by default: a timing guard, run alone in release
+//! * **Cheap enough to leave on** — tracing adds under 5 % to a factor +
+//!   solve (ignored by default: a timing guard, run alone in release
 //!   with `cargo test --release -p mvn-bench --test observability --
 //!   --ignored --test-threads=1`).
 //!
@@ -447,11 +447,11 @@ fn stats_snapshots_balance_per_shard_and_globally_under_load() {
 
 #[test]
 #[ignore = "timing guard: run alone, in release"]
-fn tracing_adds_under_five_percent_to_a_fused_solve() {
-    // The same fused factor+sweep timed with the recorder off and on. The
-    // arms alternate so drift in the machine's speed hits both, and each arm
-    // keeps its fastest repetition, the one least disturbed by the rest of
-    // the machine.
+fn tracing_adds_under_five_percent_to_a_solve() {
+    // The same factor + solve timed with the recorder off and on. The arms
+    // alternate so drift in the machine's speed hits both, and each arm keeps
+    // its fastest repetition, the one least disturbed by the rest of the
+    // machine.
     let _guard = TRACE_LOCK.lock().unwrap();
     let n = 256;
     let f = |i: usize, j: usize| {
@@ -464,10 +464,10 @@ fn tracing_adds_under_five_percent_to_a_fused_solve() {
     })
     .unwrap();
     let run = |traced: bool| {
-        let mut sigma = SymTileMatrix::from_fn(n, 32, f);
+        let sigma = SymTileMatrix::from_fn(n, 32, f);
         obs::set_enabled(traced);
         let t = Instant::now();
-        engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
+        engine.solve(&engine.factor_dense(sigma).unwrap(), &a, &b);
         let wall = t.elapsed();
         obs::set_enabled(false);
         // Drop the recorded events so buffers never grow across repetitions.

@@ -18,9 +18,10 @@
 //!   [`MvnEngine::solve_batch`] submits *all* problems of a batch into one
 //!   task graph, so independent small solves share the pool instead of
 //!   serializing per-call setup, and [`MvnEngine::solve_prefixes`] returns
-//!   every prefix probability of one box from a single sweep,
-//! * [`MvnEngine::factor_prob_dense`]/[`MvnEngine::factor_prob_tlr`] run the
-//!   fused factor + sweep [`pipeline`](crate::pipeline).
+//!   every prefix probability of one box from a single sweep.
+//!
+//! Every probability is factored first, then swept: each solve is one
+//! `panel_sweep` task per sample panel against the finished factor.
 //!
 //! Every probability produced by the engine is a pure function of the factor,
 //! the limits and the [`MvnConfig`]: bitwise identical for any worker count
@@ -42,7 +43,6 @@
 //! assert_eq!(r.prob.to_bits(), batch[0].prob.to_bits());
 //! ```
 
-use crate::pipeline::{run_dense_fused, run_tlr_fused};
 use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes, CholeskyFactor};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
@@ -247,7 +247,7 @@ impl Problem {
 /// This is the seam every solve path dispatches through
 /// ([`MvnEngine::solve`], `solve_batch`, `solve_batch_mixed`, the CRD drivers
 /// in `excursion`): a new backend implements these five methods and every layer
-/// above — batching, streaming, serving, caching — works unchanged. *Tiled*
+/// above — batching, serving, caching — works unchanged. *Tiled*
 /// backends (dense, TLR) get their [`FactorBackend::sweep_panel`] for free
 /// from the tile-level [`CholeskyFactor`] contract
 /// (`tiling`/`diag_block`/`apply_offdiag`) via the shared [`sweep_panel`]
@@ -256,7 +256,7 @@ impl Problem {
 ///
 /// Every implementation must be a pure function of the factor bits and the
 /// panel index: the engine relies on that for bitwise-identical results
-/// across worker counts, submission modes and batch compositions.
+/// across worker counts and batch compositions.
 pub trait FactorBackend: Sync {
     /// Matrix dimension `n`.
     fn dim(&self) -> usize;
@@ -757,30 +757,6 @@ impl MvnEngine {
         self.run_sweeps(&items, cfg)
     }
 
-    /// Factor `sigma` in place *and* estimate `Φₙ(a, b; 0, Σ)` in one fused
-    /// task set on the engine's pool, so early panel sweeping overlaps the
-    /// trailing factorization (see [`crate::pipeline`]). On success `sigma`
-    /// holds the Cholesky factor; estimate and factor are bitwise identical
-    /// to the staged factor-then-solve flow.
-    pub fn factor_prob_dense(
-        &self,
-        sigma: &mut SymTileMatrix,
-        a: &[f64],
-        b: &[f64],
-    ) -> Result<MvnResult, CholeskyError> {
-        run_dense_fused(sigma, a, b, &self.cfg, &self.pool)
-    }
-
-    /// TLR variant of [`factor_prob_dense`](Self::factor_prob_dense).
-    pub fn factor_prob_tlr(
-        &self,
-        sigma: &mut TlrMatrix,
-        a: &[f64],
-        b: &[f64],
-    ) -> Result<MvnResult, TlrCholeskyError> {
-        run_tlr_fused(sigma, a, b, &self.cfg, &self.pool)
-    }
-
     /// Shared body of the solve entry points: one `panel_sweep` task per
     /// (item, panel) pair, all in one task set on the engine's pool — items
     /// may reference distinct factors (the mixed-batch path) or all share one
@@ -1265,27 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_engine_pipeline_matches_the_staged_engine_flow_bitwise() {
-        let n = 48;
-        let f = exp_cov(0.6);
-        let a = vec![-0.3; n];
-        let b = vec![1.1; n];
-        let engine = test_engine(2);
-        let staged_factor = engine
-            .factor_dense(SymTileMatrix::from_fn(n, 12, f))
-            .unwrap();
-        let staged = engine.solve(&staged_factor, &a, &b);
-        let mut sigma = SymTileMatrix::from_fn(n, 12, f);
-        let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
-        assert!(fused.prob.to_bits() == staged.prob.to_bits());
-        // The factor left behind matches too.
-        let Factor::Dense(staged_l) = &staged_factor else {
-            unreachable!()
-        };
-        assert_eq!(sigma.to_dense_lower(), staged_l.to_dense_lower());
-    }
-
-    #[test]
     fn pool_is_reused_across_many_batches_without_thread_growth() {
         // The pool-reuse stress test: many sequential solve_batch calls must
         // run on the same fixed worker set (no thread leaks), visible through
@@ -1325,12 +1280,27 @@ mod tests {
 
     #[test]
     fn factor_errors_surface_from_the_pool_path() {
-        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        // The identity with one negative diagonal entry: both tiled backends
+        // report the failing pivot as a typed error on any pool.
         let n = 20;
-        let mut bad = SymTileMatrix::from_fn(n, 6, |i, j| if i == j { 1.0 } else { 0.0 });
-        bad.set(13, 13, -1.0);
-        let err = engine.factor_dense(bad).unwrap_err();
-        assert_eq!(err, CholeskyError::NotPositiveDefinite(13));
+        let f = |i: usize, j: usize| match (i == j, i) {
+            (true, 13) => -1.0,
+            (true, _) => 1.0,
+            (false, _) => 0.0,
+        };
+        for workers in [1, 2] {
+            let engine = MvnEngine::builder().workers(workers).build().unwrap();
+            let err = engine
+                .factor_dense(SymTileMatrix::from_fn(n, 6, f))
+                .unwrap_err();
+            assert_eq!(err, CholeskyError::NotPositiveDefinite(13), "{workers}");
+            let tlr = TlrMatrix::from_fn(n, 6, CompressionTol::Absolute(1e-8), usize::MAX, f);
+            let err = engine.factor_tlr(tlr).unwrap_err();
+            assert!(
+                matches!(err, TlrCholeskyError::NotPositiveDefinite { .. }),
+                "{workers}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   running the QMC chains in independent column panels and propagating the
 //!   SOV recursion row-block by row-block with `GEMM`s against the (dense,
 //!   TLR or Vecchia) factor. The engine owns a persistent worker pool,
-//!   returns reusable [`Factor`] handles, batches independent solves into one
-//!   task set and runs the fused factor+sweep [`pipeline`],
+//!   returns reusable [`Factor`] handles and batches independent solves into
+//!   one task set of `panel_sweep` tasks against the finished factor,
 //! * [`genz::mvn_prob_genz`] — the sequential Genz (1992) quasi-Monte-Carlo
 //!   algorithm operating on a dense Cholesky factor (the reference
 //!   implementation the parallel versions are validated against),
@@ -31,7 +31,6 @@
 pub mod engine;
 pub mod genz;
 pub mod mc;
-pub mod pipeline;
 pub mod pmvn;
 pub mod sov;
 pub mod vecchia;
@@ -95,7 +94,7 @@ impl FactorKind {
 }
 
 /// The sampling description shared by all MVN probability estimators. How
-/// the work is executed (worker count, streaming window) is not part of it:
+/// the work is executed (the worker count) is not part of it:
 /// that lives on [`MvnEngineBuilder`] and the estimate is bitwise independent
 /// of it.
 #[derive(Debug, Clone, Copy)]

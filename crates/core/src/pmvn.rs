@@ -254,48 +254,33 @@ pub fn qmc_kernel_scratch(
 
 /// Per-panel state of the SOV recursion: the conditional limit blocks, the
 /// sample block, the conditioning values of the current row block and the
-/// running per-chain probabilities. One instance lives per sample panel; the
-/// sweep advances it one row block at a time (shared by the engine's panel
-/// tasks and the fused pipeline in [`crate::pipeline`]).
+/// running per-chain probabilities. One instance lives per sample panel, for
+/// the duration of one `panel_sweep` task against a finished factor
+/// ([`sweep_panel`] / [`sweep_panel_prefixes`]), which advances it one row
+/// block at a time.
 ///
 /// All blocks are chain-major (`cols × tile_size(r)`, one chain per row —
 /// see the [module docs](self)). `alive` caches the kernel's live-chain
 /// count so a fully-dead panel skips its remaining row blocks and
 /// propagation GEMMs entirely.
-pub(crate) struct PanelState {
-    pub(crate) a_blocks: Vec<DenseMatrix>,
-    pub(crate) b_blocks: Vec<DenseMatrix>,
-    pub(crate) w_blocks: Vec<DenseMatrix>,
-    pub(crate) y_block: DenseMatrix,
-    pub(crate) prob: Vec<f64>,
-    pub(crate) cols: usize,
-    pub(crate) skip_b_updates: bool,
-    pub(crate) alive: usize,
-    pub(crate) scratch: QmcScratch,
+struct PanelState {
+    a_blocks: Vec<DenseMatrix>,
+    b_blocks: Vec<DenseMatrix>,
+    w_blocks: Vec<DenseMatrix>,
+    y_block: DenseMatrix,
+    prob: Vec<f64>,
+    cols: usize,
+    skip_b_updates: bool,
+    alive: usize,
+    scratch: QmcScratch,
 }
 
 impl PanelState {
-    /// A placeholder state (used to pre-populate result slots before the
-    /// `panel_init` task of the fused pipeline builds the real one).
-    pub(crate) fn empty() -> Self {
-        Self {
-            a_blocks: Vec::new(),
-            b_blocks: Vec::new(),
-            w_blocks: Vec::new(),
-            y_block: DenseMatrix::zeros(1, 1),
-            prob: Vec::new(),
-            cols: 0,
-            skip_b_updates: true,
-            alive: 0,
-            scratch: QmcScratch::default(),
-        }
-    }
-
     /// Build the state of panel `p`: replicate the limits into row blocks and
     /// generate the panel's sample lanes block-major (each row block's
     /// coordinate range is written directly via [`PointSet::fill_block`] —
     /// no full-dimension point buffer, no strided re-copy).
-    pub(crate) fn init(
+    fn init(
         layout: TileLayout,
         a: &[f64],
         b: &[f64],
@@ -345,7 +330,7 @@ impl PanelState {
     ///
     /// `row_sums` (one entry per row of block `r`) receives the kernel's
     /// per-row chain sums (see [`qmc_kernel_scratch`]).
-    pub(crate) fn step<F: CholeskyFactor + ?Sized>(
+    fn step<F: CholeskyFactor + ?Sized>(
         &mut self,
         l: &F,
         layout: TileLayout,
@@ -385,7 +370,7 @@ impl PanelState {
     }
 
     /// The panel's contribution: (mean probability, chain count).
-    pub(crate) fn result(&self) -> (f64, usize) {
+    fn result(&self) -> (f64, usize) {
         (self.prob.iter().sum::<f64>() / self.cols as f64, self.cols)
     }
 }

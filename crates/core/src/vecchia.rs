@@ -22,7 +22,7 @@
 //! batched Φ/Φ⁻¹ slice kernels, dead lanes pinned to `u = ½`, early exit once
 //! every chain in the panel is dead. Coefficients are accumulated in the
 //! plan's fixed neighbor order, so the estimate is bitwise identical for any
-//! worker count, submission mode or batch composition — the same invariant the
+//! worker count or batch composition — the same invariant the
 //! dense/TLR sweeps maintain.
 
 use crate::engine::{FactorBackend, ProblemError};

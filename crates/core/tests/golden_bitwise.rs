@@ -113,25 +113,6 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         push(&format!("mixed_batch_p{k}"), r);
     }
 
-    // Fused factor+sweep pipeline, dense + TLR.
-    let e2 = engine(2);
-    let mut sigma = SymTileMatrix::from_fn(n, 16, exp_cov(0.5));
-    push(
-        "dense_fused_w2",
-        e2.factor_prob_dense(&mut sigma, &a, &b).unwrap(),
-    );
-    let mut sigma_t = TlrMatrix::from_fn(
-        n,
-        16,
-        CompressionTol::Absolute(1e-8),
-        usize::MAX,
-        exp_cov(0.5),
-    );
-    push(
-        "tlr_fused_w2",
-        e2.factor_prob_tlr(&mut sigma_t, &a, &b).unwrap(),
-    );
-
     rows
 }
 
@@ -154,8 +135,6 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("mixed_batch_p3", 0x3eff1e1d25846e09, 0x3ea5ac4feadf5527),
     ("mixed_batch_p4", 0x3f94f1417926d354, 0x3f4045299de0f671),
     ("mixed_batch_p5", 0x3f683fecc541307d, 0x3f13c73c24f3452e),
-    ("dense_fused_w2", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
-    ("tlr_fused_w2", 0x3f0bdf6c2b0bb838, 0x3eb7210f89fc0ffe),
 ];
 
 #[test]

@@ -1,8 +1,8 @@
-//! One pool, same bits: the two factor entry points and the fused pipeline
-//! leave identical bits on 1, 2 and 4 workers, and the fused pipeline agrees
-//! with the staged factor-then-solve flow.
+//! One pool, same bits: the two factor entry points leave identical factor
+//! bits on 1, 2 and 4 workers, and the engine's factor-then-solve flow gives
+//! the probability and error bits of a one-worker run on every pool.
 
-use mvn_core::{Factor, MvnConfig, MvnEngine};
+use mvn_core::{MvnConfig, MvnEngine};
 use task_runtime::WorkerPool;
 use tile_la::{potrf_tiled, SymTileMatrix};
 use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
@@ -25,13 +25,9 @@ fn factors_and_fused_pipeline_are_bitwise_identical_on_every_pool() {
 
     // Reference: everything inline on one worker, factor then solve.
     let one = WorkerPool::new(1);
-    let staged_factor = Factor::Dense(dense_factor(&one, dense()));
-    let staged_engine = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
-    let staged = staged_engine.solve(&staged_factor, &a, &b);
-    let Factor::Dense(want_dense) = staged_factor else {
-        unreachable!()
-    };
-    let want_dense = want_dense.to_dense_lower();
+    let want_dense = dense_factor(&one, dense()).to_dense_lower();
+    let engine = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
+    let want = engine.solve(&engine.factor_dense(dense()).unwrap(), &a, &b);
     let mut want_tlr = tlr();
     potrf_tlr(&mut want_tlr, &one).unwrap();
     let want_tlr = want_tlr.to_dense_lower();
@@ -50,15 +46,9 @@ fn factors_and_fused_pipeline_are_bitwise_identical_on_every_pool() {
 
         let engine = MvnEngine::builder().workers(workers).config(cfg);
         let engine = engine.build().unwrap();
-        let mut sigma = dense();
-        let fused = engine.factor_prob_dense(&mut sigma, &a, &b).unwrap();
-        assert_eq!(fused.prob.to_bits(), staged.prob.to_bits(), "{case}");
-        assert_eq!(
-            fused.std_error.to_bits(),
-            staged.std_error.to_bits(),
-            "{case}"
-        );
-        assert_eq!(sigma.to_dense_lower(), want_dense, "{case}");
+        let got = engine.solve(&engine.factor_dense(dense()).unwrap(), &a, &b);
+        assert_eq!(got.prob.to_bits(), want.prob.to_bits(), "{case}");
+        assert_eq!(got.std_error.to_bits(), want.std_error.to_bits(), "{case}");
     }
 }
 

@@ -5,6 +5,21 @@
 //! Task costs are expressed in *flops* (the simulator converts them into
 //! seconds using the node specification), handle sizes in bytes (used for
 //! communication costs).
+//!
+//! **The modelled sweep is not the executed one.** [`pmvn_task_graph`] models
+//! the paper's StarPU sweep: per panel and row block, a `qmc` task on the
+//! diagonal tile and one `panel_gemm` per later row block, each reading one
+//! factor tile, so a panel's early row blocks can start before the
+//! factorization ends. Nothing in this workspace executes that graph: the
+//! engine and `mvn-dist` factor first, then run one `panel_sweep` task per
+//! panel against the finished factor. Modelling the executed form instead —
+//! one task per panel reading every factor tile — breaks the Fig. 7 trend at
+//! n = 25,600, nb = 320, N = 10,000: every rank that owns a panel must
+//! receive the whole factor, so the simulated wall goes from 1.22 s (16
+//! nodes) / 0.57 s (128 nodes) to 8.70 s / 8.42 s, against 0.59 s / 0.31 s
+//! for the factorization alone. Whether the model is recalibrated against
+//! the runtime or deleted is decided separately; until then its sweep stays
+//! the paper's.
 
 use crate::cluster::ClusterSpec;
 use task_runtime::{AccessMode, DataHandle, HandleRegistry, TaskGraph, TaskSpec};

@@ -7,7 +7,7 @@
 //! a single relaxed load of one [`AtomicBool`] — when disabled, a span is a
 //! branch and nothing else, so instrumented hot loops pay no measurable cost
 //! (an ignored release test in `mvn-bench`, run alone in CI, guards this
-//! < 5% of a fused solve even when *enabled*). When enabled, each thread appends events to its own buffer
+//! < 5% of a factor + solve even when *enabled*). When enabled, each thread appends events to its own buffer
 //! behind a thread-local handle (one uncontended lock per event, no
 //! allocation for the common ≤ 3-argument case) and the exporter sweeps all
 //! registered thread buffers at drain time — recording threads never contend

@@ -11,8 +11,8 @@
 //! * the [`pool`] module provides [`WorkerPool`], a persistent worker pool
 //!   whose threads park on a condvar between submissions — the one executor
 //!   behind long-lived solver sessions (`mvn_core::MvnEngine`), the tiled
-//!   Cholesky in `tile-la`/`tlr`, the fused factor+sweep PMVN pipeline and
-//!   the `mvn-dist` worker. Producers written against the [`TaskSink`] trait
+//!   Cholesky in `tile-la`/`tlr`, the engine's PMVN panel sweeps and the
+//!   `mvn-dist` worker. Producers written against the [`TaskSink`] trait
 //!   hand their submission routine to [`WorkerPool::execute`], which streams
 //!   every task to the workers as it is submitted; nothing about submission
 //!   is configurable, and the result is bitwise identical for any worker

@@ -9,9 +9,9 @@
 //!
 //! Several stores of different payload types can share one
 //! [`HandleRegistry`](crate::HandleRegistry) — slots are keyed by the handle,
-//! not by a private id space — which is what lets the fused Cholesky + PMVN
-//! pipeline keep factor tiles and sample-panel states in separate typed stores
-//! inside a single task set.
+//! not by a private id space — which is what lets the TLR Cholesky keep its
+//! dense diagonal tiles and low-rank off-diagonal tiles in separate typed
+//! stores inside a single task set.
 
 use crate::handle::DataHandle;
 use std::collections::HashMap;

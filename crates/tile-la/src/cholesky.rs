@@ -6,8 +6,7 @@
 //!
 //! [`potrf_tiled`] submits that task structure ([`crate::dag`]) to a
 //! [`WorkerPool`], matching the paper's StarPU task graph: no barrier between
-//! panels, and factor tiles are individually consumable by downstream tasks
-//! (the fused PMVN pipeline). The tests cross-check it against the unblocked
+//! panels. The tests cross-check it against the unblocked
 //! [`potrf_in_place`](crate::kernels::potrf_in_place) on the dense matrix.
 
 use crate::dag::{attach_tiles, detach_tiles, submit_factor_tasks, FactorStatus};

@@ -1,17 +1,15 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool (the paper's StarPU programming model): the one task
 //! order [`cholesky_plan`], and the building blocks
-//! [`potrf_tiled`](crate::potrf_tiled) and the fused PMVN pipeline in
-//! `mvn-core` compose.
+//! [`potrf_tiled`](crate::potrf_tiled), the TLR factorization in `tlr`, the
+//! `mvn-dist` worker and the `distsim` model compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
 //! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
 //! access those handles, and the runtime infers the dependency DAG. There is
 //! no global barrier after a panel: the `TRSM`s of panel `k+1` start as soon
 //! as *their* inputs are ready, while trailing updates of panel `k` are still
-//! in flight, and — crucially for the fused PMVN pipeline in `mvn-core` —
-//! consumers outside the factorization can declare read dependencies on
-//! individual factor tiles and overlap with it.
+//! in flight.
 //!
 //! Every task applies a fixed kernel to fixed tiles in a fixed submission
 //! order, so the factor is bitwise identical to the sequential factorization

@@ -16,7 +16,7 @@
 //! * [`dag`] — its one task order (`cholesky_plan`, shared with the TLR,
 //!   distributed and simulated factorizations), its task producer and the
 //!   building blocks (`detach_tiles`, `submit_factor_tasks`, `FactorStatus`)
-//!   the fused PMVN pipeline composes with,
+//!   the TLR and distributed factorizations compose with,
 //! * [`solve`] — tiled triangular solves against dense panels,
 //! * [`norms`] — Frobenius / max-abs norms and difference helpers.
 //!

@@ -1,7 +1,7 @@
 //! The HiCMA-style TLR Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool, mirroring [`tile_la::dag`] for the compressed format:
-//! the building blocks [`potrf_tlr`](crate::potrf_tlr) and the fused PMVN
-//! pipeline in `mvn-core` compose.
+//! the building blocks [`potrf_tlr`](crate::potrf_tlr) and the `distsim`
+//! graph test compose.
 //!
 //! Diagonal tiles (dense) and strictly-lower off-diagonal tiles (low-rank)
 //! live in two typed [`TileStore`]s sharing one [`HandleRegistry`], so a

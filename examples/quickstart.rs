@@ -7,7 +7,7 @@
 //! ```
 
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{mvn_prob_mc, MvnConfig, MvnEngine, Problem};
+use mvn_core::{mvn_prob_mc, Factor, MvnConfig, MvnEngine, Problem};
 use tlr::CompressionTol;
 
 fn main() {
@@ -31,23 +31,21 @@ fn main() {
 
     // 3. One MvnEngine is the session: it owns a persistent worker pool that
     //    every factorization and solve below reuses (no per-call thread
-    //    setup). Dense path: factor once and run the fused factor+sweep
-    //    pipeline — Cholesky tasks and PMVN panel tasks execute as one
-    //    dependency-inferred task graph, so early panel sweeping overlaps the
-    //    trailing factorization. (The staged alternative — `factor_dense`
-    //    followed by `solve` — produces bitwise-identical results.)
+    //    setup). Dense path: factor once into a reusable handle (the tiled
+    //    Cholesky as one task graph), then sweep it — one PMVN task per
+    //    sample panel.
     let engine = MvnEngine::builder().config(cfg).build().expect("engine");
-    let mut sigma = kernel.tiled_covariance(&locations, 128, 1e-9);
-    let dense = engine.factor_prob_dense(&mut sigma, &a, &b).expect("SPD");
+    let sigma = kernel.tiled_covariance(&locations, 128, 1e-9);
+    let dense_factor = engine.factor_dense(sigma).expect("SPD");
+    let dense = engine.solve(&dense_factor, &a, &b);
     println!(
-        "dense PMVN : P = {:.6e}  (std error {:.1e}, {} samples, fused factor+sweep)",
+        "dense PMVN : P = {:.6e}  (std error {:.1e}, {} samples)",
         dense.prob, dense.std_error, dense.samples
     );
 
     // 4. TLR path: the covariance is compressed at tolerance 1e-3 before the
-    //    factorization (the paper's fast mode). Shown in the staged session
-    //    form: factor once into a reusable handle, then answer a whole batch
-    //    of queries in one task graph.
+    //    factorization (the paper's fast mode). One factor answers a whole
+    //    batch of queries in one task graph.
     let sigma_tlr =
         kernel.tlr_covariance(&locations, 128, 1e-9, CompressionTol::Absolute(1e-3), 64);
     let compression_ratio = sigma_tlr.compression_ratio();
@@ -71,9 +69,11 @@ fn main() {
 
     // 5. Naive Monte-Carlo baseline for comparison (impractical in truly high
     //    dimensions, which is the paper's motivation for the SOV algorithm).
-    //    It samples x = L·z, so it reuses the dense factor step 3 left in
-    //    `sigma`.
-    let mc = mvn_prob_mc(&sigma, &a, &b, &MvnConfig::with_samples(200_000));
+    //    It samples x = L·z, so it reuses the dense factor of step 3.
+    let Factor::Dense(l) = &dense_factor else {
+        unreachable!("factor_dense returns a dense factor")
+    };
+    let mc = mvn_prob_mc(l, &a, &b, &MvnConfig::with_samples(200_000));
     println!(
         "naive MC   : P = {:.6e}  (std error {:.1e}, {} samples)",
         mc.prob, mc.std_error, mc.samples

@@ -11,8 +11,9 @@
 //! * [`tlr`] — tile-low-rank compression and the TLR Cholesky,
 //! * [`geostat`] — covariance models, field simulation, posterior, MLE, wind data,
 //! * [`mvn_core`] — the SOV / PMVN probability algorithms behind one solver
-//!   session, [`mvn_core::MvnEngine`] (incl. the fused factor+sweep
-//!   pipeline, [`mvn_core::MvnEngine::factor_prob_dense`]),
+//!   session, [`mvn_core::MvnEngine`] (factor once with
+//!   [`mvn_core::MvnEngine::factor_dense`], then
+//!   [`mvn_core::MvnEngine::solve`] against the factor),
 //! * [`excursion`] — confidence-region detection and MC validation,
 //! * [`distsim`] — the distributed-memory performance model,
 //! * [`wire`] — the shared bit-exact JSON/f64 wire layer,
