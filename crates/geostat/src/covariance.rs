@@ -6,8 +6,18 @@
 
 use crate::geometry::Location;
 use mathx::{bessel_k, gamma, ln_gamma};
+use std::sync::Mutex;
 use tile_la::{DenseMatrix, SymTileMatrix};
 use tlr::{CompressionTol, TlrMatrix};
+
+/// Column-block width of one [`CovarianceKernel::dense_covariance`] task.
+const DENSE_BLOCK_COLS: usize = 64;
+
+/// Exclusive upper bound on the Matérn smoothness ν that the MLE searches
+/// and the serving layer accepts. `K_ν` recurs upward ⌊ν + ½⌋ steps for
+/// every matrix entry, so an unbounded ν from the wire could pin a worker
+/// for minutes.
+pub const MAX_MATERN_SMOOTHNESS: f64 = 50.0;
 
 /// Matérn covariance parameters `θ = (σ², a, ν)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +72,14 @@ pub enum CovarianceKernel {
 impl CovarianceKernel {
     /// Evaluate the covariance at distance `d ≥ 0`.
     pub fn cov(&self, d: f64) -> f64 {
+        self.cov_with(d, None)
+    }
+
+    /// [`cov`](Self::cov) with the general Matérn arm's `ln(2^{1−ν}/Γ(ν))`
+    /// supplied by an assembly that evaluated it once (`None`: evaluate it
+    /// here). The formula and its operation order are the same either way,
+    /// so both give the same bits.
+    fn cov_with(&self, d: f64, matern_log_pref: Option<f64>) -> f64 {
         assert!(d >= 0.0, "distance must be non-negative");
         match *self {
             CovarianceKernel::Exponential { sigma2, range } => sigma2 * (-d / range).exp(),
@@ -89,7 +107,7 @@ impl CovarianceKernel {
                 } else {
                     // General case via the modified Bessel function, as in Eq. (6):
                     // sigma^2 * 2^{1-nu}/Gamma(nu) * s^nu * K_nu(s).
-                    let log_pref = (1.0 - nu) * std::f64::consts::LN_2 - ln_gamma(nu);
+                    let log_pref = matern_log_pref.unwrap_or_else(|| matern_log_prefactor(nu));
                     let k = bessel_k(nu, s);
                     if k == 0.0 {
                         return 0.0;
@@ -97,6 +115,23 @@ impl CovarianceKernel {
                     sigma2 * (log_pref + nu * s.ln()).exp() * k
                 }
             }
+        }
+    }
+
+    /// The entry `(i, j)` of the covariance matrix of `locs`:
+    /// `C(‖locs[i] − locs[j]‖)` plus `nugget` on the diagonal. Every
+    /// assembly builds it once, so per-kernel constants are evaluated once.
+    fn entry<'a>(
+        &'a self,
+        locs: &'a [Location],
+        nugget: f64,
+    ) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
+        let log_pref = match *self {
+            CovarianceKernel::Matern(p) => Some(matern_log_prefactor(p.smoothness)),
+            _ => None,
+        };
+        move |i, j| {
+            self.cov_with(locs[i].distance(&locs[j]), log_pref) + if i == j { nugget } else { 0.0 }
         }
     }
 
@@ -116,20 +151,47 @@ impl CovarianceKernel {
 
     /// Assemble the dense covariance matrix for a set of locations, optionally
     /// adding a small diagonal `nugget` for numerical stability.
+    ///
+    /// Only the lower triangle is evaluated: blocks of columns fill their
+    /// lower part in place as parallel tasks on a throwaway all-core pool,
+    /// then the strict lower triangle is mirrored into the upper one. The
+    /// result is bitwise the full-square `cov_loc` matrix because
+    /// `cov_loc(a, b)` and `cov_loc(b, a)` have the same bits
+    /// ([`Location::distance`] is bitwise symmetric).
     pub fn dense_covariance(&self, locs: &[Location], nugget: f64) -> DenseMatrix {
         let n = locs.len();
-        DenseMatrix::from_fn(n, n, |i, j| {
-            self.cov_loc(&locs[i], &locs[j]) + if i == j { nugget } else { 0.0 }
-        })
+        let mut m = DenseMatrix::zeros(n, n);
+        if n == 0 {
+            return m;
+        }
+        let entry = self.entry(locs, nugget);
+        let blocks: Vec<Mutex<&mut [f64]>> = m
+            .data_mut()
+            .chunks_mut(n * DENSE_BLOCK_COLS)
+            .map(Mutex::new)
+            .collect();
+        task_runtime::run_map_once("assemble_cols", &blocks, |b, block| {
+            let mut block = block.lock().unwrap();
+            for (c, col) in block.chunks_mut(n).enumerate() {
+                let j = b * DENSE_BLOCK_COLS + c;
+                for (i, v) in col.iter_mut().enumerate().skip(j) {
+                    *v = entry(i, j);
+                }
+            }
+        });
+        let data = m.data_mut();
+        for j in 1..n {
+            for i in 0..j {
+                data[j * n + i] = data[i * n + j];
+            }
+        }
+        m
     }
 
     /// Assemble the covariance matrix in symmetric-tile storage (lower tiles),
     /// generated tile-by-tile in parallel.
     pub fn tiled_covariance(&self, locs: &[Location], nb: usize, nugget: f64) -> SymTileMatrix {
-        let n = locs.len();
-        SymTileMatrix::from_fn(n, nb, |i, j| {
-            self.cov_loc(&locs[i], &locs[j]) + if i == j { nugget } else { 0.0 }
-        })
+        SymTileMatrix::from_fn(locs.len(), nb, self.entry(locs, nugget))
     }
 
     /// Assemble the covariance matrix directly in TLR format.
@@ -141,11 +203,13 @@ impl CovarianceKernel {
         tol: CompressionTol,
         max_rank: usize,
     ) -> TlrMatrix {
-        let n = locs.len();
-        TlrMatrix::from_fn(n, nb, tol, max_rank, |i, j| {
-            self.cov_loc(&locs[i], &locs[j]) + if i == j { nugget } else { 0.0 }
-        })
+        TlrMatrix::from_fn(locs.len(), nb, tol, max_rank, self.entry(locs, nugget))
     }
+}
+
+/// `ln(2^{1−ν}/Γ(ν))`, the log of the Matérn normalizing constant.
+fn matern_log_prefactor(nu: f64) -> f64 {
+    (1.0 - nu) * std::f64::consts::LN_2 - ln_gamma(nu)
 }
 
 /// The Matérn normalizing constant `2^{1−ν}/Γ(ν)` (exposed for tests).
@@ -156,8 +220,116 @@ pub fn matern_prefactor(nu: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::regular_grid;
+    use crate::geometry::{jittered_grid, regular_grid};
     use mathx::relative_error;
+
+    /// One kernel per arm of `cov`: exponential, squared exponential, the
+    /// three Matérn closed forms and the general Bessel arm.
+    fn every_arm() -> Vec<CovarianceKernel> {
+        let matern = |smoothness| {
+            CovarianceKernel::Matern(MaternParams {
+                sigma2: 1.3,
+                range: 0.1146,
+                smoothness,
+            })
+        };
+        let mut arms = vec![
+            CovarianceKernel::Exponential {
+                sigma2: 1.3,
+                range: 0.1,
+            },
+            CovarianceKernel::SquaredExponential {
+                sigma2: 1.3,
+                range: 0.1,
+            },
+        ];
+        arms.extend([0.5, 1.5, 2.5, 1.0, 1.43391].map(matern));
+        arms
+    }
+
+    /// The full square, serially, straight from `cov_loc`.
+    fn serial_full_square(k: &CovarianceKernel, locs: &[Location], nugget: f64) -> DenseMatrix {
+        let n = locs.len();
+        DenseMatrix::from_fn(n, n, |i, j| {
+            k.cov_loc(&locs[i], &locs[j]) + if i == j { nugget } else { 0.0 }
+        })
+    }
+
+    fn assert_same_bits(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+        assert_eq!(
+            (got.nrows(), got.ncols()),
+            (want.nrows(), want.ncols()),
+            "{what}"
+        );
+        for (idx, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {idx}");
+        }
+    }
+
+    #[test]
+    fn cov_loc_is_bitwise_symmetric() {
+        let locs = jittered_grid(9, 8, 11);
+        for k in every_arm() {
+            for a in &locs {
+                for b in &locs {
+                    assert_eq!(a.distance(b).to_bits(), b.distance(a).to_bits());
+                    assert_eq!(
+                        k.cov_loc(a, b).to_bits(),
+                        k.cov_loc(b, a).to_bits(),
+                        "{k:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_covariance_is_bitwise_the_serial_full_square() {
+        let locs = jittered_grid(10, 10, 3);
+        let w = DENSE_BLOCK_COLS;
+        for k in every_arm() {
+            for n in [1, 2, w - 1, w, w + 1, 97] {
+                let want = serial_full_square(&k, &locs[..n], 1e-8);
+                let got = k.dense_covariance(&locs[..n], 1e-8);
+                assert_same_bits(&got, &want, &format!("{k:?} n={n}"));
+            }
+        }
+        assert_eq!(every_arm()[0].dense_covariance(&[], 1e-8).nrows(), 0);
+        // From inside a task of another pool: the nested throwaway pool must
+        // neither deadlock nor change a bit.
+        let k = *every_arm().last().unwrap(); // general Matérn, ν = 1.43391
+        let want = serial_full_square(&k, &locs[..97], 1e-8);
+        let outer = task_runtime::WorkerPool::new(2);
+        let nested = outer.run_map(
+            "outer",
+            &[0u8; 3],
+            |_, _| 1.0,
+            |_, _| k.dense_covariance(&locs[..97], 1e-8),
+        );
+        for got in &nested {
+            assert_same_bits(got, &want, "nested");
+        }
+    }
+
+    #[test]
+    fn tiled_and_tlr_matern_assembly_are_bitwise_the_serial_entries() {
+        // Matérn ν = 1 runs the general arm with the prefactor evaluated once
+        // per assembly; the tiles must hold exactly what `cov_loc` gives.
+        let locs = jittered_grid(9, 7, 5);
+        let n = locs.len();
+        let k = CovarianceKernel::Matern(MaternParams {
+            sigma2: 1.0,
+            range: 0.1146,
+            smoothness: 1.0,
+        });
+        let want = serial_full_square(&k, &locs, 1e-8);
+        let tiled = k.tiled_covariance(&locs, 16, 1e-8);
+        assert_same_bits(&tiled.to_dense_sym(), &want, "tiled");
+        let tol = CompressionTol::Absolute(1e-6);
+        let tlr = k.tlr_covariance(&locs, 16, 1e-8, tol, 20);
+        let tlr_want = TlrMatrix::from_fn(n, 16, tol, 20, |i, j| want.get(i, j));
+        assert_same_bits(&tlr.to_dense_sym(), &tlr_want.to_dense_sym(), "tlr");
+    }
 
     #[test]
     fn matern_half_equals_exponential() {

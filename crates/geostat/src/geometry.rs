@@ -18,6 +18,11 @@ impl Location {
     }
 
     /// Euclidean distance to another location.
+    ///
+    /// Bitwise symmetric: `a.distance(&b)` and `b.distance(&a)` have the same
+    /// bits, because the coordinate differences differ only in sign and
+    /// squaring drops it. Dense covariance assembly relies on this to mirror
+    /// one evaluated triangle into the other.
     pub fn distance(&self, other: &Location) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }

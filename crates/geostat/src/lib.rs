@@ -26,7 +26,7 @@ pub mod posterior;
 pub mod vecchia;
 pub mod wind;
 
-pub use covariance::{CovarianceKernel, MaternParams};
+pub use covariance::{CovarianceKernel, MaternParams, MAX_MATERN_SMOOTHNESS};
 pub use field::{simulate_field, simulate_observations, FieldSample};
 pub use fingerprint::{fingerprint_covariance, fingerprint_kernel, fingerprint_locations, Fnv1a};
 pub use geometry::{jittered_grid, regular_grid, Location};

@@ -1,7 +1,7 @@
 //! Maximum-likelihood estimation of Matérn covariance parameters
 //! (the ExaGeoStat MLE step of the paper's Algorithm 1 inputs).
 
-use crate::covariance::{CovarianceKernel, MaternParams};
+use crate::covariance::{CovarianceKernel, MaternParams, MAX_MATERN_SMOOTHNESS};
 use crate::field::default_tile_size;
 use crate::geometry::Location;
 use crate::optim::{nelder_mead, NelderMeadOptions};
@@ -130,7 +130,7 @@ where
         // Guard against absurd parameter excursions of the simplex.
         if !(1e-8..1e8).contains(&p.sigma2)
             || !(1e-8..1e4).contains(&p.range)
-            || !(0.01..50.0).contains(&p.smoothness)
+            || !(0.01..MAX_MATERN_SMOOTHNESS).contains(&p.smoothness)
         {
             return 1e12;
         }

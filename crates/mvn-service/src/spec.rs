@@ -11,7 +11,7 @@
 //! same way.
 
 use geostat::fingerprint::{fingerprint_covariance, Fnv1a};
-use geostat::{CovarianceKernel, Location};
+use geostat::{CovarianceKernel, Location, MAX_MATERN_SMOOTHNESS};
 use mvn_core::{Factor, FactorKind, MvnEngine};
 use tlr::CompressionTol;
 
@@ -185,8 +185,10 @@ impl CovSpec {
             CovarianceKernel::Exponential { sigma2, range }
             | CovarianceKernel::SquaredExponential { sigma2, range } => (sigma2, range),
             CovarianceKernel::Matern(p) => {
-                if !(p.smoothness.is_finite() && p.smoothness > 0.0) {
-                    return Err("matern smoothness must be positive and finite".to_string());
+                if !(p.smoothness > 0.0 && p.smoothness < MAX_MATERN_SMOOTHNESS) {
+                    return Err(format!(
+                        "matern smoothness must be positive and below {MAX_MATERN_SMOOTHNESS}"
+                    ));
                 }
                 (p.sigma2, p.range)
             }

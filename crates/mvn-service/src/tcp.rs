@@ -72,7 +72,7 @@ use crate::service::{
     CacheOpOutput, CacheTicket, MvnService, ServiceError, SolveOutput, SpecHandle, Ticket,
 };
 use crate::spec::CovSpec;
-use geostat::{regular_grid, CovarianceKernel, Location, MaternParams};
+use geostat::{regular_grid, CovarianceKernel, Location, MaternParams, MAX_MATERN_SMOOTHNESS};
 use mvn_core::{FactorKind, Problem};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -496,8 +496,10 @@ pub fn parse_spec(v: &Json) -> Result<CovSpec, String> {
                 .get("smoothness")
                 .and_then(Json::as_f64)
                 .ok_or("matern kernel needs \"smoothness\"")?;
-            if smoothness.is_nan() || smoothness <= 0.0 {
-                return Err("smoothness must be positive".to_string());
+            if !(smoothness > 0.0 && smoothness < MAX_MATERN_SMOOTHNESS) {
+                return Err(format!(
+                    "smoothness must be positive and below {MAX_MATERN_SMOOTHNESS}"
+                ));
             }
             CovarianceKernel::Matern(MaternParams {
                 sigma2,
@@ -963,6 +965,10 @@ mod tests {
                 "unknown kernel",
             ),
             (r#"{"grid":4,"kernel":"matern","range":0.1}"#, "smoothness"),
+            (
+                r#"{"grid":4,"kernel":"matern","range":0.1,"smoothness":1e9}"#,
+                "below 50",
+            ),
             (
                 r#"{"grid":1,"kernel":"exponential","range":0.1}"#,
                 "at least 2",

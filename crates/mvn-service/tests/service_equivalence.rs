@@ -407,6 +407,20 @@ fn admission_control_and_validation_reject_with_typed_errors() {
         ),
         Err(ServiceError::InvalidSpec(_))
     ));
+    // So is a smoothness whose K_ν recurrence would pin the shard.
+    let mut rough = spec(0.12);
+    rough.kernel = CovarianceKernel::Matern(MaternParams {
+        sigma2: 1.0,
+        range: 0.1,
+        smoothness: 1e9,
+    });
+    assert!(matches!(
+        service.submit(
+            &SpecHandle::new(rough),
+            Problem::new(vec![0.0; n], vec![1.0; n])
+        ),
+        Err(ServiceError::InvalidSpec(_))
+    ));
 
     // A structurally valid but singular covariance (duplicated locations,
     // no nugget) surfaces as a typed factorization error from the shard.
@@ -532,6 +546,54 @@ fn an_over_long_request_line_is_answered_with_an_error_and_the_connection_stays_
     let want = reference(&s, &[p], &test_mvn(samples))[0];
     let got = ok.get("prob").and_then(mvn_service::Json::as_f64).unwrap();
     assert!(got.to_bits() == want.to_bits(), "{ok}");
+}
+
+#[test]
+fn a_huge_matern_smoothness_is_refused_at_once_and_the_connection_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+    let samples = 200;
+    let s = spec(0.12);
+    let n = s.n();
+    let service = Arc::new(MvnService::start(service_cfg(1, 1, samples)).unwrap());
+    let server = MvnServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut socket = std::net::TcpStream::connect(server.addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut replies = BufReader::new(socket.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        replies
+            .read_line(&mut line)
+            .expect("a reply within the read timeout");
+        mvn_service::Json::parse(line.trim()).unwrap()
+    };
+
+    // ν = 1e9 would cost ~1e9 recurrence steps per covariance entry.
+    let bad = format!(
+        r#"{{"id":3,"spec":{{"grid":5,"kernel":"matern","range":0.1,"smoothness":1e9}},"a":[{}],"b":[{}]}}"#,
+        vec!["0"; n].join(","),
+        vec!["null"; n].join(",")
+    );
+    let t0 = Instant::now();
+    socket.write_all(format!("{bad}\n").as_bytes()).unwrap();
+    let err = reply();
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert_eq!(err.get("id").and_then(mvn_service::Json::as_usize), Some(3));
+    let msg = err
+        .get("error")
+        .and_then(mvn_service::Json::as_str)
+        .unwrap();
+    assert!(msg.contains("smoothness"), "{err}");
+
+    // The same connection still serves.
+    let p = Problem::new(vec![-0.2; n], vec![f64::INFINITY; n]);
+    let line = render_solve_request(4, &s, &p.a, &p.b);
+    socket.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let ok = reply();
+    assert_eq!(ok.get("id").and_then(mvn_service::Json::as_usize), Some(4));
+    assert!(ok.get("prob").is_some(), "{ok}");
 }
 
 #[test]

@@ -360,7 +360,8 @@ impl WorkerPool {
 
 /// [`WorkerPool::run_map`] on a throwaway pool of one worker per core (at
 /// most one per item): the data-parallel loop of call sites that hold no
-/// session pool — tile assembly in `tile-la`/`tlr`, the Monte-Carlo blocks.
+/// session pool — tile assembly in `tile-la`/`tlr`, dense covariance
+/// assembly in `geostat`, the Monte-Carlo blocks.
 /// A single item or a single core runs inline without spawning a thread.
 pub fn run_map_once<T, R, F>(name: &str, items: &[T], f: F) -> Vec<R>
 where
