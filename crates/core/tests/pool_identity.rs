@@ -12,7 +12,7 @@ fn exp_cov(i: usize, j: usize) -> f64 {
 }
 
 #[test]
-fn factors_and_fused_pipeline_are_bitwise_identical_on_every_pool() {
+fn factors_and_solves_are_bitwise_identical_on_every_pool() {
     let n = 60;
     let (a, b) = (vec![-0.4; n], vec![0.9; n]);
     let cfg = MvnConfig {

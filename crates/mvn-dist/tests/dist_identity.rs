@@ -88,7 +88,7 @@ fn dense_matches_engine_bitwise_across_process_counts() {
 }
 
 #[test]
-fn dense_is_lookahead_and_thread_invariant() {
+fn dense_is_thread_invariant() {
     let sigma = SymTileMatrix::from_fn(N, NB, cov);
     let (a, b) = limits();
     let cfg = cfg();

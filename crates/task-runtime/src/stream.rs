@@ -355,7 +355,7 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(20);
 
     #[test]
-    fn streamed_waw_chain_applies_in_submission_order_for_any_window() {
+    fn streamed_waw_chain_applies_in_submission_order_for_any_worker_count() {
         // Six writers of one handle must serialize in submission order for
         // every worker count.
         for workers in [1usize, 2, 4] {

@@ -132,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_bits_do_not_depend_on_workers_or_window() {
+    fn factor_bits_do_not_depend_on_worker_count() {
         // 1/2/4/8 workers: identical tiles to the bit, within 1e-10 of the
         // unblocked reference.
         let n = 75;

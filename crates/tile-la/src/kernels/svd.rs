@@ -1,11 +1,13 @@
 //! One-sided Jacobi singular value decomposition.
 //!
-//! The TLR compression needs the SVD of individual tiles (a few hundred rows
-//! and columns) with enough accuracy to pick the numerical rank at tolerances
-//! down to ~1e-9. One-sided Jacobi is simple, unconditionally stable and
-//! computes small singular values to high relative accuracy, which is exactly
-//! what rank truncation needs; its O(n³) cost per sweep is irrelevant at tile
-//! scale.
+//! The TLR compression needs singular values accurate enough to pick the
+//! numerical rank at tolerances down to ~1e-9. One-sided Jacobi is simple,
+//! unconditionally stable and computes small singular values to high
+//! relative accuracy, which is exactly what rank truncation needs. It never
+//! sees a whole tile: `tlr::compress` first runs a pivoted QR that stops at
+//! the tolerance and hands Jacobi only the `k × n` factor `R` of the `k`
+//! kept columns (tall orientation: `k` columns), so a sweep costs `O(k²·n)`
+//! instead of `O(n³)` — `k ≈ 20` for a 100 × 100 covariance tile at 1e-3.
 
 use crate::dense::DenseMatrix;
 

@@ -4,9 +4,9 @@
 //! All operations work on factor pairs without ever forming the dense product
 //! of a low-rank tile, except for the final small `rank × rank` core matrices.
 
-use crate::compress::CompressionTol;
+use crate::compress::{truncate, CompressionTol};
 use crate::lowrank::LowRankBlock;
-use tile_la::kernels::{gemm_nn, gemm_nt, gemm_tn, jacobi_svd, qr_factor};
+use tile_la::kernels::{gemm_nn, gemm_nt, gemm_tn, qr_factor};
 use tile_la::DenseMatrix;
 
 /// `C ← β·C + α·(U·Vᵀ)·B` — low-rank tile times dense panel.
@@ -104,9 +104,13 @@ pub fn lr_aa_t_update(diag: &mut DenseMatrix, a: &LowRankBlock) {
 /// Add two low-rank representations and recompress: returns a low-rank block
 /// representing `U₁V₁ᵀ + U₂V₂ᵀ` truncated back to the requested tolerance.
 ///
-/// Recompression uses the standard QR + small-SVD rounding: `[U₁ U₂] = Q_u R_u`,
-/// `[V₁ V₂] = Q_v R_v`, then the SVD of the small core `R_u R_vᵀ` decides the
-/// new rank.
+/// Recompression uses the standard QR rounding: `[U₁ U₂] = Q_u R_u`,
+/// `[V₁ V₂] = Q_v R_v`, then the small core `R_u R_vᵀ` (at most
+/// `(ra+rb)²`) goes through the same rank-revealing truncation as
+/// [`compress_dense`](crate::compress_dense) — a pivoted QR that stops at
+/// `τ/√2`, then a Jacobi SVD of only the kept rows within the budget left —
+/// so the result is within `τ` of the exact sum in Frobenius norm (unless
+/// `max_rank` caps it first).
 pub fn lr_add_recompress(
     a: &LowRankBlock,
     b: &LowRankBlock,
@@ -139,49 +143,18 @@ pub fn lr_add_recompress(
     });
     let qu = qr_factor(&ucat);
     let qv = qr_factor(&vcat);
-    // Core = R_u R_v^T  (small square of size <= ra+rb).
+    // Core = R_u R_v^T  (small square of size <= ra+rb); its truncation
+    // U_c V_c^T gives U = Q_u U_c, V = Q_v V_c.
     let core = qu.r.matmul_nt(&qv.r);
-    let svd = jacobi_svd(&core);
-
-    // Rank selection identical to compress_dense.
-    let fro = svd.s.iter().map(|s| s * s).sum::<f64>().sqrt();
-    let threshold = tol.absolute_for(fro);
-    let kmax = svd.s.len();
-    let mut tail = 0.0;
-    let mut rank = kmax;
-    // Walk from the smallest singular value upward accumulating the tail.
-    for k in (0..=kmax).rev() {
-        if k < kmax {
-            tail += svd.s[k] * svd.s[k];
-        }
-        if tail.sqrt() <= threshold {
-            rank = k;
-        } else {
-            break;
-        }
-    }
-    let rank = rank.min(max_rank);
+    let small = truncate(&core, tol.absolute_for(core.frobenius_norm()), max_rank);
+    let rank = small.rank();
     if rank == 0 {
         return LowRankBlock::zero(m, n);
     }
-
-    // U = Q_u * (U_core * diag(s)),  V = Q_v * V_core.
-    let mut us = DenseMatrix::zeros(svd.u.nrows(), rank);
-    for r in 0..rank {
-        let s = svd.s[r];
-        let src = svd.u.col(r);
-        let dst = us.col_mut(r);
-        for i in 0..svd.u.nrows() {
-            dst[i] = src[i] * s;
-        }
-    }
     let mut u = DenseMatrix::zeros(m, rank);
-    gemm_nn(1.0, &qu.q, &us, 0.0, &mut u);
-
-    let vt_rows = DenseMatrix::from_fn(svd.vt.ncols(), rank, |i, j| svd.vt.get(j, i));
+    gemm_nn(1.0, &qu.q, &small.u, 0.0, &mut u);
     let mut v = DenseMatrix::zeros(n, rank);
-    gemm_nn(1.0, &qv.q, &vt_rows, 0.0, &mut v);
-
+    gemm_nn(1.0, &qv.q, &small.v, 0.0, &mut v);
     LowRankBlock::new(u, v)
 }
 
@@ -213,6 +186,7 @@ pub fn lr_lr_t_update(
 mod tests {
     use super::*;
     use crate::compress::compress_dense;
+    use crate::compress::tests::{fro_error, grid_tile, optimal_truncation, truncation_bound};
     use tile_la::max_abs_diff;
 
     fn rand_matrix(m: usize, n: usize, seed: u64) -> DenseMatrix {
@@ -361,5 +335,31 @@ mod tests {
         let a = compress_dense(&half1, CompressionTol::Absolute(1e-10), usize::MAX);
         let sum = lr_add_recompress(&a, &a, CompressionTol::Absolute(1e-9), usize::MAX);
         assert!(max_abs_diff(&sum.to_dense(), &full) < 1e-7);
+    }
+
+    #[test]
+    fn recompressed_benchmark_sums_meet_the_tolerance_at_near_optimal_rank() {
+        // Sums of two compressed tiles of the n = 1,600 benchmark covariance,
+        // against the truncated SVD of the exact dense sum.
+        const TAU: f64 = 1e-3;
+        const MAX_RANK: usize = 50;
+        let tol = CompressionTol::Absolute(TAU);
+        for i in 2..16 {
+            let a = compress_dense(&grid_tile(i, 1), tol, MAX_RANK);
+            let mut b = compress_dense(&grid_tile(i, 0), tol, MAX_RANK);
+            b.u.scale(-0.5);
+            let mut exact = a.to_dense();
+            exact.add_scaled(1.0, &b.to_dense());
+            let sum = lr_add_recompress(&a, &b, tol, MAX_RANK);
+            let err = fro_error(&sum, &exact);
+            let (best, best_err) = optimal_truncation(&exact, TAU, MAX_RANK);
+            let bound = truncation_bound(TAU, best_err);
+            assert!(err <= bound, "row {i}: err {err} > {bound}");
+            assert!(
+                sum.rank() <= best + 2,
+                "row {i}: rank {} vs optimal {best}",
+                sum.rank()
+            );
+        }
     }
 }

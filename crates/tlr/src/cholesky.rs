@@ -138,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_bits_do_not_depend_on_workers_or_window() {
+    fn factor_bits_do_not_depend_on_worker_count() {
         // 1/2/4/8 workers: identical factors to the bit.
         let n = 96;
         let f = kernel(0.5);

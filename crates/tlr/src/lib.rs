@@ -2,14 +2,15 @@
 //!
 //! A pure-Rust substitute for the HiCMA library used by the paper: symmetric
 //! matrices are stored as dense diagonal tiles plus off-diagonal tiles
-//! compressed into truncated-SVD factors `U·Vᵀ`, and the Cholesky factorization
+//! compressed into low-rank factors `U·Vᵀ`, and the Cholesky factorization
 //! is carried out directly in that compressed format.
 //!
 //! The crate provides:
 //!
 //! * [`LowRankBlock`] — a single compressed tile with its `U`, `V` factors,
 //! * [`CompressionTol`] and [`compress_dense`] —
-//!   truncated-SVD compression at an absolute or relative Frobenius tolerance,
+//!   compression at an absolute or relative Frobenius tolerance (a pivoted QR
+//!   that stops at the tolerance, then a Jacobi SVD of the kept rows only),
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
 //! * [`TlrMatrix`] — the tile-low-rank symmetric matrix (diagonal dense, lower

@@ -11,7 +11,9 @@ use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 ///
 /// Diagonal tiles are stored dense (they carry the full energy of the matrix
 /// and are never admissible for compression); strictly-lower off-diagonal
-/// tiles are stored as truncated-SVD factors at the requested tolerance.
+/// tiles are stored as `U·Vᵀ` factors within the requested tolerance, found
+/// by a pivoted QR that stops at `τ/√2` followed by a Jacobi SVD of its
+/// small `k × nb` factor `R` (see [`compress_dense`]).
 #[derive(Debug, Clone)]
 pub struct TlrMatrix {
     layout: TileLayout,
