@@ -631,17 +631,11 @@ impl MvnEngine {
     /// Estimate `Φₙ(a, b; 0, Σ)` against a factor with the engine's
     /// configuration.
     pub fn solve(&self, factor: &Factor, a: &[f64], b: &[f64]) -> MvnResult {
-        self.solve_factored(factor, a, b)
+        self.solve_factored_with(factor, a, b, &self.cfg)
     }
 
-    /// [`solve`](Self::solve) for any [`FactorBackend`] storage (e.g. an
-    /// `excursion::CorrelationFactor` owned by the caller).
-    pub fn solve_factored<F: FactorBackend>(&self, l: &F, a: &[f64], b: &[f64]) -> MvnResult {
-        self.solve_factored_with(l, a, b, &self.cfg)
-    }
-
-    /// [`solve_factored`](Self::solve_factored) with an explicit
-    /// per-call sampling configuration.
+    /// [`solve`](Self::solve) for any [`FactorBackend`] storage, with an
+    /// explicit per-call sampling configuration.
     pub fn solve_factored_with<F: FactorBackend>(
         &self,
         l: &F,
@@ -708,22 +702,11 @@ impl MvnEngine {
     /// bitwise identical to the corresponding individual
     /// [`solve`](Self::solve).
     pub fn solve_batch(&self, factor: &Factor, problems: &[Problem]) -> Vec<MvnResult> {
-        self.solve_batch_factored_with(factor, problems, &self.cfg)
-    }
-
-    /// [`solve_batch`](Self::solve_batch) for any [`FactorBackend`] storage
-    /// with an explicit per-call sampling configuration.
-    pub fn solve_batch_factored_with<F: FactorBackend>(
-        &self,
-        l: &F,
-        problems: &[Problem],
-        cfg: &MvnConfig,
-    ) -> Vec<MvnResult> {
-        let items: Vec<(&F, &[f64], &[f64])> = problems
+        let items: Vec<(&Factor, &[f64], &[f64])> = problems
             .iter()
-            .map(|p| (l, p.a.as_slice(), p.b.as_slice()))
+            .map(|p| (factor, p.a.as_slice(), p.b.as_slice()))
             .collect();
-        self.run_sweeps(&items, cfg)
+        self.run_sweeps(&items, &self.cfg)
     }
 
     /// Estimate a *mixed* batch — each problem referencing its own factor —
@@ -740,21 +723,11 @@ impl MvnEngine {
     /// equal dimension share one point set and problems of distinct
     /// dimensions get exactly the set a solo solve would build.
     pub fn solve_batch_mixed(&self, batch: &[(Arc<Factor>, Problem)]) -> Vec<MvnResult> {
-        self.solve_batch_mixed_with(batch, &self.cfg)
-    }
-
-    /// [`solve_batch_mixed`](Self::solve_batch_mixed) with an explicit
-    /// per-call sampling configuration.
-    pub fn solve_batch_mixed_with(
-        &self,
-        batch: &[(Arc<Factor>, Problem)],
-        cfg: &MvnConfig,
-    ) -> Vec<MvnResult> {
         let items: Vec<(&Factor, &[f64], &[f64])> = batch
             .iter()
             .map(|(f, p)| (f.as_ref(), p.a.as_slice(), p.b.as_slice()))
             .collect();
-        self.run_sweeps(&items, cfg)
+        self.run_sweeps(&items, &self.cfg)
     }
 
     /// Shared body of the solve entry points: one `panel_sweep` task per

@@ -489,7 +489,7 @@ mod tests {
         cfg: &MvnConfig,
     ) -> MvnResult {
         let engine = MvnEngine::builder().workers(workers).config(*cfg).build();
-        engine.unwrap().solve_factored(l, a, b)
+        engine.unwrap().solve_factored_with(l, a, b, cfg)
     }
 
     /// [`solve_on`] one worker per core (the engine default).

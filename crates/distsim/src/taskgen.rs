@@ -378,13 +378,12 @@ mod tests {
             submit_factor_tasks(&mut executed, &store, &handles, dense.layout(), &status);
 
             let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), nb, cov);
-            let (handles, diag, off) = detach_tlr_tiles(&mut tlr, &mut registry);
+            let (handles, store) = detach_tlr_tiles(&mut tlr, &mut registry);
             let mut executed_tlr = TaskGraph::new();
             let (tol, layout) = (tlr.tol(), tlr.layout());
             submit_tlr_factor_tasks(
                 &mut executed_tlr,
-                &diag,
-                &off,
+                &store,
                 &handles,
                 layout,
                 tol,

@@ -18,7 +18,7 @@ use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
 /// This is exactly the engine's reusable factor handle
 /// ([`mvn_core::Factor`]), re-exported under the historical name: the dense
 /// and TLR correlation factors plug directly into
-/// `MvnEngine::solve_factored` and friends with no rewrapping.
+/// `MvnEngine::solve` and friends with no rewrapping.
 pub use mvn_core::Factor as CorrelationFactor;
 
 /// Standard deviations (square roots of the diagonal) of a covariance matrix.
@@ -255,8 +255,8 @@ mod tests {
         let a = vec![-0.3; n];
         let b = vec![f64::INFINITY; n];
         let engine = MvnEngine::with_config(MvnConfig::with_samples(4000)).unwrap();
-        let pd = engine.solve_factored(&fd, &a, &b);
-        let pt = engine.solve_factored(&ft, &a, &b);
+        let pd = engine.solve(&fd, &a, &b);
+        let pt = engine.solve(&ft, &a, &b);
         assert!(
             (pd.prob - pt.prob).abs() < 2e-3,
             "{} vs {}",

@@ -42,18 +42,13 @@ use std::time::{Duration, Instant};
 
 use mvn_core::{combine_panel_results, validate_limits, MvnConfig, MvnResult};
 use tile_la::SymTileMatrix;
-use tlr::TlrMatrix;
+use tlr::{CompressionTol, Tile, TlrMatrix};
 use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{FaultPlan, FAULTS_ENV};
 use crate::plan::{owned_panels, owned_tiles, TileId};
-use crate::proto::{
-    self, EpochMsg, FactorSpec, ProblemMsg, ReownMsg, SetupMsg, WorkerErrorMsg, WorkerMsg,
-};
-use crate::store::TileValue;
-use crate::worker::{
-    BIND_ENV, CONNECT_RETRIES_ENV, CRASH_AFTER_ENV, CRASH_RANK_ENV, RETRY_BASE_MS_ENV, TRACE_ENV,
-};
+use crate::proto::{self, EpochMsg, ProblemMsg, ReownMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
+use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
 use distsim::ProcessGrid;
 use tile_la::TileLayout;
 
@@ -250,9 +245,9 @@ pub fn solve_dense(
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
     run(
-        FactorSpec::Dense,
+        None,
         sigma.layout(),
-        &|(i, j)| TileValue::Dense(sigma.tile(i, j).clone()),
+        &|(i, j)| Tile::Dense(sigma.tile(i, j).clone()),
         a,
         b,
         cfg,
@@ -269,16 +264,13 @@ pub fn solve_tlr(
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
     run(
-        FactorSpec::Tlr {
-            tol: sigma.tol(),
-            max_rank: sigma.max_rank(),
-        },
+        Some((sigma.tol(), sigma.max_rank())),
         sigma.layout(),
         &|(i, j)| {
             if i == j {
-                TileValue::Dense(sigma.diag_tile(i).clone())
+                Tile::Dense(sigma.diag_tile(i).clone())
             } else {
-                TileValue::LowRank(sigma.off_tile(i, j).clone())
+                Tile::LowRank(sigma.off_tile(i, j).clone())
             }
         },
         a,
@@ -367,12 +359,7 @@ fn spawn_worker(dist: &DistConfig, addr: &str, with_faults: bool) -> Result<Chil
     let mut envs: Vec<(String, String)> = dist
         .worker_env
         .iter()
-        .filter(|(k, _)| {
-            with_faults
-                || (k.as_str() != FAULTS_ENV
-                    && k.as_str() != CRASH_RANK_ENV
-                    && k.as_str() != CRASH_AFTER_ENV)
-        })
+        .filter(|(k, _)| with_faults || k.as_str() != FAULTS_ENV)
         .cloned()
         .collect();
     if with_faults && !dist.faults.is_empty() {
@@ -479,9 +466,9 @@ fn spawn_reader(
 
 #[allow(clippy::too_many_arguments)]
 fn run(
-    factor: FactorSpec,
+    compression: Option<(CompressionTol, usize)>,
     layout: TileLayout,
-    tile_of: &dyn Fn(TileId) -> TileValue,
+    tile_of: &dyn Fn(TileId) -> Tile,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
@@ -558,7 +545,7 @@ fn run(
     let grid = ProcessGrid::new(dist.nodes);
     let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
     let problem = ProblemMsg {
-        factor,
+        compression,
         n: layout.n(),
         nb: layout.nb(),
         a: a.to_vec(),
@@ -876,7 +863,7 @@ struct RecoverArgs<'a> {
     dist: &'a DistConfig,
     grid: &'a ProcessGrid,
     layout: TileLayout,
-    tile_of: &'a dyn Fn(TileId) -> TileValue,
+    tile_of: &'a dyn Fn(TileId) -> Tile,
     addr: &'a str,
     guard: &'a mut ChildGuard,
     epoch: &'a mut u64,

@@ -11,9 +11,7 @@
 //!
 //! The plan travels to the worker processes through the
 //! [`FAULTS_ENV`] environment variable in a compact text encoding
-//! (`kill:1@task3;sever:0@fetch2;delay:2@fetch1=50`), which generalizes the
-//! original `MVN_DIST_CRASH_RANK`/`MVN_DIST_CRASH_AFTER_TASKS` hooks — those
-//! are still honored and parse into a [`FaultAction::KillAtTask`].
+//! (`kill:1@task3;sever:0@fetch2;delay:2@fetch1=50`).
 //! [`FaultPlan::from_seed`] derives a pseudo-random single-kill plan from a
 //! seed (a splitmix64 walk, no external RNG), which is what
 //! `mvn_dist --smoke --chaos <seed>` uses.
@@ -232,25 +230,14 @@ impl FaultInjector {
         }
     }
 
-    /// Build from the process environment: [`FAULTS_ENV`] plus the legacy
-    /// `MVN_DIST_CRASH_RANK`/`MVN_DIST_CRASH_AFTER_TASKS` pair (which maps
-    /// to a [`FaultAction::KillAtTask`]). A malformed plan is an error — a
-    /// chaos test with a typo must fail loudly, not run healthy.
+    /// Build from the [`FAULTS_ENV`] variable of the process environment. A
+    /// malformed plan is an error — a chaos test with a typo must fail
+    /// loudly, not run healthy.
     pub fn from_env(rank: usize, exit_code: i32) -> Result<Self, String> {
-        let mut plan = match std::env::var(FAULTS_ENV) {
+        let plan = match std::env::var(FAULTS_ENV) {
             Ok(s) => FaultPlan::from_env_str(&s)?,
             Err(_) => FaultPlan::none(),
         };
-        if let Ok(r) = std::env::var(crate::worker::CRASH_RANK_ENV) {
-            if r.parse() == Ok(rank) {
-                if let Some(after) = std::env::var(crate::worker::CRASH_AFTER_ENV)
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                {
-                    plan.actions.push(FaultAction::KillAtTask { rank, after });
-                }
-            }
-        }
         Ok(Self::new(rank, &plan, exit_code))
     }
 

@@ -20,7 +20,9 @@
 //! * **Execution.** Inside each worker the owned task sequence streams
 //!   through one [`task_runtime::WorkerPool::execute`] session with
 //!   hazard-inferred dependencies, so per-tile kernel order — and therefore
-//!   every bit of the factor — matches the single-process DAG.
+//!   every bit of the factor — matches the single-process DAG. Each step
+//!   runs the single-process step body, [`tlr::dag::tlr_step`], on a
+//!   [`tlr::Tile`].
 //!
 //! The headline property is **bitwise identity**: for any node count and
 //! worker count, the distributed probability equals

@@ -41,32 +41,19 @@
 //! "stale" tile frame is still the right answer.
 
 use crate::plan::TileId;
-use crate::store::TileValue;
 use qmc::SampleKind;
 use tile_la::DenseMatrix;
-use tlr::{CompressionTol, LowRankBlock};
-use wire::Json;
-
-/// Factor storage format of the distributed problem.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FactorSpec {
-    /// Dense tiles everywhere.
-    Dense,
-    /// Dense diagonal, compressed off-diagonal tiles.
-    Tlr {
-        /// Recompression tolerance used by the trailing TLR updates.
-        tol: CompressionTol,
-        /// Rank cap (`usize::MAX` = uncapped; travels as `null`).
-        max_rank: usize,
-    },
-}
+use tlr::{CompressionTol, LowRankBlock, Tile};
+use wire::{parse_limits, Json};
 
 /// The problem statement each worker receives (everything needed to replay
 /// its share of the factor+sweep pipeline deterministically).
 #[derive(Debug, Clone)]
 pub struct ProblemMsg {
-    /// Factor kind and compression parameters.
-    pub factor: FactorSpec,
+    /// The `(tolerance, rank cap)` of a TLR factor — the trailing updates
+    /// recompress under them, and a cap of `usize::MAX` (uncapped) travels
+    /// as `null` — or `None` for a dense factor.
+    pub compression: Option<(CompressionTol, usize)>,
     /// Matrix dimension.
     pub n: usize,
     /// Tile size.
@@ -114,7 +101,7 @@ pub struct SetupMsg {
     /// The shared problem statement.
     pub problem: ProblemMsg,
     /// Initial (unfactored) values of the tiles this rank owns.
-    pub tiles: Vec<(TileId, TileValue)>,
+    pub tiles: Vec<(TileId, Tile)>,
 }
 
 /// A worker's report: panel sweep results plus transfer/recovery
@@ -181,7 +168,7 @@ pub struct ReownMsg {
     /// The dead rank's unreported panels, to sweep and report.
     pub panels: Vec<usize>,
     /// The dead rank's *initial* (unfactored) tiles — replay input.
-    pub tiles: Vec<(TileId, TileValue)>,
+    pub tiles: Vec<(TileId, Tile)>,
 }
 
 /// Everything a worker can receive from the coordinator after setup.
@@ -317,24 +304,24 @@ fn dense_from_json(v: &Json) -> Result<DenseMatrix, String> {
 }
 
 /// Encode a tile value (`{"r","c","d"}` dense, `{"u","v"}` low-rank).
-pub fn tile_to_json(t: &TileValue) -> Json {
+pub fn tile_to_json(t: &Tile) -> Json {
     match t {
-        TileValue::Dense(d) => dense_to_json(d),
-        TileValue::LowRank(b) => obj(vec![("u", dense_to_json(&b.u)), ("v", dense_to_json(&b.v))]),
+        Tile::Dense(d) => dense_to_json(d),
+        Tile::LowRank(b) => obj(vec![("u", dense_to_json(&b.u)), ("v", dense_to_json(&b.v))]),
     }
 }
 
 /// Decode a tile value.
-pub fn tile_from_json(v: &Json) -> Result<TileValue, String> {
+pub fn tile_from_json(v: &Json) -> Result<Tile, String> {
     if v.get("u").is_some() {
         let u = dense_from_json(v.get("u").unwrap())?;
         let vv = dense_from_json(v.get("v").ok_or("low-rank tile missing v")?)?;
         if u.ncols() != vv.ncols() {
             return Err("low-rank factors must share the rank dimension".into());
         }
-        Ok(TileValue::LowRank(LowRankBlock::new(u, vv)))
+        Ok(Tile::LowRank(LowRankBlock::new(u, vv)))
     } else {
-        Ok(TileValue::Dense(dense_from_json(v)?))
+        Ok(Tile::Dense(dense_from_json(v)?))
     }
 }
 
@@ -364,7 +351,7 @@ pub fn parse_tile_request(v: &Json) -> Result<TileId, String> {
 }
 
 /// `{"tile":..}` — the tile transport response.
-pub fn tile_response(t: &TileValue) -> Json {
+pub fn tile_response(t: &Tile) -> Json {
     obj(vec![("tile", tile_to_json(t))])
 }
 
@@ -376,7 +363,7 @@ pub fn tile_error(reason: &str) -> Json {
 }
 
 /// Parse a tile response; a `{"err":..}` refusal surfaces as `Err`.
-pub fn parse_tile_response(v: &Json) -> Result<TileValue, String> {
+pub fn parse_tile_response(v: &Json) -> Result<Tile, String> {
     if let Some(reason) = v.get("err").and_then(Json::as_str) {
         return Err(format!("peer refused tile: {reason}"));
     }
@@ -406,29 +393,14 @@ fn limits_to_json(xs: &[f64]) -> Json {
     Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
 }
 
-fn limits_from_json(v: &Json, inf: f64) -> Result<Vec<f64>, String> {
-    v.as_arr()
-        .ok_or("limits must be an array")?
-        .iter()
-        .map(|x| match x {
-            Json::Null => Ok(inf),
-            other => other.as_f64().ok_or_else(|| "invalid limit".to_string()),
-        })
-        .collect()
-}
-
 fn problem_to_json(p: &ProblemMsg) -> Json {
-    let mut fields = vec![(
-        "kind",
-        Json::Str(
-            match p.factor {
-                FactorSpec::Dense => "dense",
-                FactorSpec::Tlr { .. } => "tlr",
-            }
-            .into(),
-        ),
-    )];
-    if let FactorSpec::Tlr { tol, max_rank } = p.factor {
+    let kind = if p.compression.is_some() {
+        "tlr"
+    } else {
+        "dense"
+    };
+    let mut fields = vec![("kind", Json::Str(kind.into()))];
+    if let Some((tol, max_rank)) = p.compression {
         let (tk, tv) = match tol {
             CompressionTol::Absolute(x) => ("absolute", x),
             CompressionTol::Relative(x) => ("relative", x),
@@ -463,8 +435,8 @@ fn problem_to_json(p: &ProblemMsg) -> Json {
 }
 
 fn problem_from_json(v: &Json) -> Result<ProblemMsg, String> {
-    let factor = match get_str(v, "kind")? {
-        "dense" => FactorSpec::Dense,
+    let compression = match get_str(v, "kind")? {
+        "dense" => None,
         "tlr" => {
             let tol = match get_str(v, "tol_kind")? {
                 "absolute" => CompressionTol::Absolute(get_f64(v, "tol")?),
@@ -475,16 +447,16 @@ fn problem_from_json(v: &Json) -> Result<ProblemMsg, String> {
                 Some(Json::Null) | None => usize::MAX,
                 Some(x) => x.as_usize().ok_or("invalid max_rank")?,
             };
-            FactorSpec::Tlr { tol, max_rank }
+            Some((tol, max_rank))
         }
         other => return Err(format!("unknown factor kind {other:?}")),
     };
     Ok(ProblemMsg {
-        factor,
+        compression,
         n: get_usize(v, "n")?,
         nb: get_usize(v, "nb")?,
-        a: limits_from_json(v.get("a").ok_or("missing a")?, f64::NEG_INFINITY)?,
-        b: limits_from_json(v.get("b").ok_or("missing b")?, f64::INFINITY)?,
+        a: parse_limits(v.get("a").ok_or("missing a")?, f64::NEG_INFINITY)?,
+        b: parse_limits(v.get("b").ok_or("missing b")?, f64::INFINITY)?,
         sample_size: get_usize(v, "samples")?,
         panel_width: get_usize(v, "panel")?,
         sample_kind: sample_kind_from(get_str(v, "sample_kind")?)?,
@@ -520,7 +492,7 @@ fn peers_from(v: &Json) -> Result<Vec<String>, String> {
         .map_err(|e| e.to_string())
 }
 
-fn tiles_to_json(tiles: &[(TileId, TileValue)]) -> Json {
+fn tiles_to_json(tiles: &[(TileId, Tile)]) -> Json {
     Json::Arr(
         tiles
             .iter()
@@ -529,7 +501,7 @@ fn tiles_to_json(tiles: &[(TileId, TileValue)]) -> Json {
     )
 }
 
-fn tiles_from(v: &Json) -> Result<Vec<(TileId, TileValue)>, String> {
+fn tiles_from(v: &Json) -> Result<Vec<(TileId, Tile)>, String> {
     v.get("tiles")
         .and_then(Json::as_arr)
         .ok_or("missing tiles")?
@@ -801,20 +773,20 @@ mod tests {
     #[test]
     fn tiles_roundtrip_bitwise() {
         let d = DenseMatrix::from_fn(3, 2, |i, j| (i as f64 + 0.1) / (j as f64 + 0.3));
-        let t = TileValue::Dense(d.clone());
+        let t = Tile::Dense(d.clone());
         let back = tile_from_json(&Json::parse(&tile_to_json(&t).to_string()).unwrap()).unwrap();
         assert_eq!(back.as_dense().data().len(), d.data().len());
         for (a, b) in back.as_dense().data().iter().zip(d.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        let lr = TileValue::LowRank(LowRankBlock::new(
+        let lr = Tile::LowRank(LowRankBlock::new(
             DenseMatrix::from_fn(4, 2, |i, j| 1.0 / (1.0 + i as f64 + j as f64)),
             DenseMatrix::from_fn(3, 2, |i, j| (i as f64 - j as f64) * 0.7),
         ));
         let back = tile_from_json(&Json::parse(&tile_to_json(&lr).to_string()).unwrap()).unwrap();
         match (&back, &lr) {
-            (TileValue::LowRank(x), TileValue::LowRank(y)) => {
+            (Tile::LowRank(x), Tile::LowRank(y)) => {
                 assert_eq!(x.rank(), y.rank());
                 for (a, b) in x.u.data().iter().zip(y.u.data()) {
                     assert_eq!(a.to_bits(), b.to_bits());
@@ -826,10 +798,10 @@ mod tests {
             _ => panic!("expected a low-rank tile"),
         }
         // Rank 0 survives too (zero off-diagonal tiles exist in practice).
-        let zero = TileValue::LowRank(LowRankBlock::zero(5, 4));
+        let zero = Tile::LowRank(LowRankBlock::zero(5, 4));
         let back = tile_from_json(&Json::parse(&tile_to_json(&zero).to_string()).unwrap()).unwrap();
         match back {
-            TileValue::LowRank(b) => {
+            Tile::LowRank(b) => {
                 assert_eq!(b.rank(), 0);
                 assert_eq!((b.nrows(), b.ncols()), (5, 4));
             }
@@ -847,10 +819,7 @@ mod tests {
             executor: vec![0, 1, 2, 1],
             panels: vec![2, 6, 10],
             problem: ProblemMsg {
-                factor: FactorSpec::Tlr {
-                    tol: CompressionTol::Absolute(1e-9),
-                    max_rank: usize::MAX,
-                },
+                compression: Some((CompressionTol::Absolute(1e-9), usize::MAX)),
                 n: 96,
                 nb: 24,
                 a: vec![f64::NEG_INFINITY, -1.25],
@@ -862,7 +831,7 @@ mod tests {
                 workers: 2,
                 deadline_ms: 120_000,
             },
-            tiles: vec![((1, 0), TileValue::Dense(DenseMatrix::identity(3)))],
+            tiles: vec![((1, 0), Tile::Dense(DenseMatrix::identity(3)))],
         };
         let wire = setup_to_json(&msg).to_string();
         let back = setup_from_json(&Json::parse(&wire).unwrap()).unwrap();
@@ -877,13 +846,7 @@ mod tests {
         assert_eq!(back.problem.a[0], f64::NEG_INFINITY);
         assert_eq!(back.problem.b[1], f64::INFINITY);
         assert_eq!(back.problem.a[1].to_bits(), (-1.25f64).to_bits());
-        assert!(matches!(
-            back.problem.factor,
-            FactorSpec::Tlr {
-                max_rank: usize::MAX,
-                ..
-            }
-        ));
+        assert!(matches!(back.problem.compression, Some((_, usize::MAX))));
         assert_eq!(back.tiles.len(), 1);
         assert_eq!(back.tiles[0].0, (1, 0));
     }
@@ -1013,7 +976,7 @@ mod tests {
             peers: vec!["x:1".into(), "x:1".into()],
             executor: vec![0, 0],
             panels: vec![1, 3],
-            tiles: vec![((1, 0), TileValue::Dense(DenseMatrix::identity(2)))],
+            tiles: vec![((1, 0), Tile::Dense(DenseMatrix::identity(2)))],
         };
         match ctrl_from_json(&Json::parse(&reown_to_json(&ro).to_string()).unwrap()).unwrap() {
             CtrlMsg::Reown(m) => {

@@ -23,43 +23,14 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
-use tile_la::DenseMatrix;
-use tlr::LowRankBlock;
+use tile_la::dag::Step;
+use tlr::Tile;
 
 use crate::plan::TileId;
 
-/// A resident tile value: dense (diagonal tiles, and every tile of a dense
-/// factor) or low-rank (off-diagonal tiles of a TLR factor).
-#[derive(Debug, Clone)]
-pub enum TileValue {
-    /// A dense tile.
-    Dense(DenseMatrix),
-    /// A compressed `U·Vᵀ` tile.
-    LowRank(LowRankBlock),
-}
-
-impl TileValue {
-    /// The dense payload, panicking on a low-rank tile (used where the plan
-    /// guarantees density, e.g. diagonal tiles).
-    pub fn as_dense(&self) -> &DenseMatrix {
-        match self {
-            TileValue::Dense(d) => d,
-            TileValue::LowRank(_) => panic!("expected a dense tile"),
-        }
-    }
-
-    /// Number of stored doubles (for transfer accounting).
-    pub fn stored_elements(&self) -> usize {
-        match self {
-            TileValue::Dense(d) => d.nrows() * d.ncols(),
-            TileValue::LowRank(b) => b.stored_elements(),
-        }
-    }
-}
-
 #[derive(Default)]
 struct SlotState {
-    value: Option<Arc<TileValue>>,
+    value: Option<Arc<Tile>>,
     is_final: bool,
 }
 
@@ -89,7 +60,7 @@ impl DistStore {
     }
 
     /// Insert an owned tile's initial (unfactored) value.
-    pub fn insert_initial(&self, id: TileId, value: TileValue) {
+    pub fn insert_initial(&self, id: TileId, value: Tile) {
         let mut st = self.slot(id).state.lock().unwrap();
         assert!(st.value.is_none(), "tile {id:?} inserted twice");
         st.value = Some(Arc::new(value));
@@ -101,7 +72,7 @@ impl DistStore {
     /// recovery, a buffered pre-death response and the replay path can both
     /// deliver a tile, and final versions are bitwise identical by
     /// determinism — the first one in wins, the duplicate is dropped.
-    pub fn insert_fetched(&self, id: TileId, value: TileValue) {
+    pub fn insert_fetched(&self, id: TileId, value: Tile) {
         let slot = self.slot(id);
         let mut st = slot.state.lock().unwrap();
         if st.value.is_some() {
@@ -121,7 +92,7 @@ impl DistStore {
     /// versions). Same duplicate-tolerance as [`DistStore::insert_fetched`]:
     /// if a final version is already resident it is kept — the replayed bits
     /// are identical.
-    pub fn publish_final(&self, id: TileId, value: TileValue) {
+    pub fn publish_final(&self, id: TileId, value: Tile) {
         self.insert_fetched(id, value);
     }
 
@@ -135,7 +106,7 @@ impl DistStore {
 
     /// Detach a tile for a read-write kernel. Exclusive by hazard ordering;
     /// the slot is empty (peers wait) until [`DistStore::put`] returns it.
-    pub fn take(&self, id: TileId) -> Arc<TileValue> {
+    pub fn take(&self, id: TileId) -> Arc<Tile> {
         let mut st = self.slot(id).state.lock().unwrap();
         st.value
             .take()
@@ -144,7 +115,7 @@ impl DistStore {
 
     /// Re-attach a tile after a kernel, optionally finalizing it (waking any
     /// peer-serving thread blocked on it).
-    pub fn put(&self, id: TileId, value: Arc<TileValue>, finalize: bool) {
+    pub fn put(&self, id: TileId, value: Arc<Tile>, finalize: bool) {
         let slot = self.slot(id);
         let mut st = slot.state.lock().unwrap();
         assert!(st.value.is_none(), "tile {id:?} put back twice");
@@ -157,17 +128,23 @@ impl DistStore {
 
     /// A read-only reference to a tile that must already be final — every
     /// read in the factorization plan is (see [`crate::plan`]).
-    pub fn get_final(&self, id: TileId) -> Arc<TileValue> {
+    pub fn get_final(&self, id: TileId) -> Arc<Tile> {
         let st = self.slot(id).state.lock().unwrap();
         assert!(st.is_final, "tile {id:?} read before it was finalized");
         Arc::clone(st.value.as_ref().expect("final tile must be resident"))
+    }
+
+    /// The read tiles of a plan step, in [`Step::reads`] order; like
+    /// [`DistStore::get_final`], each must already be final.
+    pub fn final_reads(&self, step: Step) -> Vec<Arc<Tile>> {
+        step.reads().iter().map(|&id| self.get_final(id)).collect()
     }
 
     /// Block until the tile is final, then return it (the peer-serving
     /// path). Unblocked by the owning task's `put(.., true)`; if the owner
     /// never finalizes (a crashed or failed peer pipeline), the caller stays
     /// blocked until its process is torn down by the coordinator.
-    pub fn wait_final(&self, id: TileId) -> Arc<TileValue> {
+    pub fn wait_final(&self, id: TileId) -> Arc<Tile> {
         let slot = self.slot(id);
         let mut st = slot.state.lock().unwrap();
         while !(st.is_final && st.value.is_some()) {
@@ -185,7 +162,7 @@ impl DistStore {
         &self,
         id: TileId,
         timeout: std::time::Duration,
-    ) -> Option<Arc<TileValue>> {
+    ) -> Option<Arc<Tile>> {
         let slot = self.slot(id);
         let deadline = std::time::Instant::now() + timeout;
         let mut st = slot.state.lock().unwrap();
@@ -204,9 +181,10 @@ impl DistStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tile_la::DenseMatrix;
 
-    fn dense(v: f64) -> TileValue {
-        TileValue::Dense(DenseMatrix::from_fn(2, 2, |_, _| v))
+    fn dense(v: f64) -> Tile {
+        Tile::Dense(DenseMatrix::from_fn(2, 2, |_, _| v))
     }
 
     #[test]

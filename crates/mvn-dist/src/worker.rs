@@ -26,13 +26,14 @@
 //! Each tile's writers all share the tile's *executor*, and the executor
 //! applies them in global plan order — through the hazard-inferring stream
 //! for its own slice, sequentially for a replayed slice — so per-tile kernel
-//! order equals the single-process DAG's, and every kernel consumes
-//! bit-identical inputs (locally produced, or shipped with the
-//! shortest-roundtrip `f64` encoding). The sweep then runs the engine's own
-//! [`mvn_core::sweep_panel`] against bit-identical factor tiles with the
-//! same deterministic point set, and panel results depend only on the panel
-//! index — not on which node computes it, nor on whether it was computed
-//! before or after a recovery.
+//! order equals the single-process DAG's. Every step runs
+//! [`tlr::dag::tlr_step`], the step body `potrf_tiled` and `potrf_tlr` run
+//! (this crate calls no kernel itself), on bit-identical inputs (locally
+//! produced, or shipped with the shortest-roundtrip `f64` encoding). The
+//! sweep then runs the engine's own [`mvn_core::sweep_panel`] against
+//! bit-identical factor tiles with the same deterministic point set, and
+//! panel results depend only on the panel index — not on which node
+//! computes it, nor on whether it was computed before or after a recovery.
 //!
 //! ## Recovery behavior
 //!
@@ -59,26 +60,18 @@ use distsim::ProcessGrid;
 use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{effective_workers, HandleRegistry, WorkerPool};
-use tile_la::dag::{register_tile_handles, FactorStatus, Kernel, Step};
-use tile_la::kernels::{
-    gemm_nt, potrf_in_place, syrk_lower, trsm_left_lower_notrans, trsm_right_lower_trans,
-};
+use tile_la::dag::{register_tile_handles, FactorStatus};
+use tile_la::kernels::gemm_nt;
 use tile_la::{DenseMatrix, TileLayout};
-use tlr::{lr_aa_t_update, lr_gemm_panel_t, lr_lr_t_update};
+use tlr::dag::tlr_step;
+use tlr::{lr_gemm_panel_t, Tile};
 use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
 use crate::plan::{rank_slice, TileId};
-use crate::proto::{self, CtrlMsg, DoneMsg, FactorSpec, ReownMsg, WorkerErrorMsg, WorkerMsg};
-use crate::store::{DistStore, TileValue};
+use crate::proto::{self, CtrlMsg, DoneMsg, ReownMsg, WorkerErrorMsg, WorkerMsg};
+use crate::store::DistStore;
 
-/// Fault-injection hook (legacy): when this env var equals the worker's
-/// rank, the process exits mid-factor (see [`CRASH_AFTER_ENV`]). Kept for
-/// compatibility; the general mechanism is [`crate::faults::FAULTS_ENV`].
-pub const CRASH_RANK_ENV: &str = "MVN_DIST_CRASH_RANK";
-/// Companion to [`CRASH_RANK_ENV`]: how many owned factor tasks to submit
-/// before exiting.
-pub const CRASH_AFTER_ENV: &str = "MVN_DIST_CRASH_AFTER_TASKS";
 /// Exit code of an injected crash (distinguishable from panics in CI logs).
 pub const CRASH_EXIT_CODE: i32 = 42;
 
@@ -264,7 +257,7 @@ impl PeerLinks {
         id: TileId,
         epoch: u64,
         injector: &FaultInjector,
-    ) -> Result<TileValue, String> {
+    ) -> Result<Tile, String> {
         match injector.on_fetch() {
             FetchFault::None => {}
             FetchFault::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
@@ -276,7 +269,7 @@ impl PeerLinks {
                 return Err(format!("connection to {addr} severed (injected fault)"));
             }
         }
-        let attempt = (|| -> Result<TileValue, String> {
+        let attempt = (|| -> Result<Tile, String> {
             if !self.conns.contains_key(addr) {
                 let stream = TcpStream::connect(addr)
                     .map_err(|e| format!("connecting to peer {addr}: {e}"))?;
@@ -399,9 +392,9 @@ fn ensure_final_wait(
 struct DistFactor {
     n: usize,
     layout: TileLayout,
-    diag: Vec<Arc<TileValue>>,
+    diag: Vec<Arc<Tile>>,
     /// `off[i]` holds tiles `(i, 0..i)`; dense or low-rank by factor kind.
-    off: Vec<Vec<Arc<TileValue>>>,
+    off: Vec<Vec<Arc<Tile>>>,
 }
 
 impl CholeskyFactor for DistFactor {
@@ -416,8 +409,8 @@ impl CholeskyFactor for DistFactor {
     }
     fn apply_offdiag(&self, j: usize, r: usize, yt: &DenseMatrix, acc: &mut DenseMatrix) {
         match &*self.off[j][r] {
-            TileValue::Dense(t) => gemm_nt(-1.0, yt, t, 1.0, acc),
-            TileValue::LowRank(b) => lr_gemm_panel_t(-1.0, b, yt, 1.0, acc),
+            Tile::Dense(t) => gemm_nt(-1.0, yt, t, 1.0, acc),
+            Tile::LowRank(b) => lr_gemm_panel_t(-1.0, b, yt, 1.0, acc),
         }
     }
 }
@@ -633,7 +626,7 @@ fn factor(
     let layout = ctx.layout;
     let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
     let status = FactorStatus::new();
-    let (tlr_tol, tlr_max_rank) = tlr_params(&ctx.problem.factor);
+    let compression = ctx.problem.compression;
 
     let store_ref: &DistStore = &ctx.store;
     let status_ref = &status;
@@ -657,26 +650,21 @@ fn factor(
             executed += 1;
 
             sink.submit_task(
-                step.spec(&handles, tlr_tol.is_some())
+                step.spec(&handles, compression.is_some())
                     .cost(step.flops(layout)),
                 Some(Box::new(move || {
                     if status_ref.is_failed() {
                         return;
                     }
                     let mut tile = store_ref.take(step.out);
+                    let reads = store_ref.final_reads(step);
                     // Unique pre-final by hazard ordering: no peer or local
                     // reader ever holds a non-final tile, so this mutates in
                     // place without copying.
-                    let val = Arc::make_mut(&mut tile);
-                    run_kernel(
-                        step,
-                        val,
-                        store_ref,
-                        status_ref,
-                        layout,
-                        tlr_tol,
-                        tlr_max_rank,
-                    );
+                    let out = Arc::make_mut(&mut tile);
+                    if let Err(pivot) = tlr_step(step, out, &reads, layout, compression) {
+                        status_ref.fail(pivot);
+                    }
                     store_ref.put(step.out, tile, step.finalizes());
                 })),
             );
@@ -802,10 +790,8 @@ fn replay_rank_inner(
     started: Instant,
 ) -> Result<DoneMsg, WorkerErrorMsg> {
     let layout = ctx.layout;
-    let status = FactorStatus::new();
-    let (tlr_tol, tlr_max_rank) = tlr_params(&ctx.problem.factor);
     let mut links = PeerLinks::new();
-    let mut workspace: HashMap<TileId, TileValue> =
+    let mut workspace: HashMap<TileId, Tile> =
         reown.tiles.iter().map(|(id, t)| (*id, t.clone())).collect();
     let mut skip: HashSet<TileId> = HashSet::new();
     let mut touched: HashSet<TileId> = HashSet::new();
@@ -838,20 +824,16 @@ fn replay_rank_inner(
             ))
         })?;
         let t0 = obs::now_ns();
-        run_kernel(
+        let stepped = tlr_step(
             step,
             out,
-            &ctx.store,
-            &status,
+            &ctx.store.final_reads(step),
             layout,
-            tlr_tol,
-            tlr_max_rank,
+            ctx.problem.compression,
         );
         kernel_ns += obs::now_ns().saturating_sub(t0);
         replayed += 1;
-        if let Some(pivot) = status.pivot() {
-            return Err(WorkerErrorMsg::Factorization { pivot });
-        }
+        stepped.map_err(|pivot| WorkerErrorMsg::Factorization { pivot })?;
         if step.finalizes() {
             let val = workspace.remove(&step.out).unwrap();
             ctx.store.publish_final(step.out, val);
@@ -880,73 +862,6 @@ fn replay_rank_inner(
             Vec::new()
         },
     })
-}
-
-/// The TLR compression parameters of a factor spec (`None` for dense).
-fn tlr_params(factor: &FactorSpec) -> (Option<tlr::CompressionTol>, usize) {
-    match *factor {
-        FactorSpec::Dense => (None, usize::MAX),
-        FactorSpec::Tlr { tol, max_rank } => (Some(tol), max_rank),
-    }
-}
-
-/// Apply one plan step to its detached output tile — the same kernel calls,
-/// in the same per-tile order, as the single-process submitters in
-/// `tile_la::dag` / `tlr::dag`.
-fn run_kernel(
-    step: Step,
-    out: &mut TileValue,
-    store: &DistStore,
-    status: &FactorStatus,
-    layout: TileLayout,
-    tlr_tol: Option<tlr::CompressionTol>,
-    tlr_max_rank: usize,
-) {
-    let reads = step.reads();
-    match step.kernel {
-        Kernel::Potrf => {
-            let d = match out {
-                TileValue::Dense(d) => d,
-                TileValue::LowRank(_) => unreachable!("diagonal tiles are dense"),
-            };
-            if let Err(local) = potrf_in_place(d) {
-                status.fail(layout.tile_start(step.out.0) + local);
-            }
-        }
-        Kernel::Trsm => {
-            let lkk = store.get_final(reads[0]);
-            match out {
-                TileValue::Dense(t) => trsm_right_lower_trans(lkk.as_dense(), t),
-                TileValue::LowRank(blk) => {
-                    if blk.rank() > 0 {
-                        trsm_left_lower_notrans(lkk.as_dense(), &mut blk.v);
-                    }
-                }
-            }
-        }
-        Kernel::Syrk => {
-            let lik = store.get_final(reads[0]);
-            match (out, &*lik) {
-                (TileValue::Dense(t), TileValue::Dense(l)) => syrk_lower(-1.0, l, 1.0, t),
-                (TileValue::Dense(t), TileValue::LowRank(a_ik)) => lr_aa_t_update(t, a_ik),
-                _ => unreachable!("syrk output (a diagonal tile) is dense"),
-            }
-        }
-        Kernel::Gemm => {
-            let lik = store.get_final(reads[0]);
-            let ljk = store.get_final(reads[1]);
-            match (out, &*lik, &*ljk) {
-                (TileValue::Dense(t), TileValue::Dense(a), TileValue::Dense(b)) => {
-                    gemm_nt(-1.0, a, b, 1.0, t)
-                }
-                (TileValue::LowRank(c), TileValue::LowRank(a_ik), TileValue::LowRank(a_jk)) => {
-                    let tol = tlr_tol.expect("low-rank gemm requires compression parameters");
-                    *c = lr_lr_t_update(c, a_ik, a_jk, tol, tlr_max_rank);
-                }
-                _ => unreachable!("gemm tiles share the factor's storage kind"),
-            }
-        }
-    }
 }
 
 /// Accept loop of the tile server: one thread per peer connection, each
@@ -1044,7 +959,7 @@ mod tests {
 
         let (n, nb) = (4, 2);
         let tile = |i: usize, j: usize| {
-            TileValue::Dense(DenseMatrix::from_fn(nb, nb, |r, c| {
+            Tile::Dense(DenseMatrix::from_fn(nb, nb, |r, c| {
                 if i == j && r == c {
                     1.0
                 } else {
@@ -1060,7 +975,7 @@ mod tests {
             executor: vec![0],
             panels: Vec::new(),
             problem: ProblemMsg {
-                factor: proto::FactorSpec::Dense,
+                compression: None,
                 n,
                 nb,
                 a: vec![-1.0; n],

@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistError};
+use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistError, FaultAction, FaultPlan};
 use qmc::SampleKind;
 use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
@@ -143,16 +143,9 @@ fn worker_crash_mid_factor_is_a_typed_error_not_a_hang() {
     // error* path; the recovery paths have their own test matrix
     // (tests/dist_recovery.rs).
     dc.recovery = mvn_dist::Recovery::Off;
-    dc.worker_env = vec![
-        (
-            mvn_dist::worker::CRASH_RANK_ENV.to_string(),
-            "1".to_string(),
-        ),
-        (
-            mvn_dist::worker::CRASH_AFTER_ENV.to_string(),
-            "2".to_string(),
-        ),
-    ];
+    dc.faults = FaultPlan {
+        actions: vec![FaultAction::KillAtTask { rank: 1, after: 2 }],
+    };
 
     let start = Instant::now();
     let err =

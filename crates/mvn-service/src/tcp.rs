@@ -67,7 +67,7 @@
 //! `mvn_service_*` / `mvn_pool_*` gauges. Scrape it with `nc`:
 //! `echo '{"id":1,"metrics":true}' | nc 127.0.0.1 9000`.
 
-use crate::json::{write_escaped, write_f64, Json};
+use crate::json::{parse_limits, write_escaped, write_f64, Json};
 use crate::service::{
     CacheOpOutput, CacheTicket, MvnService, ServiceError, SolveOutput, SpecHandle, Ticket,
 };
@@ -417,8 +417,8 @@ fn parse_cache_target(req: &Json) -> Result<SpecHandle, String> {
 fn parse_solve(req: &Json) -> Result<(SpecHandle, Problem, Option<Duration>), String> {
     let spec = req.get("spec").ok_or("missing \"spec\"")?;
     let spec = parse_spec(spec)?;
-    let a = limits(req.get("a").ok_or("missing \"a\"")?, f64::NEG_INFINITY)?;
-    let b = limits(req.get("b").ok_or("missing \"b\"")?, f64::INFINITY)?;
+    let a = parse_limits(req.get("a").ok_or("missing \"a\"")?, f64::NEG_INFINITY)?;
+    let b = parse_limits(req.get("b").ok_or("missing \"b\"")?, f64::INFINITY)?;
     let deadline = match req.get("deadline_ms") {
         None | Some(Json::Null) => None,
         Some(v) => {
@@ -430,22 +430,6 @@ fn parse_solve(req: &Json) -> Result<(SpecHandle, Problem, Option<Duration>), St
         }
     };
     Ok((SpecHandle::new(spec), Problem::new(a, b), deadline))
-}
-
-/// Parse a limit array; `null` entries become `inf_value` (`-inf` for `a`,
-/// `+inf` for `b`).
-fn limits(v: &Json, inf_value: f64) -> Result<Vec<f64>, String> {
-    v.as_arr()
-        .ok_or("limits must be arrays")?
-        .iter()
-        .map(|x| match x {
-            Json::Null => Ok(inf_value),
-            Json::Num(v) => Ok(*v),
-            other => Err(format!(
-                "limit entries must be numbers or null, got {other}"
-            )),
-        })
-        .collect()
 }
 
 /// Parse a wire spec object into a [`CovSpec`].

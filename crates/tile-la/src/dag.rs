@@ -1,8 +1,8 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool (the paper's StarPU programming model): the one task
-//! order [`cholesky_plan`], and the building blocks
-//! [`potrf_tiled`](crate::potrf_tiled), the TLR factorization in `tlr`, the
-//! `mvn-dist` worker and the `distsim` model compose.
+//! order [`cholesky_plan`], the one dense step body [`dense_step`], and the
+//! building blocks [`potrf_tiled`](crate::potrf_tiled), the TLR factorization
+//! in `tlr`, the `mvn-dist` worker and the `distsim` model compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
 //! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
@@ -19,8 +19,11 @@ use crate::dense::DenseMatrix;
 use crate::kernels::{gemm_nt, potrf_in_place, syrk_lower, trsm_right_lower_trans};
 use crate::layout::TileLayout;
 use crate::sym_tile::SymTileMatrix;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use task_runtime::{AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileStore};
+use task_runtime::{
+    AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileRef, TileStore,
+};
 
 /// Shared failure state of a factorization task graph.
 ///
@@ -195,15 +198,6 @@ impl Step {
         }
     }
 
-    /// The handles of the output and of the two read slots in the
-    /// lower-triangle grid `handles[i][j]`; slots past
-    /// [`reads`](Step::reads)`().len()` name some tile of the step and must
-    /// not be accessed.
-    pub fn handles_in(&self, handles: &[Vec<DataHandle>]) -> (DataHandle, [DataHandle; 2]) {
-        let h = |(i, j): TileId| handles[i][j];
-        (h(self.out), self.reads.map(h))
-    }
-
     /// The task spec of this step over the lower-triangle handle grid
     /// `handles[i][j]`: the reads, then the read-write output. No cost.
     pub fn spec(&self, handles: &[Vec<DataHandle>], low_rank: bool) -> TaskSpec {
@@ -245,16 +239,75 @@ pub fn cholesky_plan(nt: usize) -> impl Iterator<Item = Step> {
     })
 }
 
-/// Submit the right-looking tiled Cholesky factorization of the tiles behind
-/// `handles` into any [`TaskSink`] (normally the one
+/// Apply one plan step to its dense output tile, given the step's read
+/// tiles in [`Step::reads`] order: the one place a dense step's kernel call
+/// is written. [`potrf_tiled`](crate::potrf_tiled)'s submitter calls it, and
+/// so do the all-dense arms of the TLR step function in `tlr::dag`, which the
+/// TLR submitter and the `mvn-dist` worker run. A `potrf` that meets a
+/// non-positive pivot returns the pivot's global index.
+pub fn dense_step<R: Deref<Target = DenseMatrix>>(
+    step: Step,
+    out: &mut DenseMatrix,
+    reads: &[R],
+    layout: TileLayout,
+) -> Result<(), usize> {
+    match (step.kernel, reads) {
+        (Kernel::Potrf, []) => {
+            potrf_in_place(out).map_err(|local| layout.tile_start(step.out.0) + local)?
+        }
+        (Kernel::Trsm, [lkk]) => trsm_right_lower_trans(lkk, out),
+        (Kernel::Syrk, [a]) => syrk_lower(-1.0, a, 1.0, out),
+        (Kernel::Gemm, [a, b]) => gemm_nt(-1.0, a, b, 1.0, out),
+        (kernel, _) => panic!("{kernel:?} given {} read tiles", reads.len()),
+    }
+    Ok(())
+}
+
+/// Submit the steps of [`cholesky_plan`] over the tiles behind `handles`
+/// into any [`TaskSink`] (normally the one
 /// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
-/// declaring per-tile read/write accesses.
+/// declaring per-tile read/write accesses. Each task runs `apply` on its
+/// output tile and read tiles, and records a returned pivot in `status`;
+/// `low_rank` names the off-diagonal trailing update `lr_gemm`.
 ///
-/// The caller owns the [`TileStore`] holding the tiles and the
-/// [`FactorStatus`]; after executing the tasks it must check
-/// [`FactorStatus::pivot`]. Exposed (rather than folded into
-/// [`potrf_tiled`](crate::potrf_tiled)) so `mvn-core` can submit PMVN sweep
-/// tasks into the *same* sink with read dependencies on the factor tiles.
+/// The dense and TLR submitters are this loop with their step functions.
+/// The caller owns the [`TileStore`] and the [`FactorStatus`]; after
+/// executing the tasks it must check [`FactorStatus::pivot`].
+pub fn submit_steps<'a, T, S, F>(
+    graph: &mut S,
+    store: &'a TileStore<T>,
+    handles: &[Vec<DataHandle>],
+    layout: TileLayout,
+    status: &'a FactorStatus,
+    low_rank: bool,
+    apply: F,
+) where
+    T: Send + Sync + 'a,
+    S: TaskSink<'a> + ?Sized,
+    F: Fn(Step, &mut T, &[TileRef<'_, T>]) -> Result<(), usize> + Copy + Send + 'a,
+{
+    let h = |&(i, j): &TileId| handles[i][j];
+    for step in cholesky_plan(layout.num_tiles()) {
+        let (out, reads): (_, Vec<_>) = (h(&step.out), step.reads().iter().map(h).collect());
+        graph.submit_task(
+            step.spec(handles, low_rank).cost(step.flops(layout)),
+            Some(Box::new(move || {
+                if status.is_failed() {
+                    return;
+                }
+                let reads: Vec<_> = reads.into_iter().map(|h| store.read(h)).collect();
+                if let Err(pivot) = apply(step, &mut store.write(out), &reads) {
+                    status.fail(pivot);
+                }
+            })),
+        );
+    }
+}
+
+/// Submit the dense tiled Cholesky factorization: [`submit_steps`] with
+/// [`dense_step`]. Its one caller outside this crate is `distsim`'s
+/// `the_model_graph_is_the_executed_graph`, which pins the simulated task
+/// graph to this one.
 pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     graph: &mut S,
     store: &'a TileStore<DenseMatrix>,
@@ -262,35 +315,15 @@ pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     layout: TileLayout,
     status: &'a FactorStatus,
 ) {
-    for step in cholesky_plan(layout.num_tiles()) {
-        let (out, [r0, r1]) = step.handles_in(handles);
-        let pivot0 = layout.tile_start(step.out.0);
-        let kernel = step.kernel;
-        graph.submit_task(
-            step.spec(handles, false).cost(step.flops(layout)),
-            Some(Box::new(move || {
-                if status.is_failed() {
-                    return;
-                }
-                match kernel {
-                    Kernel::Potrf => {
-                        if let Err(local) = potrf_in_place(&mut store.write(out)) {
-                            status.fail(pivot0 + local);
-                        }
-                    }
-                    Kernel::Trsm => trsm_right_lower_trans(&store.read(r0), &mut store.write(out)),
-                    Kernel::Syrk => syrk_lower(-1.0, &store.read(r0), 1.0, &mut store.write(out)),
-                    Kernel::Gemm => gemm_nt(
-                        -1.0,
-                        &store.read(r0),
-                        &store.read(r1),
-                        1.0,
-                        &mut store.write(out),
-                    ),
-                }
-            })),
-        );
-    }
+    submit_steps(
+        graph,
+        store,
+        handles,
+        layout,
+        status,
+        false,
+        move |step, out, reads| dense_step(step, out, reads, layout),
+    );
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //! * [`cholesky`] — the parallel right-looking tiled Cholesky factorization
 //!   ([`potrf_tiled`], on a `task_runtime::WorkerPool`),
 //! * [`dag`] — its one task order (`cholesky_plan`, shared with the TLR,
-//!   distributed and simulated factorizations), its task producer and the
-//!   building blocks (`detach_tiles`, `submit_factor_tasks`, `FactorStatus`)
-//!   the TLR and distributed factorizations compose with,
+//!   distributed and simulated factorizations), its one dense step body
+//!   (`dense_step`, which the TLR step body calls on dense tiles), and the
+//!   building blocks (`detach_tiles`, `submit_steps`, `FactorStatus`) the
+//!   TLR and distributed factorizations compose with,
 //! * [`solve`] — tiled triangular solves against dense panels,
 //! * [`norms`] — Frobenius / max-abs norms and difference helpers.
 //!

@@ -1,7 +1,8 @@
 //! Tile Low-Rank Cholesky factorization (the HiCMA `POTRF`).
 //!
 //! Identical task structure to the dense tiled Cholesky, but the panel and
-//! update kernels act on compressed tiles:
+//! update kernels act on compressed tiles (all in one step body,
+//! [`tlr_step`](crate::dag::tlr_step)):
 //!
 //! * `POTRF` — dense, on the (dense) diagonal tiles,
 //! * `TRSM`  — only the `V` factor of each low-rank panel tile is solved,
@@ -50,21 +51,12 @@ pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), TlrCholesky
     let tol = a.tol();
     let max_rank = a.max_rank();
     let mut registry = HandleRegistry::new();
-    let (handles, mut diag_store, mut off_store) = detach_tlr_tiles(a, &mut registry);
+    let (handles, mut store) = detach_tlr_tiles(a, &mut registry);
     let status = FactorStatus::new();
     pool.execute(|sink| {
-        submit_tlr_factor_tasks(
-            sink,
-            &diag_store,
-            &off_store,
-            &handles,
-            layout,
-            tol,
-            max_rank,
-            &status,
-        )
+        submit_tlr_factor_tasks(sink, &store, &handles, layout, tol, max_rank, &status)
     });
-    attach_tlr_tiles(a, &handles, &mut diag_store, &mut off_store);
+    attach_tlr_tiles(a, &handles, &mut store);
     match status.pivot() {
         Some(pivot) => Err(TlrCholeskyError::NotPositiveDefinite { pivot }),
         None => Ok(()),

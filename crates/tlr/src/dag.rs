@@ -4,125 +4,270 @@
 //! graph test compose.
 //!
 //! Diagonal tiles (dense) and strictly-lower off-diagonal tiles (low-rank)
-//! live in two typed [`TileStore`]s sharing one [`HandleRegistry`], so a
-//! single sink can declare accesses on both through one lower-triangle handle
-//! grid. The task order is the dense one — [`cholesky_plan`] — with the
-//! compressed kernels, and the factor is bitwise identical for every worker
-//! count.
+//! live in one [`TileStore`] of [`Tile`]s over the dense lower-triangle
+//! handle grid. The task order is the dense one —
+//! [`cholesky_plan`](tile_la::dag::cholesky_plan) — and every step runs
+//! [`tlr_step`], the step body the `mvn-dist` worker runs too, so the factor
+//! is bitwise identical for every worker count and every process count.
 
 use crate::arithmetic::{lr_aa_t_update, lr_lr_t_update};
 use crate::compress::CompressionTol;
 use crate::lowrank::LowRankBlock;
 use crate::tlr_matrix::TlrMatrix;
+use std::ops::Deref;
 use task_runtime::{DataHandle, HandleRegistry, TaskSink, TileStore};
-use tile_la::dag::{cholesky_plan, FactorStatus, Kernel};
-use tile_la::kernels::{potrf_in_place, trsm_left_lower_notrans};
+use tile_la::dag::{dense_step, submit_steps, FactorStatus, Kernel, Step};
+use tile_la::kernels::trsm_left_lower_notrans;
 use tile_la::{DenseMatrix, TileLayout};
 
-/// Move the tiles of `a` out into typed stores keyed by freshly registered
-/// handles: `handles[i][j]` (`j ≤ i`) names the dense diagonal tile when
-/// `i == j` and the low-rank tile otherwise — the same lower-triangle grid as
-/// the dense [`tile_la::dag::detach_tiles`]. Reverse with
-/// [`attach_tlr_tiles`].
+/// One tile of a factor: dense (diagonal tiles, and every tile of a dense
+/// factor) or low-rank (off-diagonal tiles of a TLR factor).
+#[derive(Debug, Clone)]
+pub enum Tile {
+    /// A dense tile.
+    Dense(DenseMatrix),
+    /// A compressed `U·Vᵀ` tile.
+    LowRank(LowRankBlock),
+}
+
+impl Tile {
+    /// The dense payload, panicking on a low-rank tile (used where the plan
+    /// guarantees density, e.g. diagonal tiles).
+    pub fn as_dense(&self) -> &DenseMatrix {
+        match self {
+            Tile::Dense(d) => d,
+            Tile::LowRank(_) => panic!("expected a dense tile"),
+        }
+    }
+
+    /// Number of stored doubles (for transfer accounting).
+    pub fn stored_elements(&self) -> usize {
+        match self {
+            Tile::Dense(d) => d.nrows() * d.ncols(),
+            Tile::LowRank(b) => b.stored_elements(),
+        }
+    }
+}
+
+/// Apply one plan step to its output tile, given the step's read tiles in
+/// [`Step::reads`] order: the one step body of every tile Cholesky in the
+/// workspace. Steps on dense tiles only run [`dense_step`]; the compressed
+/// arms solve only the `V` factor of a low-rank panel tile (`trsm`), update a
+/// dense diagonal tile from a low-rank one (`syrk`, [`lr_aa_t_update`]) and
+/// recompress a low-rank trailing update (`gemm`, [`lr_lr_t_update`]) under
+/// `compression`, the `(tolerance, rank cap)` pair of a TLR factor (`None`
+/// for a dense one). A `potrf` that meets a non-positive pivot returns the
+/// pivot's global index.
+pub fn tlr_step<R: Deref<Target = Tile>>(
+    step: Step,
+    out: &mut Tile,
+    reads: &[R],
+    layout: TileLayout,
+    compression: Option<(CompressionTol, usize)>,
+) -> Result<(), usize> {
+    let reads: Vec<&Tile> = reads.iter().map(|r| &**r).collect();
+    match (step.kernel, out, reads.as_slice()) {
+        (Kernel::Trsm, Tile::LowRank(blk), [Tile::Dense(lkk)]) => {
+            if blk.rank() > 0 {
+                trsm_left_lower_notrans(lkk, &mut blk.v);
+            }
+        }
+        (Kernel::Syrk, Tile::Dense(c), [Tile::LowRank(a_ik)]) => lr_aa_t_update(c, a_ik),
+        (Kernel::Gemm, Tile::LowRank(c), [Tile::LowRank(a_ik), Tile::LowRank(a_jk)]) => {
+            let (tol, max_rank) =
+                compression.expect("a low-rank gemm needs compression parameters");
+            *c = lr_lr_t_update(c, a_ik, a_jk, tol, max_rank);
+        }
+        (_, Tile::Dense(c), reads) => {
+            let reads: Vec<&DenseMatrix> = reads.iter().map(|r| r.as_dense()).collect();
+            dense_step(step, c, &reads, layout)?
+        }
+        (kernel, Tile::LowRank(_), _) => panic!("{kernel:?} on mixed tile formats"),
+    }
+    Ok(())
+}
+
+/// Move the tiles of `a` out into a [`TileStore`] keyed by freshly
+/// registered handles: `handles[i][j]` (`j ≤ i`) names the dense diagonal
+/// tile when `i == j` and the low-rank tile otherwise — the same
+/// lower-triangle grid as the dense [`tile_la::dag::detach_tiles`]. Reverse
+/// with [`attach_tlr_tiles`].
 pub fn detach_tlr_tiles(
     a: &mut TlrMatrix,
     registry: &mut HandleRegistry,
-) -> (
-    Vec<Vec<DataHandle>>,
-    TileStore<DenseMatrix>,
-    TileStore<LowRankBlock>,
-) {
+) -> (Vec<Vec<DataHandle>>, TileStore<Tile>) {
     let layout = a.layout();
     let nt = layout.num_tiles();
     let mut handles: Vec<Vec<DataHandle>> = Vec::with_capacity(nt);
-    let mut diag_store = TileStore::new();
-    let mut off_store = TileStore::new();
+    let mut store = TileStore::new();
     for i in 0..nt {
         let bytes = layout.tile_size(i) * layout.tile_size(i) * std::mem::size_of::<f64>();
         let h_ii = registry.register_sized(format!("D[{i}]"), bytes);
-        diag_store.insert(h_ii, a.take_diag(i));
+        store.insert(h_ii, Tile::Dense(a.take_diag(i)));
         let mut row = Vec::with_capacity(i + 1);
         for j in 0..i {
             let blk = a.take_off(i, j);
             let bytes = blk.stored_elements() * std::mem::size_of::<f64>();
             let h = registry.register_sized(format!("L[{i},{j}]"), bytes);
-            off_store.insert(h, blk);
+            store.insert(h, Tile::LowRank(blk));
             row.push(h);
         }
         row.push(h_ii);
         handles.push(row);
     }
-    (handles, diag_store, off_store)
+    (handles, store)
 }
 
-/// Move the tiles of the typed stores back into `a` (inverse of
-/// [`detach_tlr_tiles`]; the graph borrowing the stores must have been
+/// Move the tiles of a [`TileStore`] back into `a` (inverse of
+/// [`detach_tlr_tiles`]; the graph borrowing the store must have been
 /// dropped).
 pub fn attach_tlr_tiles(
     a: &mut TlrMatrix,
     handles: &[Vec<DataHandle>],
-    diag_store: &mut TileStore<DenseMatrix>,
-    off_store: &mut TileStore<LowRankBlock>,
+    store: &mut TileStore<Tile>,
 ) {
     for (i, row) in handles.iter().enumerate() {
-        a.put_diag(i, diag_store.take(row[i]));
-        for (j, &h) in row[..i].iter().enumerate() {
-            a.put_off(i, j, off_store.take(h));
+        for (j, &h) in row.iter().enumerate() {
+            match store.take(h) {
+                Tile::Dense(d) => a.put_diag(i, d),
+                Tile::LowRank(blk) => a.put_off(i, j, blk),
+            }
         }
     }
 }
 
-/// Submit the TLR Cholesky factorization — the steps of
-/// [`cholesky_plan`] with the compressed kernels — into any [`TaskSink`]
-/// (normally the one
-/// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
-/// declaring per-tile accesses. Exposed so `mvn-core` can submit PMVN sweep
-/// tasks into the same sink (reading factor tiles while the trailing
-/// factorization runs).
-#[allow(clippy::too_many_arguments)]
+/// Submit the TLR Cholesky factorization — [`submit_steps`] with
+/// [`tlr_step`] — into any [`TaskSink`]. Its one caller outside this crate
+/// is `distsim`'s `the_model_graph_is_the_executed_graph`, which pins the
+/// simulated task graph to this one.
 pub fn submit_tlr_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
     graph: &mut S,
-    diag_store: &'a TileStore<DenseMatrix>,
-    off_store: &'a TileStore<LowRankBlock>,
+    store: &'a TileStore<Tile>,
     handles: &[Vec<DataHandle>],
     layout: TileLayout,
     tol: CompressionTol,
     max_rank: usize,
     status: &'a FactorStatus,
 ) {
-    for step in cholesky_plan(layout.num_tiles()) {
-        let (out, [r0, r1]) = step.handles_in(handles);
-        let pivot0 = layout.tile_start(step.out.0);
-        let kernel = step.kernel;
-        graph.submit_task(
-            step.spec(handles, true).cost(step.flops(layout)),
-            Some(Box::new(move || {
-                if status.is_failed() {
-                    return;
+    submit_steps(
+        graph,
+        store,
+        handles,
+        layout,
+        status,
+        true,
+        move |step, out, reads| tlr_step(step, out, reads, layout, Some((tol, max_rank))),
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cholesky::{potrf_tlr, TlrCholeskyError};
+    use std::collections::HashMap;
+    use task_runtime::WorkerPool;
+    use tile_la::dag::{cholesky_plan, TileId};
+    use tile_la::{potrf_tiled, CholeskyError, SymTileMatrix};
+
+    /// Walk the plan sequentially through [`tlr_step`], stopping at the
+    /// first failed pivot as the submitters' "kill the chain" does.
+    fn walk(
+        tiles: &mut HashMap<TileId, Tile>,
+        layout: TileLayout,
+        compression: Option<(CompressionTol, usize)>,
+    ) -> Result<(), usize> {
+        for step in cholesky_plan(layout.num_tiles()) {
+            let mut out = tiles.remove(&step.out).unwrap();
+            let reads: Vec<&Tile> = step.reads().iter().map(|r| &tiles[r]).collect();
+            let stepped = tlr_step(step, &mut out, &reads, layout, compression);
+            tiles.insert(step.out, out);
+            stepped?;
+        }
+        Ok(())
+    }
+
+    fn bits(d: &DenseMatrix) -> (usize, usize, Vec<u64>) {
+        let data = d.data().iter().map(|x| x.to_bits()).collect();
+        (d.nrows(), d.ncols(), data)
+    }
+
+    fn lower_ids(layout: TileLayout) -> impl Iterator<Item = TileId> {
+        let nt = layout.num_tiles();
+        (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)))
+    }
+
+    #[test]
+    fn the_shared_step_bodies_are_the_dense_and_tlr_factorizations() {
+        // 50 = 3 × 16 + 2: the last tile is ragged.
+        let (n, nb) = (50, 16);
+        let spd = |i: usize, j: usize| {
+            let d = (i as f64 - j as f64).abs() / 8.0;
+            (-d).exp() + if i == j { 1e-6 } else { 0.0 }
+        };
+        // Indefinite at pivot 49, inside the ragged tile.
+        let indefinite = |i: usize, j: usize| if i == 49 && j == 49 { -1.0 } else { spd(i, j) };
+        let tol = CompressionTol::Absolute(1e-10);
+        let compression = Some((tol, usize::MAX));
+        let pool = WorkerPool::new(2);
+
+        for (f, pivot) in [
+            (&spd as &(dyn Fn(usize, usize) -> f64 + Sync), None),
+            (&indefinite, Some(49)),
+        ] {
+            let mut dense = SymTileMatrix::from_fn(n, nb, f);
+            let layout = dense.layout();
+            let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
+                .map(|(i, j)| ((i, j), Tile::Dense(dense.tile(i, j).clone())))
+                .collect();
+            let walked = walk(&mut tiles, layout, None);
+            let factored = potrf_tiled(&mut dense, &pool);
+            assert_eq!(
+                factored,
+                pivot.map_or(Ok(()), |p| Err(CholeskyError::NotPositiveDefinite(p)))
+            );
+            assert_eq!(walked, pivot.map_or(Ok(()), Err));
+            if pivot.is_none() {
+                for (i, j) in lower_ids(layout) {
+                    assert_eq!(
+                        bits(tiles[&(i, j)].as_dense()),
+                        bits(dense.tile(i, j)),
+                        "({i},{j})"
+                    );
                 }
-                match kernel {
-                    Kernel::Potrf => {
-                        if let Err(local) = potrf_in_place(&mut diag_store.write(out)) {
-                            status.fail(pivot0 + local);
+            }
+
+            let mut tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, f);
+            let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
+                .map(|(i, j)| {
+                    let tile = if i == j {
+                        Tile::Dense(tlr.diag_tile(i).clone())
+                    } else {
+                        Tile::LowRank(tlr.off_tile(i, j).clone())
+                    };
+                    ((i, j), tile)
+                })
+                .collect();
+            let walked = walk(&mut tiles, layout, compression);
+            let factored = potrf_tlr(&mut tlr, &pool);
+            assert_eq!(
+                factored,
+                pivot.map_or(Ok(()), |pivot| Err(TlrCholeskyError::NotPositiveDefinite {
+                    pivot
+                }))
+            );
+            assert_eq!(walked, pivot.map_or(Ok(()), Err));
+            if pivot.is_none() {
+                for (i, j) in lower_ids(layout) {
+                    match &tiles[&(i, j)] {
+                        Tile::Dense(d) => assert_eq!(bits(d), bits(tlr.diag_tile(i)), "({i},{j})"),
+                        Tile::LowRank(b) => {
+                            let want = tlr.off_tile(i, j);
+                            assert_eq!(bits(&b.u), bits(&want.u), "U ({i},{j})");
+                            assert_eq!(bits(&b.v), bits(&want.v), "V ({i},{j})");
                         }
                     }
-                    Kernel::Trsm => {
-                        let lkk = diag_store.read(r0);
-                        let mut blk = off_store.write(out);
-                        if blk.rank() > 0 {
-                            trsm_left_lower_notrans(&lkk, &mut blk.v);
-                        }
-                    }
-                    Kernel::Syrk => lr_aa_t_update(&mut diag_store.write(out), &off_store.read(r0)),
-                    Kernel::Gemm => {
-                        let a_ik = off_store.read(r0);
-                        let a_jk = off_store.read(r1);
-                        let mut c = off_store.write(out);
-                        let updated = lr_lr_t_update(&c, &a_ik, &a_jk, tol, max_rank);
-                        *c = updated;
-                    }
                 }
-            })),
-        );
+            }
+        }
     }
 }

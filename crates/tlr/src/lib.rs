@@ -15,7 +15,9 @@
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
 //! * [`TlrMatrix`] — the tile-low-rank symmetric matrix (diagonal dense, lower
 //!   off-diagonal low-rank),
-//! * [`potrf_tlr`] — the TLR Cholesky factorization,
+//! * [`potrf_tlr`] — the TLR Cholesky factorization, whose one step body
+//!   [`dag::tlr_step`] (over a dense-or-low-rank [`Tile`]) the `mvn-dist`
+//!   worker runs too,
 //! * [`RankStats`] — per-tile rank maps and summaries
 //!   (the paper's Figure 5).
 
@@ -32,6 +34,7 @@ pub use arithmetic::{
 };
 pub use cholesky::{potrf_tlr, TlrCholeskyError};
 pub use compress::{compress_dense, CompressionTol};
+pub use dag::Tile;
 pub use lowrank::LowRankBlock;
 pub use rank_stats::RankStats;
 pub use tlr_matrix::TlrMatrix;

@@ -100,6 +100,23 @@ impl Json {
     }
 }
 
+/// Decode an array of integration limits, the wire convention of both
+/// network layers: a number is itself and `null` is `inf` (`-∞` for lower
+/// limits, `+∞` for upper ones, which JSON cannot spell).
+pub fn parse_limits(v: &Json, inf: f64) -> Result<Vec<f64>, String> {
+    v.as_arr()
+        .ok_or("limits must be arrays")?
+        .iter()
+        .map(|x| match x {
+            Json::Null => Ok(inf),
+            Json::Num(v) => Ok(*v),
+            other => Err(format!(
+                "limit entries must be numbers or null, got {other}"
+            )),
+        })
+        .collect()
+}
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;

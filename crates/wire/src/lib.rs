@@ -10,7 +10,8 @@
 //!
 //! * [`json`] — the dependency-free JSON value type, recursive-descent
 //!   parser and compact renderer (bitwise `f64` round-trips, depth-limited
-//!   parsing).
+//!   parsing), and [`parse_limits`], the one decoder of the `null`-as-∞
+//!   limit arrays both protocols carry.
 //! * [`frame`] — one-JSON-document-per-line framing over any
 //!   `Read`/`Write` pair, shared by the tile transport and usable by any
 //!   future peer protocol.
@@ -19,4 +20,4 @@ pub mod frame;
 pub mod json;
 
 pub use frame::{read_msg, read_msg_bounded, write_msg, FrameError, MAX_FRAME_BYTES};
-pub use json::Json;
+pub use json::{parse_limits, Json};
