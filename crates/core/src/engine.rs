@@ -43,14 +43,14 @@
 //! assert_eq!(r.prob.to_bits(), batch[0].prob.to_bits());
 //! ```
 
-use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes, CholeskyFactor};
+use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
 use qmc::{make_point_set, PointSet, SampleKind};
 use std::sync::{Arc, Mutex};
 use task_runtime::{effective_workers, PoolStats, WorkerPool};
-use tile_la::{potrf_tiled, CholeskyError, DenseMatrix, SymTileMatrix};
-use tlr::{potrf_tlr, TlrCholeskyError, TlrMatrix};
+use tile_la::{CholeskyError, DenseMatrix, SymTileMatrix};
+use tlr::{potrf_tlr, TlrMatrix};
 
 /// Sanity cap on the number of worker threads an engine may be built with.
 ///
@@ -247,12 +247,13 @@ impl Problem {
 /// This is the seam every solve path dispatches through
 /// ([`MvnEngine::solve`], `solve_batch`, `solve_batch_mixed`, the CRD drivers
 /// in `excursion`): a new backend implements these five methods and every layer
-/// above — batching, serving, caching — works unchanged. *Tiled*
-/// backends (dense, TLR) get their [`FactorBackend::sweep_panel`] for free
-/// from the tile-level [`CholeskyFactor`] contract
-/// (`tiling`/`diag_block`/`apply_offdiag`) via the shared [`sweep_panel`]
-/// free-function driver; non-tiled backends (the sparse conditioning sweep in
-/// [`crate::vecchia`]) implement the panel recursion directly.
+/// above — batching, serving, caching — works unchanged. There are two
+/// backends. The one tiled factor, [`TlrMatrix`], covers both of the paper's
+/// modes — a dense factor is a tiled factor whose tiles are all dense — and
+/// gets its [`FactorBackend::sweep_panel`] from the tile-level
+/// [`CholeskyFactor`](crate::CholeskyFactor) contract via the shared
+/// [`sweep_panel`] function. The sparse conditioning sweep of
+/// [`crate::vecchia`] implements the panel recursion directly.
 ///
 /// Every implementation must be a pure function of the factor bits and the
 /// panel index: the engine relies on that for bitwise-identical results
@@ -282,40 +283,20 @@ pub trait FactorBackend: Sync {
     ) -> (f64, usize);
 }
 
-impl FactorBackend for SymTileMatrix {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-    fn kind(&self) -> crate::FactorKind {
-        crate::FactorKind::Dense
-    }
-    fn stored_elements(&self) -> usize {
-        SymTileMatrix::stored_elements(self)
-    }
-    fn panel_cost(&self, panel_width: usize) -> f64 {
-        self.layout().num_tiles() as f64 * panel_width as f64
-    }
-    fn sweep_panel(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        points: &dyn PointSet,
-        cfg: &MvnConfig,
-        panel: usize,
-    ) -> (f64, usize) {
-        sweep_panel(self, self.layout(), a, b, points, cfg, panel)
-    }
-}
-
 impl FactorBackend for TlrMatrix {
     fn dim(&self) -> usize {
         self.n()
     }
+    /// `Dense` without compression; otherwise `Tlr` with the rounded mean
+    /// off-diagonal rank of the stored tiles.
     fn kind(&self) -> crate::FactorKind {
-        crate::FactorKind::Tlr {
-            mean_rank: tlr::RankStats::from_matrix(self)
-                .mean_off_diagonal_rank()
-                .round() as usize,
+        match self.compression() {
+            None => crate::FactorKind::Dense,
+            Some(_) => crate::FactorKind::Tlr {
+                mean_rank: tlr::RankStats::from_matrix(self)
+                    .mean_off_diagonal_rank()
+                    .round() as usize,
+            },
         }
     }
     fn stored_elements(&self) -> usize {
@@ -332,7 +313,7 @@ impl FactorBackend for TlrMatrix {
         cfg: &MvnConfig,
         panel: usize,
     ) -> (f64, usize) {
-        sweep_panel(self, self.layout(), a, b, points, cfg, panel)
+        sweep_panel(self, a, b, points, cfg, panel)
     }
 }
 
@@ -343,13 +324,11 @@ impl FactorBackend for TlrMatrix {
 /// Holding the factor (rather than re-factoring per query) is what amortizes
 /// the `O(n³/3)` factorization across many `solve`/`solve_batch` calls. The
 /// variants are public so a factor computed elsewhere (e.g. by
-/// [`tile_la::potrf_tiled`]) can be wrapped directly; all *behavior*
-/// dispatches through [`Factor::backend`] — the single match in this module.
+/// [`tlr::potrf_tlr`]) can be wrapped directly; all *behavior* dispatches
+/// through [`Factor::backend`].
 pub enum Factor {
-    /// Dense tiled factor.
-    Dense(SymTileMatrix),
-    /// Tile low-rank factor.
-    Tlr(TlrMatrix),
+    /// A tiled Cholesky factor: dense (every tile dense) or tile low-rank.
+    Tiled(TlrMatrix),
     /// Vecchia ordered-conditioning approximation (no global factorization;
     /// see [`crate::vecchia`]).
     Vecchia(VecchiaFactor),
@@ -361,8 +340,7 @@ impl Factor {
     /// drivers) goes through the returned [`FactorBackend`].
     pub fn backend(&self) -> &dyn FactorBackend {
         match self {
-            Factor::Dense(m) => m,
-            Factor::Tlr(m) => m,
+            Factor::Tiled(m) => m,
             Factor::Vecchia(v) => v,
         }
     }
@@ -383,6 +361,15 @@ impl Factor {
     /// storage formats; the serving cache's byte accounting is this × 8).
     pub fn stored_elements(&self) -> usize {
         self.backend().stored_elements()
+    }
+
+    /// The tiled Cholesky factor `L` (dense or TLR), or `None` for a Vecchia
+    /// factor — for callers that need `L` itself, e.g. to sample `L·z`.
+    pub fn tiled(&self) -> Option<&TlrMatrix> {
+        match self {
+            Factor::Tiled(l) => Some(l),
+            Factor::Vecchia(_) => None,
+        }
     }
 }
 
@@ -597,20 +584,25 @@ impl MvnEngine {
         self.pool.stats()
     }
 
-    /// Factor a dense tiled covariance on the engine's pool
-    /// ([`tile_la::potrf_tiled`]), returning a reusable [`Factor`].
-    pub fn factor_dense(&self, mut sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
+    /// Factor a dense tiled covariance on the engine's pool, returning a
+    /// reusable [`Factor`]: its tiles move into a dense [`TlrMatrix`]
+    /// without copying and run [`tlr::potrf_tlr`], whose dense steps leave
+    /// the bits of [`tile_la::potrf_tiled`].
+    pub fn factor_dense(&self, sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
         let _span = obs::span_with("engine_factor_dense", &[("n", sigma.n() as u64)]);
-        potrf_tiled(&mut sigma, &self.pool)?;
-        Ok(Factor::Dense(sigma))
+        self.factor_tiled(TlrMatrix::from(sigma))
     }
 
     /// Factor a TLR covariance on the engine's pool ([`tlr::potrf_tlr`]),
     /// returning a reusable [`Factor`].
-    pub fn factor_tlr(&self, mut sigma: TlrMatrix) -> Result<Factor, TlrCholeskyError> {
+    pub fn factor_tlr(&self, sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
         let _span = obs::span_with("engine_factor_tlr", &[("n", sigma.n() as u64)]);
+        self.factor_tiled(sigma)
+    }
+
+    fn factor_tiled(&self, mut sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
         potrf_tlr(&mut sigma, &self.pool)?;
-        Ok(Factor::Tlr(sigma))
+        Ok(Factor::Tiled(sigma))
     }
 
     /// Build a Vecchia ordered-conditioning factor from a conditioning
@@ -660,16 +652,23 @@ impl MvnEngine {
     /// each row's panel means combine with [`combine_panel_results`]. The
     /// profile is pathwise non-increasing in `k` when `b` is unbounded.
     /// Costs one sweep plus `O(n · panels)` bookkeeping.
-    pub fn solve_prefixes<F: CholeskyFactor>(
+    ///
+    /// # Panics
+    ///
+    /// On a Vecchia factor, whose sweep runs in its own ordering.
+    pub fn solve_prefixes(
         &self,
-        l: &F,
+        factor: &Factor,
         a: &[f64],
         b: &[f64],
         cfg: &MvnConfig,
     ) -> Vec<MvnResult> {
-        let n = l.dim();
+        let Factor::Tiled(l) = factor else {
+            panic!("a prefix profile needs a tiled (dense or TLR) factor")
+        };
+        let n = l.n();
         check_inputs(n, a, b, cfg);
-        let layout = l.tiling();
+        let layout = l.layout();
         let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
         let _span = obs::span_with(
             "engine_prefix_sweep",
@@ -682,7 +681,7 @@ impl MvnEngine {
             "panel_sweep",
             &panels,
             |_, _| cost,
-            |_, &p| sweep_panel_prefixes(l, layout, a, b, points.as_ref(), cfg, p),
+            |_, &p| sweep_panel_prefixes(l, a, b, points.as_ref(), cfg, p),
         );
         let mut row = vec![(0.0, 0usize); n_panels];
         (0..n)
@@ -1088,11 +1087,7 @@ mod tests {
             ];
             for factor in &factors {
                 for (a, b) in [(&a, &b), (&dead, &b_dead)] {
-                    let profile = match factor {
-                        Factor::Dense(l) => engine.solve_prefixes(l, a, b, &cfg),
-                        Factor::Tlr(l) => engine.solve_prefixes(l, a, b, &cfg),
-                        Factor::Vecchia(_) => unreachable!(),
-                    };
+                    let profile = engine.solve_prefixes(factor, a, b, &cfg);
                     assert_eq!(profile.len(), n);
                     for k in [1, nb, nb + 1, 30, 31, n] {
                         let mut ak = vec![f64::NEG_INFINITY; n];
@@ -1270,9 +1265,46 @@ mod tests {
             let tlr = TlrMatrix::from_fn(n, 6, CompressionTol::Absolute(1e-8), usize::MAX, f);
             let err = engine.factor_tlr(tlr).unwrap_err();
             assert!(
-                matches!(err, TlrCholeskyError::NotPositiveDefinite { .. }),
+                matches!(err, CholeskyError::NotPositiveDefinite(_)),
                 "{workers}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_dense_factor_is_the_tiled_factor_of_potrf_tiled_bitwise() {
+        // 50 = 3 × 16 + 2: four tile rows, the last one ragged. The dense
+        // factor runs the tiled factorization path and must leave
+        // `potrf_tiled`'s bits in every tile, report itself dense, account
+        // exactly the dense storage, and label its trailing updates `gemm`.
+        let (n, nb) = (50, 16);
+        let sigma = SymTileMatrix::from_fn(n, nb, exp_cov(0.4));
+        let mut want = sigma.clone();
+        tile_la::potrf_tiled(&mut want, &WorkerPool::new(1)).unwrap();
+        for workers in [1usize, 2] {
+            let engine = test_engine(workers);
+            let factor = engine.factor_dense(sigma.clone()).unwrap();
+            let Factor::Tiled(l) = &factor else {
+                panic!("factor_dense returned {factor:?}")
+            };
+            for i in 0..l.num_tiles() {
+                for j in 0..=i {
+                    let (got, want) = (l.tile(i, j).as_dense(), want.tile(i, j));
+                    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+                    assert!(
+                        (got.data().iter().zip(want.data()))
+                            .all(|(g, w)| g.to_bits() == w.to_bits()),
+                        "workers={workers} tile ({i},{j})"
+                    );
+                }
+            }
+            assert_eq!(factor.kind(), crate::FactorKind::Dense);
+            assert_eq!(factor.stored_elements(), sigma.stored_elements());
+            let stats = engine.pool_stats();
+            assert!(stats
+                .label_timing("gemm")
+                .is_some_and(|(count, _)| count > 0));
+            assert_eq!(stats.label_timing("lr_gemm"), None);
         }
     }
 

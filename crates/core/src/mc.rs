@@ -9,15 +9,16 @@
 
 use crate::{MvnConfig, MvnResult};
 use qmc::Xoshiro256pp;
-use tile_la::{multiply_lower_panel, DenseMatrix, SymTileMatrix};
+use tile_la::DenseMatrix;
+use tlr::TlrMatrix;
 
 /// Plain Monte-Carlo estimate of `Φₙ(a, b; 0, Σ)` from the tiled Cholesky
-/// factor of `Σ`.
+/// factor of `Σ` (dense or TLR).
 ///
 /// Samples are drawn in blocks of `cfg.panel_width` columns, each block handled
 /// by one parallel task (this is the structure of the paper's MC validation
 /// timing experiment, Fig. 6).
-pub fn mvn_prob_mc(l: &SymTileMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
+pub fn mvn_prob_mc(l: &TlrMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
     let n = a.len();
     assert_eq!(b.len(), n);
     assert_eq!(l.n(), n, "Cholesky factor dimension mismatch");
@@ -33,7 +34,7 @@ pub fn mvn_prob_mc(l: &SymTileMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> 
         let cols = end - start;
         let mut rng = Xoshiro256pp::seed_from(cfg.seed).stream(bi);
         let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
-        let x = multiply_lower_panel(l, &z);
+        let x = l.multiply_lower_panel(&z);
         let mut hits = 0usize;
         for c in 0..cols {
             let inside = (0..n).all(|i| {
@@ -69,16 +70,12 @@ pub fn mvn_prob_mc(l: &SymTileMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> 
 mod tests {
     use super::*;
     use mathx::norm_cdf;
-    use tile_la::potrf_tiled;
+    use tile_la::SymTileMatrix;
 
-    fn factored(
-        sigma_fn: impl Fn(usize, usize) -> f64 + Sync,
-        n: usize,
-        nb: usize,
-    ) -> SymTileMatrix {
-        let mut s = SymTileMatrix::from_fn(n, nb, sigma_fn);
-        potrf_tiled(&mut s, &task_runtime::WorkerPool::new(1)).unwrap();
-        s
+    fn factored(sigma_fn: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> TlrMatrix {
+        let mut l = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, sigma_fn));
+        tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
+        l
     }
 
     #[test]

@@ -29,53 +29,38 @@ use crate::{MvnConfig, MvnResult};
 use mathx::{clamp_unit, norm_cdf_and_diff_slice, norm_quantile_slice};
 use qmc::PointSet;
 use tile_la::kernels::gemm_nt;
-use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
-use tlr::{lr_gemm_panel_t, TlrMatrix};
+use tile_la::{DenseMatrix, TileLayout};
+use tlr::{lr_gemm_panel_t, Tile, TlrMatrix};
 
-/// Abstraction over the storage format of the Cholesky factor consumed by the
-/// PMVN sweep: dense tiles ([`SymTileMatrix`]) or tile-low-rank
-/// ([`TlrMatrix`]).
+/// The tile view of a Cholesky factor the PMVN sweep consumes: its tiling
+/// and its lower tiles, each dense or low-rank ([`Tile`]). A dense factor is
+/// a tiled factor whose tiles are all dense. Implemented by the one tiled
+/// factor, [`TlrMatrix`], and by the `mvn-dist` worker's assembled factor.
 pub trait CholeskyFactor: Sync {
-    /// Matrix dimension `n`.
-    fn dim(&self) -> usize;
     /// Row/column tiling of the factor.
     fn tiling(&self) -> TileLayout;
-    /// The dense diagonal tile `L_{r,r}`.
-    fn diag_block(&self, r: usize) -> &DenseMatrix;
-    /// Chain-major propagation update `acc ← acc − yt · L_{j,r}ᵀ` for a
-    /// strictly-lower block (`j > r`): `yt` is the `cols × tile_size(r)`
-    /// conditioning-value block and `acc` the `cols × tile_size(j)`
-    /// conditional-limit block, both with one chain per row.
-    fn apply_offdiag(&self, j: usize, r: usize, yt: &DenseMatrix, acc: &mut DenseMatrix);
-}
-
-impl CholeskyFactor for SymTileMatrix {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-    fn tiling(&self) -> TileLayout {
-        self.layout()
-    }
-    fn diag_block(&self, r: usize) -> &DenseMatrix {
-        self.tile(r, r)
-    }
-    fn apply_offdiag(&self, j: usize, r: usize, yt: &DenseMatrix, acc: &mut DenseMatrix) {
-        gemm_nt(-1.0, yt, self.tile(j, r), 1.0, acc);
-    }
+    /// Lower tile `L_{i,j}` (`j ≤ i`); diagonal tiles are dense.
+    fn tile(&self, i: usize, j: usize) -> &Tile;
 }
 
 impl CholeskyFactor for TlrMatrix {
-    fn dim(&self) -> usize {
-        self.n()
-    }
     fn tiling(&self) -> TileLayout {
         self.layout()
     }
-    fn diag_block(&self, r: usize) -> &DenseMatrix {
-        self.diag_tile(r)
+    fn tile(&self, i: usize, j: usize) -> &Tile {
+        TlrMatrix::tile(self, i, j)
     }
-    fn apply_offdiag(&self, j: usize, r: usize, yt: &DenseMatrix, acc: &mut DenseMatrix) {
-        lr_gemm_panel_t(-1.0, self.off_tile(j, r), yt, 1.0, acc);
+}
+
+/// Chain-major propagation update `acc ← acc − yt · L_{j,r}ᵀ` for a
+/// strictly-lower tile `l_jr`: `yt` is the `cols × tile_size(r)`
+/// conditioning-value block and `acc` the `cols × tile_size(j)`
+/// conditional-limit block, both with one chain per row. The one place the
+/// sweep chooses a kernel by tile format.
+fn propagate(l_jr: &Tile, yt: &DenseMatrix, acc: &mut DenseMatrix) {
+    match l_jr {
+        Tile::Dense(t) => gemm_nt(-1.0, yt, t, 1.0, acc),
+        Tile::LowRank(b) => lr_gemm_panel_t(-1.0, b, yt, 1.0, acc),
     }
 }
 
@@ -330,26 +315,21 @@ impl PanelState {
     ///
     /// `row_sums` (one entry per row of block `r`) receives the kernel's
     /// per-row chain sums (see [`qmc_kernel_scratch`]).
-    fn step<F: CholeskyFactor + ?Sized>(
-        &mut self,
-        l: &F,
-        layout: TileLayout,
-        r: usize,
-        row_sums: Option<&mut [f64]>,
-    ) {
+    fn step<F: CholeskyFactor + ?Sized>(&mut self, l: &F, r: usize, row_sums: Option<&mut [f64]>) {
         if self.alive == 0 {
             if let Some(sums) = row_sums {
                 sums.fill(0.0);
             }
             return;
         }
+        let layout = l.tiling();
         let nt = layout.num_tiles();
         let rows = layout.tile_size(r);
         if self.y_block.ncols() != rows {
             self.y_block = DenseMatrix::zeros(self.cols, rows);
         }
         self.alive = qmc_kernel_scratch(
-            l.diag_block(r),
+            l.tile(r, r).as_dense(),
             &self.w_blocks[r],
             &self.a_blocks[r],
             &self.b_blocks[r],
@@ -362,9 +342,10 @@ impl PanelState {
             return;
         }
         for j in (r + 1)..nt {
-            l.apply_offdiag(j, r, &self.y_block, &mut self.a_blocks[j]);
+            let l_jr = l.tile(j, r);
+            propagate(l_jr, &self.y_block, &mut self.a_blocks[j]);
             if !self.skip_b_updates {
-                l.apply_offdiag(j, r, &self.y_block, &mut self.b_blocks[j]);
+                propagate(l_jr, &self.y_block, &mut self.b_blocks[j]);
             }
         }
     }
@@ -385,19 +366,19 @@ impl PanelState {
 /// identical to the single-process one.
 pub fn sweep_panel<F: CholeskyFactor + ?Sized>(
     l: &F,
-    layout: TileLayout,
     a: &[f64],
     b: &[f64],
     points: &dyn PointSet,
     cfg: &MvnConfig,
     p: usize,
 ) -> (f64, usize) {
+    let layout = l.tiling();
     let mut state = PanelState::init(layout, a, b, points, cfg, p);
     for r in 0..layout.num_tiles() {
         if state.alive == 0 {
             break;
         }
-        state.step(l, layout, r, None);
+        state.step(l, r, None);
     }
     state.result()
 }
@@ -409,18 +390,18 @@ pub fn sweep_panel<F: CholeskyFactor + ?Sized>(
 /// every chain by exactly 1. Returns the means and the chain count.
 pub(crate) fn sweep_panel_prefixes<F: CholeskyFactor + ?Sized>(
     l: &F,
-    layout: TileLayout,
     a: &[f64],
     b: &[f64],
     points: &dyn PointSet,
     cfg: &MvnConfig,
     p: usize,
 ) -> (Vec<f64>, usize) {
+    let layout = l.tiling();
     let mut state = PanelState::init(layout, a, b, points, cfg, p);
     let mut means = vec![0.0; layout.n()];
     for r in 0..layout.num_tiles() {
         let rows = layout.tile_start(r)..layout.tile_start(r) + layout.tile_size(r);
-        state.step(l, layout, r, Some(&mut means[rows]));
+        state.step(l, r, Some(&mut means[rows]));
     }
     for m in &mut means {
         *m /= state.cols as f64;
@@ -477,7 +458,7 @@ mod tests {
     use mathx::norm_cdf;
     use qmc::make_point_set;
     use task_runtime::WorkerPool;
-    use tile_la::potrf_tiled;
+    use tile_la::SymTileMatrix;
     use tlr::{potrf_tlr, CompressionTol};
 
     /// One solve on a throwaway engine of `workers` workers.
@@ -504,10 +485,10 @@ mod tests {
         }
     }
 
-    fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> SymTileMatrix {
-        let mut s = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut s, &WorkerPool::new(1)).unwrap();
-        s
+    fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> TlrMatrix {
+        let mut l = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
+        potrf_tlr(&mut l, &WorkerPool::new(1)).unwrap();
+        l
     }
 
     #[test]
@@ -764,7 +745,7 @@ mod tests {
         let cols = 7;
         let f = exp_cov(0.5);
         let l_tiled = dense_factor(f, m, m);
-        let l_rr = l_tiled.tile(0, 0).clone();
+        let l_rr = l_tiled.diag_tile(0).clone();
         let a = vec![-0.7; m];
         let b = vec![1.2; m];
         let w_blk =
@@ -852,15 +833,15 @@ mod tests {
         let points = make_point_set(cfg.sample_kind, n, cfg.seed);
 
         let mut state = PanelState::init(layout, &a, &b, points.as_ref(), &cfg, 0);
-        state.step(&l, layout, 0, None);
+        state.step(&l, 0, None);
         assert_eq!(state.alive, state.cols, "block 0 keeps all chains alive");
-        state.step(&l, layout, 1, None);
+        state.step(&l, 1, None);
         assert_eq!(state.alive, 0, "the empty box kills every chain");
         // The later limit blocks must no longer be touched.
         let a2_before = state.a_blocks[2].clone();
         let a3_before = state.a_blocks[3].clone();
-        state.step(&l, layout, 2, None);
-        state.step(&l, layout, 3, None);
+        state.step(&l, 2, None);
+        state.step(&l, 3, None);
         assert_eq!(state.a_blocks[2], a2_before);
         assert_eq!(state.a_blocks[3], a3_before);
         assert!(state.prob.iter().all(|&p| p == 0.0));

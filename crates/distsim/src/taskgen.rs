@@ -358,41 +358,42 @@ mod tests {
 
     #[test]
     fn the_model_graph_is_the_executed_graph() {
-        // The simulated factorization and the dense and TLR submitters walk
-        // one plan: task by task, the same labels and the same dependencies.
-        use tile_la::dag::{detach_tiles, submit_factor_tasks, FactorStatus};
-        use tile_la::SymTileMatrix;
-        use tlr::dag::{detach_tlr_tiles, submit_tlr_factor_tasks};
-        use tlr::{CompressionTol, TlrMatrix};
+        // The simulated factorization and `potrf_tlr`'s submission — on a
+        // dense and on a TLR matrix — walk one plan: task by task, the same
+        // labels and the same dependencies.
+        use task_runtime::TileStore;
+        use tile_la::dag::{register_tile_handles, submit_steps, FactorStatus};
+        use tlr::dag::tlr_step;
+        use tlr::{CompressionTol, Tile};
 
-        let cov = |i: usize, j: usize| (-(i as f64 - j as f64).abs() / 4.0).exp();
         let cluster = ClusterSpec::cray_xc40(3);
         // nt = 1, 2, 5, 7 at nb = 4; the last layout ends in a 3-wide tile.
         for n in [4usize, 8, 20, 27] {
             let nb = 4;
+            let layout = TileLayout::new(n, nb);
             let status = FactorStatus::new();
-            let mut registry = HandleRegistry::new();
-            let mut dense = SymTileMatrix::from_fn(n, nb, cov);
-            let (handles, store) = detach_tiles(&mut dense, &mut registry);
-            let mut executed = TaskGraph::new();
-            submit_factor_tasks(&mut executed, &store, &handles, dense.layout(), &status);
-
-            let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), nb, cov);
-            let (handles, store) = detach_tlr_tiles(&mut tlr, &mut registry);
-            let mut executed_tlr = TaskGraph::new();
-            let (tol, layout) = (tlr.tol(), tlr.layout());
-            submit_tlr_factor_tasks(
-                &mut executed_tlr,
-                &store,
-                &handles,
-                layout,
-                tol,
-                nb,
-                &status,
-            );
+            let store = TileStore::<Tile>::new();
+            // What `potrf_tlr` submits under `compression` (recording only:
+            // no task runs, so the store stays empty).
+            let executed = |compression: Option<(CompressionTol, usize)>| {
+                let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
+                let mut graph = TaskGraph::new();
+                submit_steps(
+                    &mut graph,
+                    &store,
+                    &handles,
+                    layout,
+                    &status,
+                    compression.is_some(),
+                    move |step, out, reads| tlr_step(step, out, reads, layout, compression),
+                );
+                graph
+            };
+            let executed_dense = executed(None);
+            let executed_tlr = executed(Some((CompressionTol::Absolute(1e-8), nb)));
 
             for (kind, executed) in [
-                (FactorKind::Dense, &executed),
+                (FactorKind::Dense, &executed_dense),
                 (FactorKind::Tlr { mean_rank: 2 }, &executed_tlr),
             ] {
                 let model = cholesky_task_graph(&spec_nb(n, nb, kind), &cluster).graph;

@@ -3,22 +3,24 @@
 //! Algorithm 1 standardizes the integration limits by `√Σᵢᵢ` (line 13); the
 //! equivalent formulation used here evaluates the MVN probability under the
 //! correlation matrix `R = D^{-1/2} Σ D^{-1/2}` with standardized limits, which
-//! keeps all diagonal tiles well scaled. The factor can be held dense or in
-//! TLR-compressed form — exactly the paper's two execution modes.
+//! keeps all diagonal tiles well scaled. The factor is one tiled factor,
+//! held dense or in TLR-compressed form — exactly the paper's two execution
+//! modes.
 
-use std::borrow::Cow;
+use mvn_core::MvnEngine;
 use std::sync::Mutex;
-use task_runtime::{effective_workers, WorkerPool};
+use task_runtime::WorkerPool;
 use tile_la::kernels::gemm_nt;
-use tile_la::{potrf_tiled, DenseMatrix, SymTileMatrix};
-use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
+use tile_la::{DenseMatrix, SymTileMatrix};
+use tlr::{CompressionTol, TlrMatrix};
 
-/// A Cholesky factor of a correlation matrix in either storage format.
+/// A Cholesky factor of a correlation matrix.
 ///
 /// This is exactly the engine's reusable factor handle
-/// ([`mvn_core::Factor`]), re-exported under the historical name: the dense
-/// and TLR correlation factors plug directly into
-/// `MvnEngine::solve` and friends with no rewrapping.
+/// ([`mvn_core::Factor`]), re-exported under the historical name: a
+/// correlation factor is one tiled factor — dense (every tile dense) or TLR
+/// — and plugs directly into `MvnEngine::solve` and friends with no
+/// rewrapping.
 pub use mvn_core::Factor as CorrelationFactor;
 
 /// Standard deviations (square roots of the diagonal) of a covariance matrix.
@@ -91,21 +93,29 @@ pub fn correlation_matrix_tlr(
 /// Build the dense tiled Cholesky factor of the correlation matrix of `cov`,
 /// returning the factor together with the per-location standard deviations.
 pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFactor, Vec<f64>) {
-    let (mut corr, sd) = correlation_matrix_dense(cov, nb);
-    potrf_tiled(&mut corr, &WorkerPool::new(effective_workers(0)))
-        .expect("correlation matrix must be positive definite");
-    (CorrelationFactor::Dense(corr), sd)
+    let (corr, sd) = correlation_matrix_dense(cov, nb);
+    (factor_correlation(TlrMatrix::from(corr)), sd)
 }
 
-/// Lower tile `(i, j)` (`j ≤ i`) of a dense or TLR factor as a dense tile:
-/// borrowed, or expanded from the low-rank `U·Vᵀ`.
-fn dense_factor_tile(factor: &CorrelationFactor, i: usize, j: usize) -> Cow<'_, DenseMatrix> {
-    match factor {
-        CorrelationFactor::Dense(l) => Cow::Borrowed(l.tile(i, j)),
-        CorrelationFactor::Tlr(l) if i == j => Cow::Borrowed(l.diag_tile(i)),
-        CorrelationFactor::Tlr(l) => Cow::Owned(l.off_tile(i, j).to_dense()),
-        CorrelationFactor::Vecchia(_) => unreachable!("rejected by permuted_correlation"),
-    }
+/// Build the TLR Cholesky factor of the correlation matrix of `cov` at the
+/// given compression tolerance.
+pub fn correlation_factor_tlr(
+    cov: &DenseMatrix,
+    nb: usize,
+    tol: CompressionTol,
+    max_rank: usize,
+) -> (CorrelationFactor, Vec<f64>) {
+    let (corr, sd) = correlation_matrix_tlr(cov, nb, tol, max_rank);
+    (factor_correlation(corr), sd)
+}
+
+/// Factor an assembled correlation matrix on an engine of one worker per
+/// core.
+fn factor_correlation(corr: TlrMatrix) -> CorrelationFactor {
+    let engine = MvnEngine::builder().build().expect("default engine");
+    engine
+        .factor_tlr(corr)
+        .expect("correlation matrix must be positive definite")
 }
 
 /// The correlation matrix `R̃ = L·Lᵀ` held by `factor`, symmetrically
@@ -113,8 +123,8 @@ fn dense_factor_tile(factor: &CorrelationFactor, i: usize, j: usize) -> Cow<'_, 
 /// (unfactored, dense tiles of the factor's tile size), assembled on `pool`.
 ///
 /// One task per lower tile `(I, J)` of `R̃` in location order computes
-/// `Σ_{K ≤ J} L_{I,K}·L_{J,K}ᵀ` (a tiled SYRK, `n³/3` flops; TLR tiles are
-/// expanded from `U·Vᵀ` as they are read) and scatters it into its permuted
+/// `Σ_{K ≤ J} L_{I,K}·L_{J,K}ᵀ` (a tiled SYRK, `n³/3` flops; low-rank tiles
+/// are expanded from `U·Vᵀ` as they are read) and scatters it into its permuted
 /// positions, so beyond the result only one tile per worker is ever live.
 /// Every entry is written exactly once by one task, so the result is bitwise
 /// independent of the worker count.
@@ -127,14 +137,13 @@ pub(crate) fn permuted_correlation(
     factor: &CorrelationFactor,
     order: &[usize],
 ) -> SymTileMatrix {
-    let layout = match factor {
-        CorrelationFactor::Dense(l) => l.layout(),
-        CorrelationFactor::Tlr(l) => l.layout(),
-        CorrelationFactor::Vecchia(_) => panic!(
+    let CorrelationFactor::Tiled(l) = factor else {
+        panic!(
             "confidence-region detection needs a dense or TLR correlation factor: \
              a Vecchia factor has no Cholesky rows to permute"
-        ),
+        )
     };
+    let layout = l.layout();
     let n = layout.n();
     assert_eq!(order.len(), n, "order must list every location once");
     let mut rank = vec![usize::MAX; n];
@@ -167,10 +176,7 @@ pub(crate) fn permuted_correlation(
         |_, &(ti, tj)| {
             let mut acc = DenseMatrix::zeros(layout.tile_size(ti), layout.tile_size(tj));
             for k in 0..=tj {
-                let (lik, ljk) = (
-                    dense_factor_tile(factor, ti, k),
-                    dense_factor_tile(factor, tj, k),
-                );
+                let (lik, ljk) = (l.tile(ti, k).to_dense(), l.tile(tj, k).to_dense());
                 gemm_nt(1.0, &lik, &ljk, 1.0, &mut acc);
             }
             let (r0, c0) = (layout.tile_start(ti), layout.tile_start(tj));
@@ -187,20 +193,6 @@ pub(crate) fn permuted_correlation(
     permuted
         .into_inner()
         .expect("a permuted-tile task panicked")
-}
-
-/// Build the TLR Cholesky factor of the correlation matrix of `cov` at the
-/// given compression tolerance.
-pub fn correlation_factor_tlr(
-    cov: &DenseMatrix,
-    nb: usize,
-    tol: CompressionTol,
-    max_rank: usize,
-) -> (CorrelationFactor, Vec<f64>) {
-    let (mut corr, sd) = correlation_matrix_tlr(cov, nb, tol, max_rank);
-    potrf_tlr(&mut corr, &WorkerPool::new(effective_workers(0)))
-        .expect("correlation matrix must be positive definite");
-    (CorrelationFactor::Tlr(corr), sd)
 }
 
 #[cfg(test)]
@@ -231,8 +223,8 @@ mod tests {
     fn dense_factor_reconstructs_the_correlation_matrix() {
         let cov = cov_matrix();
         let (factor, sd) = correlation_factor_dense(&cov, 16);
-        let CorrelationFactor::Dense(l) = &factor else {
-            panic!("expected dense factor")
+        let CorrelationFactor::Tiled(l) = &factor else {
+            panic!("expected a tiled factor")
         };
         let ld = l.to_dense_lower();
         let rec = ld.matmul_nt(&ld);
@@ -294,8 +286,8 @@ mod tests {
         let (factor, sd) = correlation_factor_dense(&cov, 16);
         assert_eq!(sd[3], 0.0);
         assert_eq!(sd[17], 0.0);
-        let CorrelationFactor::Dense(l) = &factor else {
-            panic!("expected dense factor")
+        let CorrelationFactor::Tiled(l) = &factor else {
+            panic!("expected a tiled factor")
         };
         let ld = l.to_dense_lower();
         let rec = ld.matmul_nt(&ld);

@@ -24,7 +24,6 @@
 use crate::correlation::{permuted_correlation, CorrelationFactor};
 use crate::marginal::{descending_order, marginal_exceedance};
 use mvn_core::{MvnConfig, MvnEngine};
-use tile_la::potrf_tiled;
 
 /// Configuration of a confidence-region detection run.
 #[derive(Debug, Clone)]
@@ -103,15 +102,15 @@ fn prefix_profile(
     mvn: &MvnConfig,
     order: &[usize],
 ) -> Vec<f64> {
-    let mut permuted = {
+    let permuted = {
         let _span = obs::span("crd_permute");
         permuted_correlation(engine.pool(), factor, order)
     };
-    {
+    let permuted = {
         let _span = obs::span("crd_factor");
-        potrf_tiled(&mut permuted, engine.pool())
-            .expect("the permuted correlation matrix must be positive definite");
-    }
+        (engine.factor_dense(permuted))
+            .expect("the permuted correlation matrix must be positive definite")
+    };
     let a: Vec<f64> = (order.iter())
         .map(|&c| standardized_limit(mean[c], sd[c], threshold))
         .collect();
@@ -286,8 +285,8 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let engine = MvnEngine::builder().workers(workers).build().unwrap();
                 let r = detect_confidence_regions(&engine, factor, &mean, &sd, &cfg);
-                let mut permuted = permuted_correlation(engine.pool(), factor, &r.order);
-                potrf_tiled(&mut permuted, engine.pool()).unwrap();
+                let permuted = permuted_correlation(engine.pool(), factor, &r.order);
+                let permuted = engine.factor_dense(permuted).unwrap();
                 for k in [1, nb, nb + 1, n] {
                     let mut a = vec![f64::NEG_INFINITY; n];
                     for (limit, &c) in a.iter_mut().zip(&r.order[..k]) {

@@ -14,7 +14,7 @@
 use crate::correlation::CorrelationFactor;
 use mvn_core::{MvnEngine, MvnResult};
 use qmc::Xoshiro256pp;
-use tile_la::{multiply_lower_panel, DenseMatrix};
+use tile_la::DenseMatrix;
 
 /// Result of the MC validation of a region.
 #[derive(Debug, Clone, Copy)]
@@ -84,8 +84,7 @@ pub fn mc_validate(
             let mut rng = Xoshiro256pp::seed_from(seed).stream(bi);
             let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
             let lz = match factor {
-                CorrelationFactor::Dense(l) => multiply_lower_panel(l, &z),
-                CorrelationFactor::Tlr(l) => l.multiply_lower_panel(&z),
+                CorrelationFactor::Tiled(l) => l.multiply_lower_panel(&z),
                 // Sequential conditional simulation: step k draws
                 // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
                 CorrelationFactor::Vecchia(v) => {

@@ -30,10 +30,7 @@ pub use covariance::{CovarianceKernel, MaternParams, MAX_MATERN_SMOOTHNESS};
 pub use field::{simulate_field, simulate_observations, FieldSample};
 pub use fingerprint::{fingerprint_covariance, fingerprint_kernel, fingerprint_locations, Fnv1a};
 pub use geometry::{jittered_grid, regular_grid, Location};
-pub use mle::{
-    fit_matern, fit_matern_with_loglik, gaussian_loglik, gaussian_loglik_factored, mle_nugget,
-    MleResult,
-};
+pub use mle::{fit_matern, gaussian_loglik, MleResult};
 pub use optim::{nelder_mead, NelderMeadOptions, OptimResult};
 pub use posterior::{posterior_update, Posterior};
 pub use vecchia::{conditioning_sets, coordinate_order, maximin_order};

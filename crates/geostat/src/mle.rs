@@ -6,7 +6,7 @@ use crate::field::default_tile_size;
 use crate::geometry::Location;
 use crate::optim::{nelder_mead, NelderMeadOptions};
 use task_runtime::WorkerPool;
-use tile_la::{potrf_tiled, solve_lower_panel, DenseMatrix, SymTileMatrix};
+use tile_la::{potrf_tiled, solve_lower_panel, DenseMatrix};
 
 /// Result of a Matérn maximum-likelihood fit.
 #[derive(Debug, Clone)]
@@ -21,39 +21,13 @@ pub struct MleResult {
     pub converged: bool,
 }
 
-/// The stabilizing nugget every MLE covariance assembly uses
-/// (`1e-10 · max(σ², 1e-12)`). Public so callers that assemble the *same*
-/// covariance elsewhere — e.g. the serving layer's factor cache — produce
-/// bitwise-identical matrices and hence identical likelihoods.
-pub fn mle_nugget(kernel: &CovarianceKernel) -> f64 {
-    1e-10 * kernel.sigma2().max(1e-12)
-}
-
-/// Gaussian log-density given an *already factored* covariance (the lower
-/// Cholesky factor of `Σ`): `−½ (zᵀΣ⁻¹z + log|Σ| + n·log 2π)`.
-///
-/// This is the post-factorization half of [`gaussian_loglik`]; splitting it
-/// out lets a caller that caches factors (the serving layer's MLE path) skip
-/// the `O(n³/3)` factorization on a cache hit while producing bitwise the
-/// same value — factors are worker-count-deterministic, so *where* the
-/// factor came from cannot change the likelihood.
-pub fn gaussian_loglik_factored(factor: &SymTileMatrix, data: &[f64]) -> f64 {
-    let n = factor.n();
-    assert_eq!(data.len(), n, "data length must match the factor dimension");
-    let log_det = tile_la::cholesky::log_det_from_factor(factor);
-    // Whitened residual: w = L^{-1} z, quadratic form = ||w||^2.
-    let mut z = DenseMatrix::from_fn(n, 1, |i, _| data[i]);
-    solve_lower_panel(factor, &mut z);
-    let quad: f64 = z.data().iter().map(|v| v * v).sum();
-    -0.5 * (quad + log_det + n as f64 * (2.0 * std::f64::consts::PI).ln())
-}
-
 /// Exact Gaussian log-likelihood of zero-mean data under the given covariance
 /// kernel: `−½ (zᵀΣ⁻¹z + log|Σ| + n·log 2π)`.
 ///
 /// Uses the parallel tiled Cholesky factorization on the caller's `pool` (e.g.
 /// an `mvn_core::MvnEngine`'s), so it scales to the problem sizes of the
-/// paper's synthetic studies. The value is bitwise the same on every pool
+/// paper's synthetic studies. The covariance carries a stabilizing nugget of
+/// `1e-10 · max(σ², 1e-12)`. The value is bitwise the same on every pool
 /// (the factor is worker-count-deterministic).
 pub fn gaussian_loglik(
     locs: &[Location],
@@ -64,11 +38,17 @@ pub fn gaussian_loglik(
     let n = locs.len();
     assert_eq!(data.len(), n, "data length must match number of locations");
     let nb = default_tile_size(n);
-    let mut sigma = kernel.tiled_covariance(locs, nb, mle_nugget(kernel));
+    let nugget = 1e-10 * kernel.sigma2().max(1e-12);
+    let mut sigma = kernel.tiled_covariance(locs, nb, nugget);
     if potrf_tiled(&mut sigma, pool).is_err() {
         return f64::NEG_INFINITY;
     }
-    gaussian_loglik_factored(&sigma, data)
+    let log_det = tile_la::cholesky::log_det_from_factor(&sigma);
+    // Whitened residual: w = L^{-1} z, quadratic form = ||w||^2.
+    let mut z = DenseMatrix::from_fn(n, 1, |i, _| data[i]);
+    solve_lower_panel(&sigma, &mut z);
+    let quad: f64 = z.data().iter().map(|v| v * v).sum();
+    -0.5 * (quad + log_det + n as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 
 /// Fit Matérn parameters by maximum likelihood with Nelder–Mead over
@@ -88,28 +68,6 @@ pub fn fit_matern(
     estimate_smoothness: bool,
     pool: &WorkerPool,
 ) -> Option<MleResult> {
-    fit_matern_with_loglik(locs, data, init, estimate_smoothness, |k| {
-        gaussian_loglik(locs, data, k, pool)
-    })
-}
-
-/// The Nelder–Mead driver of [`fit_matern`], with the objective supplied by
-/// the caller: `loglik` evaluates the Gaussian log-likelihood of a candidate
-/// kernel. Public so alternative likelihood
-/// evaluators — in particular the serving layer's factor-cached one — reuse
-/// the exact optimization loop (same simplex trajectory, bounds guard and
-/// convergence thresholds) and therefore fit bitwise-identical parameters
-/// whenever their `loglik` is bitwise identical.
-pub fn fit_matern_with_loglik<L>(
-    locs: &[Location],
-    data: &[f64],
-    init: MaternParams,
-    estimate_smoothness: bool,
-    loglik: L,
-) -> Option<MleResult>
-where
-    L: Fn(&CovarianceKernel) -> f64,
-{
     assert_eq!(locs.len(), data.len());
     let fixed_nu = init.smoothness;
 
@@ -134,7 +92,7 @@ where
         {
             return 1e12;
         }
-        -loglik(&CovarianceKernel::Matern(p))
+        -gaussian_loglik(locs, data, &CovarianceKernel::Matern(p), pool)
     };
 
     let mut x0 = vec![init.sigma2.ln(), init.range.ln()];

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use mvn_core::{combine_panel_results, validate_limits, MvnConfig, MvnResult};
 use tile_la::SymTileMatrix;
-use tlr::{CompressionTol, Tile, TlrMatrix};
+use tlr::{Tile, TlrMatrix};
 use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{FaultPlan, FAULTS_ENV};
@@ -50,7 +50,6 @@ use crate::plan::{owned_panels, owned_tiles, TileId};
 use crate::proto::{self, EpochMsg, ProblemMsg, ReownMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
 use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
 use distsim::ProcessGrid;
-use tile_la::TileLayout;
 
 /// Cap on recovery rounds per solve: past this, something is systemically
 /// wrong (a crash loop) and the run fails with the underlying error instead
@@ -236,7 +235,8 @@ pub struct DistReport {
     pub worker_traces: Vec<Vec<obs::Event>>,
 }
 
-/// Solve a dense-factor MVN problem across `dist.nodes` worker processes.
+/// Solve a dense-factor MVN problem across `dist.nodes` worker processes:
+/// [`solve_tlr`] on the dense tiled matrix of `sigma`.
 pub fn solve_dense(
     sigma: &SymTileMatrix,
     a: &[f64],
@@ -244,18 +244,11 @@ pub fn solve_dense(
     cfg: &MvnConfig,
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
-    run(
-        None,
-        sigma.layout(),
-        &|(i, j)| Tile::Dense(sigma.tile(i, j).clone()),
-        a,
-        b,
-        cfg,
-        dist,
-    )
+    solve_tlr(&TlrMatrix::from(sigma.clone()), a, b, cfg, dist)
 }
 
-/// Solve a TLR-factor MVN problem across `dist.nodes` worker processes.
+/// Solve an MVN problem across `dist.nodes` worker processes, factoring the
+/// tiled covariance `sigma` — dense, or TLR under its own compression.
 pub fn solve_tlr(
     sigma: &TlrMatrix,
     a: &[f64],
@@ -263,21 +256,15 @@ pub fn solve_tlr(
     cfg: &MvnConfig,
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
-    run(
-        Some((sigma.tol(), sigma.max_rank())),
-        sigma.layout(),
-        &|(i, j)| {
-            if i == j {
-                Tile::Dense(sigma.diag_tile(i).clone())
-            } else {
-                Tile::LowRank(sigma.off_tile(i, j).clone())
-            }
-        },
-        a,
-        b,
-        cfg,
-        dist,
-    )
+    run(sigma, a, b, cfg, dist)
+}
+
+/// The initial tiles of `sigma` that `rank` owns, as shipped to its
+/// executor.
+fn initial_tiles(sigma: &TlrMatrix, grid: &ProcessGrid, rank: usize) -> Vec<(TileId, Tile)> {
+    (owned_tiles(grid, sigma.layout(), rank).into_iter())
+        .map(|(i, j)| ((i, j), sigma.tile(i, j).clone()))
+        .collect()
 }
 
 /// Kills every still-running child on drop, so any early return tears the
@@ -464,16 +451,14 @@ fn spawn_reader(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
-    compression: Option<(CompressionTol, usize)>,
-    layout: TileLayout,
-    tile_of: &dyn Fn(TileId) -> Tile,
+    sigma: &TlrMatrix,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
+    let layout = sigma.layout();
     validate_limits(a, b).map_err(|e| DistError::InvalidProblem(e.to_string()))?;
     if dist.nodes == 0 {
         return Err(DistError::InvalidProblem("need at least one node".into()));
@@ -545,7 +530,7 @@ fn run(
     let grid = ProcessGrid::new(dist.nodes);
     let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
     let problem = ProblemMsg {
-        compression,
+        compression: sigma.compression(),
         n: layout.n(),
         nb: layout.nb(),
         a: a.to_vec(),
@@ -571,10 +556,7 @@ fn run(
             executor: executor.clone(),
             panels: assigned[rank].clone(),
             problem: problem.clone(),
-            tiles: owned_tiles(&grid, layout, rank)
-                .into_iter()
-                .map(|id| (id, tile_of(id)))
-                .collect(),
+            tiles: initial_tiles(sigma, &grid, rank),
         };
         write_msg(writer, &proto::setup_to_json(&setup))
             .map_err(|e| DistError::Handshake(format!("sending setup to rank {rank}: {e}")))?;
@@ -655,10 +637,7 @@ fn run(
                         assigned[r].clone()
                     },
                     problem: problem.clone(),
-                    tiles: owned_tiles(&grid, layout, r)
-                        .into_iter()
-                        .map(|id| (id, tile_of(id)))
-                        .collect(),
+                    tiles: initial_tiles(sigma, &grid, r),
                 };
                 write_msg(&mut writer, &proto::setup_to_json(&setup)).map_err(|e| {
                     DistError::Handshake(format!("sending setup to respawned rank {r}: {e}"))
@@ -752,8 +731,7 @@ fn run(
                         why: &format!("{kind}: {message}"),
                         dist,
                         grid: &grid,
-                        layout,
-                        tile_of,
+                        sigma,
                         addr: &addr,
                         guard: &mut guard,
                         epoch: &mut epoch,
@@ -792,8 +770,7 @@ fn run(
                     why: &why,
                     dist,
                     grid: &grid,
-                    layout,
-                    tile_of,
+                    sigma,
                     addr: &addr,
                     guard: &mut guard,
                     epoch: &mut epoch,
@@ -862,8 +839,7 @@ struct RecoverArgs<'a> {
     why: &'a str,
     dist: &'a DistConfig,
     grid: &'a ProcessGrid,
-    layout: TileLayout,
-    tile_of: &'a dyn Fn(TileId) -> Tile,
+    sigma: &'a TlrMatrix,
     addr: &'a str,
     guard: &'a mut ChildGuard,
     epoch: &'a mut u64,
@@ -890,8 +866,7 @@ fn recover(args: RecoverArgs<'_>) -> Result<(), DistError> {
         why,
         dist,
         grid,
-        layout,
-        tile_of,
+        sigma,
         addr,
         guard,
         epoch,
@@ -944,10 +919,7 @@ fn recover(args: RecoverArgs<'_>) -> Result<(), DistError> {
                     } else {
                         assigned[r].clone()
                     },
-                    tiles: owned_tiles(grid, layout, r)
-                        .into_iter()
-                        .map(|id| (id, tile_of(id)))
-                        .collect(),
+                    tiles: initial_tiles(sigma, grid, r),
                 };
                 if let Some(w) = writers[s].as_mut() {
                     write_msg(w, &proto::reown_to_json(&reown)).map_err(|e| {

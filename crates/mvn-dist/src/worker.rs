@@ -27,8 +27,9 @@
 //! applies them in global plan order — through the hazard-inferring stream
 //! for its own slice, sequentially for a replayed slice — so per-tile kernel
 //! order equals the single-process DAG's. Every step runs
-//! [`tlr::dag::tlr_step`], the step body `potrf_tiled` and `potrf_tlr` run
-//! (this crate calls no kernel itself), on bit-identical inputs (locally
+//! [`tlr::dag::tlr_step`], the step body the engine's `potrf_tlr` runs on
+//! dense and TLR factors alike (this crate calls no kernel itself), on
+//! bit-identical inputs (locally
 //! produced, or shipped with the shortest-roundtrip `f64` encoding). The
 //! sweep then runs the engine's own [`mvn_core::sweep_panel`] against
 //! bit-identical factor tiles with the same deterministic point set, and
@@ -61,10 +62,9 @@ use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{effective_workers, HandleRegistry, WorkerPool};
 use tile_la::dag::{register_tile_handles, FactorStatus};
-use tile_la::kernels::gemm_nt;
-use tile_la::{DenseMatrix, TileLayout};
+use tile_la::TileLayout;
 use tlr::dag::tlr_step;
-use tlr::{lr_gemm_panel_t, Tile};
+use tlr::Tile;
 use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
@@ -390,28 +390,17 @@ fn ensure_final_wait(
 /// [`CholeskyFactor`] abstraction so the sweep kernels are literally the
 /// single-process ones.
 struct DistFactor {
-    n: usize,
     layout: TileLayout,
-    diag: Vec<Arc<Tile>>,
-    /// `off[i]` holds tiles `(i, 0..i)`; dense or low-rank by factor kind.
-    off: Vec<Vec<Arc<Tile>>>,
+    /// `tiles[i]` holds tiles `(i, 0..=i)`.
+    tiles: Vec<Vec<Arc<Tile>>>,
 }
 
 impl CholeskyFactor for DistFactor {
-    fn dim(&self) -> usize {
-        self.n
-    }
     fn tiling(&self) -> TileLayout {
         self.layout
     }
-    fn diag_block(&self, r: usize) -> &DenseMatrix {
-        self.diag[r].as_dense()
-    }
-    fn apply_offdiag(&self, j: usize, r: usize, yt: &DenseMatrix, acc: &mut DenseMatrix) {
-        match &*self.off[j][r] {
-            Tile::Dense(t) => gemm_nt(-1.0, yt, t, 1.0, acc),
-            Tile::LowRank(b) => lr_gemm_panel_t(-1.0, b, yt, 1.0, acc),
-        }
+    fn tile(&self, i: usize, j: usize) -> &Tile {
+        &self.tiles[i][j]
     }
 }
 
@@ -713,11 +702,9 @@ fn sweep_assigned(
         }
     }
     let factor = DistFactor {
-        n: p.n,
         layout,
-        diag: (0..nt).map(|i| ctx.store.get_final((i, i))).collect(),
-        off: (0..nt)
-            .map(|i| (0..i).map(|j| ctx.store.get_final((i, j))).collect())
+        tiles: (0..nt)
+            .map(|i| (0..=i).map(|j| ctx.store.get_final((i, j))).collect())
             .collect(),
     };
     let points = make_point_set(p.sample_kind, p.n, p.seed);
@@ -733,7 +720,7 @@ fn sweep_assigned(
         Some(pool) => {
             let cost = |_: usize, _: &usize| (nt * cfg.panel_width) as f64;
             pool.run_map("dist_panel_sweep", panels, cost, |_, &panel| {
-                let r = sweep_panel(&factor, layout, &p.a, &p.b, points_ref, &cfg, panel);
+                let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
                 // Fault hook: a planned mid-sweep kill fires here, after
                 // this panel completes.
                 ctx.injector.on_panel_done();
@@ -744,7 +731,7 @@ fn sweep_assigned(
             .iter()
             .map(|&panel| {
                 let t0 = obs::now_ns();
-                let r = sweep_panel(&factor, layout, &p.a, &p.b, points_ref, &cfg, panel);
+                let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
                 seq_sweep_ns += obs::now_ns().saturating_sub(t0);
                 obs::complete_since("dist_panel_sweep", t0, &[("panel", panel as u64)]);
                 r
@@ -940,6 +927,7 @@ mod tests {
     use super::*;
     use crate::proto::{ProblemMsg, SetupMsg};
     use qmc::SampleKind;
+    use tile_la::DenseMatrix;
 
     #[test]
     fn tile_server_refuses_ids_outside_the_layout_and_keeps_serving() {

@@ -229,11 +229,13 @@ impl FactorCache {
 mod tests {
     use super::*;
     use tile_la::SymTileMatrix;
+    use tlr::TlrMatrix;
 
     fn factor(n: usize) -> Arc<Factor> {
-        let mut m = SymTileMatrix::from_fn(n, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        tile_la::potrf_tiled(&mut m, &task_runtime::WorkerPool::new(1)).unwrap();
-        Arc::new(Factor::Dense(m))
+        let identity = SymTileMatrix::from_fn(n, 4, |i, j| if i == j { 1.0 } else { 0.0 });
+        let mut m = TlrMatrix::from(identity);
+        tlr::potrf_tlr(&mut m, &task_runtime::WorkerPool::new(1)).unwrap();
+        Arc::new(Factor::Tiled(m))
     }
 
     fn fp(k: u64) -> FactorFingerprint {

@@ -11,7 +11,7 @@
 //! * **Factor cache** ([`cache`]): covariances are named by deterministic
 //!   [fingerprints](spec::CovSpec::fingerprint) of their specification, and
 //!   each shard keeps an LRU cache of factored matrices (capacity in bytes),
-//!   so repeated CRD/MLE traffic skips re-factorization entirely.
+//!   so repeated CRD traffic skips re-factorization entirely.
 //! * **Cross-spec micro-batcher** ([`service`]): concurrently submitted
 //!   problems are coalesced into a single
 //!   [`MvnEngine::solve_batch_mixed`](mvn_core::MvnEngine::solve_batch_mixed)
@@ -23,10 +23,6 @@
 //!   carry deadlines (expired ones are shed with a typed
 //!   [`ServiceError::DeadlineExceeded`]), and hot factors can be
 //!   [warmed and pinned](MvnService::warm) ahead of a burst.
-//! * **Shared MLE factor path** ([`mle`]): `geostat`'s Gaussian
-//!   log-likelihood (and `fit_matern`) can run against the same
-//!   [`FactorCache`], so parameter estimation and probability traffic share
-//!   factors instead of re-factorizing per objective evaluation.
 //! * **Sharded dispatch over one worker pool** ([`service`]): N shards, each
 //!   a queue, a dispatcher and a cache; requests are routed by fingerprint
 //!   so a factor lives on one shard. Every shard's engine runs on the
@@ -62,7 +58,6 @@
 
 pub mod cache;
 pub mod crd;
-pub mod mle;
 pub mod service;
 pub mod spec;
 pub mod tcp;
@@ -72,7 +67,6 @@ pub use crd::{detect_confidence_regions_served, find_excursion_set_served};
 // The JSON value type and bit-exact f64 encoding moved to the shared `wire`
 // crate (the distributed runtime's tile transport uses the same bits);
 // re-exported here so `mvn_service::json::...` paths keep working.
-pub use mle::{fit_matern_cached, gaussian_loglik_cached, mle_spec};
 pub use service::{
     CacheOpOutput, CacheTicket, MvnService, ServiceConfig, ServiceError, ServiceStats, ShardStats,
     SolveOutput, SpecHandle, Ticket, BATCH_HIST_BUCKETS,

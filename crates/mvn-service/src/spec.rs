@@ -398,8 +398,8 @@ mod tests {
             .kernel
             .tiled_covariance(&spec.locations, spec.tile_size, spec.nugget);
         tile_la::potrf_tiled(&mut want, &task_runtime::WorkerPool::new(1)).unwrap();
-        let Factor::Dense(got) = &f else {
-            panic!("expected dense")
+        let Factor::Tiled(got) = &f else {
+            panic!("expected a tiled factor")
         };
         let (gd, wd) = (got.to_dense_lower(), want.to_dense_lower());
         for i in 0..spec.n() {
@@ -414,8 +414,8 @@ mod tests {
             .kernel
             .dense_covariance(&sspec.locations, sspec.nugget);
         let (wantf, _sd) = excursion::correlation_factor_dense(&cov, sspec.tile_size);
-        let (Factor::Dense(got), Factor::Dense(want)) = (&sf, &wantf) else {
-            panic!("expected dense")
+        let (Factor::Tiled(got), Factor::Tiled(want)) = (&sf, &wantf) else {
+            panic!("expected tiled factors")
         };
         let (gd, wd) = (got.to_dense_lower(), want.to_dense_lower());
         for i in 0..sspec.n() {

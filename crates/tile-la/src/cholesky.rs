@@ -9,9 +9,9 @@
 //! panels. The tests cross-check it against the unblocked
 //! [`potrf_in_place`](crate::kernels::potrf_in_place) on the dense matrix.
 
-use crate::dag::{attach_tiles, detach_tiles, submit_factor_tasks, FactorStatus};
+use crate::dag::{dense_step, register_tile_handles, submit_steps, FactorStatus};
 use crate::sym_tile::SymTileMatrix;
-use task_runtime::{HandleRegistry, WorkerPool};
+use task_runtime::{HandleRegistry, TileStore, WorkerPool};
 
 /// Failure modes of the tiled Cholesky factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,11 +41,25 @@ impl std::error::Error for CholeskyError {}
 /// factors inline.
 pub fn potrf_tiled(a: &mut SymTileMatrix, pool: &WorkerPool) -> Result<(), CholeskyError> {
     let layout = a.layout();
-    let mut registry = HandleRegistry::new();
-    let (handles, mut store) = detach_tiles(a, &mut registry);
+    // One handle per lower tile, so tasks can access tiles concurrently.
+    let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
+    let mut store = TileStore::new();
+    for (&h, tile) in handles.iter().flatten().zip(a.take_tiles()) {
+        store.insert(h, tile);
+    }
     let status = FactorStatus::new();
-    pool.execute(|sink| submit_factor_tasks(sink, &store, &handles, layout, &status));
-    attach_tiles(a, &handles, &mut store);
+    pool.execute(|sink| {
+        submit_steps(
+            sink,
+            &store,
+            &handles,
+            layout,
+            &status,
+            false,
+            |step, out, reads| dense_step(step, out, reads, layout),
+        )
+    });
+    a.put_tiles(handles.iter().flatten().map(|&h| store.take(h)).collect());
     match status.pivot() {
         Some(p) => Err(CholeskyError::NotPositiveDefinite(p)),
         None => Ok(()),

@@ -1,8 +1,9 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool (the paper's StarPU programming model): the one task
 //! order [`cholesky_plan`], the one dense step body [`dense_step`], and the
-//! building blocks [`potrf_tiled`](crate::potrf_tiled), the TLR factorization
-//! in `tlr`, the `mvn-dist` worker and the `distsim` model compose.
+//! building blocks [`potrf_tiled`](crate::potrf_tiled), the tiled factor's
+//! factorization in `tlr`, the `mvn-dist` worker and the `distsim` model
+//! compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
 //! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
@@ -18,7 +19,6 @@
 use crate::dense::DenseMatrix;
 use crate::kernels::{gemm_nt, potrf_in_place, syrk_lower, trsm_right_lower_trans};
 use crate::layout::TileLayout;
-use crate::sym_tile::SymTileMatrix;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use task_runtime::{
@@ -84,38 +84,6 @@ pub fn register_tile_handles(
         handles.push(row);
     }
     handles
-}
-
-/// Move the tiles of `a` out into a [`TileStore`] keyed by freshly registered
-/// handles, so task closures can access them concurrently. Reverse with
-/// [`attach_tiles`].
-pub fn detach_tiles(
-    a: &mut SymTileMatrix,
-    registry: &mut HandleRegistry,
-) -> (Vec<Vec<DataHandle>>, TileStore<DenseMatrix>) {
-    let layout = a.layout();
-    let handles = register_tile_handles(registry, layout);
-    let mut store = TileStore::new();
-    for (i, row) in handles.iter().enumerate() {
-        for (j, &h) in row.iter().enumerate() {
-            store.insert(h, a.take_tile(i, j));
-        }
-    }
-    (handles, store)
-}
-
-/// Move the tiles of a [`TileStore`] back into `a` (inverse of
-/// [`detach_tiles`]; the graph borrowing the store must have been dropped).
-pub fn attach_tiles(
-    a: &mut SymTileMatrix,
-    handles: &[Vec<DataHandle>],
-    store: &mut TileStore<DenseMatrix>,
-) {
-    for (i, row) in handles.iter().enumerate() {
-        for (j, &h) in row.iter().enumerate() {
-            a.put_tile(i, j, store.take(h));
-        }
-    }
 }
 
 /// A lower tile `(i, j)`, `j ≤ i`, of a tiled factor.
@@ -270,7 +238,8 @@ pub fn dense_step<R: Deref<Target = DenseMatrix>>(
 /// output tile and read tiles, and records a returned pivot in `status`;
 /// `low_rank` names the off-diagonal trailing update `lr_gemm`.
 ///
-/// The dense and TLR submitters are this loop with their step functions.
+/// The submitters of `potrf_tiled` and of the tiled factor in `tlr` are this
+/// loop with their step functions.
 /// The caller owns the [`TileStore`] and the [`FactorStatus`]; after
 /// executing the tasks it must check [`FactorStatus::pivot`].
 pub fn submit_steps<'a, T, S, F>(
@@ -304,28 +273,6 @@ pub fn submit_steps<'a, T, S, F>(
     }
 }
 
-/// Submit the dense tiled Cholesky factorization: [`submit_steps`] with
-/// [`dense_step`]. Its one caller outside this crate is `distsim`'s
-/// `the_model_graph_is_the_executed_graph`, which pins the simulated task
-/// graph to this one.
-pub fn submit_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
-    graph: &mut S,
-    store: &'a TileStore<DenseMatrix>,
-    handles: &[Vec<DataHandle>],
-    layout: TileLayout,
-    status: &'a FactorStatus,
-) {
-    submit_steps(
-        graph,
-        store,
-        handles,
-        layout,
-        status,
-        false,
-        move |step, out, reads| dense_step(step, out, reads, layout),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,13 +294,24 @@ mod tests {
             let d = (i as f64 - j as f64).abs();
             (-d / 5.0).exp() + if i == j { 1e-3 } else { 0.0 }
         };
-        let mut a = SymTileMatrix::from_fn(64, 16, spd);
+        let a = crate::SymTileMatrix::from_fn(64, 16, spd);
         let layout = a.layout();
-        let mut registry = HandleRegistry::new();
-        let (handles, store) = detach_tiles(&mut a, &mut registry);
+        let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
+        let mut store = TileStore::new();
+        for (&h, tile) in handles.iter().flatten().zip(a.into_tiles()) {
+            store.insert(h, tile);
+        }
         let status = FactorStatus::new();
         let mut graph = TaskGraph::new();
-        submit_factor_tasks(&mut graph, &store, &handles, layout, &status);
+        submit_steps(
+            &mut graph,
+            &store,
+            &handles,
+            layout,
+            &status,
+            false,
+            |step, out, reads| dense_step(step, out, reads, layout),
+        );
         let counts = graph.kernel_counts();
         let nt = 4;
         assert_eq!(counts["potrf"], nt);

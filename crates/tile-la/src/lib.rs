@@ -10,14 +10,16 @@
 //!   [`svd`](kernels::svd) used for low-rank compression,
 //! * [`TileLayout`] — 1-D tiling of a dimension into fixed-size blocks,
 //! * [`SymTileMatrix`] — a symmetric matrix stored as its lower-triangular tiles
-//!   (the layout used for covariance matrices and their Cholesky factors),
+//!   (the assembly layout of covariance matrices; the engine moves its tiles
+//!   into the one tiled factor of the `tlr` crate),
 //! * [`cholesky`] — the parallel right-looking tiled Cholesky factorization
-//!   ([`potrf_tiled`], on a `task_runtime::WorkerPool`),
-//! * [`dag`] — its one task order (`cholesky_plan`, shared with the TLR,
+//!   ([`potrf_tiled`], on a `task_runtime::WorkerPool`), the dense linear
+//!   algebra of field simulation and likelihoods,
+//! * [`dag`] — its one task order (`cholesky_plan`, shared with the tiled,
 //!   distributed and simulated factorizations), its one dense step body
-//!   (`dense_step`, which the TLR step body calls on dense tiles), and the
-//!   building blocks (`detach_tiles`, `submit_steps`, `FactorStatus`) the
-//!   TLR and distributed factorizations compose with,
+//!   (`dense_step`, which the tiled factor's step body calls on dense tiles),
+//!   and the building blocks (`register_tile_handles`, `submit_steps`,
+//!   `FactorStatus`) the tiled and distributed factorizations compose with,
 //! * [`solve`] — tiled triangular solves against dense panels,
 //! * [`norms`] — Frobenius / max-abs norms and difference helpers.
 //!

@@ -76,6 +76,11 @@ impl SymTileMatrix {
         Self { layout, tiles }
     }
 
+    /// The lower tiles, moved out in [`from_tiles`](Self::from_tiles) order.
+    pub fn into_tiles(self) -> Vec<DenseMatrix> {
+        self.tiles
+    }
+
     /// Build from a full dense symmetric matrix (used in tests and small
     /// reference computations).
     pub fn from_dense(a: &DenseMatrix, nb: usize) -> Self {
@@ -121,18 +126,14 @@ impl SymTileMatrix {
         &mut self.tiles[Self::tri_index(i, j)]
     }
 
-    /// Move tile `(i, j)` out, leaving an empty placeholder (used by the
-    /// parallel factorization to obtain disjoint mutable tiles).
-    pub(crate) fn take_tile(&mut self, i: usize, j: usize) -> DenseMatrix {
-        std::mem::replace(
-            &mut self.tiles[Self::tri_index(i, j)],
-            DenseMatrix::zeros(1, 1),
-        )
+    /// Move every tile out (in [`from_tiles`](Self::from_tiles) order), for
+    /// the factorization's tile store; `put_tiles` moves them back.
+    pub(crate) fn take_tiles(&mut self) -> Vec<DenseMatrix> {
+        std::mem::take(&mut self.tiles)
     }
 
-    /// Put a tile back after [`take_tile`](Self::take_tile).
-    pub(crate) fn put_tile(&mut self, i: usize, j: usize, t: DenseMatrix) {
-        self.tiles[Self::tri_index(i, j)] = t;
+    pub(crate) fn put_tiles(&mut self, tiles: Vec<DenseMatrix>) {
+        self.tiles = tiles;
     }
 
     /// Element access through the symmetric structure (either triangle).

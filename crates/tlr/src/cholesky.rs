@@ -1,8 +1,10 @@
-//! Tile Low-Rank Cholesky factorization (the HiCMA `POTRF`).
+//! The tiled Cholesky factorization of a [`TlrMatrix`] (the HiCMA `POTRF`
+//! on a TLR matrix, Chameleon's on a dense one).
 //!
-//! Identical task structure to the dense tiled Cholesky, but the panel and
-//! update kernels act on compressed tiles (all in one step body,
-//! [`tlr_step`](crate::dag::tlr_step)):
+//! Identical task structure to the dense tiled Cholesky; on a dense matrix
+//! every step is the dense kernel, and on a TLR matrix the panel and update
+//! kernels act on compressed tiles (all in one step body,
+//! [`tlr_step`]):
 //!
 //! * `POTRF` — dense, on the (dense) diagonal tiles,
 //! * `TRSM`  — only the `V` factor of each low-rank panel tile is solved,
@@ -10,60 +12,49 @@
 //! * `GEMM`  — low-rank × low-rank update with recompression
 //!   (`lr_lr_t_update`).
 
-use crate::dag::{attach_tlr_tiles, detach_tlr_tiles, submit_tlr_factor_tasks};
+use crate::dag::tlr_step;
 use crate::tlr_matrix::TlrMatrix;
-use task_runtime::{HandleRegistry, WorkerPool};
-use tile_la::FactorStatus;
+use task_runtime::{HandleRegistry, TileStore, WorkerPool};
+use tile_la::dag::{register_tile_handles, submit_steps};
+use tile_la::{CholeskyError, FactorStatus};
 
-/// Failure modes of the TLR Cholesky factorization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TlrCholeskyError {
-    /// A diagonal tile stopped being positive definite — either the matrix is
-    /// genuinely not SPD or the compression tolerance is too loose for it to
-    /// remain numerically SPD.
-    NotPositiveDefinite {
-        /// Global pivot index.
-        pivot: usize,
-    },
-}
-
-impl std::fmt::Display for TlrCholeskyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TlrCholeskyError::NotPositiveDefinite { pivot } => write!(
-                f,
-                "TLR matrix is not positive definite at pivot {pivot} (matrix not SPD or compression tolerance too loose)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TlrCholeskyError {}
-
-/// In-place TLR Cholesky factorization on `pool`.
+/// In-place tiled Cholesky factorization on `pool`.
 ///
 /// On success the diagonal tiles hold the dense `L_kk` factors and the
-/// off-diagonal tiles hold the compressed `L_ik` factors. The tasks stream
-/// through [`WorkerPool::execute`]; the factor is bitwise identical for every
-/// worker count.
-pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), TlrCholeskyError> {
-    let layout = a.layout();
-    let tol = a.tol();
-    let max_rank = a.max_rank();
-    let mut registry = HandleRegistry::new();
-    let (handles, mut store) = detach_tlr_tiles(a, &mut registry);
+/// off-diagonal tiles hold `L_ik` in their own format (for a dense matrix,
+/// the bits of [`tile_la::potrf_tiled`]). A non-positive pivot — the matrix
+/// is not SPD, or a TLR compression tolerance too loose for it to stay
+/// numerically SPD — is [`CholeskyError::NotPositiveDefinite`] at its global
+/// index. The tasks stream through [`WorkerPool::execute`]; the factor is
+/// bitwise identical for every worker count.
+pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), CholeskyError> {
+    let (layout, compression) = (a.layout(), a.compression());
+    // One handle per lower tile, in the matrix's storage order.
+    let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
+    let mut store = TileStore::new();
+    for (&h, tile) in handles.iter().flatten().zip(a.take_tiles()) {
+        store.insert(h, tile);
+    }
     let status = FactorStatus::new();
     pool.execute(|sink| {
-        submit_tlr_factor_tasks(sink, &store, &handles, layout, tol, max_rank, &status)
+        submit_steps(
+            sink,
+            &store,
+            &handles,
+            layout,
+            &status,
+            compression.is_some(),
+            move |step, out, reads| tlr_step(step, out, reads, layout, compression),
+        )
     });
-    attach_tlr_tiles(a, &handles, &mut store);
+    a.put_tiles(handles.iter().flatten().map(|&h| store.take(h)).collect());
     match status.pivot() {
-        Some(pivot) => Err(TlrCholeskyError::NotPositiveDefinite { pivot }),
+        Some(pivot) => Err(CholeskyError::NotPositiveDefinite(pivot)),
         None => Ok(()),
     }
 }
 
-/// Log-determinant from a TLR Cholesky factor.
+/// Log-determinant from a tiled Cholesky factor.
 pub fn log_det_from_tlr_factor(l: &TlrMatrix) -> f64 {
     let mut s = 0.0;
     for t in 0..l.num_tiles() {
@@ -206,10 +197,7 @@ mod tests {
         for pool in [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)] {
             let mut tlr = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
             let err = potrf_tlr(&mut tlr, &pool).unwrap_err();
-            assert!(matches!(
-                err,
-                TlrCholeskyError::NotPositiveDefinite { pivot: 0 }
-            ));
+            assert_eq!(err, CholeskyError::NotPositiveDefinite(0));
             assert!(err.to_string().contains("not positive definite"));
         }
     }

@@ -1,22 +1,20 @@
-//! The HiCMA-style TLR Cholesky as a sequential-task-flow producer for the
-//! `task-runtime` pool, mirroring [`tile_la::dag`] for the compressed format:
-//! the building blocks [`potrf_tlr`](crate::potrf_tlr) and the `distsim`
-//! graph test compose.
+//! The tile format and the one step body of the tiled Cholesky of a
+//! [`TlrMatrix`](crate::TlrMatrix).
 //!
-//! Diagonal tiles (dense) and strictly-lower off-diagonal tiles (low-rank)
-//! live in one [`TileStore`] of [`Tile`]s over the dense lower-triangle
-//! handle grid. The task order is the dense one —
-//! [`cholesky_plan`](tile_la::dag::cholesky_plan) — and every step runs
-//! [`tlr_step`], the step body the `mvn-dist` worker runs too, so the factor
-//! is bitwise identical for every worker count and every process count.
+//! The matrix's [`Tile`]s — all dense for a dense factor, low-rank off the
+//! diagonal for a TLR one — are factored by the steps of
+//! [`cholesky_plan`](tile_la::dag::cholesky_plan), each running
+//! [`tlr_step`]: in [`potrf_tlr`](crate::potrf_tlr)'s tasks and in the
+//! `mvn-dist` worker, so the factor is bitwise identical for every worker
+//! count and every process count, and a dense factor's bits are
+//! [`tile_la::potrf_tiled`]'s.
 
 use crate::arithmetic::{lr_aa_t_update, lr_lr_t_update};
 use crate::compress::CompressionTol;
 use crate::lowrank::LowRankBlock;
-use crate::tlr_matrix::TlrMatrix;
+use std::borrow::Cow;
 use std::ops::Deref;
-use task_runtime::{DataHandle, HandleRegistry, TaskSink, TileStore};
-use tile_la::dag::{dense_step, submit_steps, FactorStatus, Kernel, Step};
+use tile_la::dag::{dense_step, Kernel, Step};
 use tile_la::kernels::trsm_left_lower_notrans;
 use tile_la::{DenseMatrix, TileLayout};
 
@@ -40,7 +38,15 @@ impl Tile {
         }
     }
 
-    /// Number of stored doubles (for transfer accounting).
+    /// The tile as a dense matrix: borrowed, or expanded from `U·Vᵀ`.
+    pub fn to_dense(&self) -> Cow<'_, DenseMatrix> {
+        match self {
+            Tile::Dense(d) => Cow::Borrowed(d),
+            Tile::LowRank(b) => Cow::Owned(b.to_dense()),
+        }
+    }
+
+    /// Number of stored doubles (for transfer and cache accounting).
     pub fn stored_elements(&self) -> usize {
         match self {
             Tile::Dense(d) => d.nrows() * d.ncols(),
@@ -87,83 +93,11 @@ pub fn tlr_step<R: Deref<Target = Tile>>(
     Ok(())
 }
 
-/// Move the tiles of `a` out into a [`TileStore`] keyed by freshly
-/// registered handles: `handles[i][j]` (`j ≤ i`) names the dense diagonal
-/// tile when `i == j` and the low-rank tile otherwise — the same
-/// lower-triangle grid as the dense [`tile_la::dag::detach_tiles`]. Reverse
-/// with [`attach_tlr_tiles`].
-pub fn detach_tlr_tiles(
-    a: &mut TlrMatrix,
-    registry: &mut HandleRegistry,
-) -> (Vec<Vec<DataHandle>>, TileStore<Tile>) {
-    let layout = a.layout();
-    let nt = layout.num_tiles();
-    let mut handles: Vec<Vec<DataHandle>> = Vec::with_capacity(nt);
-    let mut store = TileStore::new();
-    for i in 0..nt {
-        let bytes = layout.tile_size(i) * layout.tile_size(i) * std::mem::size_of::<f64>();
-        let h_ii = registry.register_sized(format!("D[{i}]"), bytes);
-        store.insert(h_ii, Tile::Dense(a.take_diag(i)));
-        let mut row = Vec::with_capacity(i + 1);
-        for j in 0..i {
-            let blk = a.take_off(i, j);
-            let bytes = blk.stored_elements() * std::mem::size_of::<f64>();
-            let h = registry.register_sized(format!("L[{i},{j}]"), bytes);
-            store.insert(h, Tile::LowRank(blk));
-            row.push(h);
-        }
-        row.push(h_ii);
-        handles.push(row);
-    }
-    (handles, store)
-}
-
-/// Move the tiles of a [`TileStore`] back into `a` (inverse of
-/// [`detach_tlr_tiles`]; the graph borrowing the store must have been
-/// dropped).
-pub fn attach_tlr_tiles(
-    a: &mut TlrMatrix,
-    handles: &[Vec<DataHandle>],
-    store: &mut TileStore<Tile>,
-) {
-    for (i, row) in handles.iter().enumerate() {
-        for (j, &h) in row.iter().enumerate() {
-            match store.take(h) {
-                Tile::Dense(d) => a.put_diag(i, d),
-                Tile::LowRank(blk) => a.put_off(i, j, blk),
-            }
-        }
-    }
-}
-
-/// Submit the TLR Cholesky factorization — [`submit_steps`] with
-/// [`tlr_step`] — into any [`TaskSink`]. Its one caller outside this crate
-/// is `distsim`'s `the_model_graph_is_the_executed_graph`, which pins the
-/// simulated task graph to this one.
-pub fn submit_tlr_factor_tasks<'a, S: TaskSink<'a> + ?Sized>(
-    graph: &mut S,
-    store: &'a TileStore<Tile>,
-    handles: &[Vec<DataHandle>],
-    layout: TileLayout,
-    tol: CompressionTol,
-    max_rank: usize,
-    status: &'a FactorStatus,
-) {
-    submit_steps(
-        graph,
-        store,
-        handles,
-        layout,
-        status,
-        true,
-        move |step, out, reads| tlr_step(step, out, reads, layout, Some((tol, max_rank))),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::{potrf_tlr, TlrCholeskyError};
+    use crate::cholesky::potrf_tlr;
+    use crate::tlr_matrix::TlrMatrix;
     use std::collections::HashMap;
     use task_runtime::WorkerPool;
     use tile_la::dag::{cholesky_plan, TileId};
@@ -238,33 +172,26 @@ mod tests {
 
             let mut tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, f);
             let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
-                .map(|(i, j)| {
-                    let tile = if i == j {
-                        Tile::Dense(tlr.diag_tile(i).clone())
-                    } else {
-                        Tile::LowRank(tlr.off_tile(i, j).clone())
-                    };
-                    ((i, j), tile)
-                })
+                .map(|(i, j)| ((i, j), tlr.tile(i, j).clone()))
                 .collect();
             let walked = walk(&mut tiles, layout, compression);
             let factored = potrf_tlr(&mut tlr, &pool);
             assert_eq!(
                 factored,
-                pivot.map_or(Ok(()), |pivot| Err(TlrCholeskyError::NotPositiveDefinite {
-                    pivot
-                }))
+                pivot.map_or(Ok(()), |p| Err(CholeskyError::NotPositiveDefinite(p)))
             );
             assert_eq!(walked, pivot.map_or(Ok(()), Err));
             if pivot.is_none() {
                 for (i, j) in lower_ids(layout) {
-                    match &tiles[&(i, j)] {
-                        Tile::Dense(d) => assert_eq!(bits(d), bits(tlr.diag_tile(i)), "({i},{j})"),
-                        Tile::LowRank(b) => {
-                            let want = tlr.off_tile(i, j);
+                    match (&tiles[&(i, j)], tlr.tile(i, j)) {
+                        (Tile::Dense(d), Tile::Dense(want)) => {
+                            assert_eq!(bits(d), bits(want), "({i},{j})")
+                        }
+                        (Tile::LowRank(b), Tile::LowRank(want)) => {
                             assert_eq!(bits(&b.u), bits(&want.u), "U ({i},{j})");
                             assert_eq!(bits(&b.v), bits(&want.v), "V ({i},{j})");
                         }
+                        _ => panic!("({i},{j}) changed format"),
                     }
                 }
             }

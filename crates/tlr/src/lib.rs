@@ -1,9 +1,12 @@
-//! # tlr — Tile Low-Rank matrix approximation
+//! # tlr — tiled factors, dense or Tile Low-Rank
 //!
-//! A pure-Rust substitute for the HiCMA library used by the paper: symmetric
-//! matrices are stored as dense diagonal tiles plus off-diagonal tiles
-//! compressed into low-rank factors `U·Vᵀ`, and the Cholesky factorization
-//! is carried out directly in that compressed format.
+//! A pure-Rust substitute for the HiCMA library used by the paper, and the
+//! one tiled factor of the workspace: [`TlrMatrix`] stores a symmetric
+//! matrix as its lower [`Tile`]s, each dense or compressed into low-rank
+//! factors `U·Vᵀ`. A dense factor is a tiled factor whose tiles are all
+//! dense; a TLR factor keeps its diagonal tiles dense and compresses the
+//! off-diagonal ones. Both are factored by the same tiled Cholesky, carried
+//! out directly in each tile's format.
 //!
 //! The crate provides:
 //!
@@ -13,9 +16,9 @@
 //!   that stops at the tolerance, then a Jacobi SVD of the kept rows only),
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
-//! * [`TlrMatrix`] — the tile-low-rank symmetric matrix (diagonal dense, lower
-//!   off-diagonal low-rank),
-//! * [`potrf_tlr`] — the TLR Cholesky factorization, whose one step body
+//! * [`TlrMatrix`] — the tiled symmetric matrix (built compressed by
+//!   [`TlrMatrix::from_fn`], or dense from a `tile_la::SymTileMatrix`),
+//! * [`potrf_tlr`] — its Cholesky factorization, whose one step body
 //!   [`dag::tlr_step`] (over a dense-or-low-rank [`Tile`]) the `mvn-dist`
 //!   worker runs too,
 //! * [`RankStats`] — per-tile rank maps and summaries
@@ -32,7 +35,7 @@ pub mod tlr_matrix;
 pub use arithmetic::{
     lr_aa_t_update, lr_add_recompress, lr_gemm_panel, lr_gemm_panel_t, lr_lr_t_update,
 };
-pub use cholesky::{potrf_tlr, TlrCholeskyError};
+pub use cholesky::potrf_tlr;
 pub use compress::{compress_dense, CompressionTol};
 pub use dag::Tile;
 pub use lowrank::LowRankBlock;

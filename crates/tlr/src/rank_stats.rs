@@ -2,6 +2,7 @@
 //! Figure 5 (rank heat-maps of a 19,600² covariance matrix under weak, medium
 //! and strong correlation).
 
+use crate::dag::Tile;
 use crate::tlr_matrix::TlrMatrix;
 
 /// The rank-bucket boundaries used by the paper's Figure 5 legend.
@@ -14,7 +15,8 @@ pub const RANK_BUCKETS: &[(usize, usize)] = &[
     (101, usize::MAX),
 ];
 
-/// Ranks of every tile of a TLR matrix (diagonal tiles count as full rank).
+/// Ranks of every tile of a tiled matrix (dense tiles — every diagonal tile,
+/// and every tile of a dense matrix — count as full rank).
 #[derive(Debug, Clone)]
 pub struct RankStats {
     nt: usize,
@@ -24,19 +26,20 @@ pub struct RankStats {
 }
 
 impl RankStats {
-    /// Collect rank statistics from a TLR matrix.
+    /// Collect rank statistics from a tiled matrix.
     pub fn from_matrix(a: &TlrMatrix) -> Self {
         let nt = a.num_tiles();
-        let mut ranks = Vec::with_capacity(nt);
-        for i in 0..nt {
-            let mut row = Vec::with_capacity(i + 1);
-            for j in 0..i {
-                row.push(a.off_tile(i, j).rank());
-            }
-            // Diagonal tile is dense: report its full dimension as "rank".
-            row.push(a.diag_tile(i).nrows());
-            ranks.push(row);
-        }
+        let ranks = (0..nt)
+            .map(|i| {
+                (0..=i)
+                    .map(|j| match a.tile(i, j) {
+                        Tile::LowRank(b) => b.rank(),
+                        // A dense tile: its full size as its "rank".
+                        Tile::Dense(d) => d.nrows().min(d.ncols()),
+                    })
+                    .collect()
+            })
+            .collect();
         Self {
             nt,
             tile_size: a.nb(),

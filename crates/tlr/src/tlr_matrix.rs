@@ -1,33 +1,51 @@
-//! The Tile Low-Rank symmetric matrix: dense diagonal tiles, low-rank lower
-//! off-diagonal tiles.
+//! The one tiled factor: a symmetric matrix stored as its lower tiles, each
+//! dense or low-rank. A dense factor is a tiled factor whose tiles are all
+//! dense; a TLR factor keeps its diagonal tiles dense and compresses the
+//! strictly-lower ones.
 
+use crate::arithmetic::lr_gemm_panel;
 use crate::compress::{compress_dense, CompressionTol};
+use crate::dag::Tile;
 use crate::lowrank::LowRankBlock;
 use task_runtime::run_map_once;
 use tile_la::kernels::{gemm_nn, trsm_left_lower_notrans};
 use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 
-/// A symmetric `n × n` matrix in Tile Low-Rank (TLR) format.
+/// A symmetric `n × n` matrix stored as its lower tiles, each a [`Tile`].
 ///
-/// Diagonal tiles are stored dense (they carry the full energy of the matrix
+/// Built by [`from_fn`](Self::from_fn) it is in Tile Low-Rank (TLR) format:
+/// diagonal tiles are stored dense (they carry the full energy of the matrix
 /// and are never admissible for compression); strictly-lower off-diagonal
 /// tiles are stored as `U·Vᵀ` factors within the requested tolerance, found
 /// by a pivoted QR that stops at `τ/√2` followed by a Jacobi SVD of its
-/// small `k × nb` factor `R` (see [`compress_dense`]).
+/// small `k × nb` factor `R` (see [`compress_dense`]). Converted from a
+/// [`SymTileMatrix`] it is dense: every tile is dense and there is no
+/// compression. Both run the same factorization
+/// ([`potrf_tlr`](crate::potrf_tlr)) and the same sweep.
 #[derive(Debug, Clone)]
 pub struct TlrMatrix {
     layout: TileLayout,
-    tol: CompressionTol,
-    max_rank: usize,
-    diag: Vec<DenseMatrix>,
-    /// Strictly-lower tiles `(i, j)` with `j < i` at index `i·(i−1)/2 + j`.
-    off: Vec<LowRankBlock>,
+    /// The `(tolerance, rank cap)` of a TLR matrix; `None` for a dense one.
+    compression: Option<(CompressionTol, usize)>,
+    /// Lower tiles `(i, j)` with `j ≤ i` at index `i·(i+1)/2 + j`.
+    tiles: Vec<Tile>,
+}
+
+impl From<SymTileMatrix> for TlrMatrix {
+    /// The dense tiled matrix of `a`, its tiles moved without copying.
+    fn from(a: SymTileMatrix) -> Self {
+        Self {
+            layout: a.layout(),
+            compression: None,
+            tiles: a.into_tiles().into_iter().map(Tile::Dense).collect(),
+        }
+    }
 }
 
 impl TlrMatrix {
-    fn off_index(i: usize, j: usize) -> usize {
-        debug_assert!(j < i);
-        i * (i - 1) / 2 + j
+    fn tri_index(i: usize, j: usize) -> usize {
+        assert!(j <= i, "only lower tiles are stored (got ({i},{j}))");
+        i * (i + 1) / 2 + j
     }
 
     /// Build a TLR matrix from a symmetric element function, compressing every
@@ -42,32 +60,23 @@ impl TlrMatrix {
     ) -> Self {
         let layout = TileLayout::new(n, nb);
         let nt = layout.num_tiles();
-
-        let tiles: Vec<usize> = (0..nt).collect();
-        let diag = run_map_once("assemble_tile", &tiles, |_, &t| {
-            let start = layout.tile_start(t);
-            DenseMatrix::from_fn(layout.tile_size(t), layout.tile_size(t), |a, b| {
-                f(start + a, start + b)
-            })
-        });
-
         let coords: Vec<(usize, usize)> =
-            (1..nt).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
-        let off = run_map_once("assemble_compress_tile", &coords, |_, &(i, j)| {
-            let ri = layout.tile_start(i);
-            let rj = layout.tile_start(j);
+            (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+        let tiles = run_map_once("assemble_compress_tile", &coords, |_, &(i, j)| {
+            let (ri, rj) = (layout.tile_start(i), layout.tile_start(j));
             let dense = DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
                 f(ri + a, rj + b)
             });
-            compress_dense(&dense, tol, max_rank)
+            if i == j {
+                Tile::Dense(dense)
+            } else {
+                Tile::LowRank(compress_dense(&dense, tol, max_rank))
+            }
         });
-
         Self {
             layout,
-            tol,
-            max_rank,
-            diag,
-            off,
+            compression: Some((tol, max_rank)),
+            tiles,
         }
     }
 
@@ -97,99 +106,79 @@ impl TlrMatrix {
         self.layout
     }
 
-    /// The compression tolerance this matrix was built with.
-    pub fn tol(&self) -> CompressionTol {
-        self.tol
+    /// The `(tolerance, rank cap)` this matrix was compressed with, or `None`
+    /// for a dense one.
+    pub fn compression(&self) -> Option<(CompressionTol, usize)> {
+        self.compression
     }
 
-    /// The maximum admissible rank.
-    pub fn max_rank(&self) -> usize {
-        self.max_rank
+    /// Borrow lower tile `(i, j)` (`j ≤ i`).
+    pub fn tile(&self, i: usize, j: usize) -> &Tile {
+        &self.tiles[Self::tri_index(i, j)]
     }
 
-    /// Borrow a diagonal tile.
+    /// Borrow a diagonal tile (always dense).
     pub fn diag_tile(&self, i: usize) -> &DenseMatrix {
-        &self.diag[i]
+        self.tile(i, i).as_dense()
     }
 
-    /// Mutably borrow a diagonal tile.
-    pub fn diag_tile_mut(&mut self, i: usize) -> &mut DenseMatrix {
-        &mut self.diag[i]
-    }
-
-    /// Borrow a strictly-lower off-diagonal tile (`j < i`).
+    /// Borrow a strictly-lower low-rank tile (`j < i`); panics on a dense
+    /// one.
     pub fn off_tile(&self, i: usize, j: usize) -> &LowRankBlock {
         assert!(j < i, "off_tile requires j < i (got ({i},{j}))");
-        &self.off[Self::off_index(i, j)]
+        match self.tile(i, j) {
+            Tile::LowRank(b) => b,
+            Tile::Dense(_) => panic!("tile ({i},{j}) is dense"),
+        }
     }
 
-    /// Mutably borrow a strictly-lower off-diagonal tile (`j < i`).
-    pub fn off_tile_mut(&mut self, i: usize, j: usize) -> &mut LowRankBlock {
-        assert!(j < i, "off_tile requires j < i (got ({i},{j}))");
-        &mut self.off[Self::off_index(i, j)]
+    /// Move every tile out (in storage order), for the factorization's tile
+    /// store; `put_tiles` moves them back.
+    pub(crate) fn take_tiles(&mut self) -> Vec<Tile> {
+        std::mem::take(&mut self.tiles)
     }
 
-    pub(crate) fn take_off(&mut self, i: usize, j: usize) -> LowRankBlock {
-        std::mem::replace(
-            &mut self.off[Self::off_index(i, j)],
-            LowRankBlock::zero(1, 1),
-        )
-    }
-
-    pub(crate) fn put_off(&mut self, i: usize, j: usize, b: LowRankBlock) {
-        self.off[Self::off_index(i, j)] = b;
-    }
-
-    pub(crate) fn take_diag(&mut self, i: usize) -> DenseMatrix {
-        std::mem::replace(&mut self.diag[i], DenseMatrix::zeros(1, 1))
-    }
-
-    pub(crate) fn put_diag(&mut self, i: usize, d: DenseMatrix) {
-        self.diag[i] = d;
+    pub(crate) fn put_tiles(&mut self, tiles: Vec<Tile>) {
+        self.tiles = tiles;
     }
 
     /// Element access through the symmetric/lower structure (any `(i, j)`).
     ///
-    /// Off-diagonal elements require expanding a factor product row, so this is
+    /// Low-rank elements require expanding a factor product row, so this is
     /// intended for tests and small reports, not inner loops.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        let ti = self.layout.tile_of(i);
-        let tj = self.layout.tile_of(j);
-        let oi = self.layout.offset_in_tile(i);
-        let oj = self.layout.offset_in_tile(j);
-        if ti == tj {
-            self.diag[ti].get(oi, oj)
-        } else {
-            let b = self.off_tile(ti, tj);
-            // (U V^T)[oi, oj]
-            let mut s = 0.0;
-            for r in 0..b.rank() {
-                s += b.u.get(oi, r) * b.v.get(oj, r);
+        let (oi, oj) = (self.layout.offset_in_tile(i), self.layout.offset_in_tile(j));
+        match self.tile(self.layout.tile_of(i), self.layout.tile_of(j)) {
+            Tile::Dense(d) => d.get(oi, oj),
+            Tile::LowRank(b) => {
+                // (U V^T)[oi, oj]
+                let mut s = 0.0;
+                for r in 0..b.rank() {
+                    s += b.u.get(oi, r) * b.v.get(oj, r);
+                }
+                s
             }
-            s
         }
     }
 
     /// Expand only the lower triangle to a dense matrix (the natural view of a
-    /// TLR Cholesky factor).
+    /// Cholesky factor).
     pub fn to_dense_lower(&self) -> DenseMatrix {
         let n = self.n();
         let mut out = DenseMatrix::zeros(n, n);
-        let nt = self.num_tiles();
-        for ti in 0..nt {
+        for ti in 0..self.num_tiles() {
             let ri = self.layout.tile_start(ti);
-            // Diagonal tile: lower part only.
-            let d = &self.diag[ti];
-            for j in 0..d.ncols() {
-                for i in j..d.nrows() {
-                    out.set(ri + i, ri + j, d.get(i, j));
-                }
-            }
-            for tj in 0..ti {
+            for tj in 0..=ti {
                 let rj = self.layout.tile_start(tj);
-                let dense = self.off_tile(ti, tj).to_dense();
-                out.copy_block_from(&dense, 0, 0, ri, rj, dense.nrows(), dense.ncols());
+                let t = self.tile(ti, tj).to_dense();
+                for j in 0..t.ncols() {
+                    // A diagonal tile contributes its lower part only.
+                    let first = if ti == tj { j } else { 0 };
+                    for i in first..t.nrows() {
+                        out.set(ri + i, rj + j, t.get(i, j));
+                    }
+                }
             }
         }
         out
@@ -201,11 +190,10 @@ impl TlrMatrix {
         DenseMatrix::from_fn(n, n, |i, j| self.get(i, j))
     }
 
-    /// Total number of stored doubles (dense diagonal + factor storage).
+    /// Total number of stored doubles (dense tiles plus low-rank factors):
+    /// for a dense matrix, [`SymTileMatrix::stored_elements`].
     pub fn stored_elements(&self) -> usize {
-        let d: usize = self.diag.iter().map(|t| t.nrows() * t.ncols()).sum();
-        let o: usize = self.off.iter().map(|b| b.stored_elements()).sum();
-        d + o
+        self.tiles.iter().map(Tile::stored_elements).sum()
     }
 
     /// Storage relative to an uncompressed lower-triangular tile layout
@@ -221,7 +209,16 @@ impl TlrMatrix {
         self.stored_elements() as f64 / dense_elems as f64
     }
 
-    /// Forward substitution `L·X = B` with this matrix holding a TLR Cholesky
+    /// `acc ← acc + alpha · L_{i,j} · x` for one tile of the factor, dense or
+    /// low-rank.
+    fn tile_gemm(&self, alpha: f64, i: usize, j: usize, x: &DenseMatrix, acc: &mut DenseMatrix) {
+        match self.tile(i, j) {
+            Tile::Dense(d) => gemm_nn(alpha, d, x, 1.0, acc),
+            Tile::LowRank(b) => lr_gemm_panel(alpha, b, x, 1.0, acc),
+        }
+    }
+
+    /// Forward substitution `L·X = B` with this matrix holding a Cholesky
     /// factor; `B` (an `n × m` panel) is overwritten with the solution.
     pub fn solve_lower_panel(&self, b: &mut DenseMatrix) {
         assert_eq!(b.nrows(), self.n());
@@ -234,50 +231,29 @@ impl TlrMatrix {
                 let rj = self.layout.tile_start(tj);
                 let rows_j = self.layout.tile_size(tj);
                 let block_j = b.submatrix(rj, 0, rows_j, b.ncols());
-                crate::arithmetic::lr_gemm_panel(
-                    -1.0,
-                    self.off_tile(ti, tj),
-                    &block_j,
-                    1.0,
-                    &mut block_i,
-                );
+                self.tile_gemm(-1.0, ti, tj, &block_j, &mut block_i);
             }
-            trsm_left_lower_notrans(&self.diag[ti], &mut block_i);
+            trsm_left_lower_notrans(self.diag_tile(ti), &mut block_i);
             b.copy_block_from(&block_i, 0, 0, ri, 0, rows_i, b.ncols());
         }
     }
 
-    /// `Y = L·X` with this matrix holding a TLR Cholesky factor (used to sample
-    /// Gaussian fields from the compressed factor).
+    /// `Y = L·X` with this matrix holding a Cholesky factor (used to sample
+    /// Gaussian fields from the factor). Row block `i` accumulates
+    /// `L_{i,0}·X_0, …, L_{i,i}·X_i` in that order — the factor's diagonal
+    /// tiles are lower triangular, so for a dense factor this is bitwise
+    /// [`tile_la::multiply_lower_panel`].
     pub fn multiply_lower_panel(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.nrows(), self.n());
-        let nt = self.num_tiles();
         let mut y = DenseMatrix::zeros(x.nrows(), x.ncols());
-        for ti in 0..nt {
+        for ti in 0..self.num_tiles() {
             let ri = self.layout.tile_start(ti);
             let rows_i = self.layout.tile_size(ti);
             let mut acc = DenseMatrix::zeros(rows_i, x.ncols());
-            // Diagonal tile contributes its lower triangle only (it holds L_ii).
-            let xd = x.submatrix(ri, 0, rows_i, x.ncols());
-            let d = &self.diag[ti];
-            let lower =
-                DenseMatrix::from_fn(
-                    d.nrows(),
-                    d.ncols(),
-                    |a, b| {
-                        if a >= b {
-                            d.get(a, b)
-                        } else {
-                            0.0
-                        }
-                    },
-                );
-            gemm_nn(1.0, &lower, &xd, 1.0, &mut acc);
-            for tj in 0..ti {
+            for tj in 0..=ti {
                 let rj = self.layout.tile_start(tj);
-                let rows_j = self.layout.tile_size(tj);
-                let xb = x.submatrix(rj, 0, rows_j, x.ncols());
-                crate::arithmetic::lr_gemm_panel(1.0, self.off_tile(ti, tj), &xb, 1.0, &mut acc);
+                let xb = x.submatrix(rj, 0, self.layout.tile_size(tj), x.ncols());
+                self.tile_gemm(1.0, ti, tj, &xb, &mut acc);
             }
             y.copy_block_from(&acc, 0, 0, ri, 0, rows_i, x.ncols());
         }

@@ -7,7 +7,7 @@
 //! ```
 
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{mvn_prob_mc, Factor, MvnConfig, MvnEngine, Problem};
+use mvn_core::{mvn_prob_mc, MvnConfig, MvnEngine, Problem};
 use tlr::CompressionTol;
 
 fn main() {
@@ -70,9 +70,9 @@ fn main() {
     // 5. Naive Monte-Carlo baseline for comparison (impractical in truly high
     //    dimensions, which is the paper's motivation for the SOV algorithm).
     //    It samples x = L·z, so it reuses the dense factor of step 3.
-    let Factor::Dense(l) = &dense_factor else {
-        unreachable!("factor_dense returns a dense factor")
-    };
+    let l = dense_factor
+        .tiled()
+        .expect("factor_dense returns a tiled factor");
     let mc = mvn_prob_mc(l, &a, &b, &MvnConfig::with_samples(200_000));
     println!(
         "naive MC   : P = {:.6e}  (std error {:.1e}, {} samples)",

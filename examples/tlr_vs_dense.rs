@@ -9,7 +9,7 @@
 
 use distsim::{pmvn_task_graph, simulate, ClusterSpec, FactorKind, ProblemSpec};
 use geostat::{regular_grid, CovarianceKernel};
-use mvn_core::{Factor, MvnConfig, MvnEngine};
+use mvn_core::{MvnConfig, MvnEngine};
 use std::time::Instant;
 use tlr::{CompressionTol, RankStats};
 
@@ -45,10 +45,8 @@ fn main() {
         let factor = engine.factor_tlr(sigma).unwrap();
         let r = engine.solve(&factor, &a, &b);
         let secs = t.elapsed().as_secs_f64();
-        let Factor::Tlr(tlr) = &factor else {
-            unreachable!("factor_tlr returns a TLR factor")
-        };
-        let ranks = RankStats::from_matrix(tlr);
+        let ranks =
+            RankStats::from_matrix(factor.tiled().expect("factor_tlr returns a tiled factor"));
         println!(
             "  {tol:7.0e}   {:.6e}   {:.3e}        {secs:7.2}    {:6.1}",
             r.prob,

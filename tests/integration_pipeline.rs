@@ -8,7 +8,7 @@ use excursion::{
 use geostat::{
     posterior_update, regular_grid, simulate_field, simulate_observations, CovarianceKernel,
 };
-use mvn_core::{mvn_prob_genz, mvn_prob_mc, Factor, MvnConfig, MvnEngine};
+use mvn_core::{mvn_prob_genz, mvn_prob_mc, MvnConfig, MvnEngine};
 use tlr::CompressionTol;
 
 fn medium_kernel() -> CovarianceKernel {
@@ -37,9 +37,7 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
         .unwrap();
     let p_dense = engine.solve(&dense, &a, &b);
 
-    let Factor::Dense(dense) = &dense else {
-        unreachable!("factor_dense returns a dense factor")
-    };
+    let dense = dense.tiled().expect("factor_dense returns a tiled factor");
     let p_genz = mvn_prob_genz(&dense.to_dense_lower(), &a, &b, &cfg);
 
     let tlr = kernel.tlr_covariance(&locations, 36, 1e-9, CompressionTol::Absolute(1e-6), 18);
