@@ -15,9 +15,9 @@
 //! * `mvn_dist --smoke`      — 4-process bitwise smoke test (CI).
 //! * `mvn_dist --chaos <seed>` — fault-injected smoke: derive a planned
 //!   kill/sever from the seed ([`mvn_dist::faults::FaultPlan::from_seed`]),
-//!   run dense under respawn recovery and TLR under fold recovery, and
-//!   verify the recovered probabilities are still bitwise identical to the
-//!   engine. Combinable with `--smoke` (CI runs both).
+//!   run dense and TLR under the default recovery (a lost rank is
+//!   respawned), and verify the recovered probabilities are still bitwise
+//!   identical to the engine. Combinable with `--smoke` (CI runs both).
 //! * `mvn_dist [--full]`     — the scaling replay (1..=4 nodes; `--full`
 //!   adds 8 and grows the problem).
 //!
@@ -37,7 +37,7 @@
 use distsim::{pmvn_task_graph, simulate, typical_mean_rank, ClusterSpec, ProblemSpec};
 use mvn_core::{FactorKind, MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::FaultPlan;
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport, Recovery};
+use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport};
 use std::time::Duration;
 use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
@@ -259,8 +259,8 @@ fn smoke(trace: &mut TraceOut) {
 }
 
 /// Fault-injected smoke: derive a planned fault from the seed, run the
-/// distributed solve under both recovery policies, and require the
-/// recovered probability to be bitwise identical to the engine's.
+/// dense and TLR distributed solves under it, and require each recovered
+/// probability to be bitwise identical to the engine's.
 fn chaos(seed: u64, trace: &mut TraceOut) {
     let (n, nb, qmc, nodes) = (60usize, 16usize, 256usize, 4usize);
     let (cfg, a, b) = problem(n, qmc);
@@ -277,27 +277,22 @@ fn chaos(seed: u64, trace: &mut TraceOut) {
     let faults = FaultPlan::from_seed(seed, nodes, 2, 1);
     println!("# chaos plan (seed {seed}): {}", faults.to_env());
 
-    for (kind, recovery) in [("dense", Recovery::Respawn), ("tlr", Recovery::Fold)] {
+    for kind in ["dense", "tlr"] {
         let mut dc = dist_config(nodes);
-        dc.recovery = recovery;
         dc.faults = faults.clone();
         let (report, reference) = match kind {
             "dense" => (solve_dense(&dense, &a, &b, &cfg, &dc), dense_ref),
             _ => (solve_tlr(&tlr, &a, &b, &cfg, &dc), tlr_ref),
         };
         let report = report.unwrap_or_else(|e| {
-            eprintln!("chaos {kind} ({recovery:?}, seed {seed}): {e}");
+            eprintln!("chaos {kind} (seed {seed}): {e}");
             std::process::exit(1);
         });
-        check_bitwise(
-            &format!("chaos {kind} ({recovery:?})"),
-            report.result,
-            reference,
-        );
+        check_bitwise(&format!("chaos {kind}"), report.result, reference);
         trace.collect(&report);
         print_phase_table(&format!("chaos {kind}"), &report);
         println!(
-            "# chaos {kind} ({recovery:?}): {} recoveries, {} replayed tasks, {} reconnects, recovered in {:.3}s",
+            "# chaos {kind}: {} recoveries, {} replayed tasks, {} reconnects, recovered in {:.3}s",
             report.recoveries,
             report.replayed_tasks,
             report.reconnects,

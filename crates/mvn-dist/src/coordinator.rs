@@ -18,17 +18,16 @@
 //! on the lost rank — and surfaces as a typed [`DistError`].
 //!
 //! With recovery enabled (the default, [`Recovery::Respawn`]) a lost rank
-//! is *recovered* instead: the coordinator bumps the cluster epoch, picks a
-//! recovery assignment — a fresh process that re-assumes the rank, or
-//! ([`Recovery::Fold`]) a survivor that re-owns the rank's tiles — re-sends
-//! the lost rank's initial tiles and unreported panel assignment, and
-//! broadcasts the new view so peers re-route their fetches. The recovery
-//! executor *replays* the rank's factor-plan slice from initial data
-//! ([`crate::plan::rank_slice`]); every tile is a pure function of the
-//! initial data and its plan prefix, so the recombined probability is
-//! bitwise identical to a fault-free run (and to the engine). Reports are
-//! tagged with the sender's incarnation, so a report buffered by a rank
-//! that was later declared dead can never be double-counted.
+//! is *recovered* instead: the coordinator bumps the cluster epoch, spawns a
+//! fresh fault-free process that re-assumes the rank, sends it the rank's
+//! initial tiles and unreported panel assignment, and broadcasts its new
+//! address so peers re-route their fetches. The new process *replays* the
+//! rank's factor-plan slice from initial data ([`crate::plan::rank_slice`])
+//! as an ordinary pipeline; every tile is a pure function of the initial
+//! data and its plan prefix, so the recombined probability is bitwise
+//! identical to a fault-free run (and to the engine). Reports are tagged
+//! with the sender's incarnation, so a report buffered by a rank that was
+//! later declared dead can never be double-counted.
 //!
 //! Factorization (pivot) failures always fail-stop even with recovery on:
 //! they are deterministic, so a replay would fail identically.
@@ -43,11 +42,11 @@ use std::time::{Duration, Instant};
 use mvn_core::{combine_panel_results, validate_limits, MvnConfig, MvnResult};
 use tile_la::SymTileMatrix;
 use tlr::{Tile, TlrMatrix};
-use wire::{read_msg, write_msg, Json};
+use wire::{read_msg, write_msg};
 
 use crate::faults::{FaultPlan, FAULTS_ENV};
 use crate::plan::{owned_panels, owned_tiles, TileId};
-use crate::proto::{self, EpochMsg, ProblemMsg, ReownMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
+use crate::proto::{self, EpochMsg, ProblemMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
 use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
 use distsim::ProcessGrid;
 
@@ -67,11 +66,6 @@ pub enum Recovery {
     /// as a normal pipeline, and serves the rank's tiles again.
     #[default]
     Respawn,
-    /// Fold the lost rank onto a survivor: the survivor replays the rank's
-    /// factor-plan slice from initial data in a private workspace, serves
-    /// its tiles from the survivor's tile server, and sweeps + reports its
-    /// unreported panels.
-    Fold,
 }
 
 /// How a distributed solve is deployed.
@@ -207,7 +201,7 @@ pub struct DistReport {
     pub comm_bytes: u64,
     /// Total remote tile fetches across all workers.
     pub fetches: u64,
-    /// Per-rank fetched bytes (index = rank the work was done *for*).
+    /// Per-rank fetched bytes (index = rank).
     pub per_node_comm: Vec<u64>,
     /// Recovery rounds performed (epoch bumps; 0 in a healthy run).
     pub recoveries: u64,
@@ -219,13 +213,13 @@ pub struct DistReport {
     /// report (0 in a healthy run; overlapping recoveries sum).
     pub recovery_wall: Duration,
     /// Per-rank nanoseconds in compute kernels — factor tasks plus panel
-    /// sweeps (index = rank the work was done *for*, like `per_node_comm`).
+    /// sweeps (index = rank, like `per_node_comm`).
     pub per_node_compute_ns: Vec<u64>,
-    /// Per-rank nanoseconds blocked waiting for input tiles (local
-    /// finalization waits and remote fetches, including retries).
+    /// Per-rank nanoseconds blocked waiting for remote input tiles,
+    /// including retries.
     pub per_node_fetch_wait_ns: Vec<u64>,
     /// Per-rank nanoseconds serving tiles to peers, accrued up to each
-    /// rank's report time (index = the serving process's own rank).
+    /// rank's report time.
     pub per_node_serve_ns: Vec<u64>,
     /// Trace events shipped by the workers, grouped by *sender* rank (empty
     /// unless tracing was enabled); export them with
@@ -260,7 +254,7 @@ pub fn solve_tlr(
 }
 
 /// The initial tiles of `sigma` that `rank` owns, as shipped to its
-/// executor.
+/// process.
 fn initial_tiles(sigma: &TlrMatrix, grid: &ProcessGrid, rank: usize) -> Vec<(TileId, Tile)> {
     (owned_tiles(grid, sigma.layout(), rank).into_iter())
         .map(|(i, j)| ((i, j), sigma.tile(i, j).clone()))
@@ -416,8 +410,8 @@ fn accept_hello(
 /// Start a reader thread for one worker connection, tagged with the
 /// connection's rank and incarnation so stale reports from evicted
 /// incarnations are rejected by the supervision loop. The thread keeps
-/// reading until the link closes — a fold executor sends one report per
-/// rank it executes.
+/// reading past the report until the link closes, so a worker lost after
+/// reporting is still detected.
 fn spawn_reader(
     mut reader: BufReader<TcpStream>,
     rank: usize,
@@ -546,14 +540,12 @@ fn run(
         .map(|r| owned_panels(r, dist.nodes, n_panels))
         .collect();
     let mut epoch = 0u64;
-    let mut executor: Vec<usize> = (0..dist.nodes).collect();
     for (rank, (_, writer)) in conns.iter_mut().enumerate() {
         let setup = SetupMsg {
             rank,
             nodes: dist.nodes,
             epoch,
             peers: peers.clone(),
-            executor: executor.clone(),
             panels: assigned[rank].clone(),
             problem: problem.clone(),
             tiles: initial_tiles(sigma, &grid, rank),
@@ -587,15 +579,6 @@ fn run(
     let mut pending_recovery: HashMap<usize, Instant> = HashMap::new();
     let mut pending_respawn: VecDeque<usize> = VecDeque::new();
 
-    // The broadcastable cluster view.
-    let view_msg = |epoch: u64, peers: &[String], executor: &[usize]| -> Json {
-        proto::epoch_to_json(&EpochMsg {
-            epoch,
-            peers: peers.to_vec(),
-            executor: executor.to_vec(),
-        })
-    };
-
     // A solve is complete when every panel is in. In a healthy run that
     // coincides with every rank's report; during recovery, pending
     // tile-service-only recoveries are simply abandoned at shutdown.
@@ -624,13 +607,11 @@ fn run(
                 let r = pending_respawn.pop_front().unwrap();
                 incarnation[r] += 1;
                 peers[r] = peer;
-                executor[r] = r;
                 let setup = SetupMsg {
                     rank: r,
                     nodes: dist.nodes,
                     epoch,
                     peers: peers.clone(),
-                    executor: executor.clone(),
                     panels: if rank_done[r] {
                         Vec::new()
                     } else {
@@ -644,8 +625,11 @@ fn run(
                 })?;
                 spawn_reader(reader, r, incarnation[r], tx.clone());
                 writers[r] = Some(writer);
-                // Everyone else learns the new address/executor of r.
-                let msg = view_msg(epoch, &peers, &executor);
+                // Everyone else learns the new address of r.
+                let msg = proto::epoch_to_json(&EpochMsg {
+                    epoch,
+                    peers: peers.clone(),
+                });
                 #[allow(clippy::collapsible_if)]
                 for (other, w) in writers.iter_mut().enumerate() {
                     if other != r {
@@ -662,13 +646,10 @@ fn run(
             continue; // stale: a declared-dead incarnation's leftovers
         }
 
-        match event.payload {
+        let r = event.rank;
+        let why = match event.payload {
             ReportPayload::Msg(msg) => match *msg {
                 WorkerMsg::Done(done) => {
-                    let r = done.for_rank;
-                    if r >= dist.nodes {
-                        return Err(DistError::Protocol(format!("report for unknown rank {r}")));
-                    }
                     if rank_done[r] {
                         if !done.panels.is_empty() {
                             return Err(DistError::Protocol(format!(
@@ -692,9 +673,7 @@ fn run(
                     per_node_comm[r] += done.comm_bytes;
                     per_node_compute_ns[r] += done.compute_ns;
                     per_node_fetch_wait_ns[r] += done.fetch_wait_ns;
-                    // Serving is process-wide, so it belongs to the sender,
-                    // not the rank the report was done *for*.
-                    per_node_serve_ns[event.rank] += done.serve_ns;
+                    per_node_serve_ns[r] += done.serve_ns;
                     fetches += done.fetches;
                     replayed_tasks += done.replayed_tasks;
                     reconnects += done.reconnects;
@@ -705,10 +684,11 @@ fn run(
                     obs::counter("mvn_dist_comm_bytes_total").add(done.comm_bytes);
                     obs::counter("mvn_dist_replayed_tasks_total").add(done.replayed_tasks);
                     obs::counter("mvn_dist_reconnects_total").add(done.reconnects);
-                    worker_traces[event.rank].extend(done.trace);
+                    worker_traces[r].extend(done.trace);
                     if let Some(t0) = pending_recovery.remove(&r) {
                         recovery_wall += t0.elapsed();
                     }
+                    continue;
                 }
                 WorkerMsg::Error(WorkerErrorMsg::Factorization { pivot }) => {
                     // Deterministic: a replay would hit the same pivot.
@@ -717,75 +697,55 @@ fn run(
                 WorkerMsg::Error(WorkerErrorMsg::Other { kind, message }) => {
                     if dist.recovery == Recovery::Off {
                         return Err(DistError::WorkerFailed {
-                            rank: event.rank,
+                            rank: r,
                             kind,
                             message,
                         });
                     }
-                    // A reporting-but-broken worker is treated as lost:
-                    // evict it (closing the writer orders it to exit) and
-                    // recover whatever it executed.
-                    writers[event.rank] = None;
-                    recover(RecoverArgs {
-                        dead: event.rank,
-                        why: &format!("{kind}: {message}"),
-                        dist,
-                        grid: &grid,
-                        sigma,
-                        addr: &addr,
-                        guard: &mut guard,
-                        epoch: &mut epoch,
-                        peers: &mut peers,
-                        executor: &mut executor,
-                        incarnation: &mut incarnation,
-                        writers: &mut writers,
-                        assigned: &assigned,
-                        rank_done: &rank_done,
-                        pending_respawn: &mut pending_respawn,
-                        pending_recovery: &mut pending_recovery,
-                        recoveries: &mut recoveries,
-                    })?;
+                    // A reporting-but-broken worker is treated as lost.
+                    format!("{kind}: {message}")
                 }
             },
             ReportPayload::Malformed(e) => {
                 return Err(DistError::Protocol(format!(
-                    "rank {} sent a malformed report: {e}",
-                    event.rank
+                    "rank {r} sent a malformed report: {e}"
                 )));
             }
             ReportPayload::Lost(why) => {
-                writers[event.rank] = None;
                 // A rank gone after every rank has reported is harmless;
-                // otherwise it must be recovered even if everything *it*
-                // executes is done — unfinished peers still need its tiles
-                // for their sweeps.
+                // otherwise it must be recovered even if its own report is
+                // in — unfinished peers still need its tiles for their
+                // sweeps.
                 if rank_done.iter().all(|&d| d) {
+                    writers[r] = None;
                     continue;
                 }
                 if dist.recovery == Recovery::Off {
-                    return Err(DistError::WorkerDied { rank: event.rank });
+                    return Err(DistError::WorkerDied { rank: r });
                 }
-                recover(RecoverArgs {
-                    dead: event.rank,
-                    why: &why,
-                    dist,
-                    grid: &grid,
-                    sigma,
-                    addr: &addr,
-                    guard: &mut guard,
-                    epoch: &mut epoch,
-                    peers: &mut peers,
-                    executor: &mut executor,
-                    incarnation: &mut incarnation,
-                    writers: &mut writers,
-                    assigned: &assigned,
-                    rank_done: &rank_done,
-                    pending_respawn: &mut pending_respawn,
-                    pending_recovery: &mut pending_recovery,
-                    recoveries: &mut recoveries,
-                })?;
+                why
             }
+        };
+
+        // Recover the lost rank: evict its process (closing the writer
+        // orders a still-running one to exit), invalidate its incarnation so
+        // its buffered reports are stale, bump the epoch and spawn a fresh
+        // fault-free process for it. The handshake completes at the top of
+        // the loop, which then broadcasts the rank's new address (only known
+        // at hello time).
+        writers[r] = None;
+        recoveries += 1;
+        if recoveries > MAX_RECOVERIES {
+            return Err(DistError::WorkerDied { rank: r });
         }
+        incarnation[r] += 1;
+        epoch += 1;
+        if !rank_done[r] {
+            pending_recovery.entry(r).or_insert_with(Instant::now);
+        }
+        eprintln!("mvn-dist: lost rank {r} ({why}); respawning it at epoch {epoch}");
+        guard.push(spawn_worker(dist, &addr, false)?);
+        pending_respawn.push_back(r);
     }
 
     // Combine in panel order — the exact order (and batch assignment) the
@@ -831,130 +791,4 @@ fn run(
         per_node_serve_ns,
         worker_traces,
     })
-}
-
-/// Everything `recover` needs from the supervision loop's state.
-struct RecoverArgs<'a> {
-    dead: usize,
-    why: &'a str,
-    dist: &'a DistConfig,
-    grid: &'a ProcessGrid,
-    sigma: &'a TlrMatrix,
-    addr: &'a str,
-    guard: &'a mut ChildGuard,
-    epoch: &'a mut u64,
-    peers: &'a mut Vec<String>,
-    executor: &'a mut Vec<usize>,
-    incarnation: &'a mut Vec<u64>,
-    writers: &'a mut Vec<Option<TcpStream>>,
-    assigned: &'a [Vec<usize>],
-    rank_done: &'a [bool],
-    pending_respawn: &'a mut VecDeque<usize>,
-    pending_recovery: &'a mut HashMap<usize, Instant>,
-    recoveries: &'a mut u64,
-}
-
-/// One recovery round for the loss of `dead`'s process: bump the epoch,
-/// re-assign every rank `dead` executed (its own, plus any rank previously
-/// folded onto it), and broadcast the new view. With [`Recovery::Respawn`]
-/// each affected rank gets a fresh fault-free process; with
-/// [`Recovery::Fold`] they are re-owned by the smallest live rank (falling
-/// back to respawn if nobody is left to fold onto).
-fn recover(args: RecoverArgs<'_>) -> Result<(), DistError> {
-    let RecoverArgs {
-        dead,
-        why,
-        dist,
-        grid,
-        sigma,
-        addr,
-        guard,
-        epoch,
-        peers,
-        executor,
-        incarnation,
-        writers,
-        assigned,
-        rank_done,
-        pending_respawn,
-        pending_recovery,
-        recoveries,
-    } = args;
-
-    *recoveries += 1;
-    if *recoveries > MAX_RECOVERIES {
-        return Err(DistError::WorkerDied { rank: dead });
-    }
-    // Invalidate the dead incarnation: its buffered reports are stale now.
-    incarnation[dead] += 1;
-    *epoch += 1;
-    let affected: Vec<usize> = (0..dist.nodes).filter(|&r| executor[r] == dead).collect();
-    let now = Instant::now();
-    for &r in &affected {
-        if !rank_done[r] {
-            pending_recovery.entry(r).or_insert(now);
-        }
-    }
-    eprintln!("mvn-dist: lost rank {dead} ({why}); recovering ranks {affected:?} at epoch {epoch}");
-
-    let survivor = (0..dist.nodes).find(|&s| s != dead && writers[s].is_some());
-    let fold_to = match dist.recovery {
-        Recovery::Fold => survivor,
-        _ => None,
-    };
-    match fold_to {
-        Some(s) => {
-            for &r in &affected {
-                executor[r] = s;
-                peers[r] = peers[s].clone();
-            }
-            for &r in &affected {
-                let reown = ReownMsg {
-                    epoch: *epoch,
-                    rank: r,
-                    peers: peers.clone(),
-                    executor: executor.clone(),
-                    panels: if rank_done[r] {
-                        Vec::new()
-                    } else {
-                        assigned[r].clone()
-                    },
-                    tiles: initial_tiles(sigma, grid, r),
-                };
-                if let Some(w) = writers[s].as_mut() {
-                    write_msg(w, &proto::reown_to_json(&reown)).map_err(|e| {
-                        DistError::Handshake(format!("sending reown of rank {r} to {s}: {e}"))
-                    })?;
-                }
-            }
-            // Everyone else learns the new routes.
-            let msg = proto::epoch_to_json(&EpochMsg {
-                epoch: *epoch,
-                peers: peers.clone(),
-                executor: executor.clone(),
-            });
-            for (other, w) in writers.iter_mut().enumerate() {
-                if other != s {
-                    if let Some(w) = w {
-                        let _ = write_msg(w, &msg);
-                    }
-                }
-            }
-            Ok(())
-        }
-        None => {
-            if dist.recovery == Recovery::Fold && survivor.is_none() {
-                eprintln!("mvn-dist: no survivor to fold onto; respawning instead");
-            }
-            // Respawn: one fresh fault-free process per affected rank; the
-            // handshake completes in the supervision loop, which also
-            // broadcasts the view then (the new tile-server address is only
-            // known at hello time).
-            for &r in &affected {
-                guard.push(spawn_worker(dist, addr, false)?);
-                pending_respawn.push_back(r);
-            }
-            Ok(())
-        }
-    }
 }

@@ -41,11 +41,10 @@
 //! **Fault tolerance.** The coordinator is a supervisor, not just a
 //! spawner: with [`coordinator::Recovery`] enabled (the default), a lost
 //! worker is detected (process exit, dropped link, failed report) and its
-//! work is recovered — either by respawning the rank or by folding its tile
-//! ownership onto a survivor that *replays* the dead rank's plan slice from
-//! initial data ([`plan::rank_slice`]). Because every tile is a pure
-//! function of the initial data and its plan prefix, the recovered result
-//! is bitwise identical to a fault-free run. The [`faults`] module provides
+//! rank is respawned: a fresh process *replays* the dead rank's plan slice
+//! from initial data ([`plan::rank_slice`]) and serves its tiles again.
+//! Because every tile is a pure function of the initial data and its plan
+//! prefix, the recovered result is bitwise identical to a fault-free run. The [`faults`] module provides
 //! the deterministic injection harness (seeded kills, severed fetches) that
 //! keeps those paths honest.
 

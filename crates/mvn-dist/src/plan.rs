@@ -30,13 +30,12 @@ pub fn owned_panels(rank: usize, nodes: usize, n_panels: usize) -> Vec<usize> {
     (0..n_panels).filter(|p| p % nodes == rank).collect()
 }
 
-/// The steps of the `nt × nt` tile plan originally owned by `rank` under
-/// `grid`, in plan order — the owned slice a worker executes, and exactly the
-/// slice a recovery executor must replay when it re-owns a lost rank's
-/// tiles. Replaying this slice from the rank's initial tiles reproduces every
-/// one of its final tiles bit for bit: each step is a pure function of its
-/// (final, plan-earlier) inputs, and the slice preserves the per-tile kernel
-/// order of the single-process DAG.
+/// The steps of the `nt × nt` tile plan owned by `rank` under `grid`, in
+/// plan order — the slice a worker executes, and the slice a respawned
+/// incarnation of a lost rank replays. Running this slice from the rank's
+/// initial tiles reproduces every one of its final tiles bit for bit: each
+/// step is a pure function of its (final, plan-earlier) inputs, and the
+/// slice preserves the per-tile kernel order of the single-process DAG.
 pub fn rank_slice(nt: usize, grid: &ProcessGrid, rank: usize) -> impl Iterator<Item = Step> + '_ {
     cholesky_plan(nt).filter(move |t| grid.owner(t.out.0, t.out.1) == rank)
 }
@@ -76,8 +75,7 @@ mod tests {
                         .position(|p| *p == step)
                         .expect("slice step must come from the plan, in order");
                     cursor += pos + 1;
-                    // Every slice step's output is owned by r — the re-own
-                    // invariant a recovery executor relies on.
+                    // Every slice step's output is owned by r.
                     assert_eq!(grid.owner(step.out.0, step.out.1), r);
                 }
             }

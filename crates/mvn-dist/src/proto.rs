@@ -11,34 +11,30 @@
 //!
 //! Message shapes (one JSON document per line, see [`wire::frame`]):
 //!
-//! * worker → coordinator: `{"type":"hello","listen":addr}` then, later,
-//!   one or more `{"type":"done","epoch":e,"for":r,"panels":[[p,mean,count],..],
-//!   "comm_bytes":..,"fetches":..,"replayed":..,"reconnects":..,
-//!   "compute_ns":..,"fetch_wait_ns":..,"serve_ns":..}` reports (plus an
-//!   optional `"trace":[..]` event list when tracing is enabled)
-//!   (`for` names the rank whose work the report carries — the sender's own
-//!   rank normally, a dead rank's after a re-own recovery) or
+//! * worker → coordinator: `{"type":"hello","listen":addr}` then one
+//!   `{"type":"done","panels":[[p,mean,count],..],"comm_bytes":..,
+//!   "fetches":..,"replayed":..,"reconnects":..,"compute_ns":..,
+//!   "fetch_wait_ns":..,"serve_ns":..}` report (plus an optional
+//!   `"trace":[..]` event list when tracing is enabled) or
 //!   `{"type":"error","kind":..,..}`.
 //! * coordinator → worker: `{"type":"setup",..}` with the rank, epoch, the
-//!   peer address table, the executor map, the problem, the panel
-//!   assignment and the rank's owned initial tiles; then, possibly,
-//!   recovery control messages — `{"type":"epoch",..}` (new cluster view
-//!   after a respawn) and `{"type":"reown",..}` (fold a dead rank's tiles
-//!   and panels onto the receiver, with the dead rank's *initial* tiles so
-//!   its plan slice can be replayed from scratch); finally
+//!   peer address table, the problem, the panel assignment and the rank's
+//!   owned initial tiles; then, possibly, `{"type":"epoch",..}` (the new
+//!   peer address table after a lost rank was respawned); finally
 //!   `{"type":"shutdown"}`.
-//! * worker → worker (tile transport): `{"get":[i,j],"epoch":e}` answered
-//!   by `{"tile":..}` — dense tiles as `{"r":rows,"c":cols,"d":[..]}`
+//! * worker → worker (tile transport): `{"get":[i,j]}` answered by
+//!   `{"tile":..}` — dense tiles as `{"r":rows,"c":cols,"d":[..]}`
 //!   (column-major), low-rank tiles as `{"u":..,"v":..}` — or by
-//!   `{"err":reason}` when the serving side no longer executes that tile's
-//!   rank (the fetcher must re-resolve its route and retry).
+//!   `{"err":reason}` when the serving side cannot serve that tile (the
+//!   fetcher re-resolves its route and retries).
 //!
-//! **Epochs.** Every recovery increments the cluster epoch; control-plane
-//! messages carry it so the coordinator can reject stale reports from a
-//! rank that was declared dead (duplicated panels would corrupt the
-//! combine). Tile payloads are deliberately epoch-*agnostic*: a finalized
-//! tile is immutable and every incarnation reproduces it bit for bit, so a
-//! "stale" tile frame is still the right answer.
+//! **Epochs.** Every recovery increments the cluster epoch, and the epoch
+//! message carries it so a worker only ever moves its view forward. Stale
+//! reports from a rank that was declared dead are rejected by the
+//! coordinator's per-connection incarnation, not by epoch. Tile payloads are
+//! epoch-*agnostic*: a finalized tile is immutable and every incarnation
+//! reproduces it bit for bit, so a "stale" tile frame is still the right
+//! answer.
 
 use crate::plan::TileId;
 use qmc::SampleKind;
@@ -89,11 +85,8 @@ pub struct SetupMsg {
     /// respawned incarnation starts at the epoch of its recovery).
     pub epoch: u64,
     /// Tile-server address where each rank's tiles are served (index =
-    /// rank; after a fold recovery several ranks may share an address).
+    /// rank).
     pub peers: Vec<String>,
-    /// Executor map: `executor[r]` is the live rank currently producing
-    /// rank `r`'s tiles (identity until a fold recovery remaps a dead rank).
-    pub executor: Vec<usize>,
     /// The sweep panels this rank must compute and report (its round-robin
     /// share initially; a respawned incarnation only gets the panels its
     /// predecessor never reported).
@@ -105,14 +98,9 @@ pub struct SetupMsg {
 }
 
 /// A worker's report: panel sweep results plus transfer/recovery
-/// accounting. A healthy rank sends exactly one; a fold-recovery executor
-/// additionally sends one per re-owned rank (`for_rank` = the dead rank).
+/// accounting. Every incarnation of a rank sends exactly one.
 #[derive(Debug, Clone)]
 pub struct DoneMsg {
-    /// The rank whose work this report carries.
-    pub for_rank: usize,
-    /// Cluster epoch the sender held when reporting.
-    pub epoch: u64,
     /// `(panel index, panel probability mean, live-chain count)` triples.
     pub panels: Vec<(usize, f64, usize)>,
     /// Total bytes of tile payloads fetched from peers.
@@ -127,12 +115,11 @@ pub struct DoneMsg {
     /// Nanoseconds spent inside compute kernels (factor tasks + panel
     /// sweeps) for this report's work.
     pub compute_ns: u64,
-    /// Nanoseconds blocked waiting for input tiles (local finalization
-    /// waits and remote fetches, including retries).
+    /// Nanoseconds blocked waiting for remote input tiles, including
+    /// retries.
     pub fetch_wait_ns: u64,
     /// Nanoseconds spent serving tiles to peers, accrued up to report time
-    /// (serving continues until shutdown; only the sender's own report
-    /// carries this, re-own reports leave it 0 to avoid double counting).
+    /// (serving continues until shutdown).
     pub serve_ns: u64,
     /// Trace events recorded on the sender since the last report (empty
     /// unless tracing is enabled on the worker); the coordinator merges
@@ -141,43 +128,20 @@ pub struct DoneMsg {
 }
 
 /// Coordinator → worker recovery control: the new cluster view after a
-/// recovery (respawn or fold elsewhere).
+/// lost rank was respawned.
 #[derive(Debug, Clone)]
 pub struct EpochMsg {
     /// The new epoch (strictly greater than any previous).
     pub epoch: u64,
     /// Updated per-rank tile-server address table.
     pub peers: Vec<String>,
-    /// Updated executor map.
-    pub executor: Vec<usize>,
-}
-
-/// Coordinator → worker recovery control: re-own a dead rank. The receiver
-/// must replay the dead rank's factor plan slice from the enclosed initial
-/// tiles, serve its tiles, and sweep + report the listed panels.
-#[derive(Debug, Clone)]
-pub struct ReownMsg {
-    /// The new epoch.
-    pub epoch: u64,
-    /// The dead rank being folded onto the receiver.
-    pub rank: usize,
-    /// Updated per-rank tile-server address table.
-    pub peers: Vec<String>,
-    /// Updated executor map (maps `rank` to the receiver).
-    pub executor: Vec<usize>,
-    /// The dead rank's unreported panels, to sweep and report.
-    pub panels: Vec<usize>,
-    /// The dead rank's *initial* (unfactored) tiles — replay input.
-    pub tiles: Vec<(TileId, Tile)>,
 }
 
 /// Everything a worker can receive from the coordinator after setup.
 #[derive(Debug, Clone)]
 pub enum CtrlMsg {
-    /// New cluster view (after a respawn, or a fold handled elsewhere).
+    /// New cluster view (after a respawn).
     Epoch(EpochMsg),
-    /// Fold a dead rank onto this worker.
-    Reown(ReownMsg),
     /// Tear down: all panels are in.
     Shutdown,
 }
@@ -239,13 +203,6 @@ fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing/invalid field {key:?}"))
 }
 
-/// An optional numeric field defaulting to 0 — used for accounting fields
-/// added after the first wire revision, so a report from an older sender
-/// still decodes.
-fn opt_u64(v: &Json, key: &str) -> u64 {
-    v.get(key).and_then(Json::as_usize).unwrap_or(0) as u64
-}
-
 /// `{"type":"hello","listen":addr}` — the worker's first message.
 pub fn hello(listen: &str) -> Json {
     obj(vec![
@@ -265,11 +222,6 @@ pub fn parse_hello(v: &Json) -> Result<String, String> {
 /// `{"type":"shutdown"}`.
 pub fn shutdown() -> Json {
     obj(vec![("type", Json::Str("shutdown".into()))])
-}
-
-/// Whether a coordinator message is the shutdown order.
-pub fn is_shutdown(v: &Json) -> bool {
-    v.get("type").and_then(Json::as_str) == Some("shutdown")
 }
 
 fn dense_to_json(d: &DenseMatrix) -> Json {
@@ -325,14 +277,9 @@ pub fn tile_from_json(v: &Json) -> Result<Tile, String> {
     }
 }
 
-/// `{"get":[i,j],"epoch":e}` — the tile transport request. The epoch is
-/// diagnostic only (finalized tiles are epoch-agnostic, see the module
-/// docs); servers answer requests from any epoch.
-pub fn tile_request(id: TileId, epoch: u64) -> Json {
-    obj(vec![
-        ("get", Json::Arr(vec![num(id.0), num(id.1)])),
-        ("epoch", num(epoch as usize)),
-    ])
+/// `{"get":[i,j]}` — the tile transport request.
+pub fn tile_request(id: TileId) -> Json {
+    obj(vec![("get", Json::Arr(vec![num(id.0), num(id.1)]))])
 }
 
 /// Parse a tile request.
@@ -355,9 +302,9 @@ pub fn tile_response(t: &Tile) -> Json {
     obj(vec![("tile", tile_to_json(t))])
 }
 
-/// `{"err":reason}` — a tile-serving refusal (e.g. the serving side no
-/// longer executes the requested tile's rank). The fetcher treats it like a
-/// failed connection: re-resolve the route and retry.
+/// `{"err":reason}` — a tile-serving refusal (a malformed request, or a
+/// tile this rank does not own). The fetcher treats it like a failed
+/// connection: re-resolve the route and retry.
 pub fn tile_error(reason: &str) -> Json {
     obj(vec![("err", Json::Str(reason.into()))])
 }
@@ -482,6 +429,10 @@ fn usize_arr_from(v: &Json, key: &str) -> Result<Vec<usize>, String> {
         .map_err(|e| e.to_string())
 }
 
+fn peers_to_json(peers: &[String]) -> Json {
+    Json::Arr(peers.iter().map(|p| Json::Str(p.clone())).collect())
+}
+
 fn peers_from(v: &Json) -> Result<Vec<String>, String> {
     v.get("peers")
         .and_then(Json::as_arr)
@@ -522,11 +473,7 @@ pub fn setup_to_json(s: &SetupMsg) -> Json {
         ("rank", num(s.rank)),
         ("nodes", num(s.nodes)),
         ("epoch", num(s.epoch as usize)),
-        (
-            "peers",
-            Json::Arr(s.peers.iter().map(|p| Json::Str(p.clone())).collect()),
-        ),
-        ("executor", usize_arr(&s.executor)),
+        ("peers", peers_to_json(&s.peers)),
         ("panels", usize_arr(&s.panels)),
         ("problem", problem_to_json(&s.problem)),
         ("tiles", tiles_to_json(&s.tiles)),
@@ -543,7 +490,6 @@ pub fn setup_from_json(v: &Json) -> Result<SetupMsg, String> {
         nodes: get_usize(v, "nodes")?,
         epoch: get_usize(v, "epoch")? as u64,
         peers: peers_from(v)?,
-        executor: usize_arr_from(v, "executor")?,
         panels: usize_arr_from(v, "panels")?,
         problem: problem_from_json(v.get("problem").ok_or("missing problem")?)?,
         tiles: tiles_from(v)?,
@@ -555,27 +501,7 @@ pub fn epoch_to_json(m: &EpochMsg) -> Json {
     obj(vec![
         ("type", Json::Str("epoch".into())),
         ("epoch", num(m.epoch as usize)),
-        (
-            "peers",
-            Json::Arr(m.peers.iter().map(|p| Json::Str(p.clone())).collect()),
-        ),
-        ("executor", usize_arr(&m.executor)),
-    ])
-}
-
-/// Encode a re-own directive.
-pub fn reown_to_json(m: &ReownMsg) -> Json {
-    obj(vec![
-        ("type", Json::Str("reown".into())),
-        ("epoch", num(m.epoch as usize)),
-        ("rank", num(m.rank)),
-        (
-            "peers",
-            Json::Arr(m.peers.iter().map(|p| Json::Str(p.clone())).collect()),
-        ),
-        ("executor", usize_arr(&m.executor)),
-        ("panels", usize_arr(&m.panels)),
-        ("tiles", tiles_to_json(&m.tiles)),
+        ("peers", peers_to_json(&m.peers)),
     ])
 }
 
@@ -586,15 +512,6 @@ pub fn ctrl_from_json(v: &Json) -> Result<CtrlMsg, String> {
         "epoch" => Ok(CtrlMsg::Epoch(EpochMsg {
             epoch: get_usize(v, "epoch")? as u64,
             peers: peers_from(v)?,
-            executor: usize_arr_from(v, "executor")?,
-        })),
-        "reown" => Ok(CtrlMsg::Reown(ReownMsg {
-            epoch: get_usize(v, "epoch")? as u64,
-            rank: get_usize(v, "rank")?,
-            peers: peers_from(v)?,
-            executor: usize_arr_from(v, "executor")?,
-            panels: usize_arr_from(v, "panels")?,
-            tiles: tiles_from(v)?,
         })),
         other => Err(format!("unexpected control message type {other:?}")),
     }
@@ -675,8 +592,6 @@ pub fn worker_msg_to_json(m: &WorkerMsg) -> Json {
         WorkerMsg::Done(d) => {
             let mut fields = vec![
                 ("type", Json::Str("done".into())),
-                ("for", num(d.for_rank)),
-                ("epoch", num(d.epoch as usize)),
                 (
                     "panels",
                     Json::Arr(
@@ -736,16 +651,14 @@ pub fn worker_msg_from_json(v: &Json) -> Result<WorkerMsg, String> {
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(WorkerMsg::Done(DoneMsg {
-                for_rank: get_usize(v, "for")?,
-                epoch: get_usize(v, "epoch")? as u64,
                 panels,
                 comm_bytes: get_usize(v, "comm_bytes")? as u64,
                 fetches: get_usize(v, "fetches")? as u64,
                 replayed_tasks: get_usize(v, "replayed")? as u64,
                 reconnects: get_usize(v, "reconnects")? as u64,
-                compute_ns: opt_u64(v, "compute_ns"),
-                fetch_wait_ns: opt_u64(v, "fetch_wait_ns"),
-                serve_ns: opt_u64(v, "serve_ns"),
+                compute_ns: get_usize(v, "compute_ns")? as u64,
+                fetch_wait_ns: get_usize(v, "fetch_wait_ns")? as u64,
+                serve_ns: get_usize(v, "serve_ns")? as u64,
                 trace: trace_from_json(v)?,
             }))
         }
@@ -816,7 +729,6 @@ mod tests {
             nodes: 4,
             epoch: 3,
             peers: vec!["a:1".into(), "b:2".into(), "c:3".into(), "d:4".into()],
-            executor: vec![0, 1, 2, 1],
             panels: vec![2, 6, 10],
             problem: ProblemMsg {
                 compression: Some((CompressionTol::Absolute(1e-9), usize::MAX)),
@@ -838,7 +750,6 @@ mod tests {
         assert_eq!(back.rank, 2);
         assert_eq!(back.nodes, 4);
         assert_eq!(back.epoch, 3);
-        assert_eq!(back.executor, vec![0, 1, 2, 1]);
         assert_eq!(back.panels, vec![2, 6, 10]);
         assert_eq!(back.problem.deadline_ms, 120_000);
         assert_eq!(back.peers, msg.peers);
@@ -854,8 +765,6 @@ mod tests {
     #[test]
     fn worker_msgs_roundtrip() {
         let done = WorkerMsg::Done(DoneMsg {
-            for_rank: 3,
-            epoch: 2,
             panels: vec![(0, 0.25, 64), (4, 0.125, 64)],
             comm_bytes: 12345,
             fetches: 6,
@@ -898,7 +807,6 @@ mod tests {
                 assert_eq!(d.panels.len(), 2);
                 assert_eq!(d.panels[1], (4, 0.125, 64));
                 assert_eq!(d.comm_bytes, 12345);
-                assert_eq!((d.for_rank, d.epoch), (3, 2));
                 assert_eq!((d.replayed_tasks, d.reconnects), (11, 1));
                 assert_eq!(
                     (d.compute_ns, d.fetch_wait_ns, d.serve_ns),
@@ -912,18 +820,6 @@ mod tests {
                 assert_eq!((d.trace[1].ts_ns, d.trace[1].tid), (2_500, 2));
                 assert_eq!(d.trace[2].kind, obs::EventKind::Complete { dur_ns: 640 });
                 assert_eq!(d.trace[2].args(), &[("i", 4), ("j", 1)]);
-            }
-            _ => panic!("expected done"),
-        }
-        // A first-revision report (no phase fields, no trace) still decodes.
-        let legacy = concat!(
-            "{\"type\":\"done\",\"for\":0,\"epoch\":0,\"panels\":[],",
-            "\"comm_bytes\":9,\"fetches\":1,\"replayed\":0,\"reconnects\":0}"
-        );
-        match worker_msg_from_json(&Json::parse(legacy).unwrap()).unwrap() {
-            WorkerMsg::Done(d) => {
-                assert_eq!((d.compute_ns, d.fetch_wait_ns, d.serve_ns), (0, 0, 0));
-                assert!(d.trace.is_empty());
             }
             _ => panic!("expected done"),
         }
@@ -943,11 +839,9 @@ mod tests {
             "127.0.0.1:9"
         );
         assert_eq!(
-            parse_tile_request(&Json::parse(&tile_request((5, 2), 7).to_string()).unwrap())
-                .unwrap(),
+            parse_tile_request(&Json::parse(&tile_request((5, 2)).to_string()).unwrap()).unwrap(),
             (5, 2)
         );
-        assert!(is_shutdown(&Json::parse(&shutdown().to_string()).unwrap()));
         assert!(matches!(
             ctrl_from_json(&Json::parse(&shutdown().to_string()).unwrap()).unwrap(),
             CtrlMsg::Shutdown
@@ -955,38 +849,29 @@ mod tests {
     }
 
     #[test]
+    fn done_report_missing_an_accounting_field_is_rejected() {
+        // The coordinator spawns its own workers, so every report carries
+        // every field: a missing one is a protocol error, not a silent 0.
+        let report = concat!(
+            "{\"type\":\"done\",\"panels\":[],\"comm_bytes\":9,\"fetches\":1,",
+            "\"replayed\":0,\"reconnects\":0,\"compute_ns\":5,\"fetch_wait_ns\":3}"
+        );
+        let err = worker_msg_from_json(&Json::parse(report).unwrap()).unwrap_err();
+        assert!(err.contains("serve_ns"), "{err}");
+    }
+
+    #[test]
     fn recovery_control_messages_roundtrip() {
         let ep = EpochMsg {
             epoch: 5,
             peers: vec!["x:1".into(), "y:2".into()],
-            executor: vec![0, 0],
         };
         match ctrl_from_json(&Json::parse(&epoch_to_json(&ep).to_string()).unwrap()).unwrap() {
             CtrlMsg::Epoch(m) => {
                 assert_eq!(m.epoch, 5);
                 assert_eq!(m.peers, ep.peers);
-                assert_eq!(m.executor, vec![0, 0]);
             }
             _ => panic!("expected epoch"),
-        }
-
-        let ro = ReownMsg {
-            epoch: 2,
-            rank: 1,
-            peers: vec!["x:1".into(), "x:1".into()],
-            executor: vec![0, 0],
-            panels: vec![1, 3],
-            tiles: vec![((1, 0), Tile::Dense(DenseMatrix::identity(2)))],
-        };
-        match ctrl_from_json(&Json::parse(&reown_to_json(&ro).to_string()).unwrap()).unwrap() {
-            CtrlMsg::Reown(m) => {
-                assert_eq!((m.epoch, m.rank), (2, 1));
-                assert_eq!(m.panels, vec![1, 3]);
-                assert_eq!(m.executor, vec![0, 0]);
-                assert_eq!(m.tiles.len(), 1);
-                assert_eq!(m.tiles[0].0, (1, 0));
-            }
-            _ => panic!("expected reown"),
         }
 
         // A serving-side refusal surfaces as a typed fetch error.

@@ -12,8 +12,8 @@
 //! * **The submitter thread** inserts prefetched remote tiles
 //!   ([`DistStore::insert_fetched`], always final) before submitting the
 //!   task that reads them.
-//! * **Peer-serving threads** block in [`DistStore::wait_final`] until a
-//!   requested tile's owner task has finalized it — this is how remote
+//! * **Peer-serving threads** block in [`DistStore::wait_final_timeout`]
+//!   until a requested tile's owner task has finalized it — this is how remote
 //!   dependencies synchronize across processes without any version
 //!   numbering: the plan guarantees every remote read is of a final tile
 //!   (see [`crate::plan`]).
@@ -68,10 +68,9 @@ impl DistStore {
 
     /// Insert a tile fetched from its remote owner (always a final version).
     ///
-    /// Tolerates a concurrent final insert of the same tile: during
-    /// recovery, a buffered pre-death response and the replay path can both
-    /// deliver a tile, and final versions are bitwise identical by
-    /// determinism — the first one in wins, the duplicate is dropped.
+    /// Tolerates a duplicate final insert of the same tile: final versions
+    /// are bitwise identical by determinism, so the first one in wins and
+    /// the duplicate is dropped.
     pub fn insert_fetched(&self, id: TileId, value: Tile) {
         let slot = self.slot(id);
         let mut st = slot.state.lock().unwrap();
@@ -85,15 +84,6 @@ impl DistStore {
         st.value = Some(Arc::new(value));
         st.is_final = true;
         slot.cv.notify_all();
-    }
-
-    /// Publish a *replayed* final tile (the re-own recovery path computes a
-    /// lost rank's tiles in a private workspace and publishes only final
-    /// versions). Same duplicate-tolerance as [`DistStore::insert_fetched`]:
-    /// if a final version is already resident it is kept — the replayed bits
-    /// are identical.
-    pub fn publish_final(&self, id: TileId, value: Tile) {
-        self.insert_fetched(id, value);
     }
 
     /// Whether the tile is resident and final (used by the prefetcher as its
@@ -141,23 +131,10 @@ impl DistStore {
     }
 
     /// Block until the tile is final, then return it (the peer-serving
-    /// path). Unblocked by the owning task's `put(.., true)`; if the owner
-    /// never finalizes (a crashed or failed peer pipeline), the caller stays
-    /// blocked until its process is torn down by the coordinator.
-    pub fn wait_final(&self, id: TileId) -> Arc<Tile> {
-        let slot = self.slot(id);
-        let mut st = slot.state.lock().unwrap();
-        while !(st.is_final && st.value.is_some()) {
-            st = slot.cv.wait(st).unwrap();
-        }
-        Arc::clone(st.value.as_ref().unwrap())
-    }
-
-    /// Like [`DistStore::wait_final`], but gives up after `timeout` and
-    /// returns `None`. Recovery-aware callers (peer-serving threads, local
-    /// waits on re-owned tiles) use this to periodically re-check the
-    /// cluster view instead of blocking forever on a tile whose producer
-    /// moved or died — a blocked wait must wake and re-route, not hang.
+    /// path), or give up after `timeout` and return `None`. Unblocked by the
+    /// owning task's `put(.., true)`; serving threads wait in slices so they
+    /// notice shutdown instead of blocking forever on a tile whose pipeline
+    /// failed.
     pub fn wait_final_timeout(
         &self,
         id: TileId,
@@ -204,11 +181,14 @@ mod tests {
         let store = Arc::new(DistStore::new([(0, 0)]));
         store.insert_initial((0, 0), dense(3.0));
         let s2 = Arc::clone(&store);
-        let waiter = std::thread::spawn(move || s2.wait_final((0, 0)).as_dense().get(1, 1));
+        let waiter = std::thread::spawn(move || {
+            s2.wait_final_timeout((0, 0), std::time::Duration::from_secs(60))
+                .map(|t| t.as_dense().get(1, 1))
+        });
         std::thread::sleep(std::time::Duration::from_millis(20));
         let t = store.take((0, 0));
         store.put((0, 0), t, true);
-        assert_eq!(waiter.join().unwrap(), 3.0);
+        assert_eq!(waiter.join().unwrap(), Some(3.0));
     }
 
     #[test]
@@ -216,16 +196,15 @@ mod tests {
         let store = DistStore::new([(2, 1)]);
         store.insert_fetched((2, 1), dense(7.0));
         assert!(store.has_final((2, 1)));
-        assert_eq!(store.wait_final((2, 1)).as_dense().get(0, 0), 7.0);
+        assert_eq!(store.get_final((2, 1)).as_dense().get(0, 0), 7.0);
     }
 
     #[test]
     fn duplicate_final_inserts_keep_the_first_version() {
-        // Recovery can deliver a tile twice (buffered pre-death response +
-        // replay); both are bitwise identical, the first resident one wins.
+        // Final versions of a tile are bitwise identical, so a duplicate
+        // insert is dropped and the first resident one wins.
         let store = DistStore::new([(3, 2)]);
         store.insert_fetched((3, 2), dense(1.5));
-        store.publish_final((3, 2), dense(1.5));
         store.insert_fetched((3, 2), dense(1.5));
         assert_eq!(store.get_final((3, 2)).as_dense().get(0, 0), 1.5);
     }
@@ -242,7 +221,7 @@ mod tests {
                 .map(|t| t.as_dense().get(0, 0))
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        store.publish_final((1, 1), dense(9.0));
+        store.insert_fetched((1, 1), dense(9.0));
         assert_eq!(waiter.join().unwrap(), Some(9.0));
     }
 }

@@ -16,17 +16,16 @@
 //! executed. Induction over the plan order does the rest. (Fetching inside
 //! task closures on a multi-worker pool would *not* be safe: a pool could
 //! fill with tasks blocked on tiles whose producers sit behind them in the
-//! same pool.) The argument survives recovery: a re-own replay walks the
-//! dead rank's slice in the same plan order on its own thread, so the
-//! globally earliest unfinished task still always has an executor whose
-//! inputs are (or become) servable.
+//! same pool.) The argument survives recovery: a respawned rank walks its
+//! slice in the same plan order through the same pipeline, so the globally
+//! earliest unfinished task still always has an owner whose inputs are (or
+//! become) servable.
 //!
 //! ## Why the result is bitwise identical to the single-process engine
 //!
-//! Each tile's writers all share the tile's *executor*, and the executor
-//! applies them in global plan order — through the hazard-inferring stream
-//! for its own slice, sequentially for a replayed slice — so per-tile kernel
-//! order equals the single-process DAG's. Every step runs
+//! Each tile's writers all share the tile's owner, and the owner applies
+//! them in global plan order through the hazard-inferring stream, so
+//! per-tile kernel order equals the single-process DAG's. Every step runs
 //! [`tlr::dag::tlr_step`], the step body the engine's `potrf_tlr` runs on
 //! dense and TLR factors alike (this crate calls no kernel itself), on
 //! bit-identical inputs (locally
@@ -40,15 +39,12 @@
 //!
 //! A worker never treats a failed tile fetch as fatal: it drops the broken
 //! connection, waits for a cluster-view change (or a capped backoff), and
-//! retries against the *current* executor of the tile's rank — which the
-//! coordinator updates through epoch/re-own control messages after it
-//! detects a lost rank. A control thread applies those updates concurrently
-//! with the compute pipeline; a re-own directive additionally starts a
-//! replay thread that recomputes the dead rank's tiles from the enclosed
-//! initial data and sweeps its unreported panels. Serving threads answer
-//! from any epoch (final tiles are immutable and identical across
-//! incarnations) but refuse tiles of ranks this worker does not currently
-//! execute, so a peer with a stale route re-resolves instead of hanging.
+//! retries against the *current* address of the tile's owner — which the
+//! coordinator updates through an epoch message after it respawns a lost
+//! rank. A control thread applies those updates concurrently with the
+//! compute pipeline. Serving threads answer from any epoch (final tiles are
+//! immutable and identical across incarnations) but refuse tiles this rank
+//! does not own, so a misrouted request is answered instead of hanging.
 
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
@@ -69,7 +65,7 @@ use wire::{read_msg, write_msg, Json};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
 use crate::plan::{rank_slice, TileId};
-use crate::proto::{self, CtrlMsg, DoneMsg, ReownMsg, WorkerErrorMsg, WorkerMsg};
+use crate::proto::{self, CtrlMsg, DoneMsg, WorkerErrorMsg, WorkerMsg};
 use crate::store::DistStore;
 
 /// Exit code of an injected crash (distinguishable from panics in CI logs).
@@ -93,8 +89,8 @@ pub const TRACE_ENV: &str = "MVN_DIST_TRACE";
 
 /// Cap on any single retry backoff sleep.
 const RETRY_CAP: Duration = Duration::from_millis(500);
-/// How long a local wait polls before re-checking the cluster view.
-const LOCAL_WAIT_SLICE: Duration = Duration::from_millis(100);
+/// How long a serving thread waits on a tile before re-checking shutdown.
+const SERVE_WAIT_SLICE: Duration = Duration::from_millis(100);
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -103,10 +99,10 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The worker's live picture of the cluster: epoch, per-rank tile-server
-/// addresses, and the executor map. Updated by the control thread on
-/// epoch/re-own messages; fetch-retry loops block on it so a re-route is
-/// applied the moment it is known instead of after a full backoff.
+/// The worker's live picture of the cluster: epoch and per-rank
+/// tile-server addresses. Updated by the control thread on epoch messages;
+/// fetch-retry loops block on it so a re-route is applied the moment it is
+/// known instead of after a full backoff.
 struct ClusterView {
     state: Mutex<ViewState>,
     cv: Condvar,
@@ -115,38 +111,28 @@ struct ClusterView {
 struct ViewState {
     epoch: u64,
     peers: Vec<String>,
-    executor: Vec<usize>,
 }
 
 impl ClusterView {
-    fn new(epoch: u64, peers: Vec<String>, executor: Vec<usize>) -> Self {
+    fn new(epoch: u64, peers: Vec<String>) -> Self {
         Self {
-            state: Mutex::new(ViewState {
-                epoch,
-                peers,
-                executor,
-            }),
+            state: Mutex::new(ViewState { epoch, peers }),
             cv: Condvar::new(),
         }
     }
 
-    fn epoch(&self) -> u64 {
-        self.state.lock().unwrap().epoch
-    }
-
-    /// Current route for `rank`'s tiles: `(epoch, executor, address)`.
-    fn route(&self, rank: usize) -> (u64, usize, String) {
+    /// Current route for `rank`'s tiles: `(epoch, address)`.
+    fn route(&self, rank: usize) -> (u64, String) {
         let st = self.state.lock().unwrap();
-        (st.epoch, st.executor[rank], st.peers[rank].clone())
+        (st.epoch, st.peers[rank].clone())
     }
 
     /// Apply a strictly newer view; stale updates are dropped.
-    fn update(&self, epoch: u64, peers: Vec<String>, executor: Vec<usize>) {
+    fn update(&self, epoch: u64, peers: Vec<String>) {
         let mut st = self.state.lock().unwrap();
         if epoch > st.epoch {
             st.epoch = epoch;
             st.peers = peers;
-            st.executor = executor;
             self.cv.notify_all();
         }
     }
@@ -176,9 +162,6 @@ struct WorkerCtx {
     store: DistStore,
     view: ClusterView,
     injector: FaultInjector,
-    /// Writer half of the coordinator link (reports ride it from the main
-    /// and replay threads).
-    coord: Mutex<TcpStream>,
     /// Absolute give-up point for retry loops (from the problem's deadline
     /// budget).
     deadline: Instant,
@@ -209,12 +192,6 @@ impl WorkerCtx {
         // Wake any fetch-retry loop blocked on the view.
         self.view.cv.notify_all();
     }
-
-    fn send_report(&self, msg: &WorkerMsg) -> Result<(), String> {
-        let mut w = self.coord.lock().unwrap();
-        write_msg(&mut *w, &proto::worker_msg_to_json(msg))
-            .map_err(|e| format!("reporting to coordinator: {e}"))
-    }
 }
 
 /// Transfer accounting for one thread's peer links.
@@ -224,14 +201,13 @@ struct LinkStats {
     fetches: u64,
     reconnects: u64,
     /// Time this thread spent blocked in [`ensure_final`] waiting for input
-    /// tiles (local finalization waits, remote fetches, and retries).
+    /// tiles (remote fetches and their retries).
     fetch_wait_ns: u64,
 }
 
-/// Per-thread fetch connections (keyed by resolved address, so a fold that
-/// routes several ranks to one survivor shares a single connection) plus
-/// transfer accounting. Each fetching thread owns its own links — requests
-/// and responses on one connection never interleave across threads.
+/// Fetch connections (keyed by peer address) plus transfer accounting.
+/// Only the pipeline thread fetches, so requests and responses on one
+/// connection never interleave.
 struct PeerLinks {
     conns: HashMap<String, (BufReader<TcpStream>, TcpStream)>,
     /// Addresses whose connection was dropped by an error or sever; the
@@ -255,7 +231,6 @@ impl PeerLinks {
         &mut self,
         addr: &str,
         id: TileId,
-        epoch: u64,
         injector: &FaultInjector,
     ) -> Result<Tile, String> {
         match injector.on_fetch() {
@@ -284,7 +259,7 @@ impl PeerLinks {
                 self.conns.insert(addr.to_string(), (reader, stream));
             }
             let (reader, writer) = self.conns.get_mut(addr).unwrap();
-            write_msg(writer, &proto::tile_request(id, epoch))
+            write_msg(writer, &proto::tile_request(id))
                 .map_err(|e| format!("requesting tile {id:?} from {addr}: {e}"))?;
             let sized = SizedRead::read(reader)
                 .map_err(|e| format!("reading tile {id:?} from {addr}: {e}"))?;
@@ -317,10 +292,10 @@ impl SizedRead {
     }
 }
 
-/// Block until tile `id` is final on this node, ensuring it by whatever the
-/// current cluster view prescribes: immediate hit if resident, a local wait
-/// if this worker executes the owning rank (its own pipeline or a replay
-/// thread will finalize it), or a remote fetch with re-routing retries.
+/// Block until tile `id` is final on this node: an immediate hit if
+/// resident, otherwise a fetch from its owner with re-routing retries.
+/// Callers only ask for tiles another rank owns, or that this rank's own
+/// pipeline has already finalized.
 fn ensure_final(ctx: &WorkerCtx, links: &mut PeerLinks, id: TileId) -> Result<(), WorkerErrorMsg> {
     if ctx.store.has_final(id) {
         return Ok(()); // resident hit: not a wait, not counted
@@ -353,40 +328,31 @@ fn ensure_final_wait(
                 "deadline exceeded waiting for tile {id:?} (owner {owner}): {last_err}"
             )));
         }
-        let (epoch, exec, addr) = ctx.view.route(owner);
-        if exec == ctx.rank {
-            // Produced on this node (own pipeline, or a replay thread after
-            // a re-own). Wait in slices so a further view change is noticed.
-            if ctx.store.wait_final_timeout(id, LOCAL_WAIT_SLICE).is_some() {
+        let (epoch, addr) = ctx.view.route(owner);
+        match links.try_fetch(&addr, id, &ctx.injector) {
+            Ok(tile) => {
+                ctx.store.insert_fetched(id, tile);
                 return Ok(());
             }
-            last_err = format!("tile {id:?} not yet finalized locally");
-        } else {
-            match links.try_fetch(&addr, id, epoch, &ctx.injector) {
-                Ok(tile) => {
-                    ctx.store.insert_fetched(id, tile);
-                    return Ok(());
-                }
-                Err(e) => {
-                    last_err = e;
-                    // Wait for a route change (epoch bump) or back off, then
-                    // retry against whatever the view then says.
-                    let wait = backoff_delay(
-                        Duration::from_millis(10),
-                        attempt,
-                        ctx.salt.wrapping_add(id.0 as u64) ^ (id.1 as u64),
-                        RETRY_CAP,
-                    );
-                    ctx.view.wait_change(epoch, wait);
-                    attempt = attempt.saturating_add(1);
-                }
+            Err(e) => {
+                last_err = e;
+                // Wait for a route change (epoch bump) or back off, then
+                // retry against whatever the view then says.
+                let wait = backoff_delay(
+                    Duration::from_millis(10),
+                    attempt,
+                    ctx.salt.wrapping_add(id.0 as u64) ^ (id.1 as u64),
+                    RETRY_CAP,
+                );
+                ctx.view.wait_change(epoch, wait);
+                attempt = attempt.saturating_add(1);
             }
         }
     }
 }
 
 /// The fully assembled factor a sweeping node holds: every lower tile,
-/// locally produced, replayed, or fetched, viewed through the engine's
+/// locally produced or fetched, viewed through the engine's
 /// [`CholeskyFactor`] abstraction so the sweep kernels are literally the
 /// single-process ones.
 struct DistFactor {
@@ -441,7 +407,7 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
     let retries = env_u64(CONNECT_RETRIES_ENV, 5);
     let retry_base = Duration::from_millis(env_u64(RETRY_BASE_MS_ENV, 50));
     let coord = connect_with_retries(coordinator_addr, retries, retry_base, salt)?;
-    let coord_writer = coord
+    let mut coord_writer = coord
         .try_clone()
         .map_err(|e| format!("cloning coordinator stream: {e}"))?;
     let mut coord_reader = BufReader::new(coord);
@@ -455,13 +421,8 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         .map_err(|e| format!("tile server address: {e}"))?
         .to_string();
 
-    {
-        let mut w = coord_writer
-            .try_clone()
-            .map_err(|e| format!("cloning coordinator stream: {e}"))?;
-        write_msg(&mut w, &proto::hello(&listen_addr))
-            .map_err(|e| format!("sending hello: {e}"))?;
-    }
+    write_msg(&mut coord_writer, &proto::hello(&listen_addr))
+        .map_err(|e| format!("sending hello: {e}"))?;
     let setup = read_msg(&mut coord_reader)
         .map_err(|e| format!("reading setup: {e}"))?
         .ok_or("coordinator closed before setup")?;
@@ -481,9 +442,8 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         problem: setup.problem.clone(),
         born_epoch: setup.epoch,
         store,
-        view: ClusterView::new(setup.epoch, setup.peers.clone(), setup.executor.clone()),
+        view: ClusterView::new(setup.epoch, setup.peers.clone()),
         injector,
-        coord: Mutex::new(coord_writer),
         deadline: Instant::now() + Duration::from_millis(setup.problem.deadline_ms.max(1)),
         salt,
         shutdown: AtomicBool::new(false),
@@ -499,9 +459,8 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         std::thread::spawn(move || serve_tiles(listener, ctx));
     }
 
-    // Control thread: applies coordinator recovery messages (epoch bumps,
-    // re-own directives) while the main thread computes, and signals
-    // shutdown.
+    // Control thread: applies coordinator epoch messages while the main
+    // thread computes, and signals shutdown.
     let control = {
         let ctx = Arc::clone(&ctx);
         std::thread::spawn(move || control_loop(&mut coord_reader, ctx))
@@ -512,11 +471,11 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         Ok(done) => WorkerMsg::Done(done),
         Err(err) => WorkerMsg::Error(err),
     };
-    ctx.send_report(&msg)?;
+    write_msg(&mut coord_writer, &proto::worker_msg_to_json(&msg))
+        .map_err(|e| format!("reporting to coordinator: {e}"))?;
 
     // Keep serving tiles until the coordinator releases everyone: another
-    // node may still be factoring or sweeping against tiles this rank
-    // executes (and a replay thread may still be reporting).
+    // node may still be factoring or sweeping against tiles this rank owns.
     let mut done = ctx.shutdown_mx.lock().unwrap();
     while !*done {
         done = ctx.shutdown_cv.wait(done).unwrap();
@@ -542,13 +501,7 @@ fn control_loop(reader: &mut BufReader<TcpStream>, ctx: Arc<WorkerCtx>) {
                 ctx.signal_shutdown();
                 return;
             }
-            Ok(CtrlMsg::Epoch(e)) => ctx.view.update(e.epoch, e.peers, e.executor),
-            Ok(CtrlMsg::Reown(r)) => {
-                ctx.view
-                    .update(r.epoch, r.peers.clone(), r.executor.clone());
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || replay_rank(&ctx, r));
-            }
+            Ok(CtrlMsg::Epoch(e)) => ctx.view.update(e.epoch, e.peers),
             Err(_) => { /* unknown control message: ignore */ }
         }
     }
@@ -570,7 +523,7 @@ fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, Worke
             &[("rank", ctx.rank as u64), ("panels", panels.len() as u64)],
         )
     });
-    let (panel_results, _) = sweep_assigned(ctx, &mut links, panels, Some(&pool))?;
+    let panel_results = sweep_assigned(ctx, &mut links, panels, &pool)?;
     drop(sweep_span);
 
     // Kernel time (factor tasks + panel sweeps) from the pool's always-on
@@ -582,8 +535,6 @@ fn run_pipeline(ctx: &Arc<WorkerCtx>, panels: &[usize]) -> Result<DoneMsg, Worke
         .map(|&(_, _, ns)| ns)
         .sum();
     Ok(DoneMsg {
-        for_rank: ctx.rank,
-        epoch: ctx.view.epoch(),
         panels: panel_results,
         comm_bytes: links.stats.comm_bytes,
         fetches: links.stats.fetches,
@@ -666,28 +617,18 @@ fn factor(
     Ok(executed)
 }
 
-/// Per-panel sweep results `(panel index, panel probability mean,
-/// live-chain count)` plus the sequential path's measured sweep-kernel
-/// nanoseconds (see [`sweep_assigned`]).
-type SweepOutcome = (Vec<(usize, f64, usize)>, u64);
-
-/// Sweep the given panels against the fully assembled factor. With a pool,
-/// panels run as one task set on it (the main pipeline); without, they
-/// run sequentially in panel order (the replay path). Both produce
-/// bit-identical per-panel results — a panel's result depends only on the
+/// Sweep the given panels against the fully assembled factor, as one task
+/// set on the worker's pool, returning `(panel index, panel probability
+/// mean, live-chain count)` per panel. A panel's result depends only on the
 /// panel index and the factor bits.
-///
-/// The second return value is the sequential path's measured sweep-kernel
-/// time; the pooled path returns 0 there because its kernel time is already
-/// captured by the pool's per-label accounting.
 fn sweep_assigned(
     ctx: &Arc<WorkerCtx>,
     links: &mut PeerLinks,
     panels: &[usize],
-    pool: Option<&WorkerPool>,
-) -> Result<SweepOutcome, WorkerErrorMsg> {
+    pool: &WorkerPool,
+) -> Result<Vec<(usize, f64, usize)>, WorkerErrorMsg> {
     if panels.is_empty() {
-        return Ok((Vec::new(), 0));
+        return Ok(Vec::new());
     }
     let p = &ctx.problem;
     let layout = ctx.layout;
@@ -715,147 +656,26 @@ fn sweep_assigned(
         sample_kind: p.sample_kind,
         seed: p.seed,
     };
-    let mut seq_sweep_ns = 0u64;
-    let results: Vec<(f64, usize)> = match pool {
-        Some(pool) => {
-            let cost = |_: usize, _: &usize| (nt * cfg.panel_width) as f64;
-            pool.run_map("dist_panel_sweep", panels, cost, |_, &panel| {
-                let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
-                // Fault hook: a planned mid-sweep kill fires here, after
-                // this panel completes.
-                ctx.injector.on_panel_done();
-                r
-            })
-        }
-        None => panels
-            .iter()
-            .map(|&panel| {
-                let t0 = obs::now_ns();
-                let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
-                seq_sweep_ns += obs::now_ns().saturating_sub(t0);
-                obs::complete_since("dist_panel_sweep", t0, &[("panel", panel as u64)]);
-                r
-            })
-            .collect(),
-    };
-    Ok((
-        panels
-            .iter()
-            .zip(results)
-            .map(|(&panel, (mean, count))| (panel, mean, count))
-            .collect(),
-        seq_sweep_ns,
-    ))
-}
-
-/// Re-own recovery: replay a dead rank's factor plan slice from its initial
-/// tiles, publish the finalized results (so peers re-routed here are
-/// served), sweep its unreported panels, and report them to the
-/// coordinator under the dead rank's identity.
-///
-/// The replay is sequential in plan order — all writers of a tile run on
-/// this one thread, so per-tile kernel order (and therefore every bit)
-/// matches the single-process DAG, the lost rank's own execution, and any
-/// other incarnation's. Tiles that already arrived over the wire before the
-/// rank died are skipped: the fetched final version is bitwise identical to
-/// what the replay would produce.
-fn replay_rank(ctx: &Arc<WorkerCtx>, reown: ReownMsg) {
-    let started = Instant::now();
-    let outcome = replay_rank_inner(ctx, &reown, started);
-    let msg = match outcome {
-        Ok(done) => WorkerMsg::Done(done),
-        Err(err) => WorkerMsg::Error(err),
-    };
-    // A failed send means the coordinator is gone; the control thread will
-    // notice and shut the process down.
-    let _ = ctx.send_report(&msg);
-}
-
-fn replay_rank_inner(
-    ctx: &Arc<WorkerCtx>,
-    reown: &ReownMsg,
-    started: Instant,
-) -> Result<DoneMsg, WorkerErrorMsg> {
-    let layout = ctx.layout;
-    let mut links = PeerLinks::new();
-    let mut workspace: HashMap<TileId, Tile> =
-        reown.tiles.iter().map(|(id, t)| (*id, t.clone())).collect();
-    let mut skip: HashSet<TileId> = HashSet::new();
-    let mut touched: HashSet<TileId> = HashSet::new();
-    let mut replayed = 0u64;
-    let mut kernel_ns = 0u64;
-    let replay_span = obs::enabled().then(|| {
-        obs::span_with(
-            "dist_replay",
-            &[("rank", reown.rank as u64), ("epoch", reown.epoch)],
-        )
+    let cost = |_: usize, _: &usize| (nt * cfg.panel_width) as f64;
+    let results = pool.run_map("dist_panel_sweep", panels, cost, |_, &panel| {
+        let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
+        // Fault hook: a planned mid-sweep kill fires here, after this panel
+        // completes.
+        ctx.injector.on_panel_done();
+        r
     });
-
-    for step in rank_slice(layout.num_tiles(), &ctx.grid, reown.rank) {
-        // First touch of a tile decides once whether to replay it: if a
-        // final version is already resident (fetched before the owner
-        // died), every one of its tasks is skipped — the bits are the same.
-        if touched.insert(step.out) && ctx.store.has_final(step.out) {
-            skip.insert(step.out);
-        }
-        if skip.contains(&step.out) {
-            continue;
-        }
-        for &rid in step.reads() {
-            ensure_final(ctx, &mut links, rid)?;
-        }
-        let out = workspace.get_mut(&step.out).ok_or_else(|| {
-            ctx.io_err(format!(
-                "re-own of rank {} is missing initial tile {:?}",
-                reown.rank, step.out
-            ))
-        })?;
-        let t0 = obs::now_ns();
-        let stepped = tlr_step(
-            step,
-            out,
-            &ctx.store.final_reads(step),
-            layout,
-            ctx.problem.compression,
-        );
-        kernel_ns += obs::now_ns().saturating_sub(t0);
-        replayed += 1;
-        stepped.map_err(|pivot| WorkerErrorMsg::Factorization { pivot })?;
-        if step.finalizes() {
-            let val = workspace.remove(&step.out).unwrap();
-            ctx.store.publish_final(step.out, val);
-        }
-    }
-
-    let (panel_results, sweep_ns) = sweep_assigned(ctx, &mut links, &reown.panels, None)?;
-    drop(replay_span);
-    let _ = started; // recovery wall time is measured by the coordinator
-    Ok(DoneMsg {
-        for_rank: reown.rank,
-        epoch: reown.epoch,
-        panels: panel_results,
-        comm_bytes: links.stats.comm_bytes,
-        fetches: links.stats.fetches,
-        replayed_tasks: replayed,
-        reconnects: links.stats.reconnects,
-        compute_ns: kernel_ns + sweep_ns,
-        // Serving time is process-wide and already attributed to this
-        // process's own-rank report.
-        serve_ns: 0,
-        fetch_wait_ns: links.stats.fetch_wait_ns,
-        trace: if obs::enabled() {
-            obs::take_events()
-        } else {
-            Vec::new()
-        },
-    })
+    Ok(panels
+        .iter()
+        .zip(results)
+        .map(|(&panel, (mean, count))| (panel, mean, count))
+        .collect())
 }
 
 /// Accept loop of the tile server: one thread per peer connection, each
-/// answering sequential `{"get":[i,j],..}` requests with finalized tiles.
-/// A request for a tile of a rank this worker does not currently execute is
-/// *refused* (`{"err":..}`) instead of waited on — the requester re-resolves
-/// its route and retries, so a stale route never hangs either side.
+/// answering sequential `{"get":[i,j]}` requests with finalized tiles.
+/// A request for a tile this rank does not own is *refused* (`{"err":..}`)
+/// instead of waited on — the requester re-resolves its route and retries,
+/// so a stale route never hangs either side.
 fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { return };
@@ -884,23 +704,21 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
                     }
                 };
                 let nt = ctx.layout.num_tiles();
+                let owner = ctx.grid.owner(id.0, id.1);
                 let response = if id.1 > id.0 || id.0 >= nt {
                     // No such tile: refuse it and keep the connection.
                     proto::tile_error(&format!(
                         "tile {id:?} is outside the lower triangle of {nt} x {nt} tiles"
                     ))
+                } else if owner != ctx.rank {
+                    proto::tile_error(&format!(
+                        "rank {} does not own tile {id:?} (owner {owner})",
+                        ctx.rank
+                    ))
                 } else {
                     loop {
-                        if let Some(tile) = ctx.store.wait_final_timeout(id, LOCAL_WAIT_SLICE) {
+                        if let Some(tile) = ctx.store.wait_final_timeout(id, SERVE_WAIT_SLICE) {
                             break proto::tile_response(&tile);
-                        }
-                        let owner = ctx.grid.owner(id.0, id.1);
-                        let (_, exec, _) = ctx.view.route(owner);
-                        if exec != ctx.rank {
-                            break proto::tile_error(&format!(
-                                "rank {} does not execute tile {id:?} (owner {owner} -> {exec})",
-                                ctx.rank
-                            ));
                         }
                         if ctx.shutdown.load(Ordering::SeqCst) {
                             return;
@@ -931,9 +749,12 @@ mod tests {
 
     #[test]
     fn tile_server_refuses_ids_outside_the_layout_and_keeps_serving() {
-        // Play coordinator for a one-rank, 2 x 2-tile dense problem, then
-        // send its tile server a malformed request, two ids that have no
-        // slot and one that does, all on one connection.
+        // Play coordinator for rank 0 of a two-rank, 2 x 2-tile dense
+        // problem, then send its tile server a malformed request, two ids
+        // that have no slot, one that rank 1 owns and one that rank 0 owns,
+        // all on one connection. Under `ProcessGrid::new(2)` rank 0 owns
+        // (0, 0) and (1, 0), and its slice (potrf (0, 0), trsm (1, 0))
+        // reads nothing remote, so rank 1 never needs to exist.
         let coord = TcpListener::bind("127.0.0.1:0").unwrap();
         let coord_addr = coord.local_addr().unwrap().to_string();
         let worker = std::thread::spawn(move || run_worker(&coord_addr));
@@ -957,10 +778,9 @@ mod tests {
         };
         let setup = SetupMsg {
             rank: 0,
-            nodes: 1,
+            nodes: 2,
             epoch: 0,
-            peers: vec![tile_server.clone()],
-            executor: vec![0],
+            peers: vec![tile_server.clone(), "127.0.0.1:1".into()],
             panels: Vec::new(),
             problem: ProblemMsg {
                 compression: None,
@@ -975,11 +795,7 @@ mod tests {
                 workers: 1,
                 deadline_ms: 60_000,
             },
-            tiles: vec![
-                ((0, 0), tile(0, 0)),
-                ((1, 0), tile(1, 0)),
-                ((1, 1), tile(1, 1)),
-            ],
+            tiles: vec![((0, 0), tile(0, 0)), ((1, 0), tile(1, 0))],
         };
         write_msg(&mut coord_writer, &proto::setup_to_json(&setup)).unwrap();
         let done = read_msg(&mut coord_reader).unwrap().unwrap();
@@ -1002,12 +818,14 @@ mod tests {
         };
         let err = send(Json::parse(r#"{"get":"x"}"#).unwrap()).unwrap_err();
         assert!(err.contains("expected a {\"get\""), "{err}");
-        let mut get = |id: TileId| send(proto::tile_request(id, 0));
+        let mut get = |id: TileId| send(proto::tile_request(id));
         for bad in [(2, 0), (0, 1)] {
             let err = get(bad).unwrap_err();
             assert!(err.contains("outside the lower triangle"), "{bad:?}: {err}");
         }
-        let good = get((1, 1)).unwrap();
+        let err = get((1, 1)).unwrap_err();
+        assert!(err.contains("does not own tile (1, 1)"), "{err}");
+        let good = get((0, 0)).unwrap();
         assert_eq!(good.as_dense().get(1, 1), 1.0);
 
         write_msg(&mut coord_writer, &proto::shutdown()).unwrap();

@@ -2,7 +2,7 @@
 //! execution — mid-factor, mid-sweep, or by severing a peer connection
 //! mid-fetch — and assert the recovered distributed probability is
 //! **bitwise identical** to the single-process engine, for dense and TLR
-//! factors, at 2/3/4 processes, under both recovery policies.
+//! factors, at 2/3/4 processes, with every lost rank respawned.
 //!
 //! Every fault here is planned (see [`mvn_dist::faults`]): a `(rank,
 //! counter)` pair pins the failure to one reproducible instant, so these
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::{FaultAction, FaultPlan};
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport, Recovery};
+use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport};
 use qmc::SampleKind;
 use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
@@ -44,12 +44,11 @@ fn cfg() -> MvnConfig {
     }
 }
 
-fn dist_config(nodes: usize, recovery: Recovery, faults: FaultPlan) -> DistConfig {
+fn dist_config(nodes: usize, faults: FaultPlan) -> DistConfig {
     let mut dc = DistConfig::new(
         nodes,
         vec![env!("CARGO_BIN_EXE_mvn_dist_worker").to_string()],
     );
-    dc.recovery = recovery;
     dc.faults = faults;
     dc.timeout = Duration::from_secs(90);
     dc
@@ -116,9 +115,18 @@ fn respawn_recovers_mid_factor_kills_bitwise_dense() {
 
     // The (nodes, victim rank, task index) matrix: early, mid and late kill
     // points across every process count, including rank 0.
-    for (nodes, rank, after) in [(2usize, 0usize, 0usize), (2, 1, 2), (3, 1, 1), (4, 2, 3)] {
+    for (nodes, rank, after) in [
+        (2usize, 0usize, 0usize),
+        (2, 1, 2),
+        (3, 1, 1),
+        (4, 2, 3),
+        (2, 1, 0),
+        (3, 0, 2),
+        (3, 2, 4),
+        (4, 3, 1),
+    ] {
         let tag = format!("respawn dense x{nodes} kill {rank}@task{after}");
-        let dc = dist_config(nodes, Recovery::Respawn, kill_at_task(rank, after));
+        let dc = dist_config(nodes, kill_at_task(rank, after));
         let report =
             solve_dense(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_bitwise(&tag, report.result, reference);
@@ -131,41 +139,21 @@ fn respawn_recovers_mid_factor_kills_bitwise_dense() {
 }
 
 #[test]
-fn fold_recovers_mid_factor_kills_bitwise_dense() {
-    let cfg = cfg();
-    let (sigma, reference) = dense_reference(&cfg);
-    let (a, b) = limits();
-
-    for (nodes, rank, after) in [(2usize, 1usize, 0usize), (3, 0, 2), (3, 2, 4), (4, 3, 1)] {
-        let tag = format!("fold dense x{nodes} kill {rank}@task{after}");
-        let dc = dist_config(nodes, Recovery::Fold, kill_at_task(rank, after));
-        let report =
-            solve_dense(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_bitwise(&tag, report.result, reference);
-        assert_recovered(&tag, &report);
-        assert!(
-            report.replayed_tasks >= 1,
-            "{tag}: the fold survivor must replay the dead slice"
-        );
-    }
-}
-
-#[test]
-fn both_policies_recover_tlr_kills_bitwise() {
+fn respawn_recovers_tlr_kills_bitwise() {
     let cfg = cfg();
     let (sigma, reference) = tlr_reference(&cfg);
     let (a, b) = limits();
 
-    for (nodes, rank, after, recovery) in [
-        (3usize, 0usize, 1usize, Recovery::Respawn),
+    for (nodes, rank, after) in [
+        (3usize, 0usize, 1usize),
         // Rank 1 owns only two factor tasks on the 2x2 grid at this size,
         // so the kill point must sit inside its slice.
-        (4, 1, 1, Recovery::Respawn),
-        (2, 1, 3, Recovery::Fold),
-        (3, 2, 0, Recovery::Fold),
+        (4, 1, 1),
+        (2, 1, 3),
+        (3, 2, 0),
     ] {
-        let tag = format!("{recovery:?} tlr x{nodes} kill {rank}@task{after}");
-        let dc = dist_config(nodes, recovery, kill_at_task(rank, after));
+        let tag = format!("respawn tlr x{nodes} kill {rank}@task{after}");
+        let dc = dist_config(nodes, kill_at_task(rank, after));
         let report = solve_tlr(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_bitwise(&tag, report.result, reference);
         assert_recovered(&tag, &report);
@@ -181,18 +169,15 @@ fn mid_sweep_kills_recover_bitwise() {
     // The victim dies after completing its first sweep panel: the factor is
     // fully finalized (and largely fetched by peers), so recovery is mostly
     // a panel re-sweep — the panels it never reported are recomputed by the
-    // recovery executor and must combine to the identical probability.
-    for recovery in [Recovery::Respawn, Recovery::Fold] {
-        let tag = format!("{recovery:?} dense x2 kill 1@panel0");
-        let faults = FaultPlan {
-            actions: vec![FaultAction::KillAtPanel { rank: 1, after: 0 }],
-        };
-        let dc = dist_config(2, recovery, faults);
-        let report =
-            solve_dense(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_bitwise(&tag, report.result, reference);
-        assert_recovered(&tag, &report);
-    }
+    // respawned rank and must combine to the identical probability.
+    let tag = "dense x2 kill 1@panel0";
+    let faults = FaultPlan {
+        actions: vec![FaultAction::KillAtPanel { rank: 1, after: 0 }],
+    };
+    let report = solve_dense(&sigma, &a, &b, &cfg, &dist_config(2, faults))
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_bitwise(tag, report.result, reference);
+    assert_recovered(tag, &report);
 }
 
 #[test]
@@ -207,7 +192,7 @@ fn severed_fetch_reroutes_and_retries_instead_of_hanging() {
     let faults = FaultPlan {
         actions: vec![FaultAction::SeverFetch { rank: 0, at: 0 }],
     };
-    let dc = dist_config(2, Recovery::Respawn, faults);
+    let dc = dist_config(2, faults);
     let report = solve_dense(&sigma, &a, &b, &cfg, &dc).expect("severed fetch must not hang");
     assert_bitwise("sever 0@fetch0", report.result, reference);
     assert_eq!(
@@ -233,7 +218,7 @@ fn delayed_fetches_change_timing_but_not_one_bit() {
             millis: 150,
         }],
     };
-    let dc = dist_config(2, Recovery::Respawn, faults);
+    let dc = dist_config(2, faults);
     let report = solve_dense(&sigma, &a, &b, &cfg, &dc).expect("a slow fetch is not a fault");
     assert_bitwise("delay 1@fetch1", report.result, reference);
     assert_eq!(report.recoveries, 0);
