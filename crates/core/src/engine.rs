@@ -572,8 +572,8 @@ impl MvnEngine {
     }
 
     /// The engine's worker pool, for routing non-MVN task graphs (e.g. the
-    /// repeated `potrf_tiled` calls of `geostat::mle`) through the same
-    /// session threads.
+    /// repeated factorizations of `geostat::mle`) through the same session
+    /// threads.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }
@@ -586,8 +586,8 @@ impl MvnEngine {
 
     /// Factor a dense tiled covariance on the engine's pool, returning a
     /// reusable [`Factor`]: its tiles move into a dense [`TlrMatrix`]
-    /// without copying and run [`tlr::potrf_tlr`], whose dense steps leave
-    /// the bits of [`tile_la::potrf_tiled`].
+    /// without copying and run [`tlr::potrf_tlr`], whose dense steps are
+    /// [`tile_la::dag::dense_step`] in plan order.
     pub fn factor_dense(&self, sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
         let _span = obs::span_with("engine_factor_dense", &[("n", sigma.n() as u64)]);
         self.factor_tiled(TlrMatrix::from(sigma))
@@ -1272,15 +1272,24 @@ mod tests {
     }
 
     #[test]
-    fn a_dense_factor_is_the_tiled_factor_of_potrf_tiled_bitwise() {
+    fn a_dense_factor_is_the_sequential_plan_walk_bitwise() {
         // 50 = 3 × 16 + 2: four tile rows, the last one ragged. The dense
-        // factor runs the tiled factorization path and must leave
-        // `potrf_tiled`'s bits in every tile, report itself dense, account
-        // exactly the dense storage, and label its trailing updates `gemm`.
+        // factor runs the tiled factorization path and must leave the bits
+        // of the plan walked step by step through `dense_step` in every
+        // tile, report itself dense, account exactly the dense storage, and
+        // label its trailing updates `gemm`.
         let (n, nb) = (50, 16);
         let sigma = SymTileMatrix::from_fn(n, nb, exp_cov(0.4));
         let mut want = sigma.clone();
-        tile_la::potrf_tiled(&mut want, &WorkerPool::new(1)).unwrap();
+        let layout = want.layout();
+        for step in tile_la::dag::cholesky_plan(layout.num_tiles()) {
+            let reads: Vec<DenseMatrix> = (step.reads().iter())
+                .map(|&(i, j)| want.tile(i, j).clone())
+                .collect();
+            let reads: Vec<&DenseMatrix> = reads.iter().collect();
+            let out = want.tile_mut(step.out.0, step.out.1);
+            tile_la::dag::dense_step(step, out, &reads, layout).unwrap();
+        }
         for workers in [1usize, 2] {
             let engine = test_engine(workers);
             let factor = engine.factor_dense(sigma.clone()).unwrap();

@@ -231,9 +231,9 @@ mod tests {
         // covariance to factorization round-off.
         let n = 8;
         let cov = |i: usize, j: usize| (-((i as f64 - j as f64).abs()) / 3.0).exp();
-        let mut sym = tile_la::SymTileMatrix::from_fn(n, 4, cov);
-        tile_la::potrf_tiled(&mut sym, &task_runtime::WorkerPool::new(1)).unwrap();
-        let l = sym.to_dense_lower();
+        let mut l = tlr::TlrMatrix::from(tile_la::SymTileMatrix::from_fn(n, 4, cov));
+        tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
+        let l = l.to_dense_lower();
         let engine = crate::MvnEngine::builder().workers(1).build().unwrap();
         let f = engine
             .factor_vecchia(crate::vecchia::full_conditioning_plan(n), cov)

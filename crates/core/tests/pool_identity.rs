@@ -4,7 +4,7 @@
 
 use mvn_core::{MvnConfig, MvnEngine};
 use task_runtime::WorkerPool;
-use tile_la::{potrf_tiled, SymTileMatrix};
+use tile_la::SymTileMatrix;
 use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
 
 fn exp_cov(i: usize, j: usize) -> f64 {
@@ -52,9 +52,10 @@ fn factors_and_solves_are_bitwise_identical_on_every_pool() {
     }
 }
 
-fn dense_factor(pool: &WorkerPool, mut sigma: SymTileMatrix) -> SymTileMatrix {
-    potrf_tiled(&mut sigma, pool).unwrap();
-    sigma
+fn dense_factor(pool: &WorkerPool, sigma: SymTileMatrix) -> TlrMatrix {
+    let mut l = TlrMatrix::from(sigma);
+    potrf_tlr(&mut l, pool).unwrap();
+    l
 }
 
 #[test]

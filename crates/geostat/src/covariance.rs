@@ -448,8 +448,8 @@ mod tests {
             range: 0.15,
             smoothness: 1.5,
         });
-        let mut sym = k.tiled_covariance(&locs, 20, 1e-10);
-        assert!(tile_la::potrf_tiled(&mut sym, &task_runtime::WorkerPool::new(1)).is_ok());
+        let mut l = tlr::TlrMatrix::from(k.tiled_covariance(&locs, 20, 1e-10));
+        assert!(tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).is_ok());
     }
 
     #[test]

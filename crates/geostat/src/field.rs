@@ -9,7 +9,8 @@ use crate::covariance::CovarianceKernel;
 use crate::geometry::Location;
 use qmc::Xoshiro256pp;
 use task_runtime::WorkerPool;
-use tile_la::{multiply_lower_panel, potrf_tiled, DenseMatrix};
+use tile_la::DenseMatrix;
+use tlr::{potrf_tlr, TlrMatrix};
 
 /// A simulated field: the latent values at every location.
 #[derive(Debug, Clone)]
@@ -34,9 +35,10 @@ pub struct Observations {
 /// Simulate a zero-mean-plus-constant Gaussian random field `x ~ N(mean·1, Σ)`
 /// at the given locations.
 ///
-/// The covariance is assembled in tiled form, factored with the parallel tiled
-/// Cholesky on the caller's `pool` (e.g. an `mvn_core::MvnEngine`'s), and the
-/// sample is `mean + L·z` with `z` i.i.d. standard normal. The sample is
+/// The covariance is assembled in tiled form, its tiles move into a dense
+/// [`TlrMatrix`] and are factored by the parallel tiled Cholesky
+/// ([`potrf_tlr`]) on the caller's `pool` (e.g. an `mvn_core::MvnEngine`'s),
+/// and the sample is `mean + L·z` with `z` i.i.d. standard normal. The sample is
 /// bitwise the same on every pool: the factor is worker-count-deterministic
 /// and the RNG stream depends only on `seed`.
 pub fn simulate_field(
@@ -48,11 +50,11 @@ pub fn simulate_field(
 ) -> FieldSample {
     let n = locs.len();
     let nb = default_tile_size(n);
-    let mut sigma = kernel.tiled_covariance(locs, nb, 1e-10 * kernel.sigma2());
-    potrf_tiled(&mut sigma, pool).expect("covariance matrix must be positive definite");
+    let mut l = TlrMatrix::from(kernel.tiled_covariance(locs, nb, 1e-10 * kernel.sigma2()));
+    potrf_tlr(&mut l, pool).expect("covariance matrix must be positive definite");
     let mut rng = Xoshiro256pp::seed_from(seed);
     let z = DenseMatrix::from_fn(n, 1, |_, _| rng.next_normal());
-    let x = multiply_lower_panel(&sigma, &z);
+    let x = l.multiply_lower_panel(&z);
     FieldSample {
         values: (0..n).map(|i| mean + x.get(i, 0)).collect(),
         mean,

@@ -6,7 +6,9 @@ use crate::field::default_tile_size;
 use crate::geometry::Location;
 use crate::optim::{nelder_mead, NelderMeadOptions};
 use task_runtime::WorkerPool;
-use tile_la::{potrf_tiled, solve_lower_panel, DenseMatrix};
+use tile_la::DenseMatrix;
+use tlr::cholesky::log_det_from_tlr_factor;
+use tlr::{potrf_tlr, TlrMatrix};
 
 /// Result of a Matérn maximum-likelihood fit.
 #[derive(Debug, Clone)]
@@ -24,8 +26,9 @@ pub struct MleResult {
 /// Exact Gaussian log-likelihood of zero-mean data under the given covariance
 /// kernel: `−½ (zᵀΣ⁻¹z + log|Σ| + n·log 2π)`.
 ///
-/// Uses the parallel tiled Cholesky factorization on the caller's `pool` (e.g.
-/// an `mvn_core::MvnEngine`'s), so it scales to the problem sizes of the
+/// Factors the covariance as a dense [`TlrMatrix`] with the parallel tiled
+/// Cholesky ([`potrf_tlr`]) on the caller's `pool` (e.g. an
+/// `mvn_core::MvnEngine`'s), so it scales to the problem sizes of the
 /// paper's synthetic studies. The covariance carries a stabilizing nugget of
 /// `1e-10 · max(σ², 1e-12)`. The value is bitwise the same on every pool
 /// (the factor is worker-count-deterministic).
@@ -39,14 +42,14 @@ pub fn gaussian_loglik(
     assert_eq!(data.len(), n, "data length must match number of locations");
     let nb = default_tile_size(n);
     let nugget = 1e-10 * kernel.sigma2().max(1e-12);
-    let mut sigma = kernel.tiled_covariance(locs, nb, nugget);
-    if potrf_tiled(&mut sigma, pool).is_err() {
+    let mut l = TlrMatrix::from(kernel.tiled_covariance(locs, nb, nugget));
+    if potrf_tlr(&mut l, pool).is_err() {
         return f64::NEG_INFINITY;
     }
-    let log_det = tile_la::cholesky::log_det_from_factor(&sigma);
+    let log_det = log_det_from_tlr_factor(&l);
     // Whitened residual: w = L^{-1} z, quadratic form = ||w||^2.
     let mut z = DenseMatrix::from_fn(n, 1, |i, _| data[i]);
-    solve_lower_panel(&sigma, &mut z);
+    l.solve_lower_panel(&mut z);
     let quad: f64 = z.data().iter().map(|v| v * v).sum();
     -0.5 * (quad + log_det + n as f64 * (2.0 * std::f64::consts::PI).ln())
 }

@@ -248,7 +248,7 @@ impl CovSpec {
 
     /// Assemble the covariance (or correlation) matrix and factor it on the
     /// engine's pool. The factor is bitwise identical to the library paths
-    /// for the same spec: `potrf_tiled` leaves the same bits on any pool,
+    /// for the same spec: `tlr::potrf_tlr` leaves the same bits on any pool,
     /// and the standardized entries come from
     /// [`excursion::correlation_matrix_dense`]/`_tlr` — the same definition
     /// `correlation_factor_dense`/`_tlr` factor.
@@ -391,13 +391,15 @@ mod tests {
     #[test]
     fn built_factor_matches_the_library_paths_bitwise() {
         let engine = MvnEngine::builder().workers(2).build().unwrap();
-        // Covariance path vs potrf_tiled.
+        // Covariance path vs potrf_tlr on one worker.
         let spec = base_spec();
         let f = spec.build_factor(&engine).unwrap();
-        let mut want = spec
-            .kernel
-            .tiled_covariance(&spec.locations, spec.tile_size, spec.nugget);
-        tile_la::potrf_tiled(&mut want, &task_runtime::WorkerPool::new(1)).unwrap();
+        let mut want = tlr::TlrMatrix::from(spec.kernel.tiled_covariance(
+            &spec.locations,
+            spec.tile_size,
+            spec.nugget,
+        ));
+        tlr::potrf_tlr(&mut want, &task_runtime::WorkerPool::new(1)).unwrap();
         let Factor::Tiled(got) = &f else {
             panic!("expected a tiled factor")
         };

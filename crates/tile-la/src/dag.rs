@@ -1,9 +1,8 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool (the paper's StarPU programming model): the one task
 //! order [`cholesky_plan`], the one dense step body [`dense_step`], and the
-//! building blocks [`potrf_tiled`](crate::potrf_tiled), the tiled factor's
-//! factorization in `tlr`, the `mvn-dist` worker and the `distsim` model
-//! compose.
+//! building blocks the tiled factor's factorization in `tlr`, the `mvn-dist`
+//! worker and the `distsim` model compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
 //! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
@@ -25,6 +24,26 @@ use task_runtime::{
     AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileRef, TileStore,
 };
 
+/// Failure modes of the tiled Cholesky factorization.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CholeskyError {
+    /// The matrix is not (numerically) positive definite; the payload is the
+    /// global index of the failing pivot.
+    NotPositiveDefinite(usize),
+}
+
+impl std::fmt::Display for CholeskyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CholeskyError::NotPositiveDefinite(i) => {
+                write!(f, "matrix is not positive definite (pivot {i})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CholeskyError {}
+
 /// Shared failure state of a factorization task graph.
 ///
 /// When a `POTRF` task hits a non-positive pivot it records the global pivot
@@ -32,7 +51,8 @@ use task_runtime::{
 /// is set ("kill the chain"), so the graph drains quickly instead of operating
 /// on garbage tiles. Because all tasks that could observe a failed pivot are
 /// transitively ordered after the failing `POTRF`, at most one failure is ever
-/// recorded and the reported pivot is deterministic.
+/// recorded and the reported pivot is deterministic. The submitter turns it
+/// into [`CholeskyError::NotPositiveDefinite`].
 #[derive(Debug, Default)]
 pub struct FactorStatus {
     failed: AtomicBool,
@@ -185,7 +205,7 @@ impl Step {
 /// updates row by row.
 ///
 /// This is the one place the factorization's task order is written down. The
-/// dense and TLR submitters, the `mvn-dist` worker (owned slice and recovery
+/// tiled factor's submitter, the `mvn-dist` worker (owned slice and recovery
 /// replay) and the `distsim` model all walk it, so each tile's writers come
 /// in the same order everywhere — the per-tile kernel order every bitwise
 /// identity argument rests on.
@@ -209,10 +229,10 @@ pub fn cholesky_plan(nt: usize) -> impl Iterator<Item = Step> {
 
 /// Apply one plan step to its dense output tile, given the step's read
 /// tiles in [`Step::reads`] order: the one place a dense step's kernel call
-/// is written. [`potrf_tiled`](crate::potrf_tiled)'s submitter calls it, and
-/// so do the all-dense arms of the TLR step function in `tlr::dag`, which the
-/// TLR submitter and the `mvn-dist` worker run. A `potrf` that meets a
-/// non-positive pivot returns the pivot's global index.
+/// is written. The dense arms of the tiled factor's step function in
+/// `tlr::dag` call it, and the tiled factorization and the `mvn-dist` worker
+/// run that. A `potrf` that meets a non-positive pivot returns the pivot's
+/// global index.
 pub fn dense_step<R: Deref<Target = DenseMatrix>>(
     step: Step,
     out: &mut DenseMatrix,
@@ -238,9 +258,8 @@ pub fn dense_step<R: Deref<Target = DenseMatrix>>(
 /// output tile and read tiles, and records a returned pivot in `status`;
 /// `low_rank` names the off-diagonal trailing update `lr_gemm`.
 ///
-/// The submitters of `potrf_tiled` and of the tiled factor in `tlr` are this
-/// loop with their step functions.
-/// The caller owns the [`TileStore`] and the [`FactorStatus`]; after
+/// The tiled factor's submitter in `tlr` is this loop with its step
+/// function. The caller owns the [`TileStore`] and the [`FactorStatus`]; after
 /// executing the tasks it must check [`FactorStatus::pivot`].
 pub fn submit_steps<'a, T, S, F>(
     graph: &mut S,

@@ -1,9 +1,11 @@
 //! Symmetric matrix stored as its lower-triangular tiles.
 //!
 //! This mirrors the descriptor layout the paper uses for the covariance matrix
-//! `Σ` and its Cholesky factor `L`: only tiles `(i, j)` with `i ≥ j` are held
-//! in memory (halving storage for large `n`), and each tile is an independent
-//! [`DenseMatrix`] so tasks can own or borrow tiles individually.
+//! `Σ`: only tiles `(i, j)` with `i ≥ j` are held in memory (halving storage
+//! for large `n`), and each tile is an independent [`DenseMatrix`] so tasks
+//! can assemble them individually. It is the assembly container only: the
+//! Cholesky factor is a `tlr::TlrMatrix`, which takes these tiles over
+//! without copying.
 
 use crate::dense::DenseMatrix;
 use crate::layout::TileLayout;
@@ -21,19 +23,6 @@ impl SymTileMatrix {
     fn tri_index(i: usize, j: usize) -> usize {
         debug_assert!(j <= i);
         i * (i + 1) / 2 + j
-    }
-
-    /// An all-zero symmetric tile matrix.
-    pub fn zeros(n: usize, nb: usize) -> Self {
-        let layout = TileLayout::new(n, nb);
-        let nt = layout.num_tiles();
-        let mut tiles = Vec::with_capacity(nt * (nt + 1) / 2);
-        for i in 0..nt {
-            for j in 0..=i {
-                tiles.push(DenseMatrix::zeros(layout.tile_size(i), layout.tile_size(j)));
-            }
-        }
-        Self { layout, tiles }
     }
 
     /// Build from an element function `f(row, col)`; only the lower triangle is
@@ -81,13 +70,6 @@ impl SymTileMatrix {
         self.tiles
     }
 
-    /// Build from a full dense symmetric matrix (used in tests and small
-    /// reference computations).
-    pub fn from_dense(a: &DenseMatrix, nb: usize) -> Self {
-        assert_eq!(a.nrows(), a.ncols(), "from_dense: matrix must be square");
-        Self::from_fn(a.nrows(), nb, |i, j| a.get(i, j))
-    }
-
     /// The tiling layout (shared by rows and columns).
     pub fn layout(&self) -> TileLayout {
         self.layout
@@ -126,16 +108,6 @@ impl SymTileMatrix {
         &mut self.tiles[Self::tri_index(i, j)]
     }
 
-    /// Move every tile out (in [`from_tiles`](Self::from_tiles) order), for
-    /// the factorization's tile store; `put_tiles` moves them back.
-    pub(crate) fn take_tiles(&mut self) -> Vec<DenseMatrix> {
-        std::mem::take(&mut self.tiles)
-    }
-
-    pub(crate) fn put_tiles(&mut self, tiles: Vec<DenseMatrix>) {
-        self.tiles = tiles;
-    }
-
     /// Element access through the symmetric structure (either triangle).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
@@ -159,18 +131,6 @@ impl SymTileMatrix {
     pub fn to_dense_sym(&self) -> DenseMatrix {
         let n = self.n();
         DenseMatrix::from_fn(n, n, |i, j| self.get(i, j))
-    }
-
-    /// Expand only the lower triangle (upper part zero) — the natural view of a
-    /// Cholesky factor stored in this layout.
-    pub fn to_dense_lower(&self) -> DenseMatrix {
-        let n = self.n();
-        DenseMatrix::from_fn(n, n, |i, j| if i >= j { self.get(i, j) } else { 0.0 })
-    }
-
-    /// The diagonal elements.
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.n()).map(|i| self.get(i, i)).collect()
     }
 
     /// Total number of stored `f64` values (memory footprint measure).
@@ -227,7 +187,7 @@ mod tests {
 
     #[test]
     fn set_updates_symmetric_pair() {
-        let mut a = SymTileMatrix::zeros(6, 2);
+        let mut a = SymTileMatrix::from_fn(6, 2, kernel);
         a.set(1, 4, 7.5); // upper-triangle request maps to (4,1)
         assert_eq!(a.get(4, 1), 7.5);
         assert_eq!(a.get(1, 4), 7.5);
@@ -236,7 +196,7 @@ mod tests {
     #[test]
     fn storage_is_roughly_half_of_dense() {
         let n = 64;
-        let a = SymTileMatrix::zeros(n, 8);
+        let a = SymTileMatrix::from_fn(n, 8, kernel);
         let stored = a.stored_elements();
         assert!(stored < n * n);
         // Lower-triangular tile storage for an exact tiling: nt(nt+1)/2 * nb^2.
@@ -245,7 +205,7 @@ mod tests {
 
     #[test]
     fn ragged_edge_tiles_have_correct_sizes() {
-        let a = SymTileMatrix::zeros(11, 4);
+        let a = SymTileMatrix::from_fn(11, 4, kernel);
         assert_eq!(a.num_tiles(), 3);
         assert_eq!(a.tile(2, 2).nrows(), 3);
         assert_eq!(a.tile(2, 0).nrows(), 3);
@@ -253,26 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_extraction() {
-        let a = SymTileMatrix::from_fn(9, 4, |i, j| if i == j { i as f64 } else { 0.0 });
-        assert_eq!(a.diagonal(), (0..9).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
     #[should_panic]
     fn upper_tile_borrow_panics() {
-        let a = SymTileMatrix::zeros(8, 4);
+        let a = SymTileMatrix::from_fn(8, 4, kernel);
         let _ = a.tile(0, 1);
-    }
-
-    #[test]
-    fn to_dense_lower_zeroes_upper() {
-        let a = SymTileMatrix::from_fn(7, 3, kernel);
-        let l = a.to_dense_lower();
-        for i in 0..7 {
-            for j in (i + 1)..7 {
-                assert_eq!(l.get(i, j), 0.0);
-            }
-        }
     }
 }

@@ -6,8 +6,7 @@
 //! [`cholesky_plan`](tile_la::dag::cholesky_plan), each running
 //! [`tlr_step`]: in [`potrf_tlr`](crate::potrf_tlr)'s tasks and in the
 //! `mvn-dist` worker, so the factor is bitwise identical for every worker
-//! count and every process count, and a dense factor's bits are
-//! [`tile_la::potrf_tiled`]'s.
+//! count and every process count, and to the sequential walk of the plan.
 
 use crate::arithmetic::{lr_aa_t_update, lr_lr_t_update};
 use crate::compress::CompressionTol;
@@ -101,7 +100,7 @@ mod tests {
     use std::collections::HashMap;
     use task_runtime::WorkerPool;
     use tile_la::dag::{cholesky_plan, TileId};
-    use tile_la::{potrf_tiled, CholeskyError, SymTileMatrix};
+    use tile_la::{CholeskyError, SymTileMatrix};
 
     /// Walk the plan sequentially through [`tlr_step`], stopping at the
     /// first failed pivot as the submitters' "kill the chain" does.
@@ -141,49 +140,32 @@ mod tests {
         // Indefinite at pivot 49, inside the ragged tile.
         let indefinite = |i: usize, j: usize| if i == 49 && j == 49 { -1.0 } else { spd(i, j) };
         let tol = CompressionTol::Absolute(1e-10);
-        let compression = Some((tol, usize::MAX));
         let pool = WorkerPool::new(2);
 
         for (f, pivot) in [
             (&spd as &(dyn Fn(usize, usize) -> f64 + Sync), None),
             (&indefinite, Some(49)),
         ] {
-            let mut dense = SymTileMatrix::from_fn(n, nb, f);
-            let layout = dense.layout();
-            let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
-                .map(|(i, j)| ((i, j), Tile::Dense(dense.tile(i, j).clone())))
-                .collect();
-            let walked = walk(&mut tiles, layout, None);
-            let factored = potrf_tiled(&mut dense, &pool);
-            assert_eq!(
-                factored,
-                pivot.map_or(Ok(()), |p| Err(CholeskyError::NotPositiveDefinite(p)))
-            );
-            assert_eq!(walked, pivot.map_or(Ok(()), Err));
-            if pivot.is_none() {
-                for (i, j) in lower_ids(layout) {
-                    assert_eq!(
-                        bits(tiles[&(i, j)].as_dense()),
-                        bits(dense.tile(i, j)),
-                        "({i},{j})"
-                    );
+            // The dense factor (every tile dense, no compression), then the
+            // TLR one.
+            let dense = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
+            for mut l in [dense, TlrMatrix::from_fn(n, nb, tol, usize::MAX, f)] {
+                let (layout, compression) = (l.layout(), l.compression());
+                let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
+                    .map(|(i, j)| ((i, j), l.tile(i, j).clone()))
+                    .collect();
+                let walked = walk(&mut tiles, layout, compression);
+                let factored = potrf_tlr(&mut l, &pool);
+                assert_eq!(
+                    factored,
+                    pivot.map_or(Ok(()), |p| Err(CholeskyError::NotPositiveDefinite(p)))
+                );
+                assert_eq!(walked, pivot.map_or(Ok(()), Err));
+                if pivot.is_some() {
+                    continue;
                 }
-            }
-
-            let mut tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, f);
-            let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
-                .map(|(i, j)| ((i, j), tlr.tile(i, j).clone()))
-                .collect();
-            let walked = walk(&mut tiles, layout, compression);
-            let factored = potrf_tlr(&mut tlr, &pool);
-            assert_eq!(
-                factored,
-                pivot.map_or(Ok(()), |p| Err(CholeskyError::NotPositiveDefinite(p)))
-            );
-            assert_eq!(walked, pivot.map_or(Ok(()), Err));
-            if pivot.is_none() {
                 for (i, j) in lower_ids(layout) {
-                    match (&tiles[&(i, j)], tlr.tile(i, j)) {
+                    match (&tiles[&(i, j)], l.tile(i, j)) {
                         (Tile::Dense(d), Tile::Dense(want)) => {
                             assert_eq!(bits(d), bits(want), "({i},{j})")
                         }

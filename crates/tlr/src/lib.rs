@@ -17,8 +17,10 @@
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
 //! * [`TlrMatrix`] — the tiled symmetric matrix (built compressed by
-//!   [`TlrMatrix::from_fn`], or dense from a `tile_la::SymTileMatrix`),
-//! * [`potrf_tlr`] — its Cholesky factorization, whose one step body
+//!   [`TlrMatrix::from_fn`], or dense from a `tile_la::SymTileMatrix`), with
+//!   the panel products and solves of its factor,
+//! * [`potrf_tlr`] — its Cholesky factorization, the workspace's one
+//!   Cholesky driver, whose one step body
 //!   [`dag::tlr_step`] (over a dense-or-low-rank [`Tile`]) the `mvn-dist`
 //!   worker runs too,
 //! * [`RankStats`] — per-tile rank maps and summaries
@@ -56,6 +58,23 @@ mod tests {
     }
 
     #[test]
+    fn end_to_end_tiled_cholesky_reconstructs_spd_matrix() {
+        // Build a well-conditioned SPD matrix, factor it tiled, multiply back.
+        let n = 37;
+        let nb = 8;
+        let spd = |i: usize, j: usize| {
+            let d = (i as f64 - j as f64).abs();
+            (-d / 10.0).exp() + if i == j { 0.5 } else { 0.0 }
+        };
+        let mut a = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, spd));
+        potrf_tlr(&mut a, &WorkerPool::new(1)).expect("factorization should succeed");
+        let l = a.to_dense_lower();
+        let rec = l.matmul_nt(&l);
+        let orig = DenseMatrix::from_fn(n, n, spd);
+        assert!(max_abs_diff(&rec, &orig) < 1e-10);
+    }
+
+    #[test]
     fn end_to_end_tlr_cholesky_close_to_dense_cholesky() {
         let n = 120;
         let nb = 30;
@@ -66,8 +85,8 @@ mod tests {
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l_tlr = tlr.to_dense_lower();
 
-        let mut dense = SymTileMatrix::from_fn(n, nb, &f);
-        tile_la::potrf_tiled(&mut dense, &WorkerPool::new(1)).unwrap();
+        let mut dense = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, &f));
+        potrf_tlr(&mut dense, &WorkerPool::new(1)).unwrap();
         let l_dense = dense.to_dense_lower();
 
         assert!(max_abs_diff(&l_tlr, &l_dense) < 1e-5);

@@ -80,12 +80,6 @@ impl TlrMatrix {
         }
     }
 
-    /// Build from an existing dense symmetric tile matrix (compressing its
-    /// off-diagonal tiles).
-    pub fn from_sym(a: &SymTileMatrix, tol: CompressionTol, max_rank: usize) -> Self {
-        Self::from_fn(a.n(), a.nb(), tol, max_rank, |i, j| a.get(i, j))
-    }
-
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.layout.n()
@@ -240,9 +234,8 @@ impl TlrMatrix {
 
     /// `Y = L·X` with this matrix holding a Cholesky factor (used to sample
     /// Gaussian fields from the factor). Row block `i` accumulates
-    /// `L_{i,0}·X_0, …, L_{i,i}·X_i` in that order — the factor's diagonal
-    /// tiles are lower triangular, so for a dense factor this is bitwise
-    /// [`tile_la::multiply_lower_panel`].
+    /// `L_{i,0}·X_0, …, L_{i,i}·X_i` in that order; the factor's diagonal
+    /// tiles are lower triangular, so they need no masking.
     pub fn multiply_lower_panel(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.nrows(), self.n());
         let mut y = DenseMatrix::zeros(x.nrows(), x.ncols());
@@ -322,14 +315,6 @@ mod tests {
         let tight = TlrMatrix::from_fn(120, 30, CompressionTol::Absolute(1e-9), usize::MAX, kernel);
         assert!(loose.stored_elements() <= tight.stored_elements());
         assert!(loose.compression_ratio() <= 1.0);
-    }
-
-    #[test]
-    fn from_sym_agrees_with_from_fn() {
-        let sym = SymTileMatrix::from_fn(48, 16, kernel);
-        let a = TlrMatrix::from_sym(&sym, CompressionTol::Absolute(1e-9), usize::MAX);
-        let b = TlrMatrix::from_fn(48, 16, CompressionTol::Absolute(1e-9), usize::MAX, kernel);
-        assert!(max_abs_diff(&a.to_dense_sym(), &b.to_dense_sym()) < 1e-9);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use mathx::{norm_cdf, norm_quantile};
 use mvn_core::{MvnConfig, MvnEngine};
 use qmc::Xoshiro256pp;
 use task_runtime::WorkerPool;
-use tile_la::{max_abs_diff, potrf_tiled, DenseMatrix, SymTileMatrix};
-use tlr::{compress_dense, lr_add_recompress, CompressionTol};
+use tile_la::{max_abs_diff, DenseMatrix, SymTileMatrix};
+use tlr::{compress_dense, lr_add_recompress, potrf_tlr, CompressionTol, TlrMatrix};
 
 /// Deterministic case driver over the workspace RNG.
 struct CaseStream {
@@ -70,8 +70,8 @@ fn tiled_cholesky_reconstructs() {
             let d = (i as f64 - j as f64).abs();
             (-d / range).exp() + if i == j { 0.05 } else { 0.0 }
         };
-        let mut a = SymTileMatrix::from_fn(n, nb, f);
-        potrf_tiled(&mut a, &WorkerPool::new(1)).unwrap();
+        let mut a = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
+        potrf_tlr(&mut a, &WorkerPool::new(1)).unwrap();
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
         let orig = DenseMatrix::from_fn(n, n, f);
