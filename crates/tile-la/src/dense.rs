@@ -4,10 +4,12 @@
 /// A dense, column-major, heap-allocated `f64` matrix.
 ///
 /// This is the storage unit for individual tiles of the tiled algorithms as
-/// well as for the `n × m` sample panels of the PMVN integrator. It favours
-/// clarity and predictable memory layout (column-major, like BLAS/LAPACK) over
-/// micro-optimized SIMD kernels; the tiled algorithms built on top provide the
-/// coarse-grained parallelism that dominates performance.
+/// well as for the `n × m` sample panels of the PMVN integrator. Its layout is
+/// plain column-major, like BLAS/LAPACK; the speed lives in the tile kernels
+/// of [`kernels`](crate::kernels) (a packed, register-tiled GEMM compiled for
+/// AVX2 where the CPU has it) and in the task parallelism of the tiled
+/// algorithms built on top. Its own products (`matmul`, …) are plain triple
+/// loops, which the kernel tests use as references.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     nrows: usize,

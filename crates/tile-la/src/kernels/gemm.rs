@@ -1,112 +1,157 @@
 //! General matrix–matrix multiply kernels (`C ← α·op(A)·op(B) + β·C`).
 //!
-//! The kernels are cache-blocked, register-tiled micro-kernels shaped for the
-//! tile sizes of this workspace (tens to a few hundred rows/columns, fitting
-//! in L1/L2):
-//!
-//! * `gemm_nn`/`gemm_nt` pack an [`MR`]-row panel of `A` once per row block
-//!   (contiguous, `p`-major) and stream it against [`NR`] columns of `B` at a
-//!   time, accumulating an `MR × NR` block in registers. Every `A` load is
-//!   reused `NR` times and every `B` load `MR` times, and the unrolled
-//!   `MR`-lane inner updates are straight-line mul/add code the compiler
-//!   autovectorizes.
+//! * `gemm_nn`/`gemm_nt` share one packed body. It packs `A` once into
+//!   `W`-row panels (contiguous, `p`-major, zero rows past `m`) and then, one
+//!   `Q`-column panel at a time, packs `op(B)` already scaled:
+//!   `bp[p·Q + q] = α·op(B)(p, j0 + q)`, the very product the naive loop forms
+//!   for every term. A `W × Q` register tile runs `acc[q][r] += a[r]·bp[q]`;
+//!   every `A` load is reused `Q` times and every `B` value `W` times. The
+//!   body is compiled twice, 4 × 4 for baseline x86-64 and 8 × 4 for AVX2,
+//!   and one run-time check picks the compilation (see `isa`).
 //! * `gemm_tn` is a dot-product kernel (both operands walk contiguous
 //!   columns); it blocks 4 output rows × 2 output columns so eight
 //!   independent accumulation chains hide the FP add latency that bounds a
-//!   naive single-chain dot product.
+//!   naive single-chain dot product. It runs in the baseline compilation
+//!   only: its AVX2 compilation measured ≈ 20 % slower.
 //!
 //! **Determinism contract.** For every output element the `k`-dimension
 //! accumulation runs in strictly increasing `p` order, one term at a time,
-//! exactly like the naive triple loop: the accumulator block is *loaded from
-//! `C`* (after the `β` scaling), updated in `p` order, and stored back, and
-//! no fused-multiply-add or reduction splitting is introduced. Register
-//! blocking therefore changes which elements are computed *together*, never
-//! the order of the sum within an element — results are independent of the
-//! blocking parameters, which is what keeps the PMVN sweep bitwise identical
-//! across panel widths and worker counts (see DESIGN.md, "Kernel layout &
+//! with no fused-multiply-add and no reduction splitting. Where the sum
+//! starts is fixed by the row alone: rows `[0, m − m % 4)` (the full 4-row
+//! blocks) load their accumulator *from `C`* (after the `β` scaling), so their
+//! sum is `c, +t_0, +t_1, …` like the naive loop; the last `m % 4` rows sum
+//! from zero and add to `C` once. So an element's bits depend on its operand
+//! row and column and on whether its row is one of those edge rows — never on
+//! its column position, the micro-tile shape or the ISA. The PMVN sweep's
+//! propagation `gemm_nt` has the chains as rows, so its bits are the same
+//! across worker counts and schedulers, and across panel widths whenever
+//! every panel holds a multiple of 4 chains (see DESIGN.md, "Kernel layout &
 //! vectorization").
 
+use super::isa::{self, Kernel};
 use crate::dense::DenseMatrix;
 
-/// Rows of the register micro-tile (also the packed-panel height).
-pub const MR: usize = 4;
-/// Columns of the register micro-tile.
-pub const NR: usize = 4;
+/// Height of the row blocks whose sums start from `C`; the last
+/// `m % EDGE_BLOCK` rows sum from zero (see the determinism contract).
+const EDGE_BLOCK: usize = 4;
 
-std::thread_local! {
-    /// Reused `A`-panel pack buffer. The PMVN sweep calls `gemm_nn`/`gemm_nt`
-    /// once per off-diagonal tile per row block, so a per-call allocation
-    /// would sit squarely in the hot loop the chain-major refactor otherwise
-    /// made allocation-free; each worker thread owns one buffer instead.
-    /// The kernels never nest, so the `RefCell` borrow is always available.
-    static APACK: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+/// One packed GEMM call: `C ← α·A·op(B) + β·C` with `op(B) = B`, or `Bᵀ` when
+/// `b_trans`.
+pub(super) struct Gemm<'a> {
+    pub(super) alpha: f64,
+    pub(super) a: &'a DenseMatrix,
+    pub(super) b: &'a DenseMatrix,
+    pub(super) b_trans: bool,
+    pub(super) beta: f64,
+    pub(super) c: &'a mut DenseMatrix,
 }
 
-/// Run `f` with a thread-local scratch of at least `len` doubles.
-#[inline]
-fn with_apack<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    APACK.with(|buf| {
-        let mut apack = buf.borrow_mut();
-        if apack.len() < len {
-            apack.resize(len, 0.0);
-        }
-        f(&mut apack[..len])
-    })
-}
-
-/// Pack rows `i0..i0+MR` of the column-major `a` (`m × k`) into a contiguous
-/// `p`-major panel: `apack[p*MR + r] = a[(i0 + r) + p*m]`.
-#[inline]
-fn pack_a_panel(a: &[f64], m: usize, k: usize, i0: usize, apack: &mut [f64]) {
-    for p in 0..k {
-        let src = &a[p * m + i0..p * m + i0 + MR];
-        let dst = &mut apack[p * MR..p * MR + MR];
-        dst.copy_from_slice(src);
+impl Kernel for Gemm<'_> {
+    #[inline(always)]
+    fn run<const W: usize, const Q: usize>(self) {
+        gemm_packed::<W, Q>(self.alpha, self.a, self.b, self.b_trans, self.beta, self.c)
     }
 }
 
-/// The shared `MR × NR` register micro-kernel: `C[i0.., j0..] += Apack · Bq`
-/// where `Bq` yields the `NR` scaled `B` entries of step `p`.
-///
-/// The accumulators are initialized *from `C`* so the per-element sum order
-/// is `c, +t_0, +t_1, …` — identical to the naive loop.
+/// The one packed GEMM body, for a `W × Q` register tile, inlined into each
+/// compilation (see `isa::Kernel`).
 #[inline(always)]
-fn micro_kernel<B: Fn(usize, usize) -> f64>(
-    apack: &[f64],
-    k: usize,
-    bval: B,
-    c: &mut [f64],
-    ldc: usize,
-    i0: usize,
-    j0: usize,
+fn gemm_packed<const W: usize, const Q: usize>(
+    alpha: f64,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    b_trans: bool,
+    beta: f64,
+    c: &mut DenseMatrix,
 ) {
-    let mut acc = [[0.0f64; MR]; NR];
-    for (q, accq) in acc.iter_mut().enumerate() {
-        let base = (j0 + q) * ldc + i0;
-        accq.copy_from_slice(&c[base..base + MR]);
+    let (m, k) = (a.nrows(), a.ncols());
+    // op(B)(p, j) = b_d[p * b_p + j * b_j].
+    let (n, b_p, b_j) = if b_trans {
+        (b.nrows(), b.nrows(), 1)
+    } else {
+        (b.ncols(), 1, b.nrows())
+    };
+    if beta != 1.0 {
+        c.scale(beta);
     }
-    for p in 0..k {
-        let ap = &apack[p * MR..p * MR + MR];
-        for (q, accq) in acc.iter_mut().enumerate() {
-            let b = bval(p, q);
-            for r in 0..MR {
-                accq[r] += ap[r] * b;
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let (a_d, b_d, c_d) = (a.data(), b.data(), c.data_mut());
+    let from_c = m - m % EDGE_BLOCK;
+    // Packed per call. A per-thread buffer kept at tile size raised the
+    // peak RSS of the CRD benchmark by ~3 MB; one allocation per call is
+    // small next to the O(m·n·k) work.
+    let mut apack = Vec::with_capacity(m.div_ceil(W) * W * k);
+    for i0 in (0..m).step_by(W) {
+        let rows = W.min(m - i0);
+        for p in 0..k {
+            apack.extend_from_slice(&a_d[p * m + i0..p * m + i0 + rows]);
+            apack.resize(apack.len() + W - rows, 0.0);
+        }
+    }
+    let mut bpack = vec![0.0; Q * k];
+    for j0 in (0..n).step_by(Q) {
+        let cols = Q.min(n - j0);
+        for (p, dst) in bpack.chunks_exact_mut(Q).enumerate() {
+            for q in 0..cols {
+                dst[q] = alpha * b_d[p * b_p + (j0 + q) * b_j];
+            }
+            dst[cols..].fill(0.0);
+        }
+        for (t, panel) in apack.chunks_exact(W * k).enumerate() {
+            let i0 = t * W;
+            let mut acc = [[0.0f64; W]; Q];
+            if i0 + W <= from_c && cols == Q {
+                for (q, accq) in acc.iter_mut().enumerate() {
+                    let base = (j0 + q) * m + i0;
+                    accq.copy_from_slice(&c_d[base..base + W]);
+                }
+                let acc = tile(panel, &bpack, acc);
+                for (q, accq) in acc.iter().enumerate() {
+                    let base = (j0 + q) * m + i0;
+                    c_d[base..base + W].copy_from_slice(accq);
+                }
+            } else {
+                // An edge tile: past the last row or column, or holding
+                // rows that sum from zero.
+                let rows = W.min(m - i0);
+                for q in 0..cols {
+                    for r in 0..rows.min(from_c.saturating_sub(i0)) {
+                        acc[q][r] = c_d[(j0 + q) * m + i0 + r];
+                    }
+                }
+                let acc = tile(panel, &bpack, acc);
+                for q in 0..cols {
+                    for r in 0..rows {
+                        let cij = &mut c_d[(j0 + q) * m + i0 + r];
+                        if i0 + r < from_c {
+                            *cij = acc[q][r];
+                        } else {
+                            *cij += acc[q][r];
+                        }
+                    }
+                }
             }
         }
     }
-    for (q, accq) in acc.iter().enumerate() {
-        let base = (j0 + q) * ldc + i0;
-        c[base..base + MR].copy_from_slice(accq);
-    }
 }
 
-/// Scalar edge update for output element `(i, j)` of `C ← C + α·A·op(B)`
-/// with the same `p`-sequential accumulation order as the micro-kernel.
+/// The `W × Q` register tile: `acc[q][r] += a[r]·b[q]` for every packed step
+/// `p` in increasing order.
 #[inline(always)]
-fn edge_element<B: Fn(usize) -> f64>(a: &[f64], m: usize, k: usize, i: usize, bval: B) -> f64 {
-    let mut acc = 0.0;
-    for p in 0..k {
-        acc += a[p * m + i] * bval(p);
+fn tile<const W: usize, const Q: usize>(
+    apanel: &[f64],
+    bpanel: &[f64],
+    mut acc: [[f64; W]; Q],
+) -> [[f64; W]; Q] {
+    for (a, b) in apanel.chunks_exact(W).zip(bpanel.chunks_exact(Q)) {
+        for q in 0..Q {
+            let bq = b[q];
+            for r in 0..W {
+                acc[q][r] += a[r] * bq;
+            }
+        }
     }
     acc
 }
@@ -116,57 +161,14 @@ pub fn gemm_nn(alpha: f64, a: &DenseMatrix, b: &DenseMatrix, beta: f64, c: &mut 
     assert_eq!(a.ncols(), b.nrows(), "gemm_nn: inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows(), "gemm_nn: C row mismatch");
     assert_eq!(c.ncols(), b.ncols(), "gemm_nn: C col mismatch");
-    let m = a.nrows();
-    let k = a.ncols();
-    let n = b.ncols();
-    if beta != 1.0 {
-        c.scale(beta);
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let a_d = a.data();
-    let b_d = b.data();
-    let ldc = m;
-    let c_d = c.data_mut();
-    // b(p, j) = b_d[j*k + p], scaled by alpha at load (like the naive loop).
-    let i0 = with_apack(MR * k, |apack| {
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            pack_a_panel(a_d, m, k, i0, apack);
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                micro_kernel(
-                    &*apack,
-                    k,
-                    |p, q| alpha * b_d[(j0 + q) * k + p],
-                    c_d,
-                    ldc,
-                    i0,
-                    j0,
-                );
-                j0 += NR;
-            }
-            for j in j0..n {
-                let bcol = &b_d[j * k..(j + 1) * k];
-                for r in 0..MR {
-                    let mut acc = c_d[j * ldc + i0 + r];
-                    for p in 0..k {
-                        acc += apack[p * MR + r] * (alpha * bcol[p]);
-                    }
-                    c_d[j * ldc + i0 + r] = acc;
-                }
-            }
-            i0 += MR;
-        }
-        i0
-    });
-    for i in i0..m {
-        for j in 0..n {
-            let bcol = &b_d[j * k..(j + 1) * k];
-            c_d[j * ldc + i] += edge_element(a_d, m, k, i, |p| alpha * bcol[p]);
-        }
-    }
+    isa::run(Gemm {
+        alpha,
+        a,
+        b,
+        b_trans: false,
+        beta,
+        c,
+    })
 }
 
 /// `C ← α·A·Bᵀ + β·C`.
@@ -174,56 +176,14 @@ pub fn gemm_nt(alpha: f64, a: &DenseMatrix, b: &DenseMatrix, beta: f64, c: &mut 
     assert_eq!(a.ncols(), b.ncols(), "gemm_nt: inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows(), "gemm_nt: C row mismatch");
     assert_eq!(c.ncols(), b.nrows(), "gemm_nt: C col mismatch");
-    let m = a.nrows();
-    let k = a.ncols();
-    let n = b.nrows();
-    if beta != 1.0 {
-        c.scale(beta);
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let a_d = a.data();
-    let b_d = b.data();
-    let ldc = m;
-    let c_d = c.data_mut();
-    // bᵀ(p, j) = b(j, p) = b_d[p*n + j]; the NR entries of a micro-step are
-    // contiguous in memory.
-    let i0 = with_apack(MR * k, |apack| {
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            pack_a_panel(a_d, m, k, i0, apack);
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                micro_kernel(
-                    &*apack,
-                    k,
-                    |p, q| alpha * b_d[p * n + j0 + q],
-                    c_d,
-                    ldc,
-                    i0,
-                    j0,
-                );
-                j0 += NR;
-            }
-            for j in j0..n {
-                for r in 0..MR {
-                    let mut acc = c_d[j * ldc + i0 + r];
-                    for p in 0..k {
-                        acc += apack[p * MR + r] * (alpha * b_d[p * n + j]);
-                    }
-                    c_d[j * ldc + i0 + r] = acc;
-                }
-            }
-            i0 += MR;
-        }
-        i0
-    });
-    for i in i0..m {
-        for j in 0..n {
-            c_d[j * ldc + i] += edge_element(a_d, m, k, i, |p| alpha * b_d[p * n + j]);
-        }
-    }
+    isa::run(Gemm {
+        alpha,
+        a,
+        b,
+        b_trans: true,
+        beta,
+        c,
+    })
 }
 
 /// `C ← α·Aᵀ·B + β·C`.
@@ -304,6 +264,8 @@ pub fn gemm_tn(alpha: f64, a: &DenseMatrix, b: &DenseMatrix, beta: f64, c: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::syrk::SyrkLower;
+    use crate::kernels::trsm::TrsmRightLowerTrans;
     use crate::norms::max_abs_diff;
 
     fn rand_matrix(m: usize, n: usize, seed: u64) -> DenseMatrix {
@@ -353,7 +315,7 @@ mod tests {
 
     #[test]
     fn all_shapes_hit_micro_and_edge_paths() {
-        // Sweep shapes around the MR/NR blocking so full blocks, row edges,
+        // Sweep shapes around the micro-tiles so full blocks, row edges,
         // column edges and sub-block matrices are all exercised against the
         // naive reference products.
         for &(m, k, n) in &[
@@ -442,8 +404,8 @@ mod tests {
     #[test]
     fn blocked_kernels_are_bitwise_invariant_to_output_position() {
         // The determinism contract: an output element's value depends only on
-        // its operand row/column, not on where it sits relative to the
-        // MR × NR blocking. Compute a product, then recompute with the output
+        // its operand column, not on where it sits relative to the 4-column
+        // micro-tiles. Compute a product, then recompute with the output
         // embedded at a shifted column offset and compare bits.
         let m = 11;
         let k = 9;
@@ -452,7 +414,7 @@ mod tests {
         let b = rand_matrix(k, n, 92);
         let mut c = DenseMatrix::zeros(m, n);
         gemm_nn(1.0, &a, &b, 0.0, &mut c);
-        for shift in 1..NR {
+        for shift in 1..4 {
             // Prepend `shift` extra columns to B: the shared columns now sit
             // at different micro-tile positions.
             let b_shift = DenseMatrix::from_fn(k, n + shift, |i, j| {
@@ -471,6 +433,229 @@ mod tests {
                         c_shift.get(i, j + shift).to_bits(),
                         "shift {shift}, element ({i},{j})"
                     );
+                }
+            }
+        }
+    }
+
+    /// `C ← α·A·B + β·C` by the naive loop of the determinism contract: the
+    /// rows of full 4-row blocks sum from `C`, the last `m % 4` from zero.
+    fn naive_gemm_nn(alpha: f64, a: &DenseMatrix, b: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
+        let (m, k) = (a.nrows(), a.ncols());
+        c.scale(beta);
+        for j in 0..b.ncols() {
+            for i in 0..m {
+                let from_c = i < m - m % 4;
+                let mut acc = if from_c { c.get(i, j) } else { 0.0 };
+                for p in 0..k {
+                    acc += a.get(i, p) * (alpha * b.get(p, j));
+                }
+                c.set(i, j, if from_c { acc } else { c.get(i, j) + acc });
+            }
+        }
+    }
+
+    #[test]
+    fn row_blocks_are_bitwise_invariant_and_edge_rows_sum_from_zero() {
+        // The row twin of the column test above. Rows inside the full 4-row
+        // blocks keep their bits wherever they sit; the last `m % 4` rows sum
+        // from zero and add to `C` once. Both are pinned against the naive
+        // loop, for every row shift and both dispatched GEMMs.
+        let (m, k, n) = (11, 9, 10);
+        let (alpha, beta) = (-0.7, 0.5);
+        let a = rand_matrix(m, k, 93);
+        let b = rand_matrix(k, n, 94);
+        let c0 = rand_matrix(m, n, 95);
+        let mut edge_order_shows = false;
+        for shift in 0..4 {
+            // Prepend `shift` extra rows to A: the shared rows now sit at
+            // other positions relative to the 4-row blocks and the edge.
+            let rows = m + shift;
+            let a_s = DenseMatrix::from_fn(rows, k, |i, p| {
+                if i < shift {
+                    0.25 * (i + p) as f64
+                } else {
+                    a.get(i - shift, p)
+                }
+            });
+            let c_s =
+                DenseMatrix::from_fn(
+                    rows,
+                    n,
+                    |i, j| {
+                        if i < shift {
+                            1.0
+                        } else {
+                            c0.get(i - shift, j)
+                        }
+                    },
+                );
+            let mut naive = c_s.clone();
+            naive_gemm_nn(alpha, &a_s, &b, beta, &mut naive);
+            let mut nn = c_s.clone();
+            gemm_nn(alpha, &a_s, &b, beta, &mut nn);
+            let mut nt = c_s.clone();
+            gemm_nt(alpha, &a_s, &b.transpose(), beta, &mut nt);
+            for j in 0..n {
+                for i in 0..rows {
+                    let want = naive.get(i, j).to_bits();
+                    assert_eq!(
+                        nn.get(i, j).to_bits(),
+                        want,
+                        "gemm_nn shift {shift} ({i},{j})"
+                    );
+                    assert_eq!(
+                        nt.get(i, j).to_bits(),
+                        want,
+                        "gemm_nt shift {shift} ({i},{j})"
+                    );
+                }
+            }
+            // The rows of A's full blocks in both layouts agree bit for bit.
+            let mut base = c0.clone();
+            gemm_nn(alpha, &a, &b, beta, &mut base);
+            for i in 0..(m - m % 4).min(rows - rows % 4 - shift) {
+                for j in 0..n {
+                    assert_eq!(
+                        base.get(i, j).to_bits(),
+                        nn.get(i + shift, j).to_bits(),
+                        "shift {shift}, block row {i}, column {j}"
+                    );
+                }
+            }
+            // The pin has teeth: summing an edge row from `C` gives other
+            // bits somewhere.
+            for i in rows - rows % 4..rows {
+                for j in 0..n {
+                    let mut acc = beta * c_s.get(i, j);
+                    for p in 0..k {
+                        acc += a_s.get(i, p) * (alpha * b.get(p, j));
+                    }
+                    edge_order_shows |= acc.to_bits() != nn.get(i, j).to_bits();
+                }
+            }
+        }
+        assert!(
+            edge_order_shows,
+            "no edge element told the two sum orders apart"
+        );
+    }
+
+    /// A `rows × cols` matrix with `+0.0` and `-0.0` sprinkled among random
+    /// entries.
+    fn signed_zero_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let r = rand_matrix(rows, cols, seed);
+        DenseMatrix::from_fn(rows, cols, |i, j| {
+            match (i * 7 + j * 3 + seed as usize) % 11 {
+                0 => -0.0,
+                5 => 0.0,
+                _ => r.get(i, j),
+            }
+        })
+    }
+
+    /// Run `k` on the dispatched (AVX2 where the CPU has it) compilation when
+    /// `wide`, else on the portable one.
+    fn on<K: Kernel>(wide: bool, k: K) {
+        if wide {
+            isa::run(k)
+        } else {
+            isa::portable(k)
+        }
+    }
+
+    /// Run every dispatched kernel once for the shape `(m, k, n)`, on the
+    /// compilation `on` picks for `wide`, and return the outputs.
+    fn every_kernel(
+        wide: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+        alpha: f64,
+        beta: f64,
+    ) -> Vec<DenseMatrix> {
+        let seed = (m * 1000 + k * 10 + n) as u64;
+        let a = signed_zero_matrix(m, k, seed);
+        let b_nn = signed_zero_matrix(k, n, seed + 1);
+        let b_nt = signed_zero_matrix(n, k, seed + 2);
+        let c = signed_zero_matrix(m, n, seed + 4);
+        let mut out = Vec::new();
+        for (b, b_trans) in [(&b_nn, false), (&b_nt, true)] {
+            let mut c = c.clone();
+            on(
+                wide,
+                Gemm {
+                    alpha,
+                    a: &a,
+                    b,
+                    b_trans,
+                    beta,
+                    c: &mut c,
+                },
+            );
+            out.push(c);
+        }
+        let mut c_syrk = signed_zero_matrix(m, m, seed + 5);
+        on(
+            wide,
+            SyrkLower {
+                alpha,
+                a: &a,
+                beta,
+                c: &mut c_syrk,
+            },
+        );
+        out.push(c_syrk);
+        let r = signed_zero_matrix(n, n, seed + 6);
+        let l = DenseMatrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Greater => r.get(i, j),
+            std::cmp::Ordering::Equal => 1.5 + r.get(i, j).abs(),
+            std::cmp::Ordering::Less => 0.0,
+        });
+        let mut x = c;
+        on(wide, TrsmRightLowerTrans { l: &l, b: &mut x });
+        out.push(x);
+        out
+    }
+
+    #[test]
+    fn both_compilations_agree_bit_for_bit() {
+        // What makes the run-time ISA choice invisible (and a cluster of
+        // mixed CPUs safe without an ISA fingerprint): the 4 × 4 baseline and
+        // the 8 × 4 AVX2 compilations of every dispatched kernel give the same
+        // bits on ragged and full shapes alike.
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: compared the portable compilation with itself");
+        }
+        let mut shapes = Vec::new();
+        for m in 1..=13 {
+            for k in [0, 1, 7, 100] {
+                for n in 1..=13 {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        // The sweep's propagation, the factor tile, and ragged edges on both
+        // micro-tiles.
+        shapes.extend([(64, 100, 100), (100, 100, 100), (103, 37, 101)]);
+        let names = ["gemm_nn", "gemm_nt", "syrk_lower", "trsm_right_lower_trans"];
+        for &(m, k, n) in &shapes {
+            for alpha in [-1.0, 0.7, 2.0] {
+                for beta in [0.0, 0.5, 1.0] {
+                    let portable = every_kernel(false, m, k, n, alpha, beta);
+                    let wide = every_kernel(true, m, k, n, alpha, beta);
+                    for ((name, p), w) in names.iter().zip(&portable).zip(&wide) {
+                        let same = p
+                            .data()
+                            .iter()
+                            .zip(w.data())
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(same, "{name} ({m},{k},{n}) alpha {alpha} beta {beta}");
+                    }
                 }
             }
         }

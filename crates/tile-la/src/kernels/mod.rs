@@ -7,6 +7,7 @@
 //! Chameleon/HiCMA kernel vocabulary can map one onto the other directly.
 
 pub mod gemm;
+mod isa;
 pub mod potrf;
 pub mod qr;
 pub mod svd;

@@ -1,19 +1,41 @@
 //! Symmetric rank-k update: `C ← C − A·Aᵀ` on the lower triangle (the trailing
 //! diagonal-tile update of the right-looking Cholesky).
 
+use super::isa::{self, Kernel};
 use crate::dense::DenseMatrix;
 
 /// `C ← β·C + α·A·Aᵀ`, updating only the lower triangle of the square tile `C`
 /// (the strictly-upper part is left untouched).
 pub fn syrk_lower(alpha: f64, a: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
+    isa::run(SyrkLower { alpha, a, beta, c })
+}
+
+/// One `syrk_lower` call.
+pub(super) struct SyrkLower<'a> {
+    pub(super) alpha: f64,
+    pub(super) a: &'a DenseMatrix,
+    pub(super) beta: f64,
+    pub(super) c: &'a mut DenseMatrix,
+}
+
+impl Kernel for SyrkLower<'_> {
+    #[inline(always)]
+    fn run<const W: usize, const Q: usize>(self) {
+        syrk_lower_body(self.alpha, self.a, self.beta, self.c)
+    }
+}
+
+/// The body of [`syrk_lower`], inlined into each compilation (see `isa::Kernel`).
+#[inline(always)]
+fn syrk_lower_body(alpha: f64, a: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
     let n = c.nrows();
     assert_eq!(c.ncols(), n, "syrk: C must be square");
     assert_eq!(a.nrows(), n, "syrk: A row count must match C");
     let k = a.ncols();
     if beta != 1.0 {
         for j in 0..n {
-            for i in j..n {
-                *c.at_mut(i, j) *= beta;
+            for cij in &mut c.col_mut(j)[j..] {
+                *cij *= beta;
             }
         }
     }
@@ -24,8 +46,8 @@ pub fn syrk_lower(alpha: f64, a: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
             if ajp == 0.0 {
                 continue;
             }
-            for i in j..n {
-                *c.at_mut(i, j) += a_col[i] * ajp;
+            for (cij, &aip) in c.col_mut(j)[j..].iter_mut().zip(&a_col[j..]) {
+                *cij += aip * ajp;
             }
         }
     }

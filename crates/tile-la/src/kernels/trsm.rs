@@ -7,6 +7,7 @@
 //! * [`trsm_left_lower_notrans`] — `B ← L⁻¹·B` (forward substitution),
 //! * [`trsm_left_lower_trans`] — `B ← L⁻ᵀ·B` (backward substitution).
 
+use super::isa::{self, Kernel};
 use crate::dense::DenseMatrix;
 
 /// `B ← B · L⁻ᵀ`, with `L` lower triangular (`L` is `n×n`, `B` is `m×n`).
@@ -14,6 +15,25 @@ use crate::dense::DenseMatrix;
 /// This is the `TRSM` used in the panel step of the right-looking Cholesky:
 /// after `L_kk` is factored, every tile below it is multiplied by `L_kk⁻ᵀ`.
 pub fn trsm_right_lower_trans(l: &DenseMatrix, b: &mut DenseMatrix) {
+    isa::run(TrsmRightLowerTrans { l, b })
+}
+
+/// One `trsm_right_lower_trans` call.
+pub(super) struct TrsmRightLowerTrans<'a> {
+    pub(super) l: &'a DenseMatrix,
+    pub(super) b: &'a mut DenseMatrix,
+}
+
+impl Kernel for TrsmRightLowerTrans<'_> {
+    #[inline(always)]
+    fn run<const W: usize, const Q: usize>(self) {
+        trsm_right_lower_trans_body(self.l, self.b)
+    }
+}
+
+/// The body of [`trsm_right_lower_trans`], inlined into each compilation (see `isa::Kernel`).
+#[inline(always)]
+fn trsm_right_lower_trans_body(l: &DenseMatrix, b: &mut DenseMatrix) {
     let n = l.nrows();
     assert_eq!(l.ncols(), n, "trsm: L must be square");
     assert_eq!(b.ncols(), n, "trsm: B column count must match L");
