@@ -37,9 +37,8 @@
 use distsim::{pmvn_task_graph, simulate, typical_mean_rank, ClusterSpec, ProblemSpec};
 use mvn_core::{FactorKind, MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::FaultPlan;
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport};
+use mvn_dist::{solve, DistConfig, DistReport};
 use std::time::Duration;
-use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
 
 fn cov(n: usize) -> impl Fn(usize, usize) -> f64 + Sync {
@@ -179,12 +178,12 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
     let (cfg, a, b) = problem(n, qmc);
     let tol = CompressionTol::Absolute(1e-8);
 
-    let dense = SymTileMatrix::from_fn(n, nb, cov(n));
-    let tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, cov(n));
+    let dense = TlrMatrix::assemble(n, nb, None, cov(n));
+    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
-    let dense_ref = engine.solve(&engine.factor_dense(dense.clone()).expect("SPD"), &a, &b);
-    let tlr_ref = engine.solve(&engine.factor_tlr(tlr.clone()).expect("SPD"), &a, &b);
+    let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);
+    let tlr_ref = engine.solve(&engine.factor(tlr.clone()).expect("SPD"), &a, &b);
 
     println!("# mvn-dist strong-scaling replay: n={n}, nb={nb}, QMC={qmc}");
     println!("# predicted = distsim makespan on a Cray-XC40 model at the same node count");
@@ -204,8 +203,8 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
             ),
         ] {
             let report: DistReport = match kind {
-                FactorKind::Dense => solve_dense(&dense, &a, &b, &cfg, &dist_config(nodes)),
-                FactorKind::Tlr { .. } => solve_tlr(&tlr, &a, &b, &cfg, &dist_config(nodes)),
+                FactorKind::Dense => solve(&dense, &a, &b, &cfg, &dist_config(nodes)),
+                FactorKind::Tlr { .. } => solve(&tlr, &a, &b, &cfg, &dist_config(nodes)),
                 FactorKind::Vecchia { .. } => unreachable!("no distributed vecchia replay"),
             }
             .unwrap_or_else(|e| {
@@ -229,14 +228,15 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
 fn smoke(trace: &mut TraceOut) {
     let (n, nb, qmc, nodes) = (60, 16, 256, 4);
     let (cfg, a, b) = problem(n, qmc);
-    let dense = SymTileMatrix::from_fn(n, nb, cov(n));
-    let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, cov(n));
+    let dense = TlrMatrix::assemble(n, nb, None, cov(n));
+    let tol = CompressionTol::Absolute(1e-8);
+    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
-    let dense_ref = engine.solve(&engine.factor_dense(dense.clone()).expect("SPD"), &a, &b);
-    let tlr_ref = engine.solve(&engine.factor_tlr(tlr.clone()).expect("SPD"), &a, &b);
+    let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);
+    let tlr_ref = engine.solve(&engine.factor(tlr.clone()).expect("SPD"), &a, &b);
 
-    let dr = solve_dense(&dense, &a, &b, &cfg, &dist_config(nodes)).unwrap_or_else(|e| {
+    let dr = solve(&dense, &a, &b, &cfg, &dist_config(nodes)).unwrap_or_else(|e| {
         eprintln!("dense smoke: {e}");
         std::process::exit(1);
     });
@@ -244,7 +244,7 @@ fn smoke(trace: &mut TraceOut) {
     trace.collect(&dr);
     print_phase_table("dense smoke", &dr);
 
-    let tr = solve_tlr(&tlr, &a, &b, &cfg, &dist_config(nodes)).unwrap_or_else(|e| {
+    let tr = solve(&tlr, &a, &b, &cfg, &dist_config(nodes)).unwrap_or_else(|e| {
         eprintln!("tlr smoke: {e}");
         std::process::exit(1);
     });
@@ -264,12 +264,13 @@ fn smoke(trace: &mut TraceOut) {
 fn chaos(seed: u64, trace: &mut TraceOut) {
     let (n, nb, qmc, nodes) = (60usize, 16usize, 256usize, 4usize);
     let (cfg, a, b) = problem(n, qmc);
-    let dense = SymTileMatrix::from_fn(n, nb, cov(n));
-    let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, cov(n));
+    let dense = TlrMatrix::assemble(n, nb, None, cov(n));
+    let tol = CompressionTol::Absolute(1e-8);
+    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
-    let dense_ref = engine.solve(&engine.factor_dense(dense.clone()).expect("SPD"), &a, &b);
-    let tlr_ref = engine.solve(&engine.factor_tlr(tlr.clone()).expect("SPD"), &a, &b);
+    let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);
+    let tlr_ref = engine.solve(&engine.factor(tlr.clone()).expect("SPD"), &a, &b);
 
     // Tight bounds so the seeded kill point always lands inside the
     // victim's slice: every rank owns >= 2 factor tasks and >= 1 panel at
@@ -281,8 +282,8 @@ fn chaos(seed: u64, trace: &mut TraceOut) {
         let mut dc = dist_config(nodes);
         dc.faults = faults.clone();
         let (report, reference) = match kind {
-            "dense" => (solve_dense(&dense, &a, &b, &cfg, &dc), dense_ref),
-            _ => (solve_tlr(&tlr, &a, &b, &cfg, &dc), tlr_ref),
+            "dense" => (solve(&dense, &a, &b, &cfg, &dc), dense_ref),
+            _ => (solve(&tlr, &a, &b, &cfg, &dc), tlr_ref),
         };
         let report = report.unwrap_or_else(|e| {
             eprintln!("chaos {kind} (seed {seed}): {e}");

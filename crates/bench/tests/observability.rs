@@ -31,7 +31,6 @@ use mvn_service::{
     render_metrics_request, render_solve_request, CovSpec, Json, MvnServer, MvnService,
     ServiceClient, ServiceConfig,
 };
-use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -91,18 +90,17 @@ fn engine_solves_are_bitwise_identical_with_tracing_on() {
         let engine = engine(workers);
 
         let dense = engine
-            .factor_dense(SymTileMatrix::from_fn(N, NB, cov))
+            .factor(TlrMatrix::assemble(N, NB, None, cov))
             .unwrap();
         assert_non_perturbing(&format!("dense workers={workers}"), || {
             engine.solve(&dense, &a, &b)
         });
 
         let tlr = engine
-            .factor_tlr(TlrMatrix::from_fn(
+            .factor(TlrMatrix::assemble(
                 N,
                 NB,
-                CompressionTol::Absolute(1e-8),
-                usize::MAX,
+                Some((CompressionTol::Absolute(1e-8), usize::MAX)),
                 cov,
             ))
             .unwrap();
@@ -197,7 +195,7 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
     // With the recorder off, nothing may be recorded at all.
     let _ = obs::take_events();
     let dense = engine
-        .factor_dense(SymTileMatrix::from_fn(N, NB, cov))
+        .factor(TlrMatrix::assemble(N, NB, None, cov))
         .unwrap();
     engine.solve(&dense, &a, &b);
     assert!(
@@ -207,7 +205,7 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
 
     obs::set_enabled(true);
     let dense = engine
-        .factor_dense(SymTileMatrix::from_fn(N, NB, cov))
+        .factor(TlrMatrix::assemble(N, NB, None, cov))
         .unwrap();
     engine.solve(&dense, &a, &b);
     obs::set_enabled(false);
@@ -235,8 +233,9 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
         assert!(stack.is_empty(), "tid {tid}: unclosed spans {stack:?}");
     }
     assert!(
-        events.iter().any(|e| e.label == "engine_factor_dense"),
-        "the engine factorization span must be present"
+        (events.iter())
+            .any(|e| e.label == "engine_factor" && e.args().iter().map(|a| a.0).eq(["n", "nb"])),
+        "the engine factorization span must be present, with args n and nb"
     );
 
     // The export must be JSON a trace viewer accepts: a traceEvents array
@@ -464,10 +463,10 @@ fn tracing_adds_under_five_percent_to_a_solve() {
     })
     .unwrap();
     let run = |traced: bool| {
-        let sigma = SymTileMatrix::from_fn(n, 32, f);
+        let sigma = TlrMatrix::assemble(n, 32, None, f);
         obs::set_enabled(traced);
         let t = Instant::now();
-        engine.solve(&engine.factor_dense(sigma).unwrap(), &a, &b);
+        engine.solve(&engine.factor(sigma).unwrap(), &a, &b);
         let wall = t.elapsed();
         obs::set_enabled(false);
         // Drop the recorded events so buffers never grow across repetitions.

@@ -10,10 +10,11 @@
 //! * it holds a persistent [`WorkerPool`] (threads parked on a condvar between
 //!   graph submissions) — its own, or one shared with other engines through
 //!   [`MvnEngineBuilder::pool`],
-//! * [`MvnEngine::factor_dense`]/[`MvnEngine::factor_tlr`] factor a
-//!   covariance on the pool and return a reusable [`Factor`] handle, so one
-//!   factorization is amortized across many probability queries (the
-//!   low-rank-MVN amortization of Cao et al. 2020),
+//! * [`MvnEngine::factor`] factors a tiled covariance (dense or TLR, as
+//!   [`TlrMatrix::assemble`] built it) on the pool and returns a reusable
+//!   [`Factor`] handle, so one factorization is amortized across many
+//!   probability queries (the low-rank-MVN amortization of Cao et al.
+//!   2020),
 //! * [`MvnEngine::solve`] estimates one probability against a factor, and
 //!   [`MvnEngine::solve_batch`] submits *all* problems of a batch into one
 //!   task graph, so independent small solves share the pool instead of
@@ -29,11 +30,11 @@
 //!
 //! ```
 //! use mvn_core::{MvnEngine, Problem};
-//! use tile_la::SymTileMatrix;
+//! use tlr::TlrMatrix;
 //!
 //! let engine = MvnEngine::builder().workers(2).sample_size(2000).build().unwrap();
-//! let sigma = SymTileMatrix::from_fn(32, 8, |i, j| if i == j { 1.0 } else { 0.25 });
-//! let factor = engine.factor_dense(sigma).unwrap();
+//! let sigma = TlrMatrix::assemble(32, 8, None, |i, j| if i == j { 1.0 } else { 0.25 });
+//! let factor = engine.factor(sigma).unwrap();
 //! let r = engine.solve(&factor, &[-1.0; 32], &[1.0; 32]);
 //! let batch = engine.solve_batch(
 //!     &factor,
@@ -318,8 +319,7 @@ impl FactorBackend for TlrMatrix {
 }
 
 /// A reusable Cholesky factor handle produced by
-/// [`MvnEngine::factor_dense`]/[`MvnEngine::factor_tlr`]/
-/// [`MvnEngine::factor_vecchia`].
+/// [`MvnEngine::factor`] or [`MvnEngine::factor_vecchia`].
 ///
 /// Holding the factor (rather than re-factoring per query) is what amortizes
 /// the `O(n³/3)` factorization across many `solve`/`solve_batch` calls. The
@@ -584,25 +584,31 @@ impl MvnEngine {
         self.pool.stats()
     }
 
-    /// Factor a dense tiled covariance on the engine's pool, returning a
-    /// reusable [`Factor`]: its tiles move into a dense [`TlrMatrix`]
-    /// without copying and run [`tlr::potrf_tlr`], whose dense steps are
+    /// Factor a tiled covariance on the engine's pool ([`tlr::potrf_tlr`]),
+    /// returning a reusable [`Factor`]: dense or TLR, whichever way
+    /// [`TlrMatrix::assemble`] built it. Its dense steps are
     /// [`tile_la::dag::dense_step`] in plan order.
-    pub fn factor_dense(&self, sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
-        let _span = obs::span_with("engine_factor_dense", &[("n", sigma.n() as u64)]);
-        self.factor_tiled(TlrMatrix::from(sigma))
-    }
-
-    /// Factor a TLR covariance on the engine's pool ([`tlr::potrf_tlr`]),
-    /// returning a reusable [`Factor`].
-    pub fn factor_tlr(&self, sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
-        let _span = obs::span_with("engine_factor_tlr", &[("n", sigma.n() as u64)]);
-        self.factor_tiled(sigma)
-    }
-
-    fn factor_tiled(&self, mut sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
+    pub fn factor(&self, mut sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
+        let _span = obs::span_with(
+            "engine_factor",
+            &[("n", sigma.n() as u64), ("nb", sigma.nb() as u64)],
+        );
         potrf_tlr(&mut sigma, &self.pool)?;
         Ok(Factor::Tiled(sigma))
+    }
+
+    /// [`factor`](Self::factor) of the dense tiled matrix of `sigma`. Kept
+    /// only for the `mvn_perf` benchmark; it goes when the benchmark moves
+    /// to [`factor`](Self::factor).
+    pub fn factor_dense(&self, sigma: SymTileMatrix) -> Result<Factor, CholeskyError> {
+        self.factor(TlrMatrix::from(sigma))
+    }
+
+    /// [`factor`](Self::factor) under its old name. Kept only for the
+    /// `mvn_perf` benchmark; it goes when the benchmark moves to
+    /// [`factor`](Self::factor).
+    pub fn factor_tlr(&self, sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
+        self.factor(sigma)
     }
 
     /// Build a Vecchia ordered-conditioning factor from a conditioning
@@ -973,9 +979,7 @@ mod tests {
         let f = exp_cov(0.3);
         for workers in [1usize, 2, 4] {
             let engine = test_engine(workers);
-            let factor = engine
-                .factor_dense(SymTileMatrix::from_fn(n, 12, f))
-                .unwrap();
+            let factor = engine.factor(TlrMatrix::assemble(n, 12, None, f)).unwrap();
             let problems: Vec<Problem> = (0..6)
                 .map(|k| {
                     let lo = -0.2 - 0.1 * k as f64;
@@ -1022,10 +1026,10 @@ mod tests {
         for workers in [1usize, 2] {
             let engine = test_engine(workers);
             let big = engine
-                .factor_dense(SymTileMatrix::from_fn(n, nb, exp_cov(0.3)))
+                .factor(TlrMatrix::assemble(n, nb, None, exp_cov(0.3)))
                 .unwrap();
             let other = engine
-                .factor_dense(SymTileMatrix::from_fn(small, 8, exp_cov(0.7)))
+                .factor(TlrMatrix::assemble(small, 8, None, exp_cov(0.7)))
                 .unwrap();
             let limits: Vec<Vec<f64>> = (0..5).map(|k| vec![-0.2 - 0.1 * k as f64; n]).collect();
             let (hi, lo_small, hi_small) = (
@@ -1070,8 +1074,8 @@ mod tests {
         // degenerate coordinate in the second box).
         let (n, nb) = (45, 12);
         let f = exp_cov(0.4);
-        let dense = SymTileMatrix::from_fn(n, nb, f);
-        let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-8), usize::MAX, f);
+        let dense = TlrMatrix::assemble(n, nb, None, f);
+        let tlr = TlrMatrix::assemble(n, nb, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
         let a: Vec<f64> = (0..n).map(|i| -1.0 + 0.02 * i as f64).collect();
         let mut dead = a.clone();
         dead[30] = 1.0;
@@ -1082,8 +1086,8 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let engine = test_engine(workers);
             let factors = [
-                engine.factor_dense(dense.clone()).unwrap(),
-                engine.factor_tlr(tlr.clone()).unwrap(),
+                engine.factor(dense.clone()).unwrap(),
+                engine.factor(tlr.clone()).unwrap(),
             ];
             for factor in &factors {
                 for (a, b) in [(&a, &b), (&dead, &b_dead)] {
@@ -1119,21 +1123,20 @@ mod tests {
             let engine = test_engine(workers);
             let f0 = Arc::new(
                 engine
-                    .factor_dense(SymTileMatrix::from_fn(45, 12, exp_cov(0.3)))
+                    .factor(TlrMatrix::assemble(45, 12, None, exp_cov(0.3)))
                     .unwrap(),
             );
             let f1 = Arc::new(
                 engine
-                    .factor_dense(SymTileMatrix::from_fn(32, 8, exp_cov(0.7)))
+                    .factor(TlrMatrix::assemble(32, 8, None, exp_cov(0.7)))
                     .unwrap(),
             );
             let f2 = Arc::new(
                 engine
-                    .factor_tlr(TlrMatrix::from_fn(
+                    .factor(TlrMatrix::assemble(
                         45,
                         16,
-                        CompressionTol::Absolute(1e-8),
-                        usize::MAX,
+                        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
                         exp_cov(0.5),
                     ))
                     .unwrap(),
@@ -1174,7 +1177,7 @@ mod tests {
         let engine = test_engine(2);
         let factor = Arc::new(
             engine
-                .factor_dense(SymTileMatrix::from_fn(n, 12, exp_cov(0.3)))
+                .factor(TlrMatrix::assemble(n, 12, None, exp_cov(0.3)))
                 .unwrap(),
         );
         let problems: Vec<Problem> = (0..5)
@@ -1221,9 +1224,7 @@ mod tests {
             .panel_width(64)
             .build()
             .unwrap();
-        let factor = engine
-            .factor_dense(SymTileMatrix::from_fn(n, 10, f))
-            .unwrap();
+        let factor = engine.factor(TlrMatrix::assemble(n, 10, None, f)).unwrap();
         let baseline = engine.pool_stats();
         assert_eq!(baseline.workers, 3);
 
@@ -1259,11 +1260,12 @@ mod tests {
         for workers in [1, 2] {
             let engine = MvnEngine::builder().workers(workers).build().unwrap();
             let err = engine
-                .factor_dense(SymTileMatrix::from_fn(n, 6, f))
+                .factor(TlrMatrix::assemble(n, 6, None, f))
                 .unwrap_err();
             assert_eq!(err, CholeskyError::NotPositiveDefinite(13), "{workers}");
-            let tlr = TlrMatrix::from_fn(n, 6, CompressionTol::Absolute(1e-8), usize::MAX, f);
-            let err = engine.factor_tlr(tlr).unwrap_err();
+            let tlr =
+                TlrMatrix::assemble(n, 6, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
+            let err = engine.factor(tlr).unwrap_err();
             assert!(
                 matches!(err, CholeskyError::NotPositiveDefinite(_)),
                 "{workers}: {err:?}"
@@ -1279,26 +1281,30 @@ mod tests {
         // tile, report itself dense, account exactly the dense storage, and
         // label its trailing updates `gemm`.
         let (n, nb) = (50, 16);
-        let sigma = SymTileMatrix::from_fn(n, nb, exp_cov(0.4));
-        let mut want = sigma.clone();
-        let layout = want.layout();
+        let sigma = TlrMatrix::assemble(n, nb, None, exp_cov(0.4));
+        let layout = sigma.layout();
+        let at = |i: usize, j: usize| i * (i + 1) / 2 + j;
+        let mut want: Vec<DenseMatrix> = (0..layout.num_tiles())
+            .flat_map(|i| (0..=i).map(move |j| (i, j)))
+            .map(|(i, j)| sigma.tile(i, j).as_dense().clone())
+            .collect();
         for step in tile_la::dag::cholesky_plan(layout.num_tiles()) {
             let reads: Vec<DenseMatrix> = (step.reads().iter())
-                .map(|&(i, j)| want.tile(i, j).clone())
+                .map(|&(i, j)| want[at(i, j)].clone())
                 .collect();
             let reads: Vec<&DenseMatrix> = reads.iter().collect();
-            let out = want.tile_mut(step.out.0, step.out.1);
+            let out = &mut want[at(step.out.0, step.out.1)];
             tile_la::dag::dense_step(step, out, &reads, layout).unwrap();
         }
         for workers in [1usize, 2] {
             let engine = test_engine(workers);
-            let factor = engine.factor_dense(sigma.clone()).unwrap();
+            let factor = engine.factor(sigma.clone()).unwrap();
             let Factor::Tiled(l) = &factor else {
-                panic!("factor_dense returned {factor:?}")
+                panic!("factor returned {factor:?}")
             };
             for i in 0..l.num_tiles() {
                 for j in 0..=i {
-                    let (got, want) = (l.tile(i, j).as_dense(), want.tile(i, j));
+                    let (got, want) = (l.tile(i, j).as_dense(), &want[at(i, j)]);
                     assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
                     assert!(
                         (got.data().iter().zip(want.data()))
@@ -1370,17 +1376,13 @@ mod tests {
             .build()
             .unwrap();
         let factor = engine
-            .factor_dense(SymTileMatrix::from_fn(
-                8,
-                4,
-                |i, j| {
-                    if i == j {
-                        1.0
-                    } else {
-                        0.1
-                    }
-                },
-            ))
+            .factor(TlrMatrix::assemble(8, 4, None, |i, j| {
+                if i == j {
+                    1.0
+                } else {
+                    0.1
+                }
+            }))
             .unwrap();
         let mut a = vec![-1.0; 8];
         a[3] = f64::NAN;
@@ -1398,16 +1400,13 @@ mod tests {
     fn factor_kind_reports_the_storage_format() {
         let engine = MvnEngine::builder().workers(1).build().unwrap();
         let f = exp_cov(0.5);
-        let dense = engine
-            .factor_dense(SymTileMatrix::from_fn(40, 10, f))
-            .unwrap();
+        let dense = engine.factor(TlrMatrix::assemble(40, 10, None, f)).unwrap();
         assert_eq!(dense.kind(), crate::FactorKind::Dense);
         let tlr = engine
-            .factor_tlr(TlrMatrix::from_fn(
+            .factor(TlrMatrix::assemble(
                 40,
                 10,
-                CompressionTol::Absolute(1e-8),
-                usize::MAX,
+                Some((CompressionTol::Absolute(1e-8), usize::MAX)),
                 f,
             ))
             .unwrap();
@@ -1427,9 +1426,7 @@ mod tests {
         let f = exp_cov(0.4);
         for workers in [1usize, 2, 4] {
             let engine = test_engine(workers);
-            let factor = engine
-                .factor_dense(SymTileMatrix::from_fn(n, 10, f))
-                .unwrap();
+            let factor = engine.factor(TlrMatrix::assemble(n, 10, None, f)).unwrap();
             let problems: Vec<Problem> = (0..8)
                 .map(|k| Problem::new(vec![-0.3 - 0.05 * k as f64; n], vec![f64::INFINITY; n]))
                 .collect();
@@ -1472,17 +1469,13 @@ mod tests {
     fn empty_batch_returns_no_results() {
         let engine = MvnEngine::builder().workers(1).build().unwrap();
         let factor = engine
-            .factor_dense(SymTileMatrix::from_fn(
-                8,
-                4,
-                |i, j| {
-                    if i == j {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                },
-            ))
+            .factor(TlrMatrix::assemble(8, 4, None, |i, j| {
+                if i == j {
+                    1.0
+                } else {
+                    0.0
+                }
+            }))
             .unwrap();
         assert!(engine.solve_batch(&factor, &[]).is_empty());
     }

@@ -70,10 +70,9 @@ pub fn mvn_prob_mc(l: &TlrMatrix, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnR
 mod tests {
     use super::*;
     use mathx::norm_cdf;
-    use tile_la::SymTileMatrix;
 
     fn factored(sigma_fn: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> TlrMatrix {
-        let mut l = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, sigma_fn));
+        let mut l = TlrMatrix::assemble(n, nb, None, sigma_fn);
         tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
         l
     }

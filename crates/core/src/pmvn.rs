@@ -458,7 +458,6 @@ mod tests {
     use mathx::norm_cdf;
     use qmc::make_point_set;
     use task_runtime::WorkerPool;
-    use tile_la::SymTileMatrix;
     use tlr::{potrf_tlr, CompressionTol};
 
     /// One solve on a throwaway engine of `workers` workers.
@@ -486,7 +485,7 @@ mod tests {
     }
 
     fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> TlrMatrix {
-        let mut l = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
+        let mut l = TlrMatrix::assemble(n, nb, None, f);
         potrf_tlr(&mut l, &WorkerPool::new(1)).unwrap();
         l
     }
@@ -573,7 +572,8 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-8), usize::MAX, f);
+        let mut tlr =
+            TlrMatrix::assemble(n, 25, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.2; n];
         let b = vec![f64::INFINITY; n];
@@ -599,7 +599,7 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr = TlrMatrix::from_fn(n, 25, CompressionTol::Absolute(1e-3), 20, f);
+        let mut tlr = TlrMatrix::assemble(n, 25, Some((CompressionTol::Absolute(1e-3), 20)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![0.0; n];
         let b = vec![f64::INFINITY; n];
@@ -665,7 +665,8 @@ mod tests {
         let n = 45;
         let f = exp_cov(0.3);
         let l = dense_factor(f, n, 15);
-        let mut tlr = TlrMatrix::from_fn(n, 15, CompressionTol::Absolute(1e-8), usize::MAX, f);
+        let mut tlr =
+            TlrMatrix::assemble(n, 15, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.5; n];
         let b = vec![1.0; n];

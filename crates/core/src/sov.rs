@@ -231,7 +231,7 @@ mod tests {
         // covariance to factorization round-off.
         let n = 8;
         let cov = |i: usize, j: usize| (-((i as f64 - j as f64).abs()) / 3.0).exp();
-        let mut l = tlr::TlrMatrix::from(tile_la::SymTileMatrix::from_fn(n, 4, cov));
+        let mut l = tlr::TlrMatrix::assemble(n, 4, None, cov);
         tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
         let l = l.to_dense_lower();
         let engine = crate::MvnEngine::builder().workers(1).build().unwrap();

@@ -488,7 +488,7 @@ pub fn full_conditioning_plan(n: usize) -> VecchiaPlan {
 mod tests {
     use super::*;
     use crate::MvnEngine;
-    use tile_la::SymTileMatrix;
+    use tlr::TlrMatrix;
 
     fn equicorrelated(rho: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
         move |i: usize, j: usize| if i == j { 1.0 } else { rho }
@@ -571,7 +571,7 @@ mod tests {
         let n = 24;
         let f = equicorrelated(0.5);
         let e = engine(2);
-        let dense = e.factor_dense(SymTileMatrix::from_fn(n, 8, f)).unwrap();
+        let dense = e.factor(TlrMatrix::assemble(n, 8, None, f)).unwrap();
         let vecchia = e.factor_vecchia(full_conditioning_plan(n), f).unwrap();
         let a = vec![f64::NEG_INFINITY; n];
         let b = vec![0.4; n];
@@ -605,7 +605,7 @@ mod tests {
             ..Default::default()
         };
         let (a, b) = (vec![-3.0; n], vec![f64::INFINITY; n]);
-        let dense = e.factor_dense(SymTileMatrix::from_fn(n, 128, cov)).unwrap();
+        let dense = e.factor(TlrMatrix::assemble(n, 128, None, cov)).unwrap();
         let vecchia = e.factor_vecchia(plan, cov).unwrap();
         let pd = e.solve_factored_with(&dense, &a, &b, &cfg);
         let pv = e.solve_factored_with(&vecchia, &a, &b, &cfg);

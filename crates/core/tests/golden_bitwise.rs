@@ -21,7 +21,6 @@
 
 use mvn_core::{Factor, MvnConfig, MvnEngine, Problem};
 use std::sync::Arc;
-use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
 
 /// Synthetic 1-D exponential covariance (the engine test family).
@@ -46,16 +45,15 @@ fn engine(workers: usize) -> MvnEngine {
 }
 
 fn dense_factor(e: &MvnEngine, n: usize, nb: usize, range: f64) -> Factor {
-    e.factor_dense(SymTileMatrix::from_fn(n, nb, exp_cov(range)))
+    e.factor(TlrMatrix::assemble(n, nb, None, exp_cov(range)))
         .unwrap()
 }
 
 fn tlr_factor(e: &MvnEngine, n: usize, nb: usize, range: f64) -> Factor {
-    e.factor_tlr(TlrMatrix::from_fn(
+    e.factor(TlrMatrix::assemble(
         n,
         nb,
-        CompressionTol::Absolute(1e-8),
-        usize::MAX,
+        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
         exp_cov(range),
     ))
     .unwrap()

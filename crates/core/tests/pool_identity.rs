@@ -4,7 +4,6 @@
 
 use mvn_core::{MvnConfig, MvnEngine};
 use task_runtime::WorkerPool;
-use tile_la::SymTileMatrix;
 use tlr::{potrf_tlr, CompressionTol, TlrMatrix};
 
 fn exp_cov(i: usize, j: usize) -> f64 {
@@ -20,42 +19,44 @@ fn factors_and_solves_are_bitwise_identical_on_every_pool() {
         seed: 17,
         ..Default::default()
     };
-    let dense = || SymTileMatrix::from_fn(n, 16, exp_cov);
-    let tlr = || TlrMatrix::from_fn(n, 16, CompressionTol::Absolute(1e-8), usize::MAX, exp_cov);
+    let dense = || TlrMatrix::assemble(n, 16, None, exp_cov);
+    let tlr = || {
+        TlrMatrix::assemble(
+            n,
+            16,
+            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+            exp_cov,
+        )
+    };
 
     // Reference: everything inline on one worker, factor then solve.
     let one = WorkerPool::new(1);
-    let want_dense = dense_factor(&one, dense()).to_dense_lower();
+    let want_dense = factored(&one, dense()).to_dense_lower();
     let engine = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
-    let want = engine.solve(&engine.factor_dense(dense()).unwrap(), &a, &b);
-    let mut want_tlr = tlr();
-    potrf_tlr(&mut want_tlr, &one).unwrap();
-    let want_tlr = want_tlr.to_dense_lower();
+    let want = engine.solve(&engine.factor(dense()).unwrap(), &a, &b);
+    let want_tlr = factored(&one, tlr()).to_dense_lower();
 
     for workers in [1usize, 2, 4] {
         let case = format!("workers={workers}");
         let pool = WorkerPool::new(workers);
         assert_eq!(
-            dense_factor(&pool, dense()).to_dense_lower(),
+            factored(&pool, dense()).to_dense_lower(),
             want_dense,
             "{case}"
         );
-        let mut t = tlr();
-        potrf_tlr(&mut t, &pool).unwrap();
-        assert_eq!(t.to_dense_lower(), want_tlr, "{case}");
+        assert_eq!(factored(&pool, tlr()).to_dense_lower(), want_tlr, "{case}");
 
         let engine = MvnEngine::builder().workers(workers).config(cfg);
         let engine = engine.build().unwrap();
-        let got = engine.solve(&engine.factor_dense(dense()).unwrap(), &a, &b);
+        let got = engine.solve(&engine.factor(dense()).unwrap(), &a, &b);
         assert_eq!(got.prob.to_bits(), want.prob.to_bits(), "{case}");
         assert_eq!(got.std_error.to_bits(), want.std_error.to_bits(), "{case}");
     }
 }
 
-fn dense_factor(pool: &WorkerPool, sigma: SymTileMatrix) -> TlrMatrix {
-    let mut l = TlrMatrix::from(sigma);
-    potrf_tlr(&mut l, pool).unwrap();
-    l
+fn factored(pool: &WorkerPool, mut sigma: TlrMatrix) -> TlrMatrix {
+    potrf_tlr(&mut sigma, pool).unwrap();
+    sigma
 }
 
 #[test]
@@ -87,7 +88,7 @@ fn engines_sharing_one_pool_match_private_pools_and_keep_panics_apart() {
             .iter()
             .map(|&cov| {
                 let f = private
-                    .factor_dense(SymTileMatrix::from_fn(n, 10, cov))
+                    .factor(TlrMatrix::assemble(n, 10, None, cov))
                     .unwrap();
                 let solved = private.solve_batch(&f, &problems);
                 solved.iter().map(|r| r.prob.to_bits()).collect()
@@ -106,7 +107,7 @@ fn engines_sharing_one_pool_match_private_pools_and_keep_panics_apart() {
                     go.wait();
                     for round in 0..6 {
                         let f = engine
-                            .factor_dense(SymTileMatrix::from_fn(n, 10, cov))
+                            .factor(TlrMatrix::assemble(n, 10, None, cov))
                             .unwrap();
                         let got = engine.solve_batch(&f, problems);
                         for (g, w) in got.iter().zip(want) {

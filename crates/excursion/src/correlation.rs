@@ -3,35 +3,32 @@
 //! Algorithm 1 standardizes the integration limits by `√Σᵢᵢ` (line 13); the
 //! equivalent formulation used here evaluates the MVN probability under the
 //! correlation matrix `R = D^{-1/2} Σ D^{-1/2}` with standardized limits, which
-//! keeps all diagonal tiles well scaled. The factor is one tiled factor,
-//! held dense or in TLR-compressed form — exactly the paper's two execution
-//! modes.
+//! keeps all diagonal tiles well scaled. The correlation is assembled tile by
+//! tile from [`correlation_entry`] by `TlrMatrix::assemble` and factored on
+//! the caller's engine: one tiled factor, held dense or in TLR-compressed
+//! form — exactly the paper's two execution modes.
 
-use mvn_core::MvnEngine;
+use mvn_core::{Factor, MvnEngine};
 use std::sync::Mutex;
 use task_runtime::WorkerPool;
 use tile_la::kernels::gemm_nt;
-use tile_la::{DenseMatrix, SymTileMatrix};
+use tile_la::{CholeskyError, DenseMatrix, SymTileMatrix};
 use tlr::{CompressionTol, TlrMatrix};
 
-/// A Cholesky factor of a correlation matrix.
-///
-/// This is exactly the engine's reusable factor handle
-/// ([`mvn_core::Factor`]), re-exported under the historical name: a
-/// correlation factor is one tiled factor — dense (every tile dense) or TLR
-/// — and plugs directly into `MvnEngine::solve` and friends with no
-/// rewrapping.
+/// A Cholesky factor of a correlation matrix: [`mvn_core::Factor`] under its
+/// old name. Kept only for the `mvn_perf` benchmark; it goes when the
+/// benchmark moves to `Factor`.
 pub use mvn_core::Factor as CorrelationFactor;
 
 /// Standard deviations (square roots of the diagonal) of a covariance matrix.
 ///
 /// Zero diagonal entries are allowed: they mark *degenerate* locations
 /// (conditioned/observed sites of a kriging posterior, whose posterior
-/// variance is exactly zero). The factor builders below give such locations
-/// an independent unit row in the correlation matrix — a placeholder
-/// variable the MVN integrals neutralize with hard `±∞` limits (see
-/// `crd::standardized_limit`), so it never influences the probability. Negative
-/// diagonals panic.
+/// variance is exactly zero). [`correlation_entry`] gives such locations an
+/// independent unit row in the correlation matrix — a placeholder variable
+/// the MVN integrals neutralize with hard `±∞` limits (see
+/// `crd::standardized_limit`), so it never influences the probability.
+/// Negative diagonals panic.
 pub fn standard_deviations(cov: &DenseMatrix) -> Vec<f64> {
     assert_eq!(cov.nrows(), cov.ncols());
     (0..cov.nrows())
@@ -46,76 +43,67 @@ pub fn standard_deviations(cov: &DenseMatrix) -> Vec<f64> {
         .collect()
 }
 
-/// The standardized correlation entry for the factor builders: `Σᵢⱼ/(σᵢσⱼ)`
-/// with a tiny diagonal regularization, and an independent unit row for
-/// degenerate (`σ == 0`) locations so the matrix stays positive definite.
-fn correlation_entry(cov: &DenseMatrix, sd: &[f64], i: usize, j: usize) -> f64 {
-    if i == j {
-        1.0 + 1e-10
-    } else if sd[i] == 0.0 || sd[j] == 0.0 {
-        0.0
-    } else {
-        cov.get(i, j) / (sd[i] * sd[j])
+/// The standardized correlation entry of the covariance entry function
+/// `cov` with standard deviations `sd`: `cov(i, j)/(sdᵢ·sdⱼ)`, a unit
+/// diagonal plus `1e-10`, and an independent unit row for a degenerate
+/// (`sd == 0`) location so the matrix stays positive definite. This is the
+/// one definition of the standardized entries: [`correlation_factor`] and
+/// the served standardized specs assemble it.
+pub fn correlation_entry<'a>(
+    cov: impl Fn(usize, usize) -> f64 + Sync + 'a,
+    sd: &'a [f64],
+) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
+    move |i, j| {
+        if i == j {
+            1.0 + 1e-10
+        } else if sd[i] == 0.0 || sd[j] == 0.0 {
+            0.0
+        } else {
+            cov(i, j) / (sd[i] * sd[j])
+        }
     }
 }
 
-/// Assemble the (unfactored) correlation matrix of `cov` in dense tiled
-/// storage, together with the standard deviations used to standardize it.
-///
-/// This is the single definition of the standardized entries (unit-plus-1e-10
-/// diagonal, independent unit rows for degenerate sites) shared by
-/// [`correlation_factor_dense`] and by callers that factor on their own
-/// worker pool (the `mvn-service` shard engines): factoring this matrix with
-/// any `potrf` path yields a factor bitwise identical to
-/// [`correlation_factor_dense`]'s.
-pub fn correlation_matrix_dense(cov: &DenseMatrix, nb: usize) -> (SymTileMatrix, Vec<f64>) {
-    let sd = standard_deviations(cov);
-    let n = cov.nrows();
-    let corr = SymTileMatrix::from_fn(n, nb, |i, j| correlation_entry(cov, &sd, i, j));
-    (corr, sd)
-}
-
-/// TLR counterpart of [`correlation_matrix_dense`].
-pub fn correlation_matrix_tlr(
+/// Assemble the correlation matrix of `cov` in tiles of `nb` — dense, or
+/// TLR under `compression` (see [`TlrMatrix::assemble`]) — and factor it on
+/// `engine`'s pool, returning the factor together with the per-location
+/// standard deviations. A correlation that is not positive definite is the
+/// factorization's typed error, with its failing pivot.
+pub fn correlation_factor(
+    engine: &MvnEngine,
     cov: &DenseMatrix,
     nb: usize,
-    tol: CompressionTol,
-    max_rank: usize,
+    compression: Option<(CompressionTol, usize)>,
+) -> Result<(Factor, Vec<f64>), CholeskyError> {
+    let (corr, sd) = correlation_matrix(cov, nb, compression);
+    Ok((engine.factor(corr)?, sd))
+}
+
+/// The dense [`correlation_factor`], on an engine of one worker per core.
+/// Kept only for the `mvn_perf` benchmark; it goes when the benchmark moves
+/// to `correlation_factor`.
+pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFactor, Vec<f64>) {
+    let (corr, sd) = correlation_matrix(cov, nb, None);
+    // Built after the assembly, as before this wrapper existed: with its
+    // pool's threads alive during the assembly, `crd_wind`'s peak RSS rose
+    // from ≈ 72 to 76–83 MB.
+    let engine = MvnEngine::builder().build().expect("default engine");
+    let factor = engine.factor(corr);
+    (
+        factor.expect("correlation matrix must be positive definite"),
+        sd,
+    )
+}
+
+/// The assembled correlation matrix of `cov` and its standard deviations.
+fn correlation_matrix(
+    cov: &DenseMatrix,
+    nb: usize,
+    compression: Option<(CompressionTol, usize)>,
 ) -> (TlrMatrix, Vec<f64>) {
     let sd = standard_deviations(cov);
-    let n = cov.nrows();
-    let corr = TlrMatrix::from_fn(n, nb, tol, max_rank, |i, j| {
-        correlation_entry(cov, &sd, i, j)
-    });
-    (corr, sd)
-}
-
-/// Build the dense tiled Cholesky factor of the correlation matrix of `cov`,
-/// returning the factor together with the per-location standard deviations.
-pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFactor, Vec<f64>) {
-    let (corr, sd) = correlation_matrix_dense(cov, nb);
-    (factor_correlation(TlrMatrix::from(corr)), sd)
-}
-
-/// Build the TLR Cholesky factor of the correlation matrix of `cov` at the
-/// given compression tolerance.
-pub fn correlation_factor_tlr(
-    cov: &DenseMatrix,
-    nb: usize,
-    tol: CompressionTol,
-    max_rank: usize,
-) -> (CorrelationFactor, Vec<f64>) {
-    let (corr, sd) = correlation_matrix_tlr(cov, nb, tol, max_rank);
-    (factor_correlation(corr), sd)
-}
-
-/// Factor an assembled correlation matrix on an engine of one worker per
-/// core.
-fn factor_correlation(corr: TlrMatrix) -> CorrelationFactor {
-    let engine = MvnEngine::builder().build().expect("default engine");
-    engine
-        .factor_tlr(corr)
-        .expect("correlation matrix must be positive definite")
+    let entry = correlation_entry(|i, j| cov.get(i, j), &sd);
+    (TlrMatrix::assemble(cov.nrows(), nb, compression, entry), sd)
 }
 
 /// The correlation matrix `R̃ = L·Lᵀ` held by `factor`, symmetrically
@@ -134,10 +122,10 @@ fn factor_correlation(corr: TlrMatrix) -> CorrelationFactor {
 /// On a Vecchia factor, which has no Cholesky rows to permute.
 pub(crate) fn permuted_correlation(
     pool: &WorkerPool,
-    factor: &CorrelationFactor,
+    factor: &Factor,
     order: &[usize],
 ) -> SymTileMatrix {
-    let CorrelationFactor::Tiled(l) = factor else {
+    let Factor::Tiled(l) = factor else {
         panic!(
             "confidence-region detection needs a dense or TLR correlation factor: \
              a Vecchia factor has no Cholesky rows to permute"
@@ -222,8 +210,9 @@ mod tests {
     #[test]
     fn dense_factor_reconstructs_the_correlation_matrix() {
         let cov = cov_matrix();
-        let (factor, sd) = correlation_factor_dense(&cov, 16);
-        let CorrelationFactor::Tiled(l) = &factor else {
+        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let (factor, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
+        let Factor::Tiled(l) = &factor else {
             panic!("expected a tiled factor")
         };
         let ld = l.to_dense_lower();
@@ -239,14 +228,19 @@ mod tests {
     #[test]
     fn dense_and_tlr_factors_give_matching_mvn_probabilities() {
         let cov = cov_matrix();
-        let (fd, sd) = correlation_factor_dense(&cov, 16);
-        let (ft, sd2) =
-            correlation_factor_tlr(&cov, 16, CompressionTol::Absolute(1e-8), usize::MAX);
+        let engine = MvnEngine::with_config(MvnConfig::with_samples(4000)).unwrap();
+        let (fd, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
+        let (ft, sd2) = correlation_factor(
+            &engine,
+            &cov,
+            16,
+            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+        )
+        .unwrap();
         assert_eq!(sd.len(), sd2.len());
         let n = cov.nrows();
         let a = vec![-0.3; n];
         let b = vec![f64::INFINITY; n];
-        let engine = MvnEngine::with_config(MvnConfig::with_samples(4000)).unwrap();
         let pd = engine.solve(&fd, &a, &b);
         let pt = engine.solve(&ft, &a, &b);
         assert!(
@@ -260,6 +254,31 @@ mod tests {
         // covered by the tlr crate's own tests).
         assert!(ft.stored_elements() > 0 && fd.stored_elements() > 0);
         assert_eq!(fd.dim(), n);
+    }
+
+    #[test]
+    fn a_correlation_that_is_not_positive_definite_is_a_typed_error() {
+        // Sites 5, 6 and 7 (variance 4) carry the indefinite correlation
+        // block [[1, .9, -.9], [.9, 1, .9], [-.9, .9, 1]]: the factorization
+        // fails at its last pivot, row 7, inside diagonal tile 1, on either
+        // compression setting.
+        let mut cov = DenseMatrix::identity(12);
+        let block = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]];
+        for (p, row) in block.iter().enumerate() {
+            for (q, &r) in row.iter().enumerate() {
+                cov.set(5 + p, 5 + q, 4.0 * r);
+            }
+        }
+        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let tlr = Some((CompressionTol::Absolute(1e-8), usize::MAX));
+        for compression in [None, tlr] {
+            let got = correlation_factor(&engine, &cov, 4, compression);
+            assert!(
+                matches!(got, Err(CholeskyError::NotPositiveDefinite(7))),
+                "{compression:?}: {:?}",
+                got.map(|(f, _)| f.kind())
+            );
+        }
     }
 
     #[test]
@@ -283,10 +302,11 @@ mod tests {
                 cov.set(j, d, 0.0);
             }
         }
-        let (factor, sd) = correlation_factor_dense(&cov, 16);
+        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let (factor, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
         assert_eq!(sd[3], 0.0);
         assert_eq!(sd[17], 0.0);
-        let CorrelationFactor::Tiled(l) = &factor else {
+        let Factor::Tiled(l) = &factor else {
             panic!("expected a tiled factor")
         };
         let ld = l.to_dense_lower();

@@ -21,9 +21,10 @@
 //! factored and swept on its pool, so the probabilities are bitwise identical
 //! for any worker count.
 
-use crate::correlation::{permuted_correlation, CorrelationFactor};
+use crate::correlation::permuted_correlation;
 use crate::marginal::{descending_order, marginal_exceedance};
-use mvn_core::{MvnConfig, MvnEngine};
+use mvn_core::{Factor, MvnConfig, MvnEngine};
+use tlr::TlrMatrix;
 
 /// Configuration of a confidence-region detection run.
 #[derive(Debug, Clone)]
@@ -95,7 +96,7 @@ fn standardized_limit(mean: f64, sd: f64, threshold: f64) -> f64 {
 /// only inside this call.
 fn prefix_profile(
     engine: &MvnEngine,
-    factor: &CorrelationFactor,
+    factor: &Factor,
     mean: &[f64],
     sd: &[f64],
     threshold: f64,
@@ -108,7 +109,7 @@ fn prefix_profile(
     };
     let permuted = {
         let _span = obs::span("crd_factor");
-        (engine.factor_dense(permuted))
+        (engine.factor(TlrMatrix::from(permuted)))
             .expect("the permuted correlation matrix must be positive definite")
     };
     let a: Vec<f64> = (order.iter())
@@ -134,7 +135,7 @@ fn prefix_profile(
 /// On a Vecchia factor, mismatched lengths, or `alpha` outside `(0, 1)`.
 pub fn detect_confidence_regions(
     engine: &MvnEngine,
-    factor: &CorrelationFactor,
+    factor: &Factor,
     mean: &[f64],
     sd: &[f64],
     cfg: &CrdConfig,
@@ -189,7 +190,7 @@ pub fn excursion_set(result: &CrdResult, alpha: f64) -> Vec<usize> {
 /// `excursion_set(&detect_confidence_regions(..), cfg.alpha)`.
 pub fn find_excursion_set(
     engine: &MvnEngine,
-    factor: &CorrelationFactor,
+    factor: &Factor,
     mean: &[f64],
     sd: &[f64],
     cfg: &CrdConfig,
@@ -206,7 +207,7 @@ pub fn find_excursion_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::{correlation_factor_dense, correlation_factor_tlr};
+    use crate::correlation::correlation_factor;
     use crate::validate::mc_validate;
     use geostat::{regular_grid, CovarianceKernel, MaternParams};
     use qmc::Xoshiro256pp;
@@ -218,9 +219,9 @@ mod tests {
     }
 
     /// Independent unit-variance field with a prescribed mean.
-    fn independent_factor(n: usize) -> (CorrelationFactor, Vec<f64>) {
+    fn independent_factor(n: usize) -> (Factor, Vec<f64>) {
         let cov = DenseMatrix::identity(n);
-        correlation_factor_dense(&cov, (n / 3).max(2))
+        correlation_factor(&test_engine(), &cov, (n / 3).max(2), None).unwrap()
     }
 
     fn spatial_cov(side: usize) -> (DenseMatrix, Vec<f64>) {
@@ -234,9 +235,9 @@ mod tests {
         (k.dense_covariance(&locs, 1e-8), mean)
     }
 
-    fn spatial_factor(side: usize) -> (CorrelationFactor, Vec<f64>, Vec<f64>) {
+    fn spatial_factor(side: usize) -> (Factor, Vec<f64>, Vec<f64>) {
         let (cov, mean) = spatial_cov(side);
-        let (f, sd) = correlation_factor_dense(&cov, 32);
+        let (f, sd) = correlation_factor(&test_engine(), &cov, 32, None).unwrap();
         (f, sd, mean)
     }
 
@@ -272,8 +273,14 @@ mod tests {
         // for dense and TLR inputs and on 1/2/4 workers.
         let (cov, mean) = spatial_cov(7);
         let (n, nb) = (49, 16);
-        let (dense, sd) = correlation_factor_dense(&cov, nb);
-        let (tlr, _) = correlation_factor_tlr(&cov, nb, CompressionTol::Absolute(1e-6), 12);
+        let (dense, sd) = correlation_factor(&test_engine(), &cov, nb, None).unwrap();
+        let (tlr, _) = correlation_factor(
+            &test_engine(),
+            &cov,
+            nb,
+            Some((CompressionTol::Absolute(1e-6), 12)),
+        )
+        .unwrap();
         let cfg = CrdConfig {
             threshold: 0.4,
             levels: usize::MAX,
@@ -286,7 +293,7 @@ mod tests {
                 let engine = MvnEngine::builder().workers(workers).build().unwrap();
                 let r = detect_confidence_regions(&engine, factor, &mean, &sd, &cfg);
                 let permuted = permuted_correlation(engine.pool(), factor, &r.order);
-                let permuted = engine.factor_dense(permuted).unwrap();
+                let permuted = engine.factor(TlrMatrix::from(permuted)).unwrap();
                 for k in [1, nb, nb + 1, n] {
                     let mut a = vec![f64::NEG_INFINITY; n];
                     for (limit, &c) in a.iter_mut().zip(&r.order[..k]) {
@@ -473,7 +480,7 @@ mod tests {
         mean[sure_hi] = 2.0;
         mean[sure_lo] = -1.0;
         mean[at_threshold] = threshold;
-        let (factor, sd) = correlation_factor_dense(&cov, 12);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 12, None).unwrap();
         assert_eq!(sd[sure_hi], 0.0);
 
         let cfg = CrdConfig {
@@ -519,7 +526,7 @@ mod tests {
             smoothness: 1.0,
         });
         let cov = kernel.dense_covariance(&locs, 1e-8);
-        let (factor, sd) = correlation_factor_dense(&cov, 16);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 16, None).unwrap();
         let engine = test_engine();
         let (alpha, mc_samples) = (0.1, 4000);
         let mut non_empty = 0;

@@ -23,9 +23,12 @@
 //!   descending ordering of Algorithm 1 (lines 3–6),
 //! * [`crd`] — the one-sweep confidence function and the excursion set at a
 //!   single confidence level (lines 9–15),
-//! * [`correlation`] — helpers to turn a (posterior) covariance into the
-//!   standardized correlation factor consumed by the MVN integrals, and to
-//!   rebuild it in marginal order,
+//! * [`correlation`] — the standardized correlation entry
+//!   ([`correlation_entry`], the one definition the served specs share) and
+//!   [`correlation_factor`], which assembles it from a (posterior)
+//!   covariance with `tlr::TlrMatrix::assemble`, dense or TLR, and factors
+//!   it on the caller's engine; plus the marginal-order rebuild used by
+//!   [`crd`],
 //! * [`validate`] — the Monte-Carlo validation estimator `p̂(α)` used in the
 //!   paper's accuracy figures.
 
@@ -35,8 +38,8 @@ pub mod marginal;
 pub mod validate;
 
 pub use correlation::{
-    correlation_factor_dense, correlation_factor_tlr, correlation_matrix_dense,
-    correlation_matrix_tlr, standard_deviations, CorrelationFactor,
+    correlation_entry, correlation_factor, correlation_factor_dense, standard_deviations,
+    CorrelationFactor,
 };
 pub use crd::{detect_confidence_regions, excursion_set, find_excursion_set, CrdConfig, CrdResult};
 pub use marginal::{descending_order, marginal_exceedance};
@@ -62,7 +65,7 @@ mod tests {
         let engine = MvnEngine::builder().workers(2).build().unwrap();
         let field = simulate_field(&locs, &kernel, 0.0, 5, engine.pool());
         let cov = kernel.dense_covariance(&locs, 1e-8);
-        let (factor, sd) = correlation_factor_dense(&cov, 36);
+        let (factor, sd) = correlation_factor(&engine, &cov, 36, None).unwrap();
 
         let cfg = CrdConfig {
             threshold: 0.5,

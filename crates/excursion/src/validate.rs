@@ -11,8 +11,7 @@
 //! estimate is bitwise independent of the worker count (each block owns a
 //! seeded RNG stream).
 
-use crate::correlation::CorrelationFactor;
-use mvn_core::{MvnEngine, MvnResult};
+use mvn_core::{Factor, MvnEngine, MvnResult};
 use qmc::Xoshiro256pp;
 use tile_la::DenseMatrix;
 
@@ -49,7 +48,7 @@ pub fn estimates_agree(mvn: &MvnResult, mc: &McValidation, z: f64) -> bool {
 #[allow(clippy::too_many_arguments)]
 pub fn mc_validate(
     engine: &MvnEngine,
-    factor: &CorrelationFactor,
+    factor: &Factor,
     mean: &[f64],
     sd: &[f64],
     region: &[usize],
@@ -84,10 +83,10 @@ pub fn mc_validate(
             let mut rng = Xoshiro256pp::seed_from(seed).stream(bi);
             let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
             let lz = match factor {
-                CorrelationFactor::Tiled(l) => l.multiply_lower_panel(&z),
+                Factor::Tiled(l) => l.multiply_lower_panel(&z),
                 // Sequential conditional simulation: step k draws
                 // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
-                CorrelationFactor::Vecchia(v) => {
+                Factor::Vecchia(v) => {
                     let mut out = DenseMatrix::zeros(n, cols);
                     // Step values in ordered-position space, chain-major.
                     let mut xs = DenseMatrix::zeros(cols, n);
@@ -129,7 +128,7 @@ pub fn mc_validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::{correlation_factor_dense, correlation_factor_tlr};
+    use crate::correlation::correlation_factor;
     use crate::crd::{find_excursion_set, CrdConfig};
     use geostat::{regular_grid, CovarianceKernel};
     use mathx::norm_sf;
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn single_site_region_matches_marginal_probability() {
         let cov = tile_la::DenseMatrix::identity(6);
-        let (factor, sd) = correlation_factor_dense(&cov, 3);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 3, None).unwrap();
         let mean = vec![0.4; 6];
         let engine = test_engine();
         let v = mc_validate(&engine, &factor, &mean, &sd, &[2], 0.0, 100_000, 500, 1);
@@ -158,7 +157,7 @@ mod tests {
     #[test]
     fn independent_two_site_region_gives_product() {
         let cov = tile_la::DenseMatrix::identity(5);
-        let (factor, sd) = correlation_factor_dense(&cov, 2);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 2, None).unwrap();
         let mean = vec![1.0; 5];
         let engine = test_engine();
         let v = mc_validate(&engine, &factor, &mean, &sd, &[0, 3], 0.0, 200_000, 1000, 2);
@@ -176,7 +175,7 @@ mod tests {
             range: 0.2,
         };
         let cov = k.dense_covariance(&locs, 1e-8);
-        let (factor, sd) = correlation_factor_dense(&cov, 16);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 16, None).unwrap();
         let mean = vec![0.3; locs.len()];
         let region: Vec<usize> = (0..10).collect();
         let reference = {
@@ -198,7 +197,7 @@ mod tests {
     #[test]
     fn empty_region_validates_to_one() {
         let cov = tile_la::DenseMatrix::identity(4);
-        let (factor, sd) = correlation_factor_dense(&cov, 2);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 2, None).unwrap();
         let engine = test_engine();
         let v = mc_validate(&engine, &factor, &[0.0; 4], &sd, &[], 0.0, 100, 10, 3);
         assert_eq!(v.p_hat, 1.0);
@@ -217,7 +216,7 @@ mod tests {
             range: 0.3,
         };
         let cov = k.dense_covariance(&locs, 1e-8);
-        let (factor, sd) = correlation_factor_dense(&cov, 25);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 25, None).unwrap();
         let mean: Vec<f64> = locs.iter().map(|l| 1.5 - 2.0 * l.x).collect();
         let cfg = CrdConfig {
             threshold: 0.0,
@@ -267,8 +266,14 @@ mod tests {
             range: 0.25,
         };
         let cov = k.dense_covariance(&locs, 1e-8);
-        let (fd, sd) = correlation_factor_dense(&cov, 27);
-        let (ft, _) = correlation_factor_tlr(&cov, 27, CompressionTol::Absolute(1e-6), usize::MAX);
+        let (fd, sd) = correlation_factor(&test_engine(), &cov, 27, None).unwrap();
+        let (ft, _) = correlation_factor(
+            &test_engine(),
+            &cov,
+            27,
+            Some((CompressionTol::Absolute(1e-6), usize::MAX)),
+        )
+        .unwrap();
         let mean = vec![0.5; locs.len()];
         let region: Vec<usize> = (0..20).collect();
         let engine = test_engine();
@@ -306,7 +311,7 @@ mod tests {
     #[should_panic]
     fn out_of_range_region_index_panics() {
         let cov = tile_la::DenseMatrix::identity(3);
-        let (factor, sd) = correlation_factor_dense(&cov, 2);
+        let (factor, sd) = correlation_factor(&test_engine(), &cov, 2, None).unwrap();
         let engine = test_engine();
         mc_validate(&engine, &factor, &[0.0; 3], &sd, &[7], 0.0, 100, 10, 1);
     }

@@ -121,7 +121,9 @@ impl CovarianceKernel {
     /// The entry `(i, j)` of the covariance matrix of `locs`:
     /// `C(‖locs[i] − locs[j]‖)` plus `nugget` on the diagonal. Every
     /// assembly builds it once, so per-kernel constants are evaluated once.
-    fn entry<'a>(
+    /// `tlr::TlrMatrix::assemble(locs.len(), nb, compression, entry)` is the
+    /// tiled covariance, dense or TLR.
+    pub fn entry<'a>(
         &'a self,
         locs: &'a [Location],
         nugget: f64,
@@ -188,13 +190,16 @@ impl CovarianceKernel {
         m
     }
 
-    /// Assemble the covariance matrix in symmetric-tile storage (lower tiles),
-    /// generated tile-by-tile in parallel.
+    /// The dense tiled covariance as a `SymTileMatrix`. Kept only for the
+    /// `mvn_perf` benchmark; it goes when the benchmark moves to
+    /// [`entry`](Self::entry) and `TlrMatrix::assemble`.
     pub fn tiled_covariance(&self, locs: &[Location], nb: usize, nugget: f64) -> SymTileMatrix {
         SymTileMatrix::from_fn(locs.len(), nb, self.entry(locs, nugget))
     }
 
-    /// Assemble the covariance matrix directly in TLR format.
+    /// The TLR covariance. Kept only for the `mvn_perf` benchmark; it goes
+    /// when the benchmark moves to [`entry`](Self::entry) and
+    /// `TlrMatrix::assemble`.
     pub fn tlr_covariance(
         &self,
         locs: &[Location],
@@ -203,7 +208,12 @@ impl CovarianceKernel {
         tol: CompressionTol,
         max_rank: usize,
     ) -> TlrMatrix {
-        TlrMatrix::from_fn(locs.len(), nb, tol, max_rank, self.entry(locs, nugget))
+        TlrMatrix::assemble(
+            locs.len(),
+            nb,
+            Some((tol, max_rank)),
+            self.entry(locs, nugget),
+        )
     }
 }
 
@@ -323,11 +333,11 @@ mod tests {
             smoothness: 1.0,
         });
         let want = serial_full_square(&k, &locs, 1e-8);
-        let tiled = k.tiled_covariance(&locs, 16, 1e-8);
+        let tiled = TlrMatrix::assemble(n, 16, None, k.entry(&locs, 1e-8));
         assert_same_bits(&tiled.to_dense_sym(), &want, "tiled");
         let tol = CompressionTol::Absolute(1e-6);
-        let tlr = k.tlr_covariance(&locs, 16, 1e-8, tol, 20);
-        let tlr_want = TlrMatrix::from_fn(n, 16, tol, 20, |i, j| want.get(i, j));
+        let tlr = TlrMatrix::assemble(n, 16, Some((tol, 20)), k.entry(&locs, 1e-8));
+        let tlr_want = TlrMatrix::assemble(n, 16, Some((tol, 20)), |i, j| want.get(i, j));
         assert_same_bits(&tlr.to_dense_sym(), &tlr_want.to_dense_sym(), "tlr");
     }
 
@@ -424,7 +434,7 @@ mod tests {
             range: 0.2,
         };
         let dense = k.dense_covariance(&locs, 1e-8);
-        let tiled = k.tiled_covariance(&locs, 10, 1e-8);
+        let tiled = TlrMatrix::assemble(locs.len(), 10, None, k.entry(&locs, 1e-8));
         assert!(tile_la::max_abs_diff(&dense, &tiled.to_dense_sym()) < 1e-14);
     }
 
@@ -436,7 +446,12 @@ mod tests {
             range: 0.3,
         };
         let dense = k.dense_covariance(&locs, 0.0);
-        let tlr = k.tlr_covariance(&locs, 16, 0.0, CompressionTol::Absolute(1e-7), usize::MAX);
+        let tlr = TlrMatrix::assemble(
+            locs.len(),
+            16,
+            Some((CompressionTol::Absolute(1e-7), usize::MAX)),
+            k.entry(&locs, 0.0),
+        );
         assert!(tile_la::max_abs_diff(&dense, &tlr.to_dense_sym()) < 1e-5);
     }
 
@@ -448,7 +463,7 @@ mod tests {
             range: 0.15,
             smoothness: 1.5,
         });
-        let mut l = tlr::TlrMatrix::from(k.tiled_covariance(&locs, 20, 1e-10));
+        let mut l = TlrMatrix::assemble(locs.len(), 20, None, k.entry(&locs, 1e-10));
         assert!(tlr::potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).is_ok());
     }
 

@@ -50,7 +50,7 @@ pub fn simulate_field(
 ) -> FieldSample {
     let n = locs.len();
     let nb = default_tile_size(n);
-    let mut l = TlrMatrix::from(kernel.tiled_covariance(locs, nb, 1e-10 * kernel.sigma2()));
+    let mut l = TlrMatrix::assemble(n, nb, None, kernel.entry(locs, 1e-10 * kernel.sigma2()));
     potrf_tlr(&mut l, pool).expect("covariance matrix must be positive definite");
     let mut rng = Xoshiro256pp::seed_from(seed);
     let z = DenseMatrix::from_fn(n, 1, |_, _| rng.next_normal());

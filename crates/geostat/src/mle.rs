@@ -42,7 +42,7 @@ pub fn gaussian_loglik(
     assert_eq!(data.len(), n, "data length must match number of locations");
     let nb = default_tile_size(n);
     let nugget = 1e-10 * kernel.sigma2().max(1e-12);
-    let mut l = TlrMatrix::from(kernel.tiled_covariance(locs, nb, nugget));
+    let mut l = TlrMatrix::assemble(locs.len(), nb, None, kernel.entry(locs, nugget));
     if potrf_tlr(&mut l, pool).is_err() {
         return f64::NEG_INFINITY;
     }

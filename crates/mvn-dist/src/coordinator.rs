@@ -229,8 +229,8 @@ pub struct DistReport {
     pub worker_traces: Vec<Vec<obs::Event>>,
 }
 
-/// Solve a dense-factor MVN problem across `dist.nodes` worker processes:
-/// [`solve_tlr`] on the dense tiled matrix of `sigma`.
+/// [`solve`] on the dense tiled matrix of `sigma`. Kept only for the
+/// `mvn_perf` benchmark; it goes when the benchmark moves to [`solve`].
 pub fn solve_dense(
     sigma: &SymTileMatrix,
     a: &[f64],
@@ -238,19 +238,7 @@ pub fn solve_dense(
     cfg: &MvnConfig,
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
-    solve_tlr(&TlrMatrix::from(sigma.clone()), a, b, cfg, dist)
-}
-
-/// Solve an MVN problem across `dist.nodes` worker processes, factoring the
-/// tiled covariance `sigma` — dense, or TLR under its own compression.
-pub fn solve_tlr(
-    sigma: &TlrMatrix,
-    a: &[f64],
-    b: &[f64],
-    cfg: &MvnConfig,
-    dist: &DistConfig,
-) -> Result<DistReport, DistError> {
-    run(sigma, a, b, cfg, dist)
+    solve(&TlrMatrix::from(sigma.clone()), a, b, cfg, dist)
 }
 
 /// The initial tiles of `sigma` that `rank` owns, as shipped to its
@@ -445,7 +433,10 @@ fn spawn_reader(
     });
 }
 
-fn run(
+/// Solve an MVN problem across `dist.nodes` worker processes, factoring the
+/// tiled covariance `sigma` — dense, or TLR under its own compression, as
+/// `TlrMatrix::assemble` built it.
+pub fn solve(
     sigma: &TlrMatrix,
     a: &[f64],
     b: &[f64],

@@ -32,11 +32,11 @@
 //! accumulation versions never leave their owner), and per-tile kernel
 //! order is preserved because all writers of a tile share its owner.
 //!
-//! [`coordinator::solve_dense`]/[`coordinator::solve_tlr`] drive the whole
-//! pipeline: spawn N worker processes (the `mvn_dist_worker` binary),
-//! handshake, scatter owned initial tiles, collect per-panel sweep results
-//! and combine them with the engine's own batching
-//! ([`mvn_core::pmvn::combine_panel_results`]).
+//! [`coordinator::solve`] drives the whole pipeline for any tiled
+//! covariance `TlrMatrix::assemble` built, dense or TLR: spawn N worker
+//! processes (the `mvn_dist_worker` binary), handshake, scatter owned
+//! initial tiles, collect per-panel sweep results and combine them with the
+//! engine's own batching ([`mvn_core::pmvn::combine_panel_results`]).
 //!
 //! **Fault tolerance.** The coordinator is a supervisor, not just a
 //! spawner: with [`coordinator::Recovery`] enabled (the default), a lost
@@ -55,7 +55,7 @@ pub mod proto;
 pub mod store;
 pub mod worker;
 
-pub use coordinator::{solve_dense, solve_tlr, DistConfig, DistError, DistReport, Recovery};
+pub use coordinator::{solve, solve_dense, DistConfig, DistError, DistReport, Recovery};
 pub use faults::{FaultAction, FaultPlan};
 pub use plan::{rank_slice, TileId};
 pub use worker::run_worker;

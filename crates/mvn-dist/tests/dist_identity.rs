@@ -7,9 +7,8 @@
 use std::time::{Duration, Instant};
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistError, FaultAction, FaultPlan};
+use mvn_dist::{solve, DistConfig, DistError, FaultAction, FaultPlan};
 use qmc::SampleKind;
-use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
 
 const N: usize = 60;
@@ -64,17 +63,17 @@ fn assert_bitwise(tag: &str, got: MvnResult, want: MvnResult) {
 
 #[test]
 fn dense_matches_engine_bitwise_across_process_counts() {
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
 
     let engine = MvnEngine::with_config(cfg).unwrap();
-    let factor = engine.factor_dense(sigma.clone()).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
     let reference = engine.solve(&factor, &a, &b);
     assert!(reference.prob > 0.0 && reference.prob < 1.0);
 
     for nodes in [1usize, 2, 4] {
-        let report = solve_dense(&sigma, &a, &b, &cfg, &dist_config(nodes))
+        let report = solve(&sigma, &a, &b, &cfg, &dist_config(nodes))
             .unwrap_or_else(|e| panic!("dense solve with {nodes} nodes: {e}"));
         assert_bitwise(&format!("dense x{nodes}"), report.result, reference);
         assert_eq!(report.nodes, nodes);
@@ -89,19 +88,19 @@ fn dense_matches_engine_bitwise_across_process_counts() {
 
 #[test]
 fn dense_is_thread_invariant() {
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
 
     let engine = MvnEngine::with_config(cfg).unwrap();
-    let factor = engine.factor_dense(sigma.clone()).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
     let reference = engine.solve(&factor, &a, &b);
 
     for workers in [1usize, 2] {
         let mut dc = dist_config(2);
         dc.workers_per_node = workers;
-        let report = solve_dense(&sigma, &a, &b, &cfg, &dc)
-            .unwrap_or_else(|e| panic!("workers {workers}: {e}"));
+        let report =
+            solve(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("workers {workers}: {e}"));
         assert_bitwise(
             &format!("dense workers={workers}"),
             report.result,
@@ -113,19 +112,19 @@ fn dense_is_thread_invariant() {
 #[test]
 fn tlr_matches_engine_bitwise_including_prime_node_counts() {
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::from_fn(N, NB, tol, usize::MAX, cov);
+    let sigma = TlrMatrix::assemble(N, NB, Some((tol, usize::MAX)), cov);
     let (a, b) = limits();
     let cfg = cfg();
 
     let engine = MvnEngine::with_config(cfg).unwrap();
-    let factor = engine.factor_tlr(sigma.clone()).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
     let reference = engine.solve(&factor, &a, &b);
     assert!(reference.prob > 0.0 && reference.prob < 1.0);
 
     // 3 nodes degenerates to a 1x3 process grid — the awkward-case coverage
     // of the ownership property tests, exercised for real.
     for nodes in [1usize, 3, 4] {
-        let report = solve_tlr(&sigma, &a, &b, &cfg, &dist_config(nodes))
+        let report = solve(&sigma, &a, &b, &cfg, &dist_config(nodes))
             .unwrap_or_else(|e| panic!("tlr solve with {nodes} nodes: {e}"));
         assert_bitwise(&format!("tlr x{nodes}"), report.result, reference);
     }
@@ -133,7 +132,7 @@ fn tlr_matches_engine_bitwise_including_prime_node_counts() {
 
 #[test]
 fn worker_crash_mid_factor_is_a_typed_error_not_a_hang() {
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
 
@@ -148,8 +147,7 @@ fn worker_crash_mid_factor_is_a_typed_error_not_a_hang() {
     };
 
     let start = Instant::now();
-    let err =
-        solve_dense(&sigma, &a, &b, &cfg, &dc).expect_err("a crashing worker must fail the solve");
+    let err = solve(&sigma, &a, &b, &cfg, &dc).expect_err("a crashing worker must fail the solve");
     // The lost rank is detected either directly (its connection drops) or
     // via the surviving rank's failed tile fetch — both are typed, neither
     // may block until the deadline.
@@ -165,10 +163,10 @@ fn worker_crash_mid_factor_is_a_typed_error_not_a_hang() {
 
 #[test]
 fn invalid_limits_are_rejected_before_any_spawn() {
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, _) = limits();
     let b_bad = vec![0.0; N - 1];
-    let err = solve_dense(&sigma, &a, &b_bad, &cfg(), &dist_config(2))
+    let err = solve(&sigma, &a, &b_bad, &cfg(), &dist_config(2))
         .expect_err("mismatched limits must fail");
     assert!(matches!(err, DistError::InvalidProblem(_)), "got: {err}");
 }

@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
-use mvn_dist::{solve_dense, DistConfig, DistReport};
+use mvn_dist::{solve, DistConfig, DistReport};
 use qmc::SampleKind;
-use tile_la::SymTileMatrix;
+use tlr::TlrMatrix;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -95,15 +95,15 @@ fn assert_lane_balanced(rank: usize, lane: &[obs::Event]) -> usize {
 #[test]
 fn tracing_is_bitwise_non_perturbing_and_lanes_are_balanced() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
     let nodes = 2;
 
     let engine = MvnEngine::with_config(cfg).unwrap();
-    let reference = engine.solve(&engine.factor_dense(sigma.clone()).unwrap(), &a, &b);
+    let reference = engine.solve(&engine.factor(sigma.clone()).unwrap(), &a, &b);
 
-    let plain = solve_dense(&sigma, &a, &b, &cfg, &dist_config(nodes)).unwrap();
+    let plain = solve(&sigma, &a, &b, &cfg, &dist_config(nodes)).unwrap();
     assert_bitwise("untraced dist", plain.result, reference);
     assert!(
         plain.worker_traces.iter().all(Vec::is_empty),
@@ -111,7 +111,7 @@ fn tracing_is_bitwise_non_perturbing_and_lanes_are_balanced() {
     );
 
     obs::set_enabled(true);
-    let traced = solve_dense(&sigma, &a, &b, &cfg, &dist_config(nodes));
+    let traced = solve(&sigma, &a, &b, &cfg, &dist_config(nodes));
     obs::set_enabled(false);
     let coordinator_lane = obs::take_events();
     let traced = traced.unwrap();
@@ -139,12 +139,12 @@ fn tracing_is_bitwise_non_perturbing_and_lanes_are_balanced() {
 #[test]
 fn phase_breakdown_is_populated_without_tracing() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
     let nodes = 2;
 
-    let report: DistReport = solve_dense(&sigma, &a, &b, &cfg, &dist_config(nodes)).unwrap();
+    let report: DistReport = solve(&sigma, &a, &b, &cfg, &dist_config(nodes)).unwrap();
     assert_eq!(report.per_node_compute_ns.len(), nodes);
     assert_eq!(report.per_node_fetch_wait_ns.len(), nodes);
     assert_eq!(report.per_node_serve_ns.len(), nodes);
@@ -171,13 +171,13 @@ fn phase_breakdown_is_populated_without_tracing() {
 #[test]
 fn dist_counters_land_in_the_metrics_registry() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let cfg = cfg();
 
     let solves_before = obs::counter("mvn_dist_solves_total").get();
     let fetches_before = obs::counter("mvn_dist_fetches_total").get();
-    let report = solve_dense(&sigma, &a, &b, &cfg, &dist_config(2)).unwrap();
+    let report = solve(&sigma, &a, &b, &cfg, &dist_config(2)).unwrap();
 
     assert_eq!(
         obs::counter("mvn_dist_solves_total").get(),

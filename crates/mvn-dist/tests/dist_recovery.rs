@@ -16,9 +16,8 @@ use std::time::Duration;
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::{FaultAction, FaultPlan};
-use mvn_dist::{solve_dense, solve_tlr, DistConfig, DistReport};
+use mvn_dist::{solve, DistConfig, DistReport};
 use qmc::SampleKind;
-use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, TlrMatrix};
 
 const N: usize = 60;
@@ -80,11 +79,11 @@ fn assert_recovered(tag: &str, report: &DistReport) {
     );
 }
 
-fn dense_reference(cfg: &MvnConfig) -> (SymTileMatrix, MvnResult) {
-    let sigma = SymTileMatrix::from_fn(N, NB, cov);
+fn dense_reference(cfg: &MvnConfig) -> (TlrMatrix, MvnResult) {
+    let sigma = TlrMatrix::assemble(N, NB, None, cov);
     let (a, b) = limits();
     let engine = MvnEngine::with_config(*cfg).unwrap();
-    let factor = engine.factor_dense(sigma.clone()).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
     let reference = engine.solve(&factor, &a, &b);
     assert!(reference.prob > 0.0 && reference.prob < 1.0);
     (sigma, reference)
@@ -92,10 +91,10 @@ fn dense_reference(cfg: &MvnConfig) -> (SymTileMatrix, MvnResult) {
 
 fn tlr_reference(cfg: &MvnConfig) -> (TlrMatrix, MvnResult) {
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::from_fn(N, NB, tol, usize::MAX, cov);
+    let sigma = TlrMatrix::assemble(N, NB, Some((tol, usize::MAX)), cov);
     let (a, b) = limits();
     let engine = MvnEngine::with_config(*cfg).unwrap();
-    let factor = engine.factor_tlr(sigma.clone()).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
     let reference = engine.solve(&factor, &a, &b);
     assert!(reference.prob > 0.0 && reference.prob < 1.0);
     (sigma, reference)
@@ -127,8 +126,7 @@ fn respawn_recovers_mid_factor_kills_bitwise_dense() {
     ] {
         let tag = format!("respawn dense x{nodes} kill {rank}@task{after}");
         let dc = dist_config(nodes, kill_at_task(rank, after));
-        let report =
-            solve_dense(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let report = solve(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_bitwise(&tag, report.result, reference);
         assert_recovered(&tag, &report);
         assert!(
@@ -154,7 +152,7 @@ fn respawn_recovers_tlr_kills_bitwise() {
     ] {
         let tag = format!("respawn tlr x{nodes} kill {rank}@task{after}");
         let dc = dist_config(nodes, kill_at_task(rank, after));
-        let report = solve_tlr(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let report = solve(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_bitwise(&tag, report.result, reference);
         assert_recovered(&tag, &report);
     }
@@ -174,7 +172,7 @@ fn mid_sweep_kills_recover_bitwise() {
     let faults = FaultPlan {
         actions: vec![FaultAction::KillAtPanel { rank: 1, after: 0 }],
     };
-    let report = solve_dense(&sigma, &a, &b, &cfg, &dist_config(2, faults))
+    let report = solve(&sigma, &a, &b, &cfg, &dist_config(2, faults))
         .unwrap_or_else(|e| panic!("{tag}: {e}"));
     assert_bitwise(tag, report.result, reference);
     assert_recovered(tag, &report);
@@ -193,7 +191,7 @@ fn severed_fetch_reroutes_and_retries_instead_of_hanging() {
         actions: vec![FaultAction::SeverFetch { rank: 0, at: 0 }],
     };
     let dc = dist_config(2, faults);
-    let report = solve_dense(&sigma, &a, &b, &cfg, &dc).expect("severed fetch must not hang");
+    let report = solve(&sigma, &a, &b, &cfg, &dc).expect("severed fetch must not hang");
     assert_bitwise("sever 0@fetch0", report.result, reference);
     assert_eq!(
         report.recoveries, 0,
@@ -219,7 +217,7 @@ fn delayed_fetches_change_timing_but_not_one_bit() {
         }],
     };
     let dc = dist_config(2, faults);
-    let report = solve_dense(&sigma, &a, &b, &cfg, &dc).expect("a slow fetch is not a fault");
+    let report = solve(&sigma, &a, &b, &cfg, &dc).expect("a slow fetch is not a fault");
     assert_bitwise("delay 1@fetch1", report.result, reference);
     assert_eq!(report.recoveries, 0);
     assert_eq!(report.reconnects, 0);

@@ -228,12 +228,10 @@ impl FactorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tile_la::SymTileMatrix;
     use tlr::TlrMatrix;
 
     fn factor(n: usize) -> Arc<Factor> {
-        let identity = SymTileMatrix::from_fn(n, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        let mut m = TlrMatrix::from(identity);
+        let mut m = TlrMatrix::assemble(n, 4, None, |i, j| if i == j { 1.0 } else { 0.0 });
         tlr::potrf_tlr(&mut m, &task_runtime::WorkerPool::new(1)).unwrap();
         Arc::new(Factor::Tiled(m))
     }

@@ -13,7 +13,7 @@
 use geostat::fingerprint::{fingerprint_covariance, Fnv1a};
 use geostat::{CovarianceKernel, Location, MAX_MATERN_SMOOTHNESS};
 use mvn_core::{Factor, FactorKind, MvnEngine};
-use tlr::CompressionTol;
+use tlr::{CompressionTol, TlrMatrix};
 
 /// Largest location count for which a Vecchia spec uses the `O(n²)` maximin
 /// ordering; beyond it the `O(n log n)` diagonal coordinate sweep takes over
@@ -217,16 +217,19 @@ impl CovSpec {
         Ok(())
     }
 
-    /// The TLR rank cap encoded in [`CovSpec::kind`] (`0` = uncapped).
-    fn max_rank(&self) -> usize {
+    /// The `(tolerance, rank cap)` a TLR spec compresses with (rank cap `0`
+    /// in [`CovSpec::kind`] is uncapped), or `None` for a dense one — the
+    /// argument of `TlrMatrix::assemble`.
+    fn compression(&self) -> Option<(CompressionTol, usize)> {
         match self.kind {
-            FactorKind::Dense | FactorKind::Vecchia { .. } => 0,
+            FactorKind::Dense | FactorKind::Vecchia { .. } => None,
             FactorKind::Tlr { mean_rank } => {
-                if mean_rank == 0 {
+                let cap = if mean_rank == 0 {
                     usize::MAX
                 } else {
                     mean_rank
-                }
+                };
+                Some((CompressionTol::Absolute(self.tlr_tol), cap))
             }
         }
     }
@@ -246,17 +249,20 @@ impl CovSpec {
         mvn_core::VecchiaPlan::new(order, starts, neighbors).map_err(|e| e.to_string())
     }
 
-    /// Assemble the covariance (or correlation) matrix and factor it on the
-    /// engine's pool. The factor is bitwise identical to the library paths
-    /// for the same spec: `tlr::potrf_tlr` leaves the same bits on any pool,
-    /// and the standardized entries come from
-    /// [`excursion::correlation_matrix_dense`]/`_tlr` — the same definition
-    /// `correlation_factor_dense`/`_tlr` factor.
+    /// Assemble the covariance (or correlation) matrix tile by tile and
+    /// factor it on the engine's pool. The factor is bitwise identical to
+    /// the library paths for the same spec: `tlr::potrf_tlr` leaves the same
+    /// bits on any pool, and the standardized entries are
+    /// [`excursion::correlation_entry`] over the kernel's entries, with the
+    /// standard deviations read off their diagonal — what
+    /// [`excursion::correlation_factor`] assembles from the dense covariance.
     pub fn build_factor(&self, engine: &MvnEngine) -> Result<Factor, String> {
         assert!(
             self.tile_size > 0 && !self.locations.is_empty(),
             "spec must have locations and a positive tile size"
         );
+        let n = self.n();
+        let cov = self.kernel.entry(&self.locations, self.nugget);
         if let FactorKind::Vecchia { m } = self.kind {
             // The Vecchia backend never assembles a matrix: the plan is pure
             // geometry and the conditioning solves pull covariance entries on
@@ -264,69 +270,34 @@ impl CovSpec {
             // variance (the same √(C(0)+nugget) the other paths use), with
             // the library's diagonal jitter.
             let plan = self.vecchia_plan(m)?;
-            let locs = &self.locations;
-            let kernel = &self.kernel;
-            let nugget = self.nugget;
             let factored = if self.standardize {
-                let sd2 = kernel.cov(0.0) + nugget;
-                engine.factor_vecchia(plan, move |i, j| {
-                    if i == j {
-                        1.0 + 1e-10
-                    } else {
-                        kernel.cov_loc(&locs[i], &locs[j]) / sd2
-                    }
-                })
+                let sd2 = self.kernel.cov(0.0) + self.nugget;
+                engine.factor_vecchia(
+                    plan,
+                    move |i, j| {
+                        if i == j {
+                            1.0 + 1e-10
+                        } else {
+                            cov(i, j) / sd2
+                        }
+                    },
+                )
             } else {
-                engine.factor_vecchia(plan, move |i, j| {
-                    let c = kernel.cov_loc(&locs[i], &locs[j]);
-                    if i == j {
-                        c + nugget
-                    } else {
-                        c
-                    }
-                })
+                engine.factor_vecchia(plan, cov)
             };
             return factored.map_err(|e| e.to_string());
         }
-        if self.standardize {
-            let cov = self.kernel.dense_covariance(&self.locations, self.nugget);
-            match self.kind {
-                FactorKind::Dense => {
-                    let (corr, _sd) = excursion::correlation_matrix_dense(&cov, self.tile_size);
-                    engine.factor_dense(corr).map_err(|e| e.to_string())
-                }
-                FactorKind::Tlr { .. } => {
-                    let (corr, _sd) = excursion::correlation_matrix_tlr(
-                        &cov,
-                        self.tile_size,
-                        CompressionTol::Absolute(self.tlr_tol),
-                        self.max_rank(),
-                    );
-                    engine.factor_tlr(corr).map_err(|e| e.to_string())
-                }
-                FactorKind::Vecchia { .. } => unreachable!("handled above"),
-            }
+        let sd: Vec<f64>;
+        let corr;
+        let entry: &(dyn Fn(usize, usize) -> f64 + Sync) = if self.standardize {
+            sd = (0..n).map(|i| cov(i, i).sqrt()).collect();
+            corr = excursion::correlation_entry(&cov, &sd);
+            &corr
         } else {
-            match self.kind {
-                FactorKind::Dense => {
-                    let sigma =
-                        self.kernel
-                            .tiled_covariance(&self.locations, self.tile_size, self.nugget);
-                    engine.factor_dense(sigma).map_err(|e| e.to_string())
-                }
-                FactorKind::Tlr { .. } => {
-                    let sigma = self.kernel.tlr_covariance(
-                        &self.locations,
-                        self.tile_size,
-                        self.nugget,
-                        CompressionTol::Absolute(self.tlr_tol),
-                        self.max_rank(),
-                    );
-                    engine.factor_tlr(sigma).map_err(|e| e.to_string())
-                }
-                FactorKind::Vecchia { .. } => unreachable!("handled above"),
-            }
-        }
+            &cov
+        };
+        let sigma = TlrMatrix::assemble(n, self.tile_size, self.compression(), entry);
+        engine.factor(sigma).map_err(|e| e.to_string())
     }
 }
 
@@ -388,41 +359,121 @@ mod tests {
         }
     }
 
+    /// Every entry of the lower triangle of `got` has the bits of `want`'s.
+    fn assert_same_factor(got: &Factor, want: &tlr::TlrMatrix, what: &str) {
+        let Factor::Tiled(got) = got else {
+            panic!("{what}: expected a tiled factor")
+        };
+        let (gd, wd) = (got.to_dense_lower(), want.to_dense_lower());
+        assert_eq!(gd.nrows(), wd.nrows(), "{what}");
+        for (g, w) in gd.data().iter().zip(wd.data()) {
+            assert!(g.to_bits() == w.to_bits(), "{what}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn built_factor_matches_the_library_paths_bitwise() {
         let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let one = task_runtime::WorkerPool::new(1);
         // Covariance path vs potrf_tlr on one worker.
         let spec = base_spec();
-        let f = spec.build_factor(&engine).unwrap();
-        let mut want = tlr::TlrMatrix::from(spec.kernel.tiled_covariance(
-            &spec.locations,
+        let mut want = TlrMatrix::assemble(
+            spec.locations.len(),
             spec.tile_size,
-            spec.nugget,
-        ));
-        tlr::potrf_tlr(&mut want, &task_runtime::WorkerPool::new(1)).unwrap();
-        let Factor::Tiled(got) = &f else {
-            panic!("expected a tiled factor")
-        };
-        let (gd, wd) = (got.to_dense_lower(), want.to_dense_lower());
-        for i in 0..spec.n() {
-            for j in 0..spec.n() {
-                assert!(gd.get(i, j).to_bits() == wd.get(i, j).to_bits());
-            }
-        }
-        // Correlation path vs correlation_factor_dense.
+            None,
+            spec.kernel.entry(&spec.locations, spec.nugget),
+        );
+        tlr::potrf_tlr(&mut want, &one).unwrap();
+        assert_same_factor(&spec.build_factor(&engine).unwrap(), &want, "dense cov");
+        // TLR covariance path (rank-capped) vs potrf_tlr of its assembly.
+        let tol = 1e-6;
+        let mut tspec = base_spec();
+        tspec.kind = FactorKind::Tlr { mean_rank: 6 };
+        tspec.tlr_tol = tol;
+        let mut want = TlrMatrix::assemble(
+            tspec.locations.len(),
+            tspec.tile_size,
+            Some((CompressionTol::Absolute(tol), 6)),
+            tspec.kernel.entry(&tspec.locations, tspec.nugget),
+        );
+        tlr::potrf_tlr(&mut want, &one).unwrap();
+        assert_same_factor(&tspec.build_factor(&engine).unwrap(), &want, "tlr cov");
+        // Correlation path vs the library dense correlation factor, built on
+        // one worker.
+        let lib = MvnEngine::builder().workers(1).build().unwrap();
         let sspec = base_spec().standardized();
-        let sf = sspec.build_factor(&engine).unwrap();
         let cov = sspec
             .kernel
             .dense_covariance(&sspec.locations, sspec.nugget);
-        let (wantf, _sd) = excursion::correlation_factor_dense(&cov, sspec.tile_size);
-        let (Factor::Tiled(got), Factor::Tiled(want)) = (&sf, &wantf) else {
-            panic!("expected tiled factors")
-        };
-        let (gd, wd) = (got.to_dense_lower(), want.to_dense_lower());
-        for i in 0..sspec.n() {
-            for j in 0..sspec.n() {
-                assert!(gd.get(i, j).to_bits() == wd.get(i, j).to_bits());
+        let (wantf, _sd) =
+            excursion::correlation_factor(&lib, &cov, sspec.tile_size, None).unwrap();
+        assert_same_factor(
+            &sspec.build_factor(&engine).unwrap(),
+            wantf.tiled().unwrap(),
+            "dense corr",
+        );
+        // Standardized TLR path (uncapped) vs the library TLR correlation
+        // factor.
+        let mut stspec = base_spec().standardized();
+        stspec.kind = FactorKind::Tlr { mean_rank: 0 };
+        stspec.tlr_tol = tol;
+        let (wantf, _sd) = excursion::correlation_factor(
+            &lib,
+            &cov,
+            stspec.tile_size,
+            Some((CompressionTol::Absolute(tol), usize::MAX)),
+        )
+        .unwrap();
+        assert_same_factor(
+            &stspec.build_factor(&engine).unwrap(),
+            wantf.tiled().unwrap(),
+            "tlr corr",
+        );
+    }
+
+    #[test]
+    fn built_vecchia_factor_matches_the_cov_loc_entries_bitwise() {
+        // A Vecchia spec pulls its entries from `cov_loc` (plus the nugget on
+        // the diagonal), or divides them by `C(0) + nugget` when
+        // standardized.
+        let engine = MvnEngine::builder().workers(2).build().unwrap();
+        let base = CovSpec::vecchia(
+            regular_grid(6, 6),
+            CovarianceKernel::Matern(geostat::MaternParams {
+                sigma2: 1.3,
+                range: 0.2,
+                smoothness: 1.0,
+            }),
+            1e-8,
+            8,
+            5,
+        );
+        for spec in [base.clone(), base.standardized()] {
+            let (locs, kernel, nugget) = (&spec.locations, spec.kernel, spec.nugget);
+            let sd2 = kernel.cov(0.0) + nugget;
+            let entry = |i: usize, j: usize| {
+                let c = kernel.cov_loc(&locs[i], &locs[j]);
+                match (spec.standardize, i == j) {
+                    (false, true) => c + nugget,
+                    (false, false) => c,
+                    (true, true) => 1.0 + 1e-10,
+                    (true, false) => c / sd2,
+                }
+            };
+            let plan = spec.vecchia_plan(5).unwrap();
+            let want = engine.factor_vecchia(plan, entry).unwrap();
+            let got = spec.build_factor(&engine).unwrap();
+            let (Factor::Vecchia(got), Factor::Vecchia(want)) = (&got, &want) else {
+                panic!("expected Vecchia factors")
+            };
+            for k in 0..spec.n() {
+                let (g, w) = (got.step(k), want.step(k));
+                assert_eq!((g.0, g.2), (w.0, w.2), "step {k}");
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "step {k}");
+                assert!(
+                    (g.3.iter().zip(w.3)).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "step {k}"
+                );
             }
         }
     }

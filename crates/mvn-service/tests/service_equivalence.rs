@@ -624,7 +624,7 @@ fn served_crd_matches_library_crd_bitwise() {
         .build()
         .unwrap();
     let cov = kernel.dense_covariance(&locs, nugget);
-    let (factor, sd) = excursion::correlation_factor_dense(&cov, 8);
+    let (factor, sd) = excursion::correlation_factor(&engine, &cov, 8, None).unwrap();
     let lib = excursion::detect_confidence_regions(&engine, &factor, &mean, &sd, &crd_cfg);
     let (lib_region, lib_prob) =
         excursion::find_excursion_set(&engine, &factor, &mean, &sd, &crd_cfg);

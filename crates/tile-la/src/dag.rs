@@ -313,12 +313,16 @@ mod tests {
             let d = (i as f64 - j as f64).abs();
             (-d / 5.0).exp() + if i == j { 1e-3 } else { 0.0 }
         };
-        let a = crate::SymTileMatrix::from_fn(64, 16, spd);
-        let layout = a.layout();
+        let layout = TileLayout::new(64, 16);
         let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
         let mut store = TileStore::new();
-        for (&h, tile) in handles.iter().flatten().zip(a.into_tiles()) {
-            store.insert(h, tile);
+        for (i, row) in handles.iter().enumerate() {
+            for (j, &h) in row.iter().enumerate() {
+                store.insert(
+                    h,
+                    DenseMatrix::from_fn(16, 16, |p, q| spd(16 * i + p, 16 * j + q)),
+                );
+            }
         }
         let status = FactorStatus::new();
         let mut graph = TaskGraph::new();

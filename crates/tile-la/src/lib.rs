@@ -9,10 +9,13 @@
 //!   plus Householder [`qr`](kernels::qr) and one-sided Jacobi
 //!   [`svd`](kernels::svd) used for low-rank compression,
 //! * [`TileLayout`] — 1-D tiling of a dimension into fixed-size blocks,
-//! * [`SymTileMatrix`] — a symmetric matrix stored as its lower-triangular tiles
-//!   (the assembly layout of covariance matrices; the factorization runs on
-//!   the one tiled factor of the `tlr` crate, into which its tiles move
-//!   without copying),
+//! * [`SymTileMatrix`] — a symmetric matrix stored as its lower-triangular
+//!   dense tiles. Every tiled matrix is assembled by the `tlr` crate's
+//!   `TlrMatrix::assemble`, straight into the one tiled factor; this
+//!   container is left only as the input of the old dense entry points the
+//!   `mvn_perf` benchmark still calls, and as confidence-region detection's
+//!   marginal-order correlation. Its tiles move into a `TlrMatrix` without
+//!   copying,
 //! * [`dag`] — the tiled Cholesky's one task order (`cholesky_plan`, shared
 //!   with the tiled, distributed and simulated factorizations), its one dense
 //!   step body (`dense_step`, which the tiled factor's step body calls on

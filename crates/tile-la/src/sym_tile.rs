@@ -3,9 +3,12 @@
 //! This mirrors the descriptor layout the paper uses for the covariance matrix
 //! `Σ`: only tiles `(i, j)` with `i ≥ j` are held in memory (halving storage
 //! for large `n`), and each tile is an independent [`DenseMatrix`] so tasks
-//! can assemble them individually. It is the assembly container only: the
-//! Cholesky factor is a `tlr::TlrMatrix`, which takes these tiles over
-//! without copying.
+//! can assemble them individually. The workspace assembles every tiled
+//! matrix with `tlr::TlrMatrix::assemble`; this container remains for the
+//! inputs of the old dense entry points (`MvnEngine::factor_dense`,
+//! `mvn_dist::solve_dense`) that the `mvn_perf` benchmark still calls, and
+//! for the marginal-order correlation of confidence-region detection. A
+//! `tlr::TlrMatrix` takes its tiles over without copying.
 
 use crate::dense::DenseMatrix;
 use crate::layout::TileLayout;
@@ -26,7 +29,9 @@ impl SymTileMatrix {
     }
 
     /// Build from an element function `f(row, col)`; only the lower triangle is
-    /// evaluated, and tiles are generated in parallel.
+    /// evaluated, and tiles are generated in parallel. Kept only for the
+    /// `mvn_perf` benchmark: `tlr::TlrMatrix::assemble` with no compression
+    /// builds the same tiles.
     ///
     /// `f` must be symmetric for the result to represent a symmetric matrix
     /// (only `row ≥ col` entries are ever requested).
@@ -75,67 +80,13 @@ impl SymTileMatrix {
         self.layout
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.layout.n()
-    }
-
-    /// Tile size.
-    pub fn nb(&self) -> usize {
-        self.layout.nb()
-    }
-
-    /// Number of tile rows/columns.
-    pub fn num_tiles(&self) -> usize {
-        self.layout.num_tiles()
-    }
-
-    /// Borrow tile `(i, j)` (requires `j ≤ i`).
-    pub fn tile(&self, i: usize, j: usize) -> &DenseMatrix {
-        assert!(
-            j <= i,
-            "SymTileMatrix stores only lower tiles (got ({i},{j}))"
-        );
-        &self.tiles[Self::tri_index(i, j)]
-    }
-
-    /// Mutably borrow tile `(i, j)` (requires `j ≤ i`).
-    pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut DenseMatrix {
-        assert!(
-            j <= i,
-            "SymTileMatrix stores only lower tiles (got ({i},{j}))"
-        );
-        &mut self.tiles[Self::tri_index(i, j)]
-    }
-
-    /// Element access through the symmetric structure (either triangle).
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        let ti = self.layout.tile_of(i);
-        let tj = self.layout.tile_of(j);
-        self.tile(ti, tj)
-            .get(self.layout.offset_in_tile(i), self.layout.offset_in_tile(j))
-    }
-
-    /// Element assignment (writes the lower-triangle representative).
+    /// Element assignment through the symmetric structure: writes the
+    /// lower-triangle representative of `(i, j)`.
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        let ti = self.layout.tile_of(i);
-        let tj = self.layout.tile_of(j);
-        let oi = self.layout.offset_in_tile(i);
-        let oj = self.layout.offset_in_tile(j);
-        self.tile_mut(ti, tj).set(oi, oj, v);
-    }
-
-    /// Expand to a full dense symmetric matrix.
-    pub fn to_dense_sym(&self) -> DenseMatrix {
-        let n = self.n();
-        DenseMatrix::from_fn(n, n, |i, j| self.get(i, j))
-    }
-
-    /// Total number of stored `f64` values (memory footprint measure).
-    pub fn stored_elements(&self) -> usize {
-        self.tiles.iter().map(|t| t.nrows() * t.ncols()).sum()
+        let (ti, tj) = (self.layout.tile_of(i), self.layout.tile_of(j));
+        let (oi, oj) = (self.layout.offset_in_tile(i), self.layout.offset_in_tile(j));
+        self.tiles[Self::tri_index(ti, tj)].set(oi, oj, v);
     }
 }
 
@@ -155,6 +106,7 @@ mod tests {
         let check = |n: usize, nb: usize| {
             let a = SymTileMatrix::from_fn(n, nb, kernel);
             let layout = a.layout();
+            let mut tiles = a.into_tiles().into_iter();
             for ti in 0..layout.num_tiles() {
                 for tj in 0..=ti {
                     let (ri, rj) = (layout.tile_start(ti), layout.tile_start(tj));
@@ -162,10 +114,11 @@ mod tests {
                         DenseMatrix::from_fn(layout.tile_size(ti), layout.tile_size(tj), |p, q| {
                             kernel(ri + p, rj + q)
                         });
-                    assert_eq!(a.tile(ti, tj), &want, "n={n} nb={nb} tile ({ti},{tj})");
+                    assert_eq!(tiles.next(), Some(want), "n={n} nb={nb} tile ({ti},{tj})");
                 }
             }
-            a.num_tiles()
+            assert_eq!(tiles.next(), None);
+            layout.num_tiles()
         };
         assert_eq!(check(13, 16), 1);
         assert_eq!(check(13, 7), 2);
@@ -176,46 +129,30 @@ mod tests {
     }
 
     #[test]
-    fn element_access_both_triangles() {
-        let a = SymTileMatrix::from_fn(10, 3, kernel);
-        for i in 0..10 {
-            for j in 0..10 {
-                assert!((a.get(i, j) - kernel(i.max(j), i.min(j))).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
     fn set_updates_symmetric_pair() {
+        // (1, 4) is an upper-triangle request: it writes (4, 1), which is
+        // entry (0, 1) of lower tile (2, 0), at storage index 3.
         let mut a = SymTileMatrix::from_fn(6, 2, kernel);
-        a.set(1, 4, 7.5); // upper-triangle request maps to (4,1)
-        assert_eq!(a.get(4, 1), 7.5);
-        assert_eq!(a.get(1, 4), 7.5);
-    }
-
-    #[test]
-    fn storage_is_roughly_half_of_dense() {
-        let n = 64;
-        let a = SymTileMatrix::from_fn(n, 8, kernel);
-        let stored = a.stored_elements();
-        assert!(stored < n * n);
-        // Lower-triangular tile storage for an exact tiling: nt(nt+1)/2 * nb^2.
-        assert_eq!(stored, 8 * 9 / 2 * 64);
+        a.set(1, 4, 7.5);
+        let tiles = a.into_tiles();
+        assert_eq!(tiles[3].get(0, 1), 7.5);
+        assert_eq!(tiles[3].get(1, 0), kernel(5, 0));
     }
 
     #[test]
     fn ragged_edge_tiles_have_correct_sizes() {
         let a = SymTileMatrix::from_fn(11, 4, kernel);
-        assert_eq!(a.num_tiles(), 3);
-        assert_eq!(a.tile(2, 2).nrows(), 3);
-        assert_eq!(a.tile(2, 0).nrows(), 3);
-        assert_eq!(a.tile(2, 0).ncols(), 4);
+        assert_eq!(a.layout().num_tiles(), 3);
+        let tiles = a.into_tiles();
+        assert_eq!(tiles[5].nrows(), 3); // (2, 2)
+        assert_eq!((tiles[3].nrows(), tiles[3].ncols()), (3, 4)); // (2, 0)
     }
 
     #[test]
-    #[should_panic]
-    fn upper_tile_borrow_panics() {
-        let a = SymTileMatrix::from_fn(8, 4, kernel);
-        let _ = a.tile(0, 1);
+    #[should_panic(expected = "from_tiles: tile (1,0) has the wrong shape")]
+    fn from_tiles_rejects_a_wrong_shape() {
+        let mut tiles = SymTileMatrix::from_fn(8, 4, kernel).into_tiles();
+        tiles[1] = DenseMatrix::zeros(4, 3);
+        let _ = SymTileMatrix::from_tiles(8, 4, tiles);
     }
 }

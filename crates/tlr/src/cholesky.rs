@@ -73,7 +73,12 @@ mod tests {
     use super::*;
     use crate::compress::CompressionTol;
     use tile_la::kernels::potrf_in_place;
-    use tile_la::{max_abs_diff, DenseMatrix, SymTileMatrix};
+    use tile_la::{max_abs_diff, DenseMatrix};
+
+    /// Compression at absolute tolerance `tol` with no rank cap.
+    fn uncapped(tol: f64) -> Option<(CompressionTol, usize)> {
+        Some((CompressionTol::Absolute(tol), usize::MAX))
+    }
 
     fn kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
         move |i: usize, j: usize| {
@@ -101,7 +106,7 @@ mod tests {
         f: impl Fn(usize, usize) -> f64 + Sync,
         pool: &WorkerPool,
     ) -> Result<TlrMatrix, CholeskyError> {
-        factored(TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f)), pool)
+        factored(TlrMatrix::assemble(n, nb, None, f), pool)
     }
 
     /// The unblocked dense Cholesky factor of `f`.
@@ -188,7 +193,7 @@ mod tests {
         let n = 96;
         let nb = 24;
         let f = kernel(0.5);
-        let tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(1e-10), usize::MAX, &f);
+        let tlr = TlrMatrix::assemble(n, nb, uncapped(1e-10), &f);
         let tlr = factored(tlr, &WorkerPool::new(1)).unwrap();
         let dense = dense_factor(n, nb, &f, &WorkerPool::new(1)).unwrap();
         assert!(max_abs_diff(&tlr.to_dense_lower(), &dense.to_dense_lower()) < 1e-6);
@@ -202,7 +207,7 @@ mod tests {
         let orig = DenseMatrix::from_fn(n, n, &f);
         let mut previous_err = f64::INFINITY;
         for tol in [1e-2, 1e-5, 1e-9] {
-            let mut tlr = TlrMatrix::from_fn(n, nb, CompressionTol::Absolute(tol), usize::MAX, &f);
+            let mut tlr = TlrMatrix::assemble(n, nb, uncapped(tol), &f);
             potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
             let l = tlr.to_dense_lower();
             let rec = l.matmul_nt(&l);
@@ -227,9 +232,9 @@ mod tests {
         // dense one within 1e-10 of the unblocked reference.
         let n = 75;
         let f = spd_kernel(11.0);
-        let dense = TlrMatrix::from(SymTileMatrix::from_fn(n, 16, &f));
+        let dense = TlrMatrix::assemble(n, 16, None, &f);
         let g = kernel(0.5);
-        let tlr = TlrMatrix::from_fn(96, 24, CompressionTol::Absolute(1e-8), usize::MAX, &g);
+        let tlr = TlrMatrix::assemble(96, 24, uncapped(1e-8), &g);
         let bits = |l: TlrMatrix| -> Vec<u64> {
             let d = l.to_dense_lower();
             d.data().iter().map(|x| x.to_bits()).collect()
@@ -252,7 +257,7 @@ mod tests {
     #[test]
     fn rank_capped_factor_is_deterministic_across_worker_counts() {
         let f = kernel(0.7);
-        let base = TlrMatrix::from_fn(80, 20, CompressionTol::Absolute(1e-6), 10, &f);
+        let base = TlrMatrix::assemble(80, 20, Some((CompressionTol::Absolute(1e-6), 10)), &f);
         let mut reference = base.clone();
         potrf_tlr(&mut reference, &WorkerPool::new(1)).unwrap();
         for workers in [2usize, 8] {
@@ -265,13 +270,7 @@ mod tests {
     #[test]
     fn forward_solve_with_tlr_factor() {
         let n = 72;
-        let tlr = TlrMatrix::from_fn(
-            n,
-            18,
-            CompressionTol::Absolute(1e-10),
-            usize::MAX,
-            kernel(0.5),
-        );
+        let tlr = TlrMatrix::assemble(n, 18, uncapped(1e-10), kernel(0.5));
         let l = factored(tlr, &WorkerPool::new(1)).unwrap();
         let b0 = DenseMatrix::from_fn(n, 3, |i, j| ((i + j) as f64 * 0.37).sin());
         let mut x = b0.clone();
@@ -294,13 +293,7 @@ mod tests {
     #[test]
     fn multiply_lower_panel_uses_factor_consistently() {
         let n = 60;
-        let tlr = TlrMatrix::from_fn(
-            n,
-            15,
-            CompressionTol::Absolute(1e-10),
-            usize::MAX,
-            kernel(0.4),
-        );
+        let tlr = TlrMatrix::assemble(n, 15, uncapped(1e-10), kernel(0.4));
         let l = factored(tlr, &WorkerPool::new(1)).unwrap();
         let z = DenseMatrix::from_fn(n, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.11).cos());
         let want = l.to_dense_lower().matmul(&z);
@@ -336,7 +329,7 @@ mod tests {
     fn log_det_matches_dense_factor() {
         let n = 64;
         let f = kernel(0.7);
-        let mut tlr = TlrMatrix::from_fn(n, 16, CompressionTol::Absolute(1e-10), usize::MAX, &f);
+        let mut tlr = TlrMatrix::assemble(n, 16, uncapped(1e-10), &f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l = unblocked(n, &f);
         let want = 2.0 * (0..n).map(|i| l.get(i, i).ln()).sum::<f64>();
@@ -347,7 +340,7 @@ mod tests {
     fn indefinite_matrix_is_rejected() {
         let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
         for pool in [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)] {
-            let mut tlr = TlrMatrix::from_fn(30, 10, CompressionTol::Absolute(1e-6), usize::MAX, f);
+            let mut tlr = TlrMatrix::assemble(30, 10, uncapped(1e-6), f);
             let err = potrf_tlr(&mut tlr, &pool).unwrap_err();
             assert_eq!(err, CholeskyError::NotPositiveDefinite(0));
             assert!(err.to_string().contains("not positive definite"));

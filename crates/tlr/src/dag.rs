@@ -100,7 +100,7 @@ mod tests {
     use std::collections::HashMap;
     use task_runtime::WorkerPool;
     use tile_la::dag::{cholesky_plan, TileId};
-    use tile_la::{CholeskyError, SymTileMatrix};
+    use tile_la::CholeskyError;
 
     /// Walk the plan sequentially through [`tlr_step`], stopping at the
     /// first failed pivot as the submitters' "kill the chain" does.
@@ -148,8 +148,11 @@ mod tests {
         ] {
             // The dense factor (every tile dense, no compression), then the
             // TLR one.
-            let dense = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
-            for mut l in [dense, TlrMatrix::from_fn(n, nb, tol, usize::MAX, f)] {
+            let dense = TlrMatrix::assemble(n, nb, None, f);
+            for mut l in [
+                dense,
+                TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), f),
+            ] {
                 let (layout, compression) = (l.layout(), l.compression());
                 let mut tiles: HashMap<TileId, Tile> = lower_ids(layout)
                     .map(|(i, j)| ((i, j), l.tile(i, j).clone()))

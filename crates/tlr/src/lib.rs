@@ -16,9 +16,12 @@
 //!   that stops at the tolerance, then a Jacobi SVD of the kept rows only),
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
-//! * [`TlrMatrix`] — the tiled symmetric matrix (built compressed by
-//!   [`TlrMatrix::from_fn`], or dense from a `tile_la::SymTileMatrix`), with
-//!   the panel products and solves of its factor,
+//! * [`TlrMatrix`] — the tiled symmetric matrix, with the panel products
+//!   and solves of its factor. [`TlrMatrix::assemble`] builds every tiled
+//!   matrix of the workspace from an entry function `(i, j) ↦ a_ij`, one
+//!   task per lower tile: dense with no compression, TLR with one (each
+//!   off-diagonal tile compressed where it is built), so no code path holds
+//!   a second format or an `n²` buffer,
 //! * [`potrf_tlr`] — its Cholesky factorization, the workspace's one
 //!   Cholesky driver, whose one step body
 //!   [`dag::tlr_step`] (over a dense-or-low-rank [`Tile`]) the `mvn-dist`
@@ -48,7 +51,7 @@ pub use tlr_matrix::TlrMatrix;
 mod tests {
     use super::*;
     use task_runtime::WorkerPool;
-    use tile_la::{max_abs_diff, DenseMatrix, SymTileMatrix};
+    use tile_la::{max_abs_diff, DenseMatrix};
 
     fn exp_kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
         move |i: usize, j: usize| {
@@ -66,7 +69,7 @@ mod tests {
             let d = (i as f64 - j as f64).abs();
             (-d / 10.0).exp() + if i == j { 0.5 } else { 0.0 }
         };
-        let mut a = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, spd));
+        let mut a = TlrMatrix::assemble(n, nb, None, spd);
         potrf_tlr(&mut a, &WorkerPool::new(1)).expect("factorization should succeed");
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
@@ -81,11 +84,11 @@ mod tests {
         let f = exp_kernel(0.3);
         let tol = CompressionTol::Absolute(1e-9);
 
-        let mut tlr = TlrMatrix::from_fn(n, nb, tol, 64, &f);
+        let mut tlr = TlrMatrix::assemble(n, nb, Some((tol, 64)), &f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l_tlr = tlr.to_dense_lower();
 
-        let mut dense = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, &f));
+        let mut dense = TlrMatrix::assemble(n, nb, None, &f);
         potrf_tlr(&mut dense, &WorkerPool::new(1)).unwrap();
         let l_dense = dense.to_dense_lower();
 

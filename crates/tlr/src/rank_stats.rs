@@ -128,11 +128,10 @@ mod tests {
         // Squared-exponential kernel: its off-diagonal tile ranks genuinely
         // depend on the correlation range (unlike the 1-D exponential kernel,
         // whose separated tiles are exactly rank one).
-        TlrMatrix::from_fn(
+        TlrMatrix::assemble(
             n,
             nb,
-            CompressionTol::Absolute(1e-3),
-            usize::MAX,
+            Some((CompressionTol::Absolute(1e-3), usize::MAX)),
             move |i, j| {
                 let d = (i as f64 - j as f64).abs() / n as f64;
                 (-0.5 * (d / range).powi(2)).exp()
@@ -159,11 +158,10 @@ mod tests {
         // Relative tolerance isolates the within-tile smoothness effect (the
         // absolute-tolerance heat map is printed by the `tlr_vs_dense`
         // example).
-        TlrMatrix::from_fn(
+        TlrMatrix::assemble(
             n,
             nb,
-            CompressionTol::Relative(1e-3),
-            usize::MAX,
+            Some((CompressionTol::Relative(1e-3), usize::MAX)),
             move |i, j| {
                 let (xi, yi) = ((i % side) as f64, (i / side) as f64);
                 let (xj, yj) = ((j % side) as f64, (j / side) as f64);

@@ -13,15 +13,14 @@ use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 
 /// A symmetric `n × n` matrix stored as its lower tiles, each a [`Tile`].
 ///
-/// Built by [`from_fn`](Self::from_fn) it is in Tile Low-Rank (TLR) format:
-/// diagonal tiles are stored dense (they carry the full energy of the matrix
-/// and are never admissible for compression); strictly-lower off-diagonal
-/// tiles are stored as `U·Vᵀ` factors within the requested tolerance, found
-/// by a pivoted QR that stops at `τ/√2` followed by a Jacobi SVD of its
-/// small `k × nb` factor `R` (see [`compress_dense`]). Converted from a
-/// [`SymTileMatrix`] it is dense: every tile is dense and there is no
-/// compression. Both run the same factorization
-/// ([`potrf_tlr`](crate::potrf_tlr)) and the same sweep.
+/// Built by [`assemble`](Self::assemble) with a compression it is in Tile
+/// Low-Rank (TLR) format: diagonal tiles are stored dense (they carry the
+/// full energy of the matrix and are never admissible for compression);
+/// strictly-lower off-diagonal tiles are stored as `U·Vᵀ` factors within the
+/// requested tolerance, found by a pivoted QR that stops at `τ/√2` followed
+/// by a Jacobi SVD of its small `k × nb` factor `R` (see [`compress_dense`]).
+/// Built without one it is dense: every tile is dense. Both run the same
+/// factorization ([`potrf_tlr`](crate::potrf_tlr)) and the same sweep.
 #[derive(Debug, Clone)]
 pub struct TlrMatrix {
     layout: TileLayout,
@@ -32,7 +31,9 @@ pub struct TlrMatrix {
 }
 
 impl From<SymTileMatrix> for TlrMatrix {
-    /// The dense tiled matrix of `a`, its tiles moved without copying.
+    /// The dense tiled matrix of `a`, its tiles moved without copying: what
+    /// [`TlrMatrix::assemble`] with no compression builds from the same
+    /// entries.
     fn from(a: SymTileMatrix) -> Self {
         Self {
             layout: a.layout(),
@@ -48,9 +49,44 @@ impl TlrMatrix {
         i * (i + 1) / 2 + j
     }
 
-    /// Build a TLR matrix from a symmetric element function, compressing every
-    /// off-diagonal tile at the given tolerance (tiles are generated and
-    /// compressed in parallel).
+    /// Assemble a symmetric matrix from its element function `entry(row,
+    /// col)`, one task per lower tile (only `row ≥ col` entries are
+    /// requested). With `compression` `Some((tol, max_rank))` every
+    /// off-diagonal tile is compressed where it is built ([`compress_dense`])
+    /// and the result is a TLR matrix; with `None` every tile stays dense.
+    /// Each tile is `entry` evaluated in the same order whatever the pool,
+    /// so the result is bitwise a serial tile-by-tile build.
+    pub fn assemble(
+        n: usize,
+        nb: usize,
+        compression: Option<(CompressionTol, usize)>,
+        entry: impl Fn(usize, usize) -> f64 + Sync,
+    ) -> Self {
+        let layout = TileLayout::new(n, nb);
+        let nt = layout.num_tiles();
+        let coords: Vec<(usize, usize)> =
+            (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+        let tiles = run_map_once("assemble_tile", &coords, |_, &(i, j)| {
+            let (ri, rj) = (layout.tile_start(i), layout.tile_start(j));
+            let dense = DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
+                entry(ri + a, rj + b)
+            });
+            match compression {
+                Some((tol, max_rank)) if i != j => {
+                    Tile::LowRank(compress_dense(&dense, tol, max_rank))
+                }
+                _ => Tile::Dense(dense),
+            }
+        });
+        Self {
+            layout,
+            compression,
+            tiles,
+        }
+    }
+
+    /// [`assemble`](Self::assemble) with compression. Kept only for the
+    /// `mvn_perf` benchmark; it goes when the benchmark moves to `assemble`.
     pub fn from_fn(
         n: usize,
         nb: usize,
@@ -58,26 +94,7 @@ impl TlrMatrix {
         max_rank: usize,
         f: impl Fn(usize, usize) -> f64 + Sync,
     ) -> Self {
-        let layout = TileLayout::new(n, nb);
-        let nt = layout.num_tiles();
-        let coords: Vec<(usize, usize)> =
-            (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
-        let tiles = run_map_once("assemble_compress_tile", &coords, |_, &(i, j)| {
-            let (ri, rj) = (layout.tile_start(i), layout.tile_start(j));
-            let dense = DenseMatrix::from_fn(layout.tile_size(i), layout.tile_size(j), |a, b| {
-                f(ri + a, rj + b)
-            });
-            if i == j {
-                Tile::Dense(dense)
-            } else {
-                Tile::LowRank(compress_dense(&dense, tol, max_rank))
-            }
-        });
-        Self {
-            layout,
-            compression: Some((tol, max_rank)),
-            tiles,
-        }
+        Self::assemble(n, nb, Some((tol, max_rank)), f)
     }
 
     /// Matrix dimension.
@@ -185,7 +202,7 @@ impl TlrMatrix {
     }
 
     /// Total number of stored doubles (dense tiles plus low-rank factors):
-    /// for a dense matrix, [`SymTileMatrix::stored_elements`].
+    /// for a dense matrix, every element of the lower tiles.
     pub fn stored_elements(&self) -> usize {
         self.tiles.iter().map(Tile::stored_elements).sum()
     }
@@ -264,10 +281,20 @@ mod tests {
         (-d).exp()
     }
 
+    /// `kernel` assembled at absolute tolerance `tol`, uncapped.
+    fn compressed(n: usize, nb: usize, tol: f64) -> TlrMatrix {
+        TlrMatrix::assemble(
+            n,
+            nb,
+            Some((CompressionTol::Absolute(tol), usize::MAX)),
+            kernel,
+        )
+    }
+
     #[test]
     fn construction_approximates_the_dense_matrix() {
         let n = 90;
-        let tlr = TlrMatrix::from_fn(n, 30, CompressionTol::Absolute(1e-8), usize::MAX, kernel);
+        let tlr = compressed(n, 30, 1e-8);
         let dense = DenseMatrix::from_fn(n, n, kernel);
         assert!(max_abs_diff(&tlr.to_dense_sym(), &dense) < 1e-6);
     }
@@ -280,7 +307,7 @@ mod tests {
         // which must not deadlock on the nested throwaway pool.
         let tol = CompressionTol::Absolute(1e-2);
         let check = |n: usize, nb: usize| {
-            let tlr = TlrMatrix::from_fn(n, nb, tol, usize::MAX, kernel);
+            let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), kernel);
             let layout = tlr.layout();
             let tile = |i: usize, j: usize| {
                 let (ri, rj) = (layout.tile_start(i), layout.tile_start(j));
@@ -311,15 +338,15 @@ mod tests {
 
     #[test]
     fn looser_tolerance_stores_less() {
-        let loose = TlrMatrix::from_fn(120, 30, CompressionTol::Absolute(1e-1), usize::MAX, kernel);
-        let tight = TlrMatrix::from_fn(120, 30, CompressionTol::Absolute(1e-9), usize::MAX, kernel);
+        let loose = compressed(120, 30, 1e-1);
+        let tight = compressed(120, 30, 1e-9);
         assert!(loose.stored_elements() <= tight.stored_elements());
         assert!(loose.compression_ratio() <= 1.0);
     }
 
     #[test]
     fn element_access_matches_kernel_within_tolerance() {
-        let tlr = TlrMatrix::from_fn(50, 10, CompressionTol::Absolute(1e-10), usize::MAX, kernel);
+        let tlr = compressed(50, 10, 1e-10);
         for &(i, j) in &[(0usize, 0usize), (3, 47), (25, 10), (49, 49), (12, 30)] {
             assert!((tlr.get(i, j) - kernel(i.max(j), i.min(j))).abs() < 1e-8);
         }
@@ -327,7 +354,7 @@ mod tests {
 
     #[test]
     fn ragged_edge_dimensions() {
-        let tlr = TlrMatrix::from_fn(55, 16, CompressionTol::Absolute(1e-6), usize::MAX, kernel);
+        let tlr = compressed(55, 16, 1e-6);
         assert_eq!(tlr.num_tiles(), 4);
         assert_eq!(tlr.diag_tile(3).nrows(), 7);
         assert_eq!(tlr.off_tile(3, 0).nrows(), 7);
@@ -337,7 +364,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn off_tile_requires_strictly_lower() {
-        let tlr = TlrMatrix::from_fn(20, 10, CompressionTol::Absolute(1e-3), usize::MAX, kernel);
+        let tlr = compressed(20, 10, 1e-3);
         let _ = tlr.off_tile(0, 0);
     }
 }

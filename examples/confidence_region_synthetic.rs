@@ -6,8 +6,8 @@
 //! ```
 
 use excursion::{
-    correlation_factor_dense, detect_confidence_regions, excursion_set, find_excursion_set,
-    mc_validate, CrdConfig,
+    correlation_factor, detect_confidence_regions, excursion_set, find_excursion_set, mc_validate,
+    CrdConfig,
 };
 use geostat::{
     posterior_update, regular_grid, simulate_field, simulate_observations, CovarianceKernel,
@@ -41,7 +41,7 @@ fn main() {
     let post = posterior_update(&prior_cov, &vec![0.0; n], &obs.indices, &obs.values, 0.5);
 
     // 3. Detect where the field exceeds u = 0.5 with 95% joint confidence.
-    let (factor, sd) = correlation_factor_dense(&post.cov, 96);
+    let (factor, sd) = correlation_factor(&engine, &post.cov, 96, None).expect("SPD");
     let cfg = CrdConfig {
         threshold: 0.5,
         alpha: 0.05,

@@ -8,7 +8,7 @@
 
 use geostat::{regular_grid, CovarianceKernel};
 use mvn_core::{mvn_prob_mc, MvnConfig, MvnEngine, Problem};
-use tlr::CompressionTol;
+use tlr::{CompressionTol, TlrMatrix};
 
 fn main() {
     // 1. A spatial problem: 900 locations on a regular grid with an
@@ -35,8 +35,8 @@ fn main() {
     //    Cholesky as one task graph), then sweep it — one PMVN task per
     //    sample panel.
     let engine = MvnEngine::builder().config(cfg).build().expect("engine");
-    let sigma = kernel.tiled_covariance(&locations, 128, 1e-9);
-    let dense_factor = engine.factor_dense(sigma).expect("SPD");
+    let sigma = TlrMatrix::assemble(n, 128, None, kernel.entry(&locations, 1e-9));
+    let dense_factor = engine.factor(sigma).expect("SPD");
     let dense = engine.solve(&dense_factor, &a, &b);
     println!(
         "dense PMVN : P = {:.6e}  (std error {:.1e}, {} samples)",
@@ -46,10 +46,14 @@ fn main() {
     // 4. TLR path: the covariance is compressed at tolerance 1e-3 before the
     //    factorization (the paper's fast mode). One factor answers a whole
     //    batch of queries in one task graph.
-    let sigma_tlr =
-        kernel.tlr_covariance(&locations, 128, 1e-9, CompressionTol::Absolute(1e-3), 64);
+    let sigma_tlr = TlrMatrix::assemble(
+        n,
+        128,
+        Some((CompressionTol::Absolute(1e-3), 64)),
+        kernel.entry(&locations, 1e-9),
+    );
     let compression_ratio = sigma_tlr.compression_ratio();
-    let factor = engine.factor_tlr(sigma_tlr).expect("SPD");
+    let factor = engine.factor(sigma_tlr).expect("SPD");
     let tlr = engine.solve(&factor, &a, &b);
     println!(
         "TLR   PMVN : P = {:.6e}  (std error {:.1e}, compression ratio {:.2})",
@@ -70,9 +74,7 @@ fn main() {
     // 5. Naive Monte-Carlo baseline for comparison (impractical in truly high
     //    dimensions, which is the paper's motivation for the SOV algorithm).
     //    It samples x = L·z, so it reuses the dense factor of step 3.
-    let l = dense_factor
-        .tiled()
-        .expect("factor_dense returns a tiled factor");
+    let l = dense_factor.tiled().expect("a Cholesky factor is tiled");
     let mc = mvn_prob_mc(l, &a, &b, &MvnConfig::with_samples(200_000));
     println!(
         "naive MC   : P = {:.6e}  (std error {:.1e}, {} samples)",

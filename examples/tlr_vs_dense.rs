@@ -11,7 +11,7 @@ use distsim::{pmvn_task_graph, simulate, ClusterSpec, FactorKind, ProblemSpec};
 use geostat::{regular_grid, CovarianceKernel};
 use mvn_core::{MvnConfig, MvnEngine};
 use std::time::Instant;
-use tlr::{CompressionTol, RankStats};
+use tlr::{CompressionTol, RankStats, TlrMatrix};
 
 fn main() {
     let locations = regular_grid(32, 32);
@@ -27,8 +27,8 @@ fn main() {
 
     // Dense reference.
     let t = Instant::now();
-    let sigma = kernel.tiled_covariance(&locations, nb, 1e-9);
-    let dense = engine.solve(&engine.factor_dense(sigma).unwrap(), &a, &b);
+    let sigma = TlrMatrix::assemble(n, nb, None, kernel.entry(&locations, 1e-9));
+    let dense = engine.solve(&engine.factor(sigma).unwrap(), &a, &b);
     let t_dense = t.elapsed().as_secs_f64();
     println!(
         "dense      : P = {:.6e}   total {:.2}s",
@@ -40,13 +40,16 @@ fn main() {
     let mut fig5 = None;
     for tol in [1e-1, 1e-2, 1e-3, 1e-5] {
         let t = Instant::now();
-        let sigma =
-            kernel.tlr_covariance(&locations, nb, 1e-9, CompressionTol::Absolute(tol), nb / 2);
-        let factor = engine.factor_tlr(sigma).unwrap();
+        let sigma = TlrMatrix::assemble(
+            n,
+            nb,
+            Some((CompressionTol::Absolute(tol), nb / 2)),
+            kernel.entry(&locations, 1e-9),
+        );
+        let factor = engine.factor(sigma).unwrap();
         let r = engine.solve(&factor, &a, &b);
         let secs = t.elapsed().as_secs_f64();
-        let ranks =
-            RankStats::from_matrix(factor.tiled().expect("factor_tlr returns a tiled factor"));
+        let ranks = RankStats::from_matrix(factor.tiled().expect("a Cholesky factor is tiled"));
         println!(
             "  {tol:7.0e}   {:.6e}   {:.3e}        {secs:7.2}    {:6.1}",
             r.prob,

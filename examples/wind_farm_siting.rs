@@ -7,10 +7,7 @@
 //! cargo run --release --example wind_farm_siting
 //! ```
 
-use excursion::{
-    correlation_factor_dense, correlation_factor_tlr, detect_confidence_regions, excursion_set,
-    CrdConfig,
-};
+use excursion::{correlation_factor, detect_confidence_regions, excursion_set, CrdConfig};
 use geostat::{default_fluctuation_params, fit_matern, synthetic_wind_dataset, MaternParams};
 use mvn_core::{MvnConfig, MvnEngine};
 use tlr::CompressionTol;
@@ -59,11 +56,12 @@ fn main() {
         mvn: MvnConfig::with_samples(3_000),
     };
 
-    let (dense_factor, csd) = correlation_factor_dense(&cov, 88);
+    let (dense_factor, csd) = correlation_factor(&engine, &cov, 88, None).expect("SPD");
     let dense = detect_confidence_regions(&engine, &dense_factor, &std_vals, &csd, &cfg);
     let dense_region = excursion_set(&dense, cfg.alpha);
 
-    let (tlr_factor, _) = correlation_factor_tlr(&cov, 88, CompressionTol::Absolute(1e-4), 44);
+    let compression = Some((CompressionTol::Absolute(1e-4), 44));
+    let (tlr_factor, _) = correlation_factor(&engine, &cov, 88, compression).expect("SPD");
     let tlr = detect_confidence_regions(&engine, &tlr_factor, &std_vals, &csd, &cfg);
     let tlr_region = excursion_set(&tlr, cfg.alpha);
 

@@ -7,13 +7,15 @@
 //! * [`qmc`] — quasi-Monte-Carlo point sets and RNG streams,
 //! * [`task_runtime`] — the sequential-task-flow runtime (dependency-inferred
 //!   task graphs, the one worker pool, typed tile store),
-//! * [`tile_la`] — tiled dense linear algebra and the tiled Cholesky,
-//! * [`tlr`] — tile-low-rank compression and the TLR Cholesky,
+//! * [`tile_la`] — tiled dense linear algebra: tile kernels and the tiled
+//!   Cholesky's task order and dense step,
+//! * [`tlr`] — the one tiled matrix, dense or tile low-rank: its assembly
+//!   ([`tlr::TlrMatrix::assemble`]) and its Cholesky,
 //! * [`geostat`] — covariance models, field simulation, posterior, MLE, wind data,
 //! * [`mvn_core`] — the SOV / PMVN probability algorithms behind one solver
-//!   session, [`mvn_core::MvnEngine`] (factor once with
-//!   [`mvn_core::MvnEngine::factor_dense`], then
-//!   [`mvn_core::MvnEngine::solve`] against the factor),
+//!   session, [`mvn_core::MvnEngine`] (factor an assembled matrix once with
+//!   [`mvn_core::MvnEngine::factor`], then [`mvn_core::MvnEngine::solve`]
+//!   against the factor),
 //! * [`excursion`] — confidence-region detection and MC validation,
 //! * [`distsim`] — the distributed-memory performance model,
 //! * [`wire`] — the shared bit-exact JSON/f64 wire layer,

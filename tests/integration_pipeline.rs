@@ -2,14 +2,14 @@
 //! vs. TLR agreement, and the MVN estimators against each other.
 
 use excursion::{
-    correlation_factor_dense, correlation_factor_tlr, detect_confidence_regions, excursion_set,
-    find_excursion_set, mc_validate, CrdConfig,
+    correlation_factor, detect_confidence_regions, excursion_set, find_excursion_set, mc_validate,
+    CrdConfig,
 };
 use geostat::{
     posterior_update, regular_grid, simulate_field, simulate_observations, CovarianceKernel,
 };
 use mvn_core::{mvn_prob_genz, mvn_prob_mc, MvnConfig, MvnEngine};
-use tlr::CompressionTol;
+use tlr::{CompressionTol, TlrMatrix};
 
 fn medium_kernel() -> CovarianceKernel {
     CovarianceKernel::Exponential {
@@ -33,15 +33,25 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
 
     let engine = MvnEngine::with_config(cfg).unwrap();
     let dense = engine
-        .factor_dense(kernel.tiled_covariance(&locations, 36, 1e-9))
+        .factor(TlrMatrix::assemble(
+            n,
+            36,
+            None,
+            kernel.entry(&locations, 1e-9),
+        ))
         .unwrap();
     let p_dense = engine.solve(&dense, &a, &b);
 
-    let dense = dense.tiled().expect("factor_dense returns a tiled factor");
+    let dense = dense.tiled().expect("a Cholesky factor is tiled");
     let p_genz = mvn_prob_genz(&dense.to_dense_lower(), &a, &b, &cfg);
 
-    let tlr = kernel.tlr_covariance(&locations, 36, 1e-9, CompressionTol::Absolute(1e-6), 18);
-    let p_tlr = engine.solve(&engine.factor_tlr(tlr).unwrap(), &a, &b);
+    let tlr = TlrMatrix::assemble(
+        n,
+        36,
+        Some((CompressionTol::Absolute(1e-6), 18)),
+        kernel.entry(&locations, 1e-9),
+    );
+    let p_tlr = engine.solve(&engine.factor(tlr).unwrap(), &a, &b);
 
     let p_mc = mvn_prob_mc(dense, &a, &b, &MvnConfig::with_samples(400_000));
 
@@ -79,7 +89,7 @@ fn end_to_end_confidence_region_pipeline_with_posterior_and_validation() {
     let prior = kernel.dense_covariance(&locations, 1e-9);
     let post = posterior_update(&prior, &vec![0.0; n], &obs.indices, &obs.values, 0.5);
 
-    let (factor, sd) = correlation_factor_dense(&post.cov, 49);
+    let (factor, sd) = correlation_factor(&engine, &post.cov, 49, None).unwrap();
     let cfg = CrdConfig {
         threshold: 0.4,
         alpha: 0.1,
@@ -124,15 +134,16 @@ fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
     let cov = kernel.dense_covariance(&locations, 1e-9);
     let mean: Vec<f64> = locations.iter().map(|l| 1.0 - 1.5 * l.x).collect();
 
-    let (fd, sd) = correlation_factor_dense(&cov, 48);
-    let (ft, _) = correlation_factor_tlr(&cov, 48, CompressionTol::Absolute(1e-3), 24);
+    let engine = MvnEngine::builder().workers(2).build().unwrap();
+    let (fd, sd) = correlation_factor(&engine, &cov, 48, None).unwrap();
+    let compression = Some((CompressionTol::Absolute(1e-3), 24));
+    let (ft, _) = correlation_factor(&engine, &cov, 48, compression).unwrap();
     let cfg = CrdConfig {
         threshold: 0.0,
         alpha: 0.05,
         levels: 12,
         mvn: MvnConfig::with_samples(4_000),
     };
-    let engine = MvnEngine::builder().workers(2).build().unwrap();
     let rd = detect_confidence_regions(&engine, &fd, &mean, &sd, &cfg);
     let rt = detect_confidence_regions(&engine, &ft, &mean, &sd, &cfg);
     let max_diff = rd
@@ -172,14 +183,24 @@ fn one_engine_session_carries_factorization_solves_and_batches() {
 
     let engine = MvnEngine::builder().workers(2).config(cfg).build().unwrap();
     let factor = engine
-        .factor_dense(kernel.tiled_covariance(&locations, 25, 1e-9))
+        .factor(TlrMatrix::assemble(
+            n,
+            25,
+            None,
+            kernel.entry(&locations, 1e-9),
+        ))
         .unwrap();
 
     // Independent reference session: its own (inline, one-worker) pool and
     // its own factorization.
     let reference = MvnEngine::builder().workers(1).config(cfg).build().unwrap();
     let reference_factor = reference
-        .factor_dense(kernel.tiled_covariance(&locations, 25, 1e-9))
+        .factor(TlrMatrix::assemble(
+            n,
+            25,
+            None,
+            kernel.entry(&locations, 1e-9),
+        ))
         .unwrap();
 
     let thresholds = [-0.5, -0.2, 0.0, 0.3];

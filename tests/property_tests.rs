@@ -8,7 +8,7 @@ use mathx::{norm_cdf, norm_quantile};
 use mvn_core::{MvnConfig, MvnEngine};
 use qmc::Xoshiro256pp;
 use task_runtime::WorkerPool;
-use tile_la::{max_abs_diff, DenseMatrix, SymTileMatrix};
+use tile_la::{max_abs_diff, DenseMatrix};
 use tlr::{compress_dense, lr_add_recompress, potrf_tlr, CompressionTol, TlrMatrix};
 
 /// Deterministic case driver over the workspace RNG.
@@ -70,7 +70,7 @@ fn tiled_cholesky_reconstructs() {
             let d = (i as f64 - j as f64).abs();
             (-d / range).exp() + if i == j { 0.05 } else { 0.0 }
         };
-        let mut a = TlrMatrix::from(SymTileMatrix::from_fn(n, nb, f));
+        let mut a = TlrMatrix::assemble(n, nb, None, f);
         potrf_tlr(&mut a, &WorkerPool::new(1)).unwrap();
         let l = a.to_dense_lower();
         let rec = l.matmul_nt(&l);
@@ -141,9 +141,7 @@ fn mvn_probability_monotone_in_the_box() {
             ..Default::default()
         })
         .unwrap();
-        let l = engine
-            .factor_dense(SymTileMatrix::from_fn(n, 4, f))
-            .unwrap();
+        let l = engine.factor(TlrMatrix::assemble(n, 4, None, f)).unwrap();
         let b = vec![f64::INFINITY; n];
         let p_small = engine.solve(&l, &vec![lower + 0.5; n], &b).prob;
         let p_large = engine.solve(&l, &vec![lower; n], &b).prob;
@@ -171,9 +169,7 @@ fn joint_probability_never_exceeds_smallest_marginal() {
             ..Default::default()
         })
         .unwrap();
-        let l = engine
-            .factor_dense(SymTileMatrix::from_fn(n, 3, f))
-            .unwrap();
+        let l = engine.factor(TlrMatrix::assemble(n, 3, None, f)).unwrap();
         let a = vec![u; n];
         let b = vec![f64::INFINITY; n];
         let joint = engine.solve(&l, &a, &b).prob;
