@@ -41,11 +41,11 @@ use std::time::{Duration, Instant};
 
 use mvn_core::{combine_panel_results, validate_limits, MvnConfig, MvnResult};
 use tile_la::SymTileMatrix;
-use tlr::{Tile, TlrMatrix};
+use tlr::TlrMatrix;
 use wire::{read_msg, write_msg};
 
 use crate::faults::{FaultPlan, FAULTS_ENV};
-use crate::plan::{owned_panels, owned_tiles, TileId};
+use crate::plan::{owned_panels, owned_tiles};
 use crate::proto::{self, EpochMsg, ProblemMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
 use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
 use distsim::ProcessGrid;
@@ -197,7 +197,8 @@ pub struct DistReport {
     pub nodes: usize,
     /// Wall time of the full solve (spawn through gather).
     pub wall: Duration,
-    /// Total tile-payload bytes shipped between workers.
+    /// Total bytes of tile replies workers read off peer sockets (header
+    /// lines plus raw blocks: 8 bytes an entry).
     pub comm_bytes: u64,
     /// Total remote tile fetches across all workers.
     pub fetches: u64,
@@ -239,14 +240,6 @@ pub fn solve_dense(
     dist: &DistConfig,
 ) -> Result<DistReport, DistError> {
     solve(&TlrMatrix::from(sigma.clone()), a, b, cfg, dist)
-}
-
-/// The initial tiles of `sigma` that `rank` owns, as shipped to its
-/// process.
-fn initial_tiles(sigma: &TlrMatrix, grid: &ProcessGrid, rank: usize) -> Vec<(TileId, Tile)> {
-    (owned_tiles(grid, sigma.layout(), rank).into_iter())
-        .map(|(i, j)| ((i, j), sigma.tile(i, j).clone()))
-        .collect()
 }
 
 /// Kills every still-running child on drop, so any early return tears the
@@ -368,8 +361,11 @@ fn accept_hello(
     listener: &TcpListener,
     deadline: Instant,
 ) -> Result<Option<(BufReader<TcpStream>, TcpStream, String)>, DistError> {
-    match listener.accept() {
-        Ok((stream, _)) => {
+    match listener
+        .accept()
+        .and_then(|(stream, _)| proto::link(stream))
+    {
+        Ok(stream) => {
             stream
                 .set_nonblocking(false)
                 .map_err(|e| DistError::Handshake(e.to_string()))?;
@@ -530,19 +526,26 @@ pub fn solve(
     let assigned: Vec<Vec<usize>> = (0..dist.nodes)
         .map(|r| owned_panels(r, dist.nodes, n_panels))
         .collect();
-    let mut epoch = 0u64;
-    for (rank, (_, writer)) in conns.iter_mut().enumerate() {
+    // Every incarnation of a rank gets the rank's initial tiles and the
+    // panels it still owes.
+    let send_setup = |writer: &TcpStream, rank, epoch, peers: &[String], panels: &[usize]| {
         let setup = SetupMsg {
             rank,
             nodes: dist.nodes,
             epoch,
-            peers: peers.clone(),
-            panels: assigned[rank].clone(),
+            peers: peers.to_vec(),
+            panels: panels.to_vec(),
             problem: problem.clone(),
-            tiles: initial_tiles(sigma, &grid, rank),
+            tiles: (owned_tiles(&grid, layout, rank).into_iter())
+                .map(|(i, j)| ((i, j), sigma.tile(i, j).clone()))
+                .collect(),
         };
-        write_msg(writer, &proto::setup_to_json(&setup))
-            .map_err(|e| DistError::Handshake(format!("sending setup to rank {rank}: {e}")))?;
+        proto::write_setup(writer, &setup)
+            .map_err(|e| DistError::Handshake(format!("sending setup to rank {rank}: {e}")))
+    };
+    let mut epoch = 0u64;
+    for (rank, (_, writer)) in conns.iter().enumerate() {
+        send_setup(writer, rank, epoch, &peers, &assigned[rank])?;
     }
 
     // Supervision: reader threads feed a channel; the main loop applies the
@@ -594,26 +597,12 @@ pub fn solve(
 
         // Complete pending respawn handshakes.
         if !pending_respawn.is_empty() {
-            if let Some((reader, mut writer, peer)) = accept_hello(&listener, deadline)? {
+            if let Some((reader, writer, peer)) = accept_hello(&listener, deadline)? {
                 let r = pending_respawn.pop_front().unwrap();
                 incarnation[r] += 1;
                 peers[r] = peer;
-                let setup = SetupMsg {
-                    rank: r,
-                    nodes: dist.nodes,
-                    epoch,
-                    peers: peers.clone(),
-                    panels: if rank_done[r] {
-                        Vec::new()
-                    } else {
-                        assigned[r].clone()
-                    },
-                    problem: problem.clone(),
-                    tiles: initial_tiles(sigma, &grid, r),
-                };
-                write_msg(&mut writer, &proto::setup_to_json(&setup)).map_err(|e| {
-                    DistError::Handshake(format!("sending setup to respawned rank {r}: {e}"))
-                })?;
+                let owed: &[usize] = if rank_done[r] { &[] } else { &assigned[r] };
+                send_setup(&writer, r, epoch, &peers, owed)?;
                 spawn_reader(reader, r, incarnation[r], tx.clone());
                 writers[r] = Some(writer);
                 // Everyone else learns the new address of r.

@@ -1,15 +1,15 @@
-//! The coordinator↔worker and worker↔worker message vocabulary, encoded with
-//! the shared bit-exact JSON layer ([`wire`]).
+//! The coordinator↔worker and worker↔worker message vocabulary, over the
+//! shared wire layer ([`wire`]), on sockets made by [`link`] (Nagle off).
 //!
-//! Everything numeric that must survive the trip bit-for-bit (`f64` tile
-//! entries, integration limits, panel means) rides the shortest-roundtrip
-//! `f64` rendering; `u64` seeds travel as decimal strings because a JSON
-//! number is an `f64` and cannot hold every 64-bit seed exactly. Non-finite
-//! limits use the serving layer's convention: `null` means `-inf` in `a` and
-//! `+inf` in `b` (and the renderer already maps non-finite numbers to
-//! `null`, so encoding is automatic).
-//!
-//! Message shapes (one JSON document per line, see [`wire::frame`]):
+//! Control messages are JSON lines. Limits and panel means ride the
+//! shortest-roundtrip `f64` rendering, so they survive bit-for-bit; `u64`
+//! seeds travel as decimal strings (a JSON number is an `f64`); `null` means
+//! `-inf` in `a` and `+inf` in `b` (the renderer maps non-finite numbers to
+//! `null`). Tile values follow their line as raw `f64` blocks
+//! ([`wire::write_frame`]): 8 bytes an entry, the bits themselves. A tile
+//! header is `{"tile":[i,j],"r":rows,"c":cols}` for a dense tile (one
+//! column-major block) or `{"tile":[i,j],"u":[rows,k],"v":[cols,k]}` for a
+//! low-rank `U·Vᵀ` (blocks `U`, then `V`).
 //!
 //! * worker → coordinator: `{"type":"hello","listen":addr}` then one
 //!   `{"type":"done","panels":[[p,mean,count],..],"comm_bytes":..,
@@ -18,15 +18,13 @@
 //!   `"trace":[..]` event list when tracing is enabled) or
 //!   `{"type":"error","kind":..,..}`.
 //! * coordinator → worker: `{"type":"setup",..}` with the rank, epoch, the
-//!   peer address table, the problem, the panel assignment and the rank's
-//!   owned initial tiles; then, possibly, `{"type":"epoch",..}` (the new
-//!   peer address table after a lost rank was respawned); finally
-//!   `{"type":"shutdown"}`.
-//! * worker → worker (tile transport): `{"get":[i,j]}` answered by
-//!   `{"tile":..}` — dense tiles as `{"r":rows,"c":cols,"d":[..]}`
-//!   (column-major), low-rank tiles as `{"u":..,"v":..}` — or by
-//!   `{"err":reason}` when the serving side cannot serve that tile (the
-//!   fetcher re-resolves its route and retries).
+//!   peer address table, the problem, the panel assignment and the headers
+//!   of the rank's owned initial tiles, their blocks following in order;
+//!   then, possibly, `{"type":"epoch",..}` (the new peer address table after
+//!   a lost rank was respawned); finally `{"type":"shutdown"}`.
+//! * worker → worker (tile transport): `{"get":[i,j]}` answered by the
+//!   tile's header and blocks, or by `{"err":reason}` when the serving side
+//!   cannot serve that tile (the fetcher re-resolves its route and retries).
 //!
 //! **Epochs.** Every recovery increments the cluster epoch, and the epoch
 //! message carries it so a worker only ever moves its view forward. Stale
@@ -36,11 +34,17 @@
 //! reproduces it bit for bit, so a "stale" tile frame is still the right
 //! answer.
 
+use std::io::{self, BufRead, Read, Write};
+use std::net::TcpStream;
+
 use crate::plan::TileId;
 use qmc::SampleKind;
 use tile_la::DenseMatrix;
 use tlr::{CompressionTol, LowRankBlock, Tile};
-use wire::{parse_limits, Json};
+use wire::{
+    parse_limits, read_block_bounded, read_msg, read_msg_bounded, write_frame, Json,
+    MAX_FRAME_BYTES,
+};
 
 /// The problem statement each worker receives (everything needed to replay
 /// its share of the factor+sweep pipeline deterministically).
@@ -103,7 +107,8 @@ pub struct SetupMsg {
 pub struct DoneMsg {
     /// `(panel index, panel probability mean, live-chain count)` triples.
     pub panels: Vec<(usize, f64, usize)>,
-    /// Total bytes of tile payloads fetched from peers.
+    /// Total bytes of tile replies read off peer sockets (header lines plus
+    /// raw blocks).
     pub comm_bytes: u64,
     /// Number of remote tile fetches (each tile crosses each edge once).
     pub fetches: u64,
@@ -203,6 +208,12 @@ fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing/invalid field {key:?}"))
 }
 
+fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    v.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing/invalid field {key:?}"))
+}
+
 /// `{"type":"hello","listen":addr}` — the worker's first message.
 pub fn hello(listen: &str) -> Json {
     obj(vec![
@@ -224,82 +235,93 @@ pub fn shutdown() -> Json {
     obj(vec![("type", Json::Str("shutdown".into()))])
 }
 
-fn dense_to_json(d: &DenseMatrix) -> Json {
-    obj(vec![
-        ("r", num(d.nrows())),
-        ("c", num(d.ncols())),
-        (
-            "d",
-            Json::Arr(d.data().iter().map(|&x| Json::Num(x)).collect()),
-        ),
-    ])
+fn pair((a, b): (usize, usize)) -> Json {
+    Json::Arr(vec![num(a), num(b)])
 }
 
-fn dense_from_json(v: &Json) -> Result<DenseMatrix, String> {
-    let rows = get_usize(v, "r")?;
-    let cols = get_usize(v, "c")?;
-    let data = v
-        .get("d")
-        .and_then(Json::as_arr)
-        .ok_or("missing tile data")?;
-    if data.len() != rows * cols {
+fn get_pair(v: &Json, key: &str) -> Result<(usize, usize), String> {
+    match v.get(key).and_then(Json::as_arr) {
+        Some([a, b]) => a.as_usize().zip(b.as_usize()),
+        _ => None,
+    }
+    .ok_or_else(|| format!("missing/invalid pair {key:?}"))
+}
+
+/// Make `stream` one end of an `mvn-dist` link: Nagle's algorithm off, so a
+/// frame is sent when it is written, not held until the peer ACKs the last
+/// one. Every socket the crate connects or accepts goes through here.
+pub fn link(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// The tile header of `t` as tile `id` (see the module docs).
+fn tile_header(id: TileId, t: &Tile) -> Json {
+    let [a, b] = match t {
+        Tile::Dense(d) => [("r", num(d.nrows())), ("c", num(d.ncols()))],
+        Tile::LowRank(b) => [
+            ("u", pair((b.u.nrows(), b.rank()))),
+            ("v", pair((b.v.nrows(), b.rank()))),
+        ],
+    };
+    obj(vec![("tile", pair(id)), a, b])
+}
+
+/// The blocks that follow `t`'s header.
+fn tile_blocks(t: &Tile) -> Vec<&[f64]> {
+    match t {
+        Tile::Dense(d) => vec![d.data()],
+        Tile::LowRank(b) => vec![b.u.data(), b.v.data()],
+    }
+}
+
+/// Read one `rows × cols` block into a matrix. A shape whose size overflows
+/// is refused before the block is read; a block of another length after.
+fn read_matrix(r: &mut impl Read, (rows, cols): (usize, usize)) -> Result<DenseMatrix, String> {
+    let len = rows
+        .checked_mul(cols)
+        .ok_or_else(|| format!("tile shape {rows}x{cols} overflows"))?;
+    let data = read_block_bounded(r, MAX_FRAME_BYTES).map_err(|e| e.to_string())?;
+    if data.len() != len {
         return Err(format!(
-            "tile data length {} does not match {rows}x{cols}",
+            "tile block of {} values does not match {rows}x{cols}",
             data.len()
         ));
     }
-    let vals = data
-        .iter()
-        .map(|x| x.as_f64().ok_or("non-numeric tile entry"))
-        .collect::<Result<Vec<f64>, _>>()?;
-    Ok(DenseMatrix::from_column_major(rows, cols, vals))
+    Ok(DenseMatrix::from_column_major(rows, cols, data))
 }
 
-/// Encode a tile value (`{"r","c","d"}` dense, `{"u","v"}` low-rank).
-pub fn tile_to_json(t: &Tile) -> Json {
-    match t {
-        Tile::Dense(d) => dense_to_json(d),
-        Tile::LowRank(b) => obj(vec![("u", dense_to_json(&b.u)), ("v", dense_to_json(&b.v))]),
-    }
-}
-
-/// Decode a tile value.
-pub fn tile_from_json(v: &Json) -> Result<Tile, String> {
-    if v.get("u").is_some() {
-        let u = dense_from_json(v.get("u").unwrap())?;
-        let vv = dense_from_json(v.get("v").ok_or("low-rank tile missing v")?)?;
-        if u.ncols() != vv.ncols() {
+/// Read the blocks of the tile `header` describes, returning its id and
+/// the tile.
+fn read_tile_blocks(r: &mut impl Read, header: &Json) -> Result<(TileId, Tile), String> {
+    let tile = if header.get("u").is_some() {
+        let (u, v) = (get_pair(header, "u")?, get_pair(header, "v")?);
+        if u.1 != v.1 {
             return Err("low-rank factors must share the rank dimension".into());
         }
-        Ok(Tile::LowRank(LowRankBlock::new(u, vv)))
+        let u = read_matrix(r, u)?;
+        Tile::LowRank(LowRankBlock::new(u, read_matrix(r, v)?))
     } else {
-        Ok(Tile::Dense(dense_from_json(v)?))
-    }
+        let shape = (get_usize(header, "r")?, get_usize(header, "c")?);
+        Tile::Dense(read_matrix(r, shape)?)
+    };
+    Ok((get_pair(header, "tile")?, tile))
 }
 
 /// `{"get":[i,j]}` — the tile transport request.
 pub fn tile_request(id: TileId) -> Json {
-    obj(vec![("get", Json::Arr(vec![num(id.0), num(id.1)]))])
+    obj(vec![("get", pair(id))])
 }
 
 /// Parse a tile request.
 pub fn parse_tile_request(v: &Json) -> Result<TileId, String> {
-    let arr = v
-        .get("get")
-        .and_then(Json::as_arr)
-        .ok_or("expected a {\"get\":[i,j]} request")?;
-    match arr {
-        [i, j] => Ok((
-            i.as_usize().ok_or("invalid tile row")?,
-            j.as_usize().ok_or("invalid tile column")?,
-        )),
-        _ => Err("tile id must be a pair".into()),
-    }
+    get_pair(v, "get").map_err(|_| "expected a {\"get\":[i,j]} request".into())
 }
 
-/// `{"tile":..}` — the tile transport response.
-pub fn tile_response(t: &Tile) -> Json {
-    obj(vec![("tile", tile_to_json(t))])
+/// Send tile `id` as a tile reply: its header, then its blocks, in one
+/// flush.
+pub fn write_tile<W: Write>(w: W, id: TileId, t: &Tile) -> io::Result<()> {
+    write_frame(w, &tile_header(id, t), &tile_blocks(t))
 }
 
 /// `{"err":reason}` — a tile-serving refusal (a malformed request, or a
@@ -309,12 +331,24 @@ pub fn tile_error(reason: &str) -> Json {
     obj(vec![("err", Json::Str(reason.into()))])
 }
 
-/// Parse a tile response; a `{"err":..}` refusal surfaces as `Err`.
-pub fn parse_tile_response(v: &Json) -> Result<Tile, String> {
-    if let Some(reason) = v.get("err").and_then(Json::as_str) {
+/// Read the reply to a request for tile `id`: the tile and the bytes the
+/// reply took off the socket (header line plus blocks). `Ok(None)` is a
+/// clean close; a `{"err":..}` refusal, a reply for another tile, and a
+/// malformed, oversized or torn frame are `Err`.
+pub fn read_tile(r: &mut impl BufRead, id: TileId) -> Result<Option<(Tile, u64)>, String> {
+    let Some((header, line)) = read_msg_bounded(r, MAX_FRAME_BYTES).map_err(|e| e.to_string())?
+    else {
+        return Ok(None);
+    };
+    if let Some(reason) = header.get("err").and_then(Json::as_str) {
         return Err(format!("peer refused tile: {reason}"));
     }
-    tile_from_json(v.get("tile").ok_or("missing tile payload")?)
+    let (got, tile) = read_tile_blocks(r, &header)?;
+    if got != id {
+        return Err(format!("asked for tile {id:?}, got {got:?}"));
+    }
+    let blocks: usize = tile_blocks(&tile).iter().map(|b| 8 + 8 * b.len()).sum();
+    Ok(Some((tile, (line + blocks) as u64)))
 }
 
 fn sample_kind_str(k: SampleKind) -> &'static str {
@@ -420,13 +454,9 @@ fn usize_arr(xs: &[usize]) -> Json {
 }
 
 fn usize_arr_from(v: &Json, key: &str) -> Result<Vec<usize>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {key}"))?
-        .iter()
+    (get_arr(v, key)?.iter())
         .map(|x| x.as_usize().ok_or_else(|| format!("invalid {key} entry")))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())
+        .collect()
 }
 
 fn peers_to_json(peers: &[String]) -> Json {
@@ -434,41 +464,19 @@ fn peers_to_json(peers: &[String]) -> Json {
 }
 
 fn peers_from(v: &Json) -> Result<Vec<String>, String> {
-    v.get("peers")
-        .and_then(Json::as_arr)
-        .ok_or("missing peers")?
-        .iter()
-        .map(|p| p.as_str().map(str::to_string).ok_or("invalid peer address"))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())
-}
-
-fn tiles_to_json(tiles: &[(TileId, Tile)]) -> Json {
-    Json::Arr(
-        tiles
-            .iter()
-            .map(|((i, j), t)| obj(vec![("i", num(*i)), ("j", num(*j)), ("t", tile_to_json(t))]))
-            .collect(),
-    )
-}
-
-fn tiles_from(v: &Json) -> Result<Vec<(TileId, Tile)>, String> {
-    v.get("tiles")
-        .and_then(Json::as_arr)
-        .ok_or("missing tiles")?
-        .iter()
-        .map(|t| {
-            Ok((
-                (get_usize(t, "i")?, get_usize(t, "j")?),
-                tile_from_json(t.get("t").ok_or("missing tile value")?)?,
-            ))
+    (get_arr(v, "peers")?.iter())
+        .map(|p| {
+            p.as_str()
+                .map(str::to_string)
+                .ok_or("invalid peer address".into())
         })
-        .collect::<Result<Vec<_>, String>>()
+        .collect()
 }
 
-/// Encode the per-rank setup message.
-pub fn setup_to_json(s: &SetupMsg) -> Json {
-    obj(vec![
+/// Send the per-rank setup message: its line, then the initial tiles'
+/// blocks, in one flush.
+pub fn write_setup<W: Write>(w: W, s: &SetupMsg) -> io::Result<()> {
+    let header = obj(vec![
         ("type", Json::Str("setup".into())),
         ("rank", num(s.rank)),
         ("nodes", num(s.nodes)),
@@ -476,23 +484,33 @@ pub fn setup_to_json(s: &SetupMsg) -> Json {
         ("peers", peers_to_json(&s.peers)),
         ("panels", usize_arr(&s.panels)),
         ("problem", problem_to_json(&s.problem)),
-        ("tiles", tiles_to_json(&s.tiles)),
-    ])
+        (
+            "tiles",
+            Json::Arr(s.tiles.iter().map(|(id, t)| tile_header(*id, t)).collect()),
+        ),
+    ]);
+    let blocks: Vec<&[f64]> = s.tiles.iter().flat_map(|(_, t)| tile_blocks(t)).collect();
+    write_frame(w, &header, &blocks)
 }
 
-/// Decode the per-rank setup message.
-pub fn setup_from_json(v: &Json) -> Result<SetupMsg, String> {
-    if get_str(v, "type")? != "setup" {
+/// Read the per-rank setup message.
+pub fn read_setup(r: &mut impl BufRead) -> Result<SetupMsg, String> {
+    let v = read_msg(r)
+        .map_err(|e| e.to_string())?
+        .ok_or("closed before setup")?;
+    if get_str(&v, "type")? != "setup" {
         return Err("expected a setup message".into());
     }
     Ok(SetupMsg {
-        rank: get_usize(v, "rank")?,
-        nodes: get_usize(v, "nodes")?,
-        epoch: get_usize(v, "epoch")? as u64,
-        peers: peers_from(v)?,
-        panels: usize_arr_from(v, "panels")?,
+        rank: get_usize(&v, "rank")?,
+        nodes: get_usize(&v, "nodes")?,
+        epoch: get_usize(&v, "epoch")? as u64,
+        peers: peers_from(&v)?,
+        panels: usize_arr_from(&v, "panels")?,
         problem: problem_from_json(v.get("problem").ok_or("missing problem")?)?,
-        tiles: tiles_from(v)?,
+        tiles: (get_arr(&v, "tiles")?.iter())
+            .map(|h| read_tile_blocks(r, h))
+            .collect::<Result<_, _>>()?,
     })
 }
 
@@ -636,11 +654,7 @@ pub fn worker_msg_to_json(m: &WorkerMsg) -> Json {
 pub fn worker_msg_from_json(v: &Json) -> Result<WorkerMsg, String> {
     match get_str(v, "type")? {
         "done" => {
-            let panels = v
-                .get("panels")
-                .and_then(Json::as_arr)
-                .ok_or("missing panels")?
-                .iter()
+            let panels = (get_arr(v, "panels")?.iter())
                 .map(|p| match p.as_arr() {
                     Some([p, mean, count]) => Ok((
                         p.as_usize().ok_or("invalid panel index")?,
@@ -682,44 +696,124 @@ pub fn worker_msg_from_json(v: &Json) -> Result<WorkerMsg, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    fn roundtrip(id: TileId, t: &Tile) -> (Tile, u64, usize) {
+        let mut bytes = Vec::new();
+        write_tile(&mut bytes, id, t).unwrap();
+        let (back, n) = read_tile(&mut &bytes[..], id).unwrap().unwrap();
+        (back, n, bytes.len())
+    }
+
+    fn same_bits(a: &DenseMatrix, b: &DenseMatrix) -> bool {
+        (a.nrows(), a.ncols()) == (b.nrows(), b.ncols())
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
 
     #[test]
     fn tiles_roundtrip_bitwise() {
-        let d = DenseMatrix::from_fn(3, 2, |i, j| (i as f64 + 0.1) / (j as f64 + 0.3));
-        let t = Tile::Dense(d.clone());
-        let back = tile_from_json(&Json::parse(&tile_to_json(&t).to_string()).unwrap()).unwrap();
-        assert_eq!(back.as_dense().data().len(), d.data().len());
-        for (a, b) in back.as_dense().data().iter().zip(d.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let mut d = DenseMatrix::from_fn(3, 2, |i, j| (i as f64 + 0.1) / (j as f64 + 0.3));
+        d.set(2, 1, f64::from_bits(0x7ff8_0000_0000_abcd)); // NaN payloads survive too
+        let (back, _, _) = roundtrip((1, 0), &Tile::Dense(d.clone()));
+        assert!(same_bits(back.as_dense(), &d));
 
-        let lr = Tile::LowRank(LowRankBlock::new(
+        let lr = LowRankBlock::new(
             DenseMatrix::from_fn(4, 2, |i, j| 1.0 / (1.0 + i as f64 + j as f64)),
             DenseMatrix::from_fn(3, 2, |i, j| (i as f64 - j as f64) * 0.7),
-        ));
-        let back = tile_from_json(&Json::parse(&tile_to_json(&lr).to_string()).unwrap()).unwrap();
-        match (&back, &lr) {
-            (Tile::LowRank(x), Tile::LowRank(y)) => {
-                assert_eq!(x.rank(), y.rank());
-                for (a, b) in x.u.data().iter().zip(y.u.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                for (a, b) in x.v.data().iter().zip(y.v.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
+        );
+        match roundtrip((2, 1), &Tile::LowRank(lr.clone())).0 {
+            Tile::LowRank(x) => assert!(same_bits(&x.u, &lr.u) && same_bits(&x.v, &lr.v)),
             _ => panic!("expected a low-rank tile"),
         }
         // Rank 0 survives too (zero off-diagonal tiles exist in practice).
-        let zero = Tile::LowRank(LowRankBlock::zero(5, 4));
-        let back = tile_from_json(&Json::parse(&tile_to_json(&zero).to_string()).unwrap()).unwrap();
-        match back {
+        match roundtrip((3, 0), &Tile::LowRank(LowRankBlock::zero(5, 4))).0 {
             Tile::LowRank(b) => {
                 assert_eq!(b.rank(), 0);
                 assert_eq!((b.nrows(), b.ncols()), (5, 4));
             }
             _ => panic!("expected a low-rank tile"),
         }
+    }
+
+    #[test]
+    fn tile_reply_bytes_are_the_header_line_plus_8_per_entry() {
+        // `comm_bytes` counts what crossed the socket: the header line, an
+        // 8-byte count per block and 8 bytes per entry.
+        let dense = Tile::Dense(DenseMatrix::identity(10));
+        let line = r#"{"tile":[4.0,2.0],"r":10.0,"c":10.0}"#.len() + 1;
+        assert_eq!(roundtrip((4, 2), &dense).1, (line + 8 + 8 * 100) as u64);
+        let lr = LowRankBlock::new(DenseMatrix::zeros(10, 3), DenseMatrix::zeros(7, 3));
+        let line = r#"{"tile":[4.0,1.0],"u":[10.0,3.0],"v":[7.0,3.0]}"#.len() + 1;
+        let (_, n, sent) = roundtrip((4, 1), &Tile::LowRank(lr));
+        assert_eq!(
+            (n, sent),
+            ((line + 8 + 8 * 30 + 8 + 8 * 21) as u64, line + 424)
+        );
+    }
+
+    #[test]
+    fn hostile_tile_frames_end_in_typed_errors() {
+        let block = |count: u64, values: &[f64]| -> Vec<u8> {
+            let values = values.iter().flat_map(|x| x.to_le_bytes());
+            count.to_le_bytes().into_iter().chain(values).collect()
+        };
+        let four = block(4, &[1.0, 2.0, 3.0, 4.0]);
+        let dense = r#"{"tile":[1,0],"r":2,"c":2}"#;
+        let overflow = format!(r#"{{"tile":[1,0],"r":{},"c":4}}"#, usize::MAX / 2 + 1);
+        let read = |line: &str, blocks: &[u8]| {
+            let frame = [format!("{line}\n").as_bytes(), blocks].concat();
+            read_tile(&mut &frame[..], (1, 0))
+        };
+        assert!(read(dense, &four).is_ok_and(|t| t.is_some()));
+        for (line, blocks, want) in [
+            // A block count over the cap.
+            (dense, block(u64::MAX, &[]), "cap"),
+            (dense, block(MAX_FRAME_BYTES as u64 / 8 + 1, &[]), "cap"),
+            // r·c that overflows, or disagrees with the block count.
+            (overflow.as_str(), four.clone(), "overflows"),
+            (
+                r#"{"tile":[1,0],"r":2,"c":3}"#,
+                four.clone(),
+                "does not match 2x3",
+            ),
+            (
+                r#"{"tile":[1,0],"u":[2,1],"v":[2,2]}"#,
+                four.clone(),
+                "rank",
+            ),
+            // A block torn mid-f64, a header with no block after it, and a
+            // low-rank tile missing its second block.
+            (dense, four[..8 + 8 * 2 + 3].to_vec(), "torn"),
+            (dense, Vec::new(), "torn"),
+            (
+                r#"{"tile":[1,0],"u":[2,1],"v":[2,1]}"#,
+                block(2, &[1.0, 2.0]),
+                "torn",
+            ),
+            // A malformed header, and a reply for another tile.
+            (r#"{"tile":[1,0],"r":2"#, four.clone(), "malformed"),
+            (r#"{"tile":[2,0],"r":2,"c":2}"#, four.clone(), "got (2, 0)"),
+        ] {
+            let err = read(line, &blocks).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        // A torn header line is an error; a clean close between frames is not.
+        assert!(read_tile(&mut &dense.as_bytes()[..9], (1, 0)).is_err());
+        assert!(read_tile(&mut &b""[..], (1, 0)).unwrap().is_none());
+    }
+
+    #[test]
+    fn both_ends_of_a_link_send_without_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = link(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap();
+        let server = link(listener.accept().unwrap().0).unwrap();
+        assert!(client.nodelay().unwrap());
+        assert!(server.nodelay().unwrap());
+        // The cloned halves the crate reads from share the setting.
+        assert!(client.try_clone().unwrap().nodelay().unwrap());
     }
 
     #[test]
@@ -743,10 +837,26 @@ mod tests {
                 workers: 2,
                 deadline_ms: 120_000,
             },
-            tiles: vec![((1, 0), Tile::Dense(DenseMatrix::identity(3)))],
+            tiles: vec![
+                ((1, 0), Tile::Dense(DenseMatrix::identity(3))),
+                (
+                    (2, 1),
+                    Tile::LowRank(LowRankBlock::new(
+                        DenseMatrix::from_fn(3, 1, |i, _| 0.1 * i as f64),
+                        DenseMatrix::from_fn(3, 1, |i, _| -1.0 / (1.0 + i as f64)),
+                    )),
+                ),
+            ],
         };
-        let wire = setup_to_json(&msg).to_string();
-        let back = setup_from_json(&Json::parse(&wire).unwrap()).unwrap();
+        let mut wire = Vec::new();
+        write_setup(&mut wire, &msg).unwrap();
+        wire.extend_from_slice(b"{\"type\":\"shutdown\"}\n");
+        let mut r = &wire[..];
+        let back = read_setup(&mut r).unwrap();
+        assert!(matches!(
+            ctrl_from_json(&read_msg(&mut r).unwrap().unwrap()),
+            Ok(CtrlMsg::Shutdown)
+        ));
         assert_eq!(back.rank, 2);
         assert_eq!(back.nodes, 4);
         assert_eq!(back.epoch, 3);
@@ -758,8 +868,18 @@ mod tests {
         assert_eq!(back.problem.b[1], f64::INFINITY);
         assert_eq!(back.problem.a[1].to_bits(), (-1.25f64).to_bits());
         assert!(matches!(back.problem.compression, Some((_, usize::MAX))));
-        assert_eq!(back.tiles.len(), 1);
+        assert_eq!(back.tiles.len(), 2);
         assert_eq!(back.tiles[0].0, (1, 0));
+        assert!(same_bits(
+            back.tiles[0].1.as_dense(),
+            &DenseMatrix::identity(3)
+        ));
+        match (&back.tiles[1], &msg.tiles[1]) {
+            (((2, 1), Tile::LowRank(x)), (_, Tile::LowRank(y))) => {
+                assert!(same_bits(&x.u, &y.u) && same_bits(&x.v, &y.v))
+            }
+            _ => panic!("expected low-rank tile (2, 1)"),
+        }
     }
 
     #[test]
@@ -875,7 +995,9 @@ mod tests {
         }
 
         // A serving-side refusal surfaces as a typed fetch error.
-        let err = parse_tile_response(&Json::parse(&tile_error("moved").to_string()).unwrap());
+        let mut refusal = Vec::new();
+        wire::write_msg(&mut refusal, &tile_error("moved")).unwrap();
+        let err = read_tile(&mut &refusal[..], (0, 0));
         assert!(err.unwrap_err().contains("moved"));
     }
 }

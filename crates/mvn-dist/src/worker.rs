@@ -28,12 +28,12 @@
 //! per-tile kernel order equals the single-process DAG's. Every step runs
 //! [`tlr::dag::tlr_step`], the step body the engine's `potrf_tlr` runs on
 //! dense and TLR factors alike (this crate calls no kernel itself), on
-//! bit-identical inputs (locally
-//! produced, or shipped with the shortest-roundtrip `f64` encoding). The
-//! sweep then runs the engine's own [`mvn_core::sweep_panel`] against
-//! bit-identical factor tiles with the same deterministic point set, and
-//! panel results depend only on the panel index — not on which node
-//! computes it, nor on whether it was computed before or after a recovery.
+//! bit-identical inputs (locally produced, or shipped as their raw `f64`
+//! bits). The sweep then runs the engine's own [`mvn_core::sweep_panel`]
+//! against bit-identical factor tiles with the same deterministic point
+//! set, and panel results depend only on the panel index — not on which
+//! node computes it, nor on whether it was computed before or after a
+//! recovery.
 //!
 //! ## Recovery behavior
 //!
@@ -61,7 +61,7 @@ use tile_la::dag::{register_tile_handles, FactorStatus};
 use tile_la::TileLayout;
 use tlr::dag::tlr_step;
 use tlr::Tile;
-use wire::{read_msg, write_msg, Json};
+use wire::{read_msg, write_msg};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
 use crate::plan::{rank_slice, TileId};
@@ -247,6 +247,7 @@ impl PeerLinks {
         let attempt = (|| -> Result<Tile, String> {
             if !self.conns.contains_key(addr) {
                 let stream = TcpStream::connect(addr)
+                    .and_then(proto::link)
                     .map_err(|e| format!("connecting to peer {addr}: {e}"))?;
                 let reader = BufReader::new(
                     stream
@@ -261,11 +262,9 @@ impl PeerLinks {
             let (reader, writer) = self.conns.get_mut(addr).unwrap();
             write_msg(writer, &proto::tile_request(id))
                 .map_err(|e| format!("requesting tile {id:?} from {addr}: {e}"))?;
-            let sized = SizedRead::read(reader)
-                .map_err(|e| format!("reading tile {id:?} from {addr}: {e}"))?;
-            let (json, n) = sized.ok_or_else(|| format!("{addr} closed serving tile {id:?}"))?;
-            let tile = proto::parse_tile_response(&json)
-                .map_err(|e| format!("tile {id:?} from {addr}: {e}"))?;
+            let (tile, n) = proto::read_tile(reader, id)
+                .map_err(|e| format!("tile {id:?} from {addr}: {e}"))?
+                .ok_or_else(|| format!("{addr} closed serving tile {id:?}"))?;
             self.stats.comm_bytes += n;
             self.stats.fetches += 1;
             Ok(tile)
@@ -275,20 +274,6 @@ impl PeerLinks {
             self.dirty.insert(addr.to_string());
         }
         attempt
-    }
-}
-
-/// A framed read that also reports the payload byte count (the quantity
-/// `distsim`'s transfer model prices).
-struct SizedRead;
-impl SizedRead {
-    fn read(r: &mut BufReader<TcpStream>) -> std::io::Result<Option<(Json, u64)>> {
-        // Render-length of the parsed document tracks the line length to
-        // within whitespace (the renderer is compact, and so are senders).
-        Ok(read_msg(r)?.map(|json| {
-            let n = json.to_string().len() as u64 + 1;
-            (json, n)
-        }))
     }
 }
 
@@ -378,7 +363,7 @@ fn connect_with_retries(
 ) -> Result<TcpStream, String> {
     let mut last = String::new();
     for attempt in 0..retries.max(1) {
-        match TcpStream::connect(addr) {
+        match TcpStream::connect(addr).and_then(proto::link) {
             Ok(s) => return Ok(s),
             Err(e) => last = e.to_string(),
         }
@@ -423,16 +408,14 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
 
     write_msg(&mut coord_writer, &proto::hello(&listen_addr))
         .map_err(|e| format!("sending hello: {e}"))?;
-    let setup = read_msg(&mut coord_reader)
-        .map_err(|e| format!("reading setup: {e}"))?
-        .ok_or("coordinator closed before setup")?;
-    let setup = proto::setup_from_json(&setup)?;
+    let mut setup = proto::read_setup(&mut coord_reader)
+        .map_err(|e| format!("reading setup from the coordinator: {e}"))?;
 
     let layout = TileLayout::new(setup.problem.n, setup.problem.nb);
     let nt = layout.num_tiles();
     let store = DistStore::new((0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))));
-    for (id, tile) in &setup.tiles {
-        store.insert_initial(*id, tile.clone());
+    for (id, tile) in std::mem::take(&mut setup.tiles) {
+        store.insert_initial(id, tile);
     }
     let injector = FaultInjector::from_env(setup.rank, CRASH_EXIT_CODE)?;
     let ctx = Arc::new(WorkerCtx {
@@ -672,13 +655,17 @@ fn sweep_assigned(
 }
 
 /// Accept loop of the tile server: one thread per peer connection, each
-/// answering sequential `{"get":[i,j]}` requests with finalized tiles.
+/// answering sequential `{"get":[i,j]}` requests with finalized tiles (a
+/// tile header and its raw blocks, see [`proto::write_tile`]).
 /// A request for a tile this rank does not own is *refused* (`{"err":..}`)
 /// instead of waited on — the requester re-resolves its route and retries,
 /// so a stale route never hangs either side.
 fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { return };
+        let Ok(stream) = proto::link(stream) else {
+            continue;
+        };
         let ctx = Arc::clone(&ctx);
         std::thread::spawn(move || {
             let Ok(peer_read) = stream.try_clone() else {
@@ -705,27 +692,26 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
                 };
                 let nt = ctx.layout.num_tiles();
                 let owner = ctx.grid.owner(id.0, id.1);
-                let response = if id.1 > id.0 || id.0 >= nt {
+                let sent = if id.1 > id.0 || id.0 >= nt {
                     // No such tile: refuse it and keep the connection.
-                    proto::tile_error(&format!(
-                        "tile {id:?} is outside the lower triangle of {nt} x {nt} tiles"
-                    ))
+                    let reason =
+                        format!("tile {id:?} is outside the lower triangle of {nt} x {nt} tiles");
+                    write_msg(&mut writer, &proto::tile_error(&reason))
                 } else if owner != ctx.rank {
-                    proto::tile_error(&format!(
-                        "rank {} does not own tile {id:?} (owner {owner})",
-                        ctx.rank
-                    ))
+                    let reason =
+                        format!("rank {} does not own tile {id:?} (owner {owner})", ctx.rank);
+                    write_msg(&mut writer, &proto::tile_error(&reason))
                 } else {
                     loop {
                         if let Some(tile) = ctx.store.wait_final_timeout(id, SERVE_WAIT_SLICE) {
-                            break proto::tile_response(&tile);
+                            break proto::write_tile(&writer, id, &tile);
                         }
                         if ctx.shutdown.load(Ordering::SeqCst) {
                             return;
                         }
                     }
                 };
-                if write_msg(&mut writer, &response).is_err() {
+                if sent.is_err() {
                     return;
                 }
                 ctx.serve_ns
@@ -746,6 +732,7 @@ mod tests {
     use crate::proto::{ProblemMsg, SetupMsg};
     use qmc::SampleKind;
     use tile_la::DenseMatrix;
+    use wire::Json;
 
     #[test]
     fn tile_server_refuses_ids_outside_the_layout_and_keeps_serving() {
@@ -797,7 +784,7 @@ mod tests {
             },
             tiles: vec![((0, 0), tile(0, 0)), ((1, 0), tile(1, 0))],
         };
-        write_msg(&mut coord_writer, &proto::setup_to_json(&setup)).unwrap();
+        proto::write_setup(&coord_writer, &setup).unwrap();
         let done = read_msg(&mut coord_reader).unwrap().unwrap();
         assert!(matches!(
             proto::worker_msg_from_json(&done),
@@ -809,16 +796,17 @@ mod tests {
             .unwrap();
         let mut peer_reader = BufReader::new(peer.try_clone().unwrap());
         let mut peer_writer = peer;
-        let mut send = |request: Json| {
+        let mut send = |request: Json, id: TileId| {
             write_msg(&mut peer_writer, &request).unwrap();
-            let reply = read_msg(&mut peer_reader)
-                .unwrap()
-                .unwrap_or_else(|| panic!("the tile server hung up on {request}"));
-            proto::parse_tile_response(&reply)
+            proto::read_tile(&mut peer_reader, id).map(|reply| {
+                reply
+                    .unwrap_or_else(|| panic!("the tile server hung up on {request}"))
+                    .0
+            })
         };
-        let err = send(Json::parse(r#"{"get":"x"}"#).unwrap()).unwrap_err();
+        let err = send(Json::parse(r#"{"get":"x"}"#).unwrap(), (0, 0)).unwrap_err();
         assert!(err.contains("expected a {\"get\""), "{err}");
-        let mut get = |id: TileId| send(proto::tile_request(id));
+        let mut get = |id: TileId| send(proto::tile_request(id), id);
         for bad in [(2, 0), (0, 1)] {
             let err = get(bad).unwrap_err();
             assert!(err.contains("outside the lower triangle"), "{bad:?}: {err}");

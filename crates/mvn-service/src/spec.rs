@@ -256,6 +256,7 @@ impl CovSpec {
     /// [`excursion::correlation_entry`] over the kernel's entries, with the
     /// standard deviations read off their diagonal — what
     /// [`excursion::correlation_factor`] assembles from the dense covariance.
+    /// A Vecchia spec conditions on those same entries.
     pub fn build_factor(&self, engine: &MvnEngine) -> Result<Factor, String> {
         assert!(
             self.tile_size > 0 && !self.locations.is_empty(),
@@ -263,30 +264,6 @@ impl CovSpec {
         );
         let n = self.n();
         let cov = self.kernel.entry(&self.locations, self.nugget);
-        if let FactorKind::Vecchia { m } = self.kind {
-            // The Vecchia backend never assembles a matrix: the plan is pure
-            // geometry and the conditioning solves pull covariance entries on
-            // demand. Standardization divides by the constant stationary
-            // variance (the same √(C(0)+nugget) the other paths use), with
-            // the library's diagonal jitter.
-            let plan = self.vecchia_plan(m)?;
-            let factored = if self.standardize {
-                let sd2 = self.kernel.cov(0.0) + self.nugget;
-                engine.factor_vecchia(
-                    plan,
-                    move |i, j| {
-                        if i == j {
-                            1.0 + 1e-10
-                        } else {
-                            cov(i, j) / sd2
-                        }
-                    },
-                )
-            } else {
-                engine.factor_vecchia(plan, cov)
-            };
-            return factored.map_err(|e| e.to_string());
-        }
         let sd: Vec<f64>;
         let corr;
         let entry: &(dyn Fn(usize, usize) -> f64 + Sync) = if self.standardize {
@@ -296,6 +273,15 @@ impl CovSpec {
         } else {
             &cov
         };
+        if let FactorKind::Vecchia { m } = self.kind {
+            // The Vecchia backend never assembles a matrix: the plan is pure
+            // geometry and the conditioning solves pull the same entries on
+            // demand.
+            let plan = self.vecchia_plan(m)?;
+            return engine
+                .factor_vecchia(plan, entry)
+                .map_err(|e| e.to_string());
+        }
         let sigma = TlrMatrix::assemble(n, self.tile_size, self.compression(), entry);
         engine.factor(sigma).map_err(|e| e.to_string())
     }
@@ -434,8 +420,8 @@ mod tests {
     #[test]
     fn built_vecchia_factor_matches_the_cov_loc_entries_bitwise() {
         // A Vecchia spec pulls its entries from `cov_loc` (plus the nugget on
-        // the diagonal), or divides them by `C(0) + nugget` when
-        // standardized.
+        // the diagonal), or, standardized, divides them by `sdᵢ·sdⱼ` like
+        // every other standardized spec.
         let engine = MvnEngine::builder().workers(2).build().unwrap();
         let base = CovSpec::vecchia(
             regular_grid(6, 6),
@@ -450,14 +436,16 @@ mod tests {
         );
         for spec in [base.clone(), base.standardized()] {
             let (locs, kernel, nugget) = (&spec.locations, spec.kernel, spec.nugget);
-            let sd2 = kernel.cov(0.0) + nugget;
+            let sd: Vec<f64> = (locs.iter())
+                .map(|x| (kernel.cov_loc(x, x) + nugget).sqrt())
+                .collect();
             let entry = |i: usize, j: usize| {
                 let c = kernel.cov_loc(&locs[i], &locs[j]);
                 match (spec.standardize, i == j) {
                     (false, true) => c + nugget,
                     (false, false) => c,
                     (true, true) => 1.0 + 1e-10,
-                    (true, false) => c / sd2,
+                    (true, false) => c / (sd[i] * sd[j]),
                 }
             };
             let plan = spec.vecchia_plan(5).unwrap();

@@ -335,7 +335,9 @@ impl fmt::Display for Json {
     }
 }
 
-fn render(v: &Json, out: &mut String) {
+/// Append `v`'s compact rendering (the [`Display`](fmt::Display) form) to
+/// `out`.
+pub(crate) fn render(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),

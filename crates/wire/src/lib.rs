@@ -13,11 +13,15 @@
 //!   parsing), and [`parse_limits`], the one decoder of the `null`-as-∞
 //!   limit arrays both protocols carry.
 //! * [`frame`] — one-JSON-document-per-line framing over any
-//!   `Read`/`Write` pair, shared by the tile transport and usable by any
-//!   future peer protocol.
+//!   `Read`/`Write` pair, plus raw little-endian `f64` blocks after a line:
+//!   `mvn-dist` sends its control messages as lines and its tiles as a
+//!   shape line followed by blocks, so tile values travel as their raw bits.
 
 pub mod frame;
 pub mod json;
 
-pub use frame::{read_msg, read_msg_bounded, write_msg, FrameError, MAX_FRAME_BYTES};
+pub use frame::{
+    read_block_bounded, read_msg, read_msg_bounded, write_frame, write_msg, FrameError,
+    MAX_FRAME_BYTES,
+};
 pub use json::{parse_limits, Json};
