@@ -232,10 +232,16 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
     for (tid, stack) in &stacks {
         assert!(stack.is_empty(), "tid {tid}: unclosed spans {stack:?}");
     }
+    // Every off-diagonal tile of a dense factor is dense.
+    let nt = N.div_ceil(NB) as u64;
+    let factor_args = [
+        ("n", N as u64),
+        ("nb", NB as u64),
+        ("dense_tiles", nt * (nt - 1) / 2),
+    ];
     assert!(
-        (events.iter())
-            .any(|e| e.label == "engine_factor" && e.args().iter().map(|a| a.0).eq(["n", "nb"])),
-        "the engine factorization span must be present, with args n and nb"
+        (events.iter()).any(|e| e.label == "engine_factor" && e.args() == factor_args),
+        "the engine factorization span must be present, with args n, nb and dense_tiles"
     );
 
     // The export must be JSON a trace viewer accepts: a traceEvents array

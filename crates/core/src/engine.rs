@@ -588,12 +588,24 @@ impl MvnEngine {
     /// returning a reusable [`Factor`]: dense or TLR, whichever way
     /// [`TlrMatrix::assemble`] built it. Its dense steps are
     /// [`tile_la::dag::dense_step`] in plan order.
+    ///
+    /// Traced, it records one `engine_factor` span with args `n`, `nb` and
+    /// `dense_tiles`, the factor's dense off-diagonal tiles (all of them for
+    /// a dense factor; for a TLR one, those whose rank passed the break-even
+    /// rank at assembly or during the factorization).
     pub fn factor(&self, mut sigma: TlrMatrix) -> Result<Factor, CholeskyError> {
-        let _span = obs::span_with(
-            "engine_factor",
-            &[("n", sigma.n() as u64), ("nb", sigma.nb() as u64)],
-        );
-        potrf_tlr(&mut sigma, &self.pool)?;
+        let start = obs::enabled().then(obs::now_ns);
+        let factored = potrf_tlr(&mut sigma, &self.pool);
+        if let Some(start) = start {
+            let dense_tiles = tlr::RankStats::from_matrix(&sigma).dense_off_diagonal_tiles();
+            let args = [
+                ("n", sigma.n() as u64),
+                ("nb", sigma.nb() as u64),
+                ("dense_tiles", dense_tiles as u64),
+            ];
+            obs::complete_since("engine_factor", start, &args);
+        }
+        factored?;
         Ok(Factor::Tiled(sigma))
     }
 

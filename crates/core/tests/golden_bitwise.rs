@@ -8,9 +8,8 @@
 //! scenario pins the exact `f64` bits of `prob` and `std_error` across
 //! worker counts and batch compositions.
 //! A golden mismatch means the refactor changed numerics, not just shape.
-//! The five TLR-fed rows (`tlr_solve_w*`, `mixed_batch_p2`/`p5`) were
-//! re-pinned once when tile compression moved to a pivoted QR followed by a
-//! small SVD; the dense rows are the original capture. Beside the pin,
+//! The dense rows are the original capture; each intentional change of the
+//! TLR numerics is one [`NUMERICS_EPOCH`]. Beside the pin,
 //! `tlr_solve_agrees_with_dense_solve` checks the TLR answer against the
 //! dense one, so a re-pin cannot hide an accuracy loss.
 //!
@@ -23,12 +22,56 @@ use mvn_core::{Factor, MvnConfig, MvnEngine, Problem};
 use std::sync::Arc;
 use tlr::{CompressionTol, TlrMatrix};
 
+/// The TLR numerics this table pins, counted from the original capture.
+///
+/// * Epoch 1: tile compression moved to a pivoted QR followed by a small
+///   SVD; the five TLR-fed rows (`tlr_solve_w*`, `mixed_batch_p2`/`p5`)
+///   were re-pinned.
+/// * Epoch 2: break-even tile formats (a tile stays low-rank only while its
+///   rank is at most its break-even rank, and turns dense otherwise) and
+///   the trailing update carried at rank `min(rₐ, r_b)`. The five TLR-fed
+///   rows kept their bits: every factor tile of their 1-D exponential
+///   covariance is rank 1, below the break-even rank 3 of a 16 × 16 tile,
+///   and a rank-1 by rank-1 update is built the same way at either rank.
+///   The `tlr_mixed_formats` row was added to pin a factor that mixes
+///   formats and turns a tile dense during the factorization.
+const NUMERICS_EPOCH: u32 = 2;
+
 /// Synthetic 1-D exponential covariance (the engine test family).
 fn exp_cov(range: f64) -> impl Fn(usize, usize) -> f64 + Sync + Copy {
     move |i: usize, j: usize| {
         let d = (i as f64 - j as f64).abs() / 40.0;
         (-d / range).exp()
     }
+}
+
+/// A covariance on 5 tiles of 12 whose TLR factor at τ = 1e-8 mixes tile
+/// formats (a 12 × 12 tile breaks even at rank 2): 4·I plus smooth rank-one
+/// terms, each on one pair of tiles. Tiles (4,2) and (4,3) are dense from
+/// the start, and (2,1) is low-rank until its first trailing update turns it
+/// dense.
+fn mixed_formats_cov(i: usize, j: usize) -> f64 {
+    const PAIRS: [((usize, usize), usize); 7] = [
+        ((0, 1), 1),
+        ((0, 2), 1),
+        ((1, 2), 2),
+        ((0, 3), 1),
+        ((0, 4), 1),
+        ((2, 4), 3),
+        ((3, 4), 3),
+    ];
+    let (ti, tj) = (i / 12, j / 12);
+    let mut a = if i == j { 4.0 } else { 0.0 };
+    for (s, &((p, q), count)) in PAIRS.iter().enumerate() {
+        let inside = |t: usize| t == p || t == q;
+        if inside(ti) && inside(tj) {
+            for k in 0..count {
+                let v = |x: usize| (x as f64 * 0.37 * (k + 1) as f64 + s as f64 * 1.3).cos();
+                a += v(i) * v(j);
+            }
+        }
+    }
+    a
 }
 
 fn cfg() -> MvnConfig {
@@ -117,10 +160,21 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
         push(&format!("mixed_batch_p{k}"), r);
     }
 
+    // A TLR factor whose tiles mix formats.
+    let sigma = TlrMatrix::assemble(
+        60,
+        12,
+        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+        mixed_formats_cov,
+    );
+    let fm = e.factor(sigma).unwrap();
+    push("tlr_mixed_formats", e.solve(&fm, &[-5.0; 60], &[5.0; 60]));
+
     rows
 }
 
-/// Captured pre-refactor bits: `(scenario, prob bits, std_error bits)`.
+/// Pinned bits at [`NUMERICS_EPOCH`]: `(scenario, prob bits, std_error
+/// bits)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("dense_solve_w1", 0x3f0bdf6c2b0bb8a4, 0x3eb7210f89fc1031),
     ("tlr_solve_w1", 0x3f0bdf6c2b0bb89f, 0x3eb7210f89fc101d),
@@ -139,6 +193,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("mixed_batch_p3", 0x3eff1e1d25846e09, 0x3ea5ac4feadf5527),
     ("mixed_batch_p4", 0x3f94f1417926d354, 0x3f4045299de0f671),
     ("mixed_batch_p5", 0x3f683fecc541308d, 0x3f13c73c24f3452c),
+    ("tlr_mixed_formats", 0x3fb4ce1ef29bfae9, 0x3f42280a81ed2b5f),
 ];
 
 #[test]
@@ -199,6 +254,28 @@ fn tlr_solve_agrees_with_dense_solve() {
     );
 }
 
+#[test]
+fn mixed_formats_solve_agrees_with_dense_solve() {
+    // The pinned mixed-format row against a dense factor of the same
+    // matrix, on the same QMC points: dense tiles are exact and the
+    // low-rank ones are within 1e-8, far below the estimator's own error.
+    let got = compute_scenarios();
+    let row = got
+        .iter()
+        .find(|(n, _, _)| n == "tlr_mixed_formats")
+        .unwrap();
+    let (tlr, std_error) = (f64::from_bits(row.1), f64::from_bits(row.2));
+    let e = engine(2);
+    let fd = e
+        .factor(TlrMatrix::assemble(60, 12, None, mixed_formats_cov))
+        .unwrap();
+    let dense = e.solve(&fd, &[-5.0; 60], &[5.0; 60]).prob;
+    assert!(
+        (tlr - dense).abs() <= 1e-6 * std_error,
+        "tlr {tlr} vs dense {dense}"
+    );
+}
+
 /// Capture helper: prints the golden table in Rust-literal form, then each
 /// row that moved against `GOLDEN`, in ulps and in units of its pinned
 /// `std_error`.
@@ -206,6 +283,7 @@ fn tlr_solve_agrees_with_dense_solve() {
 #[ignore = "capture helper, not a regression test"]
 fn print_golden_table() {
     let rows = compute_scenarios();
+    println!("    // numerics epoch {NUMERICS_EPOCH}");
     for (name, pb, sb) in &rows {
         println!("    (\"{name}\", 0x{pb:016x}, 0x{sb:016x}),");
     }

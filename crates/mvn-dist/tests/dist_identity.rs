@@ -1,6 +1,7 @@
 //! End-to-end tests of the real multi-process runtime: the distributed
 //! probability must be **bitwise identical** to the single-process
-//! [`MvnEngine`] for dense and TLR factors across process and thread counts,
+//! [`MvnEngine`] for dense, TLR and mixed-format factors across process and
+//! thread counts,
 //! and a worker crash must surface as a typed error
 //! without hanging the coordinator.
 
@@ -9,7 +10,7 @@ use std::time::{Duration, Instant};
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::{solve, DistConfig, DistError, FaultAction, FaultPlan};
 use qmc::SampleKind;
-use tlr::{CompressionTol, TlrMatrix};
+use tlr::{CompressionTol, Tile, TlrMatrix};
 
 const N: usize = 60;
 const NB: usize = 16;
@@ -19,6 +20,37 @@ const NB: usize = 16;
 fn cov(i: usize, j: usize) -> f64 {
     let d = (i as f64 - j as f64).abs() / N as f64;
     (-d / 0.3).exp()
+}
+
+/// A covariance on 5 tiles of 12 whose TLR factor at τ = 1e-8 mixes tile
+/// formats (a 12 × 12 tile breaks even at rank 2): 4·I plus smooth rank-one
+/// terms, each on one pair of tiles. Tiles (4,2) and (4,3) are dense from
+/// the start, and (2,1) is low-rank until its first trailing update turns it
+/// dense during the factorization.
+const MIXED_NB: usize = 12;
+
+fn mixed_cov(i: usize, j: usize) -> f64 {
+    const PAIRS: [((usize, usize), usize); 7] = [
+        ((0, 1), 1),
+        ((0, 2), 1),
+        ((1, 2), 2),
+        ((0, 3), 1),
+        ((0, 4), 1),
+        ((2, 4), 3),
+        ((3, 4), 3),
+    ];
+    let (ti, tj) = (i / MIXED_NB, j / MIXED_NB);
+    let mut a = if i == j { 4.0 } else { 0.0 };
+    for (s, &((p, q), count)) in PAIRS.iter().enumerate() {
+        let inside = |t: usize| t == p || t == q;
+        if inside(ti) && inside(tj) {
+            for k in 0..count {
+                let v = |x: usize| (x as f64 * 0.37 * (k + 1) as f64 + s as f64 * 1.3).cos();
+                a += v(i) * v(j);
+            }
+        }
+    }
+    a
 }
 
 fn limits() -> (Vec<f64>, Vec<f64>) {
@@ -127,6 +159,31 @@ fn tlr_matches_engine_bitwise_including_prime_node_counts() {
         let report = solve(&sigma, &a, &b, &cfg, &dist_config(nodes))
             .unwrap_or_else(|e| panic!("tlr solve with {nodes} nodes: {e}"));
         assert_bitwise(&format!("tlr x{nodes}"), report.result, reference);
+    }
+}
+
+#[test]
+fn mixed_format_tlr_matches_engine_bitwise() {
+    let tol = CompressionTol::Absolute(1e-8);
+    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some((tol, usize::MAX)), mixed_cov);
+    let (a, b) = limits();
+    let cfg = cfg();
+
+    let engine = MvnEngine::with_config(cfg).unwrap();
+    let factor = engine.factor(sigma.clone()).unwrap();
+    // The factor the workers must reproduce mixes formats, and tile (2,1)
+    // switched from low-rank to dense on the way.
+    let l = factor.tiled().expect("a Cholesky factor is tiled");
+    let dense = |m: &TlrMatrix, i, j| matches!(m.tile(i, j), Tile::Dense(_));
+    assert!(dense(l, 4, 3) && !dense(l, 1, 0));
+    assert!(!dense(&sigma, 2, 1) && dense(l, 2, 1));
+    let reference = engine.solve(&factor, &a, &b);
+    assert!(reference.prob > 0.0 && reference.prob < 1.0);
+
+    for nodes in [2usize, 3] {
+        let report = solve(&sigma, &a, &b, &cfg, &dist_config(nodes))
+            .unwrap_or_else(|e| panic!("mixed-format solve with {nodes} nodes: {e}"));
+        assert_bitwise(&format!("mixed x{nodes}"), report.result, reference);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The recovery matrix: kill ranks at planned points of the deterministic
 //! execution — mid-factor, mid-sweep, or by severing a peer connection
 //! mid-fetch — and assert the recovered distributed probability is
-//! **bitwise identical** to the single-process engine, for dense and TLR
-//! factors, at 2/3/4 processes, with every lost rank respawned.
+//! **bitwise identical** to the single-process engine, for dense, TLR and
+//! mixed-format factors, at 2/3/4 processes, with every lost rank respawned.
 //!
 //! Every fault here is planned (see [`mvn_dist::faults`]): a `(rank,
 //! counter)` pair pins the failure to one reproducible instant, so these
@@ -26,6 +26,37 @@ const NB: usize = 16;
 fn cov(i: usize, j: usize) -> f64 {
     let d = (i as f64 - j as f64).abs() / N as f64;
     (-d / 0.3).exp()
+}
+
+/// A covariance on 5 tiles of 12 whose TLR factor at τ = 1e-8 mixes tile
+/// formats (a 12 × 12 tile breaks even at rank 2): 4·I plus smooth rank-one
+/// terms, each on one pair of tiles. Tiles (4,2) and (4,3) are dense from
+/// the start, and (2,1) is low-rank until its first trailing update turns it
+/// dense during the factorization.
+const MIXED_NB: usize = 12;
+
+fn mixed_cov(i: usize, j: usize) -> f64 {
+    const PAIRS: [((usize, usize), usize); 7] = [
+        ((0, 1), 1),
+        ((0, 2), 1),
+        ((1, 2), 2),
+        ((0, 3), 1),
+        ((0, 4), 1),
+        ((2, 4), 3),
+        ((3, 4), 3),
+    ];
+    let (ti, tj) = (i / MIXED_NB, j / MIXED_NB);
+    let mut a = if i == j { 4.0 } else { 0.0 };
+    for (s, &((p, q), count)) in PAIRS.iter().enumerate() {
+        let inside = |t: usize| t == p || t == q;
+        if inside(ti) && inside(tj) {
+            for k in 0..count {
+                let v = |x: usize| (x as f64 * 0.37 * (k + 1) as f64 + s as f64 * 1.3).cos();
+                a += v(i) * v(j);
+            }
+        }
+    }
+    a
 }
 
 fn limits() -> (Vec<f64>, Vec<f64>) {
@@ -156,6 +187,29 @@ fn respawn_recovers_tlr_kills_bitwise() {
         assert_bitwise(&tag, report.result, reference);
         assert_recovered(&tag, &report);
     }
+}
+
+#[test]
+fn a_respawned_rank_replays_a_format_switch_bitwise() {
+    let cfg = cfg();
+    let tol = CompressionTol::Absolute(1e-8);
+    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some((tol, usize::MAX)), mixed_cov);
+    let (a, b) = limits();
+    let engine = MvnEngine::with_config(cfg).unwrap();
+    let reference = engine.solve(&engine.factor(sigma.clone()).unwrap(), &a, &b);
+
+    // On the 1x2 grid rank 1 owns tile (2,1): its second owned task is the
+    // panel-0 update that turns (2,1) dense. It dies before its fifth, so
+    // the respawned rank replays that switch from the low-rank input.
+    let tag = "respawn mixed x2 kill 1@task4";
+    let dc = dist_config(2, kill_at_task(1, 4));
+    let report = solve(&sigma, &a, &b, &cfg, &dc).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_bitwise(tag, report.result, reference);
+    assert_recovered(tag, &report);
+    assert!(
+        report.replayed_tasks >= 2,
+        "{tag}: the respawned rank must replay the switching update"
+    );
 }
 
 #[test]

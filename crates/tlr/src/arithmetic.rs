@@ -1,10 +1,14 @@
 //! Low-rank tile arithmetic used by the TLR Cholesky factorization and the
 //! TLR-aware PMVN propagation step.
 //!
-//! All operations work on factor pairs without ever forming the dense product
-//! of a low-rank tile, except for the final small `rank × rank` core matrices.
+//! The low-rank operations work on factor pairs without ever forming the
+//! dense product of a low-rank tile, except for the final small `rank × rank`
+//! core matrices. A recompression whose result needs more than the tile's
+//! break-even rank returns the exact dense tile instead, and
+//! [`tile_gemm_update`] runs the trailing update on tiles of any format.
 
-use crate::compress::{truncate, CompressionTol};
+use crate::compress::{break_even_rank, compress_tile, truncate, CompressionTol};
+use crate::dag::Tile;
 use crate::lowrank::LowRankBlock;
 use tile_la::kernels::{gemm_nn, gemm_nt, gemm_tn, qr_factor};
 use tile_la::DenseMatrix;
@@ -101,22 +105,24 @@ pub fn lr_aa_t_update(diag: &mut DenseMatrix, a: &LowRankBlock) {
     gemm_nt(-1.0, &t, &a.u, 1.0, diag);
 }
 
-/// Add two low-rank representations and recompress: returns a low-rank block
-/// representing `U₁V₁ᵀ + U₂V₂ᵀ` truncated back to the requested tolerance.
+/// Add two low-rank representations and recompress: returns `U₁V₁ᵀ + U₂V₂ᵀ`
+/// in the format that pays, within the requested tolerance.
 ///
 /// Recompression uses the standard QR rounding: `[U₁ U₂] = Q_u R_u`,
 /// `[V₁ V₂] = Q_v R_v`, then the small core `R_u R_vᵀ` (at most
 /// `(ra+rb)²`) goes through the same rank-revealing truncation as
-/// [`compress_dense`](crate::compress_dense) — a pivoted QR that stops at
-/// `τ/√2`, then a Jacobi SVD of only the kept rows within the budget left —
-/// so the result is within `τ` of the exact sum in Frobenius norm (unless
-/// `max_rank` caps it first).
+/// [`compress_tile`] — a pivoted QR that stops at `τ/√2`, then a Jacobi SVD
+/// of only the kept rows within the budget left — so a low-rank result is
+/// within `τ` of the exact sum in Frobenius norm (unless `max_rank` caps it
+/// first). When the sum needs more than the tile's break-even rank, the
+/// result is the exact dense sum: `U₁V₁ᵀ` expanded, plus `U₂V₂ᵀ` in one
+/// `gemm_nt`.
 pub fn lr_add_recompress(
     a: &LowRankBlock,
     b: &LowRankBlock,
     tol: CompressionTol,
     max_rank: usize,
-) -> LowRankBlock {
+) -> Tile {
     assert_eq!(a.nrows(), b.nrows(), "lr_add: row mismatch");
     assert_eq!(a.ncols(), b.ncols(), "lr_add: col mismatch");
     let m = a.nrows();
@@ -124,7 +130,7 @@ pub fn lr_add_recompress(
     let ra = a.rank();
     let rb = b.rank();
     if ra + rb == 0 {
-        return LowRankBlock::zero(m, n);
+        return Tile::LowRank(LowRankBlock::zero(m, n));
     }
     // Concatenate factors.
     let ucat = DenseMatrix::from_fn(m, ra + rb, |i, j| {
@@ -146,50 +152,130 @@ pub fn lr_add_recompress(
     // Core = R_u R_v^T  (small square of size <= ra+rb); its truncation
     // U_c V_c^T gives U = Q_u U_c, V = Q_v V_c.
     let core = qu.r.matmul_nt(&qv.r);
-    let small = truncate(&core, tol.absolute_for(core.frobenius_norm()), max_rank);
+    let tau = tol.absolute_for(core.frobenius_norm());
+    let Some(small) = truncate(&core, tau, max_rank, break_even_rank(m, n)) else {
+        let mut sum = a.to_dense();
+        gemm_nt(1.0, &b.u, &b.v, 1.0, &mut sum);
+        return Tile::Dense(sum);
+    };
     let rank = small.rank();
     if rank == 0 {
-        return LowRankBlock::zero(m, n);
+        return Tile::LowRank(LowRankBlock::zero(m, n));
     }
     let mut u = DenseMatrix::zeros(m, rank);
     gemm_nn(1.0, &qu.q, &small.u, 0.0, &mut u);
     let mut v = DenseMatrix::zeros(n, rank);
     gemm_nn(1.0, &qv.q, &small.v, 0.0, &mut v);
-    LowRankBlock::new(u, v)
+    Tile::LowRank(LowRankBlock::new(u, v))
+}
+
+/// `−A·Bᵀ` as factors `X·Yᵀ` of rank `min(r_a, r_b)` for two low-rank
+/// tiles. `A·Bᵀ = Uₐ·(Vₐᵀ·V_b)·U_bᵀ`; the `rₐ × r_b` core goes to the wider
+/// side, so the product is never carried at more columns than it has.
+fn lr_product(a: &LowRankBlock, b: &LowRankBlock) -> LowRankBlock {
+    if a.rank() < b.rank() {
+        // X = −U_a, Y = U_b·(V_b^T V_a).
+        let mut w = DenseMatrix::zeros(b.rank(), a.rank());
+        gemm_tn(1.0, &b.v, &a.v, 0.0, &mut w);
+        let mut y = DenseMatrix::zeros(b.nrows(), a.rank());
+        gemm_nn(1.0, &b.u, &w, 0.0, &mut y);
+        let mut x = a.u.clone();
+        x.scale(-1.0);
+        LowRankBlock::new(x, y)
+    } else {
+        // X = −U_a·(V_a^T V_b), Y = U_b.
+        let mut w = DenseMatrix::zeros(a.rank(), b.rank());
+        gemm_tn(1.0, &a.v, &b.v, 0.0, &mut w);
+        let mut x = DenseMatrix::zeros(a.nrows(), b.rank());
+        gemm_nn(-1.0, &a.u, &w, 0.0, &mut x);
+        LowRankBlock::new(x, b.u.clone())
+    }
 }
 
 /// `C ← C − A·Bᵀ` where all three tiles are low-rank — the TLR `GEMM` of the
-/// Cholesky trailing update, with recompression of the result.
+/// Cholesky trailing update, with recompression of the result into the
+/// format that pays ([`lr_add_recompress`]). The update is carried at rank
+/// `min(r_a, r_b)`.
 pub fn lr_lr_t_update(
     c: &LowRankBlock,
     a: &LowRankBlock,
     b: &LowRankBlock,
     tol: CompressionTol,
     max_rank: usize,
-) -> LowRankBlock {
+) -> Tile {
     assert_eq!(a.ncols(), b.ncols(), "lr_lr_t: inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows());
     assert_eq!(c.ncols(), b.nrows());
     if a.rank() == 0 || b.rank() == 0 {
-        return c.clone();
+        return Tile::LowRank(c.clone());
     }
-    // A B^T = U_a (V_a^T V_b) U_b^T: X = -U_a (V_a^T V_b), Y = U_b.
-    let mut w = DenseMatrix::zeros(a.rank(), b.rank());
-    gemm_tn(1.0, &a.v, &b.v, 0.0, &mut w);
-    let mut x = DenseMatrix::zeros(a.nrows(), b.rank());
-    gemm_nn(-1.0, &a.u, &w, 0.0, &mut x);
-    let update = LowRankBlock::new(x, b.u.clone());
-    lr_add_recompress(c, &update, tol, max_rank)
+    lr_add_recompress(c, &lr_product(a, b), tol, max_rank)
+}
+
+/// `C ← C − A·Bᵀ` for tiles of any format: the `GEMM` step of a factor
+/// whose tiles mix formats.
+///
+/// * Low-rank `C`, low-rank reads: [`lr_lr_t_update`].
+/// * Dense `C`: a dense accumulation. A low-rank read enters through its
+///   factors, so the product is `X·Yᵀ` at the rank of the low-rank side and
+///   `C` takes it in one `gemm_nt`; two dense reads are one `gemm_nt`.
+/// * Low-rank `C`, a dense read: the product is formed densely, added to
+///   the expanded `C`, and the sum goes to [`compress_tile`].
+pub fn tile_gemm_update(c: &mut Tile, a: &Tile, b: &Tile, tol: CompressionTol, max_rank: usize) {
+    if let (Tile::LowRank(lr), Tile::LowRank(a), Tile::LowRank(b)) = (&*c, a, b) {
+        *c = lr_lr_t_update(lr, a, b, tol, max_rank);
+        return;
+    }
+    // −A·Bᵀ as factors when either read is low-rank.
+    let product = match (a, b) {
+        (Tile::LowRank(a), Tile::LowRank(b)) => Some(lr_product(a, b)),
+        (Tile::LowRank(a), Tile::Dense(b)) => {
+            // A·Bᵀ = U_a·(B·V_a)ᵀ.
+            let mut y = DenseMatrix::zeros(b.nrows(), a.rank());
+            gemm_nn(1.0, b, &a.v, 0.0, &mut y);
+            let mut x = a.u.clone();
+            x.scale(-1.0);
+            Some(LowRankBlock::new(x, y))
+        }
+        (Tile::Dense(a), Tile::LowRank(b)) => {
+            // A·Bᵀ = (A·V_b)·U_bᵀ.
+            let mut x = DenseMatrix::zeros(a.nrows(), b.rank());
+            gemm_nn(-1.0, a, &b.v, 0.0, &mut x);
+            Some(LowRankBlock::new(x, b.u.clone()))
+        }
+        (Tile::Dense(_), Tile::Dense(_)) => None,
+    };
+    let subtract = |d: &mut DenseMatrix| match &product {
+        Some(p) if p.rank() == 0 => {}
+        Some(p) => gemm_nt(1.0, &p.u, &p.v, 1.0, d),
+        None => gemm_nt(-1.0, a.as_dense(), b.as_dense(), 1.0, d),
+    };
+    match c {
+        Tile::Dense(d) => subtract(d),
+        Tile::LowRank(lr) => {
+            let mut d = lr.to_dense();
+            subtract(&mut d);
+            *c = compress_tile(d, tol, max_rank);
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compress::compress_dense;
-    use crate::compress::tests::{fro_error, grid_tile, optimal_truncation, truncation_bound};
+    use crate::compress::tests::{fro_error, grid_tile, optimal_rank, within};
     use tile_la::max_abs_diff;
 
-    fn rand_matrix(m: usize, n: usize, seed: u64) -> DenseMatrix {
+    /// The low-rank payload of a tile the test expects to stay low-rank.
+    fn low_rank(tile: Tile) -> LowRankBlock {
+        match tile {
+            Tile::LowRank(b) => b,
+            Tile::Dense(_) => panic!("expected a low-rank tile"),
+        }
+    }
+
+    pub(crate) fn rand_matrix(m: usize, n: usize, seed: u64) -> DenseMatrix {
         let mut s = seed;
         DenseMatrix::from_fn(m, n, |_, _| {
             s = s
@@ -199,7 +285,7 @@ mod tests {
         })
     }
 
-    fn rand_lowrank(m: usize, n: usize, k: usize, seed: u64) -> LowRankBlock {
+    pub(crate) fn rand_lowrank(m: usize, n: usize, k: usize, seed: u64) -> LowRankBlock {
         LowRankBlock::new(rand_matrix(m, k, seed), rand_matrix(n, k, seed + 1))
     }
 
@@ -263,9 +349,14 @@ mod tests {
 
     #[test]
     fn add_recompress_is_accurate_and_rank_bounded() {
-        let a = rand_lowrank(12, 10, 3, 21);
-        let b = rand_lowrank(12, 10, 2, 23);
-        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-12), usize::MAX);
+        let a = rand_lowrank(60, 50, 3, 21);
+        let b = rand_lowrank(60, 50, 2, 23);
+        let sum = low_rank(lr_add_recompress(
+            &a,
+            &b,
+            CompressionTol::Absolute(1e-12),
+            usize::MAX,
+        ));
         let mut want = a.to_dense();
         want.add_scaled(1.0, &b.to_dense());
         assert!(max_abs_diff(&sum.to_dense(), &want) < 1e-10);
@@ -285,18 +376,41 @@ mod tests {
             a.v.clone(),
         );
         let sum = lr_add_recompress(&a, &neg, CompressionTol::Absolute(1e-10), usize::MAX);
-        assert_eq!(sum.rank(), 0, "cancelling sum should truncate to rank 0");
+        assert_eq!(low_rank(sum).rank(), 0, "cancelling sum should be rank 0");
+    }
+
+    #[test]
+    fn a_sum_past_the_break_even_rank_is_the_exact_dense_sum() {
+        // 12 × 10 tiles break even at rank 2; a rank-5 sum at a tight
+        // tolerance must come back dense, and exact.
+        assert_eq!(break_even_rank(12, 10), 2);
+        let a = rand_lowrank(12, 10, 3, 21);
+        let b = rand_lowrank(12, 10, 2, 23);
+        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-12), usize::MAX);
+        let Tile::Dense(sum) = sum else {
+            panic!("a rank-5 sum of a 12 x 10 tile must be dense")
+        };
+        let mut want = a.to_dense();
+        gemm_nt(1.0, &b.u, &b.v, 1.0, &mut want);
+        assert_eq!(sum, want);
     }
 
     #[test]
     fn lr_lr_t_update_matches_dense_computation() {
-        let c = rand_lowrank(8, 6, 2, 41);
-        let a = rand_lowrank(8, 5, 3, 43);
-        let b = rand_lowrank(6, 5, 2, 45);
-        let result = lr_lr_t_update(&c, &a, &b, CompressionTol::Absolute(1e-12), usize::MAX);
-        let mut want = c.to_dense();
-        want.add_scaled(-1.0, &a.to_dense().matmul_nt(&b.to_dense()));
-        assert!(max_abs_diff(&result.to_dense(), &want) < 1e-10);
+        // Update ranks (3, 2) and (2, 6): the product is carried at rank 2
+        // either way, on the side that keeps it narrow.
+        for (ra, rb) in [(3, 2), (2, 6)] {
+            let c = rand_lowrank(40, 30, 2, 41);
+            let a = rand_lowrank(40, 25, ra, 43);
+            let b = rand_lowrank(30, 25, rb, 45);
+            assert_eq!(lr_product(&a, &b).rank(), 2);
+            let tol = CompressionTol::Absolute(1e-12);
+            let result = low_rank(lr_lr_t_update(&c, &a, &b, tol, usize::MAX));
+            let mut want = c.to_dense();
+            want.add_scaled(-1.0, &a.to_dense().matmul_nt(&b.to_dense()));
+            assert!(max_abs_diff(&result.to_dense(), &want) < 1e-10, "{ra}/{rb}");
+            assert!(result.rank() <= 4, "{ra}/{rb}: rank {}", result.rank());
+        }
     }
 
     #[test]
@@ -321,7 +435,7 @@ mod tests {
             CompressionTol::Relative(1e-4),
             usize::MAX,
         );
-        assert_eq!(sum.rank(), 1);
+        assert_eq!(low_rank(sum).rank(), 1);
     }
 
     #[test]
@@ -334,32 +448,54 @@ mod tests {
         let half1 = DenseMatrix::from_fn(20, 20, |i, j| 0.5 * full.get(i, j));
         let a = compress_dense(&half1, CompressionTol::Absolute(1e-10), usize::MAX);
         let sum = lr_add_recompress(&a, &a, CompressionTol::Absolute(1e-9), usize::MAX);
-        assert!(max_abs_diff(&sum.to_dense(), &full) < 1e-7);
+        assert!(max_abs_diff(&low_rank(sum).to_dense(), &full) < 1e-7);
     }
 
     #[test]
     fn recompressed_benchmark_sums_meet_the_tolerance_at_near_optimal_rank() {
         // Sums of two compressed tiles of the n = 1,600 benchmark covariance,
-        // against the truncated SVD of the exact dense sum.
+        // against the truncated SVD of the exact dense sum: a sum is dense
+        // exactly when the rank it needs passes the break-even rank (up to
+        // the pivoted QR's slack of 2 over the optimal rank at its stop,
+        // τ/√2), exact when dense, and within τ at near-optimal rank when
+        // low-rank.
         const TAU: f64 = 1e-3;
         const MAX_RANK: usize = 50;
         let tol = CompressionTol::Absolute(TAU);
+        let bound = break_even_rank(100, 100);
+        let mut formats = [0; 2];
         for i in 2..16 {
             let a = compress_dense(&grid_tile(i, 1), tol, MAX_RANK);
             let mut b = compress_dense(&grid_tile(i, 0), tol, MAX_RANK);
             b.u.scale(-0.5);
             let mut exact = a.to_dense();
             exact.add_scaled(1.0, &b.to_dense());
-            let sum = lr_add_recompress(&a, &b, tol, MAX_RANK);
-            let err = fro_error(&sum, &exact);
-            let (best, best_err) = optimal_truncation(&exact, TAU, MAX_RANK);
-            let bound = truncation_bound(TAU, best_err);
-            assert!(err <= bound, "row {i}: err {err} > {bound}");
-            assert!(
-                sum.rank() <= best + 2,
-                "row {i}: rank {} vs optimal {best}",
-                sum.rank()
-            );
+            let best = optimal_rank(&exact, TAU);
+            let at_qr_stop = optimal_rank(&exact, TAU / 2f64.sqrt());
+            match lr_add_recompress(&a, &b, tol, MAX_RANK) {
+                Tile::Dense(d) => {
+                    assert!(at_qr_stop + 2 > bound, "row {i}: dense at {at_qr_stop}");
+                    assert!(max_abs_diff(&d, &exact) < 1e-12, "row {i}");
+                    formats[0] += 1;
+                }
+                Tile::LowRank(sum) => {
+                    assert!(best <= bound, "row {i}: low-rank at optimal rank {best}");
+                    let err = fro_error(&sum, &exact);
+                    assert!(err <= within(TAU), "row {i}: err {err} > {TAU}");
+                    assert!(
+                        sum.rank() <= best + 2,
+                        "row {i}: rank {} vs optimal {best}",
+                        sum.rank()
+                    );
+                    formats[1] += 1;
+                }
+            }
         }
+        // Both verdicts occur: the rows next to the diagonal need more than
+        // the break-even rank, the far ones far less.
+        assert!(
+            formats[0] > 0 && formats[1] > 0,
+            "{formats:?} (dense, low-rank)"
+        );
     }
 }

@@ -4,14 +4,16 @@
 //!
 //! One task structure ([`cholesky_plan`](tile_la::dag::cholesky_plan)) for
 //! both formats; on a dense matrix every step is the dense kernel, and on a
-//! TLR matrix the panel and update kernels act on compressed tiles (all in
-//! one step body, [`tlr_step`]):
+//! TLR matrix the panel and update kernels act on each tile in its own
+//! format (all in one step body, [`tlr_step`]); a step on dense tiles only
+//! is the dense kernel:
 //!
 //! * `POTRF` — dense, on the (dense) diagonal tiles,
 //! * `TRSM`  — only the `V` factor of each low-rank panel tile is solved,
 //! * `SYRK`  — diagonal update from a low-rank tile (`lr_aa_t_update`),
-//! * `GEMM`  — low-rank × low-rank update with recompression
-//!   (`lr_lr_t_update`).
+//! * `GEMM`  — an update with recompression into a low-rank tile, which
+//!   turns dense once its rank passes the break-even rank, or a dense
+//!   accumulation into a dense one (`tile_gemm_update`).
 
 use crate::dag::tlr_step;
 use crate::tlr_matrix::TlrMatrix;

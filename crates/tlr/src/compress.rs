@@ -1,16 +1,27 @@
-//! Compression of dense tiles into [`LowRankBlock`]s.
+//! Compression of dense tiles: each tile gets the format that pays.
 //!
 //! One private routine, `truncate`, picks every rank in the crate: tile
-//! compression ([`compress_dense`]) and the recompression of low-rank sums
-//! ([`lr_add_recompress`](crate::lr_add_recompress)) both call it. It reveals
-//! the rank with a Householder QR with column pivoting that stops once the
-//! trailing columns' Frobenius norm is at most `τ/√2`, then runs the Jacobi
-//! SVD only on the `k × n` factor `R` of the `k` kept columns and truncates
-//! it within the budget left, `√(τ² − tail_qr²)`. The two remainders are
-//! orthogonal, so the total Frobenius error is at most `τ`, and Jacobi never
-//! sees a full tile: at the paper's tolerance 1e-3 a 100 × 100 covariance
-//! tile keeps ≈ 20 columns.
+//! compression ([`compress_tile`], [`compress_dense`]) and the recompression
+//! of low-rank sums ([`lr_add_recompress`](crate::lr_add_recompress)) both
+//! call it. It reveals the rank with a Householder QR with column pivoting
+//! that stops once the trailing columns' Frobenius norm is at most `τ/√2`,
+//! then runs the Jacobi SVD only on the `k × n` factor `R` of the `k` kept
+//! columns and truncates it within the budget left, `√(τ² − tail_qr²)`. The
+//! two remainders are orthogonal, so the total Frobenius error is at most
+//! `τ`, and Jacobi never sees a full tile.
+//!
+//! A tile stays low-rank only while the rank `τ` needs is at most its
+//! break-even rank (`break_even_rank`, a function of the tile shape alone):
+//! the rank above which one low-rank trailing update of the tile costs more
+//! flops than the dense GEMM it replaces, capped at the rank above which the
+//! factors store more than the tile. Above it the tile is dense, and stays
+//! dense: the pivoted QR gives up as soon as it has kept more columns than
+//! the bound, so a dense verdict costs neither the rest of the QR nor the
+//! SVD. A 100 × 100 tile breaks even at rank 19; at the paper's tolerance
+//! 1e-3, 66 of the 120 off-diagonal tiles of the benchmark's n = 1,600
+//! covariance need fewer columns and stay low-rank.
 
+use crate::dag::Tile;
 use crate::lowrank::LowRankBlock;
 use tile_la::kernels::jacobi_svd;
 use tile_la::DenseMatrix;
@@ -47,7 +58,7 @@ impl CompressionTol {
     }
 }
 
-/// Compress a dense tile to a low-rank block.
+/// Compress a dense tile to a low-rank block, whatever rank it needs.
 ///
 /// The result `U·Vᵀ` satisfies `‖tile − U·Vᵀ‖_F ≤ tol` (the absolute
 /// threshold [`CompressionTol::absolute_for`] gives for this tile's
@@ -57,19 +68,89 @@ impl CompressionTol {
 /// Jacobi SVD, which is truncated within the remaining budget
 /// `√(tol² − tail_qr²)`. The singular values are folded into `U`
 /// (`U ← Q_k·U_R·diag(s)`, `V = V_R`), matching the convention used by the
-/// low-rank arithmetic kernels.
+/// low-rank arithmetic kernels. A tiled matrix compresses through
+/// [`compress_tile`], which keeps a tile dense where low rank does not pay.
 pub fn compress_dense(tile: &DenseMatrix, tol: CompressionTol, max_rank: usize) -> LowRankBlock {
-    truncate(tile, tol.absolute_for(tile.frobenius_norm()), max_rank)
+    truncate(
+        tile,
+        tol.absolute_for(tile.frobenius_norm()),
+        max_rank,
+        usize::MAX,
+    )
+    .expect("an unbounded truncation is always low-rank")
+}
+
+/// The tile in the format that pays: [`compress_dense`]'s `U·Vᵀ` when the
+/// rank `tol` needs is at most the tile's break-even rank, else `dense`
+/// itself, moved in unchanged.
+pub fn compress_tile(dense: DenseMatrix, tol: CompressionTol, max_rank: usize) -> Tile {
+    let bound = break_even_rank(dense.nrows(), dense.ncols());
+    match truncate(
+        &dense,
+        tol.absolute_for(dense.frobenius_norm()),
+        max_rank,
+        bound,
+    ) {
+        Some(lr) => Tile::LowRank(lr),
+        None => Tile::Dense(dense),
+    }
+}
+
+/// The largest rank at which an `m × n` tile pays to keep low-rank.
+///
+/// The tiled Cholesky updates an off-diagonal tile `C ← C − A·Bᵀ` once per
+/// panel to its left, with a `p`-column panel, `p = max(m, n)` (only a
+/// tile-row can be ragged, and its panel is a full tile). Dense, that is
+/// one GEMM of `2·m·n·p` flops. Low-rank, with `C` of rank `r` and an
+/// update of rank at most `r` ([`lr_lr_t_update`](crate::lr_lr_t_update)),
+/// the sum has `k = 2r` columns and costs, in flops:
+///
+/// * the update's factors, `Vₐᵀ·V_b` then `Uₐ·W`: `2·(p + m)·r²`,
+/// * the two thin Householder QRs of the `m × k` and `n × k` concatenated
+///   factors, `Q` formed: `4·(m + n)·k² − 8k³/3`,
+/// * the core `R_u·R_vᵀ`: `2k³`,
+/// * its pivoted QR to `r` columns, norms recomputed after each
+///   reflector: `6·(k²r − kr² + r³/3)`,
+/// * two one-sided Jacobi sweeps over the `r × k` factor `R` (graded by
+///   the pivoting, it converges fast), `r²/2` rotations of `12k + 6r`
+///   flops each: `r²·(12k + 6r)`,
+/// * the final products `Q_u·U_c` and `Q_v·V_c`: `2·(m + n)·k·r`.
+///
+/// At `m = n = p` the sum is `44·m·r² + 38.7·r³`; it passes `2m³` at
+/// `r ≈ m/5` (19 at `m = 100`, 3 at `m = 16`). The break-even rank is the
+/// largest `r` whose update costs no more than the GEMM, capped at the
+/// storage break-even `m·n/(m + n)`, above which the factors hold more
+/// doubles than the tile.
+pub(crate) fn break_even_rank(m: usize, n: usize) -> usize {
+    let (mf, nf) = (m as f64, n as f64);
+    let p = mf.max(nf);
+    let dense = 2.0 * mf * nf * p;
+    let low_rank = |r: f64| {
+        let k = 2.0 * r;
+        2.0 * (p + mf) * r * r + 4.0 * (mf + nf) * k * k - 8.0 * k * k * k / 3.0
+            + 2.0 * k * k * k
+            + 6.0 * (k * k * r - k * r * r + r * r * r / 3.0)
+            + r * r * (12.0 * k + 6.0 * r)
+            + 2.0 * (mf + nf) * k * r
+    };
+    let storage = (m * n).checked_div(m + n).unwrap_or(0);
+    (1..=storage)
+        .take_while(|&r| low_rank(r as f64) <= dense)
+        .last()
+        .unwrap_or(0)
 }
 
 /// Truncate `a` to `U·Vᵀ` with `‖a − U·Vᵀ‖_F ≤ tau`, at most `max_rank`
-/// columns wide — the crate's only rank decision.
+/// columns wide — the crate's only rank decision — or `None` ("stays dense")
+/// when that needs more than `dense_above` columns.
 ///
 /// 1. Householder QR with column pivoting (largest remaining column first)
 ///    stops at the first `k` where the trailing block's Frobenius norm
 ///    `tail_qr` is at most `tau/√2`. The trailing column norms are recomputed
 ///    exactly after each reflector, which costs as much as applying it and
-///    needs no downdating guard.
+///    needs no downdating guard. Once it has kept `dense_above` columns and
+///    the tail still needs another, the answer is `None`, before any more of
+///    the QR and the SVD run.
 /// 2. The `k × n` factor `R` (columns un-permuted) goes through
 ///    [`jacobi_svd`], truncated within the remaining budget
 ///    `tau² − tail_qr²`, then capped at `max_rank`.
@@ -79,7 +160,12 @@ pub fn compress_dense(tile: &DenseMatrix, tol: CompressionTol, max_rank: usize) 
 /// tail_svd² ≤ tau²`. Both stop tests are written so that a NaN (or
 /// negative) `tau` keeps full rank and `+∞` gives rank 0; a zero matrix is
 /// rank 0 at any tolerance.
-pub(crate) fn truncate(a: &DenseMatrix, tau: f64, max_rank: usize) -> LowRankBlock {
+pub(crate) fn truncate(
+    a: &DenseMatrix,
+    tau: f64,
+    max_rank: usize,
+    dense_above: usize,
+) -> Option<LowRankBlock> {
     let m = a.nrows();
     let n = a.ncols();
     // Signed square: a negative τ stays below every tail and a NaN τ
@@ -92,12 +178,15 @@ pub(crate) fn truncate(a: &DenseMatrix, tau: f64, max_rank: usize) -> LowRankBlo
     let mut norms2: Vec<f64> = (0..n).map(|c| sum_sq(work.col(c))).collect();
     let mut tail2: f64 = norms2.iter().sum();
     if tail2 == 0.0 {
-        return LowRankBlock::zero(m, n);
+        return Some(LowRankBlock::zero(m, n));
     }
     let mut reflectors: Vec<(Vec<f64>, f64)> = Vec::new();
     while reflectors.len() < m.min(n) {
         if tail2 <= stop2 {
             break;
+        }
+        if reflectors.len() == dense_above {
+            return None;
         }
         let j = reflectors.len();
         let p = (j + 1..n).fold(j, |best, c| if norms2[c] > norms2[best] { c } else { best });
@@ -128,7 +217,7 @@ pub(crate) fn truncate(a: &DenseMatrix, tau: f64, max_rank: usize) -> LowRankBlo
     }
     let k = reflectors.len();
     if k == 0 {
-        return LowRankBlock::zero(m, n);
+        return Some(LowRankBlock::zero(m, n));
     }
 
     // R = rows 0..k of the reduced matrix, columns back in input order.
@@ -146,7 +235,7 @@ pub(crate) fn truncate(a: &DenseMatrix, tau: f64, max_rank: usize) -> LowRankBlo
     }
     let rank = rank.min(max_rank);
     if rank == 0 {
-        return LowRankBlock::zero(m, n);
+        return Some(LowRankBlock::zero(m, n));
     }
 
     // U = Q_k·[U_R·diag(s); 0], applying the reflectors last to first.
@@ -163,7 +252,7 @@ pub(crate) fn truncate(a: &DenseMatrix, tau: f64, max_rank: usize) -> LowRankBlo
         }
     }
     let v = DenseMatrix::from_fn(n, rank, |i, c| svd.vt.get(c, i));
-    LowRankBlock::new(u, v)
+    Some(LowRankBlock::new(u, v))
 }
 
 fn sum_sq(x: &[f64]) -> f64 {
@@ -207,32 +296,12 @@ pub(crate) mod tests {
         diff.frobenius_norm()
     }
 
-    /// The SVD-optimal truncation: the fewest singular values whose
-    /// discarded tail is at most `tau`, capped at `max_rank`, and the
-    /// Frobenius norm of the tail it discards.
-    pub(crate) fn optimal_truncation(
-        exact: &DenseMatrix,
-        tau: f64,
-        max_rank: usize,
-    ) -> (usize, f64) {
+    /// The SVD-optimal τ-rank: the fewest singular values whose discarded
+    /// tail is at most `tau`.
+    pub(crate) fn optimal_rank(exact: &DenseMatrix, tau: f64) -> usize {
         let s = jacobi_svd(exact).s;
         let tail2 = |r: usize| s[r..].iter().map(|x| x * x).sum::<f64>();
-        let rank = (0..=s.len()).find(|&r| tail2(r) <= tau * tau).unwrap();
-        let rank = rank.min(max_rank);
-        (rank, tail2(rank).sqrt())
-    }
-
-    /// The error `truncate` must meet given the optimal tail `best_err`: `τ`,
-    /// or where the rank cap binds, the optimal tail plus at most `τ/√2` of
-    /// QR remainder (the SVD of `R` discards no more than the SVD of the
-    /// whole matrix would at the same rank).
-    pub(crate) fn truncation_bound(tau: f64, best_err: f64) -> f64 {
-        let bound = if best_err <= tau {
-            tau
-        } else {
-            (0.5 * tau * tau + best_err * best_err).sqrt()
-        };
-        within(bound)
+        (0..=s.len()).find(|&r| tail2(r) <= tau * tau).unwrap()
     }
 
     /// The `pmvn_tlr` benchmark's covariance: a 40 × 40 unit-square grid
@@ -361,34 +430,107 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn break_even_rank_is_a_fifth_of_a_square_tile_and_below_the_storage_bound() {
+        assert_eq!(break_even_rank(100, 100), 19);
+        assert_eq!(break_even_rank(16, 16), 3);
+        for (m, n) in [
+            (1, 1),
+            (2, 1),
+            (7, 16),
+            (16, 7),
+            (50, 100),
+            (100, 100),
+            (400, 400),
+        ] {
+            let r = break_even_rank(m, n);
+            assert!(r <= m * n / (m + n), "{m}x{n}: {r}");
+            assert!(r >= (m.min(n) / 6).saturating_sub(1), "{m}x{n}: {r}");
+        }
+        assert_eq!(break_even_rank(1, 1), 0);
+        assert_eq!(break_even_rank(0, 5), 0);
+    }
+
+    #[test]
+    fn compress_tile_keeps_a_tile_dense_past_its_break_even_rank() {
+        // A full-rank tile comes back dense, bit for bit the input; a smooth
+        // one comes back as `compress_dense`'s factors.
+        let full = full_rank_tile(20, 20);
+        match compress_tile(full.clone(), CompressionTol::Absolute(1e-3), usize::MAX) {
+            Tile::Dense(d) => assert_eq!(d, full),
+            Tile::LowRank(b) => panic!("full-rank tile kept at rank {}", b.rank()),
+        }
+        let tile = smooth_kernel_tile(40, 40, 60);
+        let tol = CompressionTol::Absolute(1e-3);
+        let want = compress_dense(&tile, tol, usize::MAX);
+        match compress_tile(tile, tol, usize::MAX) {
+            Tile::LowRank(b) => assert!(b.u == want.u && b.v == want.v),
+            Tile::Dense(_) => panic!("a smooth tile went dense"),
+        }
+        // Zero and infinitely tolerated tiles are rank 0 whatever the bound.
+        for (tile, t) in [(DenseMatrix::zeros(8, 8), 1e-3), (full, f64::INFINITY)] {
+            let tol = CompressionTol::Absolute(t);
+            assert!(
+                matches!(compress_tile(tile, tol, usize::MAX), Tile::LowRank(b) if b.rank() == 0)
+            );
+        }
+    }
+
+    #[test]
     fn benchmark_tiles_meet_the_tolerance_at_near_optimal_rank() {
-        // Every off-diagonal tile of the n = 1,600, nb = 100 covariance.
+        // Every off-diagonal tile of the n = 1,600, nb = 100 covariance: a
+        // tile is dense exactly when the rank it needs passes the break-even
+        // rank, and every low-rank tile meets τ at near-optimal rank. The
+        // pivoted QR decides the format where it stops, at τ/√2, and keeps
+        // up to 2 columns more than the optimal τ/√2-rank there; so a dense
+        // tile's optimal τ/√2-rank is within 2 of the bound, and a low-rank
+        // tile's optimal τ-rank is at most the bound.
         const TAU: f64 = 1e-3;
         const MAX_RANK: usize = 50;
+        let bound = break_even_rank(100, 100);
         let tiles: Vec<(usize, usize)> =
             (1..16).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
-        let ranks = run_map_once("compress-check", &tiles, |_, &(ti, tj)| {
+        // Per tile: stored doubles if low-rank, those of its optimal rank,
+        // and whether it is dense.
+        let stored = run_map_once("compress-check", &tiles, |_, &(ti, tj)| {
             let tile = grid_tile(ti, tj);
-            let lr = compress_dense(&tile, CompressionTol::Absolute(TAU), MAX_RANK);
-            let err = fro_error(&lr, &tile);
-            let (best, best_err) = optimal_truncation(&tile, TAU, MAX_RANK);
-            let bound = truncation_bound(TAU, best_err);
-            assert!(err <= bound, "tile ({ti},{tj}): err {err} > {bound}");
-            assert!(
-                lr.rank() <= best + 2,
-                "tile ({ti},{tj}): rank {} vs optimal {best}",
-                lr.rank()
-            );
-            (lr.rank(), best)
+            let best = optimal_rank(&tile, TAU);
+            let at_qr_stop = optimal_rank(&tile, TAU / 2f64.sqrt());
+            match compress_tile(tile.clone(), CompressionTol::Absolute(TAU), MAX_RANK) {
+                Tile::Dense(d) => {
+                    assert!(
+                        at_qr_stop + 2 > bound,
+                        "({ti},{tj}): dense at optimal τ/√2-rank {at_qr_stop}"
+                    );
+                    assert_eq!(d, tile);
+                    (0, 0, 1)
+                }
+                Tile::LowRank(lr) => {
+                    assert!(
+                        best <= bound,
+                        "({ti},{tj}): low-rank at optimal rank {best}"
+                    );
+                    let err = fro_error(&lr, &tile);
+                    assert!(err <= within(TAU), "({ti},{tj}): err {err} > {TAU}");
+                    assert!(
+                        lr.rank() <= best + 2,
+                        "({ti},{tj}): rank {} vs optimal {best}",
+                        lr.rank()
+                    );
+                    (lr.stored_elements(), 200 * best, 0)
+                }
+            }
         });
-        // Stored doubles of the whole TLR matrix (16 dense 100 × 100
-        // diagonal tiles plus every factor pair), as `stored_elements` counts.
-        let stored = |total_rank: usize| 16 * 100 * 100 + 200 * total_rank;
-        let got = stored(ranks.iter().map(|r| r.0).sum());
-        let best = stored(ranks.iter().map(|r| r.1).sum());
+        // The low-rank tiles together store within 1 % of their optimal
+        // ranks' factors.
+        let got: usize = stored.iter().map(|s| s.0).sum();
+        let best: usize = stored.iter().map(|s| s.1).sum();
+        let dense: usize = stored.iter().map(|s| s.2).sum();
         assert!(
             got as f64 <= 1.01 * best as f64,
             "stored {got} elements vs optimal {best}"
         );
+        // Both formats occur: tiles of neighbouring grid rows need more than
+        // the break-even rank, far ones much less.
+        assert!(dense > 0 && dense < tiles.len(), "{dense} dense tiles");
     }
 }

@@ -4,18 +4,24 @@
 //! one tiled factor of the workspace: [`TlrMatrix`] stores a symmetric
 //! matrix as its lower [`Tile`]s, each dense or compressed into low-rank
 //! factors `U·Vᵀ`. A dense factor is a tiled factor whose tiles are all
-//! dense; a TLR factor keeps its diagonal tiles dense and compresses the
-//! off-diagonal ones. Both are factored by the same tiled Cholesky, carried
-//! out directly in each tile's format.
+//! dense; a TLR factor keeps its diagonal tiles dense and stores each
+//! off-diagonal tile low-rank only while the rank the tolerance needs is at
+//! most the tile's break-even rank (≈ `nb/5`, where one low-rank trailing
+//! update costs as many flops as the dense GEMM); above it the tile is
+//! dense. Both are factored by the same tiled Cholesky, carried out directly
+//! in each tile's format, and a tile whose rank grows past its break-even
+//! rank during the factorization turns dense and stays dense.
 //!
 //! The crate provides:
 //!
 //! * [`LowRankBlock`] — a single compressed tile with its `U`, `V` factors,
-//! * [`CompressionTol`] and [`compress_dense`] —
+//! * [`CompressionTol`], [`compress_tile`] and [`compress_dense`] —
 //!   compression at an absolute or relative Frobenius tolerance (a pivoted QR
 //!   that stops at the tolerance, then a Jacobi SVD of the kept rows only),
+//!   into the format that pays or, for `compress_dense`, always low-rank,
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
-//!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression),
+//!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression,
+//!   and the trailing update on tiles of any format),
 //! * [`TlrMatrix`] — the tiled symmetric matrix, with the panel products
 //!   and solves of its factor. [`TlrMatrix::assemble`] builds every tiled
 //!   matrix of the workspace from an entry function `(i, j) ↦ a_ij`, one
@@ -39,9 +45,10 @@ pub mod tlr_matrix;
 
 pub use arithmetic::{
     lr_aa_t_update, lr_add_recompress, lr_gemm_panel, lr_gemm_panel_t, lr_lr_t_update,
+    tile_gemm_update,
 };
 pub use cholesky::potrf_tlr;
-pub use compress::{compress_dense, CompressionTol};
+pub use compress::{compress_dense, compress_tile, CompressionTol};
 pub use dag::Tile;
 pub use lowrank::LowRankBlock;
 pub use rank_stats::RankStats;

@@ -16,13 +16,16 @@ pub const RANK_BUCKETS: &[(usize, usize)] = &[
 ];
 
 /// Ranks of every tile of a tiled matrix (dense tiles — every diagonal tile,
-/// and every tile of a dense matrix — count as full rank).
+/// every tile of a dense matrix, and each off-diagonal tile of a TLR matrix
+/// whose rank would not pay — count as full rank).
 #[derive(Debug, Clone)]
 pub struct RankStats {
     nt: usize,
     tile_size: usize,
     /// `ranks[i][j]` for `j ≤ i`.
     ranks: Vec<Vec<usize>>,
+    /// Number of dense strictly-lower tiles.
+    dense_off_diagonal: usize,
 }
 
 impl RankStats {
@@ -40,10 +43,15 @@ impl RankStats {
                     .collect()
             })
             .collect();
+        let dense_off_diagonal = (0..nt)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .filter(|&(i, j)| matches!(a.tile(i, j), Tile::Dense(_)))
+            .count();
         Self {
             nt,
             tile_size: a.nb(),
             ranks,
+            dense_off_diagonal,
         }
     }
 
@@ -88,6 +96,22 @@ impl RankStats {
         r.iter().sum::<usize>() as f64 / r.len() as f64
     }
 
+    /// Number of dense off-diagonal tiles.
+    pub fn dense_off_diagonal_tiles(&self) -> usize {
+        self.dense_off_diagonal
+    }
+
+    /// Fraction of the off-diagonal tiles stored dense (0 if there are none):
+    /// 1 for a dense matrix; for a TLR one, the share whose rank passed the
+    /// break-even rank, at assembly or during the factorization.
+    pub fn dense_tile_frac(&self) -> f64 {
+        let off = self.nt * self.nt.saturating_sub(1) / 2;
+        if off == 0 {
+            return 0.0;
+        }
+        self.dense_off_diagonal as f64 / off as f64
+    }
+
     /// Histogram over the paper's Figure-5 buckets: returns, for each bucket,
     /// the number of off-diagonal tiles whose rank falls inside it (rank-0
     /// tiles are counted in the first bucket).
@@ -123,6 +147,8 @@ impl RankStats {
 mod tests {
     use super::*;
     use crate::compress::CompressionTol;
+    use crate::dag::tests::mixed_formats;
+    use crate::potrf_tlr;
 
     fn build(range: f64, n: usize, nb: usize) -> TlrMatrix {
         // Squared-exponential kernel: its off-diagonal tile ranks genuinely
@@ -200,6 +226,27 @@ mod tests {
             far <= near,
             "far rank {far} should not exceed near rank {near}"
         );
+    }
+
+    #[test]
+    fn dense_tile_frac_counts_the_dense_off_diagonal_tiles() {
+        // Every off-diagonal tile of a dense matrix, none of a smooth TLR
+        // one, and the mixed matrix's 3 of 10 factor tiles.
+        let f = |i: usize, j: usize| (-(i as f64 - j as f64).abs() / 30.0).exp();
+        let dense = RankStats::from_matrix(&TlrMatrix::assemble(90, 30, None, f));
+        assert_eq!(dense.dense_tile_frac(), 1.0);
+        assert_eq!(dense.dense_off_diagonal_tiles(), 3);
+        let tlr = RankStats::from_matrix(&build(0.1, 120, 30));
+        assert_eq!(tlr.dense_tile_frac(), 0.0);
+        let one = RankStats::from_matrix(&TlrMatrix::assemble(20, 30, None, f));
+        assert_eq!(one.dense_tile_frac(), 0.0);
+
+        let tol = CompressionTol::Absolute(1e-8);
+        let mut l = TlrMatrix::assemble(60, 12, Some((tol, usize::MAX)), mixed_formats);
+        potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
+        let mixed = RankStats::from_matrix(&l);
+        assert_eq!(mixed.dense_off_diagonal_tiles(), 3);
+        assert_eq!(mixed.dense_tile_frac(), 0.3);
     }
 
     #[test]

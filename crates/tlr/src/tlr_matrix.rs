@@ -1,10 +1,10 @@
 //! The one tiled factor: a symmetric matrix stored as its lower tiles, each
 //! dense or low-rank. A dense factor is a tiled factor whose tiles are all
-//! dense; a TLR factor keeps its diagonal tiles dense and compresses the
-//! strictly-lower ones.
+//! dense; a TLR factor keeps its diagonal tiles dense and stores each
+//! strictly-lower one in the format that pays.
 
 use crate::arithmetic::lr_gemm_panel;
-use crate::compress::{compress_dense, CompressionTol};
+use crate::compress::{compress_tile, CompressionTol};
 use crate::dag::Tile;
 use crate::lowrank::LowRankBlock;
 use task_runtime::run_map_once;
@@ -16,10 +16,11 @@ use tile_la::{DenseMatrix, SymTileMatrix, TileLayout};
 /// Built by [`assemble`](Self::assemble) with a compression it is in Tile
 /// Low-Rank (TLR) format: diagonal tiles are stored dense (they carry the
 /// full energy of the matrix and are never admissible for compression);
-/// strictly-lower off-diagonal tiles are stored as `U·Vᵀ` factors within the
-/// requested tolerance, found by a pivoted QR that stops at `τ/√2` followed
-/// by a Jacobi SVD of its small `k × nb` factor `R` (see [`compress_dense`]).
-/// Built without one it is dense: every tile is dense. Both run the same
+/// a strictly-lower off-diagonal tile is stored as `U·Vᵀ` factors within
+/// the requested tolerance, found by a pivoted QR that stops at `τ/√2`
+/// followed by a Jacobi SVD of its small `k × nb` factor `R`, when that rank
+/// is at most the tile's break-even rank, and dense otherwise (see
+/// [`compress_tile`]). Built without one it is dense: every tile is dense. Both run the same
 /// factorization ([`potrf_tlr`](crate::potrf_tlr)) and the same sweep.
 #[derive(Debug, Clone)]
 pub struct TlrMatrix {
@@ -52,8 +53,9 @@ impl TlrMatrix {
     /// Assemble a symmetric matrix from its element function `entry(row,
     /// col)`, one task per lower tile (only `row ≥ col` entries are
     /// requested). With `compression` `Some((tol, max_rank))` every
-    /// off-diagonal tile is compressed where it is built ([`compress_dense`])
-    /// and the result is a TLR matrix; with `None` every tile stays dense.
+    /// off-diagonal tile is compressed where it is built, into the format
+    /// that pays ([`compress_tile`]), and the result is a TLR matrix; with
+    /// `None` every tile stays dense.
     /// Each tile is `entry` evaluated in the same order whatever the pool,
     /// so the result is bitwise a serial tile-by-tile build.
     pub fn assemble(
@@ -72,9 +74,7 @@ impl TlrMatrix {
                 entry(ri + a, rj + b)
             });
             match compression {
-                Some((tol, max_rank)) if i != j => {
-                    Tile::LowRank(compress_dense(&dense, tol, max_rank))
-                }
+                Some((tol, max_rank)) if i != j => compress_tile(dense, tol, max_rank),
                 _ => Tile::Dense(dense),
             }
         });
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn from_fn_is_bitwise_a_serial_tile_by_tile_build() {
         // nt = 1, 2 and 7 (ragged last tile): exact diagonal tiles, and
-        // off-diagonal factors equal to compressing each tile serially. The
+        // off-diagonal tiles equal to compressing each tile serially. The
         // last case is also assembled from inside a task of another pool,
         // which must not deadlock on the nested throwaway pool.
         let tol = CompressionTol::Absolute(1e-2);
@@ -318,12 +318,14 @@ mod tests {
             for i in 0..tlr.num_tiles() {
                 assert_eq!(tlr.diag_tile(i), &tile(i, i), "n={n} nb={nb} diag {i}");
                 for j in 0..i {
-                    let want = compress_dense(&tile(i, j), tol, usize::MAX);
-                    let got = tlr.off_tile(i, j);
-                    assert!(
-                        got.u == want.u && got.v == want.v,
-                        "n={n} nb={nb} ({i},{j})"
-                    );
+                    let same = match (tlr.tile(i, j), compress_tile(tile(i, j), tol, usize::MAX)) {
+                        (Tile::LowRank(got), Tile::LowRank(want)) => {
+                            got.u == want.u && got.v == want.v
+                        }
+                        (Tile::Dense(got), Tile::Dense(want)) => *got == want,
+                        _ => false,
+                    };
+                    assert!(same, "n={n} nb={nb} ({i},{j})");
                 }
             }
             tlr.num_tiles()
