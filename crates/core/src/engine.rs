@@ -268,10 +268,6 @@ pub trait FactorBackend: Sync {
     /// Total number of stored doubles (storage-format comparison and cache
     /// byte accounting).
     fn stored_elements(&self) -> usize;
-    /// Relative scheduling cost of one sample panel of width `panel_width`
-    /// (arbitrary units, only compared against other panels in the same
-    /// batch — never affects results, only load balance).
-    fn panel_cost(&self, panel_width: usize) -> f64;
     /// Run the complete SOV sweep of sample panel `panel` against this
     /// factor, returning the panel's `(probability mean, chain count)`.
     fn sweep_panel(
@@ -302,9 +298,6 @@ impl FactorBackend for TlrMatrix {
     }
     fn stored_elements(&self) -> usize {
         TlrMatrix::stored_elements(self)
-    }
-    fn panel_cost(&self, panel_width: usize) -> f64 {
-        self.layout().num_tiles() as f64 * panel_width as f64
     }
     fn sweep_panel(
         &self,
@@ -391,9 +384,6 @@ impl FactorBackend for Factor {
     }
     fn stored_elements(&self) -> usize {
         self.backend().stored_elements()
-    }
-    fn panel_cost(&self, panel_width: usize) -> f64 {
-        self.backend().panel_cost(panel_width)
     }
     fn sweep_panel(
         &self,
@@ -686,7 +676,6 @@ impl MvnEngine {
         };
         let n = l.n();
         check_inputs(n, a, b, cfg);
-        let layout = l.layout();
         let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
         let _span = obs::span_with(
             "engine_prefix_sweep",
@@ -694,13 +683,9 @@ impl MvnEngine {
         );
         let points = make_point_set(cfg.sample_kind, n, cfg.seed);
         let panels: Vec<usize> = (0..n_panels).collect();
-        let cost = layout.num_tiles() as f64 * cfg.panel_width as f64;
-        let means = self.pool.run_map(
-            "panel_sweep",
-            &panels,
-            |_, _| cost,
-            |_, &p| sweep_panel_prefixes(l, a, b, points.as_ref(), cfg, p),
-        );
+        let means = self.pool.map("panel_sweep", &panels, |_, &p| {
+            sweep_panel_prefixes(l, a, b, points.as_ref(), cfg, p)
+        });
         let mut row = vec![(0.0, 0usize); n_panels];
         (0..n)
             .map(|k| {
@@ -822,8 +807,6 @@ impl MvnEngine {
                 (0..n_panels).flat_map(move |p| group.items.iter().map(move |&q| (g, q, p)))
             })
             .collect();
-        let cost =
-            |_: usize, &(_, q, _): &(usize, usize, usize)| items[q].0.panel_cost(cfg.panel_width);
         let sweep = |_: usize, &(g, q, p): &(usize, usize, usize)| {
             let (l, a, b) = items[q];
             let group = &groups[g];
@@ -833,7 +816,7 @@ impl MvnEngine {
                 Some(slot) => l.sweep_panel(a, b, &slot.checkout(points, cfg, p), cfg, p),
             }
         };
-        let flat = self.pool.run_map("panel_sweep", &jobs, cost, sweep);
+        let flat = self.pool.map("panel_sweep", &jobs, sweep);
         let mut by_item = vec![(0.0, 0usize); flat.len()];
         for (&(_, q, p), r) in jobs.iter().zip(flat) {
             by_item[q * n_panels + p] = r;

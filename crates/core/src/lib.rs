@@ -52,22 +52,19 @@ pub use vecchia::{
 use qmc::SampleKind;
 
 /// Storage format of a Cholesky factorization — the single problem-spec
-/// vocabulary shared by every layer that talks about factors: the `distsim`
-/// task generator (which models the cost of each format) and the
-/// `mvn-service` serving layer (which selects the format a covariance is
-/// factored in). Defining it once here keeps the simulator and the server
-/// from drifting apart.
+/// vocabulary shared by every layer that talks about factors: the engine
+/// (which reports the format of a factor it built) and the `mvn-service`
+/// serving layer (which selects the format a covariance is factored in).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FactorKind {
     /// Dense tiles everywhere.
     Dense,
     /// Tile low-rank off-diagonal tiles.
     Tlr {
-        /// Representative off-diagonal rank. The simulator interprets it as
-        /// the modelled *mean* rank of the compressed tiles (cf. the paper's
-        /// Fig. 5: single digits to a few tens at tolerance 1e-3); the
-        /// serving layer uses it as the compression *rank cap* passed to the
-        /// TLR assembly (`0` = uncapped).
+        /// Representative off-diagonal rank. A built factor reports the
+        /// rounded mean rank of its off-diagonal tiles; the serving layer
+        /// uses it as the compression *rank cap* passed to the TLR assembly
+        /// (`0` = uncapped).
         mean_rank: usize,
     },
     /// Vecchia ordered-conditioning approximation: `O(n·m)` storage, sweep

@@ -225,15 +225,6 @@ impl FactorBackend for VecchiaFactor {
         // structure, counted as half a double each).
         self.coeffs.len() + self.cond_sd.len() + self.plan.neighbors.len().div_ceil(2)
     }
-    fn panel_cost(&self, panel_width: usize) -> f64 {
-        // Same arbitrary units as the tiled backends (row blocks × panel
-        // width, at the default 64-wide blocking): only relative load
-        // balance, never results, depends on this.
-        let blocks = (self.plan.stored_neighbors() / 64)
-            .max(self.plan.n() / 64)
-            .max(1);
-        blocks as f64 * panel_width as f64
-    }
     fn sweep_panel(
         &self,
         a: &[f64],
@@ -318,9 +309,6 @@ where
         .step_by(BUILD_CHUNK)
         .map(|k0| (k0, (k0 + BUILD_CHUNK).min(n)))
         .collect();
-    let cost = |_: usize, &(k0, k1): &(usize, usize)| {
-        (plan.starts[k1] - plan.starts[k0]) as f64 * m as f64 + (k1 - k0) as f64
-    };
     let solve_chunk = |_: usize, &(k0, k1): &(usize, usize)| {
         let mut coeffs = Vec::with_capacity(plan.starts[k1] - plan.starts[k0]);
         let mut cond_sd = Vec::with_capacity(k1 - k0);
@@ -350,7 +338,7 @@ where
         }
         Ok((coeffs, cond_sd))
     };
-    let results = pool.run_map("vecchia_cond_solve", &chunks, cost, solve_chunk);
+    let results = pool.map("vecchia_cond_solve", &chunks, solve_chunk);
 
     let mut coeffs = Vec::with_capacity(plan.stored_neighbors());
     let mut cond_sd = Vec::with_capacity(n);

@@ -121,21 +121,13 @@ fn engines_sharing_one_pool_match_private_pools_and_keep_panics_apart() {
                 go.wait();
                 for _ in 0..12 {
                     let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pool.run_map(
-                            "boom",
-                            &[0u8; 8],
-                            |_, _| 1.0,
-                            |i, _| assert!(i != 3, "task 3 exploded"),
-                        )
+                        pool.map("boom", &[0u8; 8], |i, _| assert!(i != 3, "task 3 exploded"))
                     }));
                     assert!(boom.is_err(), "the panic belongs to this submitter");
                 }
             });
         });
         // Still serving after 12 panicking task sets.
-        assert_eq!(
-            pool.run_map("after", &[1u8, 2, 3], |_, _| 1.0, |_, &x| x * 2),
-            [2, 4, 6]
-        );
+        assert_eq!(pool.map("after", &[1u8, 2, 3], |_, &x| x * 2), [2, 4, 6]);
     }
 }

@@ -145,39 +145,31 @@ pub(crate) fn permuted_correlation(
     // where the next task sets on the pool reuse it instead of growing the
     // process.
     let lower: Vec<(usize, usize)> = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
-    let zeros = pool.run_map(
-        "crd_permute_alloc",
-        &lower,
-        |_, _| 1.0,
-        |_, &(i, j)| DenseMatrix::zeros(layout.tile_size(i), layout.tile_size(j)),
-    );
+    let zeros = pool.map("crd_permute_alloc", &lower, |_, &(i, j)| {
+        DenseMatrix::zeros(layout.tile_size(i), layout.tile_size(j))
+    });
     let permuted = Mutex::new(SymTileMatrix::from_tiles(n, layout.nb(), zeros));
     // Longest tasks (most `K` terms) first, so no long task trails the set.
     let tiles: Vec<(usize, usize)> = (0..nt)
         .rev()
         .flat_map(|j| (j..nt).map(move |i| (i, j)))
         .collect();
-    pool.run_map(
-        "crd_permute_tile",
-        &tiles,
-        |_, &(_, j)| (j + 1) as f64,
-        |_, &(ti, tj)| {
-            let mut acc = DenseMatrix::zeros(layout.tile_size(ti), layout.tile_size(tj));
-            for k in 0..=tj {
-                let (lik, ljk) = (l.tile(ti, k).to_dense(), l.tile(tj, k).to_dense());
-                gemm_nt(1.0, &lik, &ljk, 1.0, &mut acc);
+    pool.map("crd_permute_tile", &tiles, |_, &(ti, tj)| {
+        let mut acc = DenseMatrix::zeros(layout.tile_size(ti), layout.tile_size(tj));
+        for k in 0..=tj {
+            let (lik, ljk) = (l.tile(ti, k).to_dense(), l.tile(tj, k).to_dense());
+            gemm_nt(1.0, &lik, &ljk, 1.0, &mut acc);
+        }
+        let (r0, c0) = (layout.tile_start(ti), layout.tile_start(tj));
+        let mut out = permuted.lock().expect("a permuted-tile task panicked");
+        for q in 0..acc.ncols() {
+            // The diagonal tile is symmetric: its lower half suffices.
+            let first = if ti == tj { q } else { 0 };
+            for p in first..acc.nrows() {
+                out.set(rank[r0 + p], rank[c0 + q], acc.get(p, q));
             }
-            let (r0, c0) = (layout.tile_start(ti), layout.tile_start(tj));
-            let mut out = permuted.lock().expect("a permuted-tile task panicked");
-            for q in 0..acc.ncols() {
-                // The diagonal tile is symmetric: its lower half suffices.
-                let first = if ti == tj { q } else { 0 };
-                for p in first..acc.nrows() {
-                    out.set(rank[r0 + p], rank[c0 + q], acc.get(p, q));
-                }
-            }
-        },
-    );
+        }
+    });
     permuted
         .into_inner()
         .expect("a permuted-tile task panicked")

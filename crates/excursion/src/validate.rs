@@ -72,48 +72,43 @@ pub fn mc_validate(
     }
 
     let blocks: Vec<usize> = (0..n_samples.div_ceil(block)).collect();
-    let block_hits = engine.pool().run_map(
-        "mc_block",
-        &blocks,
-        |_, _| block as f64 * n as f64,
-        |_, &bi| {
-            let start = bi * block;
-            let end = ((bi + 1) * block).min(n_samples);
-            let cols = end - start;
-            let mut rng = Xoshiro256pp::seed_from(seed).stream(bi);
-            let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
-            let lz = match factor {
-                Factor::Tiled(l) => l.multiply_lower_panel(&z),
-                // Sequential conditional simulation: step k draws
-                // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
-                Factor::Vecchia(v) => {
-                    let mut out = DenseMatrix::zeros(n, cols);
-                    // Step values in ordered-position space, chain-major.
-                    let mut xs = DenseMatrix::zeros(cols, n);
-                    for k in 0..n {
-                        let (i, d, nbrs, coeffs) = v.step(k);
-                        for c in 0..cols {
-                            let mut s = 0.0;
-                            for (&nb, &co) in nbrs.iter().zip(coeffs) {
-                                s += co * xs.get(c, nb as usize);
-                            }
-                            let val = s + d * z.get(k, c);
-                            xs.set(c, k, val);
-                            out.set(i, c, val);
+    let block_hits = engine.pool().map("mc_block", &blocks, |_, &bi| {
+        let start = bi * block;
+        let end = ((bi + 1) * block).min(n_samples);
+        let cols = end - start;
+        let mut rng = Xoshiro256pp::seed_from(seed).stream(bi);
+        let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
+        let lz = match factor {
+            Factor::Tiled(l) => l.multiply_lower_panel(&z),
+            // Sequential conditional simulation: step k draws
+            // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
+            Factor::Vecchia(v) => {
+                let mut out = DenseMatrix::zeros(n, cols);
+                // Step values in ordered-position space, chain-major.
+                let mut xs = DenseMatrix::zeros(cols, n);
+                for k in 0..n {
+                    let (i, d, nbrs, coeffs) = v.step(k);
+                    for c in 0..cols {
+                        let mut s = 0.0;
+                        for (&nb, &co) in nbrs.iter().zip(coeffs) {
+                            s += co * xs.get(c, nb as usize);
                         }
+                        let val = s + d * z.get(k, c);
+                        xs.set(c, k, val);
+                        out.set(i, c, val);
                     }
-                    out
                 }
-            };
-            (0..cols)
-                .filter(|&c| {
-                    region
-                        .iter()
-                        .all(|&i| mean[i] + sd[i] * lz.get(i, c) > threshold)
-                })
-                .count()
-        },
-    );
+                out
+            }
+        };
+        (0..cols)
+            .filter(|&c| {
+                region
+                    .iter()
+                    .all(|&i| mean[i] + sd[i] * lz.get(i, c) > threshold)
+            })
+            .count()
+    });
     let hits: usize = block_hits.iter().sum();
 
     let p_hat = hits as f64 / n_samples as f64;

@@ -310,12 +310,9 @@ mod tests {
         let k = *every_arm().last().unwrap(); // general Matérn, ν = 1.43391
         let want = serial_full_square(&k, &locs[..97], 1e-8);
         let outer = task_runtime::WorkerPool::new(2);
-        let nested = outer.run_map(
-            "outer",
-            &[0u8; 3],
-            |_, _| 1.0,
-            |_, _| k.dense_covariance(&locs[..97], 1e-8),
-        );
+        let nested = outer.map("outer", &[0u8; 3], |_, _| {
+            k.dense_covariance(&locs[..97], 1e-8)
+        });
         for got in &nested {
             assert_same_bits(got, &want, "nested");
         }

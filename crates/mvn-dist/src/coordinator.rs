@@ -45,10 +45,9 @@ use tlr::TlrMatrix;
 use wire::{read_msg, write_msg};
 
 use crate::faults::{FaultPlan, FAULTS_ENV};
-use crate::plan::{owned_panels, owned_tiles};
+use crate::plan::{owned_panels, owned_tiles, ProcessGrid};
 use crate::proto::{self, EpochMsg, ProblemMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
 use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
-use distsim::ProcessGrid;
 
 /// Cap on recovery rounds per solve: past this, something is systemically
 /// wrong (a crash loop) and the run fails with the underlying error instead

@@ -1,22 +1,19 @@
 //! # mvn-dist — the multi-process distributed MVN runtime
 //!
-//! `distsim` *models* the paper's 512-node Cray runs; this crate *executes*
-//! the same owner-computes task structure for real across N worker
-//! processes on one host:
+//! The paper's Fig. 7 runs the owner-computes tile Cholesky and sweep on up
+//! to 512 Cray nodes; this crate executes the same task structure for real
+//! across N worker processes on one host:
 //!
 //! * **Ownership.** Every lower tile `(i, j)` of the covariance factor is
-//!   owned by exactly one worker under the same 2-D block-cyclic map the
-//!   simulator uses ([`distsim::ProcessGrid`]); every step of the one
-//!   factorization plan ([`tile_la::dag::cholesky_plan`], which the
-//!   single-process submitters and `distsim::taskgen` walk too) is executed
-//!   by the owner of its output tile, and sweep panel `p` runs on node
-//!   `p % nodes` — both identical to the assignment `distsim::taskgen` feeds
-//!   the performance model.
+//!   owned by exactly one worker under a 2-D block-cyclic map
+//!   ([`plan::ProcessGrid`]); every step of the one factorization plan
+//!   ([`tile_la::dag::cholesky_plan`], which the single-process submitter
+//!   walks too) is executed by the owner of its output tile, and sweep
+//!   panel `p` runs on node `p % nodes`.
 //! * **Transport.** Remote input tiles are fetched over `std`-only TCP with
 //!   the bit-exact `f64` framing shared with the serving layer
 //!   ([`wire`]), and cached on the requesting side so each tile crosses
-//!   each (owner → requester) edge at most once — exactly the transfer
-//!   dedup `distsim::sim` models.
+//!   each (owner → requester) edge at most once.
 //! * **Execution.** Inside each worker the owned task sequence streams
 //!   through one [`task_runtime::WorkerPool::execute`] session with
 //!   hazard-inferred dependencies, so per-tile kernel order — and therefore

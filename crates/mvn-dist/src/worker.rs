@@ -53,7 +53,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use distsim::ProcessGrid;
 use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
 use qmc::{make_point_set, PointSet};
 use task_runtime::{effective_workers, HandleRegistry, WorkerPool};
@@ -64,7 +63,7 @@ use tlr::Tile;
 use wire::{read_msg, write_msg};
 
 use crate::faults::{backoff_delay, FaultInjector, FetchFault};
-use crate::plan::{rank_slice, TileId};
+use crate::plan::{rank_slice, ProcessGrid, TileId};
 use crate::proto::{self, CtrlMsg, DoneMsg, WorkerErrorMsg, WorkerMsg};
 use crate::store::DistStore;
 
@@ -160,6 +159,11 @@ struct WorkerCtx {
     /// a lost rank, and its factor work counts as replayed.
     born_epoch: u64,
     store: DistStore,
+    /// The format each owned tile starts the factorization in (`true` =
+    /// low-rank, indexed `[i][j]`; `false` for tiles owned elsewhere): a
+    /// trailing update is labelled `lr_gemm` when its output starts
+    /// low-rank, as in `tlr::potrf_tlr`.
+    low_rank: Vec<Vec<bool>>,
     view: ClusterView,
     injector: FaultInjector,
     /// Absolute give-up point for retry loops (from the problem's deadline
@@ -414,8 +418,10 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
     let layout = TileLayout::new(setup.problem.n, setup.problem.nb);
     let nt = layout.num_tiles();
     let store = DistStore::new((0..nt).flat_map(|i| (0..=i).map(move |j| (i, j))));
-    for (id, tile) in std::mem::take(&mut setup.tiles) {
-        store.insert_initial(id, tile);
+    let mut low_rank: Vec<Vec<bool>> = (0..nt).map(|i| vec![false; i + 1]).collect();
+    for ((i, j), tile) in std::mem::take(&mut setup.tiles) {
+        low_rank[i][j] = tile.is_low_rank();
+        store.insert_initial((i, j), tile);
     }
     let injector = FaultInjector::from_env(setup.rank, CRASH_EXIT_CODE)?;
     let ctx = Arc::new(WorkerCtx {
@@ -425,6 +431,7 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         problem: setup.problem.clone(),
         born_epoch: setup.epoch,
         store,
+        low_rank,
         view: ClusterView::new(setup.epoch, setup.peers.clone()),
         injector,
         deadline: Instant::now() + Duration::from_millis(setup.problem.deadline_ms.max(1)),
@@ -573,9 +580,8 @@ fn factor(
             executed += 1;
 
             sink.submit_task(
-                step.spec(&handles, compression.is_some())
-                    .cost(step.flops(layout)),
-                Some(Box::new(move || {
+                step.spec(&handles, &ctx.low_rank),
+                Box::new(move || {
                     if status_ref.is_failed() {
                         return;
                     }
@@ -589,7 +595,7 @@ fn factor(
                         status_ref.fail(pivot);
                     }
                     store_ref.put(step.out, tile, step.finalizes());
-                })),
+                }),
             );
         }
         Ok(executed)
@@ -616,10 +622,8 @@ fn sweep_assigned(
     let p = &ctx.problem;
     let layout = ctx.layout;
     let nt = layout.num_tiles();
-    // A sweeping node reads every factor tile — exactly the
-    // all-tiles-to-panel-nodes transfer pattern the simulator prices, and
-    // each tile crosses the edge once thanks to the store's residency
-    // check.
+    // A sweeping node reads every factor tile; each tile crosses the edge
+    // once thanks to the store's residency check.
     for i in 0..nt {
         for j in 0..=i {
             ensure_final(ctx, links, (i, j))?;
@@ -639,8 +643,7 @@ fn sweep_assigned(
         sample_kind: p.sample_kind,
         seed: p.seed,
     };
-    let cost = |_: usize, _: &usize| (nt * cfg.panel_width) as f64;
-    let results = pool.run_map("dist_panel_sweep", panels, cost, |_, &panel| {
+    let results = pool.map("dist_panel_sweep", panels, |_, &panel| {
         let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
         // Fault hook: a planned mid-sweep kill fires here, after this panel
         // completes.

@@ -8,18 +8,16 @@
 pub struct DataHandle(pub(crate) usize);
 
 impl DataHandle {
-    /// The numeric id (useful for mapping handles to owners in simulations).
+    /// The numeric id (registration order).
     pub fn id(&self) -> usize {
         self.0
     }
 }
 
-/// Registry assigning fresh handles and remembering a debug name and a size
-/// (in bytes) for each, so schedulers can model communication volume.
+/// Registry assigning fresh handles and remembering a debug name for each.
 #[derive(Debug, Default)]
 pub struct HandleRegistry {
     names: Vec<String>,
-    sizes: Vec<usize>,
 }
 
 impl HandleRegistry {
@@ -28,16 +26,10 @@ impl HandleRegistry {
         Self::default()
     }
 
-    /// Register a named piece of data with unknown size.
+    /// Register a named piece of data.
     pub fn register(&mut self, name: impl Into<String>) -> DataHandle {
-        self.register_sized(name, 0)
-    }
-
-    /// Register a named piece of data with a size in bytes.
-    pub fn register_sized(&mut self, name: impl Into<String>, bytes: usize) -> DataHandle {
         let id = self.names.len();
         self.names.push(name.into());
-        self.sizes.push(bytes);
         DataHandle(id)
     }
 
@@ -55,16 +47,6 @@ impl HandleRegistry {
     pub fn name(&self, h: DataHandle) -> &str {
         &self.names[h.0]
     }
-
-    /// Registered size in bytes of a handle.
-    pub fn size_bytes(&self, h: DataHandle) -> usize {
-        self.sizes[h.0]
-    }
-
-    /// Sum of the registered sizes of all handles (total data footprint).
-    pub fn total_bytes(&self) -> usize {
-        self.sizes.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -76,14 +58,13 @@ mod tests {
         let mut r = HandleRegistry::new();
         assert!(r.is_empty());
         let a = r.register("a");
-        let b = r.register_sized("b", 1024);
+        let b = r.register("b");
         assert_ne!(a, b);
         assert_eq!(a.id(), 0);
         assert_eq!(b.id(), 1);
         assert_eq!(r.len(), 2);
         assert_eq!(r.name(a), "a");
-        assert_eq!(r.size_bytes(b), 1024);
-        assert_eq!(r.size_bytes(a), 0);
+        assert_eq!(r.name(b), "b");
     }
 
     #[test]

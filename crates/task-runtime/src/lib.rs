@@ -19,10 +19,8 @@
 //!   count,
 //! * the [`store`] module provides [`TileStore`], the typed payload storage
 //!   task closures borrow tiles from according to their declared accesses,
-//! * the [`graph`] module's [`TaskGraph`] records the DAG a submission
-//!   sequence induces — task names, access lists and abstract costs — which
-//!   the `distsim` crate consumes to *simulate* distributed-memory executions
-//!   of the Cholesky + PMVN DAGs (the paper's Fig. 7 study).
+//! * the [`graph`] module holds the [`TaskSink`] trait and the hazard rules
+//!   the pool's submitter infers the dependency DAG with.
 
 pub mod graph;
 pub mod handle;
@@ -31,7 +29,7 @@ pub mod store;
 mod stream;
 pub mod task;
 
-pub use graph::{TaskGraph, TaskSink};
+pub use graph::TaskSink;
 pub use handle::{DataHandle, HandleRegistry};
 pub use pool::{effective_workers, run_map_once, PoolStats, WorkerPool};
 pub use store::{TileRef, TileRefMut, TileStore};
@@ -55,12 +53,10 @@ mod tests {
             for step in 0..20 {
                 let log = &log;
                 sink.submit_task(
-                    TaskSpec::new(format!("step{step}"))
-                        .access(data, AccessMode::ReadWrite)
-                        .cost(1.0),
-                    Some(Box::new(move || {
+                    TaskSpec::new(format!("step{step}")).access(data, AccessMode::ReadWrite),
+                    Box::new(move || {
                         log.lock().unwrap().push(step);
-                    })),
+                    }),
                 );
             }
         });
@@ -78,14 +74,12 @@ mod tests {
                 let h = registry.register(format!("t{i}"));
                 let (counter, threads) = (&counter, &threads);
                 sink.submit_task(
-                    TaskSpec::new(format!("independent{i}"))
-                        .access(h, AccessMode::Write)
-                        .cost(1.0),
-                    Some(Box::new(move || {
+                    TaskSpec::new(format!("independent{i}")).access(h, AccessMode::Write),
+                    Box::new(move || {
                         counter.fetch_add(1, Ordering::SeqCst);
                         threads.lock().unwrap().insert(std::thread::current().id());
                         std::thread::sleep(std::time::Duration::from_millis(5));
-                    })),
+                    }),
                 );
             }
         });

@@ -315,15 +315,13 @@ impl WorkerPool {
     /// This is the "embarrassingly parallel map" shape shared by the MVN
     /// panel sweeps, tile assembly and the Monte-Carlo validation blocks; the
     /// helper owns the handle-registry/slot-store boilerplate so call sites
-    /// only supply the per-item closure. `cost(i, item)` feeds the abstract
-    /// cost model of the task specs (used for tracing/simulation, not
-    /// scheduling correctness). Results are position-stable: `out[i] ==
-    /// f(i, &items[i])` regardless of worker count or interleaving.
-    pub fn run_map<T, R, C, F>(&self, name: &str, items: &[T], cost: C, f: F) -> Vec<R>
+    /// only supply the per-item closure. Results are position-stable:
+    /// `out[i] == f(i, &items[i])` regardless of worker count or
+    /// interleaving.
+    pub fn map<T, R, F>(&self, name: &str, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send + Sync,
-        C: Fn(usize, &T) -> f64,
         F: Fn(usize, &T) -> R + Sync,
     {
         use crate::task::{AccessMode, TaskSpec};
@@ -341,12 +339,10 @@ impl WorkerPool {
             self.execute(|sink| {
                 for (i, (item, &h)) in items.iter().zip(&handles).enumerate() {
                     sink.submit_task(
-                        TaskSpec::new(name)
-                            .access(h, AccessMode::Write)
-                            .cost(cost(i, item)),
-                        Some(Box::new(move || {
+                        TaskSpec::new(name).access(h, AccessMode::Write),
+                        Box::new(move || {
                             *results.write(h) = Some(f(i, item));
-                        })),
+                        }),
                     );
                 }
             });
@@ -356,9 +352,21 @@ impl WorkerPool {
             .map(|&h| results.take(h).expect("every map task writes its slot"))
             .collect()
     }
+
+    /// [`map`](WorkerPool::map) with an ignored per-item cost argument, kept
+    /// only because the `mvn_perf` benchmark's task-overhead probe calls it.
+    pub fn run_map<T, R, C, F>(&self, name: &str, items: &[T], _cost: C, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send + Sync,
+        C: Fn(usize, &T) -> f64,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        self.map(name, items, f)
+    }
 }
 
-/// [`WorkerPool::run_map`] on a throwaway pool of one worker per core (at
+/// [`WorkerPool::map`] on a throwaway pool of one worker per core (at
 /// most one per item): the data-parallel loop of call sites that hold no
 /// session pool — tile assembly in `tile-la`/`tlr`, dense covariance
 /// assembly in `geostat`, the Monte-Carlo blocks.
@@ -369,7 +377,7 @@ where
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    WorkerPool::new(effective_workers(0).min(items.len())).run_map(name, items, |_, _| 1.0, f)
+    WorkerPool::new(effective_workers(0).min(items.len())).map(name, items, f)
 }
 
 impl Drop for WorkerPool {
@@ -404,9 +412,9 @@ mod tests {
             let h = reg.register(format!("h{i}"));
             sink.submit_task(
                 TaskSpec::new("inc").access(h, AccessMode::Write),
-                Some(Box::new(move || {
+                Box::new(move || {
                     counter.fetch_add(1, Ordering::SeqCst);
-                })),
+                }),
             );
         }
     }
@@ -421,9 +429,9 @@ mod tests {
                 let h = reg.register("slot");
                 sink.submit_task(
                     TaskSpec::new("inc").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         run.fetch_add(1, Ordering::SeqCst);
-                    })),
+                    }),
                 );
             }
         });
@@ -459,10 +467,10 @@ mod tests {
                 let value = &value;
                 sink.submit_task(
                     TaskSpec::new(format!("w{k}")).access(x, AccessMode::Write),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         let mut v = value.lock().unwrap();
                         *v = *v * 10 + k;
-                    })),
+                    }),
                 );
             }
         });
@@ -483,12 +491,12 @@ mod tests {
                 let ran_on = &ran_on;
                 sink.submit_task(
                     TaskSpec::new("t").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         ran_on
                             .lock()
                             .unwrap()
                             .push((i, std::thread::current().id()));
-                    })),
+                    }),
                 );
             }
         });
@@ -510,12 +518,12 @@ mod tests {
                     let done = &done;
                     sink.submit_task(
                         TaskSpec::new("maybe_panic").access(h, AccessMode::Write),
-                        Some(Box::new(move || {
+                        Box::new(move || {
                             if i == 5 {
                                 panic!("task 5 exploded");
                             }
                             done.fetch_add(1, Ordering::SeqCst);
-                        })),
+                        }),
                     );
                 }
             });
@@ -549,9 +557,9 @@ mod tests {
                 let store = &store;
                 sink.submit_task(
                     TaskSpec::new("double").access(h, AccessMode::ReadWrite),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         *store.write(h) *= 2.0;
-                    })),
+                    }),
                 );
             }
         });
@@ -565,8 +573,13 @@ mod tests {
         let items: Vec<u64> = (0..40).collect();
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);
-            let out = pool.run_map("square", &items, |_, _| 1.0, |i, &x| (i as u64, x * x));
+            let out = pool.map("square", &items, |i, &x| (i as u64, x * x));
             assert_eq!(out.len(), items.len());
+            // The cost-taking wrapper is the same map.
+            assert_eq!(
+                pool.run_map("square", &items, |_, _| 1.0, |i, &x| (i as u64, x * x)),
+                out
+            );
             for (i, &(idx, sq)) in out.iter().enumerate() {
                 assert_eq!(idx, i as u64);
                 assert_eq!(sq, (i * i) as u64);
@@ -589,12 +602,9 @@ mod tests {
         assert!(run_map_once("sq", &[] as &[u64], |_, &x| x).is_empty());
         // Nested: a task of another pool builds its own throwaway pool.
         let outer = WorkerPool::new(2);
-        let nested = outer.run_map(
-            "outer",
-            &[0u8; 4],
-            |_, _| 1.0,
-            |_, _| run_map_once("sq", &items, |_, &x| x * x),
-        );
+        let nested = outer.map("outer", &[0u8; 4], |_, _| {
+            run_map_once("sq", &items, |_, &x| x * x)
+        });
         assert!(nested.iter().all(|got| *got == want));
     }
 
@@ -605,23 +615,13 @@ mod tests {
         // set executes inline on the worker.
         let pool = WorkerPool::new(2);
         let nested_done = AtomicUsize::new(0);
-        pool.run_map(
-            "nested",
-            &[0u8; 4],
-            |_, _| 1.0,
-            |i, _| {
-                if i == 2 {
-                    pool.run_map(
-                        "inner",
-                        &[0u8; 5],
-                        |_, _| 1.0,
-                        |_, _| {
-                            nested_done.fetch_add(1, Ordering::SeqCst);
-                        },
-                    );
-                }
-            },
-        );
+        pool.map("nested", &[0u8; 4], |i, _| {
+            if i == 2 {
+                pool.map("inner", &[0u8; 5], |_, _| {
+                    nested_done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
         assert_eq!(nested_done.load(Ordering::SeqCst), 5);
     }
 
@@ -643,7 +643,10 @@ mod tests {
             let labelled = |sink: &mut dyn TaskSink<'_>, reg: &mut HandleRegistry, name, n| {
                 for _ in 0..n {
                     let h = reg.register("h");
-                    sink.submit_task(TaskSpec::new(name).access(h, AccessMode::Write), None);
+                    sink.submit_task(
+                        TaskSpec::new(name).access(h, AccessMode::Write),
+                        Box::new(|| {}),
+                    );
                 }
             };
             // 6 "alpha" + 2 "beta", then 2 more "beta" in a second set.

@@ -211,19 +211,19 @@ mod tests {
             for _ in 0..10 {
                 sink.submit_task(
                     TaskSpec::new("double_a").access(a, AccessMode::ReadWrite),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         *store_ref.write(a) *= 2.0;
-                    })),
+                    }),
                 );
             }
             sink.submit_task(
                 TaskSpec::new("a_into_b")
                     .access(a, AccessMode::Read)
                     .access(b, AccessMode::ReadWrite),
-                Some(Box::new(move || {
+                Box::new(move || {
                     let va = *store_ref.read(a);
                     *store_ref.write(b) += va;
-                })),
+                }),
             );
         });
         assert_eq!(store.take(a), 1024.0);

@@ -13,8 +13,7 @@
 //!
 //! **Dependency inference** follows the sequential-task-flow hazard rules
 //! (read-after-write, write-after-write, write-after-read on the declared
-//! handles) through the same code the [`TaskGraph`](crate::TaskGraph)
-//! recorder runs; an edge to an already-retired task is trivially satisfied.
+//! handles); an edge to an already-retired task is trivially satisfied.
 //! Because every closure performs a fixed computation on the data it
 //! declared, the contents of every data handle after a drained session are
 //! **bitwise identical** for any worker count and any interleaving of
@@ -191,10 +190,9 @@ enum StreamTarget<'p> {
 /// itself).
 pub(crate) struct StreamSubmitter<'p, 'env> {
     target: StreamTarget<'p>,
-    /// The same hazard state (and inference code) the
-    /// [`TaskGraph`](crate::TaskGraph) recorder uses; the submitter prunes
-    /// retired readers on every update to keep the per-handle metadata
-    /// bounded by the in-flight tasks.
+    /// The hazard state; the submitter prunes retired readers on every
+    /// update to keep the per-handle metadata bounded by the in-flight
+    /// tasks.
     hazards: HazardTracker,
     /// Invariance in `'env` (the `std::thread::scope` trick): the borrows
     /// captured by submitted closures must outlive the whole `execute` call,
@@ -253,7 +251,7 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
 impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
     /// Ready tasks start executing on the pool immediately; the call never
     /// waits for the pool.
-    fn submit_task(&mut self, spec: TaskSpec, closure: Option<TaskClosure<'env>>) -> usize {
+    fn submit_task(&mut self, spec: TaskSpec, closure: TaskClosure<'env>) -> usize {
         match &mut self.target {
             StreamTarget::Inline {
                 tasks,
@@ -269,10 +267,8 @@ impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
                 let span = obs::enabled()
                     .then(|| obs::span_with(obs::intern(&spec.name), &[("worker", 0)]));
                 let t0 = Instant::now();
-                if let Some(f) = closure {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                        first_panic.get_or_insert(payload);
-                    }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(closure)) {
+                    first_panic.get_or_insert(payload);
                 }
                 let dur_ns = t0.elapsed().as_nanos() as u64;
                 drop(span);
@@ -303,12 +299,12 @@ impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
                 // (every closure consumed: executed and dropped) before it
                 // returns, and the submitter only exists inside that call,
                 // so no closure outlives the `'env` borrows it captured.
-                let closure: Option<TaskClosure<'static>> =
-                    unsafe { std::mem::transmute::<Option<TaskClosure<'env>>, _>(closure) };
+                let closure: TaskClosure<'static> =
+                    unsafe { std::mem::transmute::<TaskClosure<'env>, _>(closure) };
                 st.live.insert(
                     id,
                     LiveTask {
-                        closure,
+                        closure: Some(closure),
                         pending,
                         dependents: Vec::new(),
                         // Placeholder until the spec is released by the
@@ -368,10 +364,10 @@ mod tests {
                     let value = &value;
                     s.submit_task(
                         TaskSpec::new(format!("w{k}")).access(x, AccessMode::Write),
-                        Some(Box::new(move || {
+                        Box::new(move || {
                             let mut v = value.lock().unwrap();
                             *v = *v * 10 + k;
-                        })),
+                        }),
                     );
                 }
             });
@@ -390,25 +386,25 @@ mod tests {
         pool.execute(|s| {
             s.submit_task(
                 TaskSpec::new("init").access(x, AccessMode::Write),
-                Some(Box::new(|| {})),
+                Box::new(|| {}),
             );
             for _ in 0..8 {
                 let reads_done = &reads_done;
                 s.submit_task(
                     TaskSpec::new("read").access(x, AccessMode::Read),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         std::thread::sleep(Duration::from_millis(2));
                         reads_done.fetch_add(1, Ordering::SeqCst);
-                    })),
+                    }),
                 );
             }
             let reads_done = &reads_done;
             let seen_at_write = &seen_at_write;
             s.submit_task(
                 TaskSpec::new("write").access(x, AccessMode::Write),
-                Some(Box::new(move || {
+                Box::new(move || {
                     seen_at_write.store(reads_done.load(Ordering::SeqCst), Ordering::SeqCst);
-                })),
+                }),
             );
         });
         assert_eq!(seen_at_write.load(Ordering::SeqCst), 8);
@@ -433,11 +429,11 @@ mod tests {
                     let (value, tx) = (&value, tx.clone());
                     s.submit_task(
                         TaskSpec::new("step").access(x, AccessMode::ReadWrite),
-                        Some(Box::new(move || {
+                        Box::new(move || {
                             let mut v = value.lock().unwrap();
                             *v = *v * 3 + step;
                             tx.send(*v).unwrap();
-                        })),
+                        }),
                     );
                     let got = rx
                         .recv_timeout(WAIT)
@@ -469,7 +465,7 @@ mod tests {
                     let (value, tx) = (&value, tx.clone());
                     s.submit_task(
                         TaskSpec::new("read").access(x, AccessMode::Read),
-                        Some(Box::new(move || tx.send(*value.lock().unwrap()).unwrap())),
+                        Box::new(move || tx.send(*value.lock().unwrap()).unwrap()),
                     );
                 }
                 for _ in 0..3 {
@@ -478,7 +474,7 @@ mod tests {
                 let value = &value;
                 s.submit_task(
                     TaskSpec::new("write").access(x, AccessMode::ReadWrite),
-                    Some(Box::new(move || *value.lock().unwrap() += 1)),
+                    Box::new(move || *value.lock().unwrap() += 1),
                 );
             }
         });
@@ -496,7 +492,7 @@ mod tests {
                 let order = &order;
                 s.submit_task(
                     TaskSpec::new("t").access(h, AccessMode::Write),
-                    Some(Box::new(move || order.lock().unwrap().push(i))),
+                    Box::new(move || order.lock().unwrap().push(i)),
                 );
                 // Inline: the task ran at its submission point.
                 assert_eq!(order.lock().unwrap().len(), i + 1);
@@ -523,12 +519,12 @@ mod tests {
                         let done = &done;
                         s.submit_task(
                             TaskSpec::new("maybe_panic").access(h, AccessMode::Write),
-                            Some(Box::new(move || {
+                            Box::new(move || {
                                 if i == 5 {
                                     panic!("task 5 exploded");
                                 }
                                 done.fetch_add(1, Ordering::SeqCst);
-                            })),
+                            }),
                         );
                     }
                 });
@@ -544,9 +540,9 @@ mod tests {
                     let counter = &counter;
                     s.submit_task(
                         TaskSpec::new("inc").access(h, AccessMode::Write),
-                        Some(Box::new(move || {
+                        Box::new(move || {
                             counter.fetch_add(1, Ordering::SeqCst);
-                        })),
+                        }),
                     );
                 }
             });
@@ -569,9 +565,9 @@ mod tests {
                     let done = &done;
                     s.submit_task(
                         TaskSpec::new("inc").access(h, AccessMode::Write),
-                        Some(Box::new(move || {
+                        Box::new(move || {
                             done.fetch_add(1, Ordering::SeqCst);
-                        })),
+                        }),
                     );
                 }
                 panic!("submitter exploded");
@@ -595,20 +591,20 @@ mod tests {
                 let (pool, nested_done) = (&pool, &nested_done);
                 s.submit_task(
                     TaskSpec::new("outer").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         if i == 2 {
                             pool.execute(|inner| {
                                 for _ in 0..5 {
                                     inner.submit_task(
                                         TaskSpec::new("inner"),
-                                        Some(Box::new(move || {
+                                        Box::new(move || {
                                             nested_done.fetch_add(1, Ordering::SeqCst);
-                                        })),
+                                        }),
                                     );
                                 }
                             });
                         }
-                    })),
+                    }),
                 );
             }
         });
@@ -618,19 +614,22 @@ mod tests {
     #[test]
     fn nested_pool_entry_from_the_stream_closure_runs_inline_instead_of_deadlocking() {
         // Regression: the submission closure runs while the pool's
-        // submission lock is held, so a nested `execute`/`run_map` from the
+        // submission lock is held, so a nested `execute`/`map` from the
         // *submitting* thread used to block forever on the non-reentrant
         // lock. It must execute inline instead, like worker re-entrancy.
         let pool = WorkerPool::new(2);
         let mut reg = HandleRegistry::new();
         let outer_done = AtomicUsize::new(0);
         pool.execute(|s| {
-            let squares = pool.run_map("sq", &[1u64, 2, 3, 4], |_, _| 1.0, |_, &x| x * x);
+            let squares = pool.map("sq", &[1u64, 2, 3, 4], |_, &x| x * x);
             assert_eq!(squares, vec![1, 4, 9, 16]);
             let sum = pool.execute(|inner| {
                 for i in 0..3 {
                     let h = reg.register(format!("inner{i}"));
-                    inner.submit_task(TaskSpec::new("noop").access(h, AccessMode::Write), None);
+                    inner.submit_task(
+                        TaskSpec::new("noop").access(h, AccessMode::Write),
+                        Box::new(|| {}),
+                    );
                 }
                 42u32
             });
@@ -640,9 +639,9 @@ mod tests {
                 let outer_done = &outer_done;
                 s.submit_task(
                     TaskSpec::new("outer").access(h, AccessMode::Write),
-                    Some(Box::new(move || {
+                    Box::new(move || {
                         outer_done.fetch_add(1, Ordering::SeqCst);
-                    })),
+                    }),
                 );
             }
         });

@@ -1,6 +1,5 @@
-//! Task descriptions: a name, the data handles the task touches (with access
-//! modes) and an abstract cost used by tracing and by the distributed-memory
-//! simulator.
+//! Task descriptions: a name and the data handles the task touches (with
+//! access modes).
 
 use crate::handle::DataHandle;
 
@@ -35,30 +34,20 @@ pub struct TaskSpec {
     pub name: String,
     /// The data accesses of the task, in declaration order.
     pub accesses: Vec<(DataHandle, AccessMode)>,
-    /// Abstract execution cost (seconds for the simulator, arbitrary units for
-    /// tracing). Zero is allowed.
-    pub cost: f64,
 }
 
 impl TaskSpec {
-    /// A new task with no accesses and zero cost.
+    /// A new task with no accesses.
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             accesses: Vec::new(),
-            cost: 0.0,
         }
     }
 
     /// Declare an access (builder style).
     pub fn access(mut self, handle: DataHandle, mode: AccessMode) -> Self {
         self.accesses.push((handle, mode));
-        self
-    }
-
-    /// Set the abstract cost (builder style).
-    pub fn cost(mut self, cost: f64) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -91,15 +80,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_collects_accesses_and_cost() {
+    fn builder_collects_accesses() {
         let a = DataHandle(0);
         let b = DataHandle(1);
         let t = TaskSpec::new("gemm")
             .access(a, AccessMode::Read)
-            .access(b, AccessMode::ReadWrite)
-            .cost(3.5);
+            .access(b, AccessMode::ReadWrite);
         assert_eq!(t.name, "gemm");
-        assert_eq!(t.cost, 3.5);
         assert_eq!(t.read_handles().collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(t.written_handles().collect::<Vec<_>>(), vec![b]);
     }

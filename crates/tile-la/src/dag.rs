@@ -1,8 +1,8 @@
 //! The tiled Cholesky as a sequential-task-flow producer for the
 //! `task-runtime` pool (the paper's StarPU programming model): the one task
 //! order [`cholesky_plan`], the one dense step body [`dense_step`], and the
-//! building blocks the tiled factor's factorization in `tlr`, the `mvn-dist`
-//! worker and the `distsim` model compose.
+//! building blocks the tiled factor's factorization in `tlr` and the
+//! `mvn-dist` worker compose.
 //!
 //! Every lower tile `(i, j)` becomes a [`DataHandle`]; the `POTRF`/`TRSM`/
 //! `SYRK`/`GEMM` steps of the plan are submitted in order declaring how they
@@ -98,8 +98,7 @@ pub fn register_tile_handles(
     for i in 0..nt {
         let mut row = Vec::with_capacity(i + 1);
         for j in 0..=i {
-            let bytes = layout.tile_size(i) * layout.tile_size(j) * std::mem::size_of::<f64>();
-            row.push(registry.register_sized(format!("L[{i},{j}]"), bytes));
+            row.push(registry.register(format!("L[{i},{j}]")));
         }
         handles.push(row);
     }
@@ -162,37 +161,31 @@ impl Step {
         }
     }
 
-    /// Dense flop count of the step under `layout` (the abstract task cost).
-    pub fn flops(&self, layout: TileLayout) -> f64 {
-        let size = |t: usize| layout.tile_size(t) as f64;
-        let (nbi, nbj, nbk) = (size(self.out.0), size(self.out.1), size(self.panel()));
-        match self.kernel {
-            Kernel::Potrf => nbk * nbk * nbk / 3.0,
-            Kernel::Trsm => nbi * nbk * nbk,
-            Kernel::Syrk => nbi * nbi * nbk,
-            Kernel::Gemm => 2.0 * nbi * nbj * nbk,
-        }
-    }
-
     /// The task label: the kernel's name, with the off-diagonal trailing
-    /// update called `lr_gemm` on a low-rank factor.
-    pub fn label(&self, low_rank: bool) -> &'static str {
+    /// update called `lr_gemm` when `low_rank_out`, i.e. when its output
+    /// tile is low-rank at the start of the factorization.
+    pub fn label(&self, low_rank_out: bool) -> &'static str {
         match self.kernel {
             Kernel::Potrf => "potrf",
             Kernel::Trsm => "trsm",
             Kernel::Syrk => "syrk",
-            Kernel::Gemm if low_rank => "lr_gemm",
+            Kernel::Gemm if low_rank_out => "lr_gemm",
             Kernel::Gemm => "gemm",
         }
     }
 
     /// The task spec of this step over the lower-triangle handle grid
-    /// `handles[i][j]`: the reads, then the read-write output. No cost.
-    pub fn spec(&self, handles: &[Vec<DataHandle>], low_rank: bool) -> TaskSpec {
+    /// `handles[i][j]`: the reads, then the read-write output, labelled by
+    /// [`Step::label`] with the output tile's entry of `low_rank`, the
+    /// per-tile format snapshot (`true` = low-rank) taken before the
+    /// factorization starts. A tile that turns dense mid-factorization
+    /// keeps its `lr_gemm` label.
+    pub fn spec(&self, handles: &[Vec<DataHandle>], low_rank: &[Vec<bool>]) -> TaskSpec {
         let h = |(i, j): TileId| handles[i][j];
+        let (i, j) = self.out;
         self.reads()
             .iter()
-            .fold(TaskSpec::new(self.label(low_rank)), |spec, &r| {
+            .fold(TaskSpec::new(self.label(low_rank[i][j])), |spec, &r| {
                 spec.access(h(r), AccessMode::Read)
             })
             .access(h(self.out), AccessMode::ReadWrite)
@@ -206,7 +199,7 @@ impl Step {
 ///
 /// This is the one place the factorization's task order is written down. The
 /// tiled factor's submitter, the `mvn-dist` worker (owned slice and recovery
-/// replay) and the `distsim` model all walk it, so each tile's writers come
+/// replay) both walk it, so each tile's writers come
 /// in the same order everywhere — the per-tile kernel order every bitwise
 /// identity argument rests on.
 pub fn cholesky_plan(nt: usize) -> impl Iterator<Item = Step> {
@@ -256,7 +249,8 @@ pub fn dense_step<R: Deref<Target = DenseMatrix>>(
 /// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
 /// declaring per-tile read/write accesses. Each task runs `apply` on its
 /// output tile and read tiles, and records a returned pivot in `status`;
-/// `low_rank` names the off-diagonal trailing update `lr_gemm`.
+/// `low_rank` is the per-tile format snapshot (indexed like `handles`,
+/// `true` = low-rank) that [`Step::spec`] labels the trailing updates by.
 ///
 /// The tiled factor's submitter in `tlr` is this loop with its step
 /// function. The caller owns the [`TileStore`] and the [`FactorStatus`]; after
@@ -267,7 +261,7 @@ pub fn submit_steps<'a, T, S, F>(
     handles: &[Vec<DataHandle>],
     layout: TileLayout,
     status: &'a FactorStatus,
-    low_rank: bool,
+    low_rank: &[Vec<bool>],
     apply: F,
 ) where
     T: Send + Sync + 'a,
@@ -278,8 +272,8 @@ pub fn submit_steps<'a, T, S, F>(
     for step in cholesky_plan(layout.num_tiles()) {
         let (out, reads): (_, Vec<_>) = (h(&step.out), step.reads().iter().map(h).collect());
         graph.submit_task(
-            step.spec(handles, low_rank).cost(step.flops(layout)),
-            Some(Box::new(move || {
+            step.spec(handles, low_rank),
+            Box::new(move || {
                 if status.is_failed() {
                     return;
                 }
@@ -287,7 +281,7 @@ pub fn submit_steps<'a, T, S, F>(
                 if let Err(pivot) = apply(step, &mut store.write(out), &reads) {
                     status.fail(pivot);
                 }
-            })),
+            }),
         );
     }
 }
@@ -295,7 +289,7 @@ pub fn submit_steps<'a, T, S, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use task_runtime::TaskGraph;
+    use task_runtime::WorkerPool;
 
     #[test]
     fn factor_status_records_first_failure_only() {
@@ -325,22 +319,29 @@ mod tests {
             }
         }
         let status = FactorStatus::new();
-        let mut graph = TaskGraph::new();
-        submit_steps(
-            &mut graph,
-            &store,
-            &handles,
-            layout,
-            &status,
-            false,
-            |step, out, reads| dense_step(step, out, reads, layout),
-        );
-        let counts = graph.kernel_counts();
+        let dense: Vec<Vec<bool>> = handles.iter().map(|row| vec![false; row.len()]).collect();
+        let pool = WorkerPool::new(2);
+        pool.execute(|sink| {
+            submit_steps(
+                sink,
+                &store,
+                &handles,
+                layout,
+                &status,
+                &dense,
+                |step, out, reads| dense_step(step, out, reads, layout),
+            )
+        });
+        assert_eq!(status.pivot(), None);
+        let stats = pool.stats();
+        let count = |label| stats.label_timing(label).map_or(0, |(c, _)| c);
         let nt = 4;
-        assert_eq!(counts["potrf"], nt);
-        assert_eq!(counts["trsm"], nt * (nt - 1) / 2);
-        assert_eq!(counts["syrk"], nt * (nt - 1) / 2);
-        assert_eq!(counts["gemm"], 4); // sum over k of C(nt-k-1, 2)
+        assert_eq!(count("potrf"), nt);
+        assert_eq!(count("trsm"), nt * (nt - 1) / 2);
+        assert_eq!(count("syrk"), nt * (nt - 1) / 2);
+        assert_eq!(count("gemm"), 4); // sum over k of C(nt-k-1, 2)
+        assert_eq!(count("lr_gemm"), 0);
+        assert_eq!(stats.tasks_run, 20);
     }
 
     #[test]

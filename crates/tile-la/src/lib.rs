@@ -17,7 +17,7 @@
 //!   marginal-order correlation. Its tiles move into a `TlrMatrix` without
 //!   copying,
 //! * [`dag`] — the tiled Cholesky's one task order (`cholesky_plan`, shared
-//!   with the tiled, distributed and simulated factorizations), its one dense
+//!   with the tiled and distributed factorizations), its one dense
 //!   step body (`dense_step`, which the tiled factor's step body calls on
 //!   dense tiles), and the building blocks (`register_tile_handles`,
 //!   `submit_steps`, `FactorStatus`, `CholeskyError`) the tiled and

@@ -124,7 +124,7 @@ mod tests {
         assert_eq!(check(13, 7), 2);
         assert_eq!(check(27, 4), 7);
         let outer = task_runtime::WorkerPool::new(2);
-        let nested = outer.run_map("outer", &[0u8; 4], |_, _| 1.0, |_, _| check(27, 4));
+        let nested = outer.map("outer", &[0u8; 4], |_, _| check(27, 4));
         assert_eq!(nested, vec![7; 4]);
     }
 

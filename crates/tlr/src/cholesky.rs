@@ -35,6 +35,10 @@ pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), CholeskyErr
     let (layout, compression) = (a.layout(), a.compression());
     // One handle per lower tile, in the matrix's storage order.
     let handles = register_tile_handles(&mut HandleRegistry::new(), layout);
+    // The formats the tiles start in: what labels a trailing update.
+    let low_rank: Vec<Vec<bool>> = (0..layout.num_tiles())
+        .map(|i| (0..=i).map(|j| a.tile(i, j).is_low_rank()).collect())
+        .collect();
     let mut store = TileStore::new();
     for (&h, tile) in handles.iter().flatten().zip(a.take_tiles()) {
         store.insert(h, tile);
@@ -47,7 +51,7 @@ pub fn potrf_tlr(a: &mut TlrMatrix, pool: &WorkerPool) -> Result<(), CholeskyErr
             &handles,
             layout,
             &status,
-            compression.is_some(),
+            &low_rank,
             move |step, out, reads| tlr_step(step, out, reads, layout, compression),
         )
     });

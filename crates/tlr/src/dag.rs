@@ -39,6 +39,11 @@ impl Tile {
         }
     }
 
+    /// `true` for a compressed tile.
+    pub fn is_low_rank(&self) -> bool {
+        matches!(self, Tile::LowRank(_))
+    }
+
     /// The tile as a dense matrix: borrowed, or expanded from `U·Vᵀ`.
     pub fn to_dense(&self) -> Cow<'_, DenseMatrix> {
         match self {
@@ -227,6 +232,38 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn gemm_labels_follow_the_initial_format_of_the_output_tile() {
+        // On the mixed factor, a trailing update is `lr_gemm` exactly when
+        // its output tile is low-rank at assembly — (2,1), which turns dense
+        // mid-factorization, included — and `gemm` otherwise.
+        let a = TlrMatrix::assemble(
+            60,
+            12,
+            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+            mixed_formats,
+        );
+        let gemm_steps = |low_rank: bool| {
+            cholesky_plan(a.num_tiles())
+                .filter(|s| s.kernel == Kernel::Gemm)
+                .filter(|s| a.tile(s.out.0, s.out.1).is_low_rank() == low_rank)
+                .count() as u64
+        };
+        let (dense, low_rank) = (gemm_steps(false), gemm_steps(true));
+        assert!(
+            dense > 0 && low_rank > 0,
+            "{dense} dense, {low_rank} low-rank"
+        );
+        for workers in [1, 2] {
+            let pool = WorkerPool::new(workers);
+            potrf_tlr(&mut a.clone(), &pool).unwrap();
+            let stats = pool.stats();
+            let count = |label| stats.label_timing(label).map_or(0, |(c, _)| c);
+            assert_eq!(count("gemm"), dense, "workers={workers}");
+            assert_eq!(count("lr_gemm"), low_rank, "workers={workers}");
         }
     }
 

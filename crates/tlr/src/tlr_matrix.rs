@@ -334,7 +334,7 @@ mod tests {
         assert_eq!(check(20, 12), 2);
         assert_eq!(check(61, 9), 7);
         let outer = task_runtime::WorkerPool::new(2);
-        let nested = outer.run_map("outer", &[0u8; 3], |_, _| 1.0, |_, _| check(61, 9));
+        let nested = outer.map("outer", &[0u8; 3], |_, _| check(61, 9));
         assert_eq!(nested, vec![7; 3]);
     }
 

@@ -1,13 +1,12 @@
 //! TLR vs dense: accuracy/speed trade-off of the tile-low-rank approximation
 //! for the MVN probability, across compression tolerances (the paper's central
 //! ablation), plus the rank structure behind it (Fig. 5's heat map at
-//! tolerance 1e-3) and a simulated distributed-memory projection.
+//! tolerance 1e-3).
 //!
 //! ```bash
 //! cargo run --release --example tlr_vs_dense
 //! ```
 
-use distsim::{pmvn_task_graph, simulate, ClusterSpec, FactorKind, ProblemSpec};
 use geostat::{regular_grid, CovarianceKernel};
 use mvn_core::{MvnConfig, MvnEngine};
 use std::time::Instant;
@@ -74,27 +73,4 @@ fn main() {
         "rank buckets [1,5] [6,10] [11,20] [21,50] [51,100] [101+]: {:?}",
         ranks.bucket_histogram()
     );
-
-    // What the same trade-off looks like at paper scale on a simulated cluster.
-    println!("\nsimulated 64-node Cray XC40, n = 102,400, QMC N = 10,000:");
-    let cluster = ClusterSpec::cray_xc40(64);
-    for (label, kind) in [
-        ("dense", FactorKind::Dense),
-        ("TLR  ", FactorKind::Tlr { mean_rank: 20 }),
-    ] {
-        let spec = ProblemSpec {
-            n: 102_400,
-            tile_size: 320,
-            qmc_samples: 10_000,
-            panel_width: 320,
-            kind,
-        };
-        let report = simulate(&pmvn_task_graph(&spec, &cluster), &cluster);
-        println!(
-            "  {label}: predicted {:.1}s  (parallel efficiency {:.0}%, {:.1} GB moved)",
-            report.makespan,
-            report.efficiency * 100.0,
-            report.comm_bytes as f64 / 1e9
-        );
-    }
 }

@@ -17,7 +17,6 @@
 //!   [`mvn_core::MvnEngine::factor`], then [`mvn_core::MvnEngine::solve`]
 //!   against the factor),
 //! * [`excursion`] — confidence-region detection and MC validation,
-//! * [`distsim`] — the distributed-memory performance model,
 //! * [`wire`] — the shared bit-exact JSON/f64 wire layer,
 //! * [`mvn_service`] — the sharded, micro-batching probability server,
 //! * [`mvn_dist`] — the real multi-process distributed runtime.
@@ -25,7 +24,6 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture and
 //! the paper-reproduction map.
 
-pub use distsim;
 pub use excursion;
 pub use geostat;
 pub use mathx;
