@@ -160,7 +160,7 @@ fn scaling(full: bool, only_nodes: Option<usize>, trace: &mut TraceOut) {
     let tol = CompressionTol::Absolute(1e-8);
 
     let dense = TlrMatrix::assemble(n, nb, None, cov(n));
-    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
+    let tlr = TlrMatrix::assemble(n, nb, Some(tol), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
     let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);
@@ -197,7 +197,7 @@ fn smoke(trace: &mut TraceOut) {
     let (cfg, a, b) = problem(n, qmc);
     let dense = TlrMatrix::assemble(n, nb, None, cov(n));
     let tol = CompressionTol::Absolute(1e-8);
-    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
+    let tlr = TlrMatrix::assemble(n, nb, Some(tol), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
     let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);
@@ -233,7 +233,7 @@ fn chaos(seed: u64, trace: &mut TraceOut) {
     let (cfg, a, b) = problem(n, qmc);
     let dense = TlrMatrix::assemble(n, nb, None, cov(n));
     let tol = CompressionTol::Absolute(1e-8);
-    let tlr = TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), cov(n));
+    let tlr = TlrMatrix::assemble(n, nb, Some(tol), cov(n));
 
     let engine = MvnEngine::with_config(cfg).expect("engine config");
     let dense_ref = engine.solve(&engine.factor(dense.clone()).expect("SPD"), &a, &b);

@@ -100,7 +100,7 @@ fn engine_solves_are_bitwise_identical_with_tracing_on() {
             .factor(TlrMatrix::assemble(
                 N,
                 NB,
-                Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+                Some(CompressionTol::Absolute(1e-8)),
                 cov,
             ))
             .unwrap();

@@ -284,16 +284,11 @@ impl FactorBackend for TlrMatrix {
     fn dim(&self) -> usize {
         self.n()
     }
-    /// `Dense` without compression; otherwise `Tlr` with the rounded mean
-    /// off-diagonal rank of the stored tiles.
+    /// `Dense` without compression, otherwise `Tlr`.
     fn kind(&self) -> crate::FactorKind {
         match self.compression() {
             None => crate::FactorKind::Dense,
-            Some(_) => crate::FactorKind::Tlr {
-                mean_rank: tlr::RankStats::from_matrix(self)
-                    .mean_off_diagonal_rank()
-                    .round() as usize,
-            },
+            Some(_) => crate::FactorKind::Tlr,
         }
     }
     fn stored_elements(&self) -> usize {
@@ -344,8 +339,7 @@ impl Factor {
     }
 
     /// The factor's storage format in the shared [`FactorKind`](crate::FactorKind)
-    /// vocabulary; for a TLR factor the reported `mean_rank` is the rounded
-    /// mean off-diagonal rank of the stored tiles.
+    /// vocabulary.
     pub fn kind(&self) -> crate::FactorKind {
         self.backend().kind()
     }
@@ -1070,7 +1064,7 @@ mod tests {
         let (n, nb) = (45, 12);
         let f = exp_cov(0.4);
         let dense = TlrMatrix::assemble(n, nb, None, f);
-        let tlr = TlrMatrix::assemble(n, nb, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
+        let tlr = TlrMatrix::assemble(n, nb, Some(CompressionTol::Absolute(1e-8)), f);
         let a: Vec<f64> = (0..n).map(|i| -1.0 + 0.02 * i as f64).collect();
         let mut dead = a.clone();
         dead[30] = 1.0;
@@ -1131,7 +1125,7 @@ mod tests {
                     .factor(TlrMatrix::assemble(
                         45,
                         16,
-                        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+                        Some(CompressionTol::Absolute(1e-8)),
                         exp_cov(0.5),
                     ))
                     .unwrap(),
@@ -1258,8 +1252,7 @@ mod tests {
                 .factor(TlrMatrix::assemble(n, 6, None, f))
                 .unwrap_err();
             assert_eq!(err, CholeskyError::NotPositiveDefinite(13), "{workers}");
-            let tlr =
-                TlrMatrix::assemble(n, 6, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
+            let tlr = TlrMatrix::assemble(n, 6, Some(CompressionTol::Absolute(1e-8)), f);
             let err = engine.factor(tlr).unwrap_err();
             assert!(
                 matches!(err, CholeskyError::NotPositiveDefinite(_)),
@@ -1397,18 +1390,9 @@ mod tests {
         let f = exp_cov(0.5);
         let dense = engine.factor(TlrMatrix::assemble(40, 10, None, f)).unwrap();
         assert_eq!(dense.kind(), crate::FactorKind::Dense);
-        let tlr = engine
-            .factor(TlrMatrix::assemble(
-                40,
-                10,
-                Some((CompressionTol::Absolute(1e-8), usize::MAX)),
-                f,
-            ))
-            .unwrap();
-        match tlr.kind() {
-            crate::FactorKind::Tlr { mean_rank } => assert!(mean_rank >= 1),
-            other => panic!("expected Tlr, got {other:?}"),
-        }
+        let tol = Some(CompressionTol::Absolute(1e-8));
+        let tlr = engine.factor(TlrMatrix::assemble(40, 10, tol, f)).unwrap();
+        assert_eq!(tlr.kind(), crate::FactorKind::Tlr);
     }
 
     #[test]

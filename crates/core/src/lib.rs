@@ -59,14 +59,9 @@ use qmc::SampleKind;
 pub enum FactorKind {
     /// Dense tiles everywhere.
     Dense,
-    /// Tile low-rank off-diagonal tiles.
-    Tlr {
-        /// Representative off-diagonal rank. A built factor reports the
-        /// rounded mean rank of its off-diagonal tiles; the serving layer
-        /// uses it as the compression *rank cap* passed to the TLR assembly
-        /// (`0` = uncapped).
-        mean_rank: usize,
-    },
+    /// Tile low-rank off-diagonal tiles: each off-diagonal tile low-rank
+    /// where that pays, dense where it does not.
+    Tlr,
     /// Vecchia ordered-conditioning approximation: `O(n·m)` storage, sweep
     /// cost linear in `n` — the format for the `n ≫ 10⁴` regime no global
     /// factorization can reach (see [`vecchia`]).
@@ -84,7 +79,7 @@ impl FactorKind {
     pub fn label(&self) -> &'static str {
         match self {
             FactorKind::Dense => "dense",
-            FactorKind::Tlr { .. } => "tlr",
+            FactorKind::Tlr => "tlr",
             FactorKind::Vecchia { .. } => "vecchia",
         }
     }

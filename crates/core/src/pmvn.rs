@@ -572,8 +572,7 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr =
-            TlrMatrix::assemble(n, 25, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
+        let mut tlr = TlrMatrix::assemble(n, 25, Some(CompressionTol::Absolute(1e-8)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.2; n];
         let b = vec![f64::INFINITY; n];
@@ -599,7 +598,7 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr = TlrMatrix::assemble(n, 25, Some((CompressionTol::Absolute(1e-3), 20)), f);
+        let mut tlr = TlrMatrix::assemble(n, 25, Some(CompressionTol::Absolute(1e-3)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![0.0; n];
         let b = vec![f64::INFINITY; n];
@@ -665,8 +664,7 @@ mod tests {
         let n = 45;
         let f = exp_cov(0.3);
         let l = dense_factor(f, n, 15);
-        let mut tlr =
-            TlrMatrix::assemble(n, 15, Some((CompressionTol::Absolute(1e-8), usize::MAX)), f);
+        let mut tlr = TlrMatrix::assemble(n, 15, Some(CompressionTol::Absolute(1e-8)), f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let a = vec![-0.5; n];
         let b = vec![1.0; n];

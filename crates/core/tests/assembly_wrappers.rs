@@ -50,7 +50,9 @@ fn tiled(f: Factor) -> TlrMatrix {
 #[test]
 fn the_wrappers_are_bitwise_the_one_assembly_path() {
     let n = 45;
-    let c = (CompressionTol::Absolute(1e-6), 6);
+    // The wrappers' rank cap, at or above the break-even rank of every tile
+    // here, so it cannot bind.
+    let (tol, cap) = (CompressionTol::Absolute(1e-6), 6);
     let engine = MvnEngine::builder().workers(2).build().unwrap();
     let locs = jittered_grid(9, 5, 3);
     let kernel = CovarianceKernel::Exponential {
@@ -60,7 +62,7 @@ fn the_wrappers_are_bitwise_the_one_assembly_path() {
     for nb in [8, 16] {
         let what = |s: &str| format!("nb={nb}: {s}");
         let dense = TlrMatrix::assemble(n, nb, None, cov);
-        let tlr = TlrMatrix::assemble(n, nb, Some(c), cov);
+        let tlr = TlrMatrix::assemble(n, nb, Some(tol), cov);
         assert_same(
             &dense,
             &TlrMatrix::from(SymTileMatrix::from_fn(n, nb, cov)),
@@ -68,7 +70,7 @@ fn the_wrappers_are_bitwise_the_one_assembly_path() {
         );
         assert_same(
             &tlr,
-            &TlrMatrix::from_fn(n, nb, c.0, c.1, cov),
+            &TlrMatrix::from_fn(n, nb, tol, cap, cov),
             &what("from_fn"),
         );
 
@@ -86,8 +88,8 @@ fn the_wrappers_are_bitwise_the_one_assembly_path() {
             &what("tiled_covariance"),
         );
         assert_same(
-            &kernel.tlr_covariance(&locs, nb, 1e-8, c.0, c.1),
-            &TlrMatrix::assemble(n, nb, Some(c), &entry),
+            &kernel.tlr_covariance(&locs, nb, 1e-8, tol, cap),
+            &TlrMatrix::assemble(n, nb, Some(tol), &entry),
             &what("tlr_covariance"),
         );
     }

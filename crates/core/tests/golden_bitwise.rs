@@ -96,7 +96,7 @@ fn tlr_factor(e: &MvnEngine, n: usize, nb: usize, range: f64) -> Factor {
     e.factor(TlrMatrix::assemble(
         n,
         nb,
-        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+        Some(CompressionTol::Absolute(1e-8)),
         exp_cov(range),
     ))
     .unwrap()
@@ -164,7 +164,7 @@ fn compute_scenarios() -> Vec<(String, u64, u64)> {
     let sigma = TlrMatrix::assemble(
         60,
         12,
-        Some((CompressionTol::Absolute(1e-8), usize::MAX)),
+        Some(CompressionTol::Absolute(1e-8)),
         mixed_formats_cov,
     );
     let fm = e.factor(sigma).unwrap();

@@ -20,14 +20,7 @@ fn factors_and_solves_are_bitwise_identical_on_every_pool() {
         ..Default::default()
     };
     let dense = || TlrMatrix::assemble(n, 16, None, exp_cov);
-    let tlr = || {
-        TlrMatrix::assemble(
-            n,
-            16,
-            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
-            exp_cov,
-        )
-    };
+    let tlr = || TlrMatrix::assemble(n, 16, Some(CompressionTol::Absolute(1e-8)), exp_cov);
 
     // Reference: everything inline on one worker, factor then solve.
     let one = WorkerPool::new(1);

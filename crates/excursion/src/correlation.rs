@@ -73,7 +73,7 @@ pub fn correlation_factor(
     engine: &MvnEngine,
     cov: &DenseMatrix,
     nb: usize,
-    compression: Option<(CompressionTol, usize)>,
+    compression: Option<CompressionTol>,
 ) -> Result<(Factor, Vec<f64>), CholeskyError> {
     let (corr, sd) = correlation_matrix(cov, nb, compression);
     Ok((engine.factor(corr)?, sd))
@@ -99,7 +99,7 @@ pub fn correlation_factor_dense(cov: &DenseMatrix, nb: usize) -> (CorrelationFac
 fn correlation_matrix(
     cov: &DenseMatrix,
     nb: usize,
-    compression: Option<(CompressionTol, usize)>,
+    compression: Option<CompressionTol>,
 ) -> (TlrMatrix, Vec<f64>) {
     let sd = standard_deviations(cov);
     let entry = correlation_entry(|i, j| cov.get(i, j), &sd);
@@ -222,13 +222,8 @@ mod tests {
         let cov = cov_matrix();
         let engine = MvnEngine::with_config(MvnConfig::with_samples(4000)).unwrap();
         let (fd, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
-        let (ft, sd2) = correlation_factor(
-            &engine,
-            &cov,
-            16,
-            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
-        )
-        .unwrap();
+        let (ft, sd2) =
+            correlation_factor(&engine, &cov, 16, Some(CompressionTol::Absolute(1e-8))).unwrap();
         assert_eq!(sd.len(), sd2.len());
         let n = cov.nrows();
         let a = vec![-0.3; n];
@@ -262,7 +257,7 @@ mod tests {
             }
         }
         let engine = MvnEngine::builder().workers(2).build().unwrap();
-        let tlr = Some((CompressionTol::Absolute(1e-8), usize::MAX));
+        let tlr = Some(CompressionTol::Absolute(1e-8));
         for compression in [None, tlr] {
             let got = correlation_factor(&engine, &cov, 4, compression);
             assert!(

@@ -278,7 +278,7 @@ mod tests {
             &test_engine(),
             &cov,
             nb,
-            Some((CompressionTol::Absolute(1e-6), 12)),
+            Some(CompressionTol::Absolute(1e-6)),
         )
         .unwrap();
         let cfg = CrdConfig {

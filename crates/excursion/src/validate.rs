@@ -266,7 +266,7 @@ mod tests {
             &test_engine(),
             &cov,
             27,
-            Some((CompressionTol::Absolute(1e-6), usize::MAX)),
+            Some(CompressionTol::Absolute(1e-6)),
         )
         .unwrap();
         let mean = vec![0.5; locs.len()];

@@ -199,21 +199,19 @@ impl CovarianceKernel {
 
     /// The TLR covariance. Kept only for the `mvn_perf` benchmark; it goes
     /// when the benchmark moves to [`entry`](Self::entry) and
-    /// `TlrMatrix::assemble`.
+    /// `TlrMatrix::assemble`. The rank cap is ignored: a low-rank tile's
+    /// rank is at most its break-even rank, and each cap the benchmark
+    /// passes (50 at nb = 100, 16 at 32, 18 at 36) is at or above that of
+    /// its tiles.
     pub fn tlr_covariance(
         &self,
         locs: &[Location],
         nb: usize,
         nugget: f64,
         tol: CompressionTol,
-        max_rank: usize,
+        _max_rank: usize,
     ) -> TlrMatrix {
-        TlrMatrix::assemble(
-            locs.len(),
-            nb,
-            Some((tol, max_rank)),
-            self.entry(locs, nugget),
-        )
+        TlrMatrix::assemble(locs.len(), nb, Some(tol), self.entry(locs, nugget))
     }
 }
 
@@ -333,8 +331,8 @@ mod tests {
         let tiled = TlrMatrix::assemble(n, 16, None, k.entry(&locs, 1e-8));
         assert_same_bits(&tiled.to_dense_sym(), &want, "tiled");
         let tol = CompressionTol::Absolute(1e-6);
-        let tlr = TlrMatrix::assemble(n, 16, Some((tol, 20)), k.entry(&locs, 1e-8));
-        let tlr_want = TlrMatrix::assemble(n, 16, Some((tol, 20)), |i, j| want.get(i, j));
+        let tlr = TlrMatrix::assemble(n, 16, Some(tol), k.entry(&locs, 1e-8));
+        let tlr_want = TlrMatrix::assemble(n, 16, Some(tol), |i, j| want.get(i, j));
         assert_same_bits(&tlr.to_dense_sym(), &tlr_want.to_dense_sym(), "tlr");
     }
 
@@ -446,7 +444,7 @@ mod tests {
         let tlr = TlrMatrix::assemble(
             locs.len(),
             16,
-            Some((CompressionTol::Absolute(1e-7), usize::MAX)),
+            Some(CompressionTol::Absolute(1e-7)),
             k.entry(&locs, 0.0),
         );
         assert!(tile_la::max_abs_diff(&dense, &tlr.to_dense_sym()) < 1e-5);

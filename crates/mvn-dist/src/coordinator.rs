@@ -47,7 +47,7 @@ use wire::{read_msg, write_msg};
 use crate::faults::{FaultPlan, FAULTS_ENV};
 use crate::plan::{owned_panels, owned_tiles, ProcessGrid};
 use crate::proto::{self, EpochMsg, ProblemMsg, SetupMsg, WorkerErrorMsg, WorkerMsg};
-use crate::worker::{BIND_ENV, CONNECT_RETRIES_ENV, RETRY_BASE_MS_ENV, TRACE_ENV};
+use crate::worker::{BIND_ENV, TRACE_ENV};
 
 /// Cap on recovery rounds per solve: past this, something is systemically
 /// wrong (a crash loop) and the run fails with the underlying error instead
@@ -67,7 +67,12 @@ pub enum Recovery {
     Respawn,
 }
 
-/// How a distributed solve is deployed.
+/// How a distributed solve is deployed. The worker → coordinator handshake
+/// is not configured here: a worker makes 5 connect attempts, backing off
+/// exponentially from 50 ms with deterministic jitter
+/// ([`crate::faults::backoff_delay`]). Nor is the workers' environment: the
+/// coordinator sets it from the bind address, the fault plan and its own
+/// tracing state.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     /// Number of worker processes (nodes).
@@ -77,8 +82,6 @@ pub struct DistConfig {
     /// `env!("CARGO_BIN_EXE_mvn_dist_worker")`, the bench binary re-invokes
     /// itself with a `worker` subcommand.
     pub worker_command: Vec<String>,
-    /// Extra environment for the workers (fault injection, logging).
-    pub worker_env: Vec<(String, String)>,
     /// Worker threads per node (`0` = available parallelism).
     pub workers_per_node: usize,
     /// End-to-end deadline: handshake, factor, sweep, gather — and any
@@ -89,13 +92,6 @@ pub struct DistConfig {
     /// (default `127.0.0.1`; set to a routable interface to spread workers
     /// across hosts).
     pub bind_addr: String,
-    /// Bounded connect attempts for the worker → coordinator handshake
-    /// (default 5). Workers back off exponentially with deterministic
-    /// jitter between attempts — see [`crate::faults::backoff_delay`].
-    pub connect_retries: u32,
-    /// Base backoff between connect attempts (default 50 ms, doubling each
-    /// attempt).
-    pub retry_base: Duration,
     /// What to do when a worker is lost mid-run.
     pub recovery: Recovery,
     /// Deterministic fault plan shipped to the workers (empty = healthy
@@ -112,12 +108,9 @@ impl DistConfig {
         Self {
             nodes,
             worker_command,
-            worker_env: Vec::new(),
             workers_per_node: 1,
             timeout: Duration::from_secs(120),
             bind_addr: "127.0.0.1".to_string(),
-            connect_retries: 5,
-            retry_base: Duration::from_millis(50),
             recovery: Recovery::default(),
             faults: FaultPlan::none(),
         }
@@ -317,30 +310,17 @@ fn spawn_worker(dist: &DistConfig, addr: &str, with_faults: bool) -> Result<Chil
         .worker_command
         .split_first()
         .ok_or_else(|| DistError::InvalidProblem("empty worker command".into()))?;
-    let mut envs: Vec<(String, String)> = dist
-        .worker_env
-        .iter()
-        .filter(|(k, _)| with_faults || k.as_str() != FAULTS_ENV)
-        .cloned()
-        .collect();
+    let mut envs: Vec<(String, String)> = Vec::new();
     if with_faults && !dist.faults.is_empty() {
         envs.push((FAULTS_ENV.to_string(), dist.faults.to_env()));
     }
     if obs::enabled() {
         // Tracing in the coordinator process implies tracing the workers:
         // their recorded events ride the done reports back for the merged
-        // timeline. (An explicit MVN_DIST_TRACE in `worker_env` also works.)
+        // timeline.
         envs.push((TRACE_ENV.to_string(), "1".to_string()));
     }
     envs.push((BIND_ENV.to_string(), dist.bind_addr.clone()));
-    envs.push((
-        CONNECT_RETRIES_ENV.to_string(),
-        dist.connect_retries.to_string(),
-    ));
-    envs.push((
-        RETRY_BASE_MS_ENV.to_string(),
-        dist.retry_base.as_millis().to_string(),
-    ));
     // Stdout is nulled so worker noise can never corrupt a benchmark's
     // stdout protocol; stderr passes through for diagnostics.
     Command::new(cmd)

@@ -18,7 +18,9 @@
 //!   `"trace":[..]` event list when tracing is enabled) or
 //!   `{"type":"error","kind":..,..}`.
 //! * coordinator → worker: `{"type":"setup",..}` with the rank, epoch, the
-//!   peer address table, the problem, the panel assignment and the headers
+//!   peer address table, the problem (`"kind":"dense"`, or `"kind":"tlr"`
+//!   with `"tol"`, the absolute compression tolerance and the only TLR
+//!   setting), the panel assignment and the headers
 //!   of the rank's owned initial tiles, their blocks following in order;
 //!   then, possibly, `{"type":"epoch",..}` (the new peer address table after
 //!   a lost rank was respawned); finally `{"type":"shutdown"}`.
@@ -50,10 +52,10 @@ use wire::{
 /// its share of the factor+sweep pipeline deterministically).
 #[derive(Debug, Clone)]
 pub struct ProblemMsg {
-    /// The `(tolerance, rank cap)` of a TLR factor — the trailing updates
-    /// recompress under them, and a cap of `usize::MAX` (uncapped) travels
-    /// as `null` — or `None` for a dense factor.
-    pub compression: Option<(CompressionTol, usize)>,
+    /// The tolerance of a TLR factor, under which the trailing updates
+    /// recompress — on the wire `{"kind":"tlr","tol":τ}` — or `None` for a
+    /// dense factor (`{"kind":"dense"}`).
+    pub compression: Option<CompressionTol>,
     /// Matrix dimension.
     pub n: usize,
     /// Tile size.
@@ -381,21 +383,8 @@ fn problem_to_json(p: &ProblemMsg) -> Json {
         "dense"
     };
     let mut fields = vec![("kind", Json::Str(kind.into()))];
-    if let Some((tol, max_rank)) = p.compression {
-        let (tk, tv) = match tol {
-            CompressionTol::Absolute(x) => ("absolute", x),
-            CompressionTol::Relative(x) => ("relative", x),
-        };
-        fields.push(("tol_kind", Json::Str(tk.into())));
-        fields.push(("tol", Json::Num(tv)));
-        fields.push((
-            "max_rank",
-            if max_rank == usize::MAX {
-                Json::Null
-            } else {
-                num(max_rank)
-            },
-        ));
+    if let Some(CompressionTol::Absolute(tol)) = p.compression {
+        fields.push(("tol", Json::Num(tol)));
     }
     fields.extend([
         ("n", num(p.n)),
@@ -418,18 +407,7 @@ fn problem_to_json(p: &ProblemMsg) -> Json {
 fn problem_from_json(v: &Json) -> Result<ProblemMsg, String> {
     let compression = match get_str(v, "kind")? {
         "dense" => None,
-        "tlr" => {
-            let tol = match get_str(v, "tol_kind")? {
-                "absolute" => CompressionTol::Absolute(get_f64(v, "tol")?),
-                "relative" => CompressionTol::Relative(get_f64(v, "tol")?),
-                other => return Err(format!("unknown tolerance kind {other:?}")),
-            };
-            let max_rank = match v.get("max_rank") {
-                Some(Json::Null) | None => usize::MAX,
-                Some(x) => x.as_usize().ok_or("invalid max_rank")?,
-            };
-            Some((tol, max_rank))
-        }
+        "tlr" => Some(CompressionTol::Absolute(get_f64(v, "tol")?)),
         other => return Err(format!("unknown factor kind {other:?}")),
     };
     Ok(ProblemMsg {
@@ -825,7 +803,7 @@ mod tests {
             peers: vec!["a:1".into(), "b:2".into(), "c:3".into(), "d:4".into()],
             panels: vec![2, 6, 10],
             problem: ProblemMsg {
-                compression: Some((CompressionTol::Absolute(1e-9), usize::MAX)),
+                compression: Some(CompressionTol::Absolute(1e-9)),
                 n: 96,
                 nb: 24,
                 a: vec![f64::NEG_INFINITY, -1.25],
@@ -867,7 +845,23 @@ mod tests {
         assert_eq!(back.problem.a[0], f64::NEG_INFINITY);
         assert_eq!(back.problem.b[1], f64::INFINITY);
         assert_eq!(back.problem.a[1].to_bits(), (-1.25f64).to_bits());
-        assert!(matches!(back.problem.compression, Some((_, usize::MAX))));
+        assert_eq!(
+            back.problem.compression,
+            Some(CompressionTol::Absolute(1e-9))
+        );
+        // A TLR problem carries its tolerance and nothing else about the
+        // compression.
+        let setup = read_msg(&mut &wire[..]).unwrap().unwrap();
+        let Some(Json::Obj(problem)) = setup.get("problem").cloned() else {
+            panic!("setup without a problem object")
+        };
+        let keys: Vec<&str> = problem.iter().map(|(k, _)| k.as_str()).collect();
+        let want = ["kind", "tol", "n", "nb", "a", "b", "samples", "panel"];
+        assert_eq!(&keys[..8], want);
+        assert_eq!(
+            &keys[8..],
+            ["sample_kind", "seed", "workers", "deadline_ms"]
+        );
         assert_eq!(back.tiles.len(), 2);
         assert_eq!(back.tiles[0].0, (1, 0));
         assert!(same_bits(

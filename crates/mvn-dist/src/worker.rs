@@ -73,13 +73,6 @@ pub const CRASH_EXIT_CODE: i32 = 42;
 /// Env var: the address workers bind their tile server to (default
 /// `127.0.0.1`); set by the coordinator from `DistConfig::bind_addr`.
 pub const BIND_ENV: &str = "MVN_DIST_BIND";
-/// Env var: bounded connect attempts for the worker → coordinator handshake
-/// (default 5); set from `DistConfig::connect_retries`.
-pub const CONNECT_RETRIES_ENV: &str = "MVN_DIST_CONNECT_RETRIES";
-/// Env var: base backoff in milliseconds between connect attempts (default
-/// 50, doubling each attempt with deterministic jitter); set from
-/// `DistConfig::retry_base`.
-pub const RETRY_BASE_MS_ENV: &str = "MVN_DIST_RETRY_BASE_MS";
 /// Env var: any non-empty value other than `"0"` enables [`obs`] tracing in
 /// the worker process; the recorded events ride the done report back to the
 /// coordinator for the merged multi-process timeline. Set automatically by
@@ -88,15 +81,13 @@ pub const TRACE_ENV: &str = "MVN_DIST_TRACE";
 
 /// Cap on any single retry backoff sleep.
 const RETRY_CAP: Duration = Duration::from_millis(500);
+/// Bounded connect attempts for the worker → coordinator handshake.
+const CONNECT_ATTEMPTS: u32 = 5;
+/// Base backoff between connect attempts, doubling each attempt with
+/// deterministic jitter (see [`backoff_delay`]).
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
 /// How long a serving thread waits on a tile before re-checking shutdown.
 const SERVE_WAIT_SLICE: Duration = Duration::from_millis(100);
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The worker's live picture of the cluster: epoch and per-rank
 /// tile-server addresses. Updated by the control thread on epoch messages;
@@ -359,30 +350,24 @@ impl CholeskyFactor for DistFactor {
     }
 }
 
-fn connect_with_retries(
-    addr: &str,
-    retries: u64,
-    base: Duration,
-    salt: u64,
-) -> Result<TcpStream, String> {
+fn connect_with_retries(addr: &str, salt: u64) -> Result<TcpStream, String> {
     let mut last = String::new();
-    for attempt in 0..retries.max(1) {
+    for attempt in 0..CONNECT_ATTEMPTS {
         match TcpStream::connect(addr).and_then(proto::link) {
             Ok(s) => return Ok(s),
             Err(e) => last = e.to_string(),
         }
-        if attempt + 1 < retries.max(1) {
+        if attempt + 1 < CONNECT_ATTEMPTS {
             std::thread::sleep(backoff_delay(
-                base,
-                attempt as u32,
+                CONNECT_BACKOFF,
+                attempt,
                 salt,
                 Duration::from_secs(2),
             ));
         }
     }
     Err(format!(
-        "connecting to coordinator {addr}: {last} (after {} attempts)",
-        retries.max(1)
+        "connecting to coordinator {addr}: {last} (after {CONNECT_ATTEMPTS} attempts)"
     ))
 }
 
@@ -393,9 +378,7 @@ pub fn run_worker(coordinator_addr: &str) -> Result<(), String> {
         obs::set_enabled(true);
     }
     let salt = std::process::id() as u64;
-    let retries = env_u64(CONNECT_RETRIES_ENV, 5);
-    let retry_base = Duration::from_millis(env_u64(RETRY_BASE_MS_ENV, 50));
-    let coord = connect_with_retries(coordinator_addr, retries, retry_base, salt)?;
+    let coord = connect_with_retries(coordinator_addr, salt)?;
     let mut coord_writer = coord
         .try_clone()
         .map_err(|e| format!("cloning coordinator stream: {e}"))?;

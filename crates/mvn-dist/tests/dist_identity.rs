@@ -144,7 +144,7 @@ fn dense_is_thread_invariant() {
 #[test]
 fn tlr_matches_engine_bitwise_including_prime_node_counts() {
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::assemble(N, NB, Some((tol, usize::MAX)), cov);
+    let sigma = TlrMatrix::assemble(N, NB, Some(tol), cov);
     let (a, b) = limits();
     let cfg = cfg();
 
@@ -165,7 +165,7 @@ fn tlr_matches_engine_bitwise_including_prime_node_counts() {
 #[test]
 fn mixed_format_tlr_matches_engine_bitwise() {
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some((tol, usize::MAX)), mixed_cov);
+    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some(tol), mixed_cov);
     let (a, b) = limits();
     let cfg = cfg();
 

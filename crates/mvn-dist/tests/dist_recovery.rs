@@ -122,7 +122,7 @@ fn dense_reference(cfg: &MvnConfig) -> (TlrMatrix, MvnResult) {
 
 fn tlr_reference(cfg: &MvnConfig) -> (TlrMatrix, MvnResult) {
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::assemble(N, NB, Some((tol, usize::MAX)), cov);
+    let sigma = TlrMatrix::assemble(N, NB, Some(tol), cov);
     let (a, b) = limits();
     let engine = MvnEngine::with_config(*cfg).unwrap();
     let factor = engine.factor(sigma.clone()).unwrap();
@@ -193,7 +193,7 @@ fn respawn_recovers_tlr_kills_bitwise() {
 fn a_respawned_rank_replays_a_format_switch_bitwise() {
     let cfg = cfg();
     let tol = CompressionTol::Absolute(1e-8);
-    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some((tol, usize::MAX)), mixed_cov);
+    let sigma = TlrMatrix::assemble(N, MIXED_NB, Some(tol), mixed_cov);
     let (a, b) = limits();
     let engine = MvnEngine::with_config(cfg).unwrap();
     let reference = engine.solve(&engine.factor(sigma.clone()).unwrap(), &a, &b);

@@ -44,8 +44,8 @@ pub struct CovSpec {
     pub nugget: f64,
     /// Tile size `nb` of the factor storage.
     pub tile_size: usize,
-    /// Dense or TLR factorization (the shared [`FactorKind`] vocabulary; for
-    /// TLR, `mean_rank` is the compression rank cap, `0` = uncapped).
+    /// Dense, TLR or Vecchia factorization (the shared [`FactorKind`]
+    /// vocabulary).
     pub kind: FactorKind,
     /// Absolute TLR compression tolerance (ignored for dense factors).
     pub tlr_tol: f64,
@@ -74,24 +74,21 @@ impl CovSpec {
         }
     }
 
-    /// A TLR-factor spec with no standardization (`max_rank = 0` means
-    /// uncapped).
+    /// A TLR-factor spec with no standardization, compressed at absolute
+    /// tolerance `tol`.
     pub fn tlr(
         locations: Vec<Location>,
         kernel: CovarianceKernel,
         nugget: f64,
         tile_size: usize,
         tol: f64,
-        max_rank: usize,
     ) -> Self {
         Self {
             locations,
             kernel,
             nugget,
             tile_size,
-            kind: FactorKind::Tlr {
-                mean_rank: max_rank,
-            },
+            kind: FactorKind::Tlr,
             tlr_tol: tol,
             standardize: false,
         }
@@ -139,9 +136,8 @@ impl CovSpec {
         h.write_usize(self.tile_size);
         match self.kind {
             FactorKind::Dense => h.write_bytes(b"dense"),
-            FactorKind::Tlr { mean_rank } => {
+            FactorKind::Tlr => {
                 h.write_bytes(b"tlr");
-                h.write_usize(mean_rank);
                 h.write_f64(self.tlr_tol);
             }
             FactorKind::Vecchia { m } => {
@@ -199,9 +195,7 @@ impl CovSpec {
         if !(self.nugget.is_finite() && self.nugget >= 0.0) {
             return Err("nugget must be non-negative and finite".to_string());
         }
-        if matches!(self.kind, FactorKind::Tlr { .. })
-            && !(self.tlr_tol.is_finite() && self.tlr_tol > 0.0)
-        {
+        if self.kind == FactorKind::Tlr && !(self.tlr_tol.is_finite() && self.tlr_tol > 0.0) {
             return Err("tlr tolerance must be positive and finite".to_string());
         }
         if let FactorKind::Vecchia { m } = self.kind {
@@ -217,21 +211,10 @@ impl CovSpec {
         Ok(())
     }
 
-    /// The `(tolerance, rank cap)` a TLR spec compresses with (rank cap `0`
-    /// in [`CovSpec::kind`] is uncapped), or `None` for a dense one — the
-    /// argument of `TlrMatrix::assemble`.
-    fn compression(&self) -> Option<(CompressionTol, usize)> {
-        match self.kind {
-            FactorKind::Dense | FactorKind::Vecchia { .. } => None,
-            FactorKind::Tlr { mean_rank } => {
-                let cap = if mean_rank == 0 {
-                    usize::MAX
-                } else {
-                    mean_rank
-                };
-                Some((CompressionTol::Absolute(self.tlr_tol), cap))
-            }
-        }
+    /// The tolerance a TLR spec compresses with, or `None` for a dense one —
+    /// the argument of `TlrMatrix::assemble`.
+    fn compression(&self) -> Option<CompressionTol> {
+        (self.kind == FactorKind::Tlr).then_some(CompressionTol::Absolute(self.tlr_tol))
     }
 
     /// Deterministic Vecchia conditioning structure for this spec's geometry:
@@ -314,17 +297,13 @@ mod tests {
         assert_ne!(base, tile.fingerprint());
 
         let mut tlr = base_spec();
-        tlr.kind = FactorKind::Tlr { mean_rank: 0 };
+        tlr.kind = FactorKind::Tlr;
         tlr.tlr_tol = 1e-6;
         assert_ne!(base, tlr.fingerprint());
 
         let mut tighter = tlr.clone();
         tighter.tlr_tol = 1e-7;
         assert_ne!(tlr.fingerprint(), tighter.fingerprint());
-
-        let mut capped = tlr.clone();
-        capped.kind = FactorKind::Tlr { mean_rank: 12 };
-        assert_ne!(tlr.fingerprint(), capped.fingerprint());
 
         assert_ne!(base, base_spec().standardized().fingerprint());
 
@@ -371,15 +350,15 @@ mod tests {
         );
         tlr::potrf_tlr(&mut want, &one).unwrap();
         assert_same_factor(&spec.build_factor(&engine).unwrap(), &want, "dense cov");
-        // TLR covariance path (rank-capped) vs potrf_tlr of its assembly.
+        // TLR covariance path vs potrf_tlr of its assembly.
         let tol = 1e-6;
         let mut tspec = base_spec();
-        tspec.kind = FactorKind::Tlr { mean_rank: 6 };
+        tspec.kind = FactorKind::Tlr;
         tspec.tlr_tol = tol;
         let mut want = TlrMatrix::assemble(
             tspec.locations.len(),
             tspec.tile_size,
-            Some((CompressionTol::Absolute(tol), 6)),
+            Some(CompressionTol::Absolute(tol)),
             tspec.kernel.entry(&tspec.locations, tspec.nugget),
         );
         tlr::potrf_tlr(&mut want, &one).unwrap();
@@ -398,16 +377,15 @@ mod tests {
             wantf.tiled().unwrap(),
             "dense corr",
         );
-        // Standardized TLR path (uncapped) vs the library TLR correlation
-        // factor.
+        // Standardized TLR path vs the library TLR correlation factor.
         let mut stspec = base_spec().standardized();
-        stspec.kind = FactorKind::Tlr { mean_rank: 0 };
+        stspec.kind = FactorKind::Tlr;
         stspec.tlr_tol = tol;
         let (wantf, _sd) = excursion::correlation_factor(
             &lib,
             &cov,
             stspec.tile_size,
-            Some((CompressionTol::Absolute(tol), usize::MAX)),
+            Some(CompressionTol::Absolute(tol)),
         )
         .unwrap();
         assert_same_factor(

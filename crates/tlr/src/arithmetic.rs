@@ -113,16 +113,10 @@ pub fn lr_aa_t_update(diag: &mut DenseMatrix, a: &LowRankBlock) {
 /// `(ra+rb)²`) goes through the same rank-revealing truncation as
 /// [`compress_tile`] — a pivoted QR that stops at `τ/√2`, then a Jacobi SVD
 /// of only the kept rows within the budget left — so a low-rank result is
-/// within `τ` of the exact sum in Frobenius norm (unless `max_rank` caps it
-/// first). When the sum needs more than the tile's break-even rank, the
+/// within `τ` of the exact sum in Frobenius norm. When the sum needs more than the tile's break-even rank, the
 /// result is the exact dense sum: `U₁V₁ᵀ` expanded, plus `U₂V₂ᵀ` in one
 /// `gemm_nt`.
-pub fn lr_add_recompress(
-    a: &LowRankBlock,
-    b: &LowRankBlock,
-    tol: CompressionTol,
-    max_rank: usize,
-) -> Tile {
+pub fn lr_add_recompress(a: &LowRankBlock, b: &LowRankBlock, tol: CompressionTol) -> Tile {
     assert_eq!(a.nrows(), b.nrows(), "lr_add: row mismatch");
     assert_eq!(a.ncols(), b.ncols(), "lr_add: col mismatch");
     let m = a.nrows();
@@ -152,8 +146,8 @@ pub fn lr_add_recompress(
     // Core = R_u R_v^T  (small square of size <= ra+rb); its truncation
     // U_c V_c^T gives U = Q_u U_c, V = Q_v V_c.
     let core = qu.r.matmul_nt(&qv.r);
-    let tau = tol.absolute_for(core.frobenius_norm());
-    let Some(small) = truncate(&core, tau, max_rank, break_even_rank(m, n)) else {
+    let CompressionTol::Absolute(tau) = tol;
+    let Some(small) = truncate(&core, tau, break_even_rank(m, n)) else {
         let mut sum = a.to_dense();
         gemm_nt(1.0, &b.u, &b.v, 1.0, &mut sum);
         return Tile::Dense(sum);
@@ -201,7 +195,6 @@ pub fn lr_lr_t_update(
     a: &LowRankBlock,
     b: &LowRankBlock,
     tol: CompressionTol,
-    max_rank: usize,
 ) -> Tile {
     assert_eq!(a.ncols(), b.ncols(), "lr_lr_t: inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows());
@@ -209,7 +202,7 @@ pub fn lr_lr_t_update(
     if a.rank() == 0 || b.rank() == 0 {
         return Tile::LowRank(c.clone());
     }
-    lr_add_recompress(c, &lr_product(a, b), tol, max_rank)
+    lr_add_recompress(c, &lr_product(a, b), tol)
 }
 
 /// `C ← C − A·Bᵀ` for tiles of any format: the `GEMM` step of a factor
@@ -221,9 +214,9 @@ pub fn lr_lr_t_update(
 ///   `C` takes it in one `gemm_nt`; two dense reads are one `gemm_nt`.
 /// * Low-rank `C`, a dense read: the product is formed densely, added to
 ///   the expanded `C`, and the sum goes to [`compress_tile`].
-pub fn tile_gemm_update(c: &mut Tile, a: &Tile, b: &Tile, tol: CompressionTol, max_rank: usize) {
+pub fn tile_gemm_update(c: &mut Tile, a: &Tile, b: &Tile, tol: CompressionTol) {
     if let (Tile::LowRank(lr), Tile::LowRank(a), Tile::LowRank(b)) = (&*c, a, b) {
-        *c = lr_lr_t_update(lr, a, b, tol, max_rank);
+        *c = lr_lr_t_update(lr, a, b, tol);
         return;
     }
     // −A·Bᵀ as factors when either read is low-rank.
@@ -255,7 +248,7 @@ pub fn tile_gemm_update(c: &mut Tile, a: &Tile, b: &Tile, tol: CompressionTol, m
         Tile::LowRank(lr) => {
             let mut d = lr.to_dense();
             subtract(&mut d);
-            *c = compress_tile(d, tol, max_rank);
+            *c = compress_tile(d, tol);
         }
     }
 }
@@ -351,12 +344,7 @@ pub(crate) mod tests {
     fn add_recompress_is_accurate_and_rank_bounded() {
         let a = rand_lowrank(60, 50, 3, 21);
         let b = rand_lowrank(60, 50, 2, 23);
-        let sum = low_rank(lr_add_recompress(
-            &a,
-            &b,
-            CompressionTol::Absolute(1e-12),
-            usize::MAX,
-        ));
+        let sum = low_rank(lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-12)));
         let mut want = a.to_dense();
         want.add_scaled(1.0, &b.to_dense());
         assert!(max_abs_diff(&sum.to_dense(), &want) < 1e-10);
@@ -375,7 +363,7 @@ pub(crate) mod tests {
             },
             a.v.clone(),
         );
-        let sum = lr_add_recompress(&a, &neg, CompressionTol::Absolute(1e-10), usize::MAX);
+        let sum = lr_add_recompress(&a, &neg, CompressionTol::Absolute(1e-10));
         assert_eq!(low_rank(sum).rank(), 0, "cancelling sum should be rank 0");
     }
 
@@ -386,7 +374,7 @@ pub(crate) mod tests {
         assert_eq!(break_even_rank(12, 10), 2);
         let a = rand_lowrank(12, 10, 3, 21);
         let b = rand_lowrank(12, 10, 2, 23);
-        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-12), usize::MAX);
+        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-12));
         let Tile::Dense(sum) = sum else {
             panic!("a rank-5 sum of a 12 x 10 tile must be dense")
         };
@@ -405,7 +393,7 @@ pub(crate) mod tests {
             let b = rand_lowrank(30, 25, rb, 45);
             assert_eq!(lr_product(&a, &b).rank(), 2);
             let tol = CompressionTol::Absolute(1e-12);
-            let result = low_rank(lr_lr_t_update(&c, &a, &b, tol, usize::MAX));
+            let result = low_rank(lr_lr_t_update(&c, &a, &b, tol));
             let mut want = c.to_dense();
             want.add_scaled(-1.0, &a.to_dense().matmul_nt(&b.to_dense()));
             assert!(max_abs_diff(&result.to_dense(), &want) < 1e-10, "{ra}/{rb}");
@@ -418,7 +406,7 @@ pub(crate) mod tests {
         let c = rand_lowrank(6, 6, 2, 51);
         let a = LowRankBlock::zero(6, 4);
         let b = rand_lowrank(6, 4, 2, 53);
-        let result = lr_lr_t_update(&c, &a, &b, CompressionTol::Absolute(1e-8), usize::MAX);
+        let result = lr_lr_t_update(&c, &a, &b, CompressionTol::Absolute(1e-8));
         assert!(max_abs_diff(&result.to_dense(), &c.to_dense()) < 1e-14);
     }
 
@@ -429,12 +417,7 @@ pub(crate) mod tests {
         let mut small_u = rand_matrix(15, 3, 63);
         small_u.scale(1e-9);
         let small = LowRankBlock::new(small_u, rand_matrix(15, 3, 65));
-        let sum = lr_add_recompress(
-            &dominant,
-            &small,
-            CompressionTol::Relative(1e-4),
-            usize::MAX,
-        );
+        let sum = lr_add_recompress(&dominant, &small, CompressionTol::Absolute(1e-4));
         assert_eq!(low_rank(sum).rank(), 1);
     }
 
@@ -447,7 +430,7 @@ pub(crate) mod tests {
         });
         let half1 = DenseMatrix::from_fn(20, 20, |i, j| 0.5 * full.get(i, j));
         let a = compress_dense(&half1, CompressionTol::Absolute(1e-10), usize::MAX);
-        let sum = lr_add_recompress(&a, &a, CompressionTol::Absolute(1e-9), usize::MAX);
+        let sum = lr_add_recompress(&a, &a, CompressionTol::Absolute(1e-9));
         assert!(max_abs_diff(&low_rank(sum).to_dense(), &full) < 1e-7);
     }
 
@@ -460,19 +443,18 @@ pub(crate) mod tests {
         // τ/√2), exact when dense, and within τ at near-optimal rank when
         // low-rank.
         const TAU: f64 = 1e-3;
-        const MAX_RANK: usize = 50;
         let tol = CompressionTol::Absolute(TAU);
         let bound = break_even_rank(100, 100);
         let mut formats = [0; 2];
         for i in 2..16 {
-            let a = compress_dense(&grid_tile(i, 1), tol, MAX_RANK);
-            let mut b = compress_dense(&grid_tile(i, 0), tol, MAX_RANK);
+            let a = compress_dense(&grid_tile(i, 1), tol, usize::MAX);
+            let mut b = compress_dense(&grid_tile(i, 0), tol, usize::MAX);
             b.u.scale(-0.5);
             let mut exact = a.to_dense();
             exact.add_scaled(1.0, &b.to_dense());
             let best = optimal_rank(&exact, TAU);
             let at_qr_stop = optimal_rank(&exact, TAU / 2f64.sqrt());
-            match lr_add_recompress(&a, &b, tol, MAX_RANK) {
+            match lr_add_recompress(&a, &b, tol) {
                 Tile::Dense(d) => {
                     assert!(at_qr_stop + 2 > bound, "row {i}: dense at {at_qr_stop}");
                     assert!(max_abs_diff(&d, &exact) < 1e-12, "row {i}");

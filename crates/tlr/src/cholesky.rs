@@ -78,12 +78,13 @@ pub fn log_det_from_tlr_factor(l: &TlrMatrix) -> f64 {
 mod tests {
     use super::*;
     use crate::compress::CompressionTol;
+    use crate::dag::Tile;
     use tile_la::kernels::potrf_in_place;
     use tile_la::{max_abs_diff, DenseMatrix};
 
-    /// Compression at absolute tolerance `tol` with no rank cap.
-    fn uncapped(tol: f64) -> Option<(CompressionTol, usize)> {
-        Some((CompressionTol::Absolute(tol), usize::MAX))
+    /// Compression at absolute tolerance `tol`.
+    fn absolute(tol: f64) -> Option<CompressionTol> {
+        Some(CompressionTol::Absolute(tol))
     }
 
     fn kernel(range: f64) -> impl Fn(usize, usize) -> f64 + Sync {
@@ -199,7 +200,7 @@ mod tests {
         let n = 96;
         let nb = 24;
         let f = kernel(0.5);
-        let tlr = TlrMatrix::assemble(n, nb, uncapped(1e-10), &f);
+        let tlr = TlrMatrix::assemble(n, nb, absolute(1e-10), &f);
         let tlr = factored(tlr, &WorkerPool::new(1)).unwrap();
         let dense = dense_factor(n, nb, &f, &WorkerPool::new(1)).unwrap();
         assert!(max_abs_diff(&tlr.to_dense_lower(), &dense.to_dense_lower()) < 1e-6);
@@ -213,7 +214,7 @@ mod tests {
         let orig = DenseMatrix::from_fn(n, n, &f);
         let mut previous_err = f64::INFINITY;
         for tol in [1e-2, 1e-5, 1e-9] {
-            let mut tlr = TlrMatrix::assemble(n, nb, uncapped(tol), &f);
+            let mut tlr = TlrMatrix::assemble(n, nb, absolute(tol), &f);
             potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
             let l = tlr.to_dense_lower();
             let rec = l.matmul_nt(&l);
@@ -240,7 +241,7 @@ mod tests {
         let f = spd_kernel(11.0);
         let dense = TlrMatrix::assemble(n, 16, None, &f);
         let g = kernel(0.5);
-        let tlr = TlrMatrix::assemble(96, 24, uncapped(1e-8), &g);
+        let tlr = TlrMatrix::assemble(96, 24, absolute(1e-8), &g);
         let bits = |l: TlrMatrix| -> Vec<u64> {
             let d = l.to_dense_lower();
             d.data().iter().map(|x| x.to_bits()).collect()
@@ -261,22 +262,58 @@ mod tests {
     }
 
     #[test]
-    fn rank_capped_factor_is_deterministic_across_worker_counts() {
-        let f = kernel(0.7);
-        let base = TlrMatrix::assemble(80, 20, Some((CompressionTol::Absolute(1e-6), 10)), &f);
-        let mut reference = base.clone();
-        potrf_tlr(&mut reference, &WorkerPool::new(1)).unwrap();
-        for workers in [2usize, 8] {
-            let mut a = base.clone();
-            potrf_tlr(&mut a, &WorkerPool::new(workers)).unwrap();
-            assert!(max_abs_diff(&a.to_dense_lower(), &reference.to_dense_lower()) == 0.0);
+    fn no_low_rank_tile_passes_its_break_even_rank() {
+        // The invariant that leaves τ as TLR's only setting: after assembly
+        // and after the factorization, a low-rank tile's rank is at most its
+        // break-even rank, so no rank cap at or above that bound can bind.
+        // On the mixed-format matrix, and on an exponential covariance (range
+        // 0.3) over a 50 × 8 strip of a grid of spacing 1/7, ordered across
+        // the strip so that a tile is a compact patch, at three tile sizes
+        // (400 = 12·32 + 16 is ragged). Every case keeps tiles low-rank.
+        let within_bound = |a: &TlrMatrix, what: &str| {
+            let layout = a.layout();
+            for i in 0..a.num_tiles() {
+                for j in 0..i {
+                    if let Tile::LowRank(b) = a.tile(i, j) {
+                        let (m, n) = (layout.tile_size(i), layout.tile_size(j));
+                        let bound = crate::compress::break_even_rank(m, n);
+                        assert!(b.rank() <= bound, "{what} ({i},{j}): {}", b.rank());
+                    }
+                }
+            }
+        };
+        let grid = |i: usize, j: usize| {
+            let at = |k: usize| ((k / 8) as f64 / 7.0, (k % 8) as f64 / 7.0);
+            let ((xi, yi), (xj, yj)) = (at(i), at(j));
+            (-(xi - xj).hypot(yi - yj) / 0.3).exp()
+        };
+        let pool = WorkerPool::new(2);
+        for tol in [1e-3, 1e-6] {
+            let mut cases = vec![(
+                "mixed".to_string(),
+                TlrMatrix::assemble(60, 12, absolute(tol), crate::dag::tests::mixed_formats),
+            )];
+            for nb in [16, 32, 100] {
+                let a = TlrMatrix::assemble(400, nb, absolute(tol), grid);
+                cases.push((format!("grid nb={nb}"), a));
+            }
+            for (name, a) in cases {
+                let what = format!("{name} τ={tol}");
+                assert!(
+                    (0..a.num_tiles()).any(|i| (0..i).any(|j| a.tile(i, j).is_low_rank())),
+                    "{what}: no low-rank tile"
+                );
+                within_bound(&a, &format!("{what}, assembled"));
+                let l = factored(a, &pool).unwrap();
+                within_bound(&l, &format!("{what}, factored"));
+            }
         }
     }
 
     #[test]
     fn forward_solve_with_tlr_factor() {
         let n = 72;
-        let tlr = TlrMatrix::assemble(n, 18, uncapped(1e-10), kernel(0.5));
+        let tlr = TlrMatrix::assemble(n, 18, absolute(1e-10), kernel(0.5));
         let l = factored(tlr, &WorkerPool::new(1)).unwrap();
         let b0 = DenseMatrix::from_fn(n, 3, |i, j| ((i + j) as f64 * 0.37).sin());
         let mut x = b0.clone();
@@ -299,7 +336,7 @@ mod tests {
     #[test]
     fn multiply_lower_panel_uses_factor_consistently() {
         let n = 60;
-        let tlr = TlrMatrix::assemble(n, 15, uncapped(1e-10), kernel(0.4));
+        let tlr = TlrMatrix::assemble(n, 15, absolute(1e-10), kernel(0.4));
         let l = factored(tlr, &WorkerPool::new(1)).unwrap();
         let z = DenseMatrix::from_fn(n, 2, |i, j| ((i * 7 + j * 3) as f64 * 0.11).cos());
         let want = l.to_dense_lower().matmul(&z);
@@ -335,7 +372,7 @@ mod tests {
     fn log_det_matches_dense_factor() {
         let n = 64;
         let f = kernel(0.7);
-        let mut tlr = TlrMatrix::assemble(n, 16, uncapped(1e-10), &f);
+        let mut tlr = TlrMatrix::assemble(n, 16, absolute(1e-10), &f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l = unblocked(n, &f);
         let want = 2.0 * (0..n).map(|i| l.get(i, i).ln()).sum::<f64>();
@@ -346,7 +383,7 @@ mod tests {
     fn indefinite_matrix_is_rejected() {
         let f = |i: usize, j: usize| if i == j { -1.0 } else { 0.0 };
         for pool in [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)] {
-            let mut tlr = TlrMatrix::assemble(30, 10, uncapped(1e-6), f);
+            let mut tlr = TlrMatrix::assemble(30, 10, absolute(1e-6), f);
             let err = potrf_tlr(&mut tlr, &pool).unwrap_err();
             assert_eq!(err, CholeskyError::NotPositiveDefinite(0));
             assert!(err.to_string().contains("not positive definite"));

@@ -68,7 +68,7 @@ impl Tile {
 /// tile (`trsm`), update a dense diagonal tile from a low-rank one (`syrk`,
 /// [`lr_aa_t_update`]) and run a trailing update with any low-rank tile
 /// among its three (`gemm`, [`tile_gemm_update`]) under `compression`, the
-/// `(tolerance, rank cap)` pair of a TLR factor (`None` for a dense one).
+/// tolerance of a TLR factor (`None` for a dense one).
 /// A low-rank update whose result needs more than the tile's break-even
 /// rank leaves the tile dense. A `potrf` that meets a non-positive pivot
 /// returns the pivot's global index.
@@ -77,7 +77,7 @@ pub fn tlr_step<R: Deref<Target = Tile>>(
     out: &mut Tile,
     reads: &[R],
     layout: TileLayout,
-    compression: Option<(CompressionTol, usize)>,
+    compression: Option<CompressionTol>,
 ) -> Result<(), usize> {
     let reads: Vec<&Tile> = reads.iter().map(|r| &**r).collect();
     match (step.kernel, out, reads.as_slice()) {
@@ -92,9 +92,8 @@ pub fn tlr_step<R: Deref<Target = Tile>>(
         }
         (Kernel::Syrk, Tile::Dense(c), [Tile::LowRank(a_ik)]) => lr_aa_t_update(c, a_ik),
         (Kernel::Gemm, c, [a_ik, a_jk]) => {
-            let (tol, max_rank) =
-                compression.expect("a low-rank gemm needs compression parameters");
-            tile_gemm_update(c, a_ik, a_jk, tol, max_rank);
+            let tol = compression.expect("a low-rank gemm needs a compression tolerance");
+            tile_gemm_update(c, a_ik, a_jk, tol);
         }
         // Every diagonal tile is dense, so no other combination is planned.
         (kernel, _, _) => unreachable!("{kernel:?} on a low-rank diagonal tile"),
@@ -118,7 +117,7 @@ pub(crate) mod tests {
     fn walk(
         tiles: &mut HashMap<TileId, Tile>,
         layout: TileLayout,
-        compression: Option<(CompressionTol, usize)>,
+        compression: Option<CompressionTol>,
     ) -> Result<(), usize> {
         for step in cholesky_plan(layout.num_tiles()) {
             let mut out = tiles.remove(&step.out).unwrap();
@@ -183,23 +182,13 @@ pub(crate) mod tests {
         // Indefinite at pivot 49, inside the ragged tile.
         let indefinite = |i: usize, j: usize| if i == 49 && j == 49 { -1.0 } else { spd(i, j) };
         let tol = CompressionTol::Absolute(1e-10);
-        let mixed = TlrMatrix::assemble(
-            60,
-            12,
-            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
-            mixed_formats,
-        );
+        let mixed =
+            TlrMatrix::assemble(60, 12, Some(CompressionTol::Absolute(1e-8)), mixed_formats);
         let cases = [
             (TlrMatrix::assemble(n, nb, None, spd), None),
-            (
-                TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), spd),
-                None,
-            ),
+            (TlrMatrix::assemble(n, nb, Some(tol), spd), None),
             (TlrMatrix::assemble(n, nb, None, indefinite), Some(49)),
-            (
-                TlrMatrix::assemble(n, nb, Some((tol, usize::MAX)), indefinite),
-                Some(49),
-            ),
+            (TlrMatrix::assemble(n, nb, Some(tol), indefinite), Some(49)),
             (mixed, None),
         ];
         for (base, pivot) in cases {
@@ -240,12 +229,7 @@ pub(crate) mod tests {
         // On the mixed factor, a trailing update is `lr_gemm` exactly when
         // its output tile is low-rank at assembly — (2,1), which turns dense
         // mid-factorization, included — and `gemm` otherwise.
-        let a = TlrMatrix::assemble(
-            60,
-            12,
-            Some((CompressionTol::Absolute(1e-8), usize::MAX)),
-            mixed_formats,
-        );
+        let a = TlrMatrix::assemble(60, 12, Some(CompressionTol::Absolute(1e-8)), mixed_formats);
         let gemm_steps = |low_rank: bool| {
             cholesky_plan(a.num_tiles())
                 .filter(|s| s.kernel == Kernel::Gemm)
@@ -270,7 +254,7 @@ pub(crate) mod tests {
     #[test]
     fn the_mixed_factor_mixes_formats_and_switches_a_tile_to_dense() {
         let tol = CompressionTol::Absolute(1e-8);
-        let a = TlrMatrix::assemble(60, 12, Some((tol, usize::MAX)), mixed_formats);
+        let a = TlrMatrix::assemble(60, 12, Some(tol), mixed_formats);
         let mut l = a.clone();
         potrf_tlr(&mut l, &WorkerPool::new(2)).unwrap();
         let dense = |m: &TlrMatrix, i, j| matches!(m.tile(i, j), Tile::Dense(_));
@@ -299,7 +283,7 @@ pub(crate) mod tests {
         let step = cholesky_plan(3).find(|s| s.kernel == Kernel::Gemm).unwrap();
         assert_eq!((step.out, step.reads()), ((2, 1), &[(2, 0), (1, 0)][..]));
         let tau = 1e-6;
-        let compression = Some((CompressionTol::Absolute(tau), usize::MAX));
+        let compression = Some(CompressionTol::Absolute(tau));
         let lr = |k: usize, seed: u64| Tile::LowRank(rand_lowrank(40, 40, k, seed));
         let dense = |seed: u64| Tile::Dense(rand_matrix(40, 40, seed));
         let cases = [
@@ -338,7 +322,7 @@ pub(crate) mod tests {
         // A dense off-diagonal tile of a TLR factor runs `dense_step`, bit
         // for bit.
         let layout = TileLayout::new(80, 40);
-        let compression = Some((CompressionTol::Absolute(1e-6), usize::MAX));
+        let compression = Some(CompressionTol::Absolute(1e-6));
         let mut plan = cholesky_plan(2);
         let (trsm, syrk) = (plan.nth(1).unwrap(), plan.next().unwrap());
         assert_eq!((trsm.kernel, syrk.kernel), (Kernel::Trsm, Kernel::Syrk));

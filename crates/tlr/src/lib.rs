@@ -16,9 +16,10 @@
 //!
 //! * [`LowRankBlock`] — a single compressed tile with its `U`, `V` factors,
 //! * [`CompressionTol`], [`compress_tile`] and [`compress_dense`] —
-//!   compression at an absolute or relative Frobenius tolerance (a pivoted QR
-//!   that stops at the tolerance, then a Jacobi SVD of the kept rows only),
-//!   into the format that pays or, for `compress_dense`, always low-rank,
+//!   compression at an absolute Frobenius tolerance, the one setting of TLR
+//!   (a pivoted QR that stops at the tolerance, then a Jacobi SVD of the
+//!   kept rows only), into the format that pays or, for `compress_dense`,
+//!   always low-rank,
 //! * [`arithmetic`] — the low-rank kernels used by the factorization
 //!   (`LR×dense`, `LR×LRᵀ`, low-rank additions with QR-based recompression,
 //!   and the trailing update on tiles of any format),
@@ -91,7 +92,7 @@ mod tests {
         let f = exp_kernel(0.3);
         let tol = CompressionTol::Absolute(1e-9);
 
-        let mut tlr = TlrMatrix::assemble(n, nb, Some((tol, 64)), &f);
+        let mut tlr = TlrMatrix::assemble(n, nb, Some(tol), &f);
         potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
         let l_tlr = tlr.to_dense_lower();
 

@@ -154,15 +154,10 @@ mod tests {
         // Squared-exponential kernel: its off-diagonal tile ranks genuinely
         // depend on the correlation range (unlike the 1-D exponential kernel,
         // whose separated tiles are exactly rank one).
-        TlrMatrix::assemble(
-            n,
-            nb,
-            Some((CompressionTol::Absolute(1e-3), usize::MAX)),
-            move |i, j| {
-                let d = (i as f64 - j as f64).abs() / n as f64;
-                (-0.5 * (d / range).powi(2)).exp()
-            },
-        )
+        TlrMatrix::assemble(n, nb, Some(CompressionTol::Absolute(1e-3)), move |i, j| {
+            let d = (i as f64 - j as f64).abs() / n as f64;
+            (-0.5 * (d / range).powi(2)).exp()
+        })
     }
 
     #[test]
@@ -181,20 +176,12 @@ mod tests {
         // Exponential kernel on a regular 2-D grid over the unit square — the
         // setting of the paper's Fig. 5 (only smaller).
         let n = side * side;
-        // Relative tolerance isolates the within-tile smoothness effect (the
-        // absolute-tolerance heat map is printed by the `tlr_vs_dense`
-        // example).
-        TlrMatrix::assemble(
-            n,
-            nb,
-            Some((CompressionTol::Relative(1e-3), usize::MAX)),
-            move |i, j| {
-                let (xi, yi) = ((i % side) as f64, (i / side) as f64);
-                let (xj, yj) = ((j % side) as f64, (j / side) as f64);
-                let d = (((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()) / (side - 1) as f64;
-                (-d / range).exp()
-            },
-        )
+        TlrMatrix::assemble(n, nb, Some(CompressionTol::Absolute(1e-3)), move |i, j| {
+            let (xi, yi) = ((i % side) as f64, (i / side) as f64);
+            let (xj, yj) = ((j % side) as f64, (j / side) as f64);
+            let d = (((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()) / (side - 1) as f64;
+            (-d / range).exp()
+        })
     }
 
     #[test]
@@ -242,7 +229,7 @@ mod tests {
         assert_eq!(one.dense_tile_frac(), 0.0);
 
         let tol = CompressionTol::Absolute(1e-8);
-        let mut l = TlrMatrix::assemble(60, 12, Some((tol, usize::MAX)), mixed_formats);
+        let mut l = TlrMatrix::assemble(60, 12, Some(tol), mixed_formats);
         potrf_tlr(&mut l, &task_runtime::WorkerPool::new(1)).unwrap();
         let mixed = RankStats::from_matrix(&l);
         assert_eq!(mixed.dense_off_diagonal_tiles(), 3);

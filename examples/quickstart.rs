@@ -49,7 +49,7 @@ fn main() {
     let sigma_tlr = TlrMatrix::assemble(
         n,
         128,
-        Some((CompressionTol::Absolute(1e-3), 64)),
+        Some(CompressionTol::Absolute(1e-3)),
         kernel.entry(&locations, 1e-9),
     );
     let compression_ratio = sigma_tlr.compression_ratio();

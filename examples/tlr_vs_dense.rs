@@ -44,7 +44,7 @@ fn main() {
         let sigma = TlrMatrix::assemble(
             n,
             nb,
-            Some((CompressionTol::Absolute(tol), nb / 2)),
+            Some(CompressionTol::Absolute(tol)),
             kernel.entry(&locations, 1e-9),
         );
         let factor = engine.factor(sigma).unwrap();

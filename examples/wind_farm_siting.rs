@@ -60,7 +60,7 @@ fn main() {
     let dense = detect_confidence_regions(&engine, &dense_factor, &std_vals, &csd, &cfg);
     let dense_region = excursion_set(&dense, cfg.alpha);
 
-    let compression = Some((CompressionTol::Absolute(1e-4), 44));
+    let compression = Some(CompressionTol::Absolute(1e-4));
     let (tlr_factor, _) = correlation_factor(&engine, &cov, 88, compression).expect("SPD");
     let tlr = detect_confidence_regions(&engine, &tlr_factor, &std_vals, &csd, &cfg);
     let tlr_region = excursion_set(&tlr, cfg.alpha);

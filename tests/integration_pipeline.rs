@@ -48,7 +48,7 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
     let tlr = TlrMatrix::assemble(
         n,
         36,
-        Some((CompressionTol::Absolute(1e-6), 18)),
+        Some(CompressionTol::Absolute(1e-6)),
         kernel.entry(&locations, 1e-9),
     );
     let p_tlr = engine.solve(&engine.factor(tlr).unwrap(), &a, &b);
@@ -136,7 +136,7 @@ fn dense_and_tlr_confidence_functions_agree_as_in_the_paper() {
 
     let engine = MvnEngine::builder().workers(2).build().unwrap();
     let (fd, sd) = correlation_factor(&engine, &cov, 48, None).unwrap();
-    let compression = Some((CompressionTol::Absolute(1e-3), 24));
+    let compression = Some(CompressionTol::Absolute(1e-3));
     let (ft, _) = correlation_factor(&engine, &cov, 48, compression).unwrap();
     let cfg = CrdConfig {
         threshold: 0.0,

@@ -116,7 +116,7 @@ fn lowrank_addition_is_accurate() {
         };
         let a = tlr::LowRankBlock::new(mk(m, k), mk(m, k));
         let b = tlr::LowRankBlock::new(mk(m, k), mk(m, k));
-        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-10), usize::MAX);
+        let sum = lr_add_recompress(&a, &b, CompressionTol::Absolute(1e-10));
         let mut want = a.to_dense();
         want.add_scaled(1.0, &b.to_dense());
         assert!(max_abs_diff(&sum.to_dense(), &want) < 1e-8, "m={m}, k={k}");
