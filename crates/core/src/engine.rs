@@ -47,7 +47,7 @@
 use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes};
 use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
-use qmc::{make_point_set, PointSet, SampleKind};
+use qmc::{lattice_points, PointSet};
 use std::sync::{Arc, Mutex};
 use task_runtime::{effective_workers, PoolStats, WorkerPool};
 use tile_la::{CholeskyError, DenseMatrix, SymTileMatrix};
@@ -436,12 +436,6 @@ impl MvnEngineBuilder {
         self
     }
 
-    /// Sampling family for the integration points.
-    pub fn sample_kind(mut self, kind: SampleKind) -> Self {
-        self.cfg.sample_kind = kind;
-        self
-    }
-
     /// Random seed (QMC shift / MC stream).
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -675,10 +669,10 @@ impl MvnEngine {
             "engine_prefix_sweep",
             &[("n", n as u64), ("panels", n_panels as u64)],
         );
-        let points = make_point_set(cfg.sample_kind, n, cfg.seed);
+        let points = lattice_points(n, cfg.seed);
         let panels: Vec<usize> = (0..n_panels).collect();
         let means = self.pool.map("panel_sweep", &panels, |_, &p| {
-            sweep_panel_prefixes(l, a, b, points.as_ref(), cfg, p)
+            sweep_panel_prefixes(l, a, b, &points, cfg, p)
         });
         let mut row = vec![(0.0, 0usize); n_panels];
         (0..n)
@@ -715,9 +709,9 @@ impl MvnEngine {
     ///
     /// Each returned result is bitwise identical to the corresponding
     /// individual [`solve`](Self::solve): panels draw from a point set that
-    /// is a pure function of `(sample kind, dimension, seed)`, so problems of
-    /// equal dimension share one point set and problems of distinct
-    /// dimensions get exactly the set a solo solve would build.
+    /// is a pure function of `(dimension, seed)`, so problems of equal
+    /// dimension share one point set and problems of distinct dimensions get
+    /// exactly the set a solo solve would build.
     pub fn solve_batch_mixed(&self, batch: &[(Arc<Factor>, Problem)]) -> Vec<MvnResult> {
         let items: Vec<(&Factor, &[f64], &[f64])> = batch
             .iter()
@@ -737,7 +731,7 @@ impl MvnEngine {
         items: &[(&F, &[f64], &[f64])],
         cfg: &MvnConfig,
     ) -> Vec<MvnResult> {
-        self.run_sweeps_on(items, cfg, |n| make_point_set(cfg.sample_kind, n, cfg.seed))
+        self.run_sweeps_on(items, cfg, |n| Box::new(lattice_points(n, cfg.seed)))
     }
 
     /// [`run_sweeps`](Self::run_sweeps) with the point-set constructor
@@ -854,8 +848,8 @@ struct SampleGroup {
 /// The chain-major sample block of one panel (`cols × n`: column `i` is the
 /// lane of coordinate `i` over the panel's chains), filled by the first item
 /// sweep that asks for it and dropped with the last: the block is a pure
-/// function of (sample kind, dimension, seed, panel), so every same-dimension
-/// item of a batch reads the same one.
+/// function of (dimension, seed, panel), so every same-dimension item of a
+/// batch reads the same one.
 struct PanelSlot {
     /// Checkouts still to come, and the block once it has been filled.
     state: Mutex<(usize, Option<Arc<DenseMatrix>>)>,
@@ -1036,7 +1030,7 @@ mod tests {
             let fills = Arc::new(AtomicUsize::new(0));
             let counted = |dim: usize| -> Box<dyn PointSet> {
                 Box::new(Counting(
-                    make_point_set(cfg.sample_kind, dim, cfg.seed),
+                    Box::new(lattice_points(dim, cfg.seed)),
                     Arc::clone(&fills),
                 ))
             };

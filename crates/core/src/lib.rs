@@ -49,8 +49,6 @@ pub use vecchia::{
     build_vecchia_factor, full_conditioning_plan, VecchiaError, VecchiaFactor, VecchiaPlan,
 };
 
-use qmc::SampleKind;
-
 /// Storage format of a Cholesky factorization — the single problem-spec
 /// vocabulary shared by every layer that talks about factors: the engine
 /// (which reports the format of a factor it built) and the `mvn-service`
@@ -85,10 +83,11 @@ impl FactorKind {
     }
 }
 
-/// The sampling description shared by all MVN probability estimators. How
-/// the work is executed (the worker count) is not part of it:
-/// that lives on [`MvnEngineBuilder`] and the estimate is bitwise independent
-/// of it.
+/// The sampling description shared by all MVN probability estimators. The
+/// SOV estimators always draw the shifted Richtmyer lattice
+/// ([`qmc::lattice_points`]), whose shift `seed` picks. How the work is
+/// executed (the worker count) is not part of it: that lives on
+/// [`MvnEngineBuilder`] and the estimate is bitwise independent of it.
 #[derive(Debug, Clone, Copy)]
 pub struct MvnConfig {
     /// Number of (quasi-)Monte-Carlo samples `N` (the paper uses 100 / 1,000 /
@@ -97,8 +96,6 @@ pub struct MvnConfig {
     /// Width of a sample-column panel (the paper's tile size `m` along the
     /// sample dimension). Each panel is processed as one independent task.
     pub panel_width: usize,
-    /// Which sampling family to use for the integration points.
-    pub sample_kind: SampleKind,
     /// Random seed (controls the QMC shift / MC stream).
     pub seed: u64,
 }
@@ -108,7 +105,6 @@ impl Default for MvnConfig {
         Self {
             sample_size: 10_000,
             panel_width: 64,
-            sample_kind: SampleKind::RichtmyerLattice,
             seed: 42,
         }
     }

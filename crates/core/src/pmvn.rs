@@ -443,9 +443,9 @@ pub(crate) fn sweep_sequential(
     b: &[f64],
     cfg: &MvnConfig,
 ) -> MvnResult {
-    let points = qmc::make_point_set(cfg.sample_kind, l.dim(), cfg.seed);
+    let points = qmc::lattice_points(l.dim(), cfg.seed);
     let panels: Vec<(f64, usize)> = (0..cfg.sample_size.div_ceil(cfg.panel_width))
-        .map(|p| l.sweep_panel(a, b, points.as_ref(), cfg, p))
+        .map(|p| l.sweep_panel(a, b, &points, cfg, p))
         .collect();
     combine_panel_results(&panels)
 }
@@ -456,7 +456,7 @@ mod tests {
     use crate::genz::mvn_prob_genz;
     use crate::{FactorBackend, MvnEngine};
     use mathx::norm_cdf;
-    use qmc::make_point_set;
+    use qmc::{lattice_points, PointSet};
     use task_runtime::WorkerPool;
     use tlr::{potrf_tlr, CompressionTol};
 
@@ -771,36 +771,31 @@ mod tests {
     #[test]
     fn panel_w_blocks_match_per_point_generation_bitwise() {
         // The block-major fill of PanelState::init must reproduce the
-        // historical column-by-column sample generation bit for bit, for
-        // both deterministic QMC families.
-        use qmc::SampleKind;
+        // historical column-by-column sample generation bit for bit.
         let n = 45;
         let layout = TileLayout::new(n, 11); // uneven tail tile
         let a = vec![-0.5; n];
         let b = vec![1.0; n];
-        for kind in [SampleKind::Halton, SampleKind::RichtmyerLattice] {
-            let cfg = MvnConfig {
-                sample_size: 100,
-                panel_width: 32,
-                sample_kind: kind,
-                seed: 77,
-            };
-            let points = make_point_set(kind, n, cfg.seed);
-            for p in 0..cfg.sample_size.div_ceil(cfg.panel_width) {
-                let state = PanelState::init(layout, &a, &b, points.as_ref(), &cfg, p);
-                let start = p * cfg.panel_width;
-                for c in 0..state.cols {
-                    let point = points.point_vec(start + c);
-                    for r in 0..layout.num_tiles() {
-                        let r0 = layout.tile_start(r);
-                        for i in 0..layout.tile_size(r) {
-                            assert_eq!(
-                                state.w_blocks[r].get(c, i).to_bits(),
-                                point[r0 + i].to_bits(),
-                                "{kind:?}: panel {p}, chain {c}, row {}",
-                                r0 + i
-                            );
-                        }
+        let cfg = MvnConfig {
+            sample_size: 100,
+            panel_width: 32,
+            seed: 77,
+        };
+        let points = lattice_points(n, cfg.seed);
+        for p in 0..cfg.sample_size.div_ceil(cfg.panel_width) {
+            let state = PanelState::init(layout, &a, &b, &points, &cfg, p);
+            let start = p * cfg.panel_width;
+            for c in 0..state.cols {
+                let point = points.point_vec(start + c);
+                for r in 0..layout.num_tiles() {
+                    let r0 = layout.tile_start(r);
+                    for i in 0..layout.tile_size(r) {
+                        assert_eq!(
+                            state.w_blocks[r].get(c, i).to_bits(),
+                            point[r0 + i].to_bits(),
+                            "panel {p}, chain {c}, row {}",
+                            r0 + i
+                        );
                     }
                 }
             }
@@ -829,9 +824,9 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let points = make_point_set(cfg.sample_kind, n, cfg.seed);
+        let points = lattice_points(n, cfg.seed);
 
-        let mut state = PanelState::init(layout, &a, &b, points.as_ref(), &cfg, 0);
+        let mut state = PanelState::init(layout, &a, &b, &points, &cfg, 0);
         state.step(&l, 0, None);
         assert_eq!(state.alive, state.cols, "block 0 keeps all chains alive");
         state.step(&l, 1, None);

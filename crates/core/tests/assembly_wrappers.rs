@@ -6,6 +6,7 @@
 
 use geostat::{jittered_grid, CovarianceKernel};
 use mvn_core::{Factor, MvnEngine};
+use qmc::{lattice_points, make_point_set, PointSet, SampleKind};
 use tile_la::SymTileMatrix;
 use tlr::{CompressionTol, Tile, TlrMatrix};
 
@@ -92,5 +93,26 @@ fn the_wrappers_are_bitwise_the_one_assembly_path() {
             &TlrMatrix::assemble(n, nb, Some(tol), &entry),
             &what("tlr_covariance"),
         );
+    }
+}
+
+#[test]
+fn make_point_set_is_bitwise_the_lattice() {
+    for dim in [1, 17, 1600] {
+        for seed in [42, u64::MAX - 7] {
+            let (count, ndims) = (33, dim.min(100));
+            let dim0 = dim - ndims;
+            let mut got = vec![0.0; count * ndims];
+            let mut want = got.clone();
+            make_point_set(SampleKind::RichtmyerLattice, dim, seed)
+                .fill_block(5, count, dim0, ndims, &mut got);
+            lattice_points(dim, seed).fill_block(5, count, dim0, ndims, &mut want);
+            assert!(
+                got.iter()
+                    .map(|x| x.to_bits())
+                    .eq(want.iter().map(|x| x.to_bits())),
+                "dim={dim} seed={seed}"
+            );
+        }
     }
 }

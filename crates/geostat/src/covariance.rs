@@ -30,22 +30,6 @@ pub struct MaternParams {
     pub smoothness: f64,
 }
 
-impl MaternParams {
-    /// Parameters in the `(σ², a, ν)` vector order used by the MLE.
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![self.sigma2, self.range, self.smoothness]
-    }
-
-    /// Inverse of [`to_vec`](Self::to_vec).
-    pub fn from_slice(v: &[f64]) -> Self {
-        Self {
-            sigma2: v[0],
-            range: v[1],
-            smoothness: v[2],
-        }
-    }
-}
-
 /// A stationary, isotropic covariance kernel `C(‖h‖; θ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CovarianceKernel {

@@ -66,29 +66,6 @@ pub fn jittered_grid(nx: usize, ny: usize, seed: u64) -> Vec<Location> {
         .collect()
 }
 
-/// Uniformly random locations in an axis-aligned bounding box.
-pub fn uniform_random(
-    n: usize,
-    x_range: (f64, f64),
-    y_range: (f64, f64),
-    seed: u64,
-) -> Vec<Location> {
-    let mut rng = Xoshiro256pp::seed_from(seed);
-    (0..n)
-        .map(|_| {
-            Location::new(
-                x_range.0 + rng.next_f64() * (x_range.1 - x_range.0),
-                y_range.0 + rng.next_f64() * (y_range.1 - y_range.0),
-            )
-        })
-        .collect()
-}
-
-/// Pairwise distance between locations `i` and `j` of a slice.
-pub fn pair_distance(locs: &[Location], i: usize, j: usize) -> f64 {
-    locs[i].distance(&locs[j])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +111,6 @@ mod tests {
                 assert!(a[i].distance(&a[j]) > 1e-6, "points {i} and {j} collide");
             }
         }
-    }
-
-    #[test]
-    fn uniform_random_respects_bounding_box() {
-        let pts = uniform_random(200, (34.0, 56.0), (16.0, 33.0), 1);
-        assert_eq!(pts.len(), 200);
-        assert!(pts
-            .iter()
-            .all(|l| l.x >= 34.0 && l.x < 56.0 && l.y >= 16.0 && l.y < 33.0));
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   scalar routine per lane;
 //! * [`norm_cdf_and_diff_slice`] fuses the kernel's `Φ(a)` +
 //!   `Φ(b) − Φ(a)` pair, reusing the already-computed `Φ(a)` whenever the
-//!   scalar [`norm_cdf_diff`] would recompute it (its `a ≤ 0` branch) and
-//!   skipping the `Φ(b)` evaluation entirely for `b = +∞` — one to two fewer
-//!   `erfc` evaluations per lane than the unfused scalar sequence, with
-//!   bit-for-bit the same results.
+//!   scalar [`norm_cdf_diff`](crate::norm_cdf_diff) would recompute it (its
+//!   `a ≤ 0` branch) and skipping the `Φ(b)` evaluation entirely for
+//!   `b = +∞` — one to two fewer `erfc` evaluations per lane than the
+//!   unfused scalar sequence, with bit-for-bit the same results.
 
-use crate::normal::{norm_cdf, norm_cdf_diff, norm_quantile, quantile_central};
+use crate::normal::{norm_cdf, norm_quantile, quantile_central};
 
 /// Lanes per classification chunk in [`norm_quantile_slice`].
 const CHUNK: usize = 8;
@@ -37,17 +37,6 @@ pub fn norm_cdf_slice(x: &[f64], out: &mut [f64]) {
     assert_eq!(x.len(), out.len(), "norm_cdf_slice: length mismatch");
     for (o, &v) in out.iter_mut().zip(x) {
         *o = norm_cdf(v);
-    }
-}
-
-/// Φ(b) − Φ(a) over slices: `out[i] = norm_cdf_diff(a[i], b[i])`, bitwise
-/// identical to the scalar [`norm_cdf_diff`].
-#[inline]
-pub fn norm_cdf_diff_slice(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "norm_cdf_diff_slice: length mismatch");
-    assert_eq!(a.len(), out.len(), "norm_cdf_diff_slice: length mismatch");
-    for i in 0..a.len() {
-        out[i] = norm_cdf_diff(a[i], b[i]);
     }
 }
 
@@ -120,6 +109,7 @@ pub fn norm_quantile_slice(p: &[f64], out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal::norm_cdf_diff;
 
     /// A deterministic 64-bit stream (SplitMix64) for property-style cases.
     struct Stream(u64);
@@ -193,43 +183,6 @@ mod tests {
                 got.to_bits(),
                 want.to_bits(),
                 "lane {i}: norm_cdf_slice({x:e}) = {got:e}, scalar {want:e}"
-            );
-        }
-    }
-
-    #[test]
-    fn cdf_diff_slice_is_bitwise_identical_to_scalar() {
-        let xs = cdf_edge_values();
-        // Pair every value with a shifted partner plus targeted pairs:
-        // reversed intervals, equal limits, both-tail intervals, infinities.
-        let mut a: Vec<f64> = xs.clone();
-        let mut b: Vec<f64> = xs.iter().map(|&x| x + 0.7).collect();
-        for &(x, y) in &[
-            (1.0, 1.0),
-            (2.0, 1.0),
-            (8.0, 9.0),
-            (-9.0, -8.0),
-            (f64::NEG_INFINITY, f64::INFINITY),
-            (f64::NEG_INFINITY, -40.0),
-            (40.0, f64::INFINITY),
-            (f64::NAN, 1.0),
-            (1.0, f64::NAN),
-            (f64::INFINITY, f64::INFINITY),
-        ] {
-            a.push(x);
-            b.push(y);
-        }
-        let mut out = vec![0.0; a.len()];
-        norm_cdf_diff_slice(&a, &b, &mut out);
-        for i in 0..a.len() {
-            let want = norm_cdf_diff(a[i], b[i]);
-            assert_eq!(
-                out[i].to_bits(),
-                want.to_bits(),
-                "lane {i}: diff({:e}, {:e}) = {:e}, scalar {want:e}",
-                a[i],
-                b[i],
-                out[i]
             );
         }
     }

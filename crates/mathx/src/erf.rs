@@ -170,43 +170,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// The scaled complementary error function `erfcx(x) = exp(x²) · erfc(x)`.
-///
-/// Useful for extreme tails where `erfc` underflows but ratios of tail
-/// probabilities are still needed.
-pub fn erfcx(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    if x < -26.0 {
-        return f64::INFINITY;
-    }
-    if x <= THRESH {
-        return (x * x).exp() * erfc(x);
-    }
-    // Re-derive region 2/3 without the exp(-x^2) factor.
-    let y = x;
-    if y <= 4.0 {
-        let mut xnum = C[8] * y;
-        let mut xden = y;
-        for i in 0..7 {
-            xnum = (xnum + C[i]) * y;
-            xden = (xden + D[i]) * y;
-        }
-        (xnum + C[7]) / (xden + D[7])
-    } else {
-        let ysq = 1.0 / (y * y);
-        let mut xnum = P[5] * ysq;
-        let mut xden = ysq;
-        for i in 0..4 {
-            xnum = (xnum + P[i]) * ysq;
-            xden = (xden + Q[i]) * ysq;
-        }
-        let r = ysq * (xnum + P[4]) / (xden + Q[4]);
-        (FRAC_1_SQRT_PI - r) / y
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,23 +236,6 @@ mod tests {
             let s = erf(x) + erfc(x);
             assert!((s - 1.0).abs() < 1e-14, "x={x}: erf+erfc={s}");
         }
-    }
-
-    #[test]
-    fn erfcx_consistent_with_erfc_in_moderate_range() {
-        for i in 0..50 {
-            let x = i as f64 * 0.1;
-            let want = (x * x).exp() * erfc(x);
-            assert!(relative_error(erfcx(x), want) < 1e-11, "x={x}");
-        }
-    }
-
-    #[test]
-    fn erfcx_finite_in_deep_tail() {
-        // erfc(30) underflows but erfcx(30) ~ 1/(30 sqrt(pi)).
-        let v = erfcx(30.0);
-        assert!(v.is_finite() && v > 0.0);
-        assert!(relative_error(v, 1.0 / (30.0 * std::f64::consts::PI.sqrt())) < 1e-3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   required by the Matérn covariance,
 //! * numeric helpers used across the workspace ([`relative_error`], [`clamp_unit`]),
 //! * batched slice forms of the normal primitives ([`batch`]:
-//!   [`norm_cdf_slice`], [`norm_cdf_diff_slice`], [`norm_quantile_slice`],
+//!   [`norm_cdf_slice`], [`norm_quantile_slice`],
 //!   [`norm_cdf_and_diff_slice`]) — bitwise identical to the scalar
 //!   functions, shaped for the chain-major PMVN kernel's contiguous lanes.
 //!
@@ -28,16 +28,12 @@ pub mod gamma;
 pub mod normal;
 pub mod util;
 
-pub use batch::{
-    norm_cdf_and_diff_slice, norm_cdf_diff_slice, norm_cdf_slice, norm_quantile_slice,
-};
-pub use bessel::{bessel_i, bessel_k, bessel_k_scaled};
-pub use erf::{erf, erfc, erfcx};
+pub use batch::{norm_cdf_and_diff_slice, norm_cdf_slice, norm_quantile_slice};
+pub use bessel::{bessel_i, bessel_k};
+pub use erf::{erf, erfc};
 pub use gamma::{gamma, ln_gamma};
-pub use normal::{
-    log_norm_cdf, norm_cdf, norm_cdf_diff, norm_pdf, norm_quantile, norm_sf, standardize,
-};
-pub use util::{clamp_unit, relative_error, EPS_STRICT};
+pub use normal::{norm_cdf, norm_cdf_diff, norm_pdf, norm_quantile, norm_sf, standardize};
+pub use util::{clamp_unit, relative_error};
 
 #[cfg(test)]
 mod integration_tests {

@@ -41,24 +41,6 @@ pub fn norm_sf(x: f64) -> f64 {
     norm_cdf(-x)
 }
 
-/// log Φ(x), accurate in the deep lower tail where Φ(x) underflows.
-///
-/// For x ≥ −10 we simply take `ln(Φ(x))`; below that we use the asymptotic
-/// expansion `Φ(x) ≈ φ(x)/|x| · (1 − 1/x² + 3/x⁴ − 15/x⁶)`.
-pub fn log_norm_cdf(x: f64) -> f64 {
-    if x >= -10.0 {
-        let p = norm_cdf(x);
-        if p > 0.0 {
-            return p.ln();
-        }
-    }
-    // Asymptotic lower-tail expansion.
-    let z = -x; // z > 0, large
-    let z2 = z * z;
-    let series = 1.0 - 1.0 / z2 + 3.0 / (z2 * z2) - 15.0 / (z2 * z2 * z2);
-    -0.5 * z2 - z.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln() + series.ln()
-}
-
 /// Φ(b) − Φ(a) computed to avoid catastrophic cancellation when both limits sit
 /// in the same tail.
 ///
@@ -301,25 +283,6 @@ mod tests {
             let naive = norm_cdf(b) - norm_cdf(a);
             assert!((got - naive).abs() < 1e-14, "a={a} b={b}");
         }
-    }
-
-    #[test]
-    fn log_cdf_matches_log_of_cdf_in_moderate_range() {
-        for i in -8..=3 {
-            let x = i as f64;
-            assert!(
-                relative_error(log_norm_cdf(x), norm_cdf(x).ln()) < 1e-9,
-                "x={x}"
-            );
-        }
-    }
-
-    #[test]
-    fn log_cdf_finite_in_deep_tail() {
-        let v = log_norm_cdf(-40.0);
-        assert!(v.is_finite());
-        // Leading term is -x^2/2 = -800.
-        assert!((v + 800.0).abs() < 10.0);
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Small numeric helpers shared across the workspace.
 
-/// A strict epsilon used by iterative special-function evaluations.
-pub const EPS_STRICT: f64 = 1e-14;
-
 /// Relative error between `a` and `b`, using the larger magnitude as the scale.
 ///
 /// Returns the absolute error when both values are tiny (|a|,|b| < 1e-300) to
@@ -26,45 +23,6 @@ pub fn clamp_unit(u: f64) -> f64 {
     u.clamp(TINY, 1.0 - TINY)
 }
 
-/// `true` if `a` and `b` agree to within `tol` in relative terms (or absolutely
-/// when both are below `tol`).
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    if a.abs() < tol && b.abs() < tol {
-        (a - b).abs() < tol
-    } else {
-        relative_error(a, b) < tol
-    }
-}
-
-/// Kahan (compensated) summation over a slice.
-///
-/// The QMC probability estimates average tens of thousands of per-chain
-/// products; compensated summation keeps the mean stable regardless of the
-/// summation order chosen by the parallel reduction.
-pub fn kahan_sum(values: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for &v in values {
-        let y = v - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Mean and (population) standard deviation of a slice. Returns `(0, 0)` for an
-/// empty slice.
-pub fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = kahan_sum(values) / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,37 +39,5 @@ mod tests {
         assert!(clamp_unit(0.0) > 0.0);
         assert!(clamp_unit(1.0) < 1.0);
         assert_eq!(clamp_unit(0.5), 0.5);
-    }
-
-    #[test]
-    fn kahan_sum_matches_naive_for_benign_input() {
-        let xs: Vec<f64> = (0..1000).map(|i| i as f64 * 0.001).collect();
-        let naive: f64 = xs.iter().sum();
-        assert!((kahan_sum(&xs) - naive).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kahan_sum_is_more_stable_than_naive() {
-        // 1 followed by many tiny values that naive summation drops entirely.
-        let mut xs = vec![1.0];
-        xs.extend(std::iter::repeat_n(1e-16, 10_000));
-        let k = kahan_sum(&xs);
-        assert!((k - (1.0 + 1e-12)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mean_std_simple() {
-        let (m, s) = mean_std(&[1.0, 2.0, 3.0, 4.0]);
-        assert!((m - 2.5).abs() < 1e-15);
-        assert!((s - (1.25f64).sqrt()).abs() < 1e-12);
-        let (m0, s0) = mean_std(&[]);
-        assert_eq!((m0, s0), (0.0, 0.0));
-    }
-
-    #[test]
-    fn approx_eq_behaviour() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10));
-        assert!(!approx_eq(1.0, 1.01, 1e-6));
-        assert!(approx_eq(1e-18, -1e-18, 1e-12));
     }
 }

@@ -497,7 +497,6 @@ pub fn solve(
         b: b.to_vec(),
         sample_size: cfg.sample_size,
         panel_width: cfg.panel_width,
-        sample_kind: cfg.sample_kind,
         seed: cfg.seed,
         workers: dist.workers_per_node,
         deadline_ms: dist.timeout.as_millis() as u64,

@@ -40,7 +40,6 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 
 use crate::plan::TileId;
-use qmc::SampleKind;
 use tile_la::DenseMatrix;
 use tlr::{CompressionTol, LowRankBlock, Tile};
 use wire::{
@@ -68,8 +67,6 @@ pub struct ProblemMsg {
     pub sample_size: usize,
     /// Sample-panel width.
     pub panel_width: usize,
-    /// Sampling family.
-    pub sample_kind: SampleKind,
     /// QMC shift seed.
     pub seed: u64,
     /// Worker threads per node (0 = available parallelism).
@@ -353,23 +350,6 @@ pub fn read_tile(r: &mut impl BufRead, id: TileId) -> Result<Option<(Tile, u64)>
     Ok(Some((tile, (line + blocks) as u64)))
 }
 
-fn sample_kind_str(k: SampleKind) -> &'static str {
-    match k {
-        SampleKind::PseudoRandom => "pseudo_random",
-        SampleKind::RichtmyerLattice => "richtmyer_lattice",
-        SampleKind::Halton => "halton",
-    }
-}
-
-fn sample_kind_from(s: &str) -> Result<SampleKind, String> {
-    match s {
-        "pseudo_random" => Ok(SampleKind::PseudoRandom),
-        "richtmyer_lattice" => Ok(SampleKind::RichtmyerLattice),
-        "halton" => Ok(SampleKind::Halton),
-        other => Err(format!("unknown sample kind {other:?}")),
-    }
-}
-
 fn limits_to_json(xs: &[f64]) -> Json {
     // The renderer maps non-finite numbers to `null`, which is exactly the
     // wire convention for infinite limits.
@@ -393,10 +373,6 @@ fn problem_to_json(p: &ProblemMsg) -> Json {
         ("b", limits_to_json(&p.b)),
         ("samples", num(p.sample_size)),
         ("panel", num(p.panel_width)),
-        (
-            "sample_kind",
-            Json::Str(sample_kind_str(p.sample_kind).into()),
-        ),
         ("seed", Json::Str(p.seed.to_string())),
         ("workers", num(p.workers)),
         ("deadline_ms", num(p.deadline_ms as usize)),
@@ -418,7 +394,6 @@ fn problem_from_json(v: &Json) -> Result<ProblemMsg, String> {
         b: parse_limits(v.get("b").ok_or("missing b")?, f64::INFINITY)?,
         sample_size: get_usize(v, "samples")?,
         panel_width: get_usize(v, "panel")?,
-        sample_kind: sample_kind_from(get_str(v, "sample_kind")?)?,
         seed: get_str(v, "seed")?
             .parse::<u64>()
             .map_err(|e| format!("invalid seed: {e}"))?,
@@ -810,7 +785,6 @@ mod tests {
                 b: vec![0.75, f64::INFINITY],
                 sample_size: 2000,
                 panel_width: 64,
-                sample_kind: SampleKind::RichtmyerLattice,
                 seed: u64::MAX - 3, // not representable as f64
                 workers: 2,
                 deadline_ms: 120_000,
@@ -858,10 +832,7 @@ mod tests {
         let keys: Vec<&str> = problem.iter().map(|(k, _)| k.as_str()).collect();
         let want = ["kind", "tol", "n", "nb", "a", "b", "samples", "panel"];
         assert_eq!(&keys[..8], want);
-        assert_eq!(
-            &keys[8..],
-            ["sample_kind", "seed", "workers", "deadline_ms"]
-        );
+        assert_eq!(&keys[8..], ["seed", "workers", "deadline_ms"]);
         assert_eq!(back.tiles.len(), 2);
         assert_eq!(back.tiles[0].0, (1, 0));
         assert!(same_bits(

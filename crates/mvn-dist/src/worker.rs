@@ -54,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mvn_core::{sweep_panel, CholeskyFactor, MvnConfig};
-use qmc::{make_point_set, PointSet};
+use qmc::lattice_points;
 use task_runtime::{effective_workers, HandleRegistry, WorkerPool};
 use tile_la::dag::{register_tile_handles, FactorStatus};
 use tile_la::TileLayout;
@@ -618,16 +618,14 @@ fn sweep_assigned(
             .map(|i| (0..=i).map(|j| ctx.store.get_final((i, j))).collect())
             .collect(),
     };
-    let points = make_point_set(p.sample_kind, p.n, p.seed);
-    let points_ref: &dyn PointSet = points.as_ref();
+    let points = lattice_points(p.n, p.seed);
     let cfg = MvnConfig {
         sample_size: p.sample_size,
         panel_width: p.panel_width,
-        sample_kind: p.sample_kind,
         seed: p.seed,
     };
     let results = pool.map("dist_panel_sweep", panels, |_, &panel| {
-        let r = sweep_panel(&factor, &p.a, &p.b, points_ref, &cfg, panel);
+        let r = sweep_panel(&factor, &p.a, &p.b, &points, &cfg, panel);
         // Fault hook: a planned mid-sweep kill fires here, after this panel
         // completes.
         ctx.injector.on_panel_done();
@@ -716,7 +714,6 @@ fn serve_tiles(listener: TcpListener, ctx: Arc<WorkerCtx>) {
 mod tests {
     use super::*;
     use crate::proto::{ProblemMsg, SetupMsg};
-    use qmc::SampleKind;
     use tile_la::DenseMatrix;
     use wire::Json;
 
@@ -763,7 +760,6 @@ mod tests {
                 b: vec![1.0; n],
                 sample_size: 64,
                 panel_width: 32,
-                sample_kind: SampleKind::RichtmyerLattice,
                 seed: 1,
                 workers: 1,
                 deadline_ms: 60_000,

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::{solve, DistConfig, DistError, FaultAction, FaultPlan};
-use qmc::SampleKind;
 use tlr::{CompressionTol, Tile, TlrMatrix};
 
 const N: usize = 60;
@@ -63,7 +62,6 @@ fn cfg() -> MvnConfig {
     MvnConfig {
         sample_size: 256,
         panel_width: 32,
-        sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
     }
 }

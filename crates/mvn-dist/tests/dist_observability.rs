@@ -14,7 +14,6 @@ use std::sync::Mutex;
 
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::{solve, DistConfig, DistReport};
-use qmc::SampleKind;
 use tlr::TlrMatrix;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -37,7 +36,6 @@ fn cfg() -> MvnConfig {
     MvnConfig {
         sample_size: 256,
         panel_width: 32,
-        sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
     }
 }

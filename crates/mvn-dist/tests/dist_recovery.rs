@@ -17,7 +17,6 @@ use std::time::Duration;
 use mvn_core::{MvnConfig, MvnEngine, MvnResult};
 use mvn_dist::faults::{FaultAction, FaultPlan};
 use mvn_dist::{solve, DistConfig, DistReport};
-use qmc::SampleKind;
 use tlr::{CompressionTol, TlrMatrix};
 
 const N: usize = 60;
@@ -69,7 +68,6 @@ fn cfg() -> MvnConfig {
     MvnConfig {
         sample_size: 256,
         panel_width: 32,
-        sample_kind: SampleKind::RichtmyerLattice,
         seed: 20240731,
     }
 }

@@ -1,32 +1,29 @@
-//! # qmc — point sets for (quasi-)Monte-Carlo MVN integration
+//! # qmc — the sample points of the MVN integration
 //!
 //! The Separation-of-Variables algorithm turns the multivariate normal
 //! probability into an integral over the unit hypercube `[0,1]^{n-1}` which is
 //! then evaluated by averaging over `N` sample points (the paper's matrix `R`).
-//! This crate provides the point-set machinery:
+//! Every estimate draws them from one rule, [`lattice_points`]: the
+//! Richtmyer rank-1 lattice with a Cranley–Patterson random shift, as in the
+//! reference `tlrmvnmvt` code. This crate provides:
 //!
-//! * [`rng::Xoshiro256pp`] — a fast, splittable pseudo-random generator used for
-//!   plain Monte-Carlo sampling and for the random shifts of randomized QMC,
+//! * [`rng::Xoshiro256pp`] — a fast, splittable pseudo-random generator used
+//!   for the random shift and for the plain Monte-Carlo baselines and the MC
+//!   validation algorithm,
 //! * [`lattice::RichtmyerLattice`] — the rank-1 lattice rule used by Genz's MVN
 //!   codes (component `i` of point `j` is `frac(j·√pᵢ)` for the `i`-th prime),
-//! * [`halton::HaltonSequence`] — a radical-inverse low-discrepancy sequence for
-//!   arbitrary dimension,
-//! * [`PointSet`] — a common trait so the MVN integrator can swap families, and
-//!   [`SampleKind`] to select one by value,
-//! * [`ShiftedPointSet`] — Cranley–Patterson random shifting, which both removes
-//!   QMC bias and provides an error estimate from independent shift replicates.
+//! * [`ShiftedPointSet`] — Cranley–Patterson random shifting, which removes
+//!   the QMC bias,
+//! * [`PointSet`] — the interface the sweeps draw through, so a batch can
+//!   serve a filled panel in place of the lattice itself.
 //!
-//! The paper states the sample matrix `R(i,j) ~ U(0,1)`; we default to the
-//! randomized Richtmyer lattice (matching the reference `tlrmvnmvt` behaviour)
-//! and expose plain pseudo-random sampling for the Monte-Carlo baselines and the
-//! MC validation algorithm.
+//! The paper states the sample matrix `R(i,j) ~ U(0,1)`; the shifted lattice
+//! is an unbiased stand-in with a smaller error at the same `N`.
 
-pub mod halton;
 pub mod lattice;
 pub mod primes;
 pub mod rng;
 
-pub use halton::HaltonSequence;
 pub use lattice::RichtmyerLattice;
 pub use primes::first_primes;
 pub use rng::{SplitMix64, Xoshiro256pp};
@@ -50,66 +47,9 @@ pub trait PointSet: Send + Sync {
     /// the PMVN sweep's `w` blocks).
     ///
     /// The values are **bitwise identical** to calling [`PointSet::point`]
-    /// per chain and copying out the `dim0..dim0 + ndims` coordinate range;
-    /// the default implementation does exactly that. Separable families
-    /// (Halton, lattice) override it to generate the requested coordinate
-    /// range directly, skipping the `O(dim)` work per chain for the
-    /// coordinates outside the block that the column-by-column fill wasted.
-    fn fill_block(&self, first: usize, count: usize, dim0: usize, ndims: usize, out: &mut [f64]) {
-        assert!(dim0 + ndims <= self.dim(), "coordinate range out of bounds");
-        assert_eq!(out.len(), count * ndims, "output block size mismatch");
-        let mut buf = vec![0.0; self.dim()];
-        for c in 0..count {
-            self.point(first + c, &mut buf);
-            for i in 0..ndims {
-                out[i * count + c] = buf[dim0 + i];
-            }
-        }
-    }
-}
-
-/// Which sampling family to use for the MVN integration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SampleKind {
-    /// Plain pseudo-random Monte Carlo.
-    PseudoRandom,
-    /// Richtmyer rank-1 lattice with a Cranley–Patterson random shift.
-    #[default]
-    RichtmyerLattice,
-    /// Halton sequence with a random shift.
-    Halton,
-}
-
-/// A pseudo-random "point set": point `j` is produced by a counter-seeded RNG,
-/// so it is reproducible and order-independent like the deterministic families.
-#[derive(Debug, Clone)]
-pub struct PseudoPoints {
-    dim: usize,
-    seed: u64,
-}
-
-impl PseudoPoints {
-    /// Create a pseudo-random point set of dimension `dim` from a master seed.
-    pub fn new(dim: usize, seed: u64) -> Self {
-        Self { dim, seed }
-    }
-}
-
-impl PointSet for PseudoPoints {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn point(&self, index: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim);
-        // Seed a fresh stream per point; SplitMix64 guarantees well-mixed
-        // state even for consecutive seeds.
-        let mut rng =
-            Xoshiro256pp::seed_from(self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for o in out.iter_mut() {
-            *o = rng.next_f64();
-        }
-    }
+    /// per chain and copying out the `dim0..dim0 + ndims` coordinate range,
+    /// but only the requested coordinates are generated.
+    fn fill_block(&self, first: usize, count: usize, dim0: usize, ndims: usize, out: &mut [f64]);
 }
 
 /// A point set with a Cranley–Patterson random shift applied modulo 1.
@@ -139,16 +79,6 @@ impl<P: PointSet> ShiftedPointSet<P> {
         let shift = (0..inner.dim()).map(|_| rng.next_f64()).collect();
         Self::new(inner, shift)
     }
-
-    /// Access the underlying unshifted point set.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The shift vector.
-    pub fn shift(&self) -> &[f64] {
-        &self.shift
-    }
 }
 
 impl<P: PointSet> PointSet for ShiftedPointSet<P> {
@@ -174,23 +104,27 @@ impl<P: PointSet> PointSet for ShiftedPointSet<P> {
     }
 }
 
-/// Build a boxed point set of the requested family.
-///
-/// `dim` is the number of integration variables, `seed` controls both the
-/// pseudo-random stream and the random shift of the QMC families.
-pub fn make_point_set(kind: SampleKind, dim: usize, seed: u64) -> Box<dyn PointSet> {
+/// The sample points of every SOV estimate: the Richtmyer lattice of
+/// dimension `dim`, shifted by the first `dim` uniforms of
+/// `Xoshiro256pp::seed_from(seed)`.
+pub fn lattice_points(dim: usize, seed: u64) -> ShiftedPointSet<RichtmyerLattice> {
     let mut rng = Xoshiro256pp::seed_from(seed);
-    match kind {
-        SampleKind::PseudoRandom => Box::new(PseudoPoints::new(dim, seed)),
-        SampleKind::RichtmyerLattice => Box::new(ShiftedPointSet::with_random_shift(
-            RichtmyerLattice::new(dim),
-            &mut rng,
-        )),
-        SampleKind::Halton => Box::new(ShiftedPointSet::with_random_shift(
-            HaltonSequence::new(dim),
-            &mut rng,
-        )),
-    }
+    ShiftedPointSet::with_random_shift(RichtmyerLattice::new(dim), &mut rng)
+}
+
+/// The sampling rule, as the `mvn_perf` benchmark still spells it. There is
+/// one; the enum goes when the benchmark calls [`lattice_points`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SampleKind {
+    /// Richtmyer rank-1 lattice with a Cranley–Patterson random shift.
+    #[default]
+    RichtmyerLattice,
+}
+
+/// Boxed [`lattice_points`]. Kept only for the `mvn_perf` benchmark; it goes
+/// when the benchmark calls [`lattice_points`].
+pub fn make_point_set(_kind: SampleKind, dim: usize, seed: u64) -> Box<dyn PointSet> {
+    Box::new(lattice_points(dim, seed))
 }
 
 #[cfg(test)]
@@ -212,19 +146,12 @@ mod tests {
 
     #[test]
     fn all_families_stay_in_unit_cube() {
-        for kind in [
-            SampleKind::PseudoRandom,
-            SampleKind::RichtmyerLattice,
-            SampleKind::Halton,
-        ] {
-            let ps = make_point_set(kind, 7, 42);
-            check_in_unit_cube(ps.as_ref(), 500);
-        }
+        check_in_unit_cube(&lattice_points(7, 42), 500);
     }
 
     #[test]
     fn points_are_reproducible_and_order_independent() {
-        let ps = make_point_set(SampleKind::RichtmyerLattice, 5, 7);
+        let ps = lattice_points(5, 7);
         let a = ps.point_vec(123);
         let b = ps.point_vec(7);
         let a2 = ps.point_vec(123);
@@ -246,27 +173,21 @@ mod tests {
 
     #[test]
     fn mean_of_each_coordinate_is_about_half() {
-        // A crude uniformity check for every family.
-        for kind in [
-            SampleKind::PseudoRandom,
-            SampleKind::RichtmyerLattice,
-            SampleKind::Halton,
-        ] {
-            let dim = 4;
-            let n = 4096;
-            let ps = make_point_set(kind, dim, 99);
-            let mut sums = vec![0.0; dim];
-            let mut out = vec![0.0; dim];
-            for j in 0..n {
-                ps.point(j, &mut out);
-                for (s, &v) in sums.iter_mut().zip(&out) {
-                    *s += v;
-                }
+        // A crude uniformity check.
+        let dim = 4;
+        let n = 4096;
+        let ps = lattice_points(dim, 99);
+        let mut sums = vec![0.0; dim];
+        let mut out = vec![0.0; dim];
+        for j in 0..n {
+            ps.point(j, &mut out);
+            for (s, &v) in sums.iter_mut().zip(&out) {
+                *s += v;
             }
-            for (i, s) in sums.iter().enumerate() {
-                let mean = s / n as f64;
-                assert!((mean - 0.5).abs() < 0.03, "{kind:?} dim {i}: mean {mean}");
-            }
+        }
+        for (i, s) in sums.iter().enumerate() {
+            let mean = s / n as f64;
+            assert!((mean - 0.5).abs() < 0.03, "dim {i}: mean {mean}");
         }
     }
 
@@ -279,34 +200,27 @@ mod tests {
 
     #[test]
     fn fill_block_is_bitwise_identical_to_per_point_generation() {
-        // The block-major fill (overridden for the separable families, the
-        // default for pseudo-random points) must reproduce the column-by-
-        // column path bit for bit — this is what keeps the chain-major PMVN
-        // sweep's sample panels identical to the historical layout.
-        for kind in [
-            SampleKind::PseudoRandom,
-            SampleKind::RichtmyerLattice,
-            SampleKind::Halton,
+        // The block-major fill must reproduce the column-by-column path bit
+        // for bit — this is what keeps the chain-major PMVN sweep's sample
+        // panels identical to the historical layout.
+        let dim = 23;
+        let ps = lattice_points(dim, 1234);
+        for &(first, count, dim0, ndims) in &[
+            (0usize, 7usize, 0usize, 23usize),
+            (13, 5, 4, 9),
+            (64, 1, 22, 1),
         ] {
-            let dim = 23;
-            let ps = make_point_set(kind, dim, 1234);
-            for &(first, count, dim0, ndims) in &[
-                (0usize, 7usize, 0usize, 23usize),
-                (13, 5, 4, 9),
-                (64, 1, 22, 1),
-            ] {
-                let mut block = vec![0.0; count * ndims];
-                ps.fill_block(first, count, dim0, ndims, &mut block);
-                for c in 0..count {
-                    let point = ps.point_vec(first + c);
-                    for i in 0..ndims {
-                        assert_eq!(
-                            block[i * count + c].to_bits(),
-                            point[dim0 + i].to_bits(),
-                            "{kind:?}: chain {c}, coordinate {}",
-                            dim0 + i
-                        );
-                    }
+            let mut block = vec![0.0; count * ndims];
+            ps.fill_block(first, count, dim0, ndims, &mut block);
+            for c in 0..count {
+                let point = ps.point_vec(first + c);
+                for i in 0..ndims {
+                    assert_eq!(
+                        block[i * count + c].to_bits(),
+                        point[dim0 + i].to_bits(),
+                        "chain {c}, coordinate {}",
+                        dim0 + i
+                    );
                 }
             }
         }
@@ -315,7 +229,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn fill_block_rejects_out_of_range_coordinates() {
-        let ps = make_point_set(SampleKind::RichtmyerLattice, 4, 1);
+        let ps = lattice_points(4, 1);
         let mut block = vec![0.0; 2 * 3];
         ps.fill_block(0, 2, 2, 3, &mut block);
     }

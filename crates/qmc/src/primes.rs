@@ -1,5 +1,5 @@
-//! Prime number utilities for the Richtmyer lattice (√prime generating vector)
-//! and the Halton sequence (prime bases).
+//! Prime number utilities for the Richtmyer lattice (√prime generating
+//! vector).
 
 /// Return the first `n` prime numbers.
 ///

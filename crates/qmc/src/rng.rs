@@ -122,13 +122,6 @@ impl Xoshiro256pp {
         }
         g
     }
-
-    /// Fill a slice with U[0,1) variates.
-    pub fn fill_uniform(&mut self, out: &mut [f64]) {
-        for o in out.iter_mut() {
-            *o = self.next_f64();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,13 +188,5 @@ mod tests {
         let vals: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
         assert!(vals.iter().any(|&v| v != 0));
         assert!(vals.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn fill_uniform_fills_everything() {
-        let mut rng = Xoshiro256pp::seed_from(5);
-        let mut buf = vec![-1.0; 64];
-        rng.fill_uniform(&mut buf);
-        assert!(buf.iter().all(|&x| (0.0..1.0).contains(&x)));
     }
 }
