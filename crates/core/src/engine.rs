@@ -45,7 +45,7 @@
 //! ```
 
 use crate::pmvn::{combine_panel_results, sweep_panel, sweep_panel_prefixes};
-use crate::vecchia::{VecchiaError, VecchiaFactor, VecchiaPlan};
+use crate::vecchia::{vecchia_sweep_panel, VecchiaError, VecchiaFactor, VecchiaPlan};
 use crate::{MvnConfig, MvnResult};
 use qmc::{lattice_points, PointSet};
 use std::sync::{Arc, Mutex};
@@ -130,9 +130,8 @@ pub enum ProblemError {
         /// The offending coordinate.
         index: usize,
     },
-    /// The problem targets a Vecchia factor whose ordering/neighbor structure
-    /// disagrees with the coordinate count (or is internally inconsistent) —
-    /// see [`Problem::validate_for`] and [`crate::vecchia::VecchiaPlan`].
+    /// A Vecchia ordering/neighbor structure is internally inconsistent —
+    /// see [`crate::vecchia::VecchiaPlan::new`].
     VecchiaStructure {
         /// What is inconsistent.
         reason: &'static str,
@@ -224,86 +223,6 @@ impl Problem {
         }
         Ok(())
     }
-
-    /// [`Problem::validate`] against a concrete [`Factor`]: the limits must
-    /// be well-formed and match the factor dimension, and a Vecchia factor's
-    /// ordering/neighbor structure must agree with the coordinate count —
-    /// rejected with the typed
-    /// [`ProblemError::VecchiaStructure`]/[`ProblemError::DimensionMismatch`]
-    /// instead of a panic deep in the sweep.
-    pub fn validate_for(&self, factor: &Factor) -> Result<(), ProblemError> {
-        self.validate(Some(factor.dim()))?;
-        if let Factor::Vecchia(v) = factor {
-            v.plan().check_dim(self.a.len())?;
-        }
-        Ok(())
-    }
-}
-
-/// The backend contract of a Cholesky (or Cholesky-like) factor the engine
-/// can sweep: dimensions, the [`FactorKind`](crate::FactorKind) identity and
-/// storage accounting, plus the one computational obligation — running the
-/// SOV recursion for one sample panel.
-///
-/// This is the seam every solve path dispatches through
-/// ([`MvnEngine::solve`], `solve_batch`, `solve_batch_mixed`, the CRD drivers
-/// in `excursion`): a new backend implements these five methods and every layer
-/// above — batching, serving, caching — works unchanged. There are two
-/// backends. The one tiled factor, [`TlrMatrix`], covers both of the paper's
-/// modes — a dense factor is a tiled factor whose tiles are all dense — and
-/// gets its [`FactorBackend::sweep_panel`] from the tile-level
-/// [`CholeskyFactor`](crate::CholeskyFactor) contract via the shared
-/// [`sweep_panel`] function. The sparse conditioning sweep of
-/// [`crate::vecchia`] implements the panel recursion directly.
-///
-/// Every implementation must be a pure function of the factor bits and the
-/// panel index: the engine relies on that for bitwise-identical results
-/// across worker counts and batch compositions.
-pub trait FactorBackend: Sync {
-    /// Matrix dimension `n`.
-    fn dim(&self) -> usize;
-    /// The factor's storage format in the shared
-    /// [`FactorKind`](crate::FactorKind) vocabulary.
-    fn kind(&self) -> crate::FactorKind;
-    /// Total number of stored doubles (storage-format comparison and cache
-    /// byte accounting).
-    fn stored_elements(&self) -> usize;
-    /// Run the complete SOV sweep of sample panel `panel` against this
-    /// factor, returning the panel's `(probability mean, chain count)`.
-    fn sweep_panel(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        points: &dyn PointSet,
-        cfg: &MvnConfig,
-        panel: usize,
-    ) -> (f64, usize);
-}
-
-impl FactorBackend for TlrMatrix {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-    /// `Dense` without compression, otherwise `Tlr`.
-    fn kind(&self) -> crate::FactorKind {
-        match self.compression() {
-            None => crate::FactorKind::Dense,
-            Some(_) => crate::FactorKind::Tlr,
-        }
-    }
-    fn stored_elements(&self) -> usize {
-        TlrMatrix::stored_elements(self)
-    }
-    fn sweep_panel(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        points: &dyn PointSet,
-        cfg: &MvnConfig,
-        panel: usize,
-    ) -> (f64, usize) {
-        sweep_panel(self, a, b, points, cfg, panel)
-    }
 }
 
 /// A reusable Cholesky factor handle produced by
@@ -312,8 +231,13 @@ impl FactorBackend for TlrMatrix {
 /// Holding the factor (rather than re-factoring per query) is what amortizes
 /// the `O(n³/3)` factorization across many `solve`/`solve_batch` calls. The
 /// variants are public so a factor computed elsewhere (e.g. by
-/// [`tlr::potrf_tlr`]) can be wrapped directly; all *behavior* dispatches
-/// through [`Factor::backend`].
+/// [`tlr::potrf_tlr`]) can be wrapped directly. The `impl Factor` below is
+/// the one place the variants are told apart for behaviour: the tiled factor
+/// sweeps through [`sweep_panel`] (the tile-level
+/// [`CholeskyFactor`](crate::CholeskyFactor) recursion), the Vecchia factor
+/// through its sparse conditioning sweep. Either sweep is a pure function of
+/// the factor bits and the panel index, which is what keeps results bitwise
+/// identical across worker counts and batch compositions.
 pub enum Factor {
     /// A tiled Cholesky factor: dense (every tile dense) or tile low-rank.
     Tiled(TlrMatrix),
@@ -323,31 +247,32 @@ pub enum Factor {
 }
 
 impl Factor {
-    /// The variant's backend — the one place the enum is matched for
-    /// behavior. Everything else (engine solves, caching, serving, the CRD
-    /// drivers) goes through the returned [`FactorBackend`].
-    pub fn backend(&self) -> &dyn FactorBackend {
+    /// Matrix dimension `n`.
+    pub fn dim(&self) -> usize {
         match self {
-            Factor::Tiled(m) => m,
-            Factor::Vecchia(v) => v,
+            Factor::Tiled(l) => l.n(),
+            Factor::Vecchia(v) => v.plan().n(),
         }
     }
 
-    /// Matrix dimension `n`.
-    pub fn dim(&self) -> usize {
-        self.backend().dim()
-    }
-
     /// The factor's storage format in the shared [`FactorKind`](crate::FactorKind)
-    /// vocabulary.
+    /// vocabulary: `Dense` for a tiled factor without compression, `Tlr` with
+    /// it.
     pub fn kind(&self) -> crate::FactorKind {
-        self.backend().kind()
+        match self {
+            Factor::Tiled(l) if l.compression().is_none() => crate::FactorKind::Dense,
+            Factor::Tiled(_) => crate::FactorKind::Tlr,
+            Factor::Vecchia(v) => crate::FactorKind::Vecchia { m: v.m() },
+        }
     }
 
     /// Total number of stored doubles (to compare the dense, TLR and Vecchia
     /// storage formats; the serving cache's byte accounting is this × 8).
     pub fn stored_elements(&self) -> usize {
-        self.backend().stored_elements()
+        match self {
+            Factor::Tiled(l) => l.stored_elements(),
+            Factor::Vecchia(v) => v.stored_elements(),
+        }
     }
 
     /// The tiled Cholesky factor `L` (dense or TLR), or `None` for a Vecchia
@@ -358,6 +283,22 @@ impl Factor {
             Factor::Vecchia(_) => None,
         }
     }
+
+    /// Run the complete SOV sweep of sample panel `panel` against this
+    /// factor, returning the panel's `(probability mean, chain count)`.
+    pub(crate) fn sweep_panel(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        points: &dyn PointSet,
+        cfg: &MvnConfig,
+        panel: usize,
+    ) -> (f64, usize) {
+        match self {
+            Factor::Tiled(l) => sweep_panel(l, a, b, points, cfg, panel),
+            Factor::Vecchia(v) => vecchia_sweep_panel(v, a, b, points, cfg, panel),
+        }
+    }
 }
 
 impl std::fmt::Debug for Factor {
@@ -366,28 +307,6 @@ impl std::fmt::Debug for Factor {
             .field("kind", &self.kind().label())
             .field("n", &self.dim())
             .finish()
-    }
-}
-
-impl FactorBackend for Factor {
-    fn dim(&self) -> usize {
-        self.backend().dim()
-    }
-    fn kind(&self) -> crate::FactorKind {
-        self.backend().kind()
-    }
-    fn stored_elements(&self) -> usize {
-        self.backend().stored_elements()
-    }
-    fn sweep_panel(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        points: &dyn PointSet,
-        cfg: &MvnConfig,
-        panel: usize,
-    ) -> (f64, usize) {
-        self.backend().sweep_panel(a, b, points, cfg, panel)
     }
 }
 
@@ -622,11 +541,11 @@ impl MvnEngine {
         self.solve_factored_with(factor, a, b, &self.cfg)
     }
 
-    /// [`solve`](Self::solve) for any [`FactorBackend`] storage, with an
-    /// explicit per-call sampling configuration.
-    pub fn solve_factored_with<F: FactorBackend>(
+    /// [`solve`](Self::solve) with an explicit per-call sampling
+    /// configuration.
+    pub fn solve_factored_with(
         &self,
-        l: &F,
+        l: &Factor,
         a: &[f64],
         b: &[f64],
         cfg: &MvnConfig,
@@ -639,7 +558,7 @@ impl MvnEngine {
     /// the estimate for the box truncated after row `k` (limits `a[..=k]`,
     /// `b[..=k]`, unbounded beyond), bitwise the
     /// [`solve_factored_with`](Self::solve_factored_with) of that truncated
-    /// box against `l` — standard error included.
+    /// box against `Factor::Tiled(l)` — standard error included.
     ///
     /// This is the SOV estimator's sequential-conditioning structure: each
     /// chain's running product after row `k` *is* its estimate of the
@@ -647,21 +566,16 @@ impl MvnEngine {
     /// every row (one `panel_sweep` task per panel, as in a plain solve) and
     /// each row's panel means combine with [`combine_panel_results`]. The
     /// profile is pathwise non-increasing in `k` when `b` is unbounded.
-    /// Costs one sweep plus `O(n · panels)` bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// On a Vecchia factor, whose sweep runs in its own ordering.
+    /// Costs one sweep plus `O(n · panels)` bookkeeping. It takes the tiled
+    /// factor itself: a Vecchia sweep runs in its own ordering, so it has no
+    /// prefix profile of the caller's box.
     pub fn solve_prefixes(
         &self,
-        factor: &Factor,
+        l: &TlrMatrix,
         a: &[f64],
         b: &[f64],
         cfg: &MvnConfig,
     ) -> Vec<MvnResult> {
-        let Factor::Tiled(l) = factor else {
-            panic!("a prefix profile needs a tiled (dense or TLR) factor")
-        };
         let n = l.n();
         check_inputs(n, a, b, cfg);
         let n_panels = cfg.sample_size.div_ceil(cfg.panel_width);
@@ -724,21 +638,17 @@ impl MvnEngine {
     /// (item, panel) pair, all in one task set on the engine's pool — items
     /// may reference distinct factors (the mixed-batch path) or all share one
     /// (the classic batch). Panels are computed by the item's own
-    /// [`FactorBackend::sweep_panel`] against the item's factor and point
-    /// set, so every per-item aggregate is bitwise identical to a solo solve.
-    fn run_sweeps<F: FactorBackend>(
-        &self,
-        items: &[(&F, &[f64], &[f64])],
-        cfg: &MvnConfig,
-    ) -> Vec<MvnResult> {
+    /// [`Factor::sweep_panel`] against the item's factor and point set, so
+    /// every per-item aggregate is bitwise identical to a solo solve.
+    fn run_sweeps(&self, items: &[(&Factor, &[f64], &[f64])], cfg: &MvnConfig) -> Vec<MvnResult> {
         self.run_sweeps_on(items, cfg, |n| Box::new(lattice_points(n, cfg.seed)))
     }
 
     /// [`run_sweeps`](Self::run_sweeps) with the point-set constructor
     /// (dimension → set) as a parameter, so a test can count the fills.
-    fn run_sweeps_on<F: FactorBackend>(
+    fn run_sweeps_on(
         &self,
-        items: &[(&F, &[f64], &[f64])],
+        items: &[(&Factor, &[f64], &[f64])],
         cfg: &MvnConfig,
         point_set_of: impl Fn(usize) -> Box<dyn PointSet>,
     ) -> Vec<MvnResult> {
@@ -882,7 +792,7 @@ impl PanelSlot {
 
 /// A point set that serves one panel's chains from a filled block and
 /// everything else from the set the block was filled from — what a batched
-/// item's [`FactorBackend::sweep_panel`] draws its samples through.
+/// item's [`Factor::sweep_panel`] draws its samples through.
 struct FilledPanel<'a> {
     points: &'a dyn PointSet,
     first: usize,
@@ -1074,7 +984,7 @@ mod tests {
             ];
             for factor in &factors {
                 for (a, b) in [(&a, &b), (&dead, &b_dead)] {
-                    let profile = engine.solve_prefixes(factor, a, b, &cfg);
+                    let profile = engine.solve_prefixes(factor.tiled().unwrap(), a, b, &cfg);
                     assert_eq!(profile.len(), n);
                     for k in [1, nb, nb + 1, 30, 31, n] {
                         let mut ak = vec![f64::NEG_INFINITY; n];
@@ -1098,10 +1008,11 @@ mod tests {
 
     #[test]
     fn solve_batch_mixed_matches_individual_solves_bitwise() {
-        // Tentpole: one task graph spanning heterogeneous factors — distinct
-        // covariances, *dimensions* and storage kinds (dense + TLR) — must
-        // reproduce the individual per-factor solves bit for bit, for every
-        // worker count.
+        // One task graph spanning heterogeneous factors — distinct
+        // covariances, *dimensions* and storage kinds (dense, TLR and
+        // Vecchia) — must reproduce the individual per-factor solves bit for
+        // bit, for every worker count. The Vecchia factor has the dimension
+        // of `f0` and `f2`, so its sweeps read the group's shared panel fills.
         for workers in [1usize, 2, 4] {
             let engine = test_engine(workers);
             let f0 = Arc::new(
@@ -1124,7 +1035,12 @@ mod tests {
                     ))
                     .unwrap(),
             );
-            let factors = [&f0, &f1, &f2];
+            let f3 = Arc::new(
+                engine
+                    .factor_vecchia(crate::full_conditioning_plan(45), exp_cov(0.4))
+                    .unwrap(),
+            );
+            let factors = [&f0, &f1, &f2, &f3];
             // Interleave the factors so the graph genuinely mixes them.
             let batch: Vec<(Arc<Factor>, Problem)> = (0..9)
                 .map(|k| {

@@ -36,8 +36,8 @@ pub mod sov;
 pub mod vecchia;
 
 pub use engine::{
-    validate_limits, EngineError, Factor, FactorBackend, MvnEngine, MvnEngineBuilder, Problem,
-    ProblemError, MAX_ENGINE_WORKERS,
+    validate_limits, EngineError, Factor, MvnEngine, MvnEngineBuilder, Problem, ProblemError,
+    MAX_ENGINE_WORKERS,
 };
 pub use genz::mvn_prob_genz;
 pub use mc::mvn_prob_mc;

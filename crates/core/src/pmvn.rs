@@ -438,7 +438,7 @@ pub fn combine_panel_results(panel_results: &[(f64, usize)]) -> MvnResult {
 /// thread — what every pooled execution must reproduce to the bit.
 #[cfg(test)]
 pub(crate) fn sweep_sequential(
-    l: &dyn crate::FactorBackend,
+    l: &crate::Factor,
     a: &[f64],
     b: &[f64],
     cfg: &MvnConfig,
@@ -454,26 +454,20 @@ pub(crate) fn sweep_sequential(
 mod tests {
     use super::*;
     use crate::genz::mvn_prob_genz;
-    use crate::{FactorBackend, MvnEngine};
+    use crate::{Factor, MvnEngine};
     use mathx::norm_cdf;
     use qmc::{lattice_points, PointSet};
     use task_runtime::WorkerPool;
     use tlr::{potrf_tlr, CompressionTol};
 
     /// One solve on a throwaway engine of `workers` workers.
-    fn solve_on<F: FactorBackend>(
-        workers: usize,
-        l: &F,
-        a: &[f64],
-        b: &[f64],
-        cfg: &MvnConfig,
-    ) -> MvnResult {
+    fn solve_on(workers: usize, l: &Factor, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
         let engine = MvnEngine::builder().workers(workers).config(*cfg).build();
         engine.unwrap().solve_factored_with(l, a, b, cfg)
     }
 
     /// [`solve_on`] one worker per core (the engine default).
-    fn solve<F: FactorBackend>(l: &F, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
+    fn solve(l: &Factor, a: &[f64], b: &[f64], cfg: &MvnConfig) -> MvnResult {
         solve_on(0, l, a, b, cfg)
     }
 
@@ -484,10 +478,14 @@ mod tests {
         }
     }
 
-    fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> TlrMatrix {
-        let mut l = TlrMatrix::assemble(n, nb, None, f);
-        potrf_tlr(&mut l, &WorkerPool::new(1)).unwrap();
-        l
+    /// `sigma` factored on one worker.
+    fn factored(mut sigma: TlrMatrix) -> Factor {
+        potrf_tlr(&mut sigma, &WorkerPool::new(1)).unwrap();
+        Factor::Tiled(sigma)
+    }
+
+    fn dense_factor(f: impl Fn(usize, usize) -> f64 + Sync, n: usize, nb: usize) -> Factor {
+        factored(TlrMatrix::assemble(n, nb, None, f))
     }
 
     #[test]
@@ -524,7 +522,7 @@ mod tests {
         let n = 60;
         let f = exp_cov(0.5);
         let l_tiled = dense_factor(f, n, 16);
-        let l_dense = l_tiled.to_dense_lower();
+        let l_dense = l_tiled.tiled().unwrap().to_dense_lower();
         let a = vec![-0.3; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
@@ -572,8 +570,12 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr = TlrMatrix::assemble(n, 25, Some(CompressionTol::Absolute(1e-8)), f);
-        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
+        let tlr = factored(TlrMatrix::assemble(
+            n,
+            25,
+            Some(CompressionTol::Absolute(1e-8)),
+            f,
+        ));
         let a = vec![-0.2; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
@@ -598,8 +600,12 @@ mod tests {
         let n = 100;
         let f = exp_cov(0.8);
         let l_dense = dense_factor(f, n, 25);
-        let mut tlr = TlrMatrix::assemble(n, 25, Some(CompressionTol::Absolute(1e-3)), f);
-        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
+        let tlr = factored(TlrMatrix::assemble(
+            n,
+            25,
+            Some(CompressionTol::Absolute(1e-3)),
+            f,
+        ));
         let a = vec![0.0; n];
         let b = vec![f64::INFINITY; n];
         let cfg = MvnConfig {
@@ -622,7 +628,7 @@ mod tests {
         let n = 40;
         let f = exp_cov(0.4);
         let l_tiled = dense_factor(f, n, 10);
-        let l_dense = l_tiled.to_dense_lower();
+        let l_dense = l_tiled.tiled().unwrap().to_dense_lower();
         let a = vec![-1.0; n];
         let b = vec![0.8; n];
         let cfg = MvnConfig {
@@ -664,8 +670,12 @@ mod tests {
         let n = 45;
         let f = exp_cov(0.3);
         let l = dense_factor(f, n, 15);
-        let mut tlr = TlrMatrix::assemble(n, 15, Some(CompressionTol::Absolute(1e-8)), f);
-        potrf_tlr(&mut tlr, &WorkerPool::new(1)).unwrap();
+        let tlr = factored(TlrMatrix::assemble(
+            n,
+            15,
+            Some(CompressionTol::Absolute(1e-8)),
+            f,
+        ));
         let a = vec![-0.5; n];
         let b = vec![1.0; n];
         let cfg = MvnConfig {
@@ -744,7 +754,7 @@ mod tests {
         let cols = 7;
         let f = exp_cov(0.5);
         let l_tiled = dense_factor(f, m, m);
-        let l_rr = l_tiled.diag_tile(0).clone();
+        let l_rr = l_tiled.tiled().unwrap().diag_tile(0).clone();
         let a = vec![-0.7; m];
         let b = vec![1.2; m];
         let w_blk =
@@ -786,7 +796,8 @@ mod tests {
             let state = PanelState::init(layout, &a, &b, &points, &cfg, p);
             let start = p * cfg.panel_width;
             for c in 0..state.cols {
-                let point = points.point_vec(start + c);
+                let mut point = vec![0.0; n];
+                points.point(start + c, &mut point);
                 for r in 0..layout.num_tiles() {
                     let r0 = layout.tile_start(r);
                     for i in 0..layout.tile_size(r) {
@@ -809,7 +820,8 @@ mod tests {
         // propagation GEMMs must be skipped without changing the result.
         let n = 40;
         let f = exp_cov(0.4);
-        let l = dense_factor(f, n, 10);
+        let factor = dense_factor(f, n, 10);
+        let l = factor.tiled().unwrap();
         let layout = l.layout();
         let mut a = vec![-1.0; n];
         let mut b = vec![1.0; n];
@@ -827,15 +839,15 @@ mod tests {
         let points = lattice_points(n, cfg.seed);
 
         let mut state = PanelState::init(layout, &a, &b, &points, &cfg, 0);
-        state.step(&l, 0, None);
+        state.step(l, 0, None);
         assert_eq!(state.alive, state.cols, "block 0 keeps all chains alive");
-        state.step(&l, 1, None);
+        state.step(l, 1, None);
         assert_eq!(state.alive, 0, "the empty box kills every chain");
         // The later limit blocks must no longer be touched.
         let a2_before = state.a_blocks[2].clone();
         let a3_before = state.a_blocks[3].clone();
-        state.step(&l, 2, None);
-        state.step(&l, 3, None);
+        state.step(l, 2, None);
+        state.step(l, 3, None);
         assert_eq!(state.a_blocks[2], a2_before);
         assert_eq!(state.a_blocks[3], a3_before);
         assert!(state.prob.iter().all(|&p| p == 0.0));
@@ -844,11 +856,11 @@ mod tests {
 
         // End-to-end: the engine reports exactly zero probability, inline and
         // on a real pool, dead panels or not.
-        assert_eq!(solve_on(1, &l, &a, &b, &cfg).prob, 0.0);
+        assert_eq!(solve_on(1, &factor, &a, &b, &cfg).prob, 0.0);
         let more = MvnConfig {
             sample_size: 4000,
             ..cfg
         };
-        assert_eq!(solve_on(2, &l, &a, &b, &more).prob, 0.0);
+        assert_eq!(solve_on(2, &factor, &a, &b, &more).prob, 0.0);
     }
 }

@@ -1,6 +1,7 @@
-//! The Vecchia ordered-conditioning approximation — the third
-//! [`FactorBackend`] next to dense and TLR, for the `n ≫ 10⁴` regime no
-//! global factorization can touch.
+//! The Vecchia ordered-conditioning approximation — the
+//! [`Factor::Vecchia`](crate::Factor::Vecchia) storage next to the tiled
+//! dense/TLR factor, for the `n ≫ 10⁴` regime no global factorization can
+//! touch.
 //!
 //! Following Nascimento & Shaby (2020), the joint density is approximated by
 //! conditioning each location (in a fixed ordering) on a small set of at most
@@ -25,7 +26,7 @@
 //! worker count or batch composition — the same invariant the
 //! dense/TLR sweeps maintain.
 
-use crate::engine::{FactorBackend, ProblemError};
+use crate::engine::ProblemError;
 use crate::MvnConfig;
 use mathx::{clamp_unit, norm_cdf_and_diff_slice, norm_quantile_slice};
 use qmc::PointSet;
@@ -160,17 +161,6 @@ impl VecchiaPlan {
     pub fn stored_neighbors(&self) -> usize {
         self.neighbors.len()
     }
-
-    /// Check a problem's coordinate count against this structure, with the
-    /// typed [`ProblemError::VecchiaStructure`] on disagreement.
-    pub fn check_dim(&self, dim: usize) -> Result<(), ProblemError> {
-        if dim != self.n() {
-            return Err(ProblemError::VecchiaStructure {
-                reason: "coordinate count disagrees with the ordering/neighbor structure",
-            });
-        }
-        Ok(())
-    }
 }
 
 /// A built Vecchia factor: the plan plus, per ordered step, the conditioning
@@ -211,29 +201,11 @@ impl VecchiaFactor {
             &self.coeffs[s..e],
         )
     }
-}
 
-impl FactorBackend for VecchiaFactor {
-    fn dim(&self) -> usize {
-        self.plan.n()
-    }
-    fn kind(&self) -> crate::FactorKind {
-        crate::FactorKind::Vecchia { m: self.plan.m() }
-    }
-    fn stored_elements(&self) -> usize {
-        // Coefficients + conditional sds (the neighbor indices are u32
-        // structure, counted as half a double each).
+    /// Stored doubles: coefficients + conditional sds (the neighbor indices
+    /// are u32 structure, counted as half a double each).
+    pub(crate) fn stored_elements(&self) -> usize {
         self.coeffs.len() + self.cond_sd.len() + self.plan.neighbors.len().div_ceil(2)
-    }
-    fn sweep_panel(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        points: &dyn PointSet,
-        cfg: &MvnConfig,
-        panel: usize,
-    ) -> (f64, usize) {
-        vecchia_sweep_panel(self, a, b, points, cfg, panel)
     }
 }
 
@@ -364,7 +336,7 @@ where
 /// conventions of the tiled `qmc_kernel`). Ordered step `k` consumes QMC
 /// coordinate `k`, so the estimate depends only on the factor bits, the
 /// limits, the point set and `panel`.
-fn vecchia_sweep_panel(
+pub(crate) fn vecchia_sweep_panel(
     factor: &VecchiaFactor,
     a: &[f64],
     b: &[f64],
@@ -529,26 +501,19 @@ mod tests {
 
     #[test]
     fn problem_validation_rejects_structure_dimension_disagreement() {
+        // A Vecchia factor's dimension is its plan's location count, so the
+        // one dimension check rejects a box of any other length.
         let e = engine(1);
         let f = e
             .factor_vecchia(knn_plan(12, 3), equicorrelated(0.4))
             .unwrap();
         let bad = crate::Problem::new(vec![-1.0; 11], vec![1.0; 11]);
         assert!(matches!(
-            bad.validate_for(&f),
+            bad.validate(Some(f.dim())),
             Err(ProblemError::DimensionMismatch { .. })
         ));
         let good = crate::Problem::new(vec![-1.0; 12], vec![1.0; 12]);
-        assert!(good.validate_for(&f).is_ok());
-        // The typed structure error surfaces when the count disagrees with
-        // the plan itself.
-        let crate::Factor::Vecchia(v) = &f else {
-            panic!("factor_vecchia must produce the Vecchia variant")
-        };
-        assert!(matches!(
-            v.plan().check_dim(11),
-            Err(ProblemError::VecchiaStructure { .. })
-        ));
+        assert!(good.validate(Some(f.dim())).is_ok());
     }
 
     #[test]
@@ -653,7 +618,8 @@ mod tests {
             let got = e.solve(&fac, &a, &b);
             assert_eq!(got.prob.to_bits(), reference.prob.to_bits());
             assert_eq!(got.std_error.to_bits(), reference.std_error.to_bits());
-            // Batched and mixed paths land on the same bits.
+            // The batched path lands on the same bits (`engine.rs` pins the
+            // mixed one).
             let batch = e.solve_batch(&fac, &[crate::Problem::new(a.clone(), b.clone())]);
             assert_eq!(batch[0].prob.to_bits(), reference.prob.to_bits());
         }

@@ -1,13 +1,13 @@
 //! Golden bitwise-identity regression suite for the dense and TLR solve
 //! paths.
 //!
-//! The probabilities below were captured from the pre-`FactorBackend` engine
-//! (the two-variant `Factor` enum with hand-written match arms in every
-//! layer). The refactor's contract is that dense and TLR results stay
-//! **bitwise identical** through any restructuring of the dispatch — so each
-//! scenario pins the exact `f64` bits of `prob` and `std_error` across
-//! worker counts and batch compositions.
-//! A golden mismatch means the refactor changed numerics, not just shape.
+//! The probabilities below were captured from the engine in which every
+//! layer matched the two-variant `Factor` enum by hand. The contract is that
+//! dense and TLR results stay **bitwise identical** through any
+//! restructuring of the dispatch — so each scenario pins the exact `f64`
+//! bits of `prob` and `std_error` across worker counts and batch
+//! compositions. A golden mismatch means a change moved numerics, not just
+//! shape.
 //! The dense rows are the original capture; each intentional change of the
 //! TLR numerics is one [`NUMERICS_EPOCH`]. Beside the pin,
 //! `tlr_solve_agrees_with_dense_solve` checks the TLR answer against the

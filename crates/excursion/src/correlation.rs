@@ -106,7 +106,7 @@ fn correlation_matrix(
     (TlrMatrix::assemble(cov.nrows(), nb, compression, entry), sd)
 }
 
-/// The correlation matrix `R̃ = L·Lᵀ` held by `factor`, symmetrically
+/// The correlation matrix `R̃ = L·Lᵀ` of the tiled factor `l`, symmetrically
 /// permuted so that row and column `k` belong to location `order[k]`
 /// (unfactored, dense tiles of the factor's tile size), assembled on `pool`.
 ///
@@ -116,21 +116,11 @@ fn correlation_matrix(
 /// positions, so beyond the result only one tile per worker is ever live.
 /// Every entry is written exactly once by one task, so the result is bitwise
 /// independent of the worker count.
-///
-/// # Panics
-///
-/// On a Vecchia factor, which has no Cholesky rows to permute.
 pub(crate) fn permuted_correlation(
     pool: &WorkerPool,
-    factor: &Factor,
+    l: &TlrMatrix,
     order: &[usize],
 ) -> SymTileMatrix {
-    let Factor::Tiled(l) = factor else {
-        panic!(
-            "confidence-region detection needs a dense or TLR correlation factor: \
-             a Vecchia factor has no Cholesky rows to permute"
-        )
-    };
     let layout = l.layout();
     let n = layout.n();
     assert_eq!(order.len(), n, "order must list every location once");

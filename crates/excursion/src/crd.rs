@@ -91,12 +91,12 @@ fn standardized_limit(mean: f64, sd: f64, threshold: f64) -> f64 {
 }
 
 /// Joint exceedance probability of every prefix of `order` — entry `k` for
-/// its `k + 1` first sites — from one sweep over the correlation factor
+/// its `k + 1` first sites — from one sweep over the correlation factor `l`
 /// refactored in that order, clamped to `[0, 1]`. The permuted factor lives
 /// only inside this call.
 fn prefix_profile(
     engine: &MvnEngine,
-    factor: &Factor,
+    l: &TlrMatrix,
     mean: &[f64],
     sd: &[f64],
     threshold: f64,
@@ -105,12 +105,14 @@ fn prefix_profile(
 ) -> Vec<f64> {
     let permuted = {
         let _span = obs::span("crd_permute");
-        permuted_correlation(engine.pool(), factor, order)
+        permuted_correlation(engine.pool(), l, order)
     };
-    let permuted = {
+    let Factor::Tiled(permuted) = ({
         let _span = obs::span("crd_factor");
         (engine.factor(TlrMatrix::from(permuted)))
             .expect("the permuted correlation matrix must be positive definite")
+    }) else {
+        unreachable!("MvnEngine::factor returns a tiled factor")
     };
     let a: Vec<f64> = (order.iter())
         .map(|&c| standardized_limit(mean[c], sd[c], threshold))
@@ -140,6 +142,12 @@ pub fn detect_confidence_regions(
     sd: &[f64],
     cfg: &CrdConfig,
 ) -> CrdResult {
+    let Factor::Tiled(l) = factor else {
+        panic!(
+            "confidence-region detection needs a dense or TLR correlation factor: \
+             a Vecchia factor has no Cholesky rows to permute"
+        )
+    };
     let n = mean.len();
     assert_eq!(sd.len(), n);
     assert_eq!(
@@ -151,7 +159,7 @@ pub fn detect_confidence_regions(
 
     let marginal = marginal_exceedance(mean, sd, cfg.threshold);
     let order = descending_order(&marginal);
-    let profile = prefix_profile(engine, factor, mean, sd, cfg.threshold, &cfg.mvn, &order);
+    let profile = prefix_profile(engine, l, mean, sd, cfg.threshold, &cfg.mvn, &order);
 
     let mut confidence = vec![0.0; n];
     for (&site, &p) in order.iter().zip(&profile) {
@@ -292,7 +300,8 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let engine = MvnEngine::builder().workers(workers).build().unwrap();
                 let r = detect_confidence_regions(&engine, factor, &mean, &sd, &cfg);
-                let permuted = permuted_correlation(engine.pool(), factor, &r.order);
+                let l = factor.tiled().unwrap();
+                let permuted = permuted_correlation(engine.pool(), l, &r.order);
                 let permuted = engine.factor(TlrMatrix::from(permuted)).unwrap();
                 for k in [1, nb, nb + 1, n] {
                     let mut a = vec![f64::NEG_INFINITY; n];

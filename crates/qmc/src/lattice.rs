@@ -26,11 +26,6 @@ impl RichtmyerLattice {
             .collect();
         Self { generators }
     }
-
-    /// The generating vector (fractional parts of √primes).
-    pub fn generators(&self) -> &[f64] {
-        &self.generators
-    }
 }
 
 impl PointSet for RichtmyerLattice {
@@ -72,6 +67,7 @@ impl PointSet for RichtmyerLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::point_vec;
 
     #[test]
     fn dimensions_and_ranges() {
@@ -87,7 +83,7 @@ mod tests {
     #[test]
     fn first_point_is_generating_vector() {
         let lat = RichtmyerLattice::new(3);
-        let p = lat.point_vec(0);
+        let p = point_vec(&lat, 0);
         let sqrt2 = 2.0f64.sqrt().fract();
         let sqrt3 = 3.0f64.sqrt().fract();
         let sqrt5 = 5.0f64.sqrt().fract();
@@ -98,16 +94,14 @@ mod tests {
 
     #[test]
     fn lattice_structure_additivity() {
-        // Points satisfy x_{j+k} = frac(x_j + x_k + g) style additive structure:
-        // specifically x_j = frac((j+1) g), so x_{j1} + x_{j2} + g ≡ x_{j1+j2+1} (mod 1).
+        // Point j is frac((j+1) g), so x_{j1} + x_{j2} ≡ x_{j1+j2+1} (mod 1).
         let lat = RichtmyerLattice::new(4);
-        let g = lat.generators().to_vec();
-        let a = lat.point_vec(3);
-        let b = lat.point_vec(5);
-        let c = lat.point_vec(9); // (3+1)+(5+1) = 10 = 9+1
+        let a = point_vec(&lat, 3);
+        let b = point_vec(&lat, 5);
+        let c = point_vec(&lat, 9); // (3+1)+(5+1) = 10 = 9+1
         for i in 0..4 {
             let sum = (a[i] + b[i]).fract();
-            let expect = (c[i] + g[i] * 0.0).fract(); // c = frac(10 g) = frac(4g + 6g)
+            let expect = c[i];
             assert!((sum - expect).abs() < 1e-12 || (sum - expect).abs() > 1.0 - 1e-12);
         }
     }

@@ -25,8 +25,7 @@ pub mod primes;
 pub mod rng;
 
 pub use lattice::RichtmyerLattice;
-pub use primes::first_primes;
-pub use rng::{SplitMix64, Xoshiro256pp};
+pub use rng::Xoshiro256pp;
 
 /// A deterministic point set in `[0,1)^d`: the `j`-th point can be generated
 /// independently of all others (important for tile-parallel generation).
@@ -35,12 +34,6 @@ pub trait PointSet: Send + Sync {
     fn dim(&self) -> usize;
     /// Write the `index`-th point into `out` (`out.len() == dim()`).
     fn point(&self, index: usize, out: &mut [f64]);
-    /// Convenience: allocate and return the `index`-th point.
-    fn point_vec(&self, index: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim()];
-        self.point(index, &mut out);
-        out
-    }
     /// Fill a chain-major sample block: coordinate `dim0 + i` of point
     /// `first + c` lands at `out[i * count + c]` for `c < count`,
     /// `i < ndims` (one contiguous chain lane per coordinate — the layout of
@@ -131,6 +124,14 @@ pub fn make_point_set(_kind: SampleKind, dim: usize, seed: u64) -> Box<dyn Point
 mod tests {
     use super::*;
 
+    /// The `index`-th point of `ps`, freshly allocated: the per-point
+    /// reference the block fills are checked against.
+    pub(crate) fn point_vec(ps: &dyn PointSet, index: usize) -> Vec<f64> {
+        let mut out = vec![0.0; ps.dim()];
+        ps.point(index, &mut out);
+        out
+    }
+
     fn check_in_unit_cube(ps: &dyn PointSet, npoints: usize) {
         let mut out = vec![0.0; ps.dim()];
         for j in 0..npoints {
@@ -152,9 +153,9 @@ mod tests {
     #[test]
     fn points_are_reproducible_and_order_independent() {
         let ps = lattice_points(5, 7);
-        let a = ps.point_vec(123);
-        let b = ps.point_vec(7);
-        let a2 = ps.point_vec(123);
+        let a = point_vec(&ps, 123);
+        let b = point_vec(&ps, 7);
+        let a2 = point_vec(&ps, 123);
         assert_eq!(a, a2);
         assert_ne!(a, b);
     }
@@ -162,9 +163,9 @@ mod tests {
     #[test]
     fn shifted_point_set_respects_shift() {
         let lat = RichtmyerLattice::new(3);
-        let base = lat.point_vec(5);
+        let base = point_vec(&lat, 5);
         let shifted = ShiftedPointSet::new(lat, vec![0.25, 0.5, 0.75]);
-        let s = shifted.point_vec(5);
+        let s = point_vec(&shifted, 5);
         for i in 0..3 {
             let expect = (base[i] + [0.25, 0.5, 0.75][i]).fract();
             assert!((s[i] - expect).abs() < 1e-15);
@@ -213,7 +214,7 @@ mod tests {
             let mut block = vec![0.0; count * ndims];
             ps.fill_block(first, count, dim0, ndims, &mut block);
             for c in 0..count {
-                let point = ps.point_vec(first + c);
+                let point = point_vec(&ps, first + c);
                 for i in 0..ndims {
                     assert_eq!(
                         block[i * count + c].to_bits(),

@@ -89,9 +89,9 @@ impl Xoshiro256pp {
     }
 
     /// Jump ahead by 2^128 steps, giving a stream that does not overlap the
-    /// current one for any realistic amount of generation. Used to derive
-    /// per-worker / per-shift independent streams from a single master seed.
-    pub fn jump(&mut self) {
+    /// current one for any realistic amount of generation (the step of
+    /// [`stream`](Self::stream)).
+    fn jump(&mut self) {
         const JUMP: [u64; 4] = [
             0x180ec6d33cfd0aba,
             0xd5a61266f0c9392c,

@@ -1,5 +1,7 @@
 //! Dependency inference from sequential task submission (the
-//! "sequential task flow" model of StarPU/Chameleon).
+//! "sequential task flow" model of StarPU/Chameleon): the task closure type
+//! and the hazard rules the pool's [`Submitter`](crate::Submitter) infers
+//! the dependency DAG with.
 
 use crate::handle::DataHandle;
 use crate::task::TaskSpec;
@@ -12,19 +14,6 @@ use std::collections::HashMap;
 ///
 /// [`WorkerPool::execute`]: crate::WorkerPool::execute
 pub type TaskClosure<'a> = Box<dyn FnOnce() + Send + 'a>;
-
-/// Anything tasks can be submitted to in program order under the
-/// sequential-task-flow contract. Task producers — the tiled/TLR Cholesky
-/// submission loops, the PMVN sweep, `mvn-dist`'s owned slice of the plan —
-/// are written against this trait and handed to
-/// [`WorkerPool::execute`](crate::WorkerPool::execute), which executes each
-/// task as it is submitted.
-pub trait TaskSink<'a> {
-    /// Submit a task with its declared accesses and its closure;
-    /// dependencies on earlier submissions are inferred from the access
-    /// declarations. Returns the submission index.
-    fn submit_task(&mut self, spec: TaskSpec, closure: TaskClosure<'a>) -> usize;
-}
 
 /// The sequential-task-flow hazard state of the pool's streaming submitter:
 /// last writer and readers since the last write, per handle.

@@ -12,15 +12,15 @@
 //!   whose threads park on a condvar between submissions — the one executor
 //!   behind long-lived solver sessions (`mvn_core::MvnEngine`), the tiled
 //!   Cholesky in `tile-la`/`tlr`, the engine's PMVN panel sweeps and the
-//!   `mvn-dist` worker. Producers written against the [`TaskSink`] trait
-//!   hand their submission routine to [`WorkerPool::execute`], which streams
+//!   `mvn-dist` worker. Producers hand their submission routine to
+//!   [`WorkerPool::execute`], which gives it a [`Submitter`] and streams
 //!   every task to the workers as it is submitted; nothing about submission
 //!   is configurable, and the result is bitwise identical for any worker
 //!   count,
 //! * the [`store`] module provides [`TileStore`], the typed payload storage
 //!   task closures borrow tiles from according to their declared accesses,
-//! * the [`graph`] module holds the [`TaskSink`] trait and the hazard rules
-//!   the pool's submitter infers the dependency DAG with.
+//! * the [`graph`] module holds the task closure type and the hazard rules
+//!   the [`Submitter`] infers the dependency DAG with.
 
 pub mod graph;
 pub mod handle;
@@ -29,10 +29,10 @@ pub mod store;
 mod stream;
 pub mod task;
 
-pub use graph::TaskSink;
 pub use handle::{DataHandle, HandleRegistry};
 pub use pool::{effective_workers, run_map_once, PoolStats, WorkerPool};
 pub use store::{TileRef, TileRefMut, TileStore};
+pub use stream::Submitter;
 pub use task::{AccessMode, TaskSpec};
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! thread-spawn per set.
 //!
 //! The pool is the one module that knows *how* tasks are submitted:
-//! [`WorkerPool::execute`] runs a producer written against [`TaskSink`] as one
+//! [`WorkerPool::execute`] runs a producer against a [`Submitter`] as one
 //! streaming session — each task goes to the workers as soon as it is
 //! submitted and is retired when it completes, and the submitter waits only
 //! where its own code waits (the `stream.rs` module docs say why there is no
@@ -46,8 +46,7 @@
 //! scoped thread APIs use, with the scope replaced by the duration of one
 //! `execute` call.
 
-use crate::graph::TaskSink;
-use crate::stream::{LabelTimes, StreamJob, StreamSubmitter};
+use crate::stream::{LabelTimes, StreamJob, Submitter};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -245,7 +244,7 @@ impl WorkerPool {
 
     /// Run one submission routine on the pool — the single entry point of
     /// every task producer in the workspace. `f` submits tasks in program
-    /// order into the [`TaskSink`] it is handed; each task is handed to the
+    /// order into the [`Submitter`] it is handed; each task is handed to the
     /// workers the moment it is submitted (dependencies on earlier
     /// submissions inferred from the declared accesses), so `f` may wait on
     /// the output of a task it already submitted. Returns `f`'s result after
@@ -259,10 +258,10 @@ impl WorkerPool {
     /// one of this pool's own task closures or from inside another `execute`
     /// closure on it — the set runs inline on the calling thread, each task
     /// executing at its submission point.
-    pub fn execute<'env, R>(&self, f: impl FnOnce(&mut dyn TaskSink<'env>) -> R) -> R {
+    pub fn execute<'env, R>(&self, f: impl FnOnce(&mut Submitter<'_, 'env>) -> R) -> R {
         let me = std::thread::current().id();
         let (out, (tasks, by_label, panic)) = if self.threads.is_empty() || self.is_reentrant(me) {
-            let mut s = StreamSubmitter::inline();
+            let mut s = Submitter::inline();
             let out = catch_unwind(AssertUnwindSafe(|| f(&mut s)));
             (out, s.finish())
         } else {
@@ -279,7 +278,7 @@ impl WorkerPool {
                 st.job = Some(Arc::clone(&job));
                 self.shared.work_cv.notify_all();
             }
-            let mut s = StreamSubmitter::pooled(&job);
+            let mut s = Submitter::pooled(&job);
             // Drain before inspecting the outcome: even if `f` panicked,
             // already-submitted closures (and the borrows they captured)
             // must be consumed before this frame unwinds.
@@ -403,7 +402,7 @@ mod tests {
 
     /// Submit `tasks` independent tasks, each incrementing `counter`.
     fn submit_counting<'a>(
-        sink: &mut dyn TaskSink<'a>,
+        sink: &mut Submitter<'_, 'a>,
         reg: &mut HandleRegistry,
         counter: &'a AtomicUsize,
         tasks: usize,
@@ -640,7 +639,7 @@ mod tests {
         for workers in [1usize, 3] {
             let pool = WorkerPool::new(workers);
             let mut reg = HandleRegistry::new();
-            let labelled = |sink: &mut dyn TaskSink<'_>, reg: &mut HandleRegistry, name, n| {
+            let labelled = |sink: &mut Submitter<'_, '_>, reg: &mut HandleRegistry, name, n| {
                 for _ in 0..n {
                     let h = reg.register("h");
                     sink.submit_task(

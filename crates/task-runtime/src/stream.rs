@@ -1,7 +1,7 @@
 //! The pool's one executor: streaming task submission.
 //!
 //! [`WorkerPool::execute`](crate::WorkerPool::execute) runs its submission
-//! closure against a [`StreamSubmitter`], which hands each task to the pool's
+//! closure against a [`Submitter`], which hands each task to the pool's
 //! workers the moment it is submitted and *retires* its bookkeeping as soon
 //! as it completes. The submitter never waits on the pool while submitting,
 //! so it may wait on anything else between submissions — including the
@@ -24,7 +24,7 @@
 //! `execute` does not return until every submitted task has been consumed,
 //! so task closures may borrow the submitting scope.
 
-use crate::graph::{HazardTracker, TaskClosure, TaskSink};
+use crate::graph::{HazardTracker, TaskClosure};
 use crate::task::TaskSpec;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -168,7 +168,7 @@ impl StreamJob {
     }
 }
 
-/// How a [`StreamSubmitter`] executes: inline on the submitting thread (a
+/// How a [`Submitter`] executes: inline on the submitting thread (a
 /// single-worker pool, or re-entrant submission from a pool worker or from
 /// inside another `execute` closure), or published to the pool's workers.
 enum StreamTarget<'p> {
@@ -180,15 +180,18 @@ enum StreamTarget<'p> {
     Pool(&'p StreamJob),
 }
 
-/// The submission handle of one session (see the [module docs](self)); the
-/// [`TaskSink`] that [`WorkerPool::execute`](crate::WorkerPool::execute)
-/// hands its closure.
+/// The submission handle of one session, the one that
+/// [`WorkerPool::execute`](crate::WorkerPool::execute) hands its closure:
+/// task producers (the tiled/TLR Cholesky submission loops, `WorkerPool::map`,
+/// `mvn-dist`'s owned slice of the plan) submit to it in program order under
+/// the sequential-task-flow contract, and it hands each task to the pool's
+/// workers the moment it is submitted and retires it when it completes.
 ///
 /// The `'env` lifetime plays the role of `std::thread::scope`'s environment
 /// lifetime: closures may borrow anything that outlives the `execute` call,
 /// and nothing shorter (in particular, no locals of the submission closure
 /// itself).
-pub(crate) struct StreamSubmitter<'p, 'env> {
+pub struct Submitter<'p, 'env> {
     target: StreamTarget<'p>,
     /// The hazard state; the submitter prunes retired readers on every
     /// update to keep the per-handle metadata bounded by the in-flight
@@ -200,7 +203,7 @@ pub(crate) struct StreamSubmitter<'p, 'env> {
     _env: PhantomData<&'env mut &'env ()>,
 }
 
-impl<'p, 'env> StreamSubmitter<'p, 'env> {
+impl<'p, 'env> Submitter<'p, 'env> {
     pub(crate) fn inline() -> Self {
         Self::new(StreamTarget::Inline {
             tasks: 0,
@@ -248,10 +251,12 @@ impl<'p, 'env> StreamSubmitter<'p, 'env> {
     }
 }
 
-impl<'env> TaskSink<'env> for StreamSubmitter<'_, 'env> {
-    /// Ready tasks start executing on the pool immediately; the call never
-    /// waits for the pool.
-    fn submit_task(&mut self, spec: TaskSpec, closure: TaskClosure<'env>) -> usize {
+impl<'env> Submitter<'_, 'env> {
+    /// Submit a task with its declared accesses and its closure;
+    /// dependencies on earlier submissions are inferred from the access
+    /// declarations. Returns the submission index. A ready task starts
+    /// executing on the pool immediately; the call never waits for the pool.
+    pub fn submit_task(&mut self, spec: TaskSpec, closure: TaskClosure<'env>) -> usize {
         match &mut self.target {
             StreamTarget::Inline {
                 tasks,

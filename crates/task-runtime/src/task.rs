@@ -50,22 +50,6 @@ impl TaskSpec {
         self.accesses.push((handle, mode));
         self
     }
-
-    /// Handles written by this task.
-    pub fn written_handles(&self) -> impl Iterator<Item = DataHandle> + '_ {
-        self.accesses
-            .iter()
-            .filter(|(_, m)| m.writes())
-            .map(|(h, _)| *h)
-    }
-
-    /// Handles read by this task.
-    pub fn read_handles(&self) -> impl Iterator<Item = DataHandle> + '_ {
-        self.accesses
-            .iter()
-            .filter(|(_, m)| m.reads())
-            .map(|(h, _)| *h)
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +71,9 @@ mod tests {
             .access(a, AccessMode::Read)
             .access(b, AccessMode::ReadWrite);
         assert_eq!(t.name, "gemm");
-        assert_eq!(t.read_handles().collect::<Vec<_>>(), vec![a, b]);
-        assert_eq!(t.written_handles().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(
+            t.accesses,
+            vec![(a, AccessMode::Read), (b, AccessMode::ReadWrite)]
+        );
     }
 }

@@ -21,7 +21,7 @@ use crate::layout::TileLayout;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use task_runtime::{
-    AccessMode, DataHandle, HandleRegistry, TaskSink, TaskSpec, TileRef, TileStore,
+    AccessMode, DataHandle, HandleRegistry, Submitter, TaskSpec, TileRef, TileStore,
 };
 
 /// Failure modes of the tiled Cholesky factorization.
@@ -245,8 +245,8 @@ pub fn dense_step<R: Deref<Target = DenseMatrix>>(
 }
 
 /// Submit the steps of [`cholesky_plan`] over the tiles behind `handles`
-/// into any [`TaskSink`] (normally the one
-/// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out),
+/// to the [`Submitter`] that
+/// [`WorkerPool::execute`](task_runtime::WorkerPool::execute) hands out,
 /// declaring per-tile read/write accesses. Each task runs `apply` on its
 /// output tile and read tiles, and records a returned pivot in `status`;
 /// `low_rank` is the per-tile format snapshot (indexed like `handles`,
@@ -255,8 +255,8 @@ pub fn dense_step<R: Deref<Target = DenseMatrix>>(
 /// The tiled factor's submitter in `tlr` is this loop with its step
 /// function. The caller owns the [`TileStore`] and the [`FactorStatus`]; after
 /// executing the tasks it must check [`FactorStatus::pivot`].
-pub fn submit_steps<'a, T, S, F>(
-    graph: &mut S,
+pub fn submit_steps<'a, T, F>(
+    sink: &mut Submitter<'_, 'a>,
     store: &'a TileStore<T>,
     handles: &[Vec<DataHandle>],
     layout: TileLayout,
@@ -265,13 +265,12 @@ pub fn submit_steps<'a, T, S, F>(
     apply: F,
 ) where
     T: Send + Sync + 'a,
-    S: TaskSink<'a> + ?Sized,
     F: Fn(Step, &mut T, &[TileRef<'_, T>]) -> Result<(), usize> + Copy + Send + 'a,
 {
     let h = |&(i, j): &TileId| handles[i][j];
     for step in cholesky_plan(layout.num_tiles()) {
         let (out, reads): (_, Vec<_>) = (h(&step.out), step.reads().iter().map(h).collect());
-        graph.submit_task(
+        sink.submit_task(
             step.spec(handles, low_rank),
             Box::new(move || {
                 if status.is_failed() {

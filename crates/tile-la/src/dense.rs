@@ -109,6 +109,7 @@ impl DenseMatrix {
     }
 
     /// Two distinct columns as mutable slices (for in-place rotations).
+    #[inline]
     pub fn two_cols_mut(&mut self, j1: usize, j2: usize) -> (&mut [f64], &mut [f64]) {
         assert!(j1 != j2 && j1 < self.ncols && j2 < self.ncols);
         let n = self.nrows;
@@ -255,11 +256,6 @@ impl DenseMatrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
     /// `true` if all elements are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -368,9 +364,8 @@ mod tests {
     fn norms_and_scaling() {
         let mut a = DenseMatrix::from_column_major(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
-        assert_eq!(a.max_abs(), 4.0);
         a.scale(2.0);
-        assert_eq!(a.max_abs(), 8.0);
+        assert_eq!(a.data(), &[6.0, 0.0, 0.0, 8.0]);
         let b = DenseMatrix::identity(2);
         a.add_scaled(-1.0, &b);
         assert_eq!(a.get(0, 0), 5.0);

@@ -54,13 +54,6 @@ impl TileLayout {
         self.nb.min(self.n - start)
     }
 
-    /// Global index range of tile `t`.
-    #[inline]
-    pub fn tile_range(&self, t: usize) -> std::ops::Range<usize> {
-        let s = self.tile_start(t);
-        s..s + self.tile_size(t)
-    }
-
     /// Tile index containing global index `i`.
     #[inline]
     pub fn tile_of(&self, i: usize) -> usize {
@@ -96,7 +89,7 @@ mod tests {
         assert_eq!(l.num_tiles(), 3);
         assert_eq!(l.tile_size(0), 4);
         assert_eq!(l.tile_size(2), 2);
-        assert_eq!(l.tile_range(2), 8..10);
+        assert_eq!(l.tile_start(2), 8);
     }
 
     #[test]
@@ -122,7 +115,7 @@ mod tests {
         let l = TileLayout::new(37, 8);
         let mut covered = [0u32; 37];
         for t in 0..l.num_tiles() {
-            for i in l.tile_range(t) {
+            for i in l.tile_start(t)..l.tile_start(t) + l.tile_size(t) {
                 covered[i] += 1;
             }
         }

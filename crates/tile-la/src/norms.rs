@@ -18,21 +18,6 @@ pub fn max_abs_diff(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
         .fold(0.0f64, |m, (&x, &y)| m.max((x - y).abs()))
 }
 
-/// Relative Frobenius-norm difference `‖A − B‖_F / ‖B‖_F` (or the absolute
-/// difference when `B` is the zero matrix).
-pub fn relative_frobenius_diff(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let mut diff = a.clone();
-    diff.add_scaled(-1.0, b);
-    let nb = b.frobenius_norm();
-    if nb == 0.0 {
-        diff.frobenius_norm()
-    } else {
-        diff.frobenius_norm() / nb
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,17 +40,6 @@ mod tests {
         let mut b = a.clone();
         b.set(2, 1, -0.5);
         assert_eq!(max_abs_diff(&a, &b), 0.5);
-    }
-
-    #[test]
-    fn relative_diff_scales_correctly() {
-        let a = DenseMatrix::from_fn(4, 4, |i, j| ((i + j) as f64) * 10.0);
-        let mut b = a.clone();
-        b.scale(1.01);
-        let rel = relative_frobenius_diff(&b, &a);
-        assert!((rel - 0.01).abs() < 1e-12);
-        let z = DenseMatrix::zeros(4, 4);
-        assert!(relative_frobenius_diff(&a, &z) > 0.0);
     }
 
     #[test]
