@@ -226,7 +226,7 @@ fn drained_traces_are_balanced_and_export_as_valid_chrome_json() {
                     e.tid
                 );
             }
-            obs::EventKind::Complete { .. } | obs::EventKind::Instant => {}
+            obs::EventKind::Complete { .. } => {}
         }
     }
     for (tid, stack) in &stacks {

@@ -299,6 +299,35 @@ impl Factor {
             Factor::Vecchia(v) => vecchia_sweep_panel(v, a, b, points, cfg, panel),
         }
     }
+
+    /// The samples `x = L·z` of a panel of standard-normal columns `z`, in
+    /// location order (the Monte-Carlo estimator's draw).
+    pub(crate) fn sample_panel(&self, z: &DenseMatrix) -> DenseMatrix {
+        match self {
+            Factor::Tiled(l) => l.multiply_lower_panel(z),
+            // Sequential conditional simulation: step k draws
+            // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
+            Factor::Vecchia(v) => {
+                let (n, cols) = (z.nrows(), z.ncols());
+                let mut out = DenseMatrix::zeros(n, cols);
+                // Step values in ordered-position space, chain-major.
+                let mut xs = DenseMatrix::zeros(cols, n);
+                for k in 0..n {
+                    let (i, d, nbrs, coeffs) = v.step(k);
+                    for c in 0..cols {
+                        let mut s = 0.0;
+                        for (&nb, &co) in nbrs.iter().zip(coeffs) {
+                            s += co * xs.get(c, nb as usize);
+                        }
+                        let val = s + d * z.get(k, c);
+                        xs.set(c, k, val);
+                        out.set(i, c, val);
+                    }
+                }
+                out
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for Factor {

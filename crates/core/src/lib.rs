@@ -44,7 +44,7 @@ pub use mc::mvn_prob_mc;
 pub use pmvn::{
     combine_panel_results, qmc_kernel, qmc_kernel_scratch, sweep_panel, CholeskyFactor, QmcScratch,
 };
-pub use sov::{sov_sample_probability, truncate_limits, vecchia_sample_probability};
+pub use sov::sov_sample_probability;
 pub use vecchia::{
     build_vecchia_factor, full_conditioning_plan, VecchiaError, VecchiaFactor, VecchiaPlan,
 };

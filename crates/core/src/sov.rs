@@ -73,87 +73,71 @@ pub fn sov_sample_probability(
     prob
 }
 
-/// Evaluate the Vecchia ordered-conditioning SOV chain for a single sample —
-/// the scalar reference recursion of the panel kernel in [`crate::vecchia`].
-///
-/// Ordered step `k` visits location `order[k]`, conditions on the stored
-/// neighbor values in the plan's fixed order, multiplies the running
-/// probability by the conditional interval mass and draws the step's value
-/// exactly as [`sov_sample_probability`] does against a dense factor — so
-/// with a full conditioning plan (`m = n − 1`, identity order) the two
-/// recursions agree to round-off, which the property tests pin.
-///
-/// * `factor` — a built Vecchia factor,
-/// * `a`, `b` — integration limits over *original* coordinates (entries may
-///   be ±∞),
-/// * `w` — one uniform sample in `[0,1)^n` consumed in ordered-step order,
-/// * `x` — workspace of length `n` for the simulated values per ordered step
-///   (overwritten).
-pub fn vecchia_sample_probability(
-    factor: &crate::vecchia::VecchiaFactor,
-    a: &[f64],
-    b: &[f64],
-    w: &[f64],
-    x: &mut [f64],
-) -> f64 {
-    let n = a.len();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(w.len(), n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(factor.plan().n(), n);
-
-    let mut prob = 1.0;
-    for k in 0..n {
-        let (i, d, nbrs, coeffs) = factor.step(k);
-        let mut s = 0.0;
-        for (&c, &co) in nbrs.iter().zip(coeffs) {
-            s += co * x[c as usize];
-        }
-        let ai = if a[i] == f64::NEG_INFINITY {
-            f64::NEG_INFINITY
-        } else {
-            (a[i] - s) / d
-        };
-        let bi = if b[i] == f64::INFINITY {
-            f64::INFINITY
-        } else {
-            (b[i] - s) / d
-        };
-        let phi_a = norm_cdf(ai);
-        let diff = norm_cdf_diff(ai, bi);
-        prob *= diff;
-        if prob == 0.0 {
-            for xk in x.iter_mut().skip(k) {
-                *xk = 0.0;
-            }
-            return 0.0;
-        }
-        let u = clamp_unit(phi_a + w[k] * diff);
-        x[k] = s + d * norm_quantile(u);
-    }
-    prob
-}
-
-/// Replace infinite limits by finite "numerical infinity" values (±8.5 standard
-/// deviations), which some kernels prefer to avoid special-casing IEEE
-/// infinities in hot loops. Φ(−8.5) ≈ 1e−17, far below QMC resolution.
-pub fn truncate_limits(a: &[f64], b: &[f64], cutoff: f64) -> (Vec<f64>, Vec<f64>) {
-    assert!(cutoff > 0.0);
-    let at = a
-        .iter()
-        .map(|&x| if x == f64::NEG_INFINITY { -cutoff } else { x })
-        .collect();
-    let bt = b
-        .iter()
-        .map(|&x| if x == f64::INFINITY { cutoff } else { x })
-        .collect();
-    (at, bt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mathx::norm_cdf;
+
+    /// Evaluate the Vecchia ordered-conditioning SOV chain for a single sample —
+    /// the scalar reference recursion of the panel kernel in [`crate::vecchia`].
+    ///
+    /// Ordered step `k` visits location `order[k]`, conditions on the stored
+    /// neighbor values in the plan's fixed order, multiplies the running
+    /// probability by the conditional interval mass and draws the step's value
+    /// exactly as [`sov_sample_probability`] does against a dense factor — so
+    /// with a full conditioning plan (`m = n − 1`, identity order) the two
+    /// recursions agree to round-off, which the property tests pin.
+    ///
+    /// * `factor` — a built Vecchia factor,
+    /// * `a`, `b` — integration limits over *original* coordinates (entries may
+    ///   be ±∞),
+    /// * `w` — one uniform sample in `[0,1)^n` consumed in ordered-step order,
+    /// * `x` — workspace of length `n` for the simulated values per ordered step
+    ///   (overwritten).
+    fn vecchia_sample_probability(
+        factor: &crate::vecchia::VecchiaFactor,
+        a: &[f64],
+        b: &[f64],
+        w: &[f64],
+        x: &mut [f64],
+    ) -> f64 {
+        let n = a.len();
+        debug_assert_eq!(b.len(), n);
+        debug_assert_eq!(w.len(), n);
+        debug_assert_eq!(x.len(), n);
+        debug_assert_eq!(factor.plan().n(), n);
+
+        let mut prob = 1.0;
+        for k in 0..n {
+            let (i, d, nbrs, coeffs) = factor.step(k);
+            let mut s = 0.0;
+            for (&c, &co) in nbrs.iter().zip(coeffs) {
+                s += co * x[c as usize];
+            }
+            let ai = if a[i] == f64::NEG_INFINITY {
+                f64::NEG_INFINITY
+            } else {
+                (a[i] - s) / d
+            };
+            let bi = if b[i] == f64::INFINITY {
+                f64::INFINITY
+            } else {
+                (b[i] - s) / d
+            };
+            let phi_a = norm_cdf(ai);
+            let diff = norm_cdf_diff(ai, bi);
+            prob *= diff;
+            if prob == 0.0 {
+                for xk in x.iter_mut().skip(k) {
+                    *xk = 0.0;
+                }
+                return 0.0;
+            }
+            let u = clamp_unit(phi_a + w[k] * diff);
+            x[k] = s + d * norm_quantile(u);
+        }
+        prob
+    }
 
     fn identity_l(n: usize) -> DenseMatrix {
         DenseMatrix::identity(n)
@@ -253,14 +237,5 @@ mod tests {
         for k in 0..n {
             assert!((x[k] - (0..=k).map(|j| l.get(k, j) * y[j]).sum::<f64>()).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn truncation_replaces_only_infinities() {
-        let a = vec![f64::NEG_INFINITY, -1.0];
-        let b = vec![2.0, f64::INFINITY];
-        let (at, bt) = truncate_limits(&a, &b, 8.5);
-        assert_eq!(at, vec![-8.5, -1.0]);
-        assert_eq!(bt, vec![2.0, 8.5]);
     }
 }

@@ -194,9 +194,7 @@ mod tests {
         let cov = cov_matrix();
         let engine = MvnEngine::builder().workers(2).build().unwrap();
         let (factor, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
-        let Factor::Tiled(l) = &factor else {
-            panic!("expected a tiled factor")
-        };
+        let l = factor.tiled().expect("expected a tiled factor");
         let ld = l.to_dense_lower();
         let rec = ld.matmul_nt(&ld);
         for i in 0..cov.nrows() {
@@ -283,9 +281,7 @@ mod tests {
         let (factor, sd) = correlation_factor(&engine, &cov, 16, None).unwrap();
         assert_eq!(sd[3], 0.0);
         assert_eq!(sd[17], 0.0);
-        let Factor::Tiled(l) = &factor else {
-            panic!("expected a tiled factor")
-        };
+        let l = factor.tiled().expect("expected a tiled factor");
         let ld = l.to_dense_lower();
         let rec = ld.matmul_nt(&ld);
         for i in 0..n {

@@ -80,7 +80,7 @@ pub struct CrdResult {
 /// 0). This matches [`marginal_exceedance`]'s deterministic convention; note
 /// the naive division `(threshold - mean)/sd` would produce `NaN` at the
 /// `mean == threshold` tie.
-fn standardized_limit(mean: f64, sd: f64, threshold: f64) -> f64 {
+pub(crate) fn standardized_limit(mean: f64, sd: f64, threshold: f64) -> f64 {
     if sd > 0.0 {
         (threshold - mean) / sd
     } else if mean > threshold {
@@ -107,19 +107,20 @@ fn prefix_profile(
         let _span = obs::span("crd_permute");
         permuted_correlation(engine.pool(), l, order)
     };
-    let Factor::Tiled(permuted) = ({
+    let permuted = {
         let _span = obs::span("crd_factor");
         (engine.factor(TlrMatrix::from(permuted)))
             .expect("the permuted correlation matrix must be positive definite")
-    }) else {
-        unreachable!("MvnEngine::factor returns a tiled factor")
     };
+    let permuted = permuted
+        .tiled()
+        .expect("MvnEngine::factor returns a tiled factor");
     let a: Vec<f64> = (order.iter())
         .map(|&c| standardized_limit(mean[c], sd[c], threshold))
         .collect();
     let b = vec![f64::INFINITY; a.len()];
     let _span = obs::span("crd_sweep");
-    (engine.solve_prefixes(&permuted, &a, &b, mvn).iter())
+    (engine.solve_prefixes(permuted, &a, &b, mvn).iter())
         .map(|r| r.prob.clamp(0.0, 1.0))
         .collect()
 }
@@ -142,12 +143,10 @@ pub fn detect_confidence_regions(
     sd: &[f64],
     cfg: &CrdConfig,
 ) -> CrdResult {
-    let Factor::Tiled(l) = factor else {
-        panic!(
-            "confidence-region detection needs a dense or TLR correlation factor: \
-             a Vecchia factor has no Cholesky rows to permute"
-        )
-    };
+    let l = factor.tiled().expect(
+        "confidence-region detection needs a dense or TLR correlation factor: \
+         a Vecchia factor has no Cholesky rows to permute",
+    );
     let n = mean.len();
     assert_eq!(sd.len(), n);
     assert_eq!(

@@ -43,7 +43,7 @@ pub use correlation::{
 };
 pub use crd::{detect_confidence_regions, excursion_set, find_excursion_set, CrdConfig, CrdResult};
 pub use marginal::{descending_order, marginal_exceedance};
-pub use validate::{estimates_agree, mc_validate, McValidation};
+pub use validate::{mc_validate, McValidation};
 
 #[cfg(test)]
 mod tests {

@@ -6,14 +6,15 @@
 //! detected, `p̂(α) ≈ 1 − α`; the third column of Fig. 1 plots
 //! `1 − α − p̂(α)`, and Fig. 6 reports the runtime of this validation step.
 //!
-//! The sampling blocks run as independent tasks on the [`MvnEngine`]'s worker
-//! pool — the same session threads the detection itself used — and the
-//! estimate is bitwise independent of the worker count (each block owns a
-//! seeded RNG stream).
+//! This is [`mvn_prob_mc`] on the box the detection integrates: each region
+//! site's standardized lower limit (the one the prefix sweep uses), `-inf`
+//! elsewhere, `+inf` above. Its sampling blocks run as independent tasks on
+//! the [`MvnEngine`]'s worker pool — the same session threads the detection
+//! itself used — and the estimate is bitwise independent of the worker count
+//! (each block owns a seeded RNG stream).
 
-use mvn_core::{Factor, MvnEngine, MvnResult};
-use qmc::Xoshiro256pp;
-use tile_la::DenseMatrix;
+use crate::crd::standardized_limit;
+use mvn_core::{mvn_prob_mc, Factor, MvnConfig, MvnEngine};
 
 /// Result of the MC validation of a region.
 #[derive(Debug, Clone, Copy)]
@@ -26,25 +27,13 @@ pub struct McValidation {
     pub samples: usize,
 }
 
-/// `true` when an MVN estimate and an MC validation agree within their
-/// combined `z`-sigma uncertainty:
-/// `|prob − p̂| ≤ mvn.half_width(z) + z·mc.std_error`.
-///
-/// Uses [`MvnResult::half_width`] rather than ad-hoc `z * std_error` math, so
-/// a single-batch MVN estimate (standard error unavailable, `NaN`) yields an
-/// unbounded half-width and the check degrades to "no evidence of
-/// disagreement" instead of NaN-poisoning the comparison.
-pub fn estimates_agree(mvn: &MvnResult, mc: &McValidation, z: f64) -> bool {
-    (mvn.prob - mc.p_hat).abs() <= mvn.half_width(z) + z * mc.std_error
-}
-
 /// Estimate the probability that every location in `region` exceeds
 /// `threshold` under the Gaussian field with the given correlation factor,
 /// `mean` and `sd`, using `n_samples` Monte-Carlo draws.
 ///
-/// Sampling uses `x = mean + sd ⊙ (L·z)` with `z` standard normal, in
-/// parallel blocks of `block` columns submitted as one task graph on the
-/// engine's pool.
+/// Sampling draws `x = L·z` with `z` standard normal, in parallel blocks of
+/// `block` columns submitted as one task set on the engine's pool, and counts
+/// the samples with `x > (threshold − mean)/sd` at every region site.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_validate(
     engine: &MvnEngine,
@@ -71,47 +60,17 @@ pub fn mc_validate(
         };
     }
 
-    let blocks: Vec<usize> = (0..n_samples.div_ceil(block)).collect();
-    let block_hits = engine.pool().map("mc_block", &blocks, |_, &bi| {
-        let start = bi * block;
-        let end = ((bi + 1) * block).min(n_samples);
-        let cols = end - start;
-        let mut rng = Xoshiro256pp::seed_from(seed).stream(bi);
-        let z = DenseMatrix::from_fn(n, cols, |_, _| rng.next_normal());
-        let lz = match factor {
-            Factor::Tiled(l) => l.multiply_lower_panel(&z),
-            // Sequential conditional simulation: step k draws
-            // x = Σ coeffs·x_cond + d·z, the Vecchia analogue of L·z.
-            Factor::Vecchia(v) => {
-                let mut out = DenseMatrix::zeros(n, cols);
-                // Step values in ordered-position space, chain-major.
-                let mut xs = DenseMatrix::zeros(cols, n);
-                for k in 0..n {
-                    let (i, d, nbrs, coeffs) = v.step(k);
-                    for c in 0..cols {
-                        let mut s = 0.0;
-                        for (&nb, &co) in nbrs.iter().zip(coeffs) {
-                            s += co * xs.get(c, nb as usize);
-                        }
-                        let val = s + d * z.get(k, c);
-                        xs.set(c, k, val);
-                        out.set(i, c, val);
-                    }
-                }
-                out
-            }
-        };
-        (0..cols)
-            .filter(|&c| {
-                region
-                    .iter()
-                    .all(|&i| mean[i] + sd[i] * lz.get(i, c) > threshold)
-            })
-            .count()
-    });
-    let hits: usize = block_hits.iter().sum();
-
-    let p_hat = hits as f64 / n_samples as f64;
+    let mut a = vec![f64::NEG_INFINITY; n];
+    for &i in region {
+        a[i] = standardized_limit(mean[i], sd[i], threshold);
+    }
+    let b = vec![f64::INFINITY; n];
+    let cfg = MvnConfig {
+        sample_size: n_samples,
+        panel_width: block,
+        seed,
+    };
+    let p_hat = mvn_prob_mc(engine.pool(), factor, &a, &b, &cfg).prob;
     let std_error = (p_hat * (1.0 - p_hat) / n_samples as f64).sqrt();
     McValidation {
         p_hat,
@@ -127,8 +86,20 @@ mod tests {
     use crate::crd::{find_excursion_set, CrdConfig};
     use geostat::{regular_grid, CovarianceKernel};
     use mathx::norm_sf;
-    use mvn_core::MvnConfig;
+    use mvn_core::MvnResult;
     use tlr::CompressionTol;
+
+    /// `true` when an MVN estimate and an MC validation agree within their
+    /// combined `z`-sigma uncertainty:
+    /// `|prob − p̂| ≤ mvn.half_width(z) + z·mc.std_error`.
+    ///
+    /// Uses [`MvnResult::half_width`] rather than ad-hoc `z * std_error`
+    /// math, so a single-batch MVN estimate (standard error unavailable,
+    /// `NaN`) yields an unbounded half-width and the check degrades to "no
+    /// evidence of disagreement" instead of NaN-poisoning the comparison.
+    fn estimates_agree(mvn: &MvnResult, mc: &McValidation, z: f64) -> bool {
+        (mvn.prob - mc.p_hat).abs() <= mvn.half_width(z) + z * mc.std_error
+    }
 
     fn test_engine() -> MvnEngine {
         MvnEngine::builder().workers(2).build().unwrap()
@@ -187,6 +158,45 @@ mod tests {
                 reference.p_hat
             );
         }
+    }
+
+    #[test]
+    fn estimate_is_bitwise_the_estimator_on_the_standardized_box() {
+        // Validation is the one Monte-Carlo estimator on the box the sweep
+        // integrates, so its p̂ is that estimator's probability to the bit.
+        let locs = regular_grid(6, 6);
+        let k = CovarianceKernel::Exponential {
+            sigma2: 1.0,
+            range: 0.3,
+        };
+        let cov = k.dense_covariance(&locs, 1e-8);
+        let engine = test_engine();
+        let (factor, sd) = correlation_factor(&engine, &cov, 12, None).unwrap();
+        let mean: Vec<f64> = locs.iter().map(|l| 1.2 - l.x).collect();
+        let region = [0, 1, 6, 7, 13];
+        let threshold = 0.1;
+        let v = mc_validate(
+            &engine, &factor, &mean, &sd, &region, threshold, 5_000, 128, 4,
+        );
+        let mut a = vec![f64::NEG_INFINITY; mean.len()];
+        for &i in &region {
+            a[i] = (threshold - mean[i]) / sd[i];
+        }
+        let b = vec![f64::INFINITY; mean.len()];
+        let cfg = MvnConfig {
+            sample_size: 5_000,
+            panel_width: 128,
+            seed: 4,
+        };
+        let r = mvn_prob_mc(engine.pool(), &factor, &a, &b, &cfg);
+        assert!(
+            v.p_hat.to_bits() == r.prob.to_bits(),
+            "{} vs {}",
+            v.p_hat,
+            r.prob
+        );
+        assert!(v.p_hat > 0.0 && v.p_hat < 1.0, "{}", v.p_hat);
+        assert_eq!(v.samples, 5_000);
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// The gamma function Γ(x) for `x > 0` (and non-pole negative reals via the
-/// reflection formula, with correct sign).
-pub fn gamma(x: f64) -> f64 {
+/// reflection formula, with correct sign): the tests' oracle for
+/// [`ln_gamma`].
+#[cfg(test)]
+pub(crate) fn gamma(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }

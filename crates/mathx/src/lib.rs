@@ -8,7 +8,7 @@
 //!   approximations, ~1e-15 relative accuracy away from the deep tail),
 //! * [`norm_cdf`] (Φ), [`norm_pdf`] (φ), [`norm_quantile`] (Φ⁻¹, Wichura AS241),
 //!   and the numerically safe difference [`norm_cdf_diff`],
-//! * [`ln_gamma`]/[`gamma()`] — (log) gamma function (Lanczos),
+//! * [`ln_gamma`] — log gamma function (Lanczos),
 //! * [`bessel_k`] — modified Bessel function of the second kind `K_ν(x)` for real
 //!   order ν ≥ 0 (Temme series + continued fractions, Numerical-Recipes style),
 //!   required by the Matérn covariance,
@@ -31,7 +31,9 @@ pub mod util;
 pub use batch::{norm_cdf_and_diff_slice, norm_cdf_slice, norm_quantile_slice};
 pub use bessel::{bessel_i, bessel_k};
 pub use erf::{erf, erfc};
-pub use gamma::{gamma, ln_gamma};
+#[cfg(test)]
+use gamma::gamma;
+pub use gamma::ln_gamma;
 pub use normal::{norm_cdf, norm_cdf_diff, norm_pdf, norm_quantile, norm_sf, standardize};
 pub use util::{clamp_unit, relative_error};
 

@@ -495,7 +495,6 @@ fn trace_event_to_json(e: &obs::Event) -> Json {
         obs::EventKind::Begin => ("B", 0),
         obs::EventKind::End => ("E", 0),
         obs::EventKind::Complete { dur_ns } => ("X", dur_ns),
-        obs::EventKind::Instant => ("i", 0),
     };
     Json::Arr(vec![
         Json::Str(ph.into()),
@@ -521,7 +520,6 @@ fn trace_event_from_json(v: &Json) -> Result<obs::Event, String> {
         "B" => obs::EventKind::Begin,
         "E" => obs::EventKind::End,
         "X" => obs::EventKind::Complete { dur_ns },
-        "i" => obs::EventKind::Instant,
         other => return Err(format!("unknown trace phase {other:?}")),
     };
     // Labels and argument keys are re-interned on the receiving side; the

@@ -78,7 +78,7 @@ fn assert_lane_balanced(rank: usize, lane: &[obs::Event]) -> usize {
                     e.label
                 );
             }
-            obs::EventKind::Complete { .. } | obs::EventKind::Instant => {}
+            obs::EventKind::Complete { .. } => {}
         }
     }
     for (tid, stack) in &stacks {

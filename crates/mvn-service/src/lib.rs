@@ -35,10 +35,6 @@
 //!   (and the matching [`ServiceClient`]) so the service can sit behind a
 //!   socket; `mvn-bench`'s `mvn_serve` binary pairs it with a closed-loop
 //!   load generator.
-//! * **Served CRD** ([`crd`]): `excursion`'s confidence-region drivers run
-//!   unchanged on the shard's cached factor
-//!   ([`MvnService::factor`]) and the service's pool, with bitwise identical
-//!   probabilities.
 //!
 //! ```no_run
 //! use mvn_service::{CovSpec, MvnService, ServiceConfig, SpecHandle};
@@ -57,24 +53,22 @@
 //! ```
 
 pub mod cache;
-pub mod crd;
 pub mod service;
 pub mod spec;
 pub mod tcp;
 
 pub use cache::{CacheStats, FactorCache};
-pub use crd::{detect_confidence_regions_served, find_excursion_set_served};
 // The JSON value type and bit-exact f64 encoding moved to the shared `wire`
 // crate (the distributed runtime's tile transport uses the same bits);
 // re-exported here so `mvn_service::json::...` paths keep working.
 pub use service::{
-    CacheOpOutput, CacheTicket, MvnService, ServiceConfig, ServiceError, ServiceStats, ShardStats,
-    SolveOutput, SpecHandle, Ticket, BATCH_HIST_BUCKETS,
+    CacheOpOutput, MvnService, ServiceConfig, ServiceError, ServiceStats, ShardStats, SolveOutput,
+    SpecHandle, Ticket, BATCH_HIST_BUCKETS,
 };
 pub use spec::{CovSpec, FactorFingerprint};
 pub use tcp::{
     render_metrics_request, render_solve_request, render_solve_request_deadline,
-    render_stats_request, render_unpin_request, render_warm_request, MvnServer, ServiceClient,
+    render_stats_request, render_warm_request, MvnServer, ServiceClient,
 };
 pub use wire::json;
 pub use wire::Json;

@@ -281,13 +281,14 @@ fn answered<T>(
 
 /// A pending response: wait on it with [`Ticket::wait`]. Submitting first
 /// and waiting later is what lets concurrent callers coalesce into one
-/// batch.
-pub struct Ticket {
-    rx: mpsc::Receiver<Response>,
+/// batch. A solve's ticket carries a [`SolveOutput`]; a cache operation's
+/// ([`MvnService::warm_submit`]) a [`CacheOpOutput`].
+pub struct Ticket<T = SolveOutput> {
+    rx: mpsc::Receiver<Result<T, ServiceError>>,
     shard: usize,
 }
 
-impl std::fmt::Debug for Ticket {
+impl<T> std::fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("shard", &self.shard)
@@ -295,49 +296,18 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
     /// Block until the service answers.
-    pub fn wait(self) -> Response {
+    pub fn wait(self) -> Result<T, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
     }
 
     /// The answer if the service has already given one.
-    pub(crate) fn try_wait(&self) -> Option<Response> {
+    pub(crate) fn try_wait(&self) -> Option<Result<T, ServiceError>> {
         answered(self.rx.try_recv())
     }
 
     /// The shard the request was routed to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-/// A pending cache-operation response (see [`MvnService::warm_submit`]).
-pub struct CacheTicket {
-    rx: mpsc::Receiver<CacheResponse>,
-    shard: usize,
-}
-
-impl std::fmt::Debug for CacheTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheTicket")
-            .field("shard", &self.shard)
-            .finish()
-    }
-}
-
-impl CacheTicket {
-    /// Block until the shard dispatcher has applied the operation.
-    pub fn wait(self) -> CacheResponse {
-        self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
-    }
-
-    /// The outcome if the shard dispatcher has already applied the operation.
-    pub(crate) fn try_wait(&self) -> Option<CacheResponse> {
-        answered(self.rx.try_recv())
-    }
-
-    /// The shard the operation was routed to.
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -367,10 +337,6 @@ enum CacheOp {
     },
     /// Make a pinned factor evictable again.
     Unpin { tx: mpsc::Sender<CacheResponse> },
-    /// Hand out the factor itself, building and caching it on a miss.
-    Factor {
-        tx: mpsc::Sender<Result<Arc<Factor>, ServiceError>>,
-    },
 }
 
 struct CacheRequest {
@@ -721,7 +687,7 @@ impl MvnService {
             .wait()
     }
 
-    /// Queue a warm-up for a spec's factor, returning a [`CacheTicket`]
+    /// Queue a warm-up for a spec's factor, returning a [`Ticket`]
     /// immediately: the shard dispatcher builds the factor if it is not
     /// already resident and, with `pin`, pins it against eviction. Warming
     /// ahead of a traffic burst means the first real request hits a resident
@@ -730,10 +696,14 @@ impl MvnService {
     /// Cache operations ride the same bounded shard queue as solves (FIFO
     /// with respect to them) but are not counted in the
     /// submitted/completed request totals.
-    pub fn warm_submit(&self, handle: &SpecHandle, pin: bool) -> Result<CacheTicket, ServiceError> {
+    pub fn warm_submit(
+        &self,
+        handle: &SpecHandle,
+        pin: bool,
+    ) -> Result<Ticket<CacheOpOutput>, ServiceError> {
         let (tx, rx) = mpsc::channel();
         let shard = self.submit_cache_op(handle, CacheOp::Warm { pin, tx })?;
-        Ok(CacheTicket { rx, shard })
+        Ok(Ticket { rx, shard })
     }
 
     /// [`warm_submit`](Self::warm_submit) and block for the outcome.
@@ -743,10 +713,10 @@ impl MvnService {
 
     /// Queue an unpin for a spec's factor (the non-blocking form of
     /// [`unpin`](Self::unpin)).
-    pub fn unpin_submit(&self, handle: &SpecHandle) -> Result<CacheTicket, ServiceError> {
+    pub fn unpin_submit(&self, handle: &SpecHandle) -> Result<Ticket<CacheOpOutput>, ServiceError> {
         let (tx, rx) = mpsc::channel();
         let shard = self.submit_cache_op(handle, CacheOp::Unpin { tx })?;
-        Ok(CacheTicket { rx, shard })
+        Ok(Ticket { rx, shard })
     }
 
     /// Make a previously pinned factor evictable again (blocking). Unpinning
@@ -754,27 +724,6 @@ impl MvnService {
     /// the current residency.
     pub fn unpin(&self, handle: &SpecHandle) -> CacheResponse {
         self.unpin_submit(handle)?.wait()
-    }
-
-    /// The spec's factor as its shard holds it (blocking): a counted cache
-    /// hit, or a miss that builds and caches it exactly like a solve would.
-    /// For computations that run on the factor themselves instead of
-    /// submitting boxes — the served CRD sweeps it on the service's pool.
-    /// Rides the shard queue like [`warm`](Self::warm).
-    pub fn factor(&self, handle: &SpecHandle) -> Result<Arc<Factor>, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_cache_op(handle, CacheOp::Factor { tx })?;
-        rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
-    }
-
-    /// An engine on the service's worker pool with the service's sampling
-    /// configuration: whatever it solves is bitwise what the shards serve.
-    pub(crate) fn engine(&self) -> MvnEngine {
-        MvnEngine::builder()
-            .pool(Arc::clone(&self.pool))
-            .config(self.cfg.mvn)
-            .build()
-            .expect("the configuration was validated when the service started")
     }
 
     /// Queue a cache operation on the spec's shard, returning the shard.
@@ -1056,14 +1005,6 @@ fn serve_cache_op(
             cache.unpin(fp);
             publish_cache_stats(ctx, cache);
             let _ = tx.send(Ok(status(cache, was_resident)));
-        }
-        CacheOp::Factor { tx } => {
-            let outcome = caught(|| match cache.get(fp) {
-                Some(f) => Ok(f),
-                None => build_and_cache(engine, cache, fp, &spec),
-            });
-            publish_cache_stats(ctx, cache);
-            let _ = tx.send(outcome);
         }
     }
 }

@@ -69,9 +69,7 @@
 //! `echo '{"id":1,"metrics":true}' | nc 127.0.0.1 9000`.
 
 use crate::json::{parse_limits, write_escaped, write_f64, Json};
-use crate::service::{
-    CacheOpOutput, CacheTicket, MvnService, ServiceError, SolveOutput, SpecHandle, Ticket,
-};
+use crate::service::{CacheOpOutput, MvnService, ServiceError, SolveOutput, SpecHandle, Ticket};
 use crate::spec::CovSpec;
 use geostat::{regular_grid, CovarianceKernel, Location, MaternParams, MAX_MATERN_SMOOTHNESS};
 use mvn_core::{FactorKind, Problem};
@@ -175,7 +173,7 @@ fn accept_loop(listener: TcpListener, service: Arc<MvnService>, shutdown: Arc<At
 enum Pending {
     Ready(String),
     Waiting(u64, Ticket),
-    WaitingCache(u64, CacheTicket),
+    WaitingCache(u64, Ticket<CacheOpOutput>),
 }
 
 impl Pending {
@@ -639,14 +637,6 @@ pub fn render_warm_request(id: u64, spec: &CovSpec, pin: bool) -> String {
     let pin = if pin { ",\"pin\":true" } else { "" };
     format!(
         "{{\"id\":{id},\"warm\":true{pin},\"spec\":{}}}",
-        render_spec(spec)
-    )
-}
-
-/// Render an unpin request line.
-pub fn render_unpin_request(id: u64, spec: &CovSpec) -> String {
-    format!(
-        "{{\"id\":{id},\"unpin\":true,\"spec\":{}}}",
         render_spec(spec)
     )
 }

@@ -7,7 +7,7 @@
 use geostat::{regular_grid, CovarianceKernel, MaternParams};
 use mvn_core::{MvnConfig, MvnEngine, Problem};
 use mvn_service::{
-    CacheTicket, CovSpec, MvnService, ServiceConfig, ServiceError, SpecHandle, Ticket,
+    CacheOpOutput, CovSpec, MvnService, ServiceConfig, ServiceError, SpecHandle, Ticket,
 };
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ fn test_mvn(samples: usize) -> MvnConfig {
 /// submitted right after it is queued together by the time the dispatcher
 /// scans again. Batches only form from what is already queued, so this is how
 /// a test gets a burst into one scan.
-fn hold_dispatcher(service: &MvnService) -> CacheTicket {
+fn hold_dispatcher(service: &MvnService) -> Ticket<CacheOpOutput> {
     let cold = CovSpec::dense(
         regular_grid(20, 20),
         CovarianceKernel::Matern(MaternParams {

@@ -1,6 +1,6 @@
 //! The service-level acceptance suite: everything the serving layer adds —
-//! routing, micro-batching, caching, eviction, the TCP front-end, the served
-//! CRD path — must be *bitwise invisible* in the probabilities. The direct
+//! routing, micro-batching, caching, eviction, the TCP front-end — must be
+//! *bitwise invisible* in the probabilities. The direct
 //! `MvnEngine` solve is the reference everywhere.
 
 use geostat::{regular_grid, CovarianceKernel, MaternParams};
@@ -594,92 +594,4 @@ fn a_huge_matern_smoothness_is_refused_at_once_and_the_connection_stays_up() {
     let ok = reply();
     assert_eq!(ok.get("id").and_then(mvn_service::Json::as_usize), Some(4));
     assert!(ok.get("prob").is_some(), "{ok}");
-}
-
-#[test]
-fn served_crd_matches_library_crd_bitwise() {
-    // excursion's CRD drivers on the service's cached factor and pool
-    // against the plain engine path, same sampling config — prefix
-    // probabilities, confidence function and the selected excursion set must
-    // all agree exactly.
-    let samples = 400;
-    let locs = regular_grid(5, 5);
-    let kernel = CovarianceKernel::Exponential {
-        sigma2: 1.7,
-        range: 0.25,
-    };
-    let nugget = 1e-8;
-    let mean: Vec<f64> = locs.iter().map(|l| 1.5 - 2.0 * (l.x + l.y) / 2.0).collect();
-    let crd_cfg = excursion::CrdConfig {
-        threshold: 0.3,
-        alpha: 0.1,
-        levels: usize::MAX,
-        mvn: test_mvn(samples),
-    };
-
-    // Library path: correlation factor + engine.
-    let engine = MvnEngine::builder()
-        .workers(2)
-        .config(test_mvn(samples))
-        .build()
-        .unwrap();
-    let cov = kernel.dense_covariance(&locs, nugget);
-    let (factor, sd) = excursion::correlation_factor(&engine, &cov, 8, None).unwrap();
-    let lib = excursion::detect_confidence_regions(&engine, &factor, &mean, &sd, &crd_cfg);
-    let (lib_region, lib_prob) =
-        excursion::find_excursion_set(&engine, &factor, &mean, &sd, &crd_cfg);
-
-    // Service path: standardized spec, same sampling config.
-    let service = MvnService::start(ServiceConfig {
-        shards: 2,
-        mvn: test_mvn(samples),
-        ..Default::default()
-    })
-    .unwrap();
-    let handle = SpecHandle::new(CovSpec::dense(locs.clone(), kernel, nugget, 8).standardized());
-    let served =
-        mvn_service::detect_confidence_regions_served(&service, &handle, &mean, &crd_cfg).unwrap();
-    assert_eq!(served.order, lib.order);
-    assert_eq!(served.prefix_probs.len(), lib.prefix_probs.len());
-    for (s, l) in served.prefix_probs.iter().zip(&lib.prefix_probs) {
-        assert_eq!(s.0, l.0);
-        assert!(
-            s.1.to_bits() == l.1.to_bits(),
-            "len {}: {} vs {}",
-            s.0,
-            s.1,
-            l.1
-        );
-    }
-    for (s, l) in served.confidence.iter().zip(&lib.confidence) {
-        assert!(s.to_bits() == l.to_bits());
-    }
-    assert_eq!(
-        excursion::excursion_set(&served, crd_cfg.alpha),
-        excursion::excursion_set(&lib, crd_cfg.alpha)
-    );
-
-    let (srv_region, srv_prob) =
-        mvn_service::find_excursion_set_served(&service, &handle, &mean, &crd_cfg).unwrap();
-    assert_eq!(srv_region, lib_region);
-    assert!(srv_prob.to_bits() == lib_prob.to_bits());
-
-    // The whole CRD session hit one cached factor after the first build.
-    let stats = service.stats();
-    assert_eq!(stats.cache_misses(), 1);
-    assert!(stats.cache_hits() > 0);
-
-    // What the library would panic on is a typed error here.
-    let raw = SpecHandle::new(CovSpec::dense(locs.clone(), kernel, nugget, 8));
-    let err = mvn_service::detect_confidence_regions_served(&service, &raw, &mean, &crd_cfg);
-    assert!(matches!(err, Err(ServiceError::InvalidSpec(_))), "{err:?}");
-    let vecchia = SpecHandle::new(CovSpec::vecchia(locs, kernel, nugget, 8, 4).standardized());
-    let err = mvn_service::find_excursion_set_served(&service, &vecchia, &mean, &crd_cfg);
-    assert!(matches!(err, Err(ServiceError::InvalidSpec(_))), "{err:?}");
-    let err =
-        mvn_service::detect_confidence_regions_served(&service, &handle, &mean[1..], &crd_cfg);
-    assert!(
-        matches!(err, Err(ServiceError::InvalidProblem(_))),
-        "{err:?}"
-    );
 }

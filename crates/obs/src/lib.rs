@@ -11,8 +11,8 @@
 //!   `mvn-dist` worker phases are instrumented against it, and the
 //!   `--trace out.json` flags on `mvn_serve`/`mvn_dist` write the merged
 //!   timeline.
-//! * [`metrics`] — an always-on registry of named atomic counters, gauges
-//!   and log-bucketed histograms with p50/p95/p99 extraction, rendered as
+//! * [`metrics`] — an always-on registry of named atomic counters and
+//!   log-bucketed histograms with p50/p95/p99 extraction, rendered as
 //!   Prometheus-style text exposition ([`render_prometheus`]); the serving
 //!   layer exposes it over the TCP wire as the `{"metrics":true}` request.
 //!
@@ -23,10 +23,8 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{
-    counter, gauge, histogram, render_prometheus, Counter, Gauge, Histogram, HIST_BUCKETS,
-};
+pub use metrics::{counter, histogram, render_prometheus, Counter, Histogram, HIST_BUCKETS};
 pub use trace::{
-    complete_at, complete_since, enabled, export_chrome_trace, export_current, instant, intern,
-    now_ns, set_enabled, span, span_with, take_events, Event, EventKind, SpanGuard, MAX_ARGS,
+    complete_since, enabled, export_chrome_trace, export_current, intern, now_ns, set_enabled,
+    span, span_with, take_events, Event, EventKind, SpanGuard, MAX_ARGS,
 };

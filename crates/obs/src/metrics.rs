@@ -1,4 +1,4 @@
-//! The metrics registry: named atomic counters/gauges and log-bucketed
+//! The metrics registry: named atomic counters and log-bucketed
 //! histograms, rendered as Prometheus-style text exposition.
 //!
 //! Metrics are **always on** (unlike tracing): every instrument is one or two
@@ -9,7 +9,7 @@
 //! `&'static` handle once.
 //!
 //! [`render_prometheus`] walks the registry and renders every instrument —
-//! counters and gauges as single samples, histograms as
+//! counters as single samples, histograms as
 //! `_count`/`_sum`/`_p50`/`_p95`/`_p99` derived samples — plus any
 //! caller-supplied extra gauges (snapshot values that live outside the
 //! registry, e.g. a consistent `ServiceStats` scrape).
@@ -40,26 +40,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins gauge (relaxed atomics).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    v: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -140,7 +120,6 @@ impl Histogram {
 
 enum Instrument {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
@@ -177,14 +156,6 @@ pub fn counter(name: &'static str) -> &'static Counter {
     })
 }
 
-/// The process-wide gauge named `name`, registered on first use.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    get_or_register(name, Instrument::Gauge, |i| match i {
-        Instrument::Gauge(g) => Some(g),
-        _ => None,
-    })
-}
-
 /// The process-wide histogram named `name`, registered on first use.
 pub fn histogram(name: &'static str) -> &'static Histogram {
     get_or_register(name, Instrument::Histogram, |i| match i {
@@ -211,9 +182,6 @@ pub fn render_prometheus(extra: &[(String, f64)]) -> String {
         match inst {
             Instrument::Counter(c) => {
                 out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-            }
-            Instrument::Gauge(g) => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
             }
             Instrument::Histogram(h) => {
                 out.push_str(&format!(
@@ -306,12 +274,10 @@ mod tests {
         assert!(std::ptr::eq(a, b));
         a.add(41);
         b.inc();
-        gauge("test_registry_gauge").set(7);
         histogram("test_registry_hist").record(100);
         let text = render_prometheus(&[("extra_metric".to_string(), 2.5)]);
         assert!(text.contains("# TYPE test_registry_counter counter"));
         assert!(text.contains("test_registry_counter 42"));
-        assert!(text.contains("test_registry_gauge 7"));
         assert!(text.contains("test_registry_hist_count 1"));
         assert!(text.contains("test_registry_hist_sum 100"));
         assert!(text.contains("test_registry_hist_p99 127"));

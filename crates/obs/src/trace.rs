@@ -52,8 +52,6 @@ pub enum EventKind {
         /// Span duration in nanoseconds.
         dur_ns: u64,
     },
-    /// A point-in-time marker (`ph: "i"`).
-    Instant,
 }
 
 /// One recorded trace event. `label` is interned ([`intern`]) so events are
@@ -61,7 +59,7 @@ pub enum EventKind {
 /// process epoch; `tid` is a small per-thread id assigned on first use.
 #[derive(Debug, Clone)]
 pub struct Event {
-    /// Event kind (span begin/end, complete, instant).
+    /// Event kind (span begin/end, complete).
     pub kind: EventKind,
     /// Static (or interned) label.
     pub label: &'static str,
@@ -209,35 +207,6 @@ pub fn complete_since(label: &'static str, start_ns: u64, args: &[(&'static str,
     });
 }
 
-/// Record a complete span with explicit start and duration (reconstructed
-/// timelines, e.g. per-rank phase aggregates shipped by `mvn-dist` workers).
-#[inline]
-pub fn complete_at(label: &'static str, start_ns: u64, dur_ns: u64, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
-    }
-    let (packed, nargs) = pack_args(args);
-    with_local(|tid, buf| {
-        buf.lock().unwrap().push(Event {
-            kind: EventKind::Complete { dur_ns },
-            label,
-            ts_ns: start_ns,
-            tid,
-            args: packed,
-            nargs,
-        });
-    });
-}
-
-/// Record a point-in-time marker.
-#[inline]
-pub fn instant(label: &'static str, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
-    }
-    push(EventKind::Instant, label, args);
-}
-
 /// Drain every registered thread buffer into one list, sorted by timestamp
 /// (stable, so same-timestamp events keep per-thread recording order and
 /// begin/end pairs never invert). The recorder is left empty.
@@ -289,7 +258,6 @@ fn write_event(out: &mut String, pid: u64, e: &Event) {
         EventKind::Begin => ("B", None),
         EventKind::End => ("E", None),
         EventKind::Complete { dur_ns } => ("X", Some(dur_ns)),
-        EventKind::Instant => ("i", None),
     };
     out.push_str("{\"name\":\"");
     write_escaped(out, e.label);
@@ -306,9 +274,6 @@ fn write_event(out: &mut String, pid: u64, e: &Event) {
     if let Some(d) = dur {
         out.push_str(",\"dur\":");
         out.push_str(&format!("{:.3}", d as f64 / 1000.0));
-    }
-    if e.kind == EventKind::Instant {
-        out.push_str(",\"s\":\"t\"");
     }
     if e.nargs > 0 {
         out.push_str(",\"args\":{");
@@ -369,7 +334,6 @@ mod tests {
         let _ = take_events();
         {
             let _s = span_with("noop", &[("k", 1)]);
-            instant("marker", &[]);
             complete_since("phase", now_ns(), &[]);
         }
         assert!(take_events().is_empty());
@@ -385,7 +349,7 @@ mod tests {
             {
                 let _inner = span("inner");
             }
-            instant("tick", &[("n", 7)]);
+            complete_since("tick", now_ns(), &[("n", 7)]);
         }
         set_enabled(false);
         let events = take_events();
@@ -455,18 +419,24 @@ mod tests {
         let _ = take_events();
         {
             let _s = span("alpha");
-            instant("beta", &[("x", 1)]);
         }
-        complete_at("gamma", 10, 20, &[("rank", 2)]);
         set_enabled(false);
-        let events = take_events();
+        let mut events = take_events();
+        let (args, nargs) = pack_args(&[("rank", 2)]);
+        events.push(Event {
+            kind: EventKind::Complete { dur_ns: 20 },
+            label: "gamma",
+            ts_ns: 10,
+            tid: 0,
+            args,
+            nargs,
+        });
         let json = export_chrome_trace(&[(5, &events)]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"ph\":\"E\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"pid\":5"));
         assert!(json.contains("\"dur\":0.020"));
         assert!(json.contains("\"rank\":2"));

@@ -6,8 +6,7 @@
 //! ```
 
 use excursion::{
-    correlation_factor, detect_confidence_regions, excursion_set, find_excursion_set, mc_validate,
-    CrdConfig,
+    correlation_factor, detect_confidence_regions, excursion_set, mc_validate, CrdConfig,
 };
 use geostat::{
     posterior_update, regular_grid, simulate_field, simulate_observations, CovarianceKernel,
@@ -57,11 +56,15 @@ fn main() {
         region.len()
     );
 
-    // 4. The same region with the joint probability of its boundary prefix.
-    let (boundary_region, joint_prob) = find_excursion_set(&engine, &factor, &post.mean, &sd, &cfg);
+    // 4. The joint probability of the region's boundary prefix, read off the
+    //    same one-sweep confidence function (1 for an empty region).
+    let joint_prob = match region.len() {
+        0 => 1.0,
+        len => result.confidence[result.order[len - 1]],
+    };
     println!(
         "boundary search: {} sites with joint exceedance probability {:.4}",
-        boundary_region.len(),
+        region.len(),
         joint_prob
     );
 

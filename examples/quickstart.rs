@@ -73,9 +73,15 @@ fn main() {
 
     // 5. Naive Monte-Carlo baseline for comparison (impractical in truly high
     //    dimensions, which is the paper's motivation for the SOV algorithm).
-    //    It samples x = L·z, so it reuses the dense factor of step 3.
-    let l = dense_factor.tiled().expect("a Cholesky factor is tiled");
-    let mc = mvn_prob_mc(l, &a, &b, &MvnConfig::with_samples(200_000));
+    //    It samples x = L·z, so it reuses the dense factor of step 3, on the
+    //    engine's pool.
+    let mc = mvn_prob_mc(
+        engine.pool(),
+        &dense_factor,
+        &a,
+        &b,
+        &MvnConfig::with_samples(200_000),
+    );
     println!(
         "naive MC   : P = {:.6e}  (std error {:.1e}, {} samples)",
         mc.prob, mc.std_error, mc.samples

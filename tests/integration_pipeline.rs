@@ -42,8 +42,8 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
         .unwrap();
     let p_dense = engine.solve(&dense, &a, &b);
 
-    let dense = dense.tiled().expect("a Cholesky factor is tiled");
-    let p_genz = mvn_prob_genz(&dense.to_dense_lower(), &a, &b, &cfg);
+    let l = dense.tiled().expect("a Cholesky factor is tiled");
+    let p_genz = mvn_prob_genz(&l.to_dense_lower(), &a, &b, &cfg);
 
     let tlr = TlrMatrix::assemble(
         n,
@@ -53,7 +53,13 @@ fn all_four_mvn_estimators_agree_on_a_spatial_problem() {
     );
     let p_tlr = engine.solve(&engine.factor(tlr).unwrap(), &a, &b);
 
-    let p_mc = mvn_prob_mc(dense, &a, &b, &MvnConfig::with_samples(400_000));
+    let p_mc = mvn_prob_mc(
+        engine.pool(),
+        &dense,
+        &a,
+        &b,
+        &MvnConfig::with_samples(400_000),
+    );
 
     let tol = 6.0 * (p_dense.std_error + p_genz.std_error + p_mc.std_error).max(3e-3);
     assert!(
